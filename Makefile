@@ -3,7 +3,7 @@ GO ?= go
 # Seconds of coverage-guided fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 20s
 
-.PHONY: all build vet staticcheck lint test race bench-smoke errcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke check
+.PHONY: all build vet staticcheck lint test race bench-smoke microbench bench-test errcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke check
 
 all: check
 
@@ -34,6 +34,24 @@ race:
 # One iteration of every benchmark, as a compile-and-run smoke test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The result egress path's microbenchmarks (hit-path handler, result
+# encoder, shard merge), six runs each with allocation counts, in the form
+# benchstat reads: `make microbench > new.txt`, then
+# `benchstat old.txt new.txt` against a run of the commit being compared.
+# EXPERIMENTS.md "Egress path" records the before/after of the PR that added
+# them.
+microbench:
+	$(GO) test -run '^$$' -bench '^Benchmark(HandlerHit|EncodeResult|MergeShardResults)$$' \
+		-benchmem -count 6 ./internal/server ./internal/analytics
+
+# The repo benchmark's own tests (bench/ is a module of its own, so `make
+# test` does not reach it): its percentile, open-loop timing and span
+# arithmetic, and the check that BENCHMARK.json still equals the tables in
+# bench/spec.go.  -short skips the ~10 s end-to-end smoke run.  CI runs this as
+# its own step beside `make check`.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # ntalint: the repo's own analyzer suite (internal/lint) — persistcheck
 # (dropped persistence errors), determcheck (wall-clock / unseeded rand /
@@ -87,13 +105,15 @@ ingestcheck:
 		-points 0 -seeds 3 -seed 42 -files 4 -tokens 120 -vocab 40 -corpus-seed 7
 
 # A short coverage-guided run of every fuzz target (archive parsing, the
-# compress/decompress round trip, op-log crash recovery).  Each target gets
-# FUZZTIME of fuzzing on top of its seed corpus; new crashers land in
-# testdata/fuzz/ for `make test` to replay forever after.
+# compress/decompress round trip, op-log crash recovery, the result encoder
+# against its reflection oracle).  Each target gets FUZZTIME of fuzzing on
+# top of its seed corpus; new crashers land in testdata/fuzz/ for `make test`
+# to replay forever after.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogRecovery$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResult$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # End-to-end daemon gate: builds the real ntadocd binary, serves the
 # testdata corpus over HTTP, asserts every op bit-identical to direct

@@ -3,9 +3,11 @@ package ntadoc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
+	"github.com/text-analytics/ntadoc/internal/dict"
 )
 
 // Task names one of the six analytics tasks for batch execution.
@@ -153,15 +155,23 @@ func (b BatchSpec) NeedsSequences() bool {
 // "wordcount+termvector@k=5".  Equal signatures mean identical batches:
 // the daemon's coalescer and result cache key on it.
 func (b BatchSpec) Signature() string {
-	names := make([]string, len(b.tasks))
+	return string(b.AppendSignature(make([]byte, 0, 80))) // the six-task batch's is 59 bytes
+}
+
+// AppendSignature appends Signature() to dst, for callers assembling a
+// larger key around it.
+func (b BatchSpec) AppendSignature(dst []byte) []byte {
 	for i, t := range b.tasks {
-		names[i] = t.String()
+		if i > 0 {
+			dst = append(dst, '+')
+		}
+		dst = append(dst, t.String()...)
 	}
-	sig := strings.Join(names, "+")
 	if b.k > 0 {
-		sig += fmt.Sprintf("@k=%d", b.k)
+		dst = append(dst, "@k="...)
+		dst = strconv.AppendInt(dst, int64(b.k), 10)
 	}
-	return sig
+	return dst
 }
 
 // ops materializes the batch's analytics ops.
@@ -223,91 +233,134 @@ func (e *Engine) RunSpec(spec BatchSpec) (*BatchResult, error) {
 // convertBatch maps the kernel's ID-keyed op results onto the public
 // string-keyed BatchResult, slot by slot in the spec's canonical order.
 func (e *Engine) convertBatch(spec BatchSpec, results []any) *BatchResult {
+	c := e.converter()
 	out := &BatchResult{}
 	for i, t := range spec.tasks {
 		switch t {
 		case TaskWordCount:
-			out.WordCount = e.convWordCounts(results[i].(map[uint32]uint64))
+			out.WordCount = c.wordCounts(results[i].(map[uint32]uint64))
 		case TaskSort:
-			out.Sort = e.convTermCounts(results[i].([]analytics.WordFreq))
+			out.Sort = c.termCounts(results[i].([]analytics.WordFreq))
 		case TaskTermVectors:
-			out.TermVectors = e.convTermVectors(results[i].([][]analytics.WordFreq))
+			out.TermVectors = c.termVectors(results[i].([][]analytics.WordFreq))
 		case TaskInvertedIndex:
-			out.InvertedIndex = e.convInvertedIndex(results[i].(map[uint32][]uint32))
+			out.InvertedIndex = c.invertedIndex(results[i].(map[uint32][]uint32))
 		case TaskSequenceCount:
-			out.SequenceCount = e.convSequenceCounts(results[i].(map[analytics.Seq]uint64))
+			out.SequenceCount = c.sequenceCounts(results[i].(map[analytics.Seq]uint64))
 		case TaskRankedInvertedIndex:
-			out.RankedInvertedIndex = e.convRankedIndex(results[i].(map[analytics.Seq][]analytics.DocFreq))
+			out.RankedInvertedIndex = c.rankedIndex(results[i].(map[analytics.Seq][]analytics.DocFreq))
 		}
 	}
 	return out
+}
+
+// converter resolves result IDs to strings against one snapshot of the
+// vocabulary and one of the document names, taken after the run that
+// produced the results: both tables only grow and IDs are stable, so a
+// snapshot at or after the run's corpus cut covers every ID in it, and a
+// conversion takes each table's lock once rather than per lookup.
+type converter struct {
+	words []string
+	docs  []string
+}
+
+func (e *Engine) converter() *converter {
+	return &converter{words: e.a.d.Words(), docs: e.docNames()}
+}
+
+func (c *converter) word(id uint32) string { return dict.WordIn(c.words, id) }
+
+// seqKeys joins the sequences of one result map into their string keys
+// ("w0 w1 w2").  The keys are cut from one buffer sized for all of them up
+// front: a result's ~10^5 keys cost one allocation instead of two each, and
+// the buffer never regrows — a regrown buffer would stay pinned, whole, by
+// the keys already cut from it.
+type seqKeys struct {
+	c   *converter
+	buf strings.Builder
+}
+
+func newSeqKeys[V any](c *converter, m map[analytics.Seq]V) *seqKeys {
+	size := 0
+	for q := range m {
+		for _, id := range q {
+			size += len(c.word(id)) + 1
+		}
+	}
+	k := &seqKeys{c: c}
+	k.buf.Grow(size)
+	return k
+}
+
+// key returns q's space-joined words.
+func (k *seqKeys) key(q analytics.Seq) string {
+	start := k.buf.Len()
+	for i, id := range q {
+		if i > 0 {
+			k.buf.WriteByte(' ')
+		}
+		k.buf.WriteString(k.c.word(id))
+	}
+	return k.buf.String()[start:]
 }
 
 // Conversions from internal ID-keyed results to the public string-keyed
 // forms, shared by the per-task methods and RunBatch.
 
-func (e *Engine) convWordCounts(counts map[uint32]uint64) map[string]uint64 {
+func (c *converter) wordCounts(counts map[uint32]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(counts))
-	for id, c := range counts {
-		out[e.a.d.Word(id)] = c
+	for id, n := range counts {
+		out[c.word(id)] = n
 	}
 	return out
 }
 
-func (e *Engine) convTermCounts(wf []analytics.WordFreq) []TermCount {
+func (c *converter) termCounts(wf []analytics.WordFreq) []TermCount {
 	out := make([]TermCount, len(wf))
 	for i, w := range wf {
-		out[i] = TermCount{Term: e.a.d.Word(w.Word), Count: w.Freq}
+		out[i] = TermCount{Term: c.word(w.Word), Count: w.Freq}
 	}
 	return out
 }
 
-func (e *Engine) convTermVectors(tv [][]analytics.WordFreq) [][]TermCount {
+func (c *converter) termVectors(tv [][]analytics.WordFreq) [][]TermCount {
 	out := make([][]TermCount, len(tv))
 	for i, vec := range tv {
-		out[i] = e.convTermCounts(vec)
+		out[i] = c.termCounts(vec)
 	}
 	return out
 }
 
-func (e *Engine) convInvertedIndex(inv map[uint32][]uint32) map[string][]string {
-	table := e.docNames()
+func (c *converter) invertedIndex(inv map[uint32][]uint32) map[string][]string {
 	out := make(map[string][]string, len(inv))
 	for id, docs := range inv {
 		names := make([]string, len(docs))
 		for i, doc := range docs {
-			names[i] = table[doc]
+			names[i] = c.docs[doc]
 		}
-		out[e.a.d.Word(id)] = names
+		out[c.word(id)] = names
 	}
 	return out
 }
 
-func (e *Engine) convSequenceCounts(sc map[analytics.Seq]uint64) map[string]uint64 {
+func (c *converter) sequenceCounts(sc map[analytics.Seq]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(sc))
-	for q, c := range sc {
-		out[e.seqKey(q)] = c
+	keys := newSeqKeys(c, sc)
+	for q, n := range sc {
+		out[keys.key(q)] = n
 	}
 	return out
 }
 
-func (e *Engine) convRankedIndex(rii map[analytics.Seq][]analytics.DocFreq) map[string][]DocCount {
-	table := e.docNames()
+func (c *converter) rankedIndex(rii map[analytics.Seq][]analytics.DocFreq) map[string][]DocCount {
 	out := make(map[string][]DocCount, len(rii))
+	keys := newSeqKeys(c, rii)
 	for q, postings := range rii {
 		row := make([]DocCount, len(postings))
 		for i, p := range postings {
-			row[i] = DocCount{Doc: table[p.Doc], Count: p.Freq}
+			row[i] = DocCount{Doc: c.docs[p.Doc], Count: p.Freq}
 		}
-		out[e.seqKey(q)] = row
+		out[keys.key(q)] = row
 	}
 	return out
-}
-
-func (e *Engine) seqKey(q analytics.Seq) string {
-	words := make([]string, len(q))
-	for i, id := range q {
-		words[i] = e.a.d.Word(id)
-	}
-	return strings.Join(words, " ")
 }

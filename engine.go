@@ -93,6 +93,8 @@ type Engine struct {
 	nt    *core.Engine        // non-nil on unsharded N-TADOC media
 	sh    *core.ShardedEngine // non-nil on sharded N-TADOC media
 
+	buildTag uint32 // the archive's shared-table checksum at construction; see BuildTag
+
 	namesMu sync.RWMutex
 	names   []string // guarded by namesMu: global document index -> name
 
@@ -125,6 +127,9 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{a: a, names: a.DocumentNames(), committedVocab: a.d.Len()}
+	if a.shared != nil {
+		e.buildTag = a.shared.Checksum()
+	}
 	if opts.Medium == MediumDRAM {
 		// The DRAM baseline has no per-shard devices to parallelize over;
 		// it runs on the whole-corpus grammar view.
@@ -161,11 +166,9 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 				ReplicaReads: opts.ReplicaReads,
 			}
 		}
-		if a.shared != nil {
-			// Tie every shard pool to this unified build: recovery rejects a
-			// device set mixing shards of different shared-rule containers.
-			copts.BuildTag = a.shared.Checksum()
-		}
+		// Tie every shard pool to this unified build: recovery rejects a
+		// device set mixing shards of different shared-rule containers.
+		copts.BuildTag = e.buildTag
 		sh, err := core.NewSharded(a.shards, a.d, copts)
 		if err != nil {
 			return nil, err
@@ -359,7 +362,7 @@ func (e *Engine) WordCount() (map[string]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.convWordCounts(counts), nil
+	return e.converter().wordCounts(counts), nil
 }
 
 // Sort returns the distinct words with counts in alphabetical order.
@@ -368,7 +371,7 @@ func (e *Engine) Sort() ([]TermCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.convTermCounts(wf), nil
+	return e.converter().termCounts(wf), nil
 }
 
 // TermVectors returns each document's words by descending frequency,
@@ -378,7 +381,7 @@ func (e *Engine) TermVectors(k int) ([][]TermCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.convTermVectors(tv), nil
+	return e.converter().termVectors(tv), nil
 }
 
 // InvertedIndex maps each word to the names of the documents containing it,
@@ -388,7 +391,7 @@ func (e *Engine) InvertedIndex() (map[string][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.convInvertedIndex(inv), nil
+	return e.converter().invertedIndex(inv), nil
 }
 
 // SequenceCount returns the occurrences of each three-word sequence, keyed
@@ -398,7 +401,7 @@ func (e *Engine) SequenceCount() (map[string]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.convSequenceCounts(sc), nil
+	return e.converter().sequenceCounts(sc), nil
 }
 
 // RankedInvertedIndex maps each three-word sequence to its documents in
@@ -408,7 +411,7 @@ func (e *Engine) RankedInvertedIndex() (map[string][]DocCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.convRankedIndex(rii), nil
+	return e.converter().rankedIndex(rii), nil
 }
 
 // TopTerms is a convenience: the n most frequent words across the archive,

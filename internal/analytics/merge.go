@@ -7,10 +7,20 @@
 // by the shard's base.  Every canonical ordering (alphabetical sort, posting
 // ranking) is re-established after the merge, so merged results are
 // bit-identical to an unsharded run over the same corpus.
+//
+// Unit results are never mutated: callers keep them (failover retries,
+// replica lanes).  A posting list only one unit contributed, already in
+// global document numbering, is aliased read-only into the merged result
+// rather than copied; it is clipped first, so a later contribution appends
+// into fresh memory.  Only lists that need it are re-ordered at Finish — the
+// ones a second unit extended or a docmap unit touched (a docmap interleaves
+// documents) — since a unit's own lists arrive in canonical order and a
+// uniform document offset preserves it.
 package analytics
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/text-analytics/ntadoc/internal/metrics"
 )
@@ -49,6 +59,16 @@ func MergeShardResults(op Op, env Env, results []any, docBases []uint32) (any, e
 		}
 	}
 	return mf.Finish()
+}
+
+// presized returns acc ready for a unit of n keys: while acc is still empty
+// it is replaced by a map with room for them, so the first unit — typically
+// most of the merged key set — is inserted without rehash growth.
+func presized[K comparable, V any](acc map[K]V, n int) map[K]V {
+	if len(acc) == 0 {
+		return make(map[K]V, n)
+	}
+	return acc
 }
 
 // mergeTypeError reports a shard result whose concrete type does not match
@@ -108,6 +128,7 @@ func (f *wordCountFold) MergeShard(result any, _ uint32) error {
 		return mergeTypeError("wordcount", result)
 	}
 	f.env.Charge(int64(len(in)), metrics.CostMergeEntry)
+	f.out = presized(f.out, len(in))
 	for w, n := range in {
 		f.out[w] += n
 	}
@@ -121,9 +142,7 @@ func (f *sortFold) MergeShard(result any, _ uint32) error {
 	if !ok {
 		return mergeTypeError("sort", result)
 	}
-	if f.acc == nil {
-		f.acc = make(map[uint32]uint64, len(in))
-	}
+	f.acc = presized(f.acc, len(in))
 	f.env.Charge(int64(len(in)), metrics.CostMergeEntry)
 	for _, wf := range in {
 		f.acc[wf.Word] += wf.Freq
@@ -151,18 +170,49 @@ func (f *termVectorsFold) MergeShard(result any, docBase uint32) error {
 }
 
 // MergeShard concatenates posting lists with documents offset to their
-// global indices; Finish re-sorts each list into canonical document order.
+// global indices; Finish re-sorts the lists more than one unit contributed
+// to into canonical document order.
 func (f *invertedIndexFold) MergeShard(result any, docBase uint32) error {
+	return f.merge(result, docBase, nil)
+}
+
+// merge folds one unit in: under docMap when it is non-nil, else at docBase.
+func (f *invertedIndexFold) merge(result any, docBase uint32, docMap []uint32) error {
 	in, ok := result.(map[uint32][]uint32)
 	if !ok {
 		return mergeTypeError("invertedindex", result)
 	}
+	f.merging = true
+	f.out = presized(f.out, len(in))
+	var entries int64
+	//ntalint:ignore determcheck keyed appends commute across keys, and resort is a worklist of per-key sorts whose order never reaches the result; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.
 	for w, docs := range in {
-		f.env.Charge(int64(len(docs)), metrics.CostMergeEntry)
-		for _, doc := range docs {
-			f.out[w] = append(f.out[w], doc+docBase)
+		if len(docs) == 0 {
+			continue
 		}
+		entries += int64(len(docs))
+		acc, seen := f.out[w]
+		if !seen && docMap == nil && docBase == 0 {
+			f.out[w] = slices.Clip(docs)
+			continue
+		}
+		if seen || docMap != nil {
+			f.resort = append(f.resort, w)
+		}
+		acc = slices.Grow(acc, len(docs))
+		for _, doc := range docs {
+			if docMap == nil {
+				acc = append(acc, doc+docBase)
+				continue
+			}
+			if int(doc) >= len(docMap) {
+				return fmt.Errorf("analytics: invertedindex unit document %d outside map of %d", doc, len(docMap))
+			}
+			acc = append(acc, docMap[doc])
+		}
+		f.out[w] = acc
 	}
+	f.env.Charge(entries, metrics.CostMergeEntry)
 	return nil
 }
 
@@ -173,6 +223,7 @@ func (f *seqCountFold) MergeShard(result any, _ uint32) error {
 		return mergeTypeError("seqcount", result)
 	}
 	f.env.Charge(int64(len(in)), metrics.CostSeqOp)
+	f.out = presized(f.out, len(in))
 	for q, n := range in {
 		f.out[q] += n
 	}
@@ -180,22 +231,49 @@ func (f *seqCountFold) MergeShard(result any, _ uint32) error {
 }
 
 // MergeShard concatenates ranked postings with documents offset to their
-// global indices; Finish re-ranks each merged list (descending frequency,
-// ascending document), restoring the canonical order.
+// global indices; Finish re-ranks the lists more than one unit contributed to
+// (descending frequency, ascending document), restoring the canonical order.
 func (f *rankedIndexFold) MergeShard(result any, docBase uint32) error {
+	return f.merge(result, docBase, nil)
+}
+
+// merge folds one unit in: under docMap when it is non-nil, else at docBase.
+func (f *rankedIndexFold) merge(result any, docBase uint32, docMap []uint32) error {
 	in, ok := result.(map[Seq][]DocFreq)
 	if !ok {
 		return mergeTypeError("rankedindex", result)
 	}
-	if f.merged == nil {
-		f.merged = make(map[Seq][]DocFreq, len(in))
-	}
+	f.merged = presized(f.merged, len(in))
+	var entries int64
+	//ntalint:ignore determcheck keyed appends commute across keys, and rerank is a worklist of per-key sorts whose order never reaches the result; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.
 	for q, postings := range in {
-		f.env.Charge(int64(len(postings)), metrics.CostMergeEntry)
-		for _, p := range postings {
-			f.merged[q] = append(f.merged[q], DocFreq{Doc: p.Doc + docBase, Freq: p.Freq})
+		if len(postings) == 0 {
+			continue
 		}
+		entries += int64(len(postings))
+		acc, seen := f.merged[q]
+		if !seen && docMap == nil && docBase == 0 {
+			f.merged[q] = slices.Clip(postings)
+			continue
+		}
+		if seen || docMap != nil {
+			f.rerank = append(f.rerank, q)
+		}
+		acc = slices.Grow(acc, len(postings))
+		for _, p := range postings {
+			if docMap == nil {
+				acc = append(acc, DocFreq{Doc: p.Doc + docBase, Freq: p.Freq})
+				continue
+			}
+			if int(p.Doc) >= len(docMap) {
+				return fmt.Errorf("analytics: rankedindex unit document %d outside map of %d", p.Doc, len(docMap))
+			}
+			acc = append(acc, DocFreq{Doc: docMap[p.Doc], Freq: p.Freq})
+		}
+		f.merged[q] = acc
 	}
+	f.postings += entries
+	f.env.Charge(entries, metrics.CostMergeEntry)
 	return nil
 }
 
@@ -230,23 +308,10 @@ func (f *termVectorsFold) MergeMapped(result any, docMap []uint32) error {
 }
 
 // MergeMapped concatenates posting lists with documents remapped to their
-// global indices; Finish re-sorts each list into canonical document order.
+// global indices; Finish re-sorts every list touched here into canonical
+// document order (a docmap interleaves this unit's documents with others').
 func (f *invertedIndexFold) MergeMapped(result any, docMap []uint32) error {
-	in, ok := result.(map[uint32][]uint32)
-	if !ok {
-		return mergeTypeError("invertedindex", result)
-	}
-	//ntalint:ignore determcheck keyed appends commute across keys; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.
-	for w, docs := range in {
-		f.env.Charge(int64(len(docs)), metrics.CostMergeEntry)
-		for _, doc := range docs {
-			if int(doc) >= len(docMap) {
-				return fmt.Errorf("analytics: invertedindex unit document %d outside map of %d", doc, len(docMap))
-			}
-			f.out[w] = append(f.out[w], docMap[doc])
-		}
-	}
-	return nil
+	return f.merge(result, 0, docMap)
 }
 
 // MergeMapped: global-scope folds ignore document indices entirely.
@@ -255,26 +320,9 @@ func (f *seqCountFold) MergeMapped(result any, _ []uint32) error {
 }
 
 // MergeMapped concatenates ranked postings with documents remapped to their
-// global indices; Finish re-ranks each merged list.
+// global indices; Finish re-ranks every list touched here.
 func (f *rankedIndexFold) MergeMapped(result any, docMap []uint32) error {
-	in, ok := result.(map[Seq][]DocFreq)
-	if !ok {
-		return mergeTypeError("rankedindex", result)
-	}
-	if f.merged == nil {
-		f.merged = make(map[Seq][]DocFreq, len(in))
-	}
-	//ntalint:ignore determcheck keyed appends commute across keys; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.
-	for q, postings := range in {
-		f.env.Charge(int64(len(postings)), metrics.CostMergeEntry)
-		for _, p := range postings {
-			if int(p.Doc) >= len(docMap) {
-				return fmt.Errorf("analytics: rankedindex unit document %d outside map of %d", p.Doc, len(docMap))
-			}
-			f.merged[q] = append(f.merged[q], DocFreq{Doc: docMap[p.Doc], Freq: p.Freq})
-		}
-	}
-	return nil
+	return f.merge(result, 0, docMap)
 }
 
 // Every registered op's fold must be mergeable, with and without a docmap.

@@ -45,7 +45,7 @@ func mergeCorpus(t *testing.T) ([][]uint32, *dict.Dictionary) {
 
 // shardRefResult computes the op's reference result over one shard's files
 // alone — exactly what that shard's engine would produce.
-func shardRefResult(t *testing.T, op Op, files [][]uint32, d *dict.Dictionary) any {
+func shardRefResult(t testing.TB, op Op, files [][]uint32, d *dict.Dictionary) any {
 	t.Helper()
 	switch op.Task() {
 	case WordCount:

@@ -243,6 +243,10 @@ func (InvertedIndexOp) NewFold(env Env) Fold {
 type invertedIndexFold struct {
 	env Env
 	out map[uint32][]uint32
+	// Shard-merge state: merging is set by the first merged unit, and resort
+	// lists the words whose merged posting list Finish must re-sort.
+	merging bool
+	resort  []uint32
 }
 
 func (f *invertedIndexFold) Global(Counts) error { return errFoldScope }
@@ -255,6 +259,12 @@ func (f *invertedIndexFold) File(doc uint32, c Counts) error {
 	return nil
 }
 func (f *invertedIndexFold) Finish() (any, error) {
+	if f.merging {
+		for _, w := range f.resort {
+			slices.Sort(f.out[w])
+		}
+		return f.out, nil
+	}
 	// Documents arrive in ascending order but Range order within a document
 	// is unspecified, so each posting list still needs its final sort.
 	for w := range f.out {
@@ -303,7 +313,12 @@ func (RankedInvertedIndexOp) NewFold(env Env) Fold {
 type rankedIndexFold struct {
 	env    Env
 	perDoc map[uint64][]DocFreq
-	merged map[Seq][]DocFreq // shard-merge accumulator; nil on the traversal path
+	// Shard-merge state (merged is nil on the traversal path): the
+	// accumulator Finish returns, the sequences whose merged list it must
+	// re-rank, and the merged posting count its sort charge is made on.
+	merged   map[Seq][]DocFreq
+	rerank   []Seq
+	postings int64
 }
 
 func (f *rankedIndexFold) Global(Counts) error { return errFoldScope }
@@ -317,12 +332,11 @@ func (f *rankedIndexFold) File(doc uint32, c Counts) error {
 }
 func (f *rankedIndexFold) Finish() (any, error) {
 	if f.merged != nil {
-		out := make(map[Seq][]DocFreq, len(f.merged))
-		for q, postings := range f.merged {
-			f.env.Charge(int64(len(postings)), metrics.CostSortEntry)
-			out[q] = RankPostingsSorted(postings)
+		f.env.Charge(f.postings, metrics.CostSortEntry)
+		for _, q := range f.rerank {
+			RankPostingsSorted(f.merged[q])
 		}
-		return out, nil
+		return f.merged, nil
 	}
 	out := make(map[Seq][]DocFreq, len(f.perDoc))
 	for k, postings := range f.perDoc {

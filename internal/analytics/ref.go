@@ -39,8 +39,9 @@ func RefSort(files [][]uint32, d *dict.Dictionary) []WordFreq {
 // SortAlphabetical orders (word, freq) pairs by the word strings, the final
 // step shared by every engine's sort task.
 func SortAlphabetical(wf []WordFreq, d *dict.Dictionary) {
+	words := d.Words()
 	slices.SortFunc(wf, func(a, b WordFreq) int {
-		return strings.Compare(d.Word(a.Word), d.Word(b.Word))
+		return strings.Compare(dict.WordIn(words, a.Word), dict.WordIn(words, b.Word))
 	})
 }
 

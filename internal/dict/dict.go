@@ -71,12 +71,7 @@ func (d *Dictionary) Lookup(word string) (uint32, bool) {
 // Word returns the word for id.  It panics on an unknown ID, which indicates
 // a corrupted grammar rather than a recoverable condition.
 func (d *Dictionary) Word(id uint32) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(id) >= len(d.words) {
-		panic(fmt.Sprintf("dict: unknown word id %d (vocabulary %d)", id, len(d.words)))
-	}
-	return d.words[id]
+	return WordIn(d.Words(), id)
 }
 
 // Words returns the vocabulary in ID order.  IDs are stable, so the returned
@@ -85,6 +80,24 @@ func (d *Dictionary) Words() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.words
+}
+
+// WordIn resolves id against a Words snapshot, panicking like Word on an
+// unknown ID.  Loops that resolve many IDs (result conversion, the sort
+// task's comparator) take one snapshot and resolve against it, paying the
+// dictionary lock once instead of per word.
+func WordIn(words []string, id uint32) string {
+	if int(id) >= len(words) {
+		panicUnknown(id, len(words))
+	}
+	return words[id]
+}
+
+// panicUnknown is out of line so WordIn stays inlinable.
+//
+//go:noinline
+func panicUnknown(id uint32, vocab int) {
+	panic(fmt.Sprintf("dict: unknown word id %d (vocabulary %d)", id, vocab))
 }
 
 // WriteTo serializes the dictionary: header, word count, length-prefixed

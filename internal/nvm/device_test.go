@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // must fails the test on a persistence-path error; used where the call's
@@ -382,5 +383,16 @@ func TestQuickCrashConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The counters are the last fields a lane writes on every access; a full
+// cache line must separate them from whatever the allocator places next
+// (see the padding comment in SimDevice).
+func TestSimDeviceCountersEndInPadding(t *testing.T) {
+	var d SimDevice
+	end := unsafe.Offsetof(d.counters) + unsafe.Sizeof(d.counters)
+	if pad := unsafe.Sizeof(d) - end; pad < 64 {
+		t.Fatalf("%d bytes follow SimDevice's counters, want at least a 64-byte cache line", pad)
 	}
 }

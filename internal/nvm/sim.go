@@ -102,6 +102,14 @@ type SimDevice struct {
 	shipper Shipper
 
 	counters
+
+	// One cache line of padding after the counters, which every access
+	// writes.  The shards' devices are allocated back to back, so without it
+	// one device's counters can share a line with the head of the next —
+	// kind, model, buf, read on every access by another shard's lane on
+	// another core — and whether they do is decided by heap layout, anew in
+	// every process: traversal was a third slower in the unlucky ones.
+	_ [64]byte
 }
 
 // ShipRange is one durable-image delta within a shipped commit batch: the

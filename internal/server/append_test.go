@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/text-analytics/ntadoc"
@@ -114,6 +117,66 @@ func TestAppendInvalidatesCache(t *testing.T) {
 	if n := len(info.LastDocuments); n == 0 || info.LastDocuments[n-1] != "live0" {
 		t.Errorf("LastDocuments = %v, want trailing live0", info.LastDocuments)
 	}
+}
+
+// TestAppendsKeepCacheBounded checks the cache drops a generation's entries
+// once the generation advances: after any number of appends, each followed by
+// the same few queries, it holds at most one entry per distinct signature —
+// not one per (epoch, signature), unreachable and waiting for LRU pressure.
+func TestAppendsKeepCacheBounded(t *testing.T) {
+	s, _ := newIngestServer(t, Config{Sessions: 2})
+	h := s.Handler()
+	tasks := []string{"wordcount", "sort", "invertedindex"}
+
+	metric := func(name string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return ""
+	}
+
+	var perEpoch string
+	for batch := 0; batch < 12; batch++ {
+		_, rec := postAppend(t, h, AppendRequest{Documents: []AppendDocument{
+			{Name: fmt.Sprintf("live%d", batch), Text: "one more quick brown document arrives"},
+		}})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("append %d: %d %s", batch, rec.Code, rec.Body.String())
+		}
+		for _, task := range tasks {
+			for pass, cached := range []bool{false, true} {
+				resp, rec := getResponse(t, h, "/v1/query?task="+task)
+				if rec.Code != http.StatusOK || resp.Cached != cached {
+					t.Fatalf("append %d, %s pass %d: status %d cached %v", batch, task, pass, rec.Code, resp.Cached)
+				}
+			}
+		}
+		if got, want := metric("ntadoc_cache_entries"), fmt.Sprint(len(tasks)); got != want {
+			t.Fatalf("after append %d: ntadoc_cache_entries = %s, want %s", batch, got, want)
+		}
+		if batch == 0 {
+			perEpoch = metric("ntadoc_cache_bytes")
+		}
+	}
+	// Bodies grow a little with every appended document, but the cache holds
+	// one epoch's worth, not twelve.
+	if first, last := atoi(t, perEpoch), atoi(t, metric("ntadoc_cache_bytes")); last > 2*first {
+		t.Errorf("ntadoc_cache_bytes grew from %d to %d over 12 appends", first, last)
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestAppendErrors checks the append error surface: bad bodies, unnamed

@@ -5,15 +5,18 @@ import (
 	"sync"
 )
 
-// resultCache is an LRU cache of marshaled result bodies keyed by
+// resultCache is an LRU cache of encoded result bodies keyed by
 // (generation, canonical batch signature).  The generation is part of the
-// key, so bumping it on recovery or reopen instantly invalidates every
-// cached result from the previous epoch; purge additionally drops the stale
-// entries rather than waiting for LRU pressure to evict them.
+// key, so once it advances — a recovery, a committed append, a compaction —
+// no entry of the previous generation can ever hit again.  The cache
+// therefore remembers the generation it was last read at and drops
+// everything when a read arrives with another one, rather than holding
+// unreachable bodies until LRU pressure evicts them.
 type resultCache struct {
 	max int
 
 	mu    sync.Mutex
+	gen   string                   // guarded by mu: generation of every entry held
 	ll    *list.List               // guarded by mu; front = most recent
 	ent   map[string]*list.Element // guarded by mu
 	bytes int64                    // guarded by mu: sum of cached body sizes
@@ -28,11 +31,18 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, ll: list.New(), ent: make(map[string]*list.Element)}
 }
 
-// get returns the cached body for key, refreshing its recency.  The bytes
+// get returns the cached body for key, refreshing its recency; gen is the
+// generation key was built from, and a new one empties the cache.  The bytes
 // are shared and must not be mutated by callers.
-func (c *resultCache) get(key string) ([]byte, bool) {
+func (c *resultCache) get(gen, key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen {
+		c.gen = gen
+		c.ll.Init()
+		clear(c.ent)
+		c.bytes = 0
+	}
 	el, ok := c.ent[key]
 	if !ok {
 		return nil, false
@@ -42,13 +52,18 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 // put inserts or refreshes key, evicting the least recently used entry past
-// capacity.
-func (c *resultCache) put(key string, body []byte) {
+// capacity.  A body of another generation than the cache's — a leader that
+// started before the generation advanced and finished after — is dropped: it
+// could never be read.
+func (c *resultCache) put(gen, key string, body []byte) {
 	if c.max <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen {
+		return
+	}
 	if el, ok := c.ent[key]; ok {
 		c.ll.MoveToFront(el)
 		ent := el.Value.(*cacheEntry)
@@ -65,15 +80,6 @@ func (c *resultCache) put(key string, body []byte) {
 		delete(c.ent, ent.key)
 		c.bytes -= int64(len(ent.body))
 	}
-}
-
-// purge drops every entry.
-func (c *resultCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.ent)
-	c.bytes = 0
 }
 
 // len reports the number of cached entries.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc"
+	"github.com/text-analytics/ntadoc/internal/wire"
 )
 
 // Config parameterizes a Server.
@@ -74,8 +75,10 @@ type Server struct {
 	appendMu sync.Mutex
 
 	// gen counts recovery epochs; the cache generation string combines it
-	// with the archive build tag.
-	gen atomic.Uint64
+	// with the archive build tag (tagPrefix, "<8 hex digits>.", fixed for the
+	// engine's lifetime) and the corpus epoch.
+	gen       atomic.Uint64
+	tagPrefix string
 	// down latches when recovery fails: the engine lost a shard with no
 	// follower left, so the server can only refuse traffic.
 	down atomic.Bool
@@ -85,9 +88,10 @@ type Server struct {
 	recoverMu   sync.Mutex
 	recoverBusy atomic.Bool
 
-	// execute runs one batch on a pooled session; tests override it to
-	// inject failures the simulated read path cannot produce.
-	execute func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) (*ntadoc.BatchResult, error)
+	// execute runs one batch on a pooled session and returns the encoded
+	// result body; tests override it to inject failures the simulated read
+	// path cannot produce.
+	execute func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error)
 
 	// Serving counters, exported via /metrics.
 	reqOK        atomic.Int64
@@ -119,9 +123,11 @@ func New(cfg Config) (*Server, error) {
 		pool:  pool,
 		cache: newResultCache(cfg.CacheEntries),
 		coal:  newCoalescer(),
+
+		tagPrefix: fmt.Sprintf("%08x.", cfg.Engine.BuildTag()),
 	}
-	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) (*ntadoc.BatchResult, error) {
-		return sess.RunSpec(ctx, spec)
+	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
+		return sess.RunSpecJSON(ctx, spec)
 	}
 	return s, nil
 }
@@ -145,11 +151,24 @@ func (s *Server) Handler() http.Handler {
 // compaction runs — a committed append is therefore never masked by a
 // cached pre-append result.
 func (s *Server) Generation() string {
-	return fmt.Sprintf("%08x.%d.%d", s.eng.BuildTag(), s.gen.Load(), s.eng.CorpusEpoch())
+	return string(s.appendGeneration(make([]byte, 0, 32)))
 }
 
+// appendGeneration appends "<build tag, 8 hex digits>.<recovery epoch>.<corpus epoch>".
+func (s *Server) appendGeneration(dst []byte) []byte {
+	dst = append(dst, s.tagPrefix...)
+	dst = strconv.AppendUint(dst, s.gen.Load(), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, s.eng.CorpusEpoch(), 10)
+}
+
+// maxQueryBody bounds the JSON body of POST /v1/query and /v1/batch: a
+// request names a few tasks and one integer, so 1 MiB is far beyond any
+// legitimate one.  Larger bodies are refused with 413.
+const maxQueryBody = 1 << 20
+
 // parseRequest accepts GET query parameters or a POST JSON body.
-func parseRequest(r *http.Request) (Request, error) {
+func parseRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
@@ -164,8 +183,9 @@ func parseRequest(r *http.Request) (Request, error) {
 		return req, nil
 	case http.MethodPost:
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return Request{}, fmt.Errorf("bad request body: %v", err)
+		body := http.MaxBytesReader(w, r.Body, maxQueryBody)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return Request{}, fmt.Errorf("bad request body: %w", err)
 		}
 		return req, nil
 	default:
@@ -174,10 +194,14 @@ func parseRequest(r *http.Request) (Request, error) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
 		s.reqErr.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	spec, err := req.Spec()
@@ -204,12 +228,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 		}
 	}
 
-	gen := s.Generation()
-	key := gen + "|" + spec.Signature()
-	if body, ok := s.cache.get(key); ok {
+	// One buffer holds the cache/coalescer key "<generation>|<signature>";
+	// the envelope's two header fields are cut from the same string.
+	buf := append(s.appendGeneration(make([]byte, 0, 128)), '|')
+	cut := len(buf)
+	key := string(spec.AppendSignature(buf))
+	gen, sig := key[:cut-1], key[cut:]
+	if body, ok := s.cache.get(gen, key); ok {
 		s.cacheHits.Add(1)
 		s.reqOK.Add(1)
-		s.writeResponse(w, gen, spec, body, true, false)
+		writeResponse(w, gen, sig, body, true, false)
 		return
 	}
 	s.cacheMisses.Add(1)
@@ -220,18 +248,11 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 			return nil, err
 		}
 		defer s.pool.release(sess)
-		res, err := s.execute(ctx, sess, spec)
+		b, err := s.execute(ctx, sess, spec)
 		if err != nil {
 			return nil, err
 		}
-		// The name table is re-snapshotted per execution: appends extend
-		// it, and a result computed at epoch N names documents from the
-		// table as of N.
-		b, err := EncodeResult(res, s.eng.DocumentNames())
-		if err != nil {
-			return nil, err
-		}
-		s.cache.put(key, b)
+		s.cache.put(gen, key, b)
 		return b, nil
 	})
 	if err != nil {
@@ -242,21 +263,41 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 		s.coalesced.Add(1)
 	}
 	s.reqOK.Add(1)
-	s.writeResponse(w, gen, spec, body, false, shared)
+	writeResponse(w, gen, sig, body, false, shared)
 }
 
-func (s *Server) writeResponse(w http.ResponseWriter, gen string, spec ntadoc.BatchSpec, body []byte, cached, coalesced bool) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := Response{
-		Generation: gen,
-		Signature:  spec.Signature(),
-		Cached:     cached,
-		Coalesced:  coalesced,
-		Result:     body,
+// writeResponse frames the Response envelope around an encoded result body:
+// the header fields are appended to a small buffer and body — the bytes the
+// encoder produced, shared with the cache and any coalesced requests — is
+// written as it is, never re-marshaled or copied.  "result" stays the last
+// field, so the body is exactly what lies between its marker and the closing
+// "}\n".
+func writeResponse(w http.ResponseWriter, gen, sig string, body []byte, cached, coalesced bool) {
+	hdr := append(make([]byte, 0, 192), `{"generation":`...)
+	hdr = wire.AppendString(hdr, gen)
+	hdr = append(hdr, `,"signature":`...)
+	hdr = wire.AppendString(hdr, sig)
+	if cached {
+		hdr = append(hdr, `,"cached":true`...)
 	}
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(&resp) // client gone: nothing useful to do
+	if coalesced {
+		hdr = append(hdr, `,"coalesced":true`...)
+	}
+	hdr = append(hdr, `,"result":`...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+len(body)+len(envelopeTail)))
+	// A failed write means the client is gone: nothing useful to do.
+	if _, err := w.Write(hdr); err != nil {
+		return
+	}
+	if _, err := w.Write(body); err != nil {
+		return
+	}
+	_, _ = w.Write(envelopeTail)
 }
+
+// envelopeTail closes the envelope after the result body.
+var envelopeTail = []byte("}\n")
 
 // fail maps an execution error to its HTTP status, triggering recovery on
 // device failures.
@@ -315,8 +356,7 @@ func (s *Server) recoverNow() {
 		s.down.Store(true)
 		return
 	}
-	s.gen.Add(1)
-	s.cache.purge()
+	s.gen.Add(1) // the cache drops the old generation's entries on its next use
 	s.recoveries.Add(1)
 }
 

@@ -181,7 +181,7 @@ func TestCacheHitAndRecoveryInvalidation(t *testing.T) {
 	// the seam stands in for a shard primary dying mid-query.
 	run := s.execute
 	var injected atomic.Bool
-	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) (*ntadoc.BatchResult, error) {
+	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
 		if injected.CompareAndSwap(false, true) {
 			return nil, fmt.Errorf("shard 0: %w", nvm.ErrFailPoint)
 		}
@@ -228,7 +228,7 @@ func TestCoalescing(t *testing.T) {
 	var execs atomic.Int64
 	entered := make(chan struct{})
 	gate := make(chan struct{})
-	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) (*ntadoc.BatchResult, error) {
+	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
 		if execs.Add(1) == 1 {
 			close(entered)
 		}
@@ -294,7 +294,7 @@ func TestOverloadSheds(t *testing.T) {
 	run := s.execute
 	entered := make(chan struct{})
 	gate := make(chan struct{})
-	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) (*ntadoc.BatchResult, error) {
+	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
 		entered <- struct{}{}
 		<-gate
 		return run(ctx, sess, spec)
@@ -347,7 +347,7 @@ func TestClientDisconnect(t *testing.T) {
 
 	run := s.execute
 	entered := make(chan struct{}, 1)
-	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) (*ntadoc.BatchResult, error) {
+	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
 		entered <- struct{}{}
 		<-ctx.Done() // hold the session until the request dies
 		return nil, ctx.Err()

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"github.com/text-analytics/ntadoc"
+	"github.com/text-analytics/ntadoc/internal/wire"
 )
 
 // Request is the body of /v1/query and /v1/batch: one task or several, plus
@@ -53,11 +54,14 @@ type DocTerms struct {
 	Terms []ntadoc.TermCount `json:"terms"`
 }
 
-// Result is the wire form of a BatchResult: one field per task, populated
-// for the tasks the batch requested.  encoding/json emits map keys sorted,
-// so a Result marshals to identical bytes for identical results — the
-// property the cache stores, the coalescer shares, and the e2e test asserts
-// against direct library execution.
+// Result is the wire form of a BatchResult as clients decode it: one field
+// per task, populated for the tasks the batch requested.  The server never
+// marshals it — EncodeResult and the serving path append the same bytes
+// without reflection — but its tags are the format's definition: the tests
+// hold both encoders to json.Marshal of this struct, byte for byte.  Map keys
+// are emitted sorted, so identical results are identical bytes — the property
+// the cache stores, the coalescer shares, and the e2e test asserts against
+// direct library execution.
 type Result struct {
 	WordCount           map[string]uint64            `json:"wordcount,omitempty"`
 	Sort                []ntadoc.TermCount           `json:"sort,omitempty"`
@@ -65,28 +69,6 @@ type Result struct {
 	InvertedIndex       map[string][]string          `json:"invertedindex,omitempty"`
 	SequenceCount       map[string]uint64            `json:"seqcount,omitempty"`
 	RankedInvertedIndex map[string][]ntadoc.DocCount `json:"rankedindex,omitempty"`
-}
-
-// ResultOf builds the wire result, naming each term vector's document.
-func ResultOf(res *ntadoc.BatchResult, docs []string) Result {
-	out := Result{
-		WordCount:           res.WordCount,
-		Sort:                res.Sort,
-		InvertedIndex:       res.InvertedIndex,
-		SequenceCount:       res.SequenceCount,
-		RankedInvertedIndex: res.RankedInvertedIndex,
-	}
-	if res.TermVectors != nil {
-		out.TermVectors = make([]DocTerms, len(res.TermVectors))
-		for i, terms := range res.TermVectors {
-			name := ""
-			if i < len(docs) {
-				name = docs[i]
-			}
-			out.TermVectors[i] = DocTerms{Doc: name, Terms: terms}
-		}
-	}
-	return out
 }
 
 // BatchResult converts back to the library form plus the document names
@@ -112,10 +94,52 @@ func (r Result) BatchResult() (*ntadoc.BatchResult, []string) {
 	return out, docs
 }
 
-// EncodeResult marshals the wire result body that /v1 responses embed, the
-// cache stores, and the e2e test byte-compares.
+// EncodeResult encodes the wire result body that /v1 responses embed, the
+// cache stores, and the e2e test byte-compares: the JSON of Result, naming
+// each term vector's document from docs.  It is the string-keyed twin of
+// QuerySession.RunSpecJSON, which the serving path uses; both append through
+// internal/wire and neither reflects.  The error is always nil.
 func EncodeResult(res *ntadoc.BatchResult, docs []string) ([]byte, error) {
-	return json.Marshal(ResultOf(res, docs))
+	dst := []byte{'{'}
+	dst = wire.AppendMapField(dst, "wordcount", res.WordCount, wordKey, wire.AppendUint)
+	if len(res.Sort) > 0 {
+		dst = appendTerms(wire.AppendField(dst, "sort"), res.Sort)
+	}
+	dst = wire.AppendTermVectorsField(dst, "termvector", res.TermVectors, docs, appendTerms)
+	dst = wire.AppendMapField(dst, "invertedindex", res.InvertedIndex, wordKey, appendDocs)
+	dst = wire.AppendMapField(dst, "seqcount", res.SequenceCount, wordKey, wire.AppendUint)
+	dst = wire.AppendMapField(dst, "rankedindex", res.RankedInvertedIndex, wordKey, appendPostings)
+	return append(dst, '}'), nil
+}
+
+func wordKey(k string) string { return k }
+
+// The list appenders write a nil slice as null and an empty one as [], the
+// distinction encoding/json draws.
+
+func appendTerms(dst []byte, terms []ntadoc.TermCount) []byte {
+	if terms == nil {
+		return append(dst, "null"...)
+	}
+	return wire.AppendArray(dst, terms, func(dst []byte, t ntadoc.TermCount) []byte {
+		return wire.AppendCount(dst, "Term", t.Term, t.Count)
+	})
+}
+
+func appendDocs(dst []byte, docs []string) []byte {
+	if docs == nil {
+		return append(dst, "null"...)
+	}
+	return wire.AppendArray(dst, docs, wire.AppendString)
+}
+
+func appendPostings(dst []byte, postings []ntadoc.DocCount) []byte {
+	if postings == nil {
+		return append(dst, "null"...)
+	}
+	return wire.AppendArray(dst, postings, func(dst []byte, p ntadoc.DocCount) []byte {
+		return wire.AppendCount(dst, "Doc", p.Doc, p.Count)
+	})
 }
 
 // AppendDocument is one document of an append batch on the wire.
@@ -157,10 +181,14 @@ type IngestInfo struct {
 	LastDocuments []string `json:"last_documents,omitempty"`
 }
 
-// Response is the envelope of /v1/query and /v1/batch.
+// Response is the envelope of /v1/query and /v1/batch as clients decode it.
+// The server frames it by hand around the stored body (writeResponse), in
+// this field order with Result last; the golden-envelope test holds those
+// bytes to json.Encoder's encoding of this struct.
 type Response struct {
-	// Generation identifies the archive build and recovery epoch the result
-	// was computed against; it changes on failover recovery, invalidating
+	// Generation identifies the archive build, recovery epoch and corpus
+	// epoch the result was computed against; it changes on failover
+	// recovery, on a committed append and on a compaction, invalidating
 	// client-side caches along with the server's.
 	Generation string `json:"generation"`
 	// Signature is the canonical batch signature the request reduced to.

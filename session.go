@@ -51,23 +51,27 @@ func (s *QuerySession) RunBatch(ctx context.Context, tasks ...Task) (*BatchResul
 // a core.ErrShardFailed wrapper); test with errors.Is against
 // context.Canceled or context.DeadlineExceeded.
 func (s *QuerySession) RunSpec(ctx context.Context, spec BatchSpec) (*BatchResult, error) {
+	results, err := s.runOps(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.e.convertBatch(spec, results), nil
+}
+
+// runOps runs the spec's ops on the session's kernel, returning the ID-keyed
+// results positionally (none for an empty batch).
+func (s *QuerySession) runOps(ctx context.Context, spec BatchSpec) ([]any, error) {
 	if len(spec.tasks) == 0 {
-		return &BatchResult{}, nil
+		return nil, nil
 	}
 	ops, err := spec.ops()
 	if err != nil {
 		return nil, err
 	}
-	var results []any
 	if s.one != nil {
-		results, err = s.one.RunOpsContext(ctx, ops)
-	} else {
-		results, err = s.sh.RunOpsContext(ctx, ops)
+		return s.one.RunOpsContext(ctx, ops)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return s.e.convertBatch(spec, results), nil
+	return s.sh.RunOpsContext(ctx, ops)
 }
 
 // IsDeviceFailure reports whether err originated in a simulated device
@@ -97,13 +101,9 @@ func (e *Engine) docNames() []string {
 // BuildTag returns the archive's build tag: the shared rule table's
 // checksum for unified sharded archives, 0 otherwise.  The daemon folds it
 // into cache generations so results can never outlive the build that
-// produced them.
-func (e *Engine) BuildTag() uint32 {
-	if e.a != nil && e.a.shared != nil {
-		return e.a.shared.Checksum()
-	}
-	return 0
-}
+// produced them.  The tag is captured when the engine is built: computing it
+// re-encodes the whole shared rule table, far too much for a per-request key.
+func (e *Engine) BuildTag() uint32 { return e.buildTag }
 
 // FailoverCount reports how many shard failovers the engine has performed
 // (sharded engines only; 0 otherwise).

@@ -2,6 +2,7 @@ package ntadoc
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -85,6 +86,44 @@ func TestQuerySessionMatchesEngine(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Error("session results differ from engine task path")
+			}
+
+			// The wire encoding decodes back to the same results, with each
+			// term vector under its document's name.  (Byte identity with
+			// server.EncodeResult is pinned in internal/server.)
+			body, err := s.RunSpecJSON(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("session RunSpecJSON: %v", err)
+			}
+			var wire struct {
+				WordCount   map[string]uint64 `json:"wordcount"`
+				Sort        []TermCount       `json:"sort"`
+				TermVectors []struct {
+					Doc   string      `json:"doc"`
+					Terms []TermCount `json:"terms"`
+				} `json:"termvector"`
+				InvertedIndex       map[string][]string   `json:"invertedindex"`
+				SequenceCount       map[string]uint64     `json:"seqcount"`
+				RankedInvertedIndex map[string][]DocCount `json:"rankedindex"`
+			}
+			if err := json.Unmarshal(body, &wire); err != nil {
+				t.Fatalf("RunSpecJSON body does not parse: %v", err)
+			}
+			decoded := &BatchResult{
+				WordCount: wire.WordCount, Sort: wire.Sort, InvertedIndex: wire.InvertedIndex,
+				SequenceCount: wire.SequenceCount, RankedInvertedIndex: wire.RankedInvertedIndex,
+			}
+			for i, tv := range wire.TermVectors {
+				if tv.Doc != eng.DocumentNames()[i] {
+					t.Errorf("term vector %d named %q, want %q", i, tv.Doc, eng.DocumentNames()[i])
+				}
+				decoded.TermVectors = append(decoded.TermVectors, tv.Terms)
+			}
+			if !reflect.DeepEqual(decoded, want) {
+				t.Error("decoded RunSpecJSON body differs from engine task path")
+			}
+			if empty, err := s.RunSpecJSON(context.Background(), BatchSpec{}); err != nil || string(empty) != "{}" {
+				t.Errorf("RunSpecJSON(empty spec) = %q, %v; want {}", empty, err)
 			}
 		})
 	}
