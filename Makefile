@@ -3,7 +3,7 @@ GO ?= go
 # Seconds of coverage-guided fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 20s
 
-.PHONY: all build vet staticcheck lint test race bench-smoke microbench bench-test errcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke check
+.PHONY: all build vet staticcheck lint test race bench-smoke microbench bench-test errcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loc check
 
 all: check
 
@@ -123,13 +123,13 @@ fuzz-smoke:
 e2e:
 	$(GO) test -count=1 -run 'TestDaemon' ./cmd/ntadocd
 
-# Short serving-layer load run (small N, short duration): stands the server
-# up over a scaled-down corpus and drives it over loopback HTTP, exercising
-# the session pool, coalescer, and result cache end to end.  The committed
-# baseline in BENCH_loadgen.json is recorded with the full defaults
-# (`go run ./cmd/benchfig -fig loadgen`).
-loadgen-smoke:
-	$(GO) run ./cmd/benchfig -fig loadgen -scale 0.05 -loadworkers 8 \
-		-loadrequests 64 -loadout ""
+# Non-test Go lines per top-level package (bench/ is its own module and is
+# excluded), total last — the number the ROADMAP's "net-negative line counts"
+# aim and simplicity issues' size criteria are stated in.
+loc:
+	@total=0; for d in . cmd/* examples/* internal/*; do \
+		n=$$(find $$d $$([ $$d = . ] && echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%7d %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%7d total\n' $$total
 
-check: build vet staticcheck lint test race bench-smoke crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke
+check: build vet staticcheck lint test race bench-smoke crashcheck failovercheck ingestcheck fuzz-smoke e2e

@@ -95,25 +95,42 @@ func TestPublicAppendBitIdentity(t *testing.T) {
 	}
 }
 
-// TestAppendRequiresIngest checks the error surface: DRAM engines and
-// engines built without IngestCapacity reject appends with ErrNoIngest and
-// stay fully queryable.
+// TestAppendRequiresIngest checks the error surface: every engine built
+// without ingestion — DRAM, or an N-TADOC medium without IngestCapacity, at
+// any shard count — rejects Append and Compact with ErrNoIngest under the
+// operation's name, wrapped exactly once, and stays fully queryable.
 func TestAppendRequiresIngest(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name   string
+		shards int
+		opts   Options
 	}{
-		{"dram", Options{Medium: MediumDRAM}},
-		{"no-capacity", Options{}},
+		{"dram", 1, Options{Medium: MediumDRAM}},
+		{"no-capacity", 1, Options{}},
+		{"no-capacity-sharded", 2, Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, err := NewEngine(mustCompress(t, shardDocs), tc.opts)
+			a, err := CompressSharded(shardDocs, tc.shards)
+			if err != nil {
+				t.Fatalf("CompressSharded: %v", err)
+			}
+			eng, err := NewEngine(a, tc.opts)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
 			defer eng.Close()
-			if err := eng.Append(liveDocs[:1]); !errors.Is(err, ErrNoIngest) {
-				t.Errorf("Append = %v, want ErrNoIngest", err)
+			for _, op := range []struct {
+				name string
+				err  error
+			}{
+				{"append", eng.Append(liveDocs[:1])},
+				{"compact", eng.Compact()},
+			} {
+				if !errors.Is(op.err, ErrNoIngest) {
+					t.Errorf("%s = %v, want ErrNoIngest", op.name, op.err)
+				} else if want := "ntadoc: " + op.name + ": " + ErrNoIngest.Error(); op.err.Error() != want {
+					t.Errorf("%s = %q, want %q", op.name, op.err, want)
+				}
 			}
 			if _, err := eng.WordCount(); err != nil {
 				t.Errorf("engine not queryable after rejected append: %v", err)

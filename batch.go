@@ -215,15 +215,11 @@ func (e *Engine) RunSpec(spec BatchSpec) (*BatchResult, error) {
 	if len(spec.tasks) == 0 {
 		return &BatchResult{}, nil
 	}
-	x, ok := e.inner.(analytics.Executor)
-	if !ok {
-		return nil, fmt.Errorf("ntadoc: engine does not support batch execution")
-	}
 	ops, err := spec.ops()
 	if err != nil {
 		return nil, err
 	}
-	results, err := x.RunOps(ops)
+	results, err := e.inner.RunOps(ops)
 	if err != nil {
 		return nil, err
 	}

@@ -156,7 +156,7 @@ func BenchmarkFig7(b *testing.B) {
 // versus TADOC (avg 70.7% saving in the paper), reported as saving-pct.
 func BenchmarkDRAMSavings(b *testing.B) {
 	for _, spec := range benchSpecs(b) {
-		for _, task := range []analytics.Task{analytics.WordCount, analytics.SequenceCount} {
+		for _, task := range []analytics.Task{analytics.TaskWordCount, analytics.TaskSequenceCount} {
 			b.Run(fmt.Sprintf("%s/%s", spec.Name, task), func(b *testing.B) {
 				c := corpusFor(b, spec)
 				for i := 0; i < b.N; i++ {
@@ -219,7 +219,7 @@ func BenchmarkFigTraversal(b *testing.B) {
 		b.Run(fmt.Sprintf("B/term-vector/%s", strat), func(b *testing.B) {
 			c := corpusFor(b, specB)
 			for i := 0; i < b.N; i++ {
-				nt, err := harness.RunNTADOC(c, analytics.TermVector, core.Options{Strategy: strat})
+				nt, err := harness.RunNTADOC(c, analytics.TaskTermVector, core.Options{Strategy: strat})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,15 +243,15 @@ func BenchmarkFigCrossEval(b *testing.B) {
 		b.Run(spec.Name+"/word count", func(b *testing.B) {
 			c := corpusFor(b, spec)
 			for i := 0; i < b.N; i++ {
-				np, err := harness.RunNTADOC(c, analytics.WordCount, naive)
+				np, err := harness.RunNTADOC(c, analytics.TaskWordCount, naive)
 				if err != nil {
 					b.Fatal(err)
 				}
-				td, err := harness.RunTADOC(c, analytics.WordCount, tadoc.Auto)
+				td, err := harness.RunTADOC(c, analytics.TaskWordCount, tadoc.Auto)
 				if err != nil {
 					b.Fatal(err)
 				}
-				nt, err := harness.RunNTADOC(c, analytics.WordCount, core.Options{})
+				nt, err := harness.RunNTADOC(c, analytics.TaskWordCount, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -277,7 +277,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			c := corpusFor(b, spec)
 			for i := 0; i < b.N; i++ {
-				nt, err := harness.RunNTADOC(c, analytics.WordCount, opts)
+				nt, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -301,7 +301,7 @@ func BenchmarkAblationBounds(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			c := corpusFor(b, spec)
 			for i := 0; i < b.N; i++ {
-				nt, err := harness.RunNTADOC(c, analytics.WordCount, opts)
+				nt, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func BenchmarkAblationLocality(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			c := corpusFor(b, spec)
 			for i := 0; i < b.N; i++ {
-				nt, err := harness.RunNTADOC(c, analytics.WordCount, opts)
+				nt, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -369,7 +369,7 @@ func BenchmarkAblationCounters(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			c := corpusFor(b, spec)
 			for i := 0; i < b.N; i++ {
-				nt, err := harness.RunNTADOC(c, analytics.WordCount, opts)
+				nt, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,9 +15,7 @@
 //	benchfig -fig fused     fused multi-op batch vs sequential single-op runs
 //	benchfig -fig shards    sharded engine: parallel build + scatter-gather batch vs K=1
 //	benchfig -fig failover  replicated shards: failover overhead + replica-read tails
-//	benchfig -fig loadgen   serving layer: daemon throughput + latency percentiles
-//	benchfig -fig ingest    online ingestion: append throughput, query latency under ingest
-//	benchfig -fig all       everything above except loadgen and ingest (wall-clock, not modeled)
+//	benchfig -fig all       everything above
 //
 // -scale shrinks the corpora for quick runs (default 1.0 = the scaled-down
 // analogues described in DESIGN.md).  Reported times are modeled times from
@@ -30,7 +28,6 @@ import (
 	"os"
 	"runtime/debug"
 	"runtime/pprof"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -91,18 +88,11 @@ func main() {
 		"fused":     figFused,
 		"shards":    figShards,
 		"failover":  figFailover,
-		// loadgen and ingest are deliberately not in the -fig all order: they
-		// measure wall-clock behavior, not modeled device time.
-		"loadgen": figLoadgen,
-		"ingest":  figIngest,
 	}
 	order := []string{"datasets", "prune", "5a", "5b", "6", "7", "dram", "table2", "phases", "traversal", "cross", "endurance", "fused", "shards", "failover"}
-	skipped := []string{"loadgen", "ingest"}
 
 	for rep := 0; rep < *benchrepeat; rep++ {
 		if *fig == "all" {
-			fmt.Printf("skipping %s (wall-clock figures; run each with -fig explicitly)\n",
-				strings.Join(skipped, ", "))
 			for _, name := range order {
 				if err := runners[name](specs); err != nil {
 					fatal(err)
@@ -429,7 +419,7 @@ func figTraversal(specs []datagen.Spec) error {
 	// ~1000x at its full 134k-file scale); show the trend across three
 	// file counts.
 	fracs := []int{4, 2, 1}
-	tasks := []analytics.Task{analytics.TermVector, analytics.InvertedIndex}
+	tasks := []analytics.Task{analytics.TaskTermVector, analytics.TaskInvertedIndex}
 	type travCell struct{ td, bu harness.Result }
 	cells := make([]travCell, len(fracs)*len(tasks))
 	err := harness.ForEachCell(len(cells), func(i int) error {
@@ -483,7 +473,7 @@ func figCross(specs []datagen.Spec) error {
 		if err != nil {
 			return err
 		}
-		task := analytics.WordCount
+		task := analytics.TaskWordCount
 		np, err := harness.RunNTADOC(c, task, naive)
 		if err != nil {
 			return err
@@ -582,7 +572,7 @@ func figEndurance(specs []datagen.Spec) error {
 			return err
 		}
 		writes := func(opts core.Options) (int64, error) {
-			r, err := harness.RunNTADOC(c, analytics.WordCount, opts)
+			r, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
 			if err != nil {
 				return 0, err
 			}

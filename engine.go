@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
+	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/core"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
@@ -52,10 +53,11 @@ type Options struct {
 	// construction substantially cheaper; SequenceCount and
 	// RankedInvertedIndex then return an error.
 	NoSequences bool
-	// Replicas keeps this many follower devices per shard (sharded N-TADOC
-	// media only): each shard ships every committed durable delta to its
-	// followers, and a query falls over to a follower — transparently, with
-	// bit-identical results — when the shard's primary device fails.
+	// Replicas keeps this many follower devices per shard (N-TADOC media
+	// only; an unsharded archive is one shard): each shard ships every
+	// committed durable delta to its followers, and a query falls over to a
+	// follower — transparently, with bit-identical results — when the
+	// shard's primary device fails.
 	Replicas int
 	// ReplicaReads lets multi-task batches split each shard's work between
 	// its primary and a read replica recovered from a follower image,
@@ -82,16 +84,15 @@ type DocCount struct {
 }
 
 // Engine runs the six analytics tasks over an archive.  Engines built on
-// MediumNVM/SSD/HDD are N-TADOC instances over a simulated persistent
-// device; MediumDRAM is the original TADOC baseline.  For a sharded archive
-// on N-TADOC media the engine is a sharded engine: one device and pool per
-// shard, built in parallel, with queries scattered across the shards and
-// gathered into corpus-wide results.
+// MediumNVM/SSD/HDD are N-TADOC instances over simulated persistent
+// devices; MediumDRAM is the original TADOC baseline.  On N-TADOC media the
+// engine is a shard set: one device and pool per archive shard (one for an
+// unsharded archive), built in parallel, with queries scattered across the
+// shards and gathered into corpus-wide results.
 type Engine struct {
 	a     *Archive
-	inner analytics.Engine
-	nt    *core.Engine        // non-nil on unsharded N-TADOC media
-	sh    *core.ShardedEngine // non-nil on sharded N-TADOC media
+	inner analytics.Executor  // sh on N-TADOC media, the TADOC engine on DRAM
+	sh    *core.ShardedEngine // nil on MediumDRAM
 
 	buildTag uint32 // the archive's shared-table checksum at construction; see BuildTag
 
@@ -107,8 +108,8 @@ type Engine struct {
 
 // Sentinel ingestion errors, re-exported for errors.Is matching.
 var (
-	// ErrNoIngest reports an Append on an engine built without ingestion
-	// support (DRAM medium or Options.IngestCapacity == 0).
+	// ErrNoIngest reports an Append or Compact on an engine built without
+	// ingestion support (DRAM medium or Options.IngestCapacity == 0).
 	ErrNoIngest = core.ErrNoIngest
 	// ErrIngestFull reports an Append that does not fit the remaining
 	// durable log capacity; the corpus must be recompressed.
@@ -157,47 +158,40 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 		Persistence: persistence,
 		Sequences:   !opts.NoSequences,
 		IngestCap:   opts.IngestCapacity,
-	}
-	if a.shards != nil {
-		if opts.Replicas > 0 {
-			copts.Replication = core.Replication{
-				Followers:    opts.Replicas,
-				Mode:         core.ShipSync,
-				ReplicaReads: opts.ReplicaReads,
-			}
-		}
 		// Tie every shard pool to this unified build: recovery rejects a
 		// device set mixing shards of different shared-rule containers.
-		copts.BuildTag = e.buildTag
-		sh, err := core.NewSharded(a.shards, a.d, copts)
-		if err != nil {
-			return nil, err
-		}
-		e.inner = sh
-		e.sh = sh
-		return e, nil
+		BuildTag: e.buildTag,
 	}
-	nt, err := core.New(a.g, a.d, copts)
+	if opts.Replicas > 0 {
+		copts.Replication = core.Replication{
+			Followers:    opts.Replicas,
+			Mode:         core.ShipSync,
+			ReplicaReads: opts.ReplicaReads,
+		}
+	}
+	gs := a.shards
+	if gs == nil {
+		gs = []*cfg.Grammar{a.g}
+	}
+	sh, err := core.NewSharded(gs, a.d, copts)
 	if err != nil {
 		return nil, err
 	}
-	e.inner = nt
-	e.nt = nt
+	e.inner = sh
+	e.sh = sh
 	return e, nil
 }
 
 // Close releases the engine's simulated devices (no-op for DRAM engines).
 func (e *Engine) Close() error {
-	if e.nt != nil {
-		return e.nt.Close()
-	}
 	if e.sh != nil {
 		return e.sh.Close()
 	}
 	return nil
 }
 
-// NumShards returns the engine's shard count (1 for unsharded engines).
+// NumShards returns the engine's shard count: 1 for unsharded archives and
+// for the DRAM engine, which runs on the whole-corpus grammar.
 func (e *Engine) NumShards() int {
 	if e.sh != nil {
 		return e.sh.NumShards()
@@ -218,7 +212,7 @@ func (e *Engine) NumShards() int {
 // the append can simply be retried; ErrIngestFull means the log is
 // exhausted and the corpus must be recompressed.
 func (e *Engine) Append(docs []Document) error {
-	if e.nt == nil && e.sh == nil {
+	if e.sh == nil {
 		return fmt.Errorf("ntadoc: append: %w", ErrNoIngest)
 	}
 	if len(docs) == 0 {
@@ -240,14 +234,8 @@ func (e *Engine) Append(docs []Document) error {
 	// harmlessly ride along so recovery can always rebuild the dictionary.
 	vocab := e.a.d.Len()
 	novel := append([]string(nil), e.a.d.Words()[e.committedVocab:vocab]...)
-	var err error
-	if e.nt != nil {
-		err = e.nt.Append(ads, uint32(vocab), novel)
-	} else {
-		err = e.sh.Append(ads, uint32(vocab), novel)
-	}
-	if err != nil {
-		return err
+	if err := e.sh.Append(ads, uint32(vocab), novel); err != nil {
+		return fmt.Errorf("ntadoc: append: %w", err)
 	}
 	e.committedVocab = vocab
 	e.namesMu.Lock()
@@ -261,9 +249,6 @@ func (e *Engine) Append(docs []Document) error {
 // committed append batch and every compaction, and serving layers key their
 // result caches by it.  Zero for engines without ingestion.
 func (e *Engine) CorpusEpoch() uint64 {
-	if e.nt != nil {
-		return e.nt.CorpusEpoch()
-	}
 	if e.sh != nil {
 		return e.sh.CorpusEpoch()
 	}
@@ -286,10 +271,7 @@ type IngestStats struct {
 // without ingestion).
 func (e *Engine) IngestStats() IngestStats {
 	var st core.IngestStats
-	switch {
-	case e.nt != nil:
-		st = e.nt.IngestStats()
-	case e.sh != nil:
+	if e.sh != nil {
 		st = e.sh.IngestStats()
 	}
 	return IngestStats{
@@ -325,16 +307,10 @@ type CompactionPolicy struct {
 // returned stop function shuts the worker down; it is a no-op for engines
 // without ingestion.
 func (e *Engine) AutoCompact(p CompactionPolicy) (stop func()) {
-	var target core.Compactable
-	switch {
-	case e.nt != nil:
-		target = e.nt
-	case e.sh != nil:
-		target = e.sh
-	default:
+	if e.sh == nil {
 		return func() {}
 	}
-	c := core.StartCompactor(target, core.CompactionPolicy{
+	c := core.StartCompactor(e.sh, core.CompactionPolicy{
 		MaxDeltaDocs:  p.MaxDeltaDocs,
 		MaxDeltaBytes: p.MaxDeltaBytes,
 		Interval:      p.Interval,
@@ -343,22 +319,20 @@ func (e *Engine) AutoCompact(p CompactionPolicy) (stop func()) {
 }
 
 // Compact folds all live delta grammars into the serving base immediately.
+// ErrNoIngest on an engine built without ingestion support.
 func (e *Engine) Compact() error {
-	force := core.CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1}
-	switch {
-	case e.nt != nil:
-		_, err := e.nt.CompactIfNeeded(force)
-		return err
-	case e.sh != nil:
-		_, err := e.sh.CompactIfNeeded(force)
-		return err
+	if e.sh == nil {
+		return fmt.Errorf("ntadoc: compact: %w", ErrNoIngest)
 	}
-	return fmt.Errorf("ntadoc: compact: %w", ErrNoIngest)
+	if err := e.sh.Compact(); err != nil {
+		return fmt.Errorf("ntadoc: compact: %w", err)
+	}
+	return nil
 }
 
 // WordCount returns the total occurrences of each word across the archive.
 func (e *Engine) WordCount() (map[string]uint64, error) {
-	counts, err := e.inner.WordCount()
+	counts, err := analytics.WordCount(e.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +341,7 @@ func (e *Engine) WordCount() (map[string]uint64, error) {
 
 // Sort returns the distinct words with counts in alphabetical order.
 func (e *Engine) Sort() ([]TermCount, error) {
-	wf, err := e.inner.Sort()
+	wf, err := analytics.Sort(e.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +351,7 @@ func (e *Engine) Sort() ([]TermCount, error) {
 // TermVectors returns each document's words by descending frequency,
 // truncated to k entries when k > 0.
 func (e *Engine) TermVectors(k int) ([][]TermCount, error) {
-	tv, err := e.inner.TermVectors(k)
+	tv, err := analytics.TermVectors(e.inner, k)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +361,7 @@ func (e *Engine) TermVectors(k int) ([][]TermCount, error) {
 // InvertedIndex maps each word to the names of the documents containing it,
 // in document order.
 func (e *Engine) InvertedIndex() (map[string][]string, error) {
-	inv, err := e.inner.InvertedIndex()
+	inv, err := analytics.InvertedIndex(e.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +371,7 @@ func (e *Engine) InvertedIndex() (map[string][]string, error) {
 // SequenceCount returns the occurrences of each three-word sequence, keyed
 // by the space-joined words.
 func (e *Engine) SequenceCount() (map[string]uint64, error) {
-	sc, err := e.inner.SequenceCount()
+	sc, err := analytics.SequenceCount(e.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +381,7 @@ func (e *Engine) SequenceCount() (map[string]uint64, error) {
 // RankedInvertedIndex maps each three-word sequence to its documents in
 // decreasing order of occurrence.
 func (e *Engine) RankedInvertedIndex() (map[string][]DocCount, error) {
-	rii, err := e.inner.RankedInvertedIndex()
+	rii, err := analytics.RankedInvertedIndex(e.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -440,9 +414,6 @@ func (e *Engine) TopTerms(n int) ([]TermCount, error) {
 // PhaseTimes reports the modeled initialization and graph-traversal times of
 // the last task (N-TADOC engines only; zero for DRAM engines).
 func (e *Engine) PhaseTimes() (init, traversal time.Duration) {
-	if e.nt != nil {
-		return e.nt.InitSpan().Total(), e.nt.LastTraversalSpan().Total()
-	}
 	if e.sh != nil {
 		return e.sh.InitSpan().Total(), e.sh.LastTraversalSpan().Total()
 	}
@@ -452,9 +423,6 @@ func (e *Engine) PhaseTimes() (init, traversal time.Duration) {
 // MemoryFootprint reports the engine's storage residency: pool bytes on the
 // simulated device and estimated DRAM bytes.
 func (e *Engine) MemoryFootprint() (deviceBytes, dramBytes int64) {
-	if e.nt != nil {
-		return e.nt.NVMBytes(), e.nt.DRAMBytes()
-	}
 	if e.sh != nil {
 		return e.sh.NVMBytes(), e.sh.DRAMBytes()
 	}

@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := eng.WordCount()
+	want, err := analytics.WordCount(eng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,11 +88,10 @@ func main() {
 
 	// The node resumes analytics on the recovered pool without re-reading
 	// or re-compressing the telemetry.
-	again, err := recovered.WordCount()
+	again, err := analytics.WordCount(recovered)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed analytics on recovered pool: %d distinct words, consistent=%v\n",
 		len(again), len(again) == len(want))
-	_ = analytics.WordCount // tasks enumerated in internal/analytics
 }

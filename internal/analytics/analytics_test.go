@@ -454,16 +454,7 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
-// stubEngine satisfies Engine with empty results.
+// stubEngine is an Executor with empty results.
 type stubEngine struct{}
 
-func (stubEngine) WordCount() (map[uint32]uint64, error) { return nil, nil }
-func (stubEngine) Sort() ([]WordFreq, error)             { return nil, nil }
-func (stubEngine) TermVectors(int) ([][]WordFreq, error) { return nil, nil }
-func (stubEngine) InvertedIndex() (map[uint32][]uint32, error) {
-	return nil, nil
-}
-func (stubEngine) SequenceCount() (map[Seq]uint64, error) { return nil, nil }
-func (stubEngine) RankedInvertedIndex() (map[Seq][]DocFreq, error) {
-	return nil, nil
-}
+func (stubEngine) RunOps(ops []Op) ([]any, error) { return make([]any, len(ops)), nil }

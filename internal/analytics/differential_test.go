@@ -120,7 +120,7 @@ func TestOpsDifferentialAcrossExecutors(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", spec.Name, ex.name), func(t *testing.T) {
 				x := ex.build(t, files, d, g)
 				for _, op := range analytics.Ops() {
-					got, err := x.RunOp(op)
+					got, err := analytics.RunAs[any](x, op)
 					if err != nil {
 						t.Fatalf("%v: %v", op.Task(), err)
 					}

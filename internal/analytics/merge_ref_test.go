@@ -26,7 +26,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 		return doc + u.DocBase
 	}
 	switch op.Task() {
-	case WordCount:
+	case TaskWordCount:
 		out := map[uint32]uint64{}
 		for _, u := range units {
 			in := u.Result.(map[uint32]uint64)
@@ -36,7 +36,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 			}
 		}
 		return out
-	case Sort:
+	case TaskSort:
 		acc := map[uint32]uint64{}
 		for _, u := range units {
 			in := u.Result.([]WordFreq)
@@ -52,7 +52,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 		meter.Charge(int64(len(out)), metrics.CostSortEntry)
 		SortAlphabetical(out, d)
 		return out
-	case TermVector:
+	case TaskTermVector:
 		out := make([][]WordFreq, numFiles)
 		for _, u := range units {
 			in := u.Result.([][]WordFreq)
@@ -62,7 +62,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 			}
 		}
 		return out
-	case InvertedIndex:
+	case TaskInvertedIndex:
 		out := map[uint32][]uint32{}
 		for _, u := range units {
 			for w, docs := range u.Result.(map[uint32][]uint32) {
@@ -76,7 +76,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 			slices.Sort(out[w])
 		}
 		return out
-	case SequenceCount:
+	case TaskSequenceCount:
 		out := map[Seq]uint64{}
 		for _, u := range units {
 			in := u.Result.(map[Seq]uint64)
@@ -86,7 +86,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 			}
 		}
 		return out
-	case RankedInvertedIndex:
+	case TaskRankedInvertedIndex:
 		merged := map[Seq][]DocFreq{}
 		for _, u := range units {
 			for q, postings := range u.Result.(map[Seq][]DocFreq) {

@@ -48,17 +48,17 @@ func mergeCorpus(t *testing.T) ([][]uint32, *dict.Dictionary) {
 func shardRefResult(t testing.TB, op Op, files [][]uint32, d *dict.Dictionary) any {
 	t.Helper()
 	switch op.Task() {
-	case WordCount:
+	case TaskWordCount:
 		return RefWordCount(files)
-	case Sort:
+	case TaskSort:
 		return RefSort(files, d)
-	case TermVector:
+	case TaskTermVector:
 		return RefTermVector(files, op.(TermVectorsOp).K)
-	case InvertedIndex:
+	case TaskInvertedIndex:
 		return RefInvertedIndex(files)
-	case SequenceCount:
+	case TaskSequenceCount:
 		return RefSequenceCount(files)
-	case RankedInvertedIndex:
+	case TaskRankedInvertedIndex:
 		return RefRankedInvertedIndex(files)
 	default:
 		t.Fatalf("unknown task %v", op.Task())

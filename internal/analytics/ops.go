@@ -87,22 +87,68 @@ type Op interface {
 // a batch over as few traversals as the ops' declarations allow and returns
 // results positionally.
 type Executor interface {
-	RunOp(op Op) (any, error)
 	RunOps(ops []Op) ([]any, error)
 }
 
 // RunAs runs one op on x and asserts its concrete result type.
 func RunAs[T any](x Executor, op Op) (T, error) {
 	var zero T
-	v, err := x.RunOp(op)
+	results, err := x.RunOps([]Op{op})
 	if err != nil {
 		return zero, err
 	}
-	out, ok := v.(T)
+	out, ok := results[0].(T)
 	if !ok {
-		return zero, fmt.Errorf("analytics: op %s returned %T", op.Name(), v)
+		return zero, fmt.Errorf("analytics: op %s returned %T", op.Name(), results[0])
 	}
 	return out, nil
+}
+
+// The six tasks as typed single-op runs on any executor; results are in
+// their canonical forms.
+
+// WordCount returns global word -> frequency.
+func WordCount(x Executor) (map[uint32]uint64, error) {
+	return RunAs[map[uint32]uint64](x, WordCountOp{})
+}
+
+// Sort returns (word, freq) pairs in alphabetical order of the word strings.
+func Sort(x Executor) ([]WordFreq, error) {
+	return RunAs[[]WordFreq](x, SortOp{})
+}
+
+// TermVectors returns, per document, its words ordered by descending
+// frequency (word ID ascending on ties), truncated to k when k > 0.
+func TermVectors(x Executor, k int) ([][]WordFreq, error) {
+	return RunAs[[][]WordFreq](x, TermVectorsOp{K: k})
+}
+
+// InvertedIndex returns word -> ascending list of documents containing it.
+func InvertedIndex(x Executor) (map[uint32][]uint32, error) {
+	return RunAs[map[uint32][]uint32](x, InvertedIndexOp{})
+}
+
+// SequenceCount returns global n-gram -> frequency.
+func SequenceCount(x Executor) (map[Seq]uint64, error) {
+	return RunAs[map[Seq]uint64](x, SequenceCountOp{})
+}
+
+// RankedInvertedIndex returns n-gram -> postings ordered by descending
+// per-document frequency (document ascending on ties).
+func RankedInvertedIndex(x Executor) (map[Seq][]DocFreq, error) {
+	return RunAs[map[Seq][]DocFreq](x, RankedInvertedIndexOp{})
+}
+
+// Run dispatches task t on x with default parameters, discarding the
+// result.  The harness uses it when only timing and device statistics
+// matter.
+func Run(x Executor, t Task) error {
+	op, err := OpFor(t)
+	if err != nil {
+		return err
+	}
+	_, err = x.RunOps([]Op{op})
+	return err
 }
 
 // DefaultTermVectorK is the per-document vector length used by the Run
@@ -138,7 +184,7 @@ var errFoldScope = errors.New("analytics: fold called outside its declared scope
 // WordCountOp counts every word's corpus-wide frequency.
 type WordCountOp struct{}
 
-func (WordCountOp) Task() Task     { return WordCount }
+func (WordCountOp) Task() Task     { return TaskWordCount }
 func (WordCountOp) Name() string   { return "wordcount" }
 func (WordCountOp) Keys() KeySpace { return KeyWords }
 func (WordCountOp) Scope() Scope   { return ScopeGlobal }
@@ -163,7 +209,7 @@ func (f *wordCountFold) Finish() (any, error)      { return f.out, nil }
 // SortOp produces the full vocabulary with counts in dictionary order.
 type SortOp struct{}
 
-func (SortOp) Task() Task     { return Sort }
+func (SortOp) Task() Task     { return TaskSort }
 func (SortOp) Name() string   { return "sort" }
 func (SortOp) Keys() KeySpace { return KeyWords }
 func (SortOp) Scope() Scope   { return ScopeGlobal }
@@ -205,7 +251,7 @@ func (f *sortFold) Finish() (any, error) {
 // TermVectorsOp produces each document's top-K most frequent words.
 type TermVectorsOp struct{ K int }
 
-func (TermVectorsOp) Task() Task     { return TermVector }
+func (TermVectorsOp) Task() Task     { return TaskTermVector }
 func (TermVectorsOp) Name() string   { return "termvectors" }
 func (TermVectorsOp) Keys() KeySpace { return KeyWords }
 func (TermVectorsOp) Scope() Scope   { return ScopePerFile }
@@ -232,7 +278,7 @@ func (f *termVectorsFold) Finish() (any, error) { return f.out, nil }
 // InvertedIndexOp maps every word to the sorted documents containing it.
 type InvertedIndexOp struct{}
 
-func (InvertedIndexOp) Task() Task     { return InvertedIndex }
+func (InvertedIndexOp) Task() Task     { return TaskInvertedIndex }
 func (InvertedIndexOp) Name() string   { return "invertedindex" }
 func (InvertedIndexOp) Keys() KeySpace { return KeyWords }
 func (InvertedIndexOp) Scope() Scope   { return ScopePerFile }
@@ -276,7 +322,7 @@ func (f *invertedIndexFold) Finish() (any, error) {
 // SequenceCountOp counts every SeqLen-window's corpus-wide frequency.
 type SequenceCountOp struct{}
 
-func (SequenceCountOp) Task() Task     { return SequenceCount }
+func (SequenceCountOp) Task() Task     { return TaskSequenceCount }
 func (SequenceCountOp) Name() string   { return "seqcount" }
 func (SequenceCountOp) Keys() KeySpace { return KeySequences }
 func (SequenceCountOp) Scope() Scope   { return ScopeGlobal }
@@ -302,7 +348,7 @@ func (f *seqCountFold) Finish() (any, error)      { return f.out, nil }
 // frequency.
 type RankedInvertedIndexOp struct{}
 
-func (RankedInvertedIndexOp) Task() Task     { return RankedInvertedIndex }
+func (RankedInvertedIndexOp) Task() Task     { return TaskRankedInvertedIndex }
 func (RankedInvertedIndexOp) Name() string   { return "rankedindex" }
 func (RankedInvertedIndexOp) Keys() KeySpace { return KeySequences }
 func (RankedInvertedIndexOp) Scope() Scope   { return ScopePerFile }

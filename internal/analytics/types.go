@@ -16,32 +16,31 @@ type Task int
 
 // The benchmark tasks, in the paper's order.
 const (
-	WordCount Task = iota
-	Sort
-	TermVector
-	InvertedIndex
-	SequenceCount
-	RankedInvertedIndex
-	numTasks
+	TaskWordCount Task = iota
+	TaskSort
+	TaskTermVector
+	TaskInvertedIndex
+	TaskSequenceCount
+	TaskRankedInvertedIndex
 )
 
 // Tasks lists all benchmark tasks in the paper's order.
-var Tasks = []Task{WordCount, Sort, TermVector, InvertedIndex, SequenceCount, RankedInvertedIndex}
+var Tasks = []Task{TaskWordCount, TaskSort, TaskTermVector, TaskInvertedIndex, TaskSequenceCount, TaskRankedInvertedIndex}
 
 // String returns the paper's name for the task.
 func (t Task) String() string {
 	switch t {
-	case WordCount:
+	case TaskWordCount:
 		return "word count"
-	case Sort:
+	case TaskSort:
 		return "sort"
-	case TermVector:
+	case TaskTermVector:
 		return "term vector"
-	case InvertedIndex:
+	case TaskInvertedIndex:
 		return "inverted index"
-	case SequenceCount:
+	case TaskSequenceCount:
 		return "sequence count"
-	case RankedInvertedIndex:
+	case TaskRankedInvertedIndex:
 		return "ranked inverted index"
 	default:
 		return fmt.Sprintf("Task(%d)", int(t))
@@ -78,47 +77,4 @@ type WordFreq struct {
 type DocFreq struct {
 	Doc  uint32
 	Freq uint64
-}
-
-// Engine is the uniform surface every analytics engine (uncompressed
-// baseline, DRAM TADOC, N-TADOC) implements.  Results are canonical:
-//
-//   - WordCount: global word -> frequency.
-//   - Sort: (word, freq) pairs in alphabetical order of the word strings.
-//   - TermVector: per document, its words ordered by descending frequency
-//     (word ID ascending on ties), truncated to k when k > 0.
-//   - InvertedIndex: word -> ascending list of documents containing it.
-//   - SequenceCount: global n-gram -> frequency.
-//   - RankedInvertedIndex: n-gram -> postings ordered by descending
-//     per-document frequency (document ascending on ties).
-type Engine interface {
-	WordCount() (map[uint32]uint64, error)
-	Sort() ([]WordFreq, error)
-	TermVectors(k int) ([][]WordFreq, error)
-	InvertedIndex() (map[uint32][]uint32, error)
-	SequenceCount() (map[Seq]uint64, error)
-	RankedInvertedIndex() (map[Seq][]DocFreq, error)
-}
-
-// Run dispatches task t on e, discarding the concrete result.  The harness
-// uses it when only timing and device statistics matter.
-func Run(e Engine, t Task) error {
-	var err error
-	switch t {
-	case WordCount:
-		_, err = e.WordCount()
-	case Sort:
-		_, err = e.Sort()
-	case TermVector:
-		_, err = e.TermVectors(DefaultTermVectorK)
-	case InvertedIndex:
-		_, err = e.InvertedIndex()
-	case SequenceCount:
-		_, err = e.SequenceCount()
-	case RankedInvertedIndex:
-		_, err = e.RankedInvertedIndex()
-	default:
-		err = fmt.Errorf("analytics: unknown task %d", int(t))
-	}
-	return err
 }

@@ -44,34 +44,12 @@ func (p CompactionPolicy) exceeded(st IngestStats) bool {
 	return st.DeltaDocs > p.MaxDeltaDocs || st.DeltaSymbols*8 > p.MaxDeltaBytes
 }
 
-// Compactable is an engine the background worker can compact: the unsharded
-// Engine and the ShardedEngine both implement it.
-type Compactable interface {
-	// CompactIfNeeded compacts when the policy's thresholds are exceeded and
-	// reports whether a compaction ran.
-	CompactIfNeeded(p CompactionPolicy) (bool, error)
-}
-
-// CompactIfNeeded implements Compactable.
-func (e *Engine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
-	if e.ingest == nil {
-		return false, nil
-	}
-	if !p.withDefaults().exceeded(e.IngestStats()) {
-		return false, nil
-	}
-	if err := e.Compact(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Compactor is the background compaction worker: it polls a Compactable on
+// Compactor is the background compaction worker: it polls a shard set on
 // the policy's cadence and folds deltas into the serving base whenever the
 // thresholds are crossed, so query cost over base+delta stays bounded while
 // appends continue.
 type Compactor struct {
-	target Compactable
+	target *ShardedEngine
 	policy CompactionPolicy
 	stop   chan struct{}
 	done   chan struct{}
@@ -84,7 +62,7 @@ type Compactor struct {
 }
 
 // StartCompactor launches the worker; Stop shuts it down.
-func StartCompactor(t Compactable, p CompactionPolicy) *Compactor {
+func StartCompactor(t *ShardedEngine, p CompactionPolicy) *Compactor {
 	c := &Compactor{
 		target: t,
 		policy: p.withDefaults(),

@@ -36,12 +36,12 @@ func TestFlushFailureDuringCheckpointSurfaces(t *testing.T) {
 	files, d, g := corpus(t, 51, 2, 150, 25)
 	e := newEngine(t, g, d, Options{})
 	e.dev.FailAfterFlushes(0)
-	if _, err := e.WordCount(); err == nil {
+	if _, err := analytics.WordCount(e); err == nil {
 		t.Fatal("expected checkpoint flush failure to surface")
 	}
 	e.dev.DisarmFailPoint()
 	// The engine remains usable once the device recovers.
-	wc, err := e.WordCount()
+	wc, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}
@@ -54,11 +54,11 @@ func TestOpLevelFlushFailureSurfaces(t *testing.T) {
 	_, d, g := corpus(t, 52, 2, 150, 25)
 	e := newEngine(t, g, d, Options{Persistence: OpLevel})
 	e.dev.FailAfterFlushes(3)
-	if _, err := e.WordCount(); err == nil {
+	if _, err := analytics.WordCount(e); err == nil {
 		t.Fatal("expected op-log flush failure to surface")
 	}
 	e.dev.DisarmFailPoint()
-	if _, err := e.WordCount(); err != nil {
+	if _, err := analytics.WordCount(e); err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestRepeatedCrashRecoverCycles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: Reopen: %v", round, err)
 		}
-		wc, err := re.WordCount()
+		wc, err := analytics.WordCount(re)
 		if err != nil {
 			t.Fatalf("round %d: WordCount: %v", round, err)
 		}
@@ -125,7 +125,7 @@ func TestOpLevelCrashMidLogCompaction(t *testing.T) {
 func TestSeqLocalTablesSurviveCrash(t *testing.T) {
 	files, d, g := corpus(t, 55, 3, 200, 15)
 	e := newEngine(t, g, d, Options{Sequences: true})
-	want, err := e.SequenceCount()
+	want, err := analytics.SequenceCount(e)
 	if err != nil {
 		t.Fatalf("SequenceCount: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestSeqLocalTablesSurviveCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reopen: %v", err)
 	}
-	got, err := re.RankedInvertedIndex()
+	got, err := analytics.RankedInvertedIndex(re)
 	if err != nil {
 		t.Fatalf("recovered RankedInvertedIndex: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestSeqLocalTablesSurviveCrash(t *testing.T) {
 func TestPerOpCommitMatchesReference(t *testing.T) {
 	files, d, g := corpus(t, 56, 2, 150, 20)
 	e := newEngine(t, g, d, Options{Persistence: OpLevel, PerOpCommit: true})
-	wc, err := e.WordCount()
+	wc, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -163,11 +163,11 @@ func TestPerOpCommitMatchesReference(t *testing.T) {
 func TestPerOpCommitCostsMore(t *testing.T) {
 	_, d, g := corpus(t, 57, 2, 200, 20)
 	perRule := newEngine(t, g, d, Options{Persistence: OpLevel})
-	if _, err := perRule.WordCount(); err != nil {
+	if _, err := analytics.WordCount(perRule); err != nil {
 		t.Fatal(err)
 	}
 	perOp := newEngine(t, g, d, Options{Persistence: OpLevel, PerOpCommit: true})
-	if _, err := perOp.WordCount(); err != nil {
+	if _, err := analytics.WordCount(perOp); err != nil {
 		t.Fatal(err)
 	}
 	a := perRule.LastTraversalSpan().Total()
@@ -188,14 +188,14 @@ func TestNaivePortCostsMoreThanNTADOC(t *testing.T) {
 	// The §III-B ordering: naive PMDK port >> N-TADOC on the same medium.
 	_, d, g := corpus(t, 58, 2, 300, 25)
 	tuned := newEngine(t, g, d, Options{})
-	if _, err := tuned.WordCount(); err != nil {
+	if _, err := analytics.WordCount(tuned); err != nil {
 		t.Fatal(err)
 	}
 	naive := newEngine(t, g, d, Options{
 		NoPruning: true, NoBounds: true, Scatter: true,
 		Persistence: OpLevel, PerOpCommit: true,
 	})
-	if _, err := naive.WordCount(); err != nil {
+	if _, err := analytics.WordCount(naive); err != nil {
 		t.Fatal(err)
 	}
 	a := tuned.InitSpan().Total() + tuned.LastTraversalSpan().Total()
@@ -215,11 +215,11 @@ func TestPoolEstimateCoversActualUse(t *testing.T) {
 		}
 		e := newEngine(t, g, d, opts)
 		// Run the heaviest tasks; the pool must never run out.
-		if _, err := e.TermVectors(5); err != nil {
+		if _, err := analytics.TermVectors(e, 5); err != nil {
 			t.Fatalf("seq=%v TermVector: %v", seq, err)
 		}
 		if seq {
-			if _, err := e.RankedInvertedIndex(); err != nil {
+			if _, err := analytics.RankedInvertedIndex(e); err != nil {
 				t.Fatalf("RankedInvertedIndex: %v", err)
 			}
 		}
@@ -237,7 +237,7 @@ func TestNoDoubleReplayAfterCommittedTraversal(t *testing.T) {
 	files, d, g := corpus(t, 62, 2, 200, 25)
 	opts := Options{Persistence: OpLevel}
 	e := newEngine(t, g, d, opts)
-	want, err := e.WordCount() // completes, checkpoints
+	want, err := analytics.WordCount(e) // completes, checkpoints
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestNoDoubleReplayAfterCommittedTraversal(t *testing.T) {
 		t.Errorf("replayed %d superseded records", info.Replayed)
 	}
 	counts, task, ok := re.CommittedCounts()
-	if !ok || task != analytics.WordCount {
+	if !ok || task != analytics.TaskWordCount {
 		t.Fatalf("committed counts missing (ok=%v task=%v)", ok, task)
 	}
 	if !reflect.DeepEqual(counts, want) {

@@ -41,28 +41,28 @@ func newEngine(t testing.TB, g *cfg.Grammar, d *dict.Dictionary, opts Options) *
 // checkAllTasks cross-checks every task against the reference results.
 func checkAllTasks(t *testing.T, e *Engine, files [][]uint32, d *dict.Dictionary) {
 	t.Helper()
-	wc, err := e.WordCount()
+	wc, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
 	if !reflect.DeepEqual(wc, analytics.RefWordCount(files)) {
 		t.Error("word count mismatch")
 	}
-	srt, err := e.Sort()
+	srt, err := analytics.Sort(e)
 	if err != nil {
 		t.Fatalf("Sort: %v", err)
 	}
 	if !reflect.DeepEqual(srt, analytics.RefSort(files, d)) {
 		t.Error("sort mismatch")
 	}
-	tv, err := e.TermVectors(6)
+	tv, err := analytics.TermVectors(e, 6)
 	if err != nil {
 		t.Fatalf("TermVector: %v", err)
 	}
 	if !reflect.DeepEqual(tv, analytics.RefTermVector(files, 6)) {
 		t.Error("term vector mismatch")
 	}
-	inv, err := e.InvertedIndex()
+	inv, err := analytics.InvertedIndex(e)
 	if err != nil {
 		t.Fatalf("InvertedIndex: %v", err)
 	}
@@ -70,14 +70,14 @@ func checkAllTasks(t *testing.T, e *Engine, files [][]uint32, d *dict.Dictionary
 		t.Error("inverted index mismatch")
 	}
 	if e.seqEnabled {
-		sc, err := e.SequenceCount()
+		sc, err := analytics.SequenceCount(e)
 		if err != nil {
 			t.Fatalf("SequenceCount: %v", err)
 		}
 		if !reflect.DeepEqual(sc, analytics.RefSequenceCount(files)) {
 			t.Error("sequence count mismatch")
 		}
-		rii, err := e.RankedInvertedIndex()
+		rii, err := analytics.RankedInvertedIndex(e)
 		if err != nil {
 			t.Fatalf("RankedInvertedIndex: %v", err)
 		}
@@ -110,7 +110,7 @@ func TestOpLogCompaction(t *testing.T) {
 	// results must still be exact.
 	files, d, g := corpus(t, 33, 2, 300, 30)
 	e := newEngine(t, g, d, Options{Persistence: OpLevel, OpLogCap: 2048})
-	wc, err := e.WordCount()
+	wc, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -131,14 +131,14 @@ func TestAblationCombos(t *testing.T) {
 		opts.Sequences = false
 		t.Run(optsName(opts), func(t *testing.T) {
 			e := newEngine(t, g, d, opts)
-			wc, err := e.WordCount()
+			wc, err := analytics.WordCount(e)
 			if err != nil {
 				t.Fatalf("WordCount: %v", err)
 			}
 			if !reflect.DeepEqual(wc, analytics.RefWordCount(files)) {
 				t.Error("word count mismatch")
 			}
-			tv, err := e.TermVectors(4)
+			tv, err := analytics.TermVectors(e, 4)
 			if err != nil {
 				t.Fatalf("TermVector: %v", err)
 			}
@@ -170,7 +170,7 @@ func TestBothStrategiesOnManyFiles(t *testing.T) {
 	files, d, g := corpus(t, 35, 60, 40, 30)
 	for _, strat := range []Strategy{TopDown, BottomUp, Auto} {
 		e := newEngine(t, g, d, Options{Strategy: strat})
-		tv, err := e.TermVectors(3)
+		tv, err := analytics.TermVectors(e, 3)
 		if err != nil {
 			t.Fatalf("%v: TermVector: %v", strat, err)
 		}
@@ -183,10 +183,10 @@ func TestBothStrategiesOnManyFiles(t *testing.T) {
 func TestSequenceTasksRequireOptIn(t *testing.T) {
 	_, d, g := corpus(t, 36, 2, 100, 20)
 	e := newEngine(t, g, d, Options{Sequences: false})
-	if _, err := e.SequenceCount(); !errors.Is(err, ErrNoSequences) {
+	if _, err := analytics.SequenceCount(e); !errors.Is(err, ErrNoSequences) {
 		t.Errorf("SequenceCount without opt-in: %v", err)
 	}
-	if _, err := e.RankedInvertedIndex(); !errors.Is(err, ErrNoSequences) {
+	if _, err := analytics.RankedInvertedIndex(e); !errors.Is(err, ErrNoSequences) {
 		t.Errorf("RankedInvertedIndex without opt-in: %v", err)
 	}
 }
@@ -197,14 +197,14 @@ func TestRepeatedTasksOnOneEngine(t *testing.T) {
 	files, d, g := corpus(t, 37, 3, 150, 30)
 	e := newEngine(t, g, d, Options{Sequences: true})
 	for i := 0; i < 5; i++ {
-		wc, err := e.WordCount()
+		wc, err := analytics.WordCount(e)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(wc, analytics.RefWordCount(files)) {
 			t.Fatalf("run %d: mismatch", i)
 		}
-		if _, err := e.SequenceCount(); err != nil {
+		if _, err := analytics.SequenceCount(e); err != nil {
 			t.Fatalf("run %d: SequenceCount: %v", i, err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestRepeatedTasksOnOneEngine(t *testing.T) {
 func TestPhaseLevelRecoveryAfterTraversalCrash(t *testing.T) {
 	files, d, g := corpus(t, 38, 3, 200, 30)
 	e := newEngine(t, g, d, Options{})
-	if _, err := e.WordCount(); err != nil {
+	if _, err := analytics.WordCount(e); err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
 	// Start another traversal but crash before its checkpoint: simulate by
@@ -232,7 +232,7 @@ func TestPhaseLevelRecoveryAfterTraversalCrash(t *testing.T) {
 		t.Fatalf("recovered phase = %d", info.Phase)
 	}
 	// The interrupted traversal is simply re-run on the recovered pool.
-	wc, err := re.WordCount()
+	wc, err := analytics.WordCount(re)
 	if err != nil {
 		t.Fatalf("re-run WordCount: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestPhaseLevelRecoveryAfterTraversalCrash(t *testing.T) {
 func TestRecoveryReadsCommittedResults(t *testing.T) {
 	files, d, g := corpus(t, 39, 2, 150, 25)
 	e := newEngine(t, g, d, Options{})
-	want, err := e.WordCount()
+	want, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestRecoveryReadsCommittedResults(t *testing.T) {
 		t.Fatalf("phase = %d, want %d", info.Phase, phaseTraversal)
 	}
 	counts, task, ok := re.CommittedCounts()
-	if !ok || task != analytics.WordCount {
+	if !ok || task != analytics.TaskWordCount {
 		t.Fatalf("CommittedCounts ok=%v task=%v", ok, task)
 	}
 	if !reflect.DeepEqual(counts, want) {
@@ -317,7 +317,7 @@ func TestOpLevelReplayAfterCrash(t *testing.T) {
 func TestSequenceRecoveryRebuildsDictionary(t *testing.T) {
 	files, d, g := corpus(t, 41, 3, 150, 20)
 	e := newEngine(t, g, d, Options{Sequences: true})
-	if _, err := e.SequenceCount(); err != nil {
+	if _, err := analytics.SequenceCount(e); err != nil {
 		t.Fatalf("SequenceCount: %v", err)
 	}
 	if err := e.dev.Crash(); err != nil {
@@ -327,7 +327,7 @@ func TestSequenceRecoveryRebuildsDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reopen: %v", err)
 	}
-	sc, err := re.SequenceCount()
+	sc, err := analytics.SequenceCount(re)
 	if err != nil {
 		t.Fatalf("recovered SequenceCount: %v", err)
 	}
@@ -348,7 +348,7 @@ func TestAccountingAndSpans(t *testing.T) {
 	if e.InitSpan().Wall <= 0 {
 		t.Error("init span not measured")
 	}
-	if _, err := e.WordCount(); err != nil {
+	if _, err := analytics.WordCount(e); err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
 	tr := e.LastTraversalSpan()
@@ -366,15 +366,15 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 	d := dict.New()
 	d.Intern("x")
 	e := newEngine(t, g, d, Options{Sequences: true})
-	wc, err := e.WordCount()
+	wc, err := analytics.WordCount(e)
 	if err != nil || len(wc) != 0 {
 		t.Errorf("empty WordCount = %v, %v", wc, err)
 	}
-	tv, err := e.TermVectors(3)
+	tv, err := analytics.TermVectors(e, 3)
 	if err != nil || len(tv) != 1 || len(tv[0]) != 0 {
 		t.Errorf("empty TermVector = %v, %v", tv, err)
 	}
-	sc, err := e.SequenceCount()
+	sc, err := analytics.SequenceCount(e)
 	if err != nil || len(sc) != 0 {
 		t.Errorf("empty SequenceCount = %v, %v", sc, err)
 	}
@@ -396,7 +396,7 @@ func TestFileBackedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	want, err := e.WordCount()
+	want, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -413,7 +413,7 @@ func TestFileBackedEngine(t *testing.T) {
 		t.Fatalf("Reopen: %v", err)
 	}
 	counts, task, ok := re.CommittedCounts()
-	if !ok || task != analytics.WordCount || !reflect.DeepEqual(counts, want) {
+	if !ok || task != analytics.TaskWordCount || !reflect.DeepEqual(counts, want) {
 		t.Error("file-backed committed results mismatch")
 	}
 	_ = files
@@ -482,21 +482,21 @@ func TestQuickEngineMatchesReferenceOnRandomCorpora(t *testing.T) {
 			Counters:    CounterKind(seed % 3),
 		}
 		e := newEngine(t, g, d, opts)
-		wc, err := e.WordCount()
+		wc, err := analytics.WordCount(e)
 		if err != nil {
 			t.Fatalf("seed %d: WordCount: %v", seed, err)
 		}
 		if !reflect.DeepEqual(wc, analytics.RefWordCount(files)) {
 			t.Errorf("seed %d (%+v): word count mismatch", seed, opts)
 		}
-		tv, err := e.TermVectors(4)
+		tv, err := analytics.TermVectors(e, 4)
 		if err != nil {
 			t.Fatalf("seed %d: TermVector: %v", seed, err)
 		}
 		if !reflect.DeepEqual(tv, analytics.RefTermVector(files, 4)) {
 			t.Errorf("seed %d (%+v): term vector mismatch", seed, opts)
 		}
-		sc, err := e.SequenceCount()
+		sc, err := analytics.SequenceCount(e)
 		if err != nil {
 			t.Fatalf("seed %d: SequenceCount: %v", seed, err)
 		}
@@ -545,7 +545,7 @@ func TestPaperFigure1WorkedExample(t *testing.T) {
 	}
 
 	// Step 3: accumulated word frequencies.
-	wc, err := e.WordCount()
+	wc, err := analytics.WordCount(e)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -555,7 +555,7 @@ func TestPaperFigure1WorkedExample(t *testing.T) {
 	}
 
 	// Files: A = "w1 w2 w3 w4 w5 w1 w2 w3 w4", B = "w6 w1 w2".
-	inv, err := e.InvertedIndex()
+	inv, err := analytics.InvertedIndex(e)
 	if err != nil {
 		t.Fatalf("InvertedIndex: %v", err)
 	}

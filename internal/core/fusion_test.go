@@ -21,7 +21,7 @@ func TestFusedMatchesSequentialWithFewerReads(t *testing.T) {
 	seqEngine.Device().ResetStats()
 	sequential := make([]any, len(ops))
 	for i, op := range ops {
-		res, err := seqEngine.RunOp(op)
+		res, err := analytics.RunAs[any](seqEngine, op)
 		if err != nil {
 			t.Fatalf("sequential %v: %v", op.Task(), err)
 		}

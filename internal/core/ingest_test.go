@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
+	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 	"github.com/text-analytics/ntadoc/internal/sequitur"
@@ -38,6 +39,32 @@ func refResults(t *testing.T, d *dict.Dictionary, files [][]uint32, k int) []any
 		}
 	}
 	return want
+}
+
+// newOneShard builds the one-shard set over g — the shape an unsharded
+// corpus executes as.
+func newOneShard(t testing.TB, g *cfg.Grammar, d *dict.Dictionary, opts Options) *ShardedEngine {
+	t.Helper()
+	se, err := NewSharded([]*cfg.Grammar{g}, d, opts)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	t.Cleanup(func() { se.Close() })
+	return se
+}
+
+// crashAndReopen crashes the one-shard set's device and recovers a set from it.
+func crashAndReopen(t *testing.T, se *ShardedEngine, d *dict.Dictionary, opts Options) *ShardedEngine {
+	t.Helper()
+	dev := se.Shard(0).Device()
+	if err := dev.Crash(); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	re, _, err := ReopenSharded([]*nvm.SimDevice{dev}, d, opts)
+	if err != nil {
+		t.Fatalf("ReopenSharded: %v", err)
+	}
+	return re
 }
 
 func appendDocs(files [][]uint32, base int, n int) []AppendDoc {
@@ -84,7 +111,7 @@ func TestAppendBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	checkOps(t, e, d, files[:base], "pre-append")
 
 	vocab := uint32(d.Len())
@@ -130,7 +157,7 @@ func TestAppendNovelWords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 
 	novel := []string{"xenon", "ytterbium"}
 	ids := make([]uint32, len(novel))
@@ -145,15 +172,8 @@ func TestAppendNovelWords(t *testing.T) {
 	checkOps(t, e, d, all, "after novel append")
 
 	// Recovery must re-intern the novel words in order.
-	dev := e.Device()
-	if err := dev.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
 	d2 := rebuildDict(t, d, len(d.Words())-len(novel))
-	re, _, err := Reopen(dev, d2, Options{Sequences: true, IngestCap: 1 << 20})
-	if err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
+	re := crashAndReopen(t, e, d2, Options{Sequences: true, IngestCap: 1 << 20})
 	defer re.Close()
 	for i, w := range novel {
 		id, ok := d2.Lookup(w)
@@ -178,7 +198,7 @@ func rebuildDict(t *testing.T, d *dict.Dictionary, n int) *dict.Dictionary {
 // TestAppendValidation covers the append error contract.
 func TestAppendValidation(t *testing.T) {
 	files, d, g := corpus(t, 73, 3, 100, 20)
-	plain := newEngine(t, g, d, Options{})
+	plain := newOneShard(t, g, d, Options{})
 	if err := plain.Append(appendDocs(files, 0, 1), uint32(d.Len()), nil); !errors.Is(err, ErrNoIngest) {
 		t.Errorf("append without ingestion: err = %v, want ErrNoIngest", err)
 	}
@@ -186,7 +206,7 @@ func TestAppendValidation(t *testing.T) {
 		t.Errorf("plain engine query after ErrNoIngest: %v", err)
 	}
 
-	e := newEngine(t, g, d, Options{IngestCap: 256})
+	e := newOneShard(t, g, d, Options{IngestCap: 256})
 	if err := e.Append(appendDocs(files, 0, 1), uint32(d.Len())-1, nil); err == nil {
 		t.Error("shrinking vocabulary accepted")
 	}
@@ -219,26 +239,19 @@ func TestIngestRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	vocab := uint32(d.Len())
 	for i := base; i < len(files); i++ {
 		if err := e.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	dev := e.Device()
-	if err := dev.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	re, _, err := Reopen(dev, d, Options{Sequences: true, IngestCap: 1 << 20})
-	if err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
+	re := crashAndReopen(t, e, d, Options{Sequences: true, IngestCap: 1 << 20})
 	defer re.Close()
 	if got := re.CorpusEpoch(); got != uint64(len(files)-base) {
 		t.Errorf("recovered epoch %d, want %d", got, len(files)-base)
 	}
-	if got := len(re.IngestBatches()); got != len(files)-base {
+	if got := len(re.Shard(0).IngestBatches()); got != len(files)-base {
 		t.Errorf("recovered %d batches, want %d", got, len(files)-base)
 	}
 	checkOps(t, re, d, files, "recovered")
@@ -344,7 +357,7 @@ func TestAppendConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	vocab := uint32(d.Len())
 
 	refs := make(map[int][]any, len(files)-base+1)
@@ -421,7 +434,7 @@ func TestCompactorWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	c := StartCompactor(e, CompactionPolicy{MaxDeltaDocs: 2, Interval: time.Millisecond})
 	defer c.Stop()
 	vocab := uint32(d.Len())

@@ -129,9 +129,10 @@ type Options struct {
 	// engine takes ownership (Close discards it).
 	Device *nvm.SimDevice
 	// ShardIndex and ShardCount stamp the engine's pool with its position in
-	// a sharded engine set (both zero for an unsharded engine).  NewSharded
-	// fills them per shard; sharded recovery validates the stamps so a
-	// device set assembled from mismatched shards is rejected.
+	// a shard set (both zero for a bare engine built outside one, as the
+	// figure harness does).  NewSharded fills them per shard; ReopenSharded
+	// validates the stamps so a device set assembled from mismatched shards
+	// is rejected.
 	ShardIndex uint32
 	ShardCount uint32
 	// BuildTag, when non-zero, is a content fingerprint of the compressed
@@ -149,8 +150,8 @@ type Options struct {
 	// harness can still clone their durable state.
 	ShardDevices []*nvm.SimDevice
 	// Replication configures per-shard follower replication and failover
-	// (sharded engines only; see the Replication type).  Zero value disables
-	// replication.
+	// (read by NewSharded and ReopenSharded, at any shard count; see the
+	// Replication type).  Zero value disables replication.
 	Replication Replication
 	// Persistence selects the §IV-E strategy (default PhaseLevel).
 	Persistence Persistence
@@ -178,15 +179,11 @@ type Options struct {
 	Scatter bool
 
 	// IngestCap reserves this many bytes of pool space for the durable
-	// append log, enabling Append on the engine (0 disables ingestion; the
+	// append log, making the shard appendable (0 disables ingestion; the
 	// figure harnesses leave it 0 so modeled pool layouts are unchanged).
 	// The log is monotonic: once the region fills, Append returns
 	// ErrIngestFull until the corpus is recompressed.
 	IngestCap int64
-	// Compaction configures the lag/size thresholds at which a background
-	// Compactor re-merges the delta grammar into the base.  Zero value uses
-	// DefaultCompactionPolicy when a Compactor is started.
-	Compaction CompactionPolicy
 	// PoolSlack is the extra pool capacity fraction beyond the estimate
 	// (default 0.5; NoBounds runs need headroom for reconstruction).
 	PoolSlack float64

@@ -146,21 +146,15 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 	// Append-log region: replay the committed batches into a fresh delta
 	// builder and republish the serving view.  The replayed corpus epoch
 	// equals the committed batch count — exactly the appends a pre-crash
-	// reader could have observed.  For shard engines the coordinator restores
-	// the shared dictionary after all shards reopen (batches interleave
-	// across shards in global append order); unsharded recovery restores it
-	// here.
+	// reader could have observed.  The shard set restores the shared
+	// dictionary after all shards reopen (batches interleave across shards in
+	// global append order).
 	if ingestOff := get(rootIngest); ingestOff != 0 {
 		if ingestOff < 0 || ingestOff+ingestHeaderSize > pool.Size() {
 			return nil, nil, fmt.Errorf("%w: append-log header outside pool", ErrNeedsReload)
 		}
 		if err := e.recoverIngest(ingestOff); err != nil {
 			return nil, nil, err
-		}
-		if opts.ShardCount == 0 {
-			if err := restoreVocabulary(d, e.ingest.infos); err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrNeedsReload, err)
-			}
 		}
 	}
 	e.travTables = make(map[int64]counterTable)

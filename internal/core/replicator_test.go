@@ -71,7 +71,7 @@ func TestSyncReplicationCRC(t *testing.T) {
 				}
 				checkCRCs("after bootstrap")
 				for _, op := range ops {
-					if _, err := se.RunOp(op); err != nil {
+					if _, err := analytics.RunAs[any](se, op); err != nil {
 						t.Fatalf("k=%d RunOp(%s): %v", k, op.Name(), err)
 					}
 					checkCRCs("after " + op.Name())
@@ -150,7 +150,7 @@ func TestShardFailedTyped(t *testing.T) {
 
 	// Disarming clears the latent failure; the engine is usable again.
 	dev.DisarmFailPoints()
-	if _, err := se.WordCount(); err != nil {
+	if _, err := analytics.WordCount(se); err != nil {
 		t.Fatalf("disarmed WordCount: %v", err)
 	}
 }
@@ -303,7 +303,7 @@ func TestReopenShardedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	want, err := se.WordCount()
+	want, err := analytics.WordCount(se)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestReopenShardedFailover(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("got %d recovery infos, want 2", len(infos))
 	}
-	got, err := re.WordCount()
+	got, err := analytics.WordCount(re)
 	if err != nil {
 		t.Fatalf("recovered WordCount: %v", err)
 	}

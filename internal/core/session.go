@@ -53,34 +53,13 @@ func (s *Session) RunOpsContext(ctx context.Context, ops []analytics.Op) ([]any,
 	return s.runOps(ctx, ops)
 }
 
-// runOps serves the session's batch.  On an appendable engine the session
-// serves the merged corpus exactly like the engine task path: the base runs
-// on the compacted serving tail (through a transient session when the tail
-// is not the engine this session was opened on), the pinned delta view runs
-// through its own transient session, and the unit results merge.  Long-lived
-// pooled sessions therefore always observe the latest committed append.
+// runOps executes the batch against the session's engine pool.
 func (s *Session) runOps(ctx context.Context, ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if st := s.e.ingest; st != nil && !st.external {
-		return st.serveMerged(ops, &s.meter, func(t *Engine) ([]any, error) {
-			if t == s.e {
-				return s.runOpsLocal(ctx, ops)
-			}
-			return t.NewSession().runOpsLocal(ctx, ops)
-		})
-	}
-	return s.runOpsLocal(ctx, ops)
-}
-
-// runOpsLocal executes the batch against this session's own engine pool,
-// ignoring any serving chain.
-func (s *Session) runOpsLocal(ctx context.Context, ops []analytics.Op) ([]any, error) {
-	for _, op := range ops {
-		if op.Keys() == analytics.KeySequences && !s.e.seqEnabled {
-			return nil, ErrNoSequences
-		}
+	if err := s.e.checkSequences(ops); err != nil {
+		return nil, err
 	}
 	s.run.ctx = ctx
 	defer func() { s.run.ctx = nil }()
@@ -89,15 +68,6 @@ func (s *Session) runOpsLocal(ctx context.Context, ops []analytics.Op) ([]any, e
 		return nil, errEngine("session", err)
 	}
 	return results, nil
-}
-
-// RunOp implements analytics.Executor.
-func (s *Session) RunOp(op analytics.Op) (any, error) {
-	results, err := s.RunOps([]analytics.Op{op})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
 }
 
 // Meter reports the modeled CPU cost of the work this session has run.

@@ -20,7 +20,7 @@ func TestConcurrentSessions(t *testing.T) {
 
 	want := make([]any, len(ops))
 	for i, op := range ops {
-		res, err := e.RunOp(op)
+		res, err := analytics.RunAs[any](e, op)
 		if err != nil {
 			t.Fatalf("engine %v: %v", op.Task(), err)
 		}
@@ -47,7 +47,7 @@ func TestConcurrentSessions(t *testing.T) {
 				}
 			} else {
 				for i, op := range ops {
-					got, err := s.RunOp(op)
+					got, err := analytics.RunAs[any](s, op)
 					if err != nil {
 						t.Errorf("worker %d %v: %v", w, op.Task(), err)
 						return
@@ -73,7 +73,7 @@ func TestSessionDoesNotDisturbEngine(t *testing.T) {
 	e := newEngine(t, g, d, Options{Sequences: true})
 
 	s := e.NewSession()
-	got, err := s.RunOp(analytics.WordCountOp{})
+	got, err := analytics.RunAs[any](s, analytics.WordCountOp{})
 	if err != nil {
 		t.Fatalf("session WordCount: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestSessionSeqGating(t *testing.T) {
 	_, d, g := corpus(t, 55, 3, 200, 30)
 	e := newEngine(t, g, d, Options{Sequences: false})
 	s := e.NewSession()
-	if _, err := s.RunOp(analytics.SequenceCountOp{}); err != ErrNoSequences {
+	if _, err := analytics.RunAs[any](s, analytics.SequenceCountOp{}); err != ErrNoSequences {
 		t.Fatalf("session RunOp = %v, want ErrNoSequences", err)
 	}
 }

@@ -15,13 +15,15 @@ import (
 	"github.com/text-analytics/ntadoc/internal/nvm"
 )
 
-// ShardedEngine is the scatter-gather coordinator over K independent shard
-// engines.  Each shard owns a complete engine — its own grammar, simulated
-// device, pmem pool, and (in operation-level mode) op log — making every
-// shard an independent persistence and recovery domain.  Since the shard
-// boundary is whole files, each shard's traversal is a complete run of the
-// operation kernel over its slice of the corpus; the coordinator runs the
-// shards in parallel goroutines and merges their results through the
+// ShardedEngine is the scatter-gather coordinator over K >= 1 independent
+// shard engines, and the one way an N-TADOC corpus is executed: an unsharded
+// corpus is the one-shard set, a static corpus a shard with no delta.  Each
+// shard owns a complete engine — its own grammar, simulated device, pmem
+// pool, and (in operation-level mode) op log — making every shard an
+// independent persistence and recovery domain.  Since the shard boundary is
+// whole files, each shard's traversal is a complete run of the operation
+// kernel over its slice of the corpus; the coordinator runs the shards in
+// parallel goroutines and merges their results through the
 // analytics.MergingFold capability (global ops combine counters key-wise;
 // per-file ops concatenate with document indices offset by the shard base).
 //
@@ -132,7 +134,8 @@ func sanitizeOpts(opts Options) Options {
 // the coordinator.  Shard grammars come from sequitur.InferShards (or
 // cfg.ReadShards); all shards share one dictionary.  Per-shard devices are
 // created automatically, or injected via opts.ShardDevices; a file-backed
-// opts.Path becomes one file per shard (path + ".shardN").  With
+// opts.Path becomes one file per shard (path + ".shardN"), except that a
+// one-shard set keeps the path itself as its pool file.  With
 // opts.Replication, each shard's followers are seeded with a snapshot of
 // the freshly built pool and then track it commit by commit.
 func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEngine, error) {
@@ -172,7 +175,7 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 			if opts.ShardDevices != nil {
 				o.Device = opts.ShardDevices[i]
 			}
-			if o.Path != "" {
+			if o.Path != "" && len(gs) > 1 {
 				o.Path = fmt.Sprintf("%s.shard%d", opts.Path, i)
 			}
 			se.shards[i], errs[i] = New(g, d, o)
@@ -203,13 +206,6 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 		return nil, errEngine("new sharded", err)
 	}
 	se.deltaMaps = make([][]uint32, len(se.shards))
-	for _, sh := range se.shards {
-		if sh.ingest != nil {
-			// The coordinator owns global delta merging; shard engines serve
-			// base-only results.
-			sh.ingest.external = true
-		}
-	}
 	spans := make([]metrics.Span, len(se.shards))
 	for i, sh := range se.shards {
 		spans[i] = sh.InitSpan()
@@ -369,10 +365,6 @@ func (se *ShardedEngine) recoverIngestMaps() error {
 	}
 	var all []owned
 	for i, sh := range se.shards {
-		if sh.ingest == nil {
-			continue
-		}
-		sh.ingest.external = true
 		for _, b := range sh.IngestBatches() {
 			all = append(all, owned{b: b, shard: i})
 		}
@@ -401,8 +393,9 @@ func (se *ShardedEngine) recoverIngestMaps() error {
 	return nil
 }
 
-// shardPin is one shard's pinned serving cut: the serving tail at pin time,
-// a pinned delta view (nil when the shard had no live delta documents), and
+// shardPin is one shard's pinned serving cut: the serving tail at pin time
+// (the shard engine itself until a compaction promotes past it), a pinned
+// delta view (nil when the shard had no live delta documents), and
 // the document maps placing the tail's and the view's documents at their
 // global corpus positions.  baseMap is nil while the tail still serves
 // exactly the build-time base — the contiguous DocBase offset suffices —
@@ -425,22 +418,11 @@ type ingestPins struct {
 	nfiles int // global document count at pin time
 }
 
-// pinIngest pins every shard's serving state for one scatter-gather, or
-// returns nil when no shard is appendable — the legacy merge path then runs
-// unchanged.  The caller must release the pins.
+// pinIngest pins every shard's serving state for one scatter-gather.  The
+// caller must release the pins.
 func (se *ShardedEngine) pinIngest() *ingestPins {
 	se.ingestMu.Lock()
 	defer se.ingestMu.Unlock()
-	any := false
-	for _, sh := range se.shards {
-		if sh.ingest != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
 	p := &ingestPins{pins: make([]shardPin, len(se.shards)), nfiles: int(se.nfiles + se.appended)}
 	for i := range se.shards {
 		p.pins[i] = se.pinShard(i)
@@ -456,7 +438,7 @@ func (se *ShardedEngine) pinShard(i int) shardPin {
 	sh := se.shards[i]
 	st := sh.ingest
 	if st == nil {
-		return shardPin{}
+		return shardPin{tail: sh} // static shard: no delta, no promotion chain
 	}
 	t, v := st.pinServing()
 	pin := shardPin{tail: t, view: v}
@@ -482,12 +464,8 @@ func (se *ShardedEngine) pinShard(i int) shardPin {
 	return pin
 }
 
-// serving returns shard i's pinned serving tail, nil when the shard is not
-// pinned (or pins is nil entirely — the non-appendable path).
+// serving returns shard i's pinned serving tail.
 func (p *ingestPins) serving(i int) *Engine {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.pins[i].tail
@@ -497,9 +475,6 @@ func (p *ingestPins) serving(i int) *Engine {
 // recovered engine replayed its durable append log into a fresh delta view,
 // with no compaction chain, so the shard's cut is re-derived from scratch.
 func (p *ingestPins) repin(se *ShardedEngine, i int) {
-	if p == nil {
-		return
-	}
 	se.ingestMu.Lock()
 	pin := se.pinShard(i)
 	se.ingestMu.Unlock()
@@ -512,9 +487,6 @@ func (p *ingestPins) repin(se *ShardedEngine, i int) {
 
 // release drops every pinned view.
 func (p *ingestPins) release() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	pins := p.pins
 	p.pins = nil
@@ -527,9 +499,10 @@ func (p *ingestPins) release() {
 // Append appends a batch of documents to the sharded corpus: the whole batch
 // routes to the least-loaded shard's durable append log (a batch never spans
 // shards), and its documents take the next global positions in append order.
-// vocab and novel follow the same contract as Engine.Append: vocab is the
-// shared dictionary's size after interning the batch, novel its newly
-// interned words in order.
+// vocab is the shared dictionary's size after interning the batch, novel the
+// words the batch interned, in ID order (vocab - len(novel) ... vocab - 1).
+// Appends are serialized against each other but never block in-flight
+// queries, which keep reading their pinned corpus cut.
 func (se *ShardedEngine) Append(docs []AppendDoc, vocab uint32, novel []string) error {
 	if len(docs) == 0 {
 		return nil
@@ -614,7 +587,21 @@ func (se *ShardedEngine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
 	return did, nil
 }
 
-var _ Compactable = (*ShardedEngine)(nil)
+// Compact folds every shard's live delta into its serving base now.  The
+// durable logs are untouched (recovery always replays the full delta over the
+// original base), so a crash at any point during compaction is harmless.
+// Appends arriving while a shard's merge builds are rejected with
+// ErrCompacting; queries are never blocked — they keep their pinned
+// pre-compaction cut until the swap.
+func (se *ShardedEngine) Compact() error {
+	for _, sh := range se.shards {
+		if sh.ingest != nil {
+			_, err := se.CompactIfNeeded(CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1})
+			return err
+		}
+	}
+	return ErrNoIngest
+}
 
 // shardedEnv is the Env the coordinator offers merging folds: whole-corpus
 // shape, coordinator-side CPU charging, no sequence-key resolution (shard
@@ -666,8 +653,11 @@ func (se *ShardedEngine) planUnits(numOps int) []unit {
 		idx[j] = j
 	}
 	units := make([]unit, 0, 2*len(se.shards))
-	for i := range se.shards {
-		if se.ensureReplica(i) != nil {
+	for i, sh := range se.shards {
+		// A read replica serves the shard's build-time image, and appends are
+		// not shipped to followers: an appendable shard's serving tail may
+		// have compacted past that image, so only static shards split.
+		if sh.ingest == nil && se.ensureReplica(i) != nil {
 			half := (numOps + 1) / 2
 			units = append(units,
 				unit{shard: i, opIdx: idx[:half]},
@@ -715,9 +705,6 @@ func (se *ShardedEngine) ensureReplica(i int) *Session {
 		_ = clone.Discard()
 		return nil
 	}
-	if e.ingest != nil {
-		e.ingest.external = true
-	}
 	se.replicas[i] = e
 	se.replicaSess[i] = e.NewSession()
 	return se.replicaSess[i]
@@ -733,13 +720,14 @@ func (se *ShardedEngine) ensureReplica(i int) *Session {
 // ErrShardFailed.  The schedule and per-unit spans are returned so callers
 // can aggregate modeled time the same way the work actually ran.
 //
-// On an appendable engine set, the scatter opens by pinning every shard's
-// serving state — the compacted serving tail, the delta view, and a snapshot
-// of the global document maps — so the whole batch observes one consistent
-// corpus cut even while appends and compactions proceed underneath it.  Base
-// units run against the pinned tails, delta views run through transient
-// query sessions, and the gather merges everything with analytics.MergeUnits
-// under per-unit document maps.
+// The scatter opens by pinning every shard's serving state — the serving
+// tail, the delta view, and a snapshot of the global document maps — so the
+// whole batch observes one consistent corpus cut even while appends and
+// compactions proceed underneath it.  Base units run against the pinned
+// tails, delta views run through transient query sessions, and the gather
+// merges everything with analytics.MergeUnits under per-unit document maps.
+// A corpus that is one contiguous unit from document 0 with no delta — the
+// static one-shard set — needs no merge: the unit's result is the result.
 func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 	run func(u unit, ops []analytics.Op, serving *Engine) ([]any, metrics.Span, error),
 	failover func(u unit, cause error) error,
@@ -795,7 +783,6 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 	// Each dispatched lane charges the coordinator its scheduling and join
 	// bookkeeping, the cost the fan-out planner weighs against parallelism.
 	meter.Charge(int64(len(lanes)), laneDispatchCost)
-	env := shardedEnv{d: se.d, nfiles: int(se.nfiles), meter: meter}
 	shardOut := make([][]any, len(se.shards))
 	for i := range shardOut {
 		shardOut[i] = make([]any, len(ops))
@@ -805,25 +792,9 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 			shardOut[u.shard][j] = outs[ui][k]
 		}
 	}
-	results := make([]any, len(ops))
-	if pins == nil {
-		for j, op := range ops {
-			per := make([]any, len(se.shards))
-			for i := range se.shards {
-				per[i] = shardOut[i][j]
-			}
-			r, err := analytics.MergeShardResults(op, env, per, se.bases)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			results[j] = r
-		}
-		return results, lanes, spans, nil
-	}
-	// Appendable path: run the pinned delta views (whole batch each — deltas
-	// are small next to the base traversals), then merge base and delta
-	// units under their document maps.
-	env.nfiles = pins.nfiles
+	// Run the pinned delta views (whole batch each — deltas are small next to
+	// the base traversals), then merge base and delta units under their
+	// document maps.
 	deltaOut := make([][]any, len(se.shards))
 	for i := range pins.pins {
 		if v := pins.pins[i].view; v != nil {
@@ -834,6 +805,8 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 			deltaOut[i] = res
 		}
 	}
+	env := shardedEnv{d: se.d, nfiles: pins.nfiles, meter: meter}
+	results := make([]any, len(ops))
 	for j, op := range ops {
 		mu := make([]analytics.MergeUnit, 0, 2*len(se.shards))
 		for i := range se.shards {
@@ -847,6 +820,11 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 			if pins.pins[i].view != nil {
 				mu = append(mu, analytics.MergeUnit{Result: deltaOut[i][j], DocMap: pins.pins[i].deltaMap})
 			}
+		}
+		if len(mu) == 1 && mu[0].DocMap == nil && mu[0].DocBase == 0 {
+			// One contiguous unit from document 0 is already corpus-wide.
+			results[j] = mu[0].Result
+			continue
 		}
 		r, err := analytics.MergeUnits(op, env, mu)
 		if err != nil {
@@ -932,11 +910,6 @@ func (se *ShardedEngine) failoverShard(i int, cause error) error {
 		return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr)}
 	}
 	sp.Stop()
-	if ne.ingest != nil {
-		// The promoted follower replayed the shard's durable append log into
-		// a fresh delta; the coordinator keeps merging it globally.
-		ne.ingest.external = true
-	}
 	se.shards[i] = ne
 	se.retiredEng = append(se.retiredEng, old)
 	se.retiredReps = append(se.retiredReps, rep)
@@ -980,10 +953,7 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 	units := se.planUnits(len(ops))
 	results, lanes, spans, err := se.scatterGather(ops, units,
 		func(u unit, sub []analytics.Op, serving *Engine) ([]any, metrics.Span, error) {
-			// Replica read-splitting serves the shard's base image; once the
-			// shard is appendable its serving tail may have compacted past
-			// that image, so pinned shards always read the pinned tail.
-			if u.replica && serving == nil {
+			if u.replica {
 				sess := se.replicaSess[u.shard]
 				sp := metrics.Start(se.replicas[u.shard].Device(), sess.Meter())
 				res, err := sess.RunOps(sub)
@@ -992,15 +962,11 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 				}
 				return res, *sp.Stop(), nil
 			}
-			sh := serving
-			if sh == nil {
-				sh = se.shards[u.shard] // re-read: failover may have swapped it
-			}
-			res, err := sh.RunOps(sub)
+			res, err := serving.RunOps(sub)
 			if err != nil {
 				return nil, metrics.Span{}, err
 			}
-			return res, sh.LastTraversalSpan(), nil
+			return res, serving.LastTraversalSpan(), nil
 		},
 		se.failoverUnit, &se.meter)
 	if err != nil {
@@ -1021,71 +987,7 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 	return results, nil
 }
 
-// RunOp implements analytics.Executor.
-func (se *ShardedEngine) RunOp(op analytics.Op) (any, error) {
-	results, err := se.RunOps([]analytics.Op{op})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
 var _ analytics.Executor = (*ShardedEngine)(nil)
-var _ analytics.Engine = (*ShardedEngine)(nil)
-
-// WordCount implements analytics.Engine.
-func (se *ShardedEngine) WordCount() (map[uint32]uint64, error) {
-	v, err := se.RunOp(analytics.WordCountOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[uint32]uint64), nil
-}
-
-// Sort implements analytics.Engine.
-func (se *ShardedEngine) Sort() ([]analytics.WordFreq, error) {
-	v, err := se.RunOp(analytics.SortOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]analytics.WordFreq), nil
-}
-
-// TermVectors implements analytics.Engine.
-func (se *ShardedEngine) TermVectors(k int) ([][]analytics.WordFreq, error) {
-	v, err := se.RunOp(analytics.TermVectorsOp{K: k})
-	if err != nil {
-		return nil, err
-	}
-	return v.([][]analytics.WordFreq), nil
-}
-
-// InvertedIndex implements analytics.Engine.
-func (se *ShardedEngine) InvertedIndex() (map[uint32][]uint32, error) {
-	v, err := se.RunOp(analytics.InvertedIndexOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[uint32][]uint32), nil
-}
-
-// SequenceCount implements analytics.Engine.
-func (se *ShardedEngine) SequenceCount() (map[analytics.Seq]uint64, error) {
-	v, err := se.RunOp(analytics.SequenceCountOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[analytics.Seq]uint64), nil
-}
-
-// RankedInvertedIndex implements analytics.Engine.
-func (se *ShardedEngine) RankedInvertedIndex() (map[analytics.Seq][]analytics.DocFreq, error) {
-	v, err := se.RunOp(analytics.RankedInvertedIndexOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[analytics.Seq][]analytics.DocFreq), nil
-}
 
 // ShardedSession is a read-only query context over every shard: one session
 // per shard engine, run in parallel and merged like the engine's task path,
@@ -1131,7 +1033,7 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 	results, _, _, err := ss.se.scatterGather(ops, units,
 		func(u unit, sub []analytics.Op, serving *Engine) ([]any, metrics.Span, error) {
 			sess := ss.sessions[u.shard]
-			if serving != nil && serving != sess.e {
+			if serving != sess.e {
 				// The shard's serving tail was promoted past the engine this
 				// session was opened on; a transient session over the pinned
 				// tail observes the compacted corpus the document maps expect.
@@ -1141,15 +1043,6 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 			return res, metrics.Span{}, err
 		}, nil, &ss.meter)
 	return results, err
-}
-
-// RunOp implements analytics.Executor.
-func (ss *ShardedSession) RunOp(op analytics.Op) (any, error) {
-	results, err := ss.RunOps([]analytics.Op{op})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
 }
 
 var _ analytics.Executor = (*ShardedSession)(nil)

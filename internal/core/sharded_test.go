@@ -69,7 +69,7 @@ func TestShardCountInvariance(t *testing.T) {
 						}
 					}
 					// Singleton path and typed engine methods.
-					wc, err := se.WordCount()
+					wc, err := analytics.WordCount(se)
 					if err != nil {
 						t.Fatalf("sharded WordCount(k=%d, %s): %v", k, p.path, err)
 					}
@@ -175,7 +175,7 @@ func TestShardedSpansAndAccounting(t *testing.T) {
 		t.Error("DRAMBytes not positive")
 	}
 
-	if _, err := se.WordCount(); err != nil {
+	if _, err := analytics.WordCount(se); err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
 	trav := se.LastTraversalSpan()
@@ -208,7 +208,7 @@ func TestReopenSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	want, err := se.WordCount()
+	want, err := analytics.WordCount(se)
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestReopenSharded(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("got %d recovery infos, want 2", len(infos))
 	}
-	got, err := re.WordCount()
+	got, err := analytics.WordCount(re)
 	if err != nil {
 		t.Fatalf("recovered WordCount: %v", err)
 	}
@@ -303,4 +303,68 @@ func TestNewShardedValidation(t *testing.T) {
 		t.Error("device/shard count mismatch accepted")
 	}
 	_ = g
+}
+
+// TestSingleShardSetMatchesEngine pins the one-shard set to the engine it
+// wraps: every op alone and the fused batch, on each corpus under both
+// persistence strategies, must return deep-equal results, leave the device
+// with field-for-field equal statistics, and model exactly one lane dispatch
+// more than the bare engine — no merge charge, no second traversal.
+func TestSingleShardSetMatchesEngine(t *testing.T) {
+	cases := []struct {
+		name                 string
+		seed                 int64
+		files, tokens, vocab int
+	}{
+		{"small", 51, 4, 200, 30},
+		{"manyfiles", 52, 9, 120, 40},
+		{"redundant", 53, 6, 300, 15},
+	}
+	batches := [][]analytics.Op{analytics.Ops()}
+	for _, op := range analytics.Ops() {
+		batches = append(batches, []analytics.Op{op})
+	}
+	for _, tc := range cases {
+		for _, p := range []Persistence{PhaseLevel, OpLevel} {
+			t.Run(tc.name+"/"+p.String(), func(t *testing.T) {
+				_, d, g := corpus(t, tc.seed, tc.files, tc.tokens, tc.vocab)
+				opts := Options{Sequences: true, Persistence: p}
+				for _, ops := range batches {
+					// Fresh engines per batch: device statistics are cumulative,
+					// and both sides must start from the same build.
+					e := newEngine(t, g, d, opts)
+					se := newOneShard(t, g, d, opts)
+					if got, want := se.DeviceStats(), e.Device().Stats(); got != want {
+						t.Fatalf("build: device stats %+v, engine %+v", got, want)
+					}
+					want, err := e.RunOps(ops)
+					if err != nil {
+						t.Fatalf("engine RunOps: %v", err)
+					}
+					got, err := se.RunOps(ops)
+					if err != nil {
+						t.Fatalf("one-shard RunOps: %v", err)
+					}
+					label := ops[0].Name()
+					if len(ops) > 1 {
+						label = "fused"
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: one-shard results differ from the engine's", label)
+					}
+					if got, want := se.DeviceStats(), e.Device().Stats(); got != want {
+						t.Errorf("%s: device stats %+v, engine %+v", label, got, want)
+					}
+					es, ss := e.LastTraversalSpan(), se.LastTraversalSpan()
+					if ss.Device != es.Device {
+						t.Errorf("%s: traversal device span %+v, engine %+v", label, ss.Device, es.Device)
+					}
+					if diff := int64(ss.Total() - es.Total()); diff != laneDispatchCost {
+						t.Errorf("%s: one-shard traversal models %d ns more than the engine, want exactly %d",
+							label, diff, laneDispatchCost)
+					}
+				}
+			})
+		}
+	}
 }

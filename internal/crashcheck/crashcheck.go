@@ -256,11 +256,12 @@ func runTask(g *cfg.Grammar, d *dict.Dictionary, opts core.Options, task string)
 	return runOn(e, task)
 }
 
-func runOn(e *core.Engine, task string) (any, error) {
+// runOn runs the workload task on x: a bare engine, or a shard set.
+func runOn(x analytics.Executor, task string) (any, error) {
 	if task == "seqcount" {
-		return e.SequenceCount()
+		return analytics.SequenceCount(x)
 	}
-	return e.WordCount()
+	return analytics.WordCount(x)
 }
 
 // subset is one way the pending set reaches (or fails to reach) media.

@@ -95,7 +95,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	for i := range devs {
 		builds[i] = devs[i].PersistEvents()
 	}
-	result, err := runShardedOn(se, kcfg.Task)
+	result, err := runOn(se, kcfg.Task)
 	if err != nil {
 		se.Close()
 		return nil, fmt.Errorf("crashcheck: golden replicated %s: %w", kcfg.Task, err)
@@ -167,7 +167,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 			return o
 		}
 		defer se.Close()
-		res, werr := runShardedOn(se, kcfg.Task)
+		res, werr := runOn(se, kcfg.Task)
 		if werr != nil {
 			o.State = "error"
 			o.Violations = append(o.Violations, fmt.Sprintf(
@@ -184,7 +184,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 		if ev >= totals[s] && se.FailoverCount() != 0 {
 			o.Violations = append(o.Violations, "failover performed on a healthy run")
 		}
-		res2, werr2 := runShardedOn(se, kcfg.Task)
+		res2, werr2 := runOn(se, kcfg.Task)
 		if werr2 != nil {
 			o.Violations = append(o.Violations, "batch after failover: "+werr2.Error())
 		} else if !reflect.DeepEqual(res2, global) {
@@ -207,7 +207,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 				"torn follower broke construction: %v", nerr))
 			return []Outcome{head}
 		}
-		res, werr := runShardedOn(se, kcfg.Task)
+		res, werr := runOn(se, kcfg.Task)
 		if werr != nil {
 			head.State = "error"
 			head.Violations = append(head.Violations,
@@ -313,7 +313,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crashcheck: async lag run build: %w", err)
 	}
-	res, werr := runShardedOn(se, kcfg.Task)
+	res, werr := runOn(se, kcfg.Task)
 	if werr != nil {
 		se.Close()
 		return nil, fmt.Errorf("crashcheck: async lag run %s: %w", kcfg.Task, werr)

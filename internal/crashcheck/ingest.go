@@ -1,6 +1,7 @@
-// Online-ingestion crash exploration: the workload is a live engine taking
-// durable appends (with a mid-stream compaction), and the invariant matrix
-// is the append commit protocol's contract:
+// Online-ingestion crash exploration: the workload is a live one-shard set
+// over the injected device, taking durable appends (with a mid-stream
+// compaction), and the invariant matrix is the append commit protocol's
+// contract:
 //
 //  1. an acknowledged append survives any later crash (body, then fence,
 //     then atomic header commit — the ack happens after the drain);
@@ -116,18 +117,18 @@ func RunIngest(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// ingestWorkload builds an appendable engine on dev and drives the append
-// stream: one batch per document past base, a forced compaction at the
+// ingestWorkload builds an appendable one-shard set on dev and drives the
+// append stream: one batch per document past base, a forced compaction at the
 // midpoint, then one task run.  It returns how many appends were
 // acknowledged; a batch error stops the stream (the process "crashed").
 // want, when non-nil, requires the final task result to match (golden runs).
 func ingestWorkload(dev *nvm.SimDevice, g *cfg.Grammar, d *dict.Dictionary,
 	opts core.Options, files [][]uint32, base int, task string, want any) (int, error) {
 	o := opts
-	o.Device = dev
+	o.ShardDevices = []*nvm.SimDevice{dev}
 	// The engine is deliberately not closed: the caller clones and discards
 	// the device itself (Close would close the device under it).
-	e, err := core.New(g, d, o)
+	e, err := core.NewSharded([]*cfg.Grammar{g}, d, o)
 	if err != nil {
 		return 0, err
 	}
@@ -170,7 +171,7 @@ func checkIngestRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Optio
 			viols = append(viols, fmt.Sprintf("recovery panicked: %v", r))
 		}
 	}()
-	e, info, err := core.Reopen(dev, d, opts)
+	e, infos, err := core.ReopenSharded([]*nvm.SimDevice{dev}, d, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrNeedsReload) {
 			if acked > 0 {
@@ -183,7 +184,7 @@ func checkIngestRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Optio
 		return "error", []string{"unexpected recovery error: " + err.Error()}
 	}
 	defer e.Close()
-	state = fmt.Sprintf("phase%d", info.Phase)
+	state = fmt.Sprintf("phase%d", infos[0].Phase)
 
 	st := e.IngestStats()
 	b := int(st.Batches)

@@ -92,7 +92,7 @@ func RunSharded(kcfg Config, k int) (*Report, error) {
 			if se, nerr := core.NewSharded(gs, d, o); nerr != nil {
 				werr = nerr
 			} else {
-				_, werr = runShardedOn(se, kcfg.Task)
+				_, werr = runOn(se, kcfg.Task)
 			}
 			if werr == nil && ev < totals[s] {
 				pt.Outcomes = append(pt.Outcomes, Outcome{
@@ -170,7 +170,7 @@ func goldenShardedRun(kcfg Config, gs []*cfg.Grammar, d *dict.Dictionary, files 
 		return nil, nil, nil, nil, fmt.Errorf("crashcheck: golden sharded run: %w", err)
 	}
 	defer se.Close()
-	result, err := runShardedOn(se, kcfg.Task)
+	result, err := runOn(se, kcfg.Task)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("crashcheck: golden sharded %s: %w", kcfg.Task, err)
 	}
@@ -273,14 +273,6 @@ func checkShardRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Option
 		viols = append(viols, "re-run result differs from shard reference")
 	}
 	return state, viols, res
-}
-
-// runShardedOn runs the workload task through the sharded coordinator.
-func runShardedOn(se *core.ShardedEngine, task string) (any, error) {
-	if task == "seqcount" {
-		return se.SequenceCount()
-	}
-	return se.WordCount()
 }
 
 // refResult computes the analytic reference for the task over files.

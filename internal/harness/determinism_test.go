@@ -17,12 +17,12 @@ func TestSerialRerunsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunNTADOC(c, analytics.SequenceCount, core.Options{})
+	r1, err := RunNTADOC(c, analytics.TaskSequenceCount, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		r2, err := RunNTADOC(c, analytics.SequenceCount, core.Options{})
+		r2, err := RunNTADOC(c, analytics.TaskSequenceCount, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func (r Result) Speedup(other Result) float64 {
 // Sequence preprocessing is enabled only for sequence tasks, so each task
 // pays its own initialization cost, as in Table II.
 func RunNTADOC(c *Corpus, task analytics.Task, opts core.Options) (Result, error) {
-	opts.Sequences = task == analytics.SequenceCount || task == analytics.RankedInvertedIndex
+	opts.Sequences = task == analytics.TaskSequenceCount || task == analytics.TaskRankedInvertedIndex
 	if opts.Model == nil && (opts.Kind == nvm.KindSSD || opts.Kind == nvm.KindHDD) {
 		// The paper caps the page cache at 20% of the uncompressed dataset
 		// ("memory budget").  At the paper's multi-GB scale that budget is
@@ -356,7 +356,7 @@ func RunFusedComparison(c *Corpus, ops []analytics.Op, opts core.Options) (Fused
 			trav = eng.LastTraversalSpan().Total()
 		} else {
 			for _, op := range ops {
-				if _, err := eng.RunOp(op); err != nil {
+				if _, err := eng.RunOps([]analytics.Op{op}); err != nil {
 					return 0, 0, 0, err
 				}
 				trav += eng.LastTraversalSpan().Total()

@@ -46,7 +46,7 @@ func TestRunnersAgreeOnResultsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range []analytics.Task{analytics.WordCount, analytics.SequenceCount} {
+	for _, task := range []analytics.Task{analytics.TaskWordCount, analytics.TaskSequenceCount} {
 		nt, err := RunNTADOC(c, task, core.Options{})
 		if err != nil {
 			t.Fatalf("RunNTADOC(%v): %v", task, err)
@@ -109,15 +109,15 @@ func TestBlockDeviceBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SSD and HDD runs must complete and be slower than NVM.
-	nt, err := RunNTADOC(c, analytics.WordCount, core.Options{})
+	nt, err := RunNTADOC(c, analytics.TaskWordCount, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssd, err := RunNTADOC(c, analytics.WordCount, core.Options{Kind: nvm.KindSSD})
+	ssd, err := RunNTADOC(c, analytics.TaskWordCount, core.Options{Kind: nvm.KindSSD})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdd, err := RunNTADOC(c, analytics.WordCount, core.Options{Kind: nvm.KindHDD})
+	hdd, err := RunNTADOC(c, analytics.TaskWordCount, core.Options{Kind: nvm.KindHDD})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +245,10 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		task analytics.Task
 	}
 	cells := []cell{
-		{ca, analytics.WordCount},
-		{cb, analytics.WordCount},
-		{ca, analytics.SequenceCount},
-		{cb, analytics.SequenceCount},
+		{ca, analytics.TaskWordCount},
+		{cb, analytics.TaskWordCount},
+		{ca, analytics.TaskSequenceCount},
+		{cb, analytics.TaskSequenceCount},
 	}
 
 	serial := make([]Result, len(cells))

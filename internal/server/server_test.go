@@ -217,6 +217,54 @@ func TestCacheHitAndRecoveryInvalidation(t *testing.T) {
 	}
 }
 
+// TestRecoveryWithoutFollowerLatchesDown checks the other recovery outcome:
+// an engine with no live follower — unsharded or sharded alike — has nothing
+// to fail over to, so Engine.Recover reports an error and the server latches
+// down instead of resuming on a device it was told is dead.
+func TestRecoveryWithoutFollowerLatchesDown(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			a, err := ntadoc.CompressSharded(serverDocs, k)
+			if err != nil {
+				t.Fatalf("CompressSharded: %v", err)
+			}
+			eng, err := ntadoc.NewEngine(a, ntadoc.Options{})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			if err := eng.Recover(); err == nil {
+				t.Fatal("Recover succeeded on an engine with no follower")
+			}
+			s, err := New(Config{Engine: eng})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			s.execute = func(context.Context, *ntadoc.QuerySession, ntadoc.BatchSpec) ([]byte, error) {
+				return nil, fmt.Errorf("shard 0: %w", nvm.ErrFailPoint)
+			}
+			h := s.Handler()
+			if _, rec := getResponse(t, h, "/v1/query?task=wordcount"); rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("failed query: status %d, want 503", rec.Code)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for !s.down.Load() {
+				if time.Now().After(deadline) {
+					t.Fatal("server did not latch down")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if _, rec := getResponse(t, h, "/v1/query?task=sort"); rec.Code != http.StatusServiceUnavailable ||
+				!strings.Contains(rec.Body.String(), "engine down") {
+				t.Errorf("after latch: status %d body %q, want 503 engine down", rec.Code, rec.Body.String())
+			}
+			if s.recoveries.Load() != 0 {
+				t.Errorf("recoveries = %d, want 0", s.recoveries.Load())
+			}
+		})
+	}
+}
+
 // TestCoalescing checks a burst of identical batches traverses once: the
 // leader executes, concurrent followers share its bytes (or hit the cache if
 // they arrive after it lands).

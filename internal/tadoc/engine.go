@@ -46,8 +46,7 @@ func (s Strategy) String() string {
 	}
 }
 
-// Engine is the DRAM TADOC engine.  It implements analytics.Engine and
-// analytics.Executor.
+// Engine is the DRAM TADOC engine.  It implements analytics.Executor.
 type Engine struct {
 	g        *cfg.Grammar
 	d        *dict.Dictionary
@@ -61,10 +60,7 @@ type Engine struct {
 	segs    [][]cfg.Symbol
 }
 
-var (
-	_ analytics.Engine   = (*Engine)(nil)
-	_ analytics.Executor = (*Engine)(nil)
-)
+var _ analytics.Executor = (*Engine)(nil)
 
 // New creates an engine over a validated grammar.
 func New(g *cfg.Grammar, d *dict.Dictionary, strategy Strategy) (*Engine, error) {
@@ -366,45 +362,6 @@ func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 		}
 	}
 	return results, nil
-}
-
-// RunOp implements analytics.Executor.
-func (e *Engine) RunOp(op analytics.Op) (any, error) {
-	results, err := e.RunOps([]analytics.Op{op})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// WordCount implements analytics.Engine.
-func (e *Engine) WordCount() (map[uint32]uint64, error) {
-	return analytics.RunAs[map[uint32]uint64](e, analytics.WordCountOp{})
-}
-
-// Sort implements analytics.Engine.
-func (e *Engine) Sort() ([]analytics.WordFreq, error) {
-	return analytics.RunAs[[]analytics.WordFreq](e, analytics.SortOp{})
-}
-
-// TermVectors implements analytics.Engine.
-func (e *Engine) TermVectors(k int) ([][]analytics.WordFreq, error) {
-	return analytics.RunAs[[][]analytics.WordFreq](e, analytics.TermVectorsOp{K: k})
-}
-
-// InvertedIndex implements analytics.Engine.
-func (e *Engine) InvertedIndex() (map[uint32][]uint32, error) {
-	return analytics.RunAs[map[uint32][]uint32](e, analytics.InvertedIndexOp{})
-}
-
-// SequenceCount implements analytics.Engine.
-func (e *Engine) SequenceCount() (map[analytics.Seq]uint64, error) {
-	return analytics.RunAs[map[analytics.Seq]uint64](e, analytics.SequenceCountOp{})
-}
-
-// RankedInvertedIndex implements analytics.Engine.
-func (e *Engine) RankedInvertedIndex() (map[analytics.Seq][]analytics.DocFreq, error) {
-	return analytics.RunAs[map[analytics.Seq][]analytics.DocFreq](e, analytics.RankedInvertedIndexOp{})
 }
 
 // DRAMBytes estimates the engine's resident DRAM: the grammar plus every

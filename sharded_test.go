@@ -157,13 +157,10 @@ func TestShardedEngineMatchesUnsharded(t *testing.T) {
 
 // TestReplicatedEngineFailover checks the public replication options: with
 // Replicas set, killing one shard's primary mid-batch is masked by follower
-// failover with bit-identical results, and replica reads stay identical too.
+// failover with bit-identical results, and replica reads stay identical too
+// — for an unsharded archive (the one-shard engine) exactly as for K=3.
 func TestReplicatedEngineFailover(t *testing.T) {
-	plain, err := Compress(shardDocs)
-	if err != nil {
-		t.Fatalf("Compress: %v", err)
-	}
-	ref, err := NewEngine(plain, Options{})
+	ref, err := NewEngine(mustCompress(t, shardDocs), Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -172,39 +169,52 @@ func TestReplicatedEngineFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unsharded RunBatch: %v", err)
 	}
-	a, err := CompressSharded(shardDocs, 3)
-	if err != nil {
-		t.Fatalf("CompressSharded: %v", err)
-	}
-	e, err := NewEngine(a, Options{Replicas: 1, Persistence: OperationLevel})
-	if err != nil {
-		t.Fatalf("replicated NewEngine: %v", err)
-	}
-	defer e.Close()
-	dev := e.sh.Shard(1).Device()
-	dev.FailFromPersistEvent(dev.PersistEvents() + 1)
-	got, err := e.RunBatch(AllTasks...)
-	if err != nil {
-		t.Fatalf("failover did not mask the primary death: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("failover batch differs from unsharded")
-	}
-	if e.sh.FailoverCount() == 0 {
-		t.Error("no failover performed despite the armed primary")
-	}
+	for _, tc := range []struct {
+		name      string
+		k, victim int
+	}{
+		{"k=1", 1, 0},
+		{"k=3", 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := CompressSharded(shardDocs, tc.k)
+			if err != nil {
+				t.Fatalf("CompressSharded: %v", err)
+			}
+			e, err := NewEngine(a, Options{Replicas: 1, Persistence: OperationLevel})
+			if err != nil {
+				t.Fatalf("replicated NewEngine: %v", err)
+			}
+			defer e.Close()
+			if got := e.LiveFollowers(); len(got) != tc.k || got[tc.victim] != 1 {
+				t.Fatalf("LiveFollowers = %v, want one follower on each of %d shards", got, tc.k)
+			}
+			dev := e.sh.Shard(tc.victim).Device()
+			dev.FailFromPersistEvent(dev.PersistEvents() + 1)
+			got, err := e.RunBatch(AllTasks...)
+			if err != nil {
+				t.Fatalf("failover did not mask the primary death: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("failover batch differs from unsharded")
+			}
+			if e.FailoverCount() == 0 {
+				t.Error("no failover performed despite the armed primary")
+			}
 
-	rr, err := NewEngine(a, Options{Replicas: 1, ReplicaReads: true})
-	if err != nil {
-		t.Fatalf("replica-read NewEngine: %v", err)
-	}
-	defer rr.Close()
-	got, err = rr.RunBatch(AllTasks...)
-	if err != nil {
-		t.Fatalf("replica-read RunBatch: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("replica-read batch differs from unsharded")
+			rr, err := NewEngine(a, Options{Replicas: 1, ReplicaReads: true})
+			if err != nil {
+				t.Fatalf("replica-read NewEngine: %v", err)
+			}
+			defer rr.Close()
+			got, err = rr.RunBatch(AllTasks...)
+			if err != nil {
+				t.Fatalf("replica-read RunBatch: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("replica-read batch differs from unsharded")
+			}
+		})
 	}
 }
 
