@@ -27,23 +27,32 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over every package: concurrent query sessions, the
-# parallel experiment harness, and the device simulator they drive.
+# parallel experiment harness, and the device simulator they drive.  The
+# sessions' traversal workspaces are the only mutable state two queries on
+# one engine could share, so the tests that run sessions side by side get ten
+# rounds.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions' ./internal/core
 
 # One iteration of every benchmark, as a compile-and-run smoke test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The result egress path's microbenchmarks (hit-path handler, result
-# encoder, shard merge), six runs each with allocation counts, in the form
-# benchstat reads: `make microbench > new.txt`, then
+# The serving path's microbenchmarks, six runs each with allocation counts,
+# in the form benchstat reads: `make microbench > new.txt`, then
 # `benchstat old.txt new.txt` against a run of the commit being compared.
-# EXPERIMENTS.md "Egress path" records the before/after of the PR that added
-# them.
+# Egress (hit-path handler, result encoder, shard merge; EXPERIMENTS.md
+# "Egress path"), then the kernel traversal per direction — one warmed session
+# serving each task and the fused batch on a top-down and a bottom-up shape —
+# with the device round trips under it (batched body read, table re-attach;
+# EXPERIMENTS.md "Session workspaces").
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(HandlerHit|EncodeResult|MergeShardResults)$$' \
 		-benchmem -count 6 ./internal/server ./internal/analytics
+	$(GO) test -run '^$$' -bench '^BenchmarkSessionMix$$' -benchtime 5x -benchmem -count 6 .
+	$(GO) test -run '^$$' -bench '^Benchmark(BodyRead|CounterAttach)$$' \
+		-benchmem -count 6 ./internal/nvm ./internal/pstruct
 
 # The repo benchmark's own tests (bench/ is a module of its own, so `make
 # test` does not reach it): its percentile, open-loop timing and span

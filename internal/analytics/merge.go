@@ -182,7 +182,6 @@ func (f *invertedIndexFold) merge(result any, docBase uint32, docMap []uint32) e
 	if !ok {
 		return mergeTypeError("invertedindex", result)
 	}
-	f.merging = true
 	f.out = presized(f.out, len(in))
 	var entries int64
 	//ntalint:ignore determcheck keyed appends commute across keys, and resort is a worklist of per-key sorts whose order never reaches the result; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.

@@ -24,8 +24,12 @@ type KeySpace int
 const (
 	// KeyWords: counter keys are dictionary word IDs.
 	KeyWords KeySpace = iota
-	// KeySequences: counter keys are executor-chosen dense sequence
-	// identifiers, resolved to Seq values through Env.SeqOf.
+	// KeySequences: counter keys are executor-chosen sequence identifiers,
+	// resolved to Seq values through Env.SeqOf.  They are opaque: core and
+	// tadoc hand out dense interned ids, uncomp packs the sequence's tokens
+	// 21 bits each into the key itself, so a key may be anywhere below 2^63.
+	// A fold may size anything by key only under a key space the executor
+	// declared (FoldScratch.SeqKeys).
 	KeySequences
 )
 
@@ -40,10 +44,12 @@ const (
 	ScopePerFile
 )
 
-// Counts is a read-only view of one accumulated counter.  Range order is
-// unspecified; folds must not depend on it.  The view is valid only for the
-// duration of the Fold callback it is passed to — executors reuse the
-// backing storage between documents.
+// Counts is a read-only view of one accumulated counter.  Keys are distinct
+// but otherwise arbitrary uint64 values unless the executor declared a dense
+// key space (see KeySpace, FoldScratch).  Range order is unspecified; folds
+// must not depend on it.  The view is valid only for the duration of the Fold
+// callback it is passed to — executors reuse the backing storage between
+// documents.
 type Counts interface {
 	// Len returns the number of distinct keys.
 	Len() int64
@@ -260,17 +266,25 @@ func (o TermVectorsOp) NewFold(env Env) Fold {
 }
 
 type termVectorsFold struct {
-	env Env
-	k   int
-	out [][]WordFreq
+	env     Env
+	k       int
+	out     [][]WordFreq
+	scratch *FoldScratch // attached by the first File; nil on the merge path
 }
 
 func (f *termVectorsFold) Global(Counts) error { return errFoldScope }
 func (f *termVectorsFold) File(doc uint32, c Counts) error {
+	if f.scratch == nil {
+		f.scratch = scratchOf(f.env)
+	}
 	f.env.Charge(c.Len(), metrics.CostHashOp+metrics.CostSortEntry)
-	counts := make(map[uint32]uint64, c.Len())
-	c.Range(func(k, v uint64) bool { counts[uint32(k)] = v; return true })
-	f.out[doc] = TermVectorOf(counts, f.k)
+	vec := f.scratch.vec[:0]
+	c.Range(func(k, v uint64) bool {
+		vec = append(vec, WordFreq{Word: uint32(k), Freq: v})
+		return true
+	})
+	f.scratch.vec = vec
+	f.out[doc] = topTerms(vec, f.k)
 	return nil
 }
 func (f *termVectorsFold) Finish() (any, error) { return f.out, nil }
@@ -283,40 +297,57 @@ func (InvertedIndexOp) Name() string   { return "invertedindex" }
 func (InvertedIndexOp) Keys() KeySpace { return KeyWords }
 func (InvertedIndexOp) Scope() Scope   { return ScopePerFile }
 func (InvertedIndexOp) NewFold(env Env) Fold {
-	return &invertedIndexFold{env: env, out: map[uint32][]uint32{}}
+	return &invertedIndexFold{env: env}
 }
 
 type invertedIndexFold struct {
 	env Env
-	out map[uint32][]uint32
-	// Shard-merge state: merging is set by the first merged unit, and resort
-	// lists the words whose merged posting list Finish must re-sort.
-	merging bool
-	resort  []uint32
+	perFileRecords
+	// Shard-merge state: out is the accumulator the first merged unit
+	// creates, and resort lists the words whose merged posting list Finish
+	// must re-sort.
+	out    map[uint32][]uint32
+	resort []uint32
+}
+
+// perFileRecords is the traversal-path state of a posting-list fold: one
+// flat record per (document, key) in a scratch-lent buffer, grouped into the
+// result at Finish.
+type perFileRecords struct {
+	scratch  *FoldScratch // attached by the first use; nil on the merge path
+	buf      *postingBuf
+	keySpace int
+}
+
+// attach borrows the fold's record buffer from env's scratch, with a count
+// column when withFreq.
+func (r *perFileRecords) attach(env Env, ks KeySpace, withFreq bool) {
+	if r.scratch == nil {
+		r.scratch = scratchOf(env)
+		r.buf = r.scratch.lend(withFreq)
+		r.keySpace = r.scratch.keySpace(ks)
+	}
 }
 
 func (f *invertedIndexFold) Global(Counts) error { return errFoldScope }
 func (f *invertedIndexFold) File(doc uint32, c Counts) error {
 	f.env.Charge(c.Len(), metrics.CostHashOp+metrics.CostSortEntry)
-	c.Range(func(k, _ uint64) bool {
-		f.out[uint32(k)] = append(f.out[uint32(k)], doc)
-		return true
-	})
-	return nil
+	f.attach(f.env, KeyWords, false)
+	return f.buf.collect(doc, c, f.keySpace)
 }
 func (f *invertedIndexFold) Finish() (any, error) {
-	if f.merging {
+	if f.out != nil {
 		for _, w := range f.resort {
 			slices.Sort(f.out[w])
 		}
 		return f.out, nil
 	}
-	// Documents arrive in ascending order but Range order within a document
-	// is unspecified, so each posting list still needs its final sort.
-	for w := range f.out {
-		slices.Sort(f.out[w])
-	}
-	return f.out, nil
+	// Documents arrive in ascending order, so each word's group is already
+	// its sorted posting list.
+	f.attach(f.env, KeyWords, false)
+	return groupByKey(f.scratch, f.buf, f.keySpace,
+		func(k uint64) uint32 { return uint32(k) },
+		func(doc uint32, _ uint64) uint32 { return doc }, nil), nil
 }
 
 // SequenceCountOp counts every SeqLen-window's corpus-wide frequency.
@@ -353,12 +384,12 @@ func (RankedInvertedIndexOp) Name() string   { return "rankedindex" }
 func (RankedInvertedIndexOp) Keys() KeySpace { return KeySequences }
 func (RankedInvertedIndexOp) Scope() Scope   { return ScopePerFile }
 func (RankedInvertedIndexOp) NewFold(env Env) Fold {
-	return &rankedIndexFold{env: env, perDoc: map[uint64][]DocFreq{}}
+	return &rankedIndexFold{env: env}
 }
 
 type rankedIndexFold struct {
-	env    Env
-	perDoc map[uint64][]DocFreq
+	env Env
+	perFileRecords
 	// Shard-merge state (merged is nil on the traversal path): the
 	// accumulator Finish returns, the sequences whose merged list it must
 	// re-rank, and the merged posting count its sort charge is made on.
@@ -370,11 +401,8 @@ type rankedIndexFold struct {
 func (f *rankedIndexFold) Global(Counts) error { return errFoldScope }
 func (f *rankedIndexFold) File(doc uint32, c Counts) error {
 	f.env.Charge(c.Len(), metrics.CostHashOp)
-	c.Range(func(k, v uint64) bool {
-		f.perDoc[k] = append(f.perDoc[k], DocFreq{Doc: doc, Freq: v})
-		return true
-	})
-	return nil
+	f.attach(f.env, KeySequences, true)
+	return f.buf.collect(doc, c, f.keySpace)
 }
 func (f *rankedIndexFold) Finish() (any, error) {
 	if f.merged != nil {
@@ -384,12 +412,11 @@ func (f *rankedIndexFold) Finish() (any, error) {
 		}
 		return f.merged, nil
 	}
-	out := make(map[Seq][]DocFreq, len(f.perDoc))
-	for k, postings := range f.perDoc {
-		f.env.Charge(int64(len(postings)), metrics.CostSortEntry)
-		out[f.env.SeqOf(k)] = RankPostingsSorted(postings)
-	}
-	return out, nil
+	f.attach(f.env, KeySequences, true)
+	f.env.Charge(int64(f.buf.len()), metrics.CostSortEntry)
+	return groupByKey(f.scratch, f.buf, f.keySpace, f.env.SeqOf,
+		func(doc uint32, freq uint64) DocFreq { return DocFreq{Doc: doc, Freq: freq} },
+		func(list []DocFreq) { RankPostingsSorted(list) }), nil
 }
 
 // MapCounts adapts a plain uint64-keyed count map.

@@ -125,7 +125,7 @@ func New(g *cfg.Grammar, d *dict.Dictionary, opts Options) (*Engine, error) {
 		numFiles: g.NumFiles,
 	}
 	e.bodySymbols, e.mergeWork = planFeatures(g)
-	e.run = exec{e: e, meter: meter}
+	e.run = exec{e: e, meter: meter, ws: &workspace{}}
 	if err := e.initialize(g, prep); err != nil {
 		return nil, err
 	}

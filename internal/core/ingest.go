@@ -623,9 +623,10 @@ func (e *Engine) IngestStats() IngestStats {
 }
 
 // runDeltaOps executes ops against a pinned delta view through a transient
-// query session (the view's engine is read-shared by concurrent queries).
-func (v *deltaView) runDeltaOps(ops []analytics.Op) ([]any, error) {
-	return v.eng.NewSession().RunOps(ops)
+// query session (the view's engine is read-shared by concurrent queries)
+// running in ws, the shard's workspace when a session lends one.
+func (v *deltaView) runDeltaOps(ops []analytics.Op, ws *workspace) ([]any, error) {
+	return v.eng.newSession(ws).RunOps(ops)
 }
 
 // recoverIngest reattaches the append-log region after Reopen and replays

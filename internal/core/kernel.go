@@ -21,13 +21,15 @@ import (
 // exec is one traversal execution context.  The engine's task path binds it
 // to the persistent pool structures — weight/scratch metadata slots, pool
 // counter tables behind the op log, the pool traversal queue — which is what
-// the crash-consistency machinery protects.  A query session instead binds
-// it to session-local DRAM state, so concurrent sessions never touch shared
+// the crash-consistency machinery protects.  A query session instead keeps
+// that state in its workspace, so concurrent sessions never touch shared
 // mutable pool scratch.
 type exec struct {
 	e     *Engine
 	meter *metrics.Meter
-	sess  *sessionState // nil on the engine's persistent path
+	ws    *workspace
+	// session says the traversal state lives in ws rather than in the pool.
+	session bool
 
 	// ctx, when non-nil, cancels the traversal between per-rule (or
 	// per-file) operations: the walks poll it at their loop heads and
@@ -36,20 +38,23 @@ type exec struct {
 	// unchanged.
 	ctx context.Context
 
-	// Body-read scratch, reused across reads.  Valid only until the next
-	// read of the same kind; no caller retains these slices.
-	bodyFlat  []uint32
-	bodySubs  []pair
-	bodyWords []pair
-	rawSyms   []cfg.Symbol
-	edgeToks  []uint32
-}
+	// cpu is modeled CPU incurred but not yet charged: session counter adds
+	// and sequence-dictionary lookups count here and reach the meter once,
+	// when runPlan returns, instead of one atomic add each.
+	cpu int64
 
-// sessionState is the DRAM half of a query session: the traversal state
-// that the persistent path keeps in pool metadata slots and pool tables.
-type sessionState struct {
-	weights   []uint64
-	remaining []uint64
+	// The two session counters (word-keyed, sequence-keyed) and the handle
+	// stored per-rule tables are re-attached into: exec-owned, so a visit
+	// allocates nothing.
+	wordC, seqC kcounter
+	tbl         pstruct.CounterHandle
+
+	// The one callback every counter-into-counter merge ranges with, and its
+	// arguments for the merge in progress (see addScaled).
+	mergeDst   *kcounter
+	mergeScale uint64
+	mergeErr   error
+	mergeFn    func(k, v uint64) bool
 }
 
 // canceled reports the execution context's cancellation state: nil on the
@@ -66,24 +71,25 @@ func (x *exec) canceled() error {
 }
 
 // kcounter is one kernel-managed counter: a bounded pool table on the
-// persistent path, a DRAM map in a session.  It implements analytics.Counts.
+// persistent path, a dense scratch of the workspace in a session.  It
+// implements analytics.Counts; a session counter ranges in first-touch order.
 type kcounter struct {
-	tbl counterTable
-	off int64
-	m   map[uint64]uint64
+	tbl   counterTable
+	off   int64
+	dense *denseScratch
 }
 
 func (c *kcounter) Len() int64 {
-	if c.m != nil {
-		return int64(len(c.m))
+	if c.dense != nil {
+		return int64(len(c.dense.touched))
 	}
 	return c.tbl.Len()
 }
 
 func (c *kcounter) Range(fn func(k, v uint64) bool) {
-	if c.m != nil {
-		for k, v := range c.m {
-			if !fn(k, v) {
+	if d := c.dense; d != nil {
+		for _, k := range d.touched {
+			if !fn(uint64(k), d.vals[k]) {
 				return
 			}
 		}
@@ -92,12 +98,28 @@ func (c *kcounter) Range(fn func(k, v uint64) bool) {
 	c.tbl.Range(fn)
 }
 
-// newKCounter allocates a counter for the current execution context.
-func (x *exec) newKCounter(bound, keySpace int64) (*kcounter, error) {
-	if x.sess != nil {
-		return &kcounter{off: -1, m: make(map[uint64]uint64)}, nil
+// keySpace returns the size of the engine's dense key space for keys.
+func (e *Engine) keySpace(keys analytics.KeySpace) int64 {
+	if keys == analytics.KeyWords {
+		return int64(e.numWords)
 	}
-	tbl, off, err := x.e.newCounter(bound, keySpace)
+	return int64(len(e.seqList))
+}
+
+// newKCounter starts a counter of at most bound distinct keys for the current
+// execution context.  A session has one counter per key space — no traversal
+// accumulates two of a kind at once — so starting one empties the last.
+func (x *exec) newKCounter(bound int64, keys analytics.KeySpace) (*kcounter, error) {
+	if x.session {
+		c, d := &x.wordC, &x.ws.words
+		if keys == analytics.KeySequences {
+			c, d = &x.seqC, &x.ws.seqs
+		}
+		d.begin(x.e.keySpace(keys), bound)
+		*c = kcounter{off: -1, dense: d}
+		return c, nil
+	}
+	tbl, off, err := x.e.newCounter(bound, x.e.keySpace(keys))
 	if err != nil {
 		return nil, err
 	}
@@ -105,21 +127,50 @@ func (x *exec) newKCounter(bound, keySpace int64) (*kcounter, error) {
 }
 
 // add performs one counter mutation.  The persistent path goes through the
-// op-log write-ahead protocol; the session path charges the same hash cost
-// into the session meter.
+// op-log write-ahead protocol; the session path incurs the same hash cost.
 func (x *exec) add(c *kcounter, key, delta uint64) error {
-	if c.m != nil {
-		x.meter.Charge(1, metrics.CostHashOp)
-		c.m[key] += delta
-		return nil
+	if c.dense != nil {
+		x.cpu += metrics.CostHashOp
+		return c.dense.add(key, delta)
 	}
 	return x.e.addCount(c.tbl, c.off, key, delta)
+}
+
+// chargeCPU moves the locally counted CPU onto the meter.
+func (x *exec) chargeCPU() {
+	x.meter.Charge(x.cpu, 1)
+	x.cpu = 0
+}
+
+// addScaled adds every entry src ranges over, scaled by scale, into dst,
+// through the one callback the exec keeps: a merge allocates no closure.
+func (x *exec) addScaled(dst *kcounter, src analytics.Counts, scale uint64) error {
+	if x.mergeFn == nil {
+		x.mergeFn = func(k, v uint64) bool {
+			x.mergeErr = x.add(x.mergeDst, k, v*x.mergeScale)
+			return x.mergeErr == nil
+		}
+	}
+	x.mergeDst, x.mergeScale, x.mergeErr = dst, scale, nil
+	src.Range(x.mergeFn)
+	return x.mergeErr
+}
+
+// mergeTable adds every entry of the stored table at pool offset off, scaled
+// by scale, into dst, re-attaching the exec's own handle: a visit allocates
+// no table object either.
+func (x *exec) mergeTable(dst *kcounter, off int64, scale uint64) error {
+	tbl, err := x.tbl.Attach(x.e.pool, off)
+	if err != nil {
+		return err
+	}
+	return x.addScaled(dst, tbl, scale)
 }
 
 // commit fences the op log after one analytics operation; free when nothing
 // was appended, a no-op in sessions.
 func (x *exec) commit() error {
-	if x.sess != nil {
+	if x.session {
 		return nil
 	}
 	return x.e.opCommit()
@@ -127,41 +178,42 @@ func (x *exec) commit() error {
 
 // Rule weights and the remaining-parents scratch: NVM metadata slots on the
 // persistent path (charged by the device model, readable after a crash),
-// session-local arrays otherwise.  Access order mirrors the persistent
+// workspace arrays in a session.  Access order mirrors the persistent
 // accessors exactly so the modeled device pattern is unchanged.
 
 func (x *exec) weight(r uint32) uint64 {
-	if x.sess != nil {
-		return x.sess.weights[r]
+	if x.session {
+		return x.ws.weights[r]
 	}
 	return x.e.meta(r).weight()
 }
 
 func (x *exec) setWeight(r uint32, v uint64) {
-	if x.sess != nil {
-		x.sess.weights[r] = v
+	if x.session {
+		x.ws.weights[r] = v
 		return
 	}
 	x.e.meta(r).setWeight(v)
 }
 
 func (x *exec) remaining(r uint32) uint64 {
-	if x.sess != nil {
-		return x.sess.remaining[r]
+	if x.session {
+		return x.ws.remaining[r]
 	}
 	return x.e.meta(r).scratch()
 }
 
 func (x *exec) setRemaining(r uint32, v uint64) {
-	if x.sess != nil {
-		x.sess.remaining[r] = v
+	if x.session {
+		x.ws.remaining[r] = v
 		return
 	}
 	x.e.meta(r).setScratch(v)
 }
 
 // kqueue is the Kahn work queue: the pool traversal queue on the persistent
-// path, a DRAM FIFO in a session.
+// path, a FIFO over the workspace's ring in a session (every rule is pushed
+// at most once, so the ring never grows past its numRules capacity).
 type kqueue struct {
 	q    *pstruct.Queue
 	ring []uint32
@@ -169,8 +221,9 @@ type kqueue struct {
 }
 
 func (x *exec) newQueue(capacity int64) (*kqueue, error) {
-	if x.sess != nil {
-		return &kqueue{ring: make([]uint32, 0, capacity)}, nil
+	if x.session {
+		x.ws.ring = fit(x.ws.ring, int(capacity))
+		return &kqueue{ring: x.ws.ring[:0]}, nil
 	}
 	q, err := pstruct.NewQueue(x.e.pool, capacity)
 	if err != nil {
@@ -211,6 +264,10 @@ func (v execEnv) NumFiles() int                  { return int(v.x.e.numFiles) }
 func (v execEnv) SeqOf(key uint64) analytics.Seq { return v.x.e.seqList[key] }
 func (v execEnv) Charge(n, perOp int64)          { v.x.meter.Charge(n, perOp) }
 
+// FoldScratch implements analytics.ScratchEnv: folds accumulate in the
+// workspace, under the engine's declared key spaces (runPlan sets them).
+func (v execEnv) FoldScratch() *analytics.FoldScratch { return &v.x.ws.folds }
+
 // runPlan executes a batch of ops over the fewest traversals their
 // declarations allow: one top-down global pass feeds every global op (word
 // counters and, via the weights it leaves behind, the sequence
@@ -218,6 +275,11 @@ func (v execEnv) Charge(n, perOp int64)          { v.x.meter.Charge(n, perOp) }
 // resultOffs[i] is the durable pool offset of op i's global counter (0 for
 // per-file ops, whose results are DRAM aggregates).
 func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, err error) {
+	defer x.chargeCPU()
+	defer x.ws.publish()
+	x.ws.folds.Reset()
+	x.ws.folds.WordKeys = int(x.e.keySpace(analytics.KeyWords))
+	x.ws.folds.SeqKeys = int(x.e.keySpace(analytics.KeySequences))
 	env := execEnv{x: x}
 	folds := make([]analytics.Fold, len(ops))
 	resultOffs = make([]int64, len(ops))
@@ -240,13 +302,13 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 		var gw, gs *kcounter
 		var root []cfg.Symbol
 		if len(globalWord) > 0 {
-			if gw, err = x.newKCounter(x.e.globalBound(), int64(x.e.numWords)); err != nil {
+			if gw, err = x.newKCounter(x.e.globalBound(), analytics.KeyWords); err != nil {
 				return nil, nil, err
 			}
 		}
 		if len(globalSeq) > 0 {
 			root = x.readRoot()
-			if gs, err = x.newKCounter(x.seqBound(root), int64(len(x.e.seqList))); err != nil {
+			if gs, err = x.newKCounter(x.seqBound(root), analytics.KeySequences); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -269,7 +331,7 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 			// §IV-D decomposition: global sequence counts are the root's
 			// spanning windows plus each rule's local table scaled by the
 			// corpus-wide weight the pass above left behind.
-			if err := x.addWeightedLocals(gs, x.weight); err != nil {
+			if err := x.addWeightedLocals(gs, nil); err != nil {
 				return nil, nil, err
 			}
 			if err := x.addSpanningToCounter(root, gs); err != nil {

@@ -159,7 +159,7 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 	}
 	e.travTables = make(map[int64]counterTable)
 	e.travDirty = make(map[int64]bool)
-	e.run = exec{e: e, meter: e.meter}
+	e.run = exec{e: e, meter: e.meter, ws: &workspace{}}
 	return e, info, nil
 }
 

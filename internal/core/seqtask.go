@@ -4,7 +4,6 @@ import (
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/metrics"
-	"github.com/text-analytics/ntadoc/internal/pstruct"
 )
 
 // Sequence analytics over pool-resident data.  Initialization stored, per
@@ -23,21 +22,20 @@ type edgeInfo struct {
 	tokens []uint32
 }
 
-// readEdge fetches rule r's edge record.  The returned token slice is
-// scratch, valid only until the next readEdge call.
+// readEdge fetches rule r's edge record — token count, tokens, length,
+// flags: one batch.  The returned token slice is scratch, valid only until
+// the next readEdge call.
 func (x *exec) readEdge(r uint32) edgeInfo {
 	rec := x.e.edgesAcc.Slice(int64(r)*edgeSize, edgeSize)
-	n := int64(rec.Byte(edgeCount))
-	if int64(cap(x.edgeToks)) < n {
-		x.edgeToks = make([]uint32, n)
-	}
-	toks := x.edgeToks[:n]
-	rec.Uint32s(edgeTokens, toks)
-	return edgeInfo{
-		length: int64(rec.Uint64(edgeLen)),
-		split:  rec.Byte(edgeFlags)&1 != 0,
-		tokens: toks,
-	}
+	b := rec.BeginReads()
+	n := int(b.Byte(rec, edgeCount))
+	x.ws.edgeToks = fit(x.ws.edgeToks, n)
+	toks := x.ws.edgeToks
+	b.Uint32s(rec, edgeTokens, toks)
+	length := int64(b.Uint64(rec, edgeLen))
+	split := b.Byte(rec, edgeFlags)&1 != 0
+	b.End()
+	return edgeInfo{length: length, split: split, tokens: toks}
 }
 
 // poolStreamToken mirrors analytics.streamToken for pool-sourced edges.
@@ -52,7 +50,7 @@ type poolStreamToken struct {
 // hard breaks.  This mirrors analytics.addSpanningWindows, sourcing from
 // NVM instead of DRAM summaries.
 func (x *exec) spanningWindowsPool(syms []cfg.Symbol, emit func(analytics.Seq)) {
-	var stream []poolStreamToken
+	stream := x.ws.stream[:0]
 	flush := func() {
 		for i := 0; i+analytics.SeqLen <= len(stream); i++ {
 			valid := true
@@ -98,6 +96,7 @@ func (x *exec) spanningWindowsPool(syms []cfg.Symbol, emit func(analytics.Seq)) 
 		}
 	}
 	flush()
+	x.ws.stream = stream
 }
 
 // addSegmentSeqCounts accumulates a symbol sequence's n-gram counts into
@@ -115,41 +114,14 @@ func (x *exec) addSegmentSeqCounts(syms []cfg.Symbol, counter *kcounter) error {
 		if off == 0 {
 			continue // rule has no internal n-grams
 		}
-		tbl, err := pstruct.OpenCounterAt(e.pool, off)
-		if err != nil {
+		if err := x.mergeTable(counter, off, 1); err != nil {
 			return err
-		}
-		var addErr error
-		tbl.Range(func(k, v uint64) bool {
-			addErr = x.add(counter, k, v)
-			return addErr == nil
-		})
-		if addErr != nil {
-			return addErr
 		}
 		if err := x.commit(); err != nil {
 			return err
 		}
 	}
-	var emitErr error
-	x.spanningWindowsPool(syms, func(q analytics.Seq) {
-		if emitErr != nil {
-			return
-		}
-		x.meter.Charge(1, metrics.CostSeqOp) // DRAM intern lookup
-		id, ok := e.seqIDs[q]
-		if !ok {
-			// Every possible window was interned at initialization; an
-			// unknown one indicates pool corruption.
-			emitErr = errEngine("sequence traversal", ErrNoSequences)
-			return
-		}
-		emitErr = x.add(counter, uint64(id), 1)
-	})
-	if emitErr != nil {
-		return emitErr
-	}
-	return x.commit()
+	return x.addSpanningToCounter(syms, counter)
 }
 
 // seqBound bounds a segment's distinct-sequence count by its expansion
@@ -174,43 +146,31 @@ func (x *exec) seqBound(syms []cfg.Symbol) int64 {
 	return length
 }
 
-// localTable opens rule r's local-window table, or nil when the rule has
-// no local windows.
-func (e *Engine) localTable(r uint32) (pstruct.Counter, error) {
-	off := int64(e.localsAcc.Uint64(int64(r) * 8))
-	if off == 0 {
-		return nil, nil
-	}
-	return pstruct.OpenCounterAt(e.pool, off)
-}
-
 // addWeightedLocals merges every rule's local-window table, scaled by the
-// rule weights supplied by weightOf (corpus-wide weights after a top-down
-// pass, or per-file weights captured during a per-file sweep), into counter.
-func (x *exec) addWeightedLocals(counter *kcounter, weightOf func(r uint32) uint64) error {
+// rule's weight — its per-file weight captured during a per-file sweep when
+// fileWeight is given, else the corpus-wide weight a top-down pass left
+// behind — into counter.
+func (x *exec) addWeightedLocals(counter *kcounter, fileWeight []uint64) error {
 	e := x.e
 	for r := uint32(1); r < e.numRules; r++ {
-		w := weightOf(r)
+		var w uint64
+		if fileWeight != nil {
+			w = fileWeight[r]
+		} else {
+			w = x.weight(r)
+		}
 		if w == 0 {
 			continue
 		}
 		if err := x.canceled(); err != nil {
 			return err
 		}
-		tbl, err := e.localTable(r)
-		if err != nil {
+		off := int64(e.localsAcc.Uint64(int64(r) * 8))
+		if off == 0 {
+			continue // rule has no local windows
+		}
+		if err := x.mergeTable(counter, off, w); err != nil {
 			return err
-		}
-		if tbl == nil {
-			continue
-		}
-		var addErr error
-		tbl.Range(func(k, v uint64) bool {
-			addErr = x.add(counter, k, v*w)
-			return addErr == nil
-		})
-		if addErr != nil {
-			return addErr
 		}
 		if err := x.commit(); err != nil {
 			return err
@@ -227,9 +187,11 @@ func (x *exec) addSpanningToCounter(syms []cfg.Symbol, counter *kcounter) error 
 		if emitErr != nil {
 			return
 		}
-		x.meter.Charge(1, metrics.CostSeqOp) // DRAM intern lookup
+		x.cpu += metrics.CostSeqOp // DRAM intern lookup
 		id, ok := x.e.seqIDs[q]
 		if !ok {
+			// Every possible window was interned at initialization; an
+			// unknown one indicates pool corruption.
 			emitErr = errEngine("sequence traversal", ErrNoSequences)
 			return
 		}

@@ -10,9 +10,9 @@ import (
 // Session is a read-only query context over an engine's pool: it runs
 // analytics ops through the same operation kernel as the engine's task
 // methods, but keeps every piece of traversal state — rule weights, the
-// Kahn queue, result counters — in session-local DRAM, so it never mutates
-// the pool.  Multiple sessions may query one engine concurrently from
-// different goroutines.
+// Kahn queue, result counters — in its traversal workspace (workspace.go),
+// so it never mutates the pool.  Multiple sessions may query one engine
+// concurrently from different goroutines.
 //
 // Sessions model the post-load query phase: they must not run concurrently
 // with engine task methods or Close (those mutate traversal scratch in the
@@ -25,13 +25,20 @@ type Session struct {
 	run   exec
 }
 
-// NewSession opens a query session over the engine's current pool contents.
-func (e *Engine) NewSession() *Session {
+// NewSession opens a query session over the engine's current pool contents,
+// with a workspace of its own.  Opening is cheap: the workspace grows when a
+// run first needs it.
+func (e *Engine) NewSession() *Session { return e.newSession(nil) }
+
+// newSession opens a session running in ws — a ShardedSession's slot for the
+// shard, lent to whichever engine is serving it — or, given none, in a
+// workspace of its own.
+func (e *Engine) newSession(ws *workspace) *Session {
+	if ws == nil {
+		ws = &workspace{}
+	}
 	s := &Session{e: e}
-	s.run = exec{e: e, meter: &s.meter, sess: &sessionState{
-		weights:   make([]uint64, e.numRules),
-		remaining: make([]uint64, e.numRules),
-	}}
+	s.run = exec{e: e, meter: &s.meter, ws: ws, session: true}
 	e.dev.Share()
 	return s
 }

@@ -728,10 +728,12 @@ func (se *ShardedEngine) ensureReplica(i int) *Session {
 // merges everything with analytics.MergeUnits under per-unit document maps.
 // A corpus that is one contiguous unit from document 0 with no delta — the
 // static one-shard set — needs no merge: the unit's result is the result.
+// ws, when non-nil, holds one workspace per shard for the delta runs to
+// borrow: they start after every lane has finished with its own.
 func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 	run func(u unit, ops []analytics.Op, serving *Engine) ([]any, metrics.Span, error),
 	failover func(u unit, cause error) error,
-	meter *metrics.Meter) ([]any, [][]int, []metrics.Span, error) {
+	meter *metrics.Meter, ws []*workspace) ([]any, [][]int, []metrics.Span, error) {
 	pins := se.pinIngest()
 	defer pins.release()
 	costs := make([]int64, len(units))
@@ -798,7 +800,11 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 	deltaOut := make([][]any, len(se.shards))
 	for i := range pins.pins {
 		if v := pins.pins[i].view; v != nil {
-			res, err := v.runDeltaOps(ops)
+			var lent *workspace
+			if ws != nil {
+				lent = ws[i]
+			}
+			res, err := v.runDeltaOps(ops, lent)
 			if err != nil {
 				return nil, nil, nil, wrapShard(i, err)
 			}
@@ -968,7 +974,7 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 			}
 			return res, serving.LastTraversalSpan(), nil
 		},
-		se.failoverUnit, &se.meter)
+		se.failoverUnit, &se.meter, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -995,17 +1001,28 @@ var _ analytics.Executor = (*ShardedEngine)(nil)
 // query phase and must not run concurrently with engine task methods or
 // Close, only with each other.  Sessions never mutate devices, so they have
 // no failover path; a device error surfaces as ErrShardFailed.
+//
+// The session owns one traversal workspace per shard slot.  A slot's
+// workspace follows the shard, not an engine: when compaction promotes a new
+// serving tail the slot's session is reopened on it in the same workspace,
+// and the shard's delta view borrows it once the lane is done.
 type ShardedSession struct {
 	se       *ShardedEngine
 	sessions []*Session
+	ws       []*workspace
 	meter    metrics.Meter
 }
 
 // NewSession opens one query session per shard.
 func (se *ShardedEngine) NewSession() *ShardedSession {
-	ss := &ShardedSession{se: se, sessions: make([]*Session, len(se.shards))}
+	ss := &ShardedSession{
+		se:       se,
+		sessions: make([]*Session, len(se.shards)),
+		ws:       make([]*workspace, len(se.shards)),
+	}
 	for i, sh := range se.shards {
-		ss.sessions[i] = sh.NewSession()
+		ss.ws[i] = &workspace{}
+		ss.sessions[i] = sh.newSession(ss.ws[i])
 	}
 	return ss
 }
@@ -1035,13 +1052,15 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 			sess := ss.sessions[u.shard]
 			if serving != sess.e {
 				// The shard's serving tail was promoted past the engine this
-				// session was opened on; a transient session over the pinned
-				// tail observes the compacted corpus the document maps expect.
-				sess = serving.NewSession()
+				// slot's session was opened on: reopen it over the pinned tail,
+				// which holds the compacted corpus the document maps expect.
+				// Only this shard's lane touches the slot.
+				sess = serving.newSession(ss.ws[u.shard])
+				ss.sessions[u.shard] = sess
 			}
 			res, err := sess.runOps(ctx, sub)
 			return res, metrics.Span{}, err
-		}, nil, &ss.meter)
+		}, nil, &ss.meter, ss.ws)
 	return results, err
 }
 
@@ -1050,6 +1069,16 @@ var _ analytics.Executor = (*ShardedSession)(nil)
 // Meter reports the modeled CPU cost of this session's merge work; the
 // per-shard traversal costs live on the shard sessions' meters.
 func (ss *ShardedSession) Meter() *metrics.Meter { return &ss.meter }
+
+// WorkspaceBytes reports the traversal working memory the session's lanes
+// held at the end of their last runs.  Safe to call while a run is in flight.
+func (ss *ShardedSession) WorkspaceBytes() int64 {
+	var n int64
+	for _, w := range ss.ws {
+		n += w.Bytes()
+	}
+	return n
+}
 
 // NumShards returns the shard count.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }

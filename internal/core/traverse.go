@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/metrics"
+	"github.com/text-analytics/ntadoc/internal/nvm"
 )
 
 // Generic traversal machinery.  The per-task logic lives in
@@ -127,31 +129,27 @@ func (e *Engine) opCommit() error {
 
 // readBodyPairs reads a pruned body: subCount subrule pairs then wordCount
 // word pairs, decoding the compact frequency-follows encoding after one
-// bulk device read (length prefix, then the pair stream).
+// bulk device read (length prefix, then the pair stream).  The five accesses
+// — three metadata fields, the prefix, the stream — are one batch.
 func (x *exec) readBodyPairs(r uint32) (subs, words []pair) {
-	e := x.e
-	m := e.meta(r)
-	ns, nw := int64(m.subCount()), int64(m.wordCount())
+	e, ws := x.e, x.ws
+	m := e.meta(r).acc
+	b := m.BeginReads()
+	ns, nw := int64(b.Uint32(m, metaSubCount)), int64(b.Uint32(m, metaWordCount))
 	if ns+nw == 0 {
+		b.End()
 		return nil, nil
 	}
-	bodyOff := m.bodyOff()
-	hdr := e.pool.AccessorAt(bodyOff, 4)
-	n := int64(hdr.Uint32(0))
-	if int64(cap(x.bodyFlat)) < n {
-		x.bodyFlat = make([]uint32, n)
-	}
-	flat := x.bodyFlat[:n]
-	e.pool.AccessorAt(bodyOff+4, n*4).Uint32s(0, flat)
+	bodyOff := int64(b.Uint64(m, metaBodyOff))
+	pool := e.pool.AccessorAt(0, e.pool.Size())
+	n := int64(b.Uint32(pool, bodyOff))
+	ws.bodyFlat = fit(ws.bodyFlat, int(n))
+	flat := ws.bodyFlat
+	b.Uint32s(pool, bodyOff+4, flat)
+	b.End()
 	x.meter.Charge(ns+nw, metrics.CostScanToken)
-	if int64(cap(x.bodySubs)) < ns {
-		x.bodySubs = make([]pair, ns)
-	}
-	if int64(cap(x.bodyWords)) < nw {
-		x.bodyWords = make([]pair, nw)
-	}
-	subs = x.bodySubs[:ns]
-	words = x.bodyWords[:nw]
+	ws.bodySubs, ws.bodyWords = fit(ws.bodySubs, int(ns)), fit(ws.bodyWords, int(nw))
+	subs, words = ws.bodySubs, ws.bodyWords
 	pos := 0
 	for i := int64(0); i < ns+nw; i++ {
 		id := flat[pos]
@@ -171,6 +169,17 @@ func (x *exec) readBodyPairs(r uint32) (subs, words []pair) {
 	return subs, words
 }
 
+// symbolsAt reads n consecutive symbols at acc's offset off into buf, as one
+// device read.
+func symbolsAt(acc nvm.Accessor, off, n int64, buf []cfg.Symbol) []cfg.Symbol {
+	out := fit(buf, int(n))
+	view := acc.ReadView(off, n*4)
+	for i := range out {
+		out[i] = cfg.Symbol(binary.LittleEndian.Uint32(view[i*4:]))
+	}
+	return out
+}
+
 // readRawBody reads an untrimmed body (NoPruning ablation).
 func (x *exec) readRawBody(r uint32) []cfg.Symbol {
 	e := x.e
@@ -179,40 +188,26 @@ func (x *exec) readRawBody(r uint32) []cfg.Symbol {
 	if n == 0 {
 		return nil
 	}
-	if int64(cap(x.bodyFlat)) < n {
-		x.bodyFlat = make([]uint32, n)
-	}
-	flat := x.bodyFlat[:n]
-	e.pool.AccessorAt(m.bodyOff(), n*4).Uint32s(0, flat)
+	x.ws.rawSyms = symbolsAt(e.pool.AccessorAt(m.bodyOff(), n*4), 0, n, x.ws.rawSyms)
 	x.meter.Charge(n, metrics.CostScanToken)
-	if int64(cap(x.rawSyms)) < n {
-		x.rawSyms = make([]cfg.Symbol, n)
-	}
-	out := x.rawSyms[:n]
-	for i, v := range flat {
-		out[i] = cfg.Symbol(v)
-	}
-	return out
+	return x.ws.rawSyms
 }
 
-// readRoot reads the ordered root body.
+// readRoot reads the ordered root body.  The slice is workspace memory,
+// valid until the next readRoot.
 func (x *exec) readRoot() []cfg.Symbol {
 	e := x.e
 	x.meter.Charge(e.rootLen, metrics.CostScanToken)
-	out := make([]cfg.Symbol, e.rootLen)
-	flat := make([]uint32, e.rootLen)
-	e.rootAcc.Uint32s(8, flat)
-	for i, v := range flat {
-		out[i] = cfg.Symbol(v)
-	}
-	return out
+	x.ws.root = symbolsAt(e.rootAcc, 8, e.rootLen, x.ws.root)
+	return x.ws.root
 }
 
-// readTopo reads the topological order.
+// readTopo reads the topological order.  The slice is workspace memory,
+// valid until the next readTopo.
 func (x *exec) readTopo() []uint32 {
-	out := make([]uint32, x.e.numRules)
-	x.e.topoAcc.Uint32s(0, out)
-	return out
+	x.ws.topo = fit(x.ws.topo, int(x.e.numRules))
+	x.e.topoAcc.Uint32s(0, x.ws.topo)
+	return x.ws.topo
 }
 
 // globalBound returns the result-table bound for corpus-wide word counters:
@@ -235,6 +230,10 @@ func (e *Engine) globalBound() int64 {
 // prerequisite); no counter is touched, so the per-rule commits are no-ops.
 func (x *exec) topDownPass(emit func(word uint32, count uint64) error) error {
 	e := x.e
+	if x.session {
+		x.ws.weights = fit(x.ws.weights, int(e.numRules))
+		x.ws.remaining = fit(x.ws.remaining, int(e.numRules))
+	}
 	// Reset weight slots and set the remaining-parents scratch.
 	for r := uint32(0); r < e.numRules; r++ {
 		x.setWeight(r, 0)
@@ -248,6 +247,16 @@ func (x *exec) topDownPass(emit func(word uint32, count uint64) error) error {
 	if err := queue.push(0); err != nil {
 		return err
 	}
+	var w uint64 // weight of the rule being visited
+	bump := func(sub uint32, freq uint64) error {
+		x.setWeight(sub, x.weight(sub)+w*freq)
+		left := x.remaining(sub) - freq
+		x.setRemaining(sub, left)
+		if left == 0 {
+			return queue.push(sub)
+		}
+		return nil
+	}
 	for queue.len() > 0 {
 		if err := x.canceled(); err != nil {
 			return err
@@ -256,16 +265,7 @@ func (x *exec) topDownPass(emit func(word uint32, count uint64) error) error {
 		if err != nil {
 			return err
 		}
-		w := x.weight(r)
-		bump := func(sub uint32, freq uint64) error {
-			x.setWeight(sub, x.weight(sub)+w*freq)
-			left := x.remaining(sub) - freq
-			x.setRemaining(sub, left)
-			if left == 0 {
-				return queue.push(sub)
-			}
-			return nil
-		}
+		w = x.weight(r)
 		if e.opts.NoPruning {
 			for _, s := range x.readRawBody(r) {
 				switch {
@@ -321,9 +321,10 @@ func (e *Engine) computeWeights() error {
 	return e.run.topDownPass(nil)
 }
 
-// segmentsOf splits the pool root body at separators.
-func segmentsOf(root []cfg.Symbol) [][]cfg.Symbol {
-	var segs [][]cfg.Symbol
+// segmentsOf splits the pool root body at separators.  The segment table is
+// workspace memory, valid until the next segmentsOf.
+func (x *exec) segmentsOf(root []cfg.Symbol) [][]cfg.Symbol {
+	segs := x.ws.segs[:0]
 	start := 0
 	for i, s := range root {
 		if s.IsSep() {
@@ -331,6 +332,7 @@ func segmentsOf(root []cfg.Symbol) [][]cfg.Symbol {
 			start = i + 1
 		}
 	}
+	x.ws.segs = segs
 	return segs
 }
 
@@ -364,28 +366,67 @@ func (x *exec) perFilePass(words, seqs bool, fn func(doc uint32, wordC, seqC *kc
 	}
 }
 
-// perFileBottomUp materializes every rule's word list in a bounded table
-// (reverse topological order), then merges top-level lists per file — the
-// fast path for many-file corpora.  Sequence counters reuse the per-rule
-// n-gram tables stored at initialization (§IV-D), so no word lists are
-// built unless a word-keyed op asked for them.
+// ruleLists is the bottom-up pass's per-rule word lists: bounded pool tables
+// on the persistent path, frozen runs in the workspace's arena in a session.
+type ruleLists struct {
+	tables []*kcounter
+	runs   [][]kv
+}
+
+// mergeList adds every entry of rule r's list, scaled by f, into dst.
+func (x *exec) mergeList(dst *kcounter, lists *ruleLists, r uint32, f uint64) error {
+	if lists.runs != nil {
+		run := lists.runs[r]
+		x.cpu += int64(len(run)) * metrics.CostHashOp
+		for _, e := range run {
+			// Keys of a run were added to this scratch's key space before.
+			_ = dst.dense.add(e.k, e.v*f)
+		}
+		return nil
+	}
+	return x.addScaled(dst, lists.tables[r], f)
+}
+
+// freeze copies the session counter c out of its scratch into the arena, in
+// first-touch order, releasing the scratch for the next rule.
+func (x *exec) freeze(c *kcounter) []kv {
+	d := c.dense
+	// No pass freezes more than the planner's merge work plus the root's
+	// own list, so that bounds the arena.
+	run := x.ws.arena.alloc(len(d.touched), x.e.mergeWork+int64(x.e.numWords))
+	for i, k := range d.touched {
+		run[i] = kv{uint64(k), d.vals[k]}
+	}
+	return run
+}
+
+// perFileBottomUp materializes every rule's word list (reverse topological
+// order), then merges top-level lists per file — the fast path for many-file
+// corpora.  Sequence counters reuse the per-rule n-gram tables stored at
+// initialization (§IV-D), so no word lists are built unless a word-keyed op
+// asked for them.
 func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC *kcounter) error) error {
 	e := x.e
-	var lists []*kcounter
+	var lists ruleLists
 	if words {
 		topo := x.readTopo()
-		lists = make([]*kcounter, e.numRules)
+		if x.session {
+			x.ws.arena.reset()
+			x.ws.runs = fit(x.ws.runs, int(e.numRules))
+			lists.runs = x.ws.runs
+		} else {
+			lists.tables = make([]*kcounter, e.numRules)
+		}
 		for i := len(topo) - 1; i >= 0; i-- {
 			if err := x.canceled(); err != nil {
 				return err
 			}
 			r := topo[i]
 			m := e.meta(r)
-			tbl, err := x.newKCounter(tableBound(m.bound(), m.expLen(), e.numWords), int64(e.numWords))
+			tbl, err := x.newKCounter(tableBound(m.bound(), m.expLen(), e.numWords), analytics.KeyWords)
 			if err != nil {
 				return err
 			}
-			lists[r] = tbl
 			if e.opts.NoPruning {
 				for _, s := range x.readRawBody(r) {
 					switch {
@@ -394,49 +435,43 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 							return err
 						}
 					case s.IsRule():
-						var mergeErr error
-						lists[s.RuleIndex()].Range(func(k, v uint64) bool {
-							mergeErr = x.add(tbl, k, v)
-							return mergeErr == nil
-						})
-						if mergeErr != nil {
-							return mergeErr
+						if err := x.mergeList(tbl, &lists, s.RuleIndex(), 1); err != nil {
+							return err
 						}
 					}
 				}
-				continue
-			}
-			subs, ws := x.readBodyPairs(r)
-			for _, p := range ws {
-				if err := x.add(tbl, uint64(p.id), uint64(p.freq)); err != nil {
+			} else {
+				subs, ws := x.readBodyPairs(r)
+				for _, p := range ws {
+					if err := x.add(tbl, uint64(p.id), uint64(p.freq)); err != nil {
+						return err
+					}
+				}
+				for _, p := range subs {
+					if err := x.mergeList(tbl, &lists, p.id, uint64(p.freq)); err != nil {
+						return err
+					}
+				}
+				if err := x.commit(); err != nil {
 					return err
 				}
 			}
-			for _, p := range subs {
-				f := uint64(p.freq)
-				var mergeErr error
-				lists[p.id].Range(func(k, v uint64) bool {
-					mergeErr = x.add(tbl, k, v*f)
-					return mergeErr == nil
-				})
-				if mergeErr != nil {
-					return mergeErr
-				}
-			}
-			if err := x.commit(); err != nil {
-				return err
+			if x.session {
+				lists.runs[r] = x.freeze(tbl)
+			} else {
+				lists.tables[r] = tbl
 			}
 		}
 	}
 	root := x.readRoot()
-	for doc, seg := range segmentsOf(root) {
+	for doc, seg := range x.segmentsOf(root) {
 		if err := x.canceled(); err != nil {
 			return err
 		}
 		var wc, sc *kcounter
 		if words {
 			var err error
-			if wc, err = x.newKCounter(e.segBound(seg), int64(e.numWords)); err != nil {
+			if wc, err = x.newKCounter(e.segBound(seg), analytics.KeyWords); err != nil {
 				return err
 			}
 			for _, s := range seg {
@@ -446,13 +481,8 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 						return err
 					}
 				case s.IsRule():
-					var mergeErr error
-					lists[s.RuleIndex()].Range(func(k, v uint64) bool {
-						mergeErr = x.add(wc, k, v)
-						return mergeErr == nil
-					})
-					if mergeErr != nil {
-						return mergeErr
+					if err := x.mergeList(wc, &lists, s.RuleIndex(), 1); err != nil {
+						return err
 					}
 				}
 			}
@@ -462,7 +492,7 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 		}
 		if seqs {
 			var err error
-			if sc, err = x.newKCounter(x.seqBound(seg), int64(len(e.seqList))); err != nil {
+			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences); err != nil {
 				return err
 			}
 			if err := x.addSegmentSeqCounts(seg, sc); err != nil {
@@ -484,6 +514,9 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC *kcounter) error) error {
 	e := x.e
 	topo := x.readTopo()
+	if x.session {
+		x.ws.weights = fit(x.ws.weights, int(e.numRules))
+	}
 	// Zero all weight slots once; the sweep per file below re-zeroes as it
 	// consumes them.
 	for r := uint32(0); r < e.numRules; r++ {
@@ -492,21 +525,22 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 	root := x.readRoot()
 	var fileWeight []uint64
 	if seqs {
-		fileWeight = make([]uint64, e.numRules)
+		x.ws.fileWeight = fit(x.ws.fileWeight, int(e.numRules))
+		fileWeight = x.ws.fileWeight
 	}
-	for doc, seg := range segmentsOf(root) {
+	for doc, seg := range x.segmentsOf(root) {
 		if err := x.canceled(); err != nil {
 			return err
 		}
 		var wc, sc *kcounter
 		var err error
 		if words {
-			if wc, err = x.newKCounter(e.segBound(seg), int64(e.numWords)); err != nil {
+			if wc, err = x.newKCounter(e.segBound(seg), analytics.KeyWords); err != nil {
 				return err
 			}
 		}
 		if seqs {
-			if sc, err = x.newKCounter(x.seqBound(seg), int64(len(e.seqList))); err != nil {
+			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences); err != nil {
 				return err
 			}
 		}
@@ -570,7 +604,7 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 			}
 		}
 		if seqs {
-			if err := x.addWeightedLocals(sc, func(r uint32) uint64 { return fileWeight[r] }); err != nil {
+			if err := x.addWeightedLocals(sc, fileWeight); err != nil {
 				return err
 			}
 			if err := x.addSpanningToCounter(seg, sc); err != nil {

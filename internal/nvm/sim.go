@@ -535,6 +535,18 @@ func (d *SimDevice) accessRead(off, n int64) []byte {
 	return d.buf[off : off+n]
 }
 
+// readHeld is accessRead for a caller that has already serialized the device
+// (a Batch: opMu held in shared mode, the owning goroutine otherwise).
+func (d *SimDevice) readHeld(off, n int64) []byte {
+	if n == 0 {
+		return nil
+	}
+	d.charge(off, n, d.model.ReadNanos, false)
+	d.reads++
+	d.bytesRead += n
+	return d.buf[off : off+n]
+}
+
 // accessWrite charges a write of [off, off+n) and returns the
 // volatile-image window for the caller to fill.  Charging and counters are
 // identical to WriteAt.

@@ -1,0 +1,122 @@
+package pstruct
+
+import (
+	"testing"
+
+	"github.com/text-analytics/ntadoc/internal/nvm"
+	"github.com/text-analytics/ntadoc/internal/pmem"
+)
+
+// TestAttachChargesLikeOpen: re-attaching a caller-owned handle must cost the
+// device exactly what opening a fresh table object did — the marker word read
+// twice (dispatch, then size) and the entry count, as three accesses — and
+// must yield the same counter.  One handle is re-pointed across a hash table
+// and a dense counter, on an owned and on a shared device.
+func TestAttachChargesLikeOpen(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		poolA, poolB, devA, devB := newPoolPair(t, 1<<20)
+		defer devA.Discard()
+		defer devB.Discard()
+		var offs []int64
+		for _, p := range []*pmem.Pool{poolA, poolB} {
+			ht, err := NewHashTable(p, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc, err := NewDenseCounter(p, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k < 60; k++ {
+				if _, err := ht.Add(k*977, k); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dc.Add(k*5, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ht.SyncLen()
+			dc.SyncLen()
+			offs = []int64{ht.Base(), dc.Base()}
+		}
+		if shared {
+			devA.Share()
+			devB.Share()
+		}
+		requireSameStats(t, "after build", devA, devB)
+		var h CounterHandle
+		for round := 0; round < 3; round++ {
+			for _, off := range offs {
+				got, err := h.Attach(poolA, off)
+				if err != nil {
+					t.Fatalf("Attach: %v", err)
+				}
+				// Reference: the reads OpenCounterAt made before it went
+				// through a handle.
+				hdr := poolB.AccessorAt(off, htHeader)
+				hdr.Uint64(0)
+				hdr.Uint64(0)
+				want := int64(hdr.Uint64(8))
+				requireSameStats(t, "after attach", devA, devB)
+				if got.Len() != want || got.Len() != 59 || got.Base() != off {
+					t.Fatalf("attached counter at %d has %d entries, header says %d", got.Base(), got.Len(), want)
+				}
+			}
+		}
+		// The attached counter is the stored one.
+		for _, off := range offs {
+			got, err := h.Attach(poolA, off)
+			if err != nil {
+				t.Fatalf("Attach: %v", err)
+			}
+			n := 0
+			got.Range(func(k, v uint64) bool {
+				n++
+				if w, err := got.Get(k); err != nil || w != v {
+					t.Fatalf("Get(%d) = %d, %v; Range yielded %d", k, w, err, v)
+				}
+				return true
+			})
+			if n != 59 {
+				t.Fatalf("attached counter ranged %d entries, want 59", n)
+			}
+		}
+	}
+}
+
+// attached keeps the benchmark's opens from being optimized away.
+var attached Counter
+
+// BenchmarkCounterAttach times the per-rule table open of a session
+// traversal on a shared device: re-attaching one handle against allocating a
+// table object per open.
+func BenchmarkCounterAttach(b *testing.B) {
+	dev := nvm.New(nvm.KindNVM, 1<<20)
+	defer dev.Discard()
+	p, err := pmem.Create(dev, pmem.Options{LogCap: 1 << 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ht, err := NewHashTable(p, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev.Share()
+	b.Run("handle", func(b *testing.B) {
+		b.ReportAllocs()
+		var h CounterHandle
+		for i := 0; i < b.N; i++ {
+			if attached, err = h.Attach(p, ht.Base()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("open", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if attached, err = OpenCounterAt(p, ht.Base()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

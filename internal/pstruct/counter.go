@@ -1,6 +1,8 @@
 package pstruct
 
 import (
+	"fmt"
+
 	"github.com/text-analytics/ntadoc/internal/pmem"
 )
 
@@ -56,8 +58,49 @@ func (c *DenseCounter) FlushInit() error {
 // OpenCounterAt reattaches to whichever counter kind lives at pool offset
 // off, dispatching on the header marker.
 func OpenCounterAt(p *pmem.Pool, off int64) (Counter, error) {
-	if IsDenseAt(p, off) {
-		return OpenDenseCounter(p, off)
+	return new(CounterHandle).Attach(p, off)
+}
+
+// CounterHandle is caller-owned storage for reattaching to pool counters: a
+// traversal that opens one stored table per rule visit keeps a single handle
+// and re-points it, instead of allocating a table object per visit.
+type CounterHandle struct {
+	ht HashTable
+	dc DenseCounter
+}
+
+// Attach re-points h at the counter at pool offset off and returns it.  The
+// returned Counter is h's own storage: it is valid until the next Attach.
+// The header is read as three accesses — the marker word to pick the kind,
+// the same word again for the size, then the entry count — charged under
+// one acquisition of a shared device's lock (nvm.Batch).
+func (h *CounterHandle) Attach(p *pmem.Pool, off int64) (Counter, error) {
+	hdr := p.AccessorAt(off, htHeader)
+	b := hdr.BeginReads()
+	b.Uint64(hdr, 0)
+	w := b.Uint64(hdr, 0)
+	dense := w&denseMarker != 0
+	n := int64(w &^ denseMarker) // key-space size, or slot capacity
+	full := DenseCounterBytes(n)
+	if !dense {
+		if n <= 0 || n&(n-1) != 0 {
+			b.End()
+			return nil, fmt.Errorf("pstruct: corrupt hash table capacity %d", n)
+		}
+		full = htHeader + n + n*16
 	}
-	return OpenHashTable(p, off)
+	if full < 0 || off+full > p.Size() {
+		b.End()
+		p.AccessorAt(off, full) // panics: the region lies outside the pool
+	}
+	count := int64(b.Uint64(hdr, 8))
+	b.End()
+	acc := p.AccessorAt(off, full)
+	if dense {
+		h.dc = DenseCounter{acc: acc, size: n, count: count}
+		return &h.dc, nil
+	}
+	h.ht.init(acc, n)
+	h.ht.count = count
+	return &h.ht, nil
 }

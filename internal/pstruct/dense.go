@@ -48,18 +48,6 @@ func NewDenseCounter(p *pmem.Pool, size int64) (*DenseCounter, error) {
 	return &DenseCounter{acc: acc, size: size}, nil
 }
 
-// OpenDenseCounter reattaches to a counter at pool offset off.
-func OpenDenseCounter(p *pmem.Pool, off int64) (*DenseCounter, error) {
-	hdr := p.AccessorAt(off, denseHeader)
-	h := hdr.Uint64(0)
-	if h&denseMarker == 0 {
-		return nil, fmt.Errorf("pstruct: no dense counter at offset %d", off)
-	}
-	size := int64(h &^ denseMarker)
-	acc := p.AccessorAt(off, DenseCounterBytes(size))
-	return &DenseCounter{acc: acc, size: size, count: int64(acc.Uint64(8))}, nil
-}
-
 // IsDenseAt reports whether the structure at pool offset off is a
 // DenseCounter (as opposed to a HashTable).
 func IsDenseAt(p *pmem.Pool, off int64) bool {

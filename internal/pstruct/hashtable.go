@@ -89,7 +89,14 @@ func OpenHashTable(p *pmem.Pool, off int64) (*HashTable, error) {
 }
 
 func newHT(acc nvm.Accessor, c int64) *HashTable {
-	return &HashTable{
+	t := new(HashTable)
+	t.init(acc, c)
+	return t
+}
+
+// init points t at an empty-count table of c slots in acc.
+func (t *HashTable) init(acc nvm.Accessor, c int64) {
+	*t = HashTable{
 		acc:       acc,
 		cap:       c,
 		mask:      uint64(c - 1),
@@ -210,8 +217,12 @@ func (t *HashTable) Range(fn func(key, value uint64) bool) {
 				continue
 			}
 			s := start + i
-			k := t.acc.Uint64(t.keysOff + s*8)
-			v := t.acc.Uint64(t.valsOff + s*8)
+			// Key and value are one straight-line read: the device is
+			// released again before fn runs.
+			b := t.acc.BeginReads()
+			k := b.Uint64(t.acc, t.keysOff+s*8)
+			v := b.Uint64(t.acc, t.valsOff+s*8)
+			b.End()
 			if !fn(k, v) {
 				return
 			}

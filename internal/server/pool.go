@@ -26,27 +26,47 @@ var (
 // recovery: drain collects every session (waiting out in-flight batches),
 // and refill installs fresh sessions over the recovered engine — the old
 // ones may reference shard engines retired by a failover.
+//
+// Sessions are handed out most recently released first.  A session's
+// traversal workspaces grow when it first serves and stay warm afterwards,
+// so with c concurrent clients c sessions do all the work and the rest never
+// grow theirs; rotating through all of them would multiply the working
+// memory by size/c for nothing.
 type sessionPool struct {
-	slots chan *ntadoc.QuerySession
+	// ready holds one token per idle session: taking a token is the right
+	// to pop the stack.  A channel, so waiting composes with ctx.Done().
+	ready chan struct{}
 	size  int
 
 	mu       sync.Mutex
-	waiting  int  // guarded by mu
-	draining bool // guarded by mu
+	free     []*ntadoc.QuerySession // guarded by mu: idle sessions, top = last released
+	all      []*ntadoc.QuerySession // guarded by mu: every session, idle or borrowed
+	waiting  int                    // guarded by mu
+	draining bool                   // guarded by mu
 	depth    int
 }
 
 // newSessionPool opens size sessions over eng up front.
 func newSessionPool(eng *ntadoc.Engine, size, depth int) (*sessionPool, error) {
-	p := &sessionPool{slots: make(chan *ntadoc.QuerySession, size), size: size, depth: depth}
-	for i := 0; i < size; i++ {
-		s, err := eng.NewSession()
-		if err != nil {
-			return nil, err
-		}
-		p.slots <- s
+	p := &sessionPool{ready: make(chan struct{}, size), size: size, depth: depth}
+	if err := p.refill(eng); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// pop takes the most recently released idle session; the caller holds a
+// token from ready.
+func (p *sessionPool) pop() *ntadoc.QuerySession {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.popLocked()
+}
+
+func (p *sessionPool) popLocked() *ntadoc.QuerySession {
+	s := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return s
 }
 
 // admit makes the admission decision under mu: an idle session (fast
@@ -64,8 +84,8 @@ func (p *sessionPool) admit() (*ntadoc.QuerySession, error) {
 		return nil, ErrRecovering
 	}
 	select {
-	case s := <-p.slots:
-		return s, nil
+	case <-p.ready:
+		return p.popLocked(), nil
 	default:
 	}
 	if p.waiting >= p.depth {
@@ -92,8 +112,8 @@ func (p *sessionPool) acquire(ctx context.Context) (*ntadoc.QuerySession, error)
 	}
 	defer p.unqueue()
 	select {
-	case s := <-p.slots:
-		return s, nil
+	case <-p.ready:
+		return p.pop(), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -101,11 +121,25 @@ func (p *sessionPool) acquire(ctx context.Context) (*ntadoc.QuerySession, error)
 
 // release returns a borrowed session.
 func (p *sessionPool) release(s *ntadoc.QuerySession) {
-	p.slots <- s
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+	p.ready <- struct{}{}
 }
 
 // idle reports the number of sessions not currently borrowed.
-func (p *sessionPool) idle() int { return len(p.slots) }
+func (p *sessionPool) idle() int { return len(p.ready) }
+
+// workspaceBytes sums the traversal working memory every session holds.
+func (p *sessionPool) workspaceBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for _, s := range p.all {
+		n += s.WorkspaceBytes()
+	}
+	return n
+}
 
 // queued reports the number of requests waiting for a session.
 func (p *sessionPool) queued() int {
@@ -121,22 +155,29 @@ func (p *sessionPool) drain() {
 	p.draining = true
 	p.mu.Unlock()
 	for i := 0; i < p.size; i++ {
-		<-p.slots
+		<-p.ready
+		p.pop()
 	}
 }
 
 // refill installs fresh sessions after recovery and reopens admission.
 // On error the pool stays quiesced; the server marks itself down.
 func (p *sessionPool) refill(eng *ntadoc.Engine) error {
-	for i := 0; i < p.size; i++ {
+	fresh := make([]*ntadoc.QuerySession, p.size)
+	for i := range fresh {
 		s, err := eng.NewSession()
 		if err != nil {
 			return err
 		}
-		p.slots <- s
+		fresh[i] = s
 	}
 	p.mu.Lock()
+	p.all = fresh
+	p.free = append(p.free[:0], fresh...)
 	p.draining = false
 	p.mu.Unlock()
+	for range fresh {
+		p.ready <- struct{}{}
+	}
 	return nil
 }

@@ -497,6 +497,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("ntadoc_sessions_idle %d", s.pool.idle())
 	p("# TYPE ntadoc_sessions_queued gauge")
 	p("ntadoc_sessions_queued %d", s.pool.queued())
+	p("# HELP ntadoc_session_workspace_bytes Traversal working memory the pooled sessions keep warm.")
+	p("# TYPE ntadoc_session_workspace_bytes gauge")
+	p("ntadoc_session_workspace_bytes %d", s.pool.workspaceBytes())
 	p("# TYPE ntadoc_cache_entries gauge")
 	p("ntadoc_cache_entries %d", s.cache.len())
 	p("# HELP ntadoc_cache_bytes Total bytes of cached result bodies.")
@@ -555,10 +558,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleDebug reports shard, replica, planner, pool, and cache state.
 func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	type poolInfo struct {
-		Sessions   int `json:"sessions"`
-		Idle       int `json:"idle"`
-		Queued     int `json:"queued"`
-		QueueDepth int `json:"queue_depth"`
+		Sessions       int   `json:"sessions"`
+		Idle           int   `json:"idle"`
+		Queued         int   `json:"queued"`
+		QueueDepth     int   `json:"queue_depth"`
+		WorkspaceBytes int64 `json:"session_workspace_bytes"`
 	}
 	type cacheInfo struct {
 		Entries int `json:"entries"`
@@ -587,10 +591,11 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Failovers:  s.eng.FailoverCount(),
 		Recoveries: s.recoveries.Load(),
 		Pool: poolInfo{
-			Sessions:   s.cfg.Sessions,
-			Idle:       s.pool.idle(),
-			Queued:     s.pool.queued(),
-			QueueDepth: s.cfg.QueueDepth,
+			Sessions:       s.cfg.Sessions,
+			Idle:           s.pool.idle(),
+			Queued:         s.pool.queued(),
+			QueueDepth:     s.cfg.QueueDepth,
+			WorkspaceBytes: s.pool.workspaceBytes(),
 		},
 		Cache: cacheInfo{Entries: s.cache.len(), Max: s.cfg.CacheEntries},
 	}

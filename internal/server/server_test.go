@@ -494,6 +494,7 @@ func TestOperationalEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`ntadoc_requests_total{outcome="ok"} 1`,
 		"ntadoc_sessions_idle",
+		"ntadoc_session_workspace_bytes",
 		`ntadoc_device{counter="reads"}`,
 		`ntadoc_phase_modeled_nanos{phase="traversal"}`,
 	} {
@@ -509,9 +510,16 @@ func TestOperationalEndpoints(t *testing.T) {
 		Documents  []string `json:"documents"`
 		Generation string   `json:"generation"`
 		Strategies []string `json:"planner_strategies"`
+		Pool       struct {
+			WorkspaceBytes int64 `json:"session_workspace_bytes"`
+		} `json:"pool"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		t.Fatalf("/debug/engine: %v", err)
+	}
+	// One request has been served: exactly one session has a workspace.
+	if got, want := info.Pool.WorkspaceBytes, s.pool.workspaceBytes(); got <= 0 || got != want {
+		t.Errorf("debug session_workspace_bytes = %d, pool holds %d", got, want)
 	}
 	if info.Shards != eng.NumShards() {
 		t.Errorf("debug shards = %d, want %d", info.Shards, eng.NumShards())
@@ -521,5 +529,56 @@ func TestOperationalEndpoints(t *testing.T) {
 	}
 	if info.Generation == "" || len(info.Strategies) == 0 {
 		t.Errorf("debug missing generation/strategies: %+v", info)
+	}
+}
+
+// TestPoolHandsOutWarmSessions: the pool is a stack.  Serial requests keep
+// reusing the one session that is already warm, two overlapping borrowers
+// use two, and the rest of the pool never grows a workspace — rotating
+// through all of them would multiply the daemon's working memory by
+// sessions/clients for nothing.
+func TestPoolHandsOutWarmSessions(t *testing.T) {
+	s, _ := newTestServer(t, Config{Sessions: 8, CacheEntries: -1})
+	h := s.Handler()
+	for i := 0; i < 12; i++ {
+		if _, rec := getResponse(t, h, "/v1/query?task=wordcount,rankedindex"); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, rec.Code)
+		}
+	}
+	warm := func() (n int) {
+		s.pool.mu.Lock()
+		defer s.pool.mu.Unlock()
+		for _, sess := range s.pool.all {
+			if sess.WorkspaceBytes() > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if got := warm(); got != 1 {
+		t.Errorf("12 serial requests warmed %d sessions, want 1", got)
+	}
+
+	ctx := context.Background()
+	a, err := s.pool.acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.pool.acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.WorkspaceBytes() == 0 {
+		t.Error("the first session handed out is not the warm one")
+	}
+	s.pool.release(a)
+	s.pool.release(b)
+	if got, err := s.pool.acquire(ctx); err != nil || got != b {
+		t.Errorf("acquire after releasing a then b returned another session (err %v), want b, the last released", err)
+	} else {
+		s.pool.release(got)
+	}
+	if got := s.pool.idle(); got != 8 {
+		t.Errorf("pool idle = %d, want 8", got)
 	}
 }

@@ -67,6 +67,11 @@ func (s *QuerySession) runOps(ctx context.Context, spec BatchSpec) ([]any, error
 	return s.sh.RunOpsContext(ctx, ops)
 }
 
+// WorkspaceBytes reports the traversal working memory the session held at
+// the end of its last run: what it keeps warm between requests.  Safe to call
+// while the session is serving.
+func (s *QuerySession) WorkspaceBytes() int64 { return s.sh.WorkspaceBytes() }
+
 // IsDeviceFailure reports whether err originated in a simulated device
 // failure (a dead shard primary) rather than a semantic error or a
 // cancellation — the class of error Engine.Recover can mask by promoting
