@@ -46,13 +46,17 @@ bench-smoke:
 # "Egress path"), then the kernel traversal per direction — one warmed session
 # serving each task and the fused batch on a top-down and a bottom-up shape —
 # with the device round trips under it (batched body read, table re-attach;
-# EXPERIMENTS.md "Session workspaces").
+# EXPERIMENTS.md "Session workspaces").  Last the persistent path: the engine
+# task path under both persistence strategies on the `engine-persist` shape,
+# with modeled time, flushes, fences and flushed granules per run beside the
+# host time (EXPERIMENTS.md "Persistence").
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(HandlerHit|EncodeResult|MergeShardResults)$$' \
 		-benchmem -count 6 ./internal/server ./internal/analytics
 	$(GO) test -run '^$$' -bench '^BenchmarkSessionMix$$' -benchtime 5x -benchmem -count 6 .
 	$(GO) test -run '^$$' -bench '^Benchmark(BodyRead|CounterAttach)$$' \
 		-benchmem -count 6 ./internal/nvm ./internal/pstruct
+	$(GO) test -run '^$$' -bench '^BenchmarkPersistTask$$' -benchtime 5x -benchmem -count 6 .
 
 # The repo benchmark's own tests (bench/ is a module of its own, so `make
 # test` does not reach it): its percentile, open-loop timing and span
@@ -85,12 +89,23 @@ errcheck:
 
 # Exhaustive crash-point exploration on the recorded small corpus: every
 # flush/drain event of WordCount under both persistence strategies, the
-# none/all extremes plus 3 seeded torn-write subsets per point.  The sampled
-# version of the same exploration runs inside `make test` via
-# internal/crashcheck.  Corpus and seeds are pinned here so runs reproduce.
+# none/all extremes plus 3 seeded torn-write subsets per point.  The corpus
+# never fills the default operation log, so a second pass gives word count
+# and sequence count a 128-byte one, which compacts 3 and 5 times inside the
+# run: frames sealed, dropped and re-based around each compaction's table
+# flush are then crash points too.  A third pass runs the per-file inverted
+# index in both traversal directions (a table allocated and merged per file,
+# and bottom-up per rule — 12 compactions); it commits no result table, so it
+# is judged by no-panic, recover-or-reload and the exact re-run.  The sampled
+# versions of all three run inside `make test` via internal/crashcheck.
+# Corpus and seeds are pinned here so runs reproduce.
+CRASHCORPUS = -points 0 -seeds 3 -seed 42 -files 2 -tokens 120 -vocab 40 -corpus-seed 7
 crashcheck:
-	$(GO) run ./cmd/crashcheck -task wordcount -persistence both \
-		-points 0 -seeds 3 -seed 42 -files 2 -tokens 120 -vocab 40 -corpus-seed 7
+	$(GO) run ./cmd/crashcheck -task wordcount -persistence both $(CRASHCORPUS)
+	$(GO) run ./cmd/crashcheck -task wordcount -persistence both -oplogcap 128 $(CRASHCORPUS)
+	$(GO) run ./cmd/crashcheck -task seqcount -persistence both -oplogcap 128 $(CRASHCORPUS)
+	$(GO) run ./cmd/crashcheck -task invertedindex -strategy top-down -persistence both -oplogcap 128 $(CRASHCORPUS)
+	$(GO) run ./cmd/crashcheck -task invertedindex -strategy bottom-up -persistence both -oplogcap 128 $(CRASHCORPUS)
 
 # Sampled replication/failover matrix on a 3-way replicated engine: per
 # sampled (shard, event) point the primary dies under sync and lag-bounded

@@ -556,41 +556,31 @@ func figPrune(specs []datagen.Spec) error {
 }
 
 // figEndurance quantifies the §VII claim that N-TADOC's design reduces NVM
-// write traffic (improving media endurance): media-granule writes per word
-// count, for N-TADOC under both persistence strategies and the naive port.
+// write traffic (improving media endurance): the media granules one word
+// count flushes, for N-TADOC under both persistence strategies and the naive
+// port, and what each strategy spends per counter update — flushes, fences
+// and operation-log bytes — over the whole run, initialization included.
 func figEndurance(specs []datagen.Spec) error {
-	header("§VII: NVM write traffic per word-count run (media granules written)")
-	naive := core.Options{
-		NoPruning: true, NoBounds: true, Scatter: true,
-		Persistence: core.OpLevel, PerOpCommit: true,
+	header("§VII: NVM write traffic per word-count run (media granules flushed)")
+	strategies := []struct {
+		name string
+		opts core.Options
+	}{
+		{"phase-level", core.Options{}},
+		{"op-level", core.Options{Persistence: core.OpLevel}},
+		{"naive port", core.Options{
+			NoPruning: true, NoBounds: true, Scatter: true,
+			Persistence: core.OpLevel, PerOpCommit: true,
+		}},
 	}
-	type endCell struct{ pl, ol, nv int64 }
-	cells := make([]endCell, len(specs))
+	cells := make([]harness.Result, len(specs)*len(strategies))
 	err := harness.ForEachCell(len(cells), func(i int) error {
-		c, err := harness.GetCorpus(specs[i])
+		c, err := harness.GetCorpus(specs[i/len(strategies)])
 		if err != nil {
 			return err
 		}
-		writes := func(opts core.Options) (int64, error) {
-			r, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
-			if err != nil {
-				return 0, err
-			}
-			// Granules made durable: flush traffic is what wears media.
-			return r.Device.FlushedBytes / 256, nil
-		}
-		var cell endCell
-		if cell.pl, err = writes(core.Options{}); err != nil {
-			return err
-		}
-		if cell.ol, err = writes(core.Options{Persistence: core.OpLevel}); err != nil {
-			return err
-		}
-		if cell.nv, err = writes(naive); err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
+		cells[i], err = harness.RunNTADOC(c, analytics.TaskWordCount, strategies[i%len(strategies)].opts)
+		return err
 	})
 	if err != nil {
 		return err
@@ -598,9 +588,23 @@ func figEndurance(specs []datagen.Spec) error {
 	w := newTab()
 	fmt.Fprintln(w, "dataset\tN-TADOC phase-level\tN-TADOC op-level\tnaive port\tnaive amplification")
 	for i, spec := range specs {
-		cell := cells[i]
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1fx\n",
-			spec.Name, cell.pl, cell.ol, cell.nv, float64(cell.nv)/float64(cell.pl))
+		// Granules made durable: flush traffic is what wears media, and a
+		// flush wears every granule it touches.
+		row := cells[i*len(strategies):]
+		pl, ol, nv := row[0].Device.FlushedGranules, row[1].Device.FlushedGranules, row[2].Device.FlushedGranules
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1fx\n", spec.Name, pl, ol, nv, float64(nv)/float64(pl))
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	fmt.Println()
+	w = newTab()
+	fmt.Fprintln(w, "dataset\tstrategy\tcounter updates\tflushes/update\tfences/update\tlog bytes/update")
+	for i, r := range cells {
+		n := float64(r.Persist.Updates)
+		fmt.Fprintf(w, "%s\t%s\t%d\t%.4f\t%.4f\t%.2f\n",
+			specs[i/len(strategies)].Name, strategies[i%len(strategies)].name, r.Persist.Updates,
+			float64(r.Device.Flushes)/n, float64(r.Device.Drains)/n, float64(r.Persist.LogBytes)/n)
 	}
 	return w.Flush()
 }

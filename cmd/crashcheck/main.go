@@ -7,6 +7,8 @@
 // Usage:
 //
 //	crashcheck -task wordcount -persistence both -points 0 -seeds 3 -seed 42
+//	crashcheck -task seqcount -oplogcap 192 -points 0
+//	crashcheck -task invertedindex -strategy bottom-up -oplogcap 512 -points 0
 //	crashcheck -task wordcount -shards 3 -points 8
 //	crashcheck -failover -shards 3 -points 6
 //	crashcheck -ingest -points 0
@@ -25,8 +27,10 @@ import (
 
 func main() {
 	var (
-		task        = flag.String("task", "wordcount", "workload: wordcount or seqcount")
+		task        = flag.String("task", "wordcount", "workload: wordcount, seqcount, or (unsharded runs only) the per-file invertedindex")
 		persistence = flag.String("persistence", "both", "strategy: phase, op, or both")
+		strategy    = flag.String("strategy", "auto", "per-file traversal direction: auto, top-down, or bottom-up")
+		oplogcap    = flag.Int64("oplogcap", 0, "operation-log bytes (0 = the engine's default; a few hundred make the log compact inside the run)")
 		points      = flag.Int("points", 0, "crash points to explore (0 = exhaustive)")
 		seeds       = flag.Int("seeds", 3, "seeded torn-write subsets per crash point (plus the none/all extremes)")
 		seed        = flag.Int64("seed", 42, "base seed for sampling and subset selection")
@@ -59,11 +63,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	var direction core.Strategy
+	switch *strategy {
+	case core.Auto.String():
+	case core.TopDown.String():
+		direction = core.TopDown
+	case core.BottomUp.String():
+		direction = core.BottomUp
+	default:
+		fmt.Fprintf(os.Stderr, "crashcheck: unknown -strategy %q (want auto, top-down, or bottom-up)\n", *strategy)
+		os.Exit(2)
+	}
+	if *task == "invertedindex" && (*ingest || *failover || *shards > 1) {
+		fmt.Fprintln(os.Stderr, "crashcheck: -task invertedindex explores the unsharded engine only")
+		os.Exit(2)
+	}
+
 	violations := 0
 	for _, mode := range modes {
 		cfg := crashcheck.Config{
 			Task:        *task,
 			Persistence: mode,
+			Strategy:    direction,
+			OpLogCap:    *oplogcap,
 			Points:      *points,
 			Subsets:     *seeds,
 			Seed:        *seed,

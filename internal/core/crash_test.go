@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
@@ -92,7 +94,7 @@ func TestOpLevelCrashMidLogCompaction(t *testing.T) {
 	// replay equals the durable prefix semantics (counts from compacted
 	// tables plus the tail log, applied to a consistent state).
 	files, d, g := corpus(t, 54, 2, 250, 25)
-	opts := Options{Persistence: OpLevel, OpLogCap: 2048}
+	opts := Options{Persistence: OpLevel, OpLogCap: 128}
 	e := newEngine(t, g, d, opts)
 
 	e.beginTraversal()
@@ -102,6 +104,9 @@ func TestOpLevelCrashMidLogCompaction(t *testing.T) {
 	}
 	if err := e.topDownGlobal(counter, off); err != nil {
 		t.Fatalf("topDownGlobal: %v", err)
+	}
+	if n := e.PersistCounts().Compactions; n < 2 {
+		t.Fatalf("log compacted %d times, want at least 2: the test no longer covers compaction", n)
 	}
 	if err := e.dev.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
@@ -260,5 +265,82 @@ func TestNoDoubleReplayAfterCommittedTraversal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(counts, want) {
 		t.Error("recovered counts diverge from committed run")
+	}
+}
+
+// TestTraversalCheckpointLeavesInitRegionAlone: the traversal checkpoint
+// covers the traversal's own tables.  The walk scribbles rule weights and
+// remaining-parent counts into the metadata the init checkpoint made durable
+// — scratch, re-initialized by every traversal — and none of that is flushed
+// again: after a completed traversal and a crash, the pool recovers to phase
+// 2 with the exact committed counts while the init region's durable bytes
+// are still the init checkpoint's (outside the operation log, which flushes
+// itself).
+func TestTraversalCheckpointLeavesInitRegionAlone(t *testing.T) {
+	files, d, g := corpus(t, 65, 3, 250, 30)
+	want := analytics.RefWordCount(files)
+	for _, p := range []Persistence{PhaseLevel, OpLevel} {
+		t.Run(p.String(), func(t *testing.T) {
+			opts := Options{Persistence: p}
+			e := newEngine(t, g, d, opts)
+			durable := func() []byte {
+				img := make([]byte, e.dev.Size())
+				if err := e.dev.ReadDurable(img); err != nil {
+					t.Fatalf("ReadDurable: %v", err)
+				}
+				return img
+			}
+			// The init region outside what persists itself: from the end of
+			// the pool's reserved header + redo log to the init watermark,
+			// less the operation log.
+			lo, hi := int64(pmem.HeaderSize)+e.opts.OpLogCap, e.initTop
+			logLo, logHi := hi, hi
+			if e.oplog != nil {
+				logLo = e.oplog.acc.Base()
+				logHi = logLo + e.oplog.acc.Size()
+			}
+			initRegion := func(img []byte) []byte {
+				return append(slices.Clone(img[lo:logLo]), img[logHi:hi]...)
+			}
+			before := initRegion(durable())
+			flushedBefore := e.dev.Stats().FlushedBytes
+
+			if _, err := analytics.WordCount(e); err != nil {
+				t.Fatalf("WordCount: %v", err)
+			}
+			volatile := make([]byte, e.dev.Size())
+			if _, err := e.dev.ReadAt(volatile, 0); err != nil {
+				t.Fatalf("ReadAt: %v", err)
+			}
+			if bytes.Equal(initRegion(volatile), before) {
+				t.Fatal("the traversal wrote nothing into the init region: the test no longer shows scratch left unflushed")
+			}
+			if flushed := e.dev.Stats().FlushedBytes - flushedBefore; flushed >= hi-lo {
+				t.Errorf("traversal flushed %d bytes, the init region alone is %d", flushed, hi-lo)
+			}
+
+			if err := e.dev.Crash(); err != nil {
+				t.Fatalf("Crash: %v", err)
+			}
+			if !bytes.Equal(initRegion(durable()), before) {
+				t.Error("the traversal changed the init region's durable image")
+			}
+			re, info, err := Reopen(e.dev, d, opts)
+			if err != nil {
+				t.Fatalf("Reopen: %v", err)
+			}
+			if info.Phase != phaseTraversal || info.Replayed != 0 {
+				t.Fatalf("recovered to phase %d with %d frames replayed, want phase %d and none", info.Phase, info.Replayed, phaseTraversal)
+			}
+			counts, task, ok := re.CommittedCounts()
+			if !ok || task != analytics.TaskWordCount || !reflect.DeepEqual(counts, want) {
+				t.Errorf("committed counts after recovery (ok=%v, task=%v) differ from the reference", ok, task)
+			}
+			// And the next traversal, which re-initializes the scratch it
+			// finds, is exact.
+			if wc, err := analytics.WordCount(re); err != nil || !reflect.DeepEqual(wc, want) {
+				t.Errorf("re-run after recovery: err %v, exact %v", err, reflect.DeepEqual(wc, want))
+			}
+		})
 	}
 }

@@ -52,6 +52,10 @@ type Engine struct {
 	meter    *metrics.Meter // modeled CPU time
 
 	oplog *opLog // non-nil in OpLevel mode
+	// replayTable is the table the first entry replayed at Reopen targeted
+	// (0 when nothing replayed): what ReplayedCounts reads before any
+	// traversal has committed a result.
+	replayTable int64
 
 	ingest *ingestState // non-nil when Options.IngestCap > 0
 
@@ -62,6 +66,8 @@ type Engine struct {
 	travDirty  map[int64]bool
 
 	dramExtra int64 // DRAM estimate of engine-held maps beyond the pool
+
+	updates int64 // counter mutations made on the task path (see PersistCounts)
 
 	// run is the engine's persistent-path execution context: the operation
 	// kernel bound to the pool structures and the engine meter.  Query
@@ -453,17 +459,13 @@ func (e *Engine) initialize(g *cfg.Grammar, p *prepState) error {
 		}
 	}
 
-	// Operation-level redo log region.  Epoch-stamped, checksummed records
-	// make pre-zeroing unnecessary: only the header and the first record
-	// slot need a defined state.
+	// Operation-level redo log region.
 	if e.opts.Persistence == OpLevel {
 		logAcc, err := pool.Alloc(e.opts.OpLogCap, 64)
 		if err != nil {
 			return err
 		}
-		logAcc.WriteBytes(0, make([]byte, opLogHeader+opRecSize))
-		e.oplog = newOpLog(logAcc)
-		if err := e.oplog.reset(pool.Epoch()); err != nil {
+		if e.oplog, err = createOpLog(logAcc, pool.Epoch()); err != nil {
 			return err
 		}
 		pool.SetRoot(rootOpLog, logAcc.Base())
@@ -752,10 +754,10 @@ func (e *Engine) useDense(bound, keySpace int64) bool {
 // persistence hooks — it exists only for the NoBounds ablation).
 type growableWithBase struct{ *pstruct.GrowableHashTable }
 
-func (g growableWithBase) Base() int64      { return -1 }
-func (g growableWithBase) SyncLen()         {}
-func (g growableWithBase) Flush() error     { return nil }
-func (g growableWithBase) FlushInit() error { return nil }
+func (g growableWithBase) Base() int64    { return -1 }
+func (g growableWithBase) SyncLen()       {}
+func (g growableWithBase) Flush() error   { return nil }
+func (g growableWithBase) Header() uint64 { return 0 }
 
 // Device exposes the engine's simulated device for measurement.
 func (e *Engine) Device() *nvm.SimDevice { return e.dev }
@@ -777,8 +779,33 @@ func (e *Engine) NVMBytes() int64 { return e.pool.Allocated() }
 // DRAMBytes estimates the engine's resident DRAM beyond the pool: for
 // sequence-enabled engines this is dominated by the sequence dictionary
 // mirror, which is why the paper's sequence tasks show the smallest DRAM
-// savings (§VI-C).
-func (e *Engine) DRAMBytes() int64 { return e.dramExtra + 4096 }
+// savings (§VI-C).  An operation-level engine also holds its log's stage,
+// which grows to its largest operation and never past half the log.
+func (e *Engine) DRAMBytes() int64 {
+	n := e.dramExtra + 4096
+	if e.oplog != nil {
+		n += int64(cap(e.oplog.stage))
+	}
+	return n
+}
+
+// PersistCounts is the task path's persistence work since the engine was
+// built, beside the device's own flush and fence counts: the denominators
+// and the log traffic the endurance figure reports.
+type PersistCounts struct {
+	Updates     int64 // counter mutations
+	LogBytes    int64 // bytes written to the operation log's region
+	Compactions int64 // times the operation log filled and restarted
+}
+
+// PersistCounts returns the engine's cumulative persistence counts.
+func (e *Engine) PersistCounts() PersistCounts {
+	c := PersistCounts{Updates: e.updates}
+	if e.oplog != nil {
+		c.LogBytes, c.Compactions = e.oplog.bytes, e.oplog.compactions
+	}
+	return c
+}
 
 // Close releases the device, recycling its simulation buffers — plus, for
 // an appendable engine, the delta-view and compacted serving engines hanging

@@ -18,8 +18,8 @@ type RecoveryInfo struct {
 	// pool is intact and traversal must (re)run; phaseTraversal means the
 	// last task's results are committed and readable.
 	Phase uint32
-	// Replayed is the number of operation-level log records applied onto
-	// the recovered tables.
+	// Replayed is the number of logged operations (redo frames) applied
+	// onto the recovered tables.
 	Replayed int64
 	// CommittedTask is the task whose results are committed, valid when
 	// Phase == 2 (graph traversal).
@@ -33,8 +33,8 @@ type RecoveryInfo struct {
 //     caller must rebuild with New from the compressed input.
 //   - Phase-level: the engine restarts from the last completed phase — the
 //     DAG pool is intact, an interrupted traversal is simply re-run.
-//   - Operation-level: additionally, counter mutations logged before the
-//     crash are replayed onto the recovered tables.
+//   - Operation-level: additionally, the operations logged before the crash
+//     are replayed onto the recovered tables, each whole or not at all.
 //
 // opts must carry the same ablation/persistence configuration the pool was
 // built with.
@@ -135,12 +135,12 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 			if err != nil {
 				return nil, nil, err
 			}
-			e.oplog = newOpLog(logAcc)
-			n, err := e.replayOps()
-			if err != nil {
+			if e.oplog, err = newOpLog(logAcc); err != nil {
 				return nil, nil, err
 			}
-			info.Replayed = n
+			if info.Replayed, err = e.replayOps(); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	// Append-log region: replay the committed batches into a fresh delta
@@ -163,48 +163,63 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 	return e, info, nil
 }
 
-// replayOps applies pending operation-log records onto their tables.
+// replayOps applies the log's valid frames onto their tables and returns how
+// many it applied.  An allocation entry re-creates its counter empty, in
+// place; an update goes to the counter an earlier entry re-created or, for a
+// table a compaction flushed whole, to the durable one.  Entries come only
+// from CRC-valid frames, but nothing here trusts them with memory: pstruct
+// refuses an offset or a size that leaves the pool, which is ErrNeedsReload.
 func (e *Engine) replayOps() (int64, error) {
-	n := e.oplog.pending(e.pool.Epoch())
 	tables := make(map[int64]pstruct.Counter)
-	for i := int64(0); i < n; i++ {
-		tableOff, key, delta := e.oplog.replayRecord(i)
-		if tableOff < 0 {
-			continue // growable ablation tables are not replayable
+	apply := func(ent opEntry) error {
+		if ent.tableOff < 0 {
+			return nil // growable ablation tables are not replayable
 		}
-		if tableOff == 0 || tableOff >= e.pool.Size() {
-			return i, fmt.Errorf("%w: log record %d targets offset %d outside pool",
-				ErrNeedsReload, i, tableOff)
+		var err error
+		tbl := tables[ent.tableOff]
+		switch {
+		case ent.alloc:
+			tbl, err = pstruct.RecreateCounterAt(e.pool, ent.tableOff, ent.header)
+		case tbl == nil:
+			tbl, err = pstruct.OpenCounterAt(e.pool, ent.tableOff)
 		}
-		tbl, ok := tables[tableOff]
-		if !ok {
-			var err error
-			tbl, err = pstruct.OpenCounterAt(e.pool, tableOff)
-			if err != nil {
-				return i, err
+		if err == nil {
+			tables[ent.tableOff] = tbl
+			if e.replayTable == 0 {
+				e.replayTable = ent.tableOff
 			}
-			tables[tableOff] = tbl
+			if !ent.alloc {
+				_, err = tbl.Add(ent.key, ent.delta)
+			}
 		}
-		if _, err := tbl.Add(key, delta); err != nil {
-			return i, err
+		if err != nil {
+			return fmt.Errorf("%w: replaying log entry for offset %d: %v", ErrNeedsReload, ent.tableOff, err)
 		}
+		return nil
 	}
-	e.oplog.head = opLogHeader + n*opRecSize
-	e.oplog.flushed = e.oplog.head
-	return n, nil
+	var ops int64
+	end, err := e.oplog.frames(e.pool.Epoch(), func(payload []byte) error {
+		ops++
+		return decodeEntries(payload, apply)
+	})
+	if err != nil {
+		return ops, err
+	}
+	e.oplog.head = end
+	return ops, nil
 }
 
 // ReplayedCounts reads a recovered counter table: the word (or sequence-ID)
 // counts reconstructed from durable state plus log replay.  It returns the
-// table found at the committed result root, or the table targeted by the
-// replayed operations when no traversal committed.
+// table found at the committed result root, or the table the first replayed
+// entry targeted when no traversal committed.
 func (e *Engine) ReplayedCounts() (map[uint32]uint64, error) {
 	off, err := e.pool.Root(rootResult)
 	if err != nil {
 		return nil, err
 	}
-	if off == 0 && e.oplog != nil && e.oplog.pending(e.pool.Epoch()) > 0 {
-		off, _, _ = e.oplog.replayRecord(0)
+	if off == 0 {
+		off = e.replayTable
 	}
 	if off <= 0 {
 		return map[uint32]uint64{}, nil

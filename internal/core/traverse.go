@@ -66,9 +66,12 @@ func (e *Engine) endTraversal(span *metrics.Span, task analytics.Task, resultOff
 	return err
 }
 
-// newCounter allocates a bounded result counter over the given key space,
-// registers it for operation-level replay, and (in op-level mode) makes its
-// empty state durable immediately, as a transactional allocator would.
+// newCounter allocates a bounded result counter over the given key space and
+// registers it for operation-level compaction and replay.  In op-level mode
+// the allocation is a logged operation like any mutation: the table's header
+// word goes into the open operation's frame and the table is marked dirty,
+// so its durable image is always reconstructible — re-created empty by the
+// replay of that entry, or flushed whole by the first compaction after it.
 func (e *Engine) newCounter(bound, keySpace int64) (counterTable, int64, error) {
 	tbl, err := e.newTable(bound, keySpace)
 	if err != nil {
@@ -78,15 +81,8 @@ func (e *Engine) newCounter(bound, keySpace int64) (counterTable, int64, error) 
 	if off >= 0 {
 		e.travTables[off] = tbl
 		if e.oplog != nil {
-			// The structure's empty state must be durable at allocation
-			// so its durable image is always consistent: empty until the
-			// first log compaction flushes it, the compacted contents
-			// afterwards.  Replay applies the current-epoch log on top of
-			// whichever is durable.
-			if err := tbl.FlushInit(); err != nil {
-				return nil, 0, err
-			}
-			if err := e.pool.FlushHeader(); err != nil {
+			e.travDirty[off] = true
+			if err := e.oplog.appendAlloc(e, off, tbl.Header()); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -95,36 +91,40 @@ func (e *Engine) newCounter(bound, keySpace int64) (counterTable, int64, error) 
 }
 
 // addCount performs one counter mutation under the configured persistence
-// strategy.  Write-ahead ordering matters: the redo record is appended
-// before the table mutation, so a log compaction triggered by the append
-// (which flushes the table) can never capture an effect that the fresh log
-// epoch will replay again.
+// strategy.  The order matters: the table is marked dirty and mutated in the
+// volatile image before the entry is staged, so a log compaction the staging
+// triggers flushes the table with the effect in it and drops the entry —
+// never both durable.
 func (e *Engine) addCount(tbl counterTable, tblOff int64, key, delta uint64) error {
+	e.updates++
 	if e.oplog != nil {
 		e.travDirty[tblOff] = true
-		if err := e.oplog.append(e, tblOff, key, delta); err != nil {
-			return err
-		}
 	}
 	if _, err := tbl.Add(key, delta); err != nil {
 		return err
 	}
-	if e.oplog != nil && e.opts.PerOpCommit {
+	if e.oplog == nil {
+		return nil
+	}
+	if err := e.oplog.append(e, tblOff, key, delta); err != nil {
+		return err
+	}
+	if e.opts.PerOpCommit {
 		// The naive port wraps every mutation in a general-purpose PMDK
 		// transaction; charge its software overhead too.
 		e.meter.Charge(1, metrics.CostTxOverhead)
-		return e.oplog.commit()
+		return e.oplog.commit(e)
 	}
 	return nil
 }
 
-// opCommit fences the redo log after one analytics operation (a rule
+// opCommit seals the redo frame of one analytics operation (a rule
 // processed, a file merged): the operation-level persistence boundary.
 func (e *Engine) opCommit() error {
 	if e.oplog == nil {
 		return nil
 	}
-	return e.oplog.commit()
+	return e.oplog.commit(e)
 }
 
 // readBodyPairs reads a pruned body: subCount subrule pairs then wordCount

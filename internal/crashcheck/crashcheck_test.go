@@ -6,6 +6,21 @@ import (
 	"github.com/text-analytics/ntadoc/internal/core"
 )
 
+// expectClean fails the test for every violation in rep.
+func expectClean(t *testing.T, rep *Report) {
+	t.Helper()
+	if len(rep.Points) == 0 {
+		t.Fatal("no crash points explored")
+	}
+	for _, pt := range rep.Points {
+		for _, o := range pt.Outcomes {
+			for _, v := range o.Violations {
+				t.Errorf("event %d subset %s: %s", pt.Event, o.Subset, v)
+			}
+		}
+	}
+}
+
 // TestSampledCrashPoints is the crash-consistency gate that rides in the
 // normal test run: a seeded ~20-point sample (8 under -short) of the
 // WordCount persistence schedule, under both §IV-E strategies, with the two
@@ -29,16 +44,7 @@ func TestSampledCrashPoints(t *testing.T) {
 			if rep.TotalEvents == 0 {
 				t.Fatal("golden run recorded no persistence events")
 			}
-			if len(rep.Points) == 0 {
-				t.Fatal("no crash points explored")
-			}
-			for _, pt := range rep.Points {
-				for _, o := range pt.Outcomes {
-					for _, v := range o.Violations {
-						t.Errorf("event %d subset %s: %s", pt.Event, o.Subset, v)
-					}
-				}
-			}
+			expectClean(t, rep)
 		})
 	}
 }
@@ -59,13 +65,7 @@ func TestSeqCountCrashPoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for _, pt := range rep.Points {
-		for _, o := range pt.Outcomes {
-			for _, v := range o.Violations {
-				t.Errorf("event %d subset %s: %s", pt.Event, o.Subset, v)
-			}
-		}
-	}
+	expectClean(t, rep)
 }
 
 // TestShardedCrashPoints explores the sharded engine: for each point one
@@ -136,16 +136,72 @@ func TestShardedSeqCountCrashPoints(t *testing.T) {
 	}
 }
 
-// TestBrokenRecoveryIsCaught proves the harness has teeth: with the
-// pool-epoch guard in opLog.pending disabled, records superseded by the
-// final checkpoint are double-replayed onto the committed table, and the
-// harness must flag it.  The exploration always includes the final crash
-// point (the completed run), which is exactly where the guard matters.
+// smallLog is an operation log the recorded corpus fills several times per
+// run (3 compactions for word count, 5 for sequence count, 12 for the
+// bottom-up inverted index), so compaction is inside the explored events.
+const smallLog = 128
+
+// TestSmallLogCrashPoints samples the schedule of a log that compacts inside
+// the run: frames sealed, dropped and re-based around each compaction's table
+// flush.  make crashcheck runs the same passes exhaustively.
+func TestSmallLogCrashPoints(t *testing.T) {
+	points := 24
+	if testing.Short() {
+		points = 8
+	}
+	for _, task := range []string{"wordcount", "seqcount"} {
+		t.Run(task, func(t *testing.T) {
+			rep, err := Run(Config{
+				Task: task, Persistence: core.OpLevel, OpLogCap: smallLog,
+				Points: points, Subsets: 2, Seed: 5,
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			expectClean(t, rep)
+		})
+	}
+}
+
+// TestPerFileCrashPoints samples the per-file traversals — a table allocated
+// and merged per file top-down, per rule and per file bottom-up — which
+// commit no result table: recovery must not panic, must recover or ask for a
+// reload, and the recovered engine must re-run the task exactly.
+func TestPerFileCrashPoints(t *testing.T) {
+	points := 16
+	if testing.Short() {
+		points = 6
+	}
+	for _, strat := range []core.Strategy{core.TopDown, core.BottomUp} {
+		for _, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
+			t.Run(strat.String()+"/"+p.String(), func(t *testing.T) {
+				rep, err := Run(Config{
+					Task: "invertedindex", Strategy: strat, Persistence: p, OpLogCap: smallLog,
+					Points: points, Subsets: 2, Seed: 23,
+				})
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				expectClean(t, rep)
+			})
+		}
+	}
+}
+
+// TestBrokenRecoveryIsCaught proves the harness has teeth: with the epoch
+// guards in opLog.frames disabled, frames superseded by the final checkpoint
+// are double-replayed onto the committed table, and the harness must flag it.
+// The exploration always includes the final crash point (the completed run),
+// which is exactly where the guard matters.  The log is small: a log that
+// never compacted still opens with the table's allocation entry, so a stale
+// replay of it re-creates the table and lands on the right counts by
+// accident; after a compaction the stale frames are bare updates.
 func TestBrokenRecoveryIsCaught(t *testing.T) {
 	core.DebugSkipLogEpochCheck = true
 	defer func() { core.DebugSkipLogEpochCheck = false }()
 	rep, err := Run(Config{
 		Persistence: core.OpLevel,
+		OpLogCap:    smallLog,
 		Points:      3,
 		Subsets:     1,
 		Seed:        1,
@@ -155,5 +211,27 @@ func TestBrokenRecoveryIsCaught(t *testing.T) {
 	}
 	if rep.Violations == 0 {
 		t.Fatal("harness missed the double-replay bug injected via DebugSkipLogEpochCheck")
+	}
+}
+
+// TestStageAfterCompactionIsCaught is the second negative: a frame that did
+// not fit is written into the fresh epoch after the compaction whose table
+// flush already made its effects durable, so a crash later in that epoch
+// replays them a second time.  Only a run that compacts can show it, and the
+// exhaustive exploration of one must.
+func TestStageAfterCompactionIsCaught(t *testing.T) {
+	core.DebugStageSurvivesCompaction = true
+	defer func() { core.DebugStageSurvivesCompaction = false }()
+	rep, err := Run(Config{
+		Persistence: core.OpLevel,
+		OpLogCap:    smallLog,
+		Subsets:     1,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Violations == 0 {
+		t.Fatal("harness missed the double-apply bug injected via DebugStageSurvivesCompaction")
 	}
 }

@@ -57,10 +57,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	if len(gs) != k {
 		return nil, fmt.Errorf("crashcheck: got %d shards for k=%d", len(gs), k)
 	}
-	opts := core.Options{
-		Persistence: kcfg.Persistence,
-		Sequences:   kcfg.Task == "seqcount",
-	}
+	opts := kcfg.engineOptions()
 	sizes := make([]int64, k)
 	for i, g := range gs {
 		if sizes[i], err = core.PoolEstimate(g, opts); err != nil {

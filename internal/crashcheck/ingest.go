@@ -50,11 +50,8 @@ func RunIngest(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crashcheck: infer base grammar: %w", err)
 	}
-	opts := core.Options{
-		Persistence: cfg.Persistence,
-		Sequences:   cfg.Task == "seqcount",
-		IngestCap:   ingestCap,
-	}
+	opts := cfg.engineOptions()
+	opts.IngestCap = ingestCap
 	size, err := core.PoolEstimate(g, opts)
 	if err != nil {
 		return nil, fmt.Errorf("crashcheck: size pool: %w", err)

@@ -57,10 +57,7 @@ func RunSharded(kcfg Config, k int) (*Report, error) {
 	if len(gs) != k {
 		return nil, fmt.Errorf("crashcheck: got %d shards for k=%d", len(gs), k)
 	}
-	opts := core.Options{
-		Persistence: kcfg.Persistence,
-		Sequences:   kcfg.Task == "seqcount",
-	}
+	opts := kcfg.engineOptions()
 	sizes := make([]int64, k)
 	for i, g := range gs {
 		if sizes[i], err = core.PoolEstimate(g, opts); err != nil {
@@ -277,8 +274,11 @@ func checkShardRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Option
 
 // refResult computes the analytic reference for the task over files.
 func refResult(task string, files [][]uint32) any {
-	if task == "seqcount" {
+	switch task {
+	case "seqcount":
 		return analytics.RefSequenceCount(files)
+	case "invertedindex":
+		return analytics.RefInvertedIndex(files)
 	}
 	return analytics.RefWordCount(files)
 }

@@ -182,6 +182,7 @@ type Result struct {
 	DRAMBytes int64
 	NVMBytes  int64
 	Device    nvm.Stats
+	Persist   core.PersistCounts // N-TADOC only: counter updates, op-log traffic
 }
 
 // Speedup returns how many times faster r is than other (total time).
@@ -236,6 +237,7 @@ func RunNTADOC(c *Corpus, task analytics.Task, opts core.Options) (Result, error
 		DRAMBytes:   eng.DRAMBytes(),
 		NVMBytes:    eng.NVMBytes(),
 		Device:      eng.Device().Stats(),
+		Persist:     eng.PersistCounts(),
 	}, nil
 }
 

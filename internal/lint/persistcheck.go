@@ -30,14 +30,15 @@ var PersistCheck = &Analyzer{
 var persistMethods = map[string]bool{
 	// Device persistence pipeline.
 	"Crash": true, "CrashAt": true, "Drain": true,
-	"Flush": true, "FlushAll": true, "FlushInit": true,
+	"Flush": true, "FlushAll": true,
 	// Pool / header persistence.
 	"FlushHeader": true, "Checkpoint": true, "Commit": true,
 	// Durable-store and replication internals.
 	"Persist": true, "Sync": true, "ShipCommit": true,
 	"persist": true, "sync": true, "flushHeader": true,
 	// Op-log and redo-log internals.
-	"append": true, "commit": true, "compact": true, "reset": true,
+	"append": true, "appendAlloc": true, "stageEntry": true,
+	"commit": true, "compact": true, "reset": true,
 	"format": true, "recover": true, "bootstrap": true,
 }
 

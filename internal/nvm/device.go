@@ -99,56 +99,59 @@ type Device interface {
 // modeled device time: the sum of per-access costs from the device's
 // CostModel, including cache effects, flushes, and seeks.
 type Stats struct {
-	Reads         int64 // ReadAt calls
-	Writes        int64 // WriteAt calls
-	BytesRead     int64 // logical bytes read
-	BytesWritten  int64 // logical bytes written
-	GranuleReads  int64 // media granules touched by reads (cache misses)
-	GranuleWrites int64 // media granules written back
-	CacheHits     int64 // device-cache hits
-	CacheMisses   int64 // device-cache misses
-	Flushes       int64 // Flush calls
-	FlushedBytes  int64 // bytes covered by flushes
-	Drains        int64 // Drain calls
-	Seeks         int64 // non-sequential block transitions (HDD)
-	ModeledNanos  int64 // total modeled device time
+	Reads           int64 // ReadAt calls
+	Writes          int64 // WriteAt calls
+	BytesRead       int64 // logical bytes read
+	BytesWritten    int64 // logical bytes written
+	GranuleReads    int64 // media granules touched by reads (cache misses)
+	GranuleWrites   int64 // media granules written back
+	CacheHits       int64 // device-cache hits
+	CacheMisses     int64 // device-cache misses
+	Flushes         int64 // Flush calls
+	FlushedBytes    int64 // bytes covered by flushes
+	FlushedGranules int64 // media granules those flushes touched: what Flush charges
+	Drains          int64 // Drain calls
+	Seeks           int64 // non-sequential block transitions (HDD)
+	ModeledNanos    int64 // total modeled device time
 }
 
 // Add returns the field-wise sum of s and o.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
-		Reads:         s.Reads + o.Reads,
-		Writes:        s.Writes + o.Writes,
-		BytesRead:     s.BytesRead + o.BytesRead,
-		BytesWritten:  s.BytesWritten + o.BytesWritten,
-		GranuleReads:  s.GranuleReads + o.GranuleReads,
-		GranuleWrites: s.GranuleWrites + o.GranuleWrites,
-		CacheHits:     s.CacheHits + o.CacheHits,
-		CacheMisses:   s.CacheMisses + o.CacheMisses,
-		Flushes:       s.Flushes + o.Flushes,
-		FlushedBytes:  s.FlushedBytes + o.FlushedBytes,
-		Drains:        s.Drains + o.Drains,
-		Seeks:         s.Seeks + o.Seeks,
-		ModeledNanos:  s.ModeledNanos + o.ModeledNanos,
+		Reads:           s.Reads + o.Reads,
+		Writes:          s.Writes + o.Writes,
+		BytesRead:       s.BytesRead + o.BytesRead,
+		BytesWritten:    s.BytesWritten + o.BytesWritten,
+		GranuleReads:    s.GranuleReads + o.GranuleReads,
+		GranuleWrites:   s.GranuleWrites + o.GranuleWrites,
+		CacheHits:       s.CacheHits + o.CacheHits,
+		CacheMisses:     s.CacheMisses + o.CacheMisses,
+		Flushes:         s.Flushes + o.Flushes,
+		FlushedBytes:    s.FlushedBytes + o.FlushedBytes,
+		FlushedGranules: s.FlushedGranules + o.FlushedGranules,
+		Drains:          s.Drains + o.Drains,
+		Seeks:           s.Seeks + o.Seeks,
+		ModeledNanos:    s.ModeledNanos + o.ModeledNanos,
 	}
 }
 
 // Sub returns the field-wise difference s−o; useful for interval deltas.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Reads:         s.Reads - o.Reads,
-		Writes:        s.Writes - o.Writes,
-		BytesRead:     s.BytesRead - o.BytesRead,
-		BytesWritten:  s.BytesWritten - o.BytesWritten,
-		GranuleReads:  s.GranuleReads - o.GranuleReads,
-		GranuleWrites: s.GranuleWrites - o.GranuleWrites,
-		CacheHits:     s.CacheHits - o.CacheHits,
-		CacheMisses:   s.CacheMisses - o.CacheMisses,
-		Flushes:       s.Flushes - o.Flushes,
-		FlushedBytes:  s.FlushedBytes - o.FlushedBytes,
-		Drains:        s.Drains - o.Drains,
-		Seeks:         s.Seeks - o.Seeks,
-		ModeledNanos:  s.ModeledNanos - o.ModeledNanos,
+		Reads:           s.Reads - o.Reads,
+		Writes:          s.Writes - o.Writes,
+		BytesRead:       s.BytesRead - o.BytesRead,
+		BytesWritten:    s.BytesWritten - o.BytesWritten,
+		GranuleReads:    s.GranuleReads - o.GranuleReads,
+		GranuleWrites:   s.GranuleWrites - o.GranuleWrites,
+		CacheHits:       s.CacheHits - o.CacheHits,
+		CacheMisses:     s.CacheMisses - o.CacheMisses,
+		Flushes:         s.Flushes - o.Flushes,
+		FlushedBytes:    s.FlushedBytes - o.FlushedBytes,
+		FlushedGranules: s.FlushedGranules - o.FlushedGranules,
+		Drains:          s.Drains - o.Drains,
+		Seeks:           s.Seeks - o.Seeks,
+		ModeledNanos:    s.ModeledNanos - o.ModeledNanos,
 	}
 }
 
@@ -162,25 +165,27 @@ type counters struct {
 	granuleReads, granuleWrites int64
 	cacheHits, cacheMisses      int64
 	flushes, flushedBytes       int64
+	flushedGranules             int64
 	drains, seeks               int64
 	modeledNanos                int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Reads:         c.reads,
-		Writes:        c.writes,
-		BytesRead:     c.bytesRead,
-		BytesWritten:  c.bytesWritten,
-		GranuleReads:  c.granuleReads,
-		GranuleWrites: c.granuleWrites,
-		CacheHits:     c.cacheHits,
-		CacheMisses:   c.cacheMisses,
-		Flushes:       c.flushes,
-		FlushedBytes:  c.flushedBytes,
-		Drains:        c.drains,
-		Seeks:         c.seeks,
-		ModeledNanos:  c.modeledNanos,
+		Reads:           c.reads,
+		Writes:          c.writes,
+		BytesRead:       c.bytesRead,
+		BytesWritten:    c.bytesWritten,
+		GranuleReads:    c.granuleReads,
+		GranuleWrites:   c.granuleWrites,
+		CacheHits:       c.cacheHits,
+		CacheMisses:     c.cacheMisses,
+		Flushes:         c.flushes,
+		FlushedBytes:    c.flushedBytes,
+		FlushedGranules: c.flushedGranules,
+		Drains:          c.drains,
+		Seeks:           c.seeks,
+		ModeledNanos:    c.modeledNanos,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -112,6 +113,56 @@ func TestStatsAddSub(t *testing.T) {
 	}
 	if diff := sum.Sub(b); diff != a {
 		t.Errorf("Sub = %+v, want %+v", diff, a)
+	}
+}
+
+// TestStatsAddSubCoverEveryField: a counter added to Stats must be summed and
+// subtracted too, or interval deltas silently drop it.
+func TestStatsAddSubCoverEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(100 + i))
+		bv.Field(i).SetInt(int64(3 * (i + 1)))
+	}
+	sum := a.Add(b)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(100+i+3*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
+	}
+	if diff := sum.Sub(b); diff != a {
+		t.Errorf("Sub = %+v, want %+v", diff, a)
+	}
+}
+
+// TestFlushedGranulesIsWhatFlushCharges: a flush costs every media granule
+// its range touches, however few of the granule's bytes it covers, and
+// FlushedGranules counts exactly those.
+func TestFlushedGranulesIsWhatFlushCharges(t *testing.T) {
+	d := New(KindNVM, 4096)
+	defer d.Close()
+	g := d.Model().Granule
+	for _, tc := range []struct{ off, n, want int64 }{
+		{0, 34, 1},          // a small commit record: one whole granule
+		{g - 4, 8, 2},       // eight bytes across a boundary: two
+		{g, g, 1},           // exactly one granule
+		{g + 1, 2 * g, 3},   // two granules' worth, unaligned: three
+		{3 * g, 0, 0},       // nothing
+		{0, 4096, 4096 / g}, // the whole device
+	} {
+		before := d.Stats()
+		must(t, d.Flush(tc.off, tc.n))
+		got := d.Stats().Sub(before)
+		if got.FlushedGranules != tc.want || got.FlushedBytes != tc.n {
+			t.Errorf("Flush(%d, %d): %d granules, %d bytes, want %d, %d",
+				tc.off, tc.n, got.FlushedGranules, got.FlushedBytes, tc.want, tc.n)
+		}
+		if got.ModeledNanos != tc.want*d.Model().FlushNanos {
+			t.Errorf("Flush(%d, %d) charged %d ns for %d granules at %d ns each",
+				tc.off, tc.n, got.ModeledNanos, tc.want, d.Model().FlushNanos)
+		}
 	}
 }
 

@@ -649,7 +649,9 @@ func (d *SimDevice) Flush(off, n int64) error {
 	}
 	d.flushes++
 	d.flushedBytes += n
-	d.modeledNanos += granules(off, n, d.model.Granule) * d.model.FlushNanos
+	g := granules(off, n, d.model.Granule)
+	d.flushedGranules += g
+	d.modeledNanos += g * d.model.FlushNanos
 	ev := d.persistEvents
 	d.persistEvents++
 	if d.failFromEvent >= 0 && ev >= d.failFromEvent {

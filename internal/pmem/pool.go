@@ -74,6 +74,9 @@ type Pool struct {
 
 	size int64
 	top  int64 // volatile allocation watermark; persisted by Checkpoint
+	// low is the lowest value top has had since the last checkpoint, so
+	// everything allocated since lies in [low, top): what Checkpoint flushes.
+	low int64
 
 	logOff int64
 	logCap int64
@@ -125,6 +128,7 @@ func Create(dev nvm.Device, opts Options) (*Pool, error) {
 		logOff: headerSize,
 		logCap: logCap,
 		top:    headerSize + logCap,
+		low:    headerSize + logCap,
 	}
 	p.acc.WriteBytes(offMagic, magic[:])
 	p.acc.PutUint32(offVersion, poolVersion)
@@ -184,6 +188,7 @@ func Open(dev nvm.Device) (*Pool, error) {
 		logOff: int64(acc.Uint64(offLogOff)),
 		logCap: int64(acc.Uint64(offLogCap)),
 	}
+	p.low = p.top
 	p.log = newRedoLog(acc.Slice(p.logOff, p.logCap))
 	if err := p.log.recover(p.acc); err != nil {
 		return nil, err
@@ -247,16 +252,19 @@ func (p *Pool) AllocZeroed(n, align int64) (nvm.Accessor, error) {
 // pool to its empty state.  Used when an engine rebuilds from scratch.
 func (p *Pool) Reset() {
 	p.top = headerSize + p.logCap
+	p.low = p.top
 }
 
 // Truncate discards allocations above top, which must lie between the
 // reserved region and the current watermark.  Engines use it to release one
-// phase's scratch allocations before re-running the phase.
+// phase's scratch allocations before re-running the phase; whatever is
+// allocated over the released space belongs to the next Checkpoint's flush.
 func (p *Pool) Truncate(top int64) error {
 	if top < headerSize+p.logCap || top > p.top {
 		return fmt.Errorf("pmem: truncate to %d outside [%d, %d]", top, headerSize+p.logCap, p.top)
 	}
 	p.top = top
+	p.low = min(p.low, top)
 	return nil
 }
 
@@ -298,18 +306,28 @@ func (p *Pool) Phase() uint32 { return p.acc.Uint32(offPhase) }
 // Epoch returns the checkpoint counter.
 func (p *Pool) Epoch() uint32 { return p.acc.Uint32(offEpoch) }
 
-// Checkpoint makes the whole allocated region durable and records phase as
+// Checkpoint makes what the phase allocated durable and records phase as
 // completed: the phase-level persistence strategy.  On crash, recovery
 // restarts from the last completed phase (see Phase).
+//
+// The flush covers [low, top), where low is the lowest the watermark has been
+// since the previous checkpoint (or since Create/Open): every allocation the
+// phase made, including ones that reuse space a Truncate released.  The
+// allocations below low were made durable by the checkpoint that covered
+// them and are not flushed again, so a phase that writes into an older
+// allocation either flushes those bytes itself (the redo log, the engine's
+// operation and append logs) or treats them as scratch that recovery never
+// reads and the next phase re-initializes.
 func (p *Pool) Checkpoint(phase uint32) error {
 	// Flush data first, then the header that declares it valid; the header
 	// write is the commit point.
-	if err := p.dev.Flush(headerSize+p.logCap, p.top-headerSize-p.logCap); err != nil {
+	if err := p.dev.Flush(p.low, p.top-p.low); err != nil {
 		return err
 	}
 	if err := p.dev.Drain(); err != nil {
 		return err
 	}
+	p.low = p.top
 	p.acc.PutUint64(offTop, uint64(p.top))
 	p.acc.PutUint32(offPhase, phase)
 	p.acc.PutUint32(offEpoch, p.Epoch()+1)

@@ -435,3 +435,121 @@ func TestTruncateReleasesScratch(t *testing.T) {
 		t.Error("truncate above watermark accepted")
 	}
 }
+
+// TestCheckpointCoversWhatThePhaseAllocated pins the checkpoint's flush range
+// to [lowest watermark since the last checkpoint, watermark): the whole pool
+// for the first checkpoint, then only what each phase allocated — through
+// truncations above and below the last checkpoint's watermark and across
+// Open — and never the older allocations again.
+func TestCheckpointCoversWhatThePhaseAllocated(t *testing.T) {
+	p, dev := newTestPool(t, 1<<20)
+	// flushed runs one checkpoint and returns the data range it flushed, as
+	// the device saw it: offset and length of the flush before the header's.
+	phase := uint32(0)
+	flushed := func(p *Pool) (bytes int64) {
+		t.Helper()
+		before := dev.Stats()
+		phase++
+		must(t, p.Checkpoint(phase))
+		d := dev.Stats().Sub(before)
+		if d.Flushes != 2 || d.Drains != 2 {
+			t.Fatalf("checkpoint %d: %d flushes, %d drains, want data + header of each", phase, d.Flushes, d.Drains)
+		}
+		return d.FlushedBytes - headerSize
+	}
+	alloc := func(p *Pool, n int64, fill byte) nvm.Accessor {
+		t.Helper()
+		a, err := p.Alloc(n, 1)
+		must(t, err)
+		a.Fill(0, n, fill)
+		return a
+	}
+
+	base := p.Allocated()
+	alloc(p, 1000, 1)
+	if got := flushed(p); got != 1000 {
+		t.Errorf("first checkpoint flushed %d bytes, want the 1000 allocated since Create", got)
+	}
+	top1 := p.Allocated()
+	b := alloc(p, 500, 2)
+	if got := flushed(p); got != 500 {
+		t.Errorf("second checkpoint flushed %d bytes, want only the 500 its phase allocated", got)
+	}
+	if got := flushed(p); got != 0 {
+		t.Errorf("checkpoint of a phase that allocated nothing flushed %d bytes", got)
+	}
+	top2 := p.Allocated()
+
+	// A truncation that stays above the last checkpoint's watermark releases
+	// scratch of this phase only: the flush still starts at that watermark.
+	alloc(p, 300, 3)
+	must(t, p.Truncate(top2+100))
+	alloc(p, 50, 4)
+	if got := flushed(p); got != 150 {
+		t.Errorf("after truncating within the phase: flushed %d bytes, want 150", got)
+	}
+
+	// A truncation below it hands older space to this phase: whatever is
+	// allocated over it is new data, and the flush starts where it starts.
+	must(t, p.Truncate(top1))
+	c := alloc(p, 40, 5)
+	if c.Base() != b.Base() {
+		t.Fatalf("allocation after the truncation at %d, want %d reused", c.Base(), b.Base())
+	}
+	if got := flushed(p); got != 40 {
+		t.Errorf("after truncating below the last checkpoint: flushed %d bytes, want 40", got)
+	}
+	// Truncating and growing back within one phase keeps the lowest point.
+	alloc(p, 30, 6)
+	must(t, p.Truncate(base+10))
+	alloc(p, 5, 7)
+	if got := flushed(p); got != 5 {
+		t.Errorf("after truncating to %d: flushed %d bytes, want 5", base+10, got)
+	}
+
+	// Open starts from the durable watermark: everything below it is covered.
+	must(t, dev.Crash())
+	p2, err := Open(dev)
+	must(t, err)
+	if p2.Allocated() != base+15 {
+		t.Fatalf("reopened watermark %d, want %d", p2.Allocated(), base+15)
+	}
+	d := alloc(p2, 64, 8)
+	if got := flushed(p2); got != 64 {
+		t.Errorf("first checkpoint after Open flushed %d bytes, want 64", got)
+	}
+	must(t, dev.Crash())
+	var got [64]byte
+	d.ReadBytes(0, got[:])
+	if !bytes.Equal(got[:], bytes.Repeat([]byte{8}, 64)) {
+		t.Error("the phase's allocation did not survive the crash after its checkpoint")
+	}
+	var old [10]byte
+	p2.AccessorAt(base, 10).ReadBytes(0, old[:])
+	if !bytes.Equal(old[:], bytes.Repeat([]byte{1}, 10)) {
+		t.Error("an older allocation lost its checkpointed bytes")
+	}
+}
+
+// TestCheckpointLeavesOlderAllocationsToTheirWriter is the other half of the
+// contract: bytes written into an allocation an earlier checkpoint covered
+// are not made durable by a later one.
+func TestCheckpointLeavesOlderAllocationsToTheirWriter(t *testing.T) {
+	p, dev := newTestPool(t, 1<<20)
+	a, err := p.Alloc(64, 8)
+	must(t, err)
+	a.PutUint64(0, 1)
+	a.PutUint64(8, 1)
+	must(t, p.Checkpoint(1))
+	a.PutUint64(0, 2) // scratch: no flush
+	a.PutUint64(8, 2) // state: the writer flushes it
+	must(t, a.Flush(8, 8))
+	must(t, p.Checkpoint(2))
+	must(t, dev.Crash())
+	if v := a.Uint64(0); v != 1 {
+		t.Errorf("unflushed write into an older allocation read back %d after the crash, want the checkpointed 1", v)
+	}
+	if v := a.Uint64(8); v != 2 {
+		t.Errorf("write its writer flushed read back %d after the crash, want 2", v)
+	}
+}

@@ -44,8 +44,15 @@ func TestTornCheckpointHeaderAtomic(t *testing.T) {
 		a.PutUint64(0, 1)
 		must(t, p.SetRoot(0, a.Base()))
 		must(t, p.Checkpoint(1))
-		a.PutUint64(0, 2) // phase-2 value, committed by the next checkpoint
-		return p, dev, a.Base()
+		// The phase-2 value lives in a phase-2 allocation: a checkpoint covers
+		// what its phase allocated, not older allocations written in place.
+		b, err := p.Alloc(64, 8)
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		b.PutUint64(0, 2)
+		must(t, p.SetRoot(0, b.Base()))
+		return p, dev, b.Base()
 	}
 
 	// Count the persist events of the checkpoint under test once.

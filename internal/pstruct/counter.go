@@ -24,12 +24,11 @@ type Counter interface {
 	SyncLen()
 	// Flush persists the whole structure.
 	Flush() error
-	// FlushInit persists the minimum state that makes the structure's
-	// durable image consistent while still empty: the header and status
-	// buffer for a hash table, everything for a dense counter (whose data
-	// buffer is its status).  Operation-level engines call it once at
-	// allocation so crash replay starts from a well-defined image.
-	FlushInit() error
+	// Header returns the structure's first pool word, which encodes its kind
+	// and size: all RecreateCounterAt needs to rebuild it empty, so an
+	// operation-level engine logs the word instead of flushing the new
+	// structure.
+	Header() uint64
 }
 
 var (
@@ -37,27 +36,63 @@ var (
 	_ Counter = (*DenseCounter)(nil)
 )
 
-// FlushInit implements Counter: the hash table's emptiness is encoded
-// entirely in its header and status buffer.
-func (t *HashTable) FlushInit() error {
-	if err := t.acc.Flush(0, htHeader+t.cap); err != nil {
-		return err
+// Header implements Counter: the slot capacity.
+func (t *HashTable) Header() uint64 { return uint64(t.cap) }
+
+// Header implements Counter: the key-space size under the dense marker.
+func (c *DenseCounter) Header() uint64 { return denseMarker | uint64(c.size) }
+
+// counterShape decodes a counter's header word: its kind, its size n (slot
+// capacity, or key-space size) and its pool footprint.
+func counterShape(w uint64) (dense bool, n, full int64, err error) {
+	dense = w&denseMarker != 0
+	n = int64(w &^ denseMarker)
+	if n <= 0 || n > 1<<56 { // far beyond any pool; keeps the products below exact
+		return dense, n, 0, fmt.Errorf("pstruct: corrupt counter size %d", n)
 	}
-	return t.acc.Device().Drain()
+	if dense {
+		return true, n, DenseCounterBytes(n), nil
+	}
+	if n&(n-1) != 0 {
+		return false, n, 0, fmt.Errorf("pstruct: corrupt hash table capacity %d", n)
+	}
+	return false, n, htHeader + n + n*16, nil
 }
 
-// FlushInit implements Counter: a dense counter's zeroed data is its empty
-// state, so everything must be durable.
-func (c *DenseCounter) FlushInit() error {
-	if err := c.acc.FlushAll(); err != nil {
-		return err
+// RecreateCounterAt rebuilds, empty and in place at pool offset off, the
+// counter whose header word is w: operation-level recovery replays a logged
+// allocation with it before applying the updates logged after it.  Nothing
+// the region held before is read.  A word that is no counter header, or a
+// region that leaves the pool, is ErrBounds — the entry did not come from
+// this pool's log.
+func RecreateCounterAt(p *pmem.Pool, off int64, w uint64) (Counter, error) {
+	dense, n, full, err := counterShape(w)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBounds, err)
 	}
-	return c.acc.Device().Drain()
+	if off <= 0 || full > p.Size()-off {
+		return nil, fmt.Errorf("%w: counter [%d, +%d) outside pool", ErrBounds, off, full)
+	}
+	acc := p.AccessorAt(off, full)
+	if dense {
+		acc.Fill(0, full, 0)
+		acc.PutUint64(0, w)
+		return &DenseCounter{acc: acc, size: n}, nil
+	}
+	t := newHT(acc, n)
+	acc.PutUint64(0, w)
+	t.ResetSlots()
+	return t, nil
 }
 
 // OpenCounterAt reattaches to whichever counter kind lives at pool offset
-// off, dispatching on the header marker.
+// off, dispatching on the header marker.  Recovery calls it with offsets read
+// from durable state, so a header that lies outside the pool is ErrBounds,
+// not a panic.
 func OpenCounterAt(p *pmem.Pool, off int64) (Counter, error) {
+	if off <= 0 || off > p.Size()-htHeader {
+		return nil, fmt.Errorf("%w: counter header at %d outside pool", ErrBounds, off)
+	}
 	return new(CounterHandle).Attach(p, off)
 }
 
@@ -79,17 +114,12 @@ func (h *CounterHandle) Attach(p *pmem.Pool, off int64) (Counter, error) {
 	b := hdr.BeginReads()
 	b.Uint64(hdr, 0)
 	w := b.Uint64(hdr, 0)
-	dense := w&denseMarker != 0
-	n := int64(w &^ denseMarker) // key-space size, or slot capacity
-	full := DenseCounterBytes(n)
-	if !dense {
-		if n <= 0 || n&(n-1) != 0 {
-			b.End()
-			return nil, fmt.Errorf("pstruct: corrupt hash table capacity %d", n)
-		}
-		full = htHeader + n + n*16
+	dense, n, full, err := counterShape(w)
+	if err != nil {
+		b.End()
+		return nil, err
 	}
-	if full < 0 || off+full > p.Size() {
+	if off+full > p.Size() {
 		b.End()
 		p.AccessorAt(off, full) // panics: the region lies outside the pool
 	}

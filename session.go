@@ -148,19 +148,20 @@ func (e *Engine) ShardStrategies() []string {
 // simulated device(s), summed across shards: the counters behind the
 // modeled-time evaluation, exported for the daemon's /metrics surface.
 type DeviceCounters struct {
-	Reads         int64
-	Writes        int64
-	BytesRead     int64
-	BytesWritten  int64
-	GranuleReads  int64
-	GranuleWrites int64
-	CacheHits     int64
-	CacheMisses   int64
-	Flushes       int64
-	FlushedBytes  int64
-	Drains        int64
-	Seeks         int64
-	ModeledNanos  int64
+	Reads           int64
+	Writes          int64
+	BytesRead       int64
+	BytesWritten    int64
+	GranuleReads    int64
+	GranuleWrites   int64
+	CacheHits       int64
+	CacheMisses     int64
+	Flushes         int64
+	FlushedBytes    int64
+	FlushedGranules int64
+	Drains          int64
+	Seeks           int64
+	ModeledNanos    int64
 }
 
 // DeviceCounters returns the engine's cumulative device statistics (zero
@@ -171,19 +172,20 @@ func (e *Engine) DeviceCounters() DeviceCounters {
 		st = e.sh.DeviceStats()
 	}
 	return DeviceCounters{
-		Reads:         st.Reads,
-		Writes:        st.Writes,
-		BytesRead:     st.BytesRead,
-		BytesWritten:  st.BytesWritten,
-		GranuleReads:  st.GranuleReads,
-		GranuleWrites: st.GranuleWrites,
-		CacheHits:     st.CacheHits,
-		CacheMisses:   st.CacheMisses,
-		Flushes:       st.Flushes,
-		FlushedBytes:  st.FlushedBytes,
-		Drains:        st.Drains,
-		Seeks:         st.Seeks,
-		ModeledNanos:  st.ModeledNanos,
+		Reads:           st.Reads,
+		Writes:          st.Writes,
+		BytesRead:       st.BytesRead,
+		BytesWritten:    st.BytesWritten,
+		GranuleReads:    st.GranuleReads,
+		GranuleWrites:   st.GranuleWrites,
+		CacheHits:       st.CacheHits,
+		CacheMisses:     st.CacheMisses,
+		Flushes:         st.Flushes,
+		FlushedBytes:    st.FlushedBytes,
+		FlushedGranules: st.FlushedGranules,
+		Drains:          st.Drains,
+		Seeks:           st.Seeks,
+		ModeledNanos:    st.ModeledNanos,
 	}
 }
 
