@@ -125,6 +125,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Runs before the engine's Close above: no session is left reading a
+	// device image when the engine unmaps it, even past a shutdown timeout.
+	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -74,6 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer recovered.Close() // releases the device: its images are mappings, not garbage
 	fmt.Printf("recovered at phase %d, replayed %d logged operations\n",
 		info.Phase, info.Replayed)
 	counts, _, ok := recovered.CommittedCounts()

@@ -85,6 +85,7 @@ var executors = []executorCase{
 	}},
 	{"uncomp", func(t *testing.T, files [][]uint32, d *dict.Dictionary, _ *cfg.Grammar) analytics.Executor {
 		dev := nvm.New(nvm.KindNVM, uncomp.RequiredSize(files)+4096)
+		t.Cleanup(func() { dev.Discard() })
 		e, err := uncomp.Load(dev, d, files)
 		if err != nil {
 			t.Fatalf("uncomp.Load: %v", err)

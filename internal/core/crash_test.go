@@ -24,6 +24,7 @@ func TestCrashDuringInitRequiresReload(t *testing.T) {
 	// whose pool was never checkpointed.  Build a raw device with a pool
 	// but no phases.
 	dev := nvm.New(nvm.KindNVM, e.dev.Size())
+	defer dev.Discard()
 	p, err := pmemCreate(dev)
 	if err != nil {
 		t.Fatalf("create: %v", err)

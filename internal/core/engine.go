@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -111,6 +112,16 @@ func New(g *cfg.Grammar, d *dict.Dictionary, opts Options) (*Engine, error) {
 	default:
 		dev = nvm.NewWithModel(opts.Kind, size, model)
 	}
+	// A device made here is released here when the build fails; an injected
+	// one stays its caller's.
+	fail := func(err error) (*Engine, error) {
+		if opts.Device == nil {
+			if derr := dev.Discard(); derr != nil {
+				err = errors.Join(err, derr)
+			}
+		}
+		return nil, err
+	}
 	pool, err := pmem.Create(dev, pmem.Options{
 		LogCap:     opts.OpLogCap,
 		Shard:      opts.ShardIndex,
@@ -118,7 +129,7 @@ func New(g *cfg.Grammar, d *dict.Dictionary, opts Options) (*Engine, error) {
 		Tag:        opts.BuildTag,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	e := &Engine{
 		opts:     opts,
@@ -133,7 +144,7 @@ func New(g *cfg.Grammar, d *dict.Dictionary, opts Options) (*Engine, error) {
 	e.bodySymbols, e.mergeWork = planFeatures(g)
 	e.run = exec{e: e, meter: meter, ws: &workspace{}}
 	if err := e.initialize(g, prep); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// The span deliberately covers preprocessing too: the paper's
 	// initialization time includes reading and preparing the dataset.
@@ -811,10 +822,18 @@ func (e *Engine) PersistCounts() PersistCounts {
 // an appendable engine, the delta-view and compacted serving engines hanging
 // off the ingest state.  The engine must not be used after Close.
 func (e *Engine) Close() error {
+	e.abandon()
+	return e.dev.Discard()
+}
+
+// abandon releases what the engine made for itself — the ingest state's
+// engines, each on a device of its own — and leaves its device alone: what a
+// sharded reopen that fails on a later shard owes the shards it had already
+// reopened, whose devices stay the caller's.
+func (e *Engine) abandon() {
 	if e.ingest != nil {
 		e.ingest.close()
 	}
-	return e.dev.Discard()
 }
 
 // resolveStrategy applies Auto selection through the cost-based planner.

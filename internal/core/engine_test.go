@@ -273,6 +273,7 @@ func TestRecoveryReadsCommittedResults(t *testing.T) {
 
 func TestReopenUninitializedPool(t *testing.T) {
 	dev := nvm.New(nvm.KindNVM, 1<<20)
+	defer dev.Discard()
 	if _, _, err := Reopen(dev, dict.New(), Options{}); err == nil {
 		t.Error("expected error on empty device")
 	}
@@ -415,6 +416,7 @@ func TestFileBackedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reopen: %v", err)
 	}
+	defer re.Close()
 	counts, task, ok := re.CommittedCounts()
 	if !ok || task != analytics.TaskWordCount || !reflect.DeepEqual(counts, want) {
 		t.Error("file-backed committed results mismatch")

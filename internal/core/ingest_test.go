@@ -318,6 +318,9 @@ func TestShardedIngestRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
+	// Runs after the recovered engine's Close: the devices are discarded by
+	// then, and this releases the delta engines the first life built.
+	defer se.Close()
 	vocab := uint32(d.Len())
 	for i := base; i < len(files); i++ {
 		if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {

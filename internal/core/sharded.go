@@ -263,7 +263,9 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 // ErrShardFailed naming the shard (and ErrNeedsReload in its cause chain
 // when that shard's initialization never completed anywhere — the caller
 // rebuilds it from the compressed input).  The per-shard infos of the
-// shards examined so far are returned alongside the error.
+// shards examined so far are returned alongside the error.  A successful
+// reopen owns every device it was given — a primary a follower replaced is
+// discarded on the spot — and a failed one none of them.
 func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*ShardedEngine, []*RecoveryInfo, error) {
 	if len(devs) == 0 {
 		return nil, nil, errEngine("reopen sharded", errors.New("no shard devices"))
@@ -291,20 +293,36 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 			return nil, nil, err
 		}
 		if idx, cnt := e.pool.Shard(); idx != uint32(i) || cnt != uint32(len(devs)) {
-			return nil, nil, fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, idx, cnt)
-		}
-		// Build tags must agree across the set (and with the caller's
-		// expectation, when it has one): positional stamps cannot tell shard
-		// 1-of-4 of one unified build from shard 1-of-4 of another.
-		if tag := e.pool.Tag(); opts.BuildTag != 0 && tag != opts.BuildTag {
-			return nil, nil, fmt.Errorf("%w: pool build tag %08x, want %08x",
+			err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, idx, cnt)
+		} else if tag := e.pool.Tag(); opts.BuildTag != 0 && tag != opts.BuildTag {
+			// Build tags must agree across the set (and with the caller's
+			// expectation, when it has one): positional stamps cannot tell
+			// shard 1-of-4 of one unified build from shard 1-of-4 of another.
+			err = fmt.Errorf("%w: pool build tag %08x, want %08x",
 				ErrShardMismatch, tag, opts.BuildTag)
 		} else if i > 0 && tag != se.shards[0].pool.Tag() {
-			return nil, nil, fmt.Errorf("%w: pool build tag %08x differs from shard 0's %08x",
+			err = fmt.Errorf("%w: pool build tag %08x differs from shard 0's %08x",
 				ErrShardMismatch, tag, se.shards[0].pool.Tag())
+		}
+		if err != nil {
+			e.abandon()
+			return nil, nil, err
 		}
 		return e, info, nil
 	}
+	// A failed reopen leaves every device with the caller, so the shards
+	// reopened before the failure give up only what they made themselves.
+	fail := func(infos []*RecoveryInfo, err error) (*ShardedEngine, []*RecoveryInfo, error) {
+		for _, sh := range se.shards {
+			if sh != nil {
+				sh.abandon()
+			}
+		}
+		return nil, infos, err
+	}
+	// dead collects the primaries a follower replaced: a successful reopen
+	// owns every device it was given, so it releases those it will not use.
+	var dead []*nvm.SimDevice
 	remaining := make([][]*nvm.SimDevice, len(devs))
 	infos := make([]*RecoveryInfo, 0, len(devs))
 	for i, dev := range devs {
@@ -318,6 +336,7 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 					fe, finfo, ferr := reopenOne(i, fdev)
 					if ferr == nil {
 						e, info, err = fe, finfo, nil
+						dead = append(dead, dev)
 						rest := make([]*nvm.SimDevice, 0, len(repl.FollowerDevices[i])-1)
 						rest = append(rest, repl.FollowerDevices[i][:fi]...)
 						rest = append(rest, repl.FollowerDevices[i][fi+1:]...)
@@ -328,7 +347,7 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 			}
 		}
 		if err != nil {
-			return nil, infos, wrapShard(i, err)
+			return fail(infos, wrapShard(i, err))
 		}
 		se.shards[i] = e
 		se.bases[i] = se.nfiles
@@ -341,11 +360,14 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 			r2.FollowerDevices = remaining
 		}
 		if err := se.attachReplication(r2); err != nil {
-			return nil, infos, errEngine("reopen sharded", err)
+			return fail(infos, errEngine("reopen sharded", err))
 		}
 	}
 	if err := se.recoverIngestMaps(); err != nil {
-		return nil, infos, errEngine("reopen sharded", err)
+		return fail(infos, errEngine("reopen sharded", err))
+	}
+	for _, dev := range dead {
+		_ = dev.Discard() // nothing a caller could do about a dead device's close error
 	}
 	return se, infos, nil
 }

@@ -271,6 +271,9 @@ func TestReopenShardedBuildTag(t *testing.T) {
 		return devs
 	}
 	a, b := build(0x1111), build(0x2222)
+	for _, dev := range b { // never reopened successfully, so still the test's
+		defer dev.Discard()
+	}
 	if _, _, err := ReopenSharded([]*nvm.SimDevice{a[0], b[1]}, d, Options{}); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("mixed-build devices: err = %v, want ErrShardMismatch", err)
 	}

@@ -217,6 +217,9 @@ func Run(cfg Config) (*Report, error) {
 				o.State, o.Violations = checkRecovery(clone, d, opts, cfg.Task, ref)
 			}
 			pt.Outcomes = append(pt.Outcomes, o)
+			if err := clone.Discard(); err != nil {
+				return nil, fmt.Errorf("crashcheck: discard clone at event %d: %w", ev, err)
+			}
 		}
 		if err := dev.Discard(); err != nil {
 			return nil, fmt.Errorf("crashcheck: discard replay device: %w", err)
@@ -240,6 +243,7 @@ func Run(cfg Config) (*Report, error) {
 func goldenRun(cfg Config, g *cfg.Grammar, d *dict.Dictionary, files [][]uint32,
 	opts core.Options, size int64) (*reference, int64, error) {
 	dev := nvm.New(nvm.KindNVM, size)
+	defer dev.Discard() // a failed build leaves the device ours
 	o := opts
 	o.Device = dev
 	e, err := core.New(g, d, o)
@@ -310,7 +314,9 @@ func subsets(cfg Config, ev int64) []subset {
 	return out
 }
 
-// checkRecovery reopens the crashed device and checks every invariant.
+// checkRecovery reopens the crashed device and checks every invariant.  A
+// device that recovers is discarded with its engine; one that does not stays
+// the caller's, so the caller discards either way.
 func checkRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Options,
 	task string, ref *reference) (state string, viols []string) {
 	defer func() {

@@ -1,8 +1,10 @@
 package crashcheck
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"github.com/text-analytics/ntadoc/internal/core"
@@ -78,6 +80,13 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 		o.Replication = core.Replication{FollowerDevices: fdevs, Mode: mode, LagBound: lag}
 		return devs, fdevs, o
 	}
+	// free ends a replicated replay: the engine, which owns every device of a
+	// build that succeeded, and then the devices themselves, which a failed
+	// build left here.
+	free := func(se *core.ShardedEngine, devs []*nvm.SimDevice, fdevs [][]*nvm.SimDevice) error {
+		all := slices.Concat(fdevs...)
+		return release(se, append(all, devs...))
+	}
 
 	// Golden replicated run: per-shard references, global reference, the
 	// per-shard build event counts (failure points are sampled from the
@@ -86,7 +95,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	devs, fdevs, o := newReplicated(core.ShipSync, 0)
 	se, err := core.NewSharded(gs, d, o)
 	if err != nil {
-		return nil, fmt.Errorf("crashcheck: golden replicated build: %w", err)
+		return nil, errors.Join(fmt.Errorf("crashcheck: golden replicated build: %w", err), free(nil, devs, fdevs))
 	}
 	builds := make([]int64, k)
 	for i := range devs {
@@ -149,21 +158,25 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 
 	// primaryDies arms shard s's primary at event ev and demands the
 	// workload completes through failover, bit-identical, twice.
-	primaryDies := func(name string, s int, ev int64, mode core.ShipMode, lag int) Outcome {
-		o := Outcome{Subset: name, State: "failover"}
+	primaryDies := func(name string, s int, ev int64, mode core.ShipMode, lag int) (o Outcome) {
+		o = Outcome{Subset: name, State: "failover"}
 		if ev >= totals[s] {
 			o.State = "healthy"
 		}
-		devs, _, oo := newReplicated(mode, lag)
+		devs, fdevs, oo := newReplicated(mode, lag)
 		devs[s].FailFromPersistEvent(ev)
 		se, nerr := core.NewSharded(gs, d, oo)
+		defer func() {
+			if err := free(se, devs, fdevs); err != nil {
+				o.Violations = append(o.Violations, "release: "+err.Error())
+			}
+		}()
 		if nerr != nil {
 			o.State = "error"
 			o.Violations = append(o.Violations, fmt.Sprintf(
 				"build failed despite workload-phase event %d: %v", ev, nerr))
 			return o
 		}
-		defer se.Close()
 		res, werr := runOn(se, kcfg.Task)
 		if werr != nil {
 			o.State = "error"
@@ -193,11 +206,17 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	// followerTorn arms shard s's follower at follower event fev: the
 	// primary workload must be undisturbed, and the frozen follower image
 	// must recover under every seeded subset.
-	followerTorn := func(s int, fev int64) []Outcome {
+	followerTorn := func(s int, fev int64) (outs []Outcome) {
 		head := Outcome{Subset: fmt.Sprintf("follower-torn@%d", fev), State: "healthy"}
 		devs, fdevs, oo := newReplicated(core.ShipSync, 0)
 		fdevs[s][0].FailFromPersistEvent(fev)
 		se, nerr := core.NewSharded(gs, d, oo)
+		clones := make([]*nvm.SimDevice, k)
+		defer func() {
+			if err := errors.Join(free(se, devs, fdevs), discard(clones)); err != nil {
+				outs[0].Violations = append(outs[0].Violations, "release: "+err.Error())
+			}
+		}()
 		if nerr != nil {
 			head.State = "error"
 			head.Violations = append(head.Violations, fmt.Sprintf(
@@ -209,16 +228,13 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 			head.State = "error"
 			head.Violations = append(head.Violations,
 				"follower failure leaked into the primary workload: "+werr.Error())
-			se.Close()
 			return []Outcome{head}
 		}
 		if !reflect.DeepEqual(res, global) {
 			head.Violations = append(head.Violations, "workload result differs with a torn follower")
 		}
-		// Clone every shard's surviving image before Close discards the
-		// devices: the torn follower for shard s, the healthy primaries for
-		// the rest.
-		clones := make([]*nvm.SimDevice, k)
+		// Clone every shard's surviving image: the torn follower for shard
+		// s, the healthy primaries for the rest.
 		for i := range clones {
 			src := devs[i]
 			if i == s {
@@ -227,33 +243,18 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 			c, cerr := src.CloneDurable()
 			if cerr != nil {
 				head.Violations = append(head.Violations, fmt.Sprintf("clone shard %d: %v", i, cerr))
-				se.Close()
 				return []Outcome{head}
 			}
 			clones[i] = c
 		}
-		se.Close()
-		outs := []Outcome{head}
+		outs = []Outcome{head}
 		for _, sub := range subsets(kcfg, fev) {
 			o := Outcome{Subset: "follower-torn:" + sub.name}
 			states := make([]string, k)
 			results := make([]any, k)
 			usable := true
 			for i := range clones {
-				clone, cerr := clones[i].CloneDurable()
-				if cerr != nil {
-					states[i] = "error"
-					o.Violations = append(o.Violations, fmt.Sprintf("reclone shard %d: %v", i, cerr))
-					usable = false
-					continue
-				}
-				if cerr := sub.crash(clone); cerr != nil {
-					states[i] = "error"
-					o.Violations = append(o.Violations, fmt.Sprintf("shard %d crash injection: %v", i, cerr))
-					usable = false
-					continue
-				}
-				st, viols, res := checkShardRecovery(clone, d, opts, gs[i], i, k, kcfg.Task, refs[i])
+				st, viols, res := recoverCrashedClone(clones[i], sub, d, opts, gs[i], i, k, kcfg.Task, refs[i])
 				states[i] = st
 				for _, v := range viols {
 					o.Violations = append(o.Violations, fmt.Sprintf("shard %d: %s", i, v))
@@ -308,7 +309,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	devs, fdevs, o = newReplicated(core.ShipAsync, asyncLag)
 	se, err = core.NewSharded(gs, d, o)
 	if err != nil {
-		return nil, fmt.Errorf("crashcheck: async lag run build: %w", err)
+		return nil, errors.Join(fmt.Errorf("crashcheck: async lag run build: %w", err), free(nil, devs, fdevs))
 	}
 	res, werr := runOn(se, kcfg.Task)
 	if werr != nil {
@@ -332,20 +333,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 		pt.Outcomes = append(pt.Outcomes, head)
 		for _, sub := range subsets(kcfg, totals[s]) {
 			o := Outcome{Subset: "lagged:" + sub.name}
-			clone, cerr := lagClones[s].CloneDurable()
-			if cerr != nil {
-				o.State = "error"
-				o.Violations = append(o.Violations, fmt.Sprintf("reclone lagged follower %d: %v", s, cerr))
-				pt.Outcomes = append(pt.Outcomes, o)
-				continue
-			}
-			if cerr := sub.crash(clone); cerr != nil {
-				o.State = "error"
-				o.Violations = append(o.Violations, fmt.Sprintf("crash injection: %v", cerr))
-				pt.Outcomes = append(pt.Outcomes, o)
-				continue
-			}
-			st, viols, _ := checkShardRecovery(clone, d, opts, gs[s], s, k, kcfg.Task, refs[s])
+			st, viols, _ := recoverCrashedClone(lagClones[s], sub, d, opts, gs[s], s, k, kcfg.Task, refs[s])
 			o.State = st
 			for _, v := range viols {
 				o.Violations = append(o.Violations, fmt.Sprintf("shard %d: %s", s, v))
@@ -357,6 +345,9 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 		if kcfg.Log != nil {
 			fmt.Fprintf(kcfg.Log, "shard %d lag-bound check: violations=%d\n", s, pt.Violations())
 		}
+	}
+	if err := discard(lagClones); err != nil {
+		return nil, fmt.Errorf("crashcheck: discard lagged clones: %w", err)
 	}
 	return rep, nil
 }

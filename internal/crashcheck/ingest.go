@@ -66,16 +66,13 @@ func RunIngest(cfg Config) (*Report, error) {
 
 	// Golden run: everything acks and the final state serves the full corpus.
 	dev := nvm.New(nvm.KindNVM, size)
-	acked, err := ingestWorkload(dev, g, d, opts, files, base, cfg.Task, refs[nBatches])
-	if err != nil {
+	e, acked, err := ingestWorkload(dev, g, d, opts, files, base, cfg.Task, refs[nBatches])
+	total := dev.PersistEvents()
+	if err := errors.Join(err, release(e, []*nvm.SimDevice{dev})); err != nil {
 		return nil, fmt.Errorf("crashcheck: golden ingest run: %w", err)
 	}
 	if acked != nBatches {
 		return nil, fmt.Errorf("crashcheck: golden run acked %d/%d appends", acked, nBatches)
-	}
-	total := dev.PersistEvents()
-	if err := dev.Discard(); err != nil {
-		return nil, fmt.Errorf("crashcheck: discard golden device: %w", err)
 	}
 
 	rep := &Report{TotalEvents: total}
@@ -83,7 +80,7 @@ func RunIngest(cfg Config) (*Report, error) {
 		pt := Point{Event: ev}
 		rdev := nvm.New(nvm.KindNVM, size)
 		rdev.FailFromPersistEvent(ev)
-		acked, _ := ingestWorkload(rdev, g, d, opts, files, base, cfg.Task, nil)
+		e, acked, _ := ingestWorkload(rdev, g, d, opts, files, base, cfg.Task, nil)
 		for _, sub := range subsets(cfg, ev) {
 			clone, cerr := rdev.CloneDurable()
 			if cerr != nil {
@@ -97,9 +94,12 @@ func RunIngest(cfg Config) (*Report, error) {
 				o.State, o.Violations = checkIngestRecovery(clone, d, opts, cfg.Task, refs, acked, files, base)
 			}
 			pt.Outcomes = append(pt.Outcomes, o)
+			if err := clone.Discard(); err != nil {
+				return nil, fmt.Errorf("crashcheck: discard clone at event %d: %w", ev, err)
+			}
 		}
-		if err := rdev.Discard(); err != nil {
-			return nil, fmt.Errorf("crashcheck: discard replay device: %w", err)
+		if err := release(e, []*nvm.SimDevice{rdev}); err != nil {
+			return nil, fmt.Errorf("crashcheck: release replay at event %d: %w", ev, err)
 		}
 		rep.Violations += pt.Violations()
 		rep.Points = append(rep.Points, pt)
@@ -119,15 +119,15 @@ func RunIngest(cfg Config) (*Report, error) {
 // midpoint, then one task run.  It returns how many appends were
 // acknowledged; a batch error stops the stream (the process "crashed").
 // want, when non-nil, requires the final task result to match (golden runs).
+// The engine comes back open (nil if the build failed): the caller clones
+// the device first and closes the engine, and the device under it, after.
 func ingestWorkload(dev *nvm.SimDevice, g *cfg.Grammar, d *dict.Dictionary,
-	opts core.Options, files [][]uint32, base int, task string, want any) (int, error) {
+	opts core.Options, files [][]uint32, base int, task string, want any) (*core.ShardedEngine, int, error) {
 	o := opts
 	o.ShardDevices = []*nvm.SimDevice{dev}
-	// The engine is deliberately not closed: the caller clones and discards
-	// the device itself (Close would close the device under it).
 	e, err := core.NewSharded([]*cfg.Grammar{g}, d, o)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	vocab := uint32(d.Len())
 	acked := 0
@@ -135,7 +135,7 @@ func ingestWorkload(dev *nvm.SimDevice, g *cfg.Grammar, d *dict.Dictionary,
 	for i := base; i < len(files); i++ {
 		doc := core.AppendDoc{Name: fmt.Sprintf("live%d", i), Tokens: files[i]}
 		if err := e.Append([]core.AppendDoc{doc}, vocab, nil); err != nil {
-			return acked, nil // the device died mid-append: stop, like a crashed process
+			return e, acked, nil // the device died mid-append: stop, like a crashed process
 		}
 		acked++
 		if i == mid {
@@ -146,15 +146,15 @@ func ingestWorkload(dev *nvm.SimDevice, g *cfg.Grammar, d *dict.Dictionary,
 	}
 	res, err := runOn(e, task)
 	if want == nil {
-		return acked, nil
+		return e, acked, nil
 	}
 	if err != nil {
-		return acked, err
+		return e, acked, err
 	}
 	if !reflect.DeepEqual(res, want) {
-		return acked, errors.New("golden ingest result does not match reference")
+		return e, acked, errors.New("golden ingest result does not match reference")
 	}
-	return acked, nil
+	return e, acked, nil
 }
 
 // checkIngestRecovery reopens the crashed device and checks the ingestion

@@ -85,10 +85,8 @@ func RunSharded(kcfg Config, k int) (*Report, error) {
 			devs[s].FailFromPersistEvent(ev)
 			o := opts
 			o.ShardDevices = devs
-			var werr error
-			if se, nerr := core.NewSharded(gs, d, o); nerr != nil {
-				werr = nerr
-			} else {
+			se, werr := core.NewSharded(gs, d, o)
+			if werr == nil {
 				_, werr = runOn(se, kcfg.Task)
 			}
 			if werr == nil && ev < totals[s] {
@@ -104,17 +102,7 @@ func RunSharded(kcfg Config, k int) (*Report, error) {
 				results := make([]any, k)
 				usable := true
 				for i := range devs {
-					clone, cerr := devs[i].CloneDurable()
-					if cerr != nil {
-						return nil, fmt.Errorf("crashcheck: clone shard %d at event %d: %w", i, ev, cerr)
-					}
-					if cerr := sub.crash(clone); cerr != nil {
-						states[i] = "error"
-						o.Violations = append(o.Violations, fmt.Sprintf("shard %d crash injection: %v", i, cerr))
-						usable = false
-						continue
-					}
-					st, viols, res := checkShardRecovery(clone, d, opts, gs[i], i, k, kcfg.Task, refs[i])
+					st, viols, res := recoverCrashedClone(devs[i], sub, d, opts, gs[i], i, k, kcfg.Task, refs[i])
 					states[i] = st
 					for _, v := range viols {
 						o.Violations = append(o.Violations, fmt.Sprintf("shard %d: %s", i, v))
@@ -134,6 +122,9 @@ func RunSharded(kcfg Config, k int) (*Report, error) {
 					}
 				}
 				pt.Outcomes = append(pt.Outcomes, o)
+			}
+			if err := release(se, devs); err != nil {
+				return nil, fmt.Errorf("crashcheck: release replay of shard %d event %d: %w", s, ev, err)
 			}
 			rep.Violations += pt.Violations()
 			rep.Points = append(rep.Points, pt)
@@ -163,10 +154,10 @@ func goldenShardedRun(kcfg Config, gs []*cfg.Grammar, d *dict.Dictionary, files 
 	o := opts
 	o.ShardDevices = devs
 	se, err := core.NewSharded(gs, d, o)
+	defer func() { err = errors.Join(err, release(se, devs)) }()
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("crashcheck: golden sharded run: %w", err)
 	}
-	defer se.Close()
 	result, err := runOn(se, kcfg.Task)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("crashcheck: golden sharded %s: %w", kcfg.Task, err)
@@ -193,6 +184,51 @@ func goldenShardedRun(kcfg Config, gs []*cfg.Grammar, d *dict.Dictionary, files 
 		totals[i] = devs[i].PersistEvents()
 	}
 	return refs, global, bases, totals, nil
+}
+
+// release ends one replay: the engine if the build got that far — with its
+// followers, replicas and whatever else it made — and then the injected
+// devices, which a failed build left with the harness (discarding one the
+// engine already closed is a no-op).
+func release(se *core.ShardedEngine, devs []*nvm.SimDevice) error {
+	var err error
+	if se != nil {
+		err = se.Close()
+	}
+	return errors.Join(err, discard(devs))
+}
+
+// discard releases harness-made devices, skipping the slots of a set that
+// was never filled.
+func discard(devs []*nvm.SimDevice) error {
+	var errs []error
+	for _, dev := range devs {
+		if dev != nil {
+			errs = append(errs, dev.Discard())
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// recoverCrashedClone forks src's durable image and pending set, crashes the
+// fork the subset's way, recovers it under the per-shard contract and
+// discards it.  A fork that cannot be made, crashed or released is an
+// "error" outcome with a violation, like any other broken replay.
+func recoverCrashedClone(src *nvm.SimDevice, sub subset, d *dict.Dictionary, opts core.Options,
+	g *cfg.Grammar, shard, count int, task string, ref *reference) (state string, viols []string, result any) {
+	clone, err := src.CloneDurable()
+	if err != nil {
+		return "error", []string{"clone: " + err.Error()}, nil
+	}
+	defer func() {
+		if err := clone.Discard(); err != nil {
+			viols = append(viols, "discard clone: "+err.Error())
+		}
+	}()
+	if err := sub.crash(clone); err != nil {
+		return "error", []string{"crash injection: " + err.Error()}, nil
+	}
+	return checkShardRecovery(clone, d, opts, g, shard, count, task, ref)
 }
 
 // checkShardRecovery recovers one shard's crashed device and checks the

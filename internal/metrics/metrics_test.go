@@ -50,7 +50,7 @@ func TestMeterConcurrent(t *testing.T) {
 
 func TestSpanCapturesDeviceAndCPU(t *testing.T) {
 	dev := nvm.New(nvm.KindNVM, 4096)
-	defer dev.Close()
+	defer dev.Discard()
 	var m Meter
 
 	// Pre-existing activity must not leak into the span.

@@ -83,8 +83,10 @@ func (a Accessor) WriteBytes(off int64, p []byte) {
 // ReadView charges a read of [off, off+n) and returns the bytes with zero
 // copy when the device is the simulator (a freshly copied buffer otherwise).
 // The view aliases device memory: it is valid only until the next write to
-// the device and must not be mutated.  Scans that only inspect bytes (hash
-// table status runs, token streams) use it to avoid staging buffers.
+// the device, or until the device crashes or is discarded — the image may be
+// unmapped then, and reading the view would fault — and must not be mutated.
+// Scans that only inspect bytes (hash table status runs, token streams) use
+// it to avoid staging buffers.
 func (a Accessor) ReadView(off, n int64) []byte {
 	a.check(off, n)
 	if a.sim != nil {

@@ -7,7 +7,7 @@ import (
 
 func TestAccessorTypedRoundTrip(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	a := NewAccessor(d, 128, 1024)
 
 	a.PutUint32(0, 0xdeadbeef)
@@ -26,7 +26,7 @@ func TestAccessorTypedRoundTrip(t *testing.T) {
 
 func TestAccessorSlice(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	a := NewAccessor(d, 0, 4096)
 	sub := a.Slice(100, 200)
 	if sub.Base() != 100 || sub.Size() != 200 {
@@ -40,7 +40,7 @@ func TestAccessorSlice(t *testing.T) {
 
 func TestAccessorBulkUint32s(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	a := NewAccessor(d, 0, 4096)
 	src := []uint32{1, 2, 3, 1 << 30, 0xffffffff}
 	a.PutUint32s(64, src)
@@ -55,7 +55,7 @@ func TestAccessorBulkUint32s(t *testing.T) {
 
 func TestAccessorPanicsOutOfRange(t *testing.T) {
 	d := New(KindNVM, 1024)
-	defer d.Close()
+	defer d.Discard()
 	a := NewAccessor(d, 0, 64)
 	assertPanics(t, "read past region", func() { a.Uint64(60) })
 	assertPanics(t, "write past region", func() { a.PutUint32(62, 1) })
@@ -65,7 +65,7 @@ func TestAccessorPanicsOutOfRange(t *testing.T) {
 
 func TestAccessorFlush(t *testing.T) {
 	d := New(KindNVM, 1024)
-	defer d.Close()
+	defer d.Discard()
 	a := NewAccessor(d, 256, 256)
 	a.PutUint64(0, 99)
 	if err := a.FlushAll(); err != nil {
@@ -82,7 +82,7 @@ func TestAccessorFlush(t *testing.T) {
 
 func TestQuickAccessorUint32s(t *testing.T) {
 	d := New(KindNVM, 1<<16)
-	defer d.Close()
+	defer d.Discard()
 	a := NewAccessor(d, 0, 1<<16)
 	f := func(vals []uint32, offSeed uint16) bool {
 		if len(vals) > 1000 {

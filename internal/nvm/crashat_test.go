@@ -28,7 +28,7 @@ func devRead(t *testing.T, d *SimDevice, off, n int64) []byte {
 
 func TestFlushedNotDrainedVanishesOnCrash(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	devWrite(t, d, []byte("durable!"), 0)
 	must(t, d.Flush(0, 8))
 	must(t, d.Drain())
@@ -47,7 +47,7 @@ func TestFlushedNotDrainedVanishesOnCrash(t *testing.T) {
 
 func TestDrainRetiresPending(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	devWrite(t, d, []byte("payload1"), 512)
 	must(t, d.Flush(512, 8))
 	must(t, d.Drain())
@@ -74,7 +74,7 @@ func tornFixture(t *testing.T, size int64) *SimDevice {
 func TestCrashAtSeededSubset(t *testing.T) {
 	const size = 1 << 13 // 32 granules
 	base := tornFixture(t, size)
-	defer base.Close()
+	defer base.Discard()
 	g := base.Model().Granule
 
 	image := func(seed int64) []byte {
@@ -122,7 +122,7 @@ func TestCrashAtSeededSubset(t *testing.T) {
 
 func TestCloneDurableIndependence(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	devWrite(t, d, []byte("old-data"), 0)
 	must(t, d.Flush(0, 8))
 	must(t, d.Drain())
@@ -159,7 +159,7 @@ func TestCloneDurableIndependence(t *testing.T) {
 
 func TestPersistEventsMonotone(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	if n := d.PersistEvents(); n != 0 {
 		t.Fatalf("fresh device events = %d", n)
 	}
@@ -178,7 +178,7 @@ func TestPersistEventsMonotone(t *testing.T) {
 
 func TestFailFromPersistEventSticky(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	d.FailFromPersistEvent(2)
 	must(t, d.Flush(0, 256)) // event 0
 	must(t, d.Drain())       // event 1
@@ -195,7 +195,7 @@ func TestFailFromPersistEventSticky(t *testing.T) {
 
 func TestFailPointsFireOnVolatileDevices(t *testing.T) {
 	d := New(KindDRAM, 4096) // no durable store; flushes are no-ops otherwise
-	defer d.Close()
+	defer d.Discard()
 
 	d.FailAfterFlushes(1)
 	must(t, d.Flush(0, 64))

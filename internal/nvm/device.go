@@ -3,12 +3,12 @@
 // asymmetric read/write latency), an NVMe SSD, a SAS HDD, and plain DRAM.
 //
 // No persistent-memory hardware is available in this environment, so the
-// package substitutes a cost-model simulation: every device is backed by an
-// ordinary byte buffer (optionally file-backed for real durability) and an
-// explicit access-cost model.  Each read or write is charged per media
-// granule through a small simulated device cache (the Optane "XPBuffer", a
-// CPU cache for DRAM, an OS page cache for block devices), and the
-// accumulated cost is reported as modeled time.  The paper's two challenges —
+// package substitutes a cost-model simulation: every device is backed by
+// page mappings outside the Go heap (of a file, for real durability, or
+// anonymous) and an explicit access-cost model.  Each read or write is
+// charged per media granule through a small simulated device cache (the
+// Optane "XPBuffer", a CPU cache for DRAM, an OS page cache for block
+// devices), and the accumulated cost is reported as modeled time.  The paper's two challenges —
 // poor locality under a 256 B granularity and redundant access from structure
 // reconstruction — are properties of the access *pattern*, which this model
 // charges faithfully.

@@ -49,7 +49,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	for _, k := range []Kind{KindDRAM, KindNVM, KindSSD, KindHDD} {
 		t.Run(k.String(), func(t *testing.T) {
 			d := New(k, 4096)
-			defer d.Close()
+			defer d.Discard()
 			want := []byte("hello, persistent world")
 			if _, err := d.WriteAt(want, 100); err != nil {
 				t.Fatalf("WriteAt: %v", err)
@@ -67,7 +67,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestOutOfRange(t *testing.T) {
 	d := New(KindNVM, 1024)
-	defer d.Close()
+	defer d.Discard()
 	buf := make([]byte, 16)
 	if _, err := d.ReadAt(buf, 1020); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("read past end: err = %v, want ErrOutOfRange", err)
@@ -82,7 +82,7 @@ func TestOutOfRange(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	buf := make([]byte, 256)
 	d.WriteAt(buf, 0)
 	d.ReadAt(buf, 0)
@@ -142,7 +142,7 @@ func TestStatsAddSubCoverEveryField(t *testing.T) {
 // FlushedGranules counts exactly those.
 func TestFlushedGranulesIsWhatFlushCharges(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	g := d.Model().Granule
 	for _, tc := range []struct{ off, n, want int64 }{
 		{0, 34, 1},          // a small commit record: one whole granule
@@ -173,8 +173,8 @@ func TestModeledCostReflectsLocality(t *testing.T) {
 	const size = 1 << 20
 	seq := New(KindNVM, size)
 	rnd := New(KindNVM, size)
-	defer seq.Close()
-	defer rnd.Close()
+	defer seq.Discard()
+	defer rnd.Discard()
 
 	buf := make([]byte, 8)
 	for off := int64(0); off < size; off += 8 {
@@ -204,7 +204,7 @@ func TestMediaCostOrdering(t *testing.T) {
 	for _, k := range []Kind{KindDRAM, KindNVM, KindSSD, KindHDD} {
 		d := NewWithModel(k, 1<<20, ModelFor(k).WithCacheBytes(32<<10))
 		costs[k] = pattern(d)
-		d.Close()
+		d.Discard()
 	}
 	if !(costs[KindDRAM] < costs[KindNVM] && costs[KindNVM] < costs[KindSSD] && costs[KindSSD] < costs[KindHDD]) {
 		t.Errorf("cost ordering violated: %v", costs)
@@ -215,7 +215,7 @@ func TestHDDSeekPenalty(t *testing.T) {
 	// Random block access on HDD must record seeks; sequential must not
 	// (beyond the first).
 	d := NewWithModel(KindHDD, 1<<20, HDDModel.WithoutCache())
-	defer d.Close()
+	defer d.Discard()
 	buf := make([]byte, 4096)
 	for off := int64(0); off < 1<<20; off += 4096 {
 		d.ReadAt(buf, off)
@@ -236,7 +236,7 @@ func TestHDDSeekPenalty(t *testing.T) {
 
 func TestCrashDropsUnflushedWrites(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	durable := []byte("durable")
 	volatileOnly := []byte("vanish")
 	d.WriteAt(durable, 0)
@@ -265,7 +265,7 @@ func TestCrashDropsUnflushedWrites(t *testing.T) {
 
 func TestCrashOnDRAMZeroes(t *testing.T) {
 	d := New(KindDRAM, 1024)
-	defer d.Close()
+	defer d.Discard()
 	d.WriteAt([]byte("gone"), 0)
 	must(t, d.Flush(0, 4)) // no-op on DRAM
 	must(t, d.Drain())
@@ -279,7 +279,7 @@ func TestCrashOnDRAMZeroes(t *testing.T) {
 
 func TestFailPoint(t *testing.T) {
 	d := New(KindNVM, 4096)
-	defer d.Close()
+	defer d.Discard()
 	d.WriteAt([]byte("abc"), 0)
 	d.FailAfterFlushes(1)
 	if err := d.Flush(0, 3); err != nil {
@@ -308,15 +308,15 @@ func TestFileBackedDurability(t *testing.T) {
 	if err := d.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := d.Discard(); err != nil {
+		t.Fatalf("Discard: %v", err)
 	}
 
 	d2, err := Open(KindNVM, path, 0) // size comes from the file
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer d2.Close()
+	defer d2.Discard()
 	if d2.Size() != 8192 {
 		t.Errorf("reopened size = %d", d2.Size())
 	}
@@ -335,6 +335,7 @@ func TestOpenRejectsDRAM(t *testing.T) {
 
 func TestDoubleCloseAndUseAfterClose(t *testing.T) {
 	d := New(KindNVM, 1024)
+	defer d.Discard()
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -376,7 +377,7 @@ func TestQuickDeviceIsAByteArray(t *testing.T) {
 		Data []byte
 	}) bool {
 		d := New(KindNVM, size)
-		defer d.Close()
+		defer d.Discard()
 		shadow := make([]byte, size)
 		for _, op := range ops {
 			off := int64(op.Off) % (size / 2)
@@ -409,7 +410,7 @@ func TestQuickCrashConsistency(t *testing.T) {
 			fill = 1
 		}
 		d := New(KindNVM, size)
-		defer d.Close()
+		defer d.Discard()
 		data := bytes.Repeat([]byte{fill}, size)
 		d.WriteAt(data, 0)
 		n := int64(flushUpTo) * 16

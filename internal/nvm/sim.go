@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -11,9 +12,10 @@ import (
 )
 
 // SimDevice is the concrete simulated device behind every Kind.  It keeps the
-// device contents in an ordinary byte buffer (the "volatile image"), charges
-// modeled cost per access through a simulated device cache, and — for
-// persistent kinds — maintains a durable image behind a *pending set*:
+// device contents in a page mapping outside the Go heap (the "volatile
+// image", see image.go), charges modeled cost per access through a simulated
+// device cache, and — for persistent kinds — maintains a durable image behind
+// a *pending set*:
 //
 //	volatile image --Flush--> pending set --Drain--> durable image
 //
@@ -29,17 +31,16 @@ type SimDevice struct {
 	kind  Kind
 	model CostModel
 	cache *deviceCache
-	buf   []byte // volatile image
+	buf   []byte // volatile image: a mapping, nil once discarded
 
 	// dirtyHi is the high-water mark of volatile-image bytes that may be
-	// nonzero.  It lets Discard hand the buffer back to the image pool with
-	// a bound on how much of it needs re-zeroing before reuse.
+	// nonzero: what a crash has to clear, and a recycled image's next owner.
 	dirtyHi int64
 
-	mu      sync.Mutex   // guards durable store and closed flag
-	store   durableStore // guarded by mu
-	closed  bool         // guarded by mu
-	lastBlk int64        // previously accessed block, for HDD seek modeling
+	mu      sync.Mutex // guards durable store and closed flag
+	store   *durable   // guarded by mu; nil on a volatile kind
+	closed  bool       // guarded by mu
+	lastBlk int64      // previously accessed block, for HDD seek modeling
 
 	// shared switches the device into shared mode (see Share): every access
 	// charge and counter update is serialized behind opMu so concurrent
@@ -152,46 +153,52 @@ type pendingRange struct {
 
 var _ Device = (*SimDevice)(nil)
 
-// durableStore is where flushed data survives a crash.
-type durableStore interface {
-	persist(off int64, src []byte) error
-	sync() error
-	load(dst []byte) error
-	close() error
-}
-
-// memStore keeps the durable image in a shadow buffer: fast, used by tests
-// and benchmarks.
-type memStore struct {
+// durable is the image that survives a crash: Drain copies flushed bytes
+// into it.  An in-memory device keeps it in an anonymous mapping.  A
+// file-backed one (Open) maps its file shared, so a persisted byte sits in
+// the file's page cache and sync puts it on disk, giving the CLI tools real
+// cross-process durability.  Either way the simulated crash model orders on
+// this image, never on the page cache: what a Crash leaves is exactly what
+// was persisted here.
+type durable struct {
 	img []byte
-	hi  int64 // high-water mark of persisted bytes; [hi, len) is still zero
+	hi  int64    // persisted high-water mark: img[hi:] is zero
+	f   *os.File // backing file; nil in memory
 }
 
-func (s *memStore) persist(off int64, src []byte) error {
+func (s *durable) persist(off int64, src []byte) {
 	copy(s.img[off:], src)
 	if end := off + int64(len(src)); end > s.hi {
 		s.hi = end
 	}
-	return nil
 }
-func (s *memStore) sync() error           { return nil }
-func (s *memStore) load(dst []byte) error { copy(dst, s.img); return nil }
-func (s *memStore) close() error          { return nil }
 
-// fileStore keeps the durable image in an ordinary file, giving real
-// cross-process durability for the CLI tools.
-type fileStore struct{ f *os.File }
+func (s *durable) sync() error {
+	if s.f == nil {
+		return nil
+	}
+	return sysSync(s.f, s.img[:s.hi])
+}
 
-func (s *fileStore) persist(off int64, src []byte) error {
-	_, err := s.f.WriteAt(src, off)
-	return err
+// volatile maps the volatile image an open or a crash leaves a file-backed
+// device: the file again, privately, so it loads lazily — a page the device
+// never stores to is the file's own page, and the first store copies it.
+// That never lets a later persist show through, because every byte persist
+// writes was flushed from this image: its page either holds a store, and is
+// already a private copy, or holds none, and then the bytes persisted equal
+// the bytes the file had (TestFileBackedMatchesInMemory).
+func (s *durable) volatile() ([]byte, error) {
+	return mapImage(s.f, int64(len(s.img)), false)
 }
-func (s *fileStore) sync() error { return s.f.Sync() }
-func (s *fileStore) load(dst []byte) error {
-	_, err := s.f.ReadAt(dst, 0)
-	return err
+
+func (s *durable) close() error {
+	img := s.img
+	s.img = nil
+	if s.f == nil {
+		return recycleImage(img, s.hi)
+	}
+	return errors.Join(freeImage(img), s.f.Close())
 }
-func (s *fileStore) close() error { return s.f.Close() }
 
 // New creates an in-memory simulated device of the given kind and size using
 // the kind's default cost model.
@@ -201,17 +208,25 @@ func New(kind Kind, size int64) *SimDevice {
 
 // NewWithModel creates an in-memory simulated device with an explicit cost
 // model (used by ablations and by block devices under a page-cache budget).
+// The device owns two size-byte mappings (one on a volatile kind) until
+// Discard.
 func NewWithModel(kind Kind, size int64, model CostModel) *SimDevice {
+	var store *durable
+	if kind.Persistent() {
+		store = &durable{img: newImage(size)}
+	}
+	return newDevice(kind, model, newImage(size), store)
+}
+
+func newDevice(kind Kind, model CostModel, buf []byte, store *durable) *SimDevice {
 	d := &SimDevice{
 		kind:  kind,
 		model: model,
-		buf:   getImage(size),
+		buf:   buf,
+		store: store,
 	}
 	if model.CacheBytes > 0 {
 		d.cache = newDeviceCache(model.CacheBytes, model.Granule, model.CacheWays)
-	}
-	if kind.Persistent() {
-		d.store = &memStore{img: getImage(size)}
 	}
 	d.failAfterFlushes = -1
 	d.failAfterDrains = -1
@@ -223,70 +238,10 @@ func NewWithModel(kind Kind, size int64, model CostModel) *SimDevice {
 	return d
 }
 
-// imagePool recycles device images across SimDevice lifetimes.  The
-// experiment grid creates and drops hundreds of multi-megabyte devices;
-// handing back their backing buffers keeps the allocator from faulting in
-// (and the GC from scavenging) gigabytes of fresh pages.  Each returned
-// buffer carries the high-water mark of its possibly-nonzero bytes, so
-// re-zeroing on reuse touches only the prefix the previous owner actually
-// dirtied; recycling stays invisible to device semantics.
-var imagePool struct {
-	mu   sync.Mutex
-	bufs []pooledImage
-}
-
-type pooledImage struct {
-	buf []byte
-	hi  int64 // bytes [hi, cap) are known zero
-}
-
-const imagePoolSlots = 16
-
-func getImage(size int64) []byte {
-	imagePool.mu.Lock()
-	best := -1
-	for i, p := range imagePool.bufs {
-		if int64(cap(p.buf)) >= size && (best < 0 || cap(p.buf) < cap(imagePool.bufs[best].buf)) {
-			best = i
-		}
-	}
-	var b []byte
-	var hi int64
-	if best >= 0 {
-		b = imagePool.bufs[best].buf[:size]
-		hi = imagePool.bufs[best].hi
-		last := len(imagePool.bufs) - 1
-		imagePool.bufs[best] = imagePool.bufs[last]
-		imagePool.bufs = imagePool.bufs[:last]
-	}
-	imagePool.mu.Unlock()
-	if b == nil {
-		return make([]byte, size)
-	}
-	// Clear the whole dirty prefix — it can extend past size, since the
-	// buffer's capacity may exceed what this device asked for, and the
-	// zero-beyond-hi invariant must hold for the next recycling too.
-	clear(b[:cap(b)][:min(hi, int64(cap(b)))])
-	return b
-}
-
-func putImage(b []byte, hi int64) {
-	if cap(b) == 0 {
-		return
-	}
-	if hi > int64(len(b)) {
-		hi = int64(len(b))
-	}
-	imagePool.mu.Lock()
-	if len(imagePool.bufs) < imagePoolSlots {
-		imagePool.bufs = append(imagePool.bufs, pooledImage{buf: b[:0], hi: hi})
-	}
-	imagePool.mu.Unlock()
-}
-
 // Open creates (or reopens) a file-backed simulated device at path.  If the
 // file exists its contents become the durable and volatile images; otherwise
-// it is created zero-filled at the given size.  DRAM kind rejects file
+// it is created zero-filled at the given size.  Neither case reads the file:
+// both images are mappings of it (see durable).  DRAM kind rejects file
 // backing, since DRAM does not persist.
 func Open(kind Kind, path string, size int64) (*SimDevice, error) {
 	if kind == KindDRAM {
@@ -296,27 +251,31 @@ func Open(kind Kind, path string, size int64) (*SimDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nvm: open %s: %w", path, err)
 	}
+	store := &durable{f: f}
 	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("nvm: stat %s: %w", path, err)
-	}
-	if fi.Size() == 0 {
-		if err := f.Truncate(size); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("nvm: size %s: %w", path, err)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("nvm: stat %s: %w", path, err)
+	case fi.Size() == 0:
+		if err = f.Truncate(size); err != nil {
+			err = fmt.Errorf("nvm: size %s: %w", path, err)
 		}
-	} else {
+	default:
+		// What an earlier process persisted is unknown: all of it may be.
 		size = fi.Size()
+		store.hi = size
 	}
-	d := NewWithModel(kind, size, ModelFor(kind))
-	d.store = &fileStore{f: f}
-	if err := d.store.load(d.buf); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("nvm: load %s: %w", path, err)
+	if err == nil {
+		store.img, err = mapImage(f, size, true)
 	}
-	d.dirtyHi = int64(len(d.buf))
-	return d, nil
+	var buf []byte
+	if err == nil {
+		buf, err = store.volatile()
+	}
+	if err != nil {
+		return nil, errors.Join(err, store.close())
+	}
+	return newDevice(kind, ModelFor(kind), buf, store), nil
 }
 
 // Kind implements Device.
@@ -727,9 +686,7 @@ func (d *SimDevice) Drain() error {
 		if src == nil {
 			src = d.buf[p.off : p.off+p.n]
 		}
-		if err := d.store.persist(p.off, src); err != nil {
-			return err
-		}
+		d.store.persist(p.off, src)
 		if batch != nil {
 			batch = append(batch, ShipRange{Off: p.off, Data: src})
 		}
@@ -754,7 +711,8 @@ func (d *SimDevice) dropPendingLocked() {
 }
 
 // Crash simulates a power failure: the pending set is dropped, and the
-// volatile image is discarded and reloaded from the durable image.  Writes
+// volatile image is discarded and reloaded from the durable image (a
+// file-backed device maps it anew, so views into the old one fault).  Writes
 // that were not both flushed and drained vanish.  The device stays usable;
 // stats and cache are reset.  Volatile (DRAM) devices come back zero-filled.
 func (d *SimDevice) Crash() error {
@@ -785,13 +743,22 @@ func (d *SimDevice) crashLocked(rng *rand.Rand) error {
 		}
 	}
 	d.dropPendingLocked()
-	clear(d.buf[:min(d.dirtyHi, int64(len(d.buf)))])
-	d.dirtyHi = 0
-	if d.store != nil {
-		if err := d.store.load(d.buf); err != nil {
+	if d.fileBackedLocked() {
+		fresh, err := d.store.volatile()
+		if err != nil {
 			return err
 		}
-		d.dirtyHi = int64(len(d.buf))
+		old := d.buf
+		d.buf = fresh
+		if err := freeImage(old); err != nil {
+			return err
+		}
+	} else {
+		clear(d.buf[:d.dirtyHi])
+		d.dirtyHi = 0
+		if d.store != nil {
+			d.dirtyHi = int64(copy(d.buf, d.store.img[:d.store.hi]))
+		}
 	}
 	if d.cache != nil {
 		d.cache.reset()
@@ -839,9 +806,7 @@ func (d *SimDevice) persistPendingSubsetLocked(rng *rand.Rand) error {
 			}
 			lo := max(p.off, gr*g)
 			hi := min(p.off+p.n, (gr+1)*g)
-			if err := d.store.persist(lo, src[lo-p.off:hi-p.off]); err != nil {
-				return err
-			}
+			d.store.persist(lo, src[lo-p.off:hi-p.off])
 		}
 	}
 	return d.store.sync()
@@ -864,18 +829,11 @@ func (d *SimDevice) CloneDurable() (*SimDevice, error) {
 	if d.store == nil {
 		return nd, nil
 	}
-	if err := d.store.load(nd.buf); err != nil {
-		return nil, err
-	}
-	hi := int64(len(nd.buf))
-	if ms, ok := d.store.(*memStore); ok {
-		hi = min(ms.hi, hi)
-	}
-	nd.dirtyHi = hi
-	if nms, ok := nd.store.(*memStore); ok {
-		copy(nms.img[:hi], nd.buf[:hi])
-		nms.hi = hi
-	}
+	// Both of the clone's images are fresh, so zero: the persisted prefix is
+	// all there is to copy.
+	prefix := d.store.img[:d.store.hi]
+	nd.dirtyHi = int64(copy(nd.buf, prefix))
+	nd.store.persist(0, prefix)
 	for _, p := range d.pending {
 		src := p.data
 		if src == nil {
@@ -887,8 +845,9 @@ func (d *SimDevice) CloneDurable() (*SimDevice, error) {
 	return nd, nil
 }
 
-// ReadDurable copies the durable image into dst, which must be exactly
-// Size() bytes.  The copy is host-side and uncharged: replication bootstrap
+// ReadDurable makes dst, which must be exactly Size() bytes, a copy of the
+// durable image: the persisted prefix is copied and the rest of dst zeroed.
+// The copy is host-side and uncharged: replication bootstrap
 // streams the snapshot off the modeled critical path (the cost of making it
 // durable again is charged at the destination device, per the
 // persist-at-the-destination discipline).  A volatile device has no durable
@@ -903,11 +862,12 @@ func (d *SimDevice) ReadDurable(dst []byte) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if d.store == nil {
-		clear(dst)
-		return nil
+	var n int
+	if d.store != nil {
+		n = copy(dst, d.store.img[:d.store.hi])
 	}
-	return d.store.load(dst)
+	clear(dst[n:])
+	return nil
 }
 
 // DurableCRC returns the IEEE CRC-32 of the durable image — the replication
@@ -915,13 +875,28 @@ func (d *SimDevice) ReadDurable(dst []byte) error {
 // materializing both for inspection.  Volatile devices checksum their
 // (empty) durable contents: the CRC of a zero-filled image.
 func (d *SimDevice) DurableCRC() (uint32, error) {
-	buf := getImage(int64(len(d.buf)))
-	defer putImage(buf, int64(len(buf)))
-	if err := d.ReadDurable(buf); err != nil {
-		return 0, err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return 0, ErrClosed
 	}
-	return crc32.ChecksumIEEE(buf), nil
+	var crc uint32
+	rest := len(d.buf)
+	if d.store != nil {
+		crc = crc32.ChecksumIEEE(d.store.img[:d.store.hi])
+		rest -= int(d.store.hi)
+	}
+	// The image past the persisted prefix is zero and was never touched:
+	// checksum a fixed zero block in its place.
+	for rest > 0 {
+		n := min(rest, len(zeroBlock))
+		crc = crc32.Update(crc, crc32.IEEETable, zeroBlock[:n])
+		rest -= n
+	}
+	return crc, nil
 }
+
+var zeroBlock [64 << 10]byte
 
 // PersistEvents returns how many persistence events (Flush and Drain calls,
 // combined) the device has seen over its lifetime.  Unlike Stats it is never
@@ -965,7 +940,10 @@ func (d *SimDevice) DisarmFailPoints() {
 	d.failFromEvent = -1
 }
 
-// Close implements Device.
+// Close implements Device.  It gives up the durable image (and closes a
+// backing file): a closed device's durable image is unreachable — Flush,
+// Drain, Crash and the durable readers all fail with ErrClosed first.  The
+// volatile image stays mapped, readable and writable, until Discard.
 func (d *SimDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -974,31 +952,34 @@ func (d *SimDevice) Close() error {
 	}
 	d.closed = true
 	if d.store != nil {
-		err := d.store.close()
-		// A closed in-memory durable image is unreachable (Flush, Drain
-		// and Crash all fail with ErrClosed first), so it can be recycled.
-		if ms, ok := d.store.(*memStore); ok {
-			putImage(ms.img, ms.hi)
-			ms.img = nil
-		}
-		return err
+		return d.store.close()
 	}
 	return nil
 }
 
-// Discard closes the device and recycles its volatile image for reuse by a
-// future device.  Unlike Close — after which volatile reads and writes still
-// work — the device must not be used at all after Discard (accesses panic).
-// Callers that own the device's whole lifecycle (the experiment harness, the
-// engine) use it to keep the grid from re-faulting fresh pages per cell.
+// Discard closes the device and gives up its volatile image too, which
+// nothing else ever does: every device is owed one Discard by whoever owns
+// its lifecycle (the engine, the experiment harness, a test).  Unlike Close —
+// after which volatile reads and writes still work — the device must not be
+// used at all after Discard: accesses through it panic with an ordinary
+// bounds error, and a view obtained earlier (ReadView, a ShipRange) reads
+// another device's bytes or faults.  The caller orders Discard after the
+// device's last user, as it orders every other write to the device.
 func (d *SimDevice) Discard() error {
 	err := d.Close()
 	d.mu.Lock()
-	putImage(d.buf, d.dirtyHi)
+	defer d.mu.Unlock()
+	buf := d.buf
 	d.buf = nil
-	d.mu.Unlock()
-	return err
+	if d.fileBackedLocked() {
+		return errors.Join(err, freeImage(buf))
+	}
+	return errors.Join(err, recycleImage(buf, d.dirtyHi))
 }
+
+// fileBackedLocked reports whether the images map a file (Open) rather than
+// anonymous memory.
+func (d *SimDevice) fileBackedLocked() bool { return d.store != nil && d.store.f != nil }
 
 func (d *SimDevice) checkRange(off, n int64) error {
 	if off < 0 || n < 0 || off+n > int64(len(d.buf)) {

@@ -22,6 +22,7 @@ func must(t testing.TB, err error) {
 func newTestPool(t *testing.T, size int64) (*Pool, *nvm.SimDevice) {
 	t.Helper()
 	dev := nvm.New(nvm.KindNVM, size)
+	t.Cleanup(func() { dev.Discard() })
 	p, err := Create(dev, Options{LogCap: 4096})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -68,6 +69,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 
 func TestOpenNoPool(t *testing.T) {
 	dev := nvm.New(nvm.KindNVM, 1<<16)
+	defer dev.Discard()
 	if _, err := Open(dev); !errors.Is(err, ErrNoPool) {
 		t.Errorf("Open on empty device: %v", err)
 	}
@@ -372,6 +374,7 @@ func TestQuickTxDurability(t *testing.T) {
 			vals = vals[:100]
 		}
 		dev := nvm.New(nvm.KindNVM, 1<<20)
+		defer dev.Discard()
 		p, err := Create(dev, Options{LogCap: 8192})
 		if err != nil {
 			return false

@@ -182,6 +182,7 @@ func TestTornCreateNeverMisSized(t *testing.T) {
 	opts := Options{LogCap: 4096}
 
 	dev0 := nvm.New(nvm.KindNVM, size)
+	defer dev0.Discard()
 	if _, err := Create(dev0, opts); err != nil {
 		t.Fatalf("reference Create: %v", err)
 	}
@@ -189,25 +190,28 @@ func TestTornCreateNeverMisSized(t *testing.T) {
 
 	for cut := int64(0); cut < total; cut++ {
 		for seed := int64(0); seed < tornSeeds; seed++ {
-			dev := nvm.New(nvm.KindNVM, size)
-			dev.FailFromPersistEvent(cut)
-			if _, err := Create(dev, opts); err == nil {
-				t.Fatalf("cut %d: Create succeeded despite injected failure", cut)
-			}
-			must(t, dev.CrashAt(seed))
-			dev.DisarmFailPoints()
+			func() {
+				dev := nvm.New(nvm.KindNVM, size)
+				defer dev.Discard()
+				dev.FailFromPersistEvent(cut)
+				if _, err := Create(dev, opts); err == nil {
+					t.Fatalf("cut %d: Create succeeded despite injected failure", cut)
+				}
+				must(t, dev.CrashAt(seed))
+				dev.DisarmFailPoints()
 
-			p, err := Open(dev)
-			if errors.Is(err, ErrNoPool) || errors.Is(err, ErrCorrupt) {
-				continue // nothing durable (or torn header); caller recreates
-			}
-			if err != nil {
-				t.Fatalf("cut %d seed %d: Open: %v", cut, seed, err)
-			}
-			checkWellFormed(t, p, dev)
-			if p.Phase() != 0 {
-				t.Fatalf("cut %d seed %d: fresh pool phase = %d", cut, seed, p.Phase())
-			}
+				p, err := Open(dev)
+				if errors.Is(err, ErrNoPool) || errors.Is(err, ErrCorrupt) {
+					return // nothing durable (or torn header); caller recreates
+				}
+				if err != nil {
+					t.Fatalf("cut %d seed %d: Open: %v", cut, seed, err)
+				}
+				checkWellFormed(t, p, dev)
+				if p.Phase() != 0 {
+					t.Fatalf("cut %d seed %d: fresh pool phase = %d", cut, seed, p.Phase())
+				}
+			}()
 		}
 	}
 }

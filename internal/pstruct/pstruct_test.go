@@ -22,6 +22,7 @@ func must(t testing.TB, err error) {
 func testPool(t testing.TB, size int64) *pmem.Pool {
 	t.Helper()
 	dev := nvm.New(nvm.KindNVM, size)
+	t.Cleanup(func() { dev.Discard() })
 	p, err := pmem.Create(dev, pmem.Options{LogCap: 4096})
 	if err != nil {
 		t.Fatalf("Create pool: %v", err)
@@ -110,6 +111,7 @@ func TestVectorReopen(t *testing.T) {
 
 func TestVectorPersistence(t *testing.T) {
 	dev := nvm.New(nvm.KindNVM, 1<<20)
+	defer dev.Discard()
 	p, _ := pmem.Create(dev, pmem.Options{LogCap: 4096})
 	v, _ := NewVector(p, 4)
 	v.Append(5)
@@ -261,6 +263,7 @@ func TestHashTableRange(t *testing.T) {
 
 func TestHashTableReopen(t *testing.T) {
 	dev := nvm.New(nvm.KindNVM, 1<<20)
+	defer dev.Discard()
 	p, _ := pmem.Create(dev, pmem.Options{LogCap: 4096})
 	h, _ := NewHashTable(p, 20)
 	for i := uint64(0); i < 20; i++ {
@@ -356,6 +359,7 @@ func TestGrowableCostsMoreThanBounded(t *testing.T) {
 	// writes strictly more bytes than a bounded one for the same workload.
 	const n = 4096
 	devA := nvm.New(nvm.KindNVM, 1<<22)
+	defer devA.Discard()
 	poolA, _ := pmem.Create(devA, pmem.Options{})
 	bounded, _ := NewVector(poolA, n)
 	devA.ResetStats()
@@ -365,6 +369,7 @@ func TestGrowableCostsMoreThanBounded(t *testing.T) {
 	boundedBytes := devA.Stats().BytesWritten
 
 	devB := nvm.New(nvm.KindNVM, 1<<22)
+	defer devB.Discard()
 	poolB, _ := pmem.Create(devB, pmem.Options{})
 	grow, _ := NewGrowableVector(poolB, 4)
 	devB.ResetStats()
@@ -593,6 +598,7 @@ func TestDenseCounterBasics(t *testing.T) {
 
 func TestDenseCounterRangeAndReopen(t *testing.T) {
 	dev := nvm.New(nvm.KindNVM, 1<<20)
+	defer dev.Discard()
 	p, _ := pmem.Create(dev, pmem.Options{LogCap: 4096})
 	c, _ := NewDenseCounter(p, 64)
 	want := map[uint64]uint64{}

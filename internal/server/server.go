@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	runtimemetrics "runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/text-analytics/ntadoc"
+	"github.com/text-analytics/ntadoc/internal/nvm"
 	"github.com/text-analytics/ntadoc/internal/wire"
 )
 
@@ -19,7 +21,8 @@ import (
 type Config struct {
 	// Engine is the loaded engine the server fronts (required).  The
 	// server owns its query scheduling: nothing else may run engine task
-	// methods or Close while the server is serving.
+	// methods while the server is serving, and the engine is closed only
+	// after the server's own Close has returned.
 	Engine *ntadoc.Engine
 	// Sessions bounds concurrent traversals: the size of the query-session
 	// pool (default 8).
@@ -130,6 +133,23 @@ func New(cfg Config) (*Server, error) {
 		return sess.RunSpecJSON(ctx, spec)
 	}
 	return s, nil
+}
+
+// Close quiesces the server so that its engine can be closed after it: it
+// stops admitting queries and appends and returns once every borrowed
+// session is back and any append in flight has finished.  Closing the
+// engine unmaps its device images, and a traversal still reading one would
+// fault; the pool drain is what orders the two.  Later requests answer 503.
+func (s *Server) Close() {
+	s.recoverMu.Lock()
+	defer s.recoverMu.Unlock()
+	// A server that latched down did so with its pool already drained.
+	if !s.down.Swap(true) {
+		s.pool.drain()
+	}
+	// An append that passed its down check before the swap holds appendMu.
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 }
 
 // Handler returns the server's HTTP surface.
@@ -398,6 +418,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		docs[i] = ntadoc.Document{Name: d.Name, Text: d.Text}
 	}
 	s.appendMu.Lock()
+	if s.down.Load() { // checked again under the lock Close waits on
+		s.appendMu.Unlock()
+		s.appendsErr.Add(1)
+		http.Error(w, "engine down", http.StatusServiceUnavailable)
+		return
+	}
 	err := s.eng.Append(docs)
 	s.appendMu.Unlock()
 	switch {
@@ -537,6 +563,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE ntadoc_footprint_bytes gauge")
 	p(`ntadoc_footprint_bytes{tier="device"} %d`, dev)
 	p(`ntadoc_footprint_bytes{tier="dram"} %d`, dram)
+	// Where the process's memory is: resident memory is about the heap goal
+	// plus the touched prefix of every mapped image (/debug/engine has each
+	// pool's) plus stacks and runtime structures.
+	heap := []runtimemetrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	runtimemetrics.Read(heap)
+	p("# HELP ntadoc_device_mapped_bytes Address space mapped by device images, live or discarded and waiting for reuse; only touched pages are resident.")
+	p("# TYPE ntadoc_device_mapped_bytes gauge")
+	p(`ntadoc_device_mapped_bytes{images="live"} %d`, nvm.MappedBytes())
+	p(`ntadoc_device_mapped_bytes{images="recycled"} %d`, nvm.RecycledBytes())
+	p("# HELP ntadoc_go_heap_live_bytes Heap the last garbage collection marked live.")
+	p("# TYPE ntadoc_go_heap_live_bytes gauge")
+	p("ntadoc_go_heap_live_bytes %d", heap[0].Value.Uint64())
+	p("# HELP ntadoc_go_heap_goal_bytes Heap size the garbage collector lets the process reach before the next cycle ends.")
+	p("# TYPE ntadoc_go_heap_goal_bytes gauge")
+	p("ntadoc_go_heap_goal_bytes %d", heap[1].Value.Uint64())
 
 	st := s.eng.DeviceCounters()
 	p("# HELP ntadoc_device Simulated device counters summed across shards.")
@@ -568,18 +609,28 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Entries int `json:"entries"`
 		Max     int `json:"max"`
 	}
+	type shardPoolInfo struct {
+		Size      int64 `json:"size_bytes"`
+		Used      int64 `json:"used_bytes"`
+		Followers int   `json:"followers"`
+	}
+	var pools []shardPoolInfo
+	for _, sp := range s.eng.ShardPools() {
+		pools = append(pools, shardPoolInfo(sp))
+	}
 	info := struct {
-		Generation string    `json:"generation"`
-		BuildTag   string    `json:"build_tag"`
-		Down       bool      `json:"down"`
-		Shards     int       `json:"shards"`
-		Documents  []string  `json:"documents"`
-		Strategies []string  `json:"planner_strategies"`
-		Replicas   []int     `json:"live_followers,omitempty"`
-		Failovers  int       `json:"failovers"`
-		Recoveries int64     `json:"recoveries"`
-		Pool       poolInfo  `json:"pool"`
-		Cache      cacheInfo `json:"cache"`
+		Generation string          `json:"generation"`
+		BuildTag   string          `json:"build_tag"`
+		Down       bool            `json:"down"`
+		Shards     int             `json:"shards"`
+		Documents  []string        `json:"documents"`
+		Strategies []string        `json:"planner_strategies"`
+		ShardPools []shardPoolInfo `json:"shard_pools"`
+		Replicas   []int           `json:"live_followers,omitempty"`
+		Failovers  int             `json:"failovers"`
+		Recoveries int64           `json:"recoveries"`
+		Pool       poolInfo        `json:"pool"`
+		Cache      cacheInfo       `json:"cache"`
 	}{
 		Generation: s.Generation(),
 		BuildTag:   fmt.Sprintf("%08x", s.eng.BuildTag()),
@@ -587,6 +638,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Shards:     s.eng.NumShards(),
 		Documents:  s.eng.DocumentNames(),
 		Strategies: s.eng.ShardStrategies(),
+		ShardPools: pools,
 		Replicas:   s.eng.LiveFollowers(),
 		Failovers:  s.eng.FailoverCount(),
 		Recoveries: s.recoveries.Load(),

@@ -497,10 +497,17 @@ func TestOperationalEndpoints(t *testing.T) {
 		"ntadoc_session_workspace_bytes",
 		`ntadoc_device{counter="reads"}`,
 		`ntadoc_phase_modeled_nanos{phase="traversal"}`,
+		fmt.Sprintf("ntadoc_device_mapped_bytes{images=\"live\"} %d\n", nvm.MappedBytes()),
+		`ntadoc_device_mapped_bytes{images="recycled"} `,
+		"ntadoc_go_heap_live_bytes ",
+		"ntadoc_go_heap_goal_bytes ",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if nvm.MappedBytes() == 0 || strings.Contains(string(body), "ntadoc_go_heap_goal_bytes 0\n") {
+		t.Error("/metrics memory gauges read zero on a serving daemon")
 	}
 
 	rec = httptest.NewRecorder()
@@ -510,7 +517,12 @@ func TestOperationalEndpoints(t *testing.T) {
 		Documents  []string `json:"documents"`
 		Generation string   `json:"generation"`
 		Strategies []string `json:"planner_strategies"`
-		Pool       struct {
+		ShardPools []struct {
+			Size      int64 `json:"size_bytes"`
+			Used      int64 `json:"used_bytes"`
+			Followers int   `json:"followers"`
+		} `json:"shard_pools"`
+		Pool struct {
 			WorkspaceBytes int64 `json:"session_workspace_bytes"`
 		} `json:"pool"`
 	}
@@ -530,6 +542,92 @@ func TestOperationalEndpoints(t *testing.T) {
 	if info.Generation == "" || len(info.Strategies) == 0 {
 		t.Errorf("debug missing generation/strategies: %+v", info)
 	}
+	// Each shard's device maps two images and so does its one follower:
+	// what the daemon maps is what its pools say it should.
+	var mapped int64
+	for i, sp := range info.ShardPools {
+		if sp.Used <= 0 || sp.Used > sp.Size || sp.Followers != 1 {
+			t.Errorf("debug shard_pools[%d] = %+v, want 0 < used <= size and one follower", i, sp)
+		}
+		mapped += 2 * sp.Size * int64(1+sp.Followers)
+	}
+	if len(info.ShardPools) != eng.NumShards() || mapped != nvm.MappedBytes() {
+		t.Errorf("debug shard_pools = %+v account for %d mapped bytes, the process maps %d",
+			info.ShardPools, mapped, nvm.MappedBytes())
+	}
+}
+
+// TestCloseOrdersSessionsBeforeEngineClose: closing the engine unmaps the
+// device images the sessions read, so the two must be ordered, and the
+// server's Close is what orders them — it returns only when no session is
+// borrowed and none can be again.  Clients keep hammering the miss path
+// across Close and the engine's Close; run under -race (make race) any
+// traversal that overlapped the unmapping is a reported race on the device,
+// and outside it a fault.
+func TestCloseOrdersSessionsBeforeEngineClose(t *testing.T) {
+	a, err := ntadoc.CompressSharded(serverDocs, 2)
+	if err != nil {
+		t.Fatalf("CompressSharded: %v", err)
+	}
+	eng, err := ntadoc.NewEngine(a, ntadoc.Options{IngestCapacity: 1 << 16})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s, err := New(Config{Engine: eng, Sessions: 4, QueueDepth: 64, CacheEntries: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h := s.Handler()
+
+	var served, refused atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				if c == 0 {
+					body := fmt.Sprintf(`{"documents":[{"name":"live%d","text":"the quick fox again"}]}`, i)
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/append", strings.NewReader(body)))
+				} else {
+					url := fmt.Sprintf("/v1/query?task=termvector&k=%d", 1+(c*1000+i)%50)
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+				}
+				switch rec.Code {
+				case http.StatusOK:
+					served.Add(1)
+				case http.StatusServiceUnavailable, http.StatusTooManyRequests, http.StatusInsufficientStorage:
+					refused.Add(1)
+				default:
+					t.Errorf("client %d: status %d: %s", c, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(c)
+	}
+	for served.Load() < 50 {
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	if got := s.pool.idle(); got != 0 {
+		t.Errorf("%d sessions are still on offer after Close", got)
+	}
+	if err := eng.Close(); err != nil {
+		t.Errorf("engine Close: %v", err)
+	}
+	before := refused.Load()
+	for refused.Load() < before+20 { // clients are still arriving, and being refused
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestPoolHandsOutWarmSessions: the pool is a stack.  Serial requests keep

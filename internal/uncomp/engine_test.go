@@ -13,6 +13,7 @@ import (
 func load(t testing.TB, files [][]uint32, d *dict.Dictionary) (*Engine, *nvm.SimDevice) {
 	t.Helper()
 	dev := nvm.New(nvm.KindNVM, RequiredSize(files)+4096)
+	t.Cleanup(func() { dev.Discard() })
 	e, err := Load(dev, d, files)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -26,6 +27,7 @@ func load(t testing.TB, files [][]uint32, d *dict.Dictionary) (*Engine, *nvm.Sim
 func TestLoadRejectsSmallDevice(t *testing.T) {
 	files := [][]uint32{{1, 2, 3, 4, 5, 6, 7, 8}}
 	dev := nvm.New(nvm.KindNVM, 4)
+	defer dev.Discard()
 	if _, err := Load(dev, dict.New(), files); err == nil {
 		t.Error("expected size error")
 	}

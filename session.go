@@ -131,6 +131,30 @@ func (e *Engine) LiveFollowers() []int {
 	return out
 }
 
+// ShardPool is one shard's simulated-device pool as the process holds it.
+// The device keeps the pool in page mappings, of which only the touched
+// prefix is resident: about Used bytes in each of the primary's two images
+// (volatile and durable), and all Size bytes in each image of a follower,
+// whose bootstrap installs the whole image.
+type ShardPool struct {
+	Size      int64 // bytes each of the device's images maps
+	Used      int64 // the pool's allocation watermark
+	Followers int   // live follower devices
+}
+
+// ShardPools reports every shard's pool (nil for DRAM engines).
+func (e *Engine) ShardPools() []ShardPool {
+	if e.sh == nil {
+		return nil
+	}
+	out := make([]ShardPool, e.sh.NumShards())
+	for i := range out {
+		p := e.sh.Shard(i).Pool()
+		out[i] = ShardPool{Size: p.Size(), Used: p.Allocated(), Followers: len(e.sh.Followers(i))}
+	}
+	return out
+}
+
 // ShardStrategies reports the per-file traversal direction the cost-based
 // planner resolved for each shard (nil for DRAM engines).
 func (e *Engine) ShardStrategies() []string {
