@@ -31,6 +31,9 @@ staticcheck:
 		echo 'staticcheck: not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)'; \
 	fi
 
+# This pass is also where the allocation budgets run (the fused batch's
+# ceiling in internal/core, the served mix's bytes per body byte in the root
+# package): they skip themselves under the race detector.
 test:
 	$(GO) test ./...
 
@@ -40,9 +43,11 @@ test:
 # one engine could share, so the tests that run sessions side by side get ten
 # rounds — and so does the one that closes the engine under the daemon's
 # clients, where an unordered traversal would be reading an unmapped image.
+# The same rounds cover the one thing sessions build on a shared engine: its
+# sequence order, ranked by whichever first queries get there (seqOrder).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions' ./internal/core
+	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCloseOrdersSessionsBeforeEngineClose' ./internal/server
 
 # One iteration of every benchmark, as a compile-and-run smoke test.
@@ -52,9 +57,11 @@ bench-smoke:
 # The serving path's microbenchmarks, six runs each with allocation counts,
 # in the form benchstat reads: `make microbench > new.txt`, then
 # `benchstat old.txt new.txt` against a run of the commit being compared.
-# Egress (hit-path handler, result encoder, shard merge; EXPERIMENTS.md
-# "Egress path"), then the kernel traversal per direction — one warmed session
-# serving each task and the fused batch on a top-down and a bottom-up shape —
+# Egress (hit-path handler, result encoder, shard merge — per task, and the
+# `cold-miss` shape's two-unit ranked index; EXPERIMENTS.md "Egress path",
+# "Array results"), then the kernel traversal per direction — one warmed
+# session serving each task and the fused batch on a top-down and a bottom-up
+# shape, with alloc-B/body-B, the heap bytes allocated per body byte served —
 # with the device round trips under it (batched body read, table re-attach;
 # EXPERIMENTS.md "Session workspaces").  Last the persistent path: the engine
 # task path under both persistence strategies on the `engine-persist` shape,

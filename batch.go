@@ -226,25 +226,26 @@ func (e *Engine) RunSpec(spec BatchSpec) (*BatchResult, error) {
 	return e.convertBatch(spec, results), nil
 }
 
-// convertBatch maps the kernel's ID-keyed op results onto the public
-// string-keyed BatchResult, slot by slot in the spec's canonical order.
+// convertBatch builds the public string-keyed BatchResult from the kernel's
+// op results, slot by slot in the spec's canonical order: a keyed op's arrays
+// become the one map of its field, nothing ID-keyed in between.
 func (e *Engine) convertBatch(spec BatchSpec, results []any) *BatchResult {
 	c := e.converter()
 	out := &BatchResult{}
 	for i, t := range spec.tasks {
 		switch t {
 		case TaskWordCount:
-			out.WordCount = c.wordCounts(results[i].(map[uint32]uint64))
+			out.WordCount = c.wordCounts(results[i].([]analytics.WordFreq))
 		case TaskSort:
 			out.Sort = c.termCounts(results[i].([]analytics.WordFreq))
 		case TaskTermVectors:
 			out.TermVectors = c.termVectors(results[i].([][]analytics.WordFreq))
 		case TaskInvertedIndex:
-			out.InvertedIndex = c.invertedIndex(results[i].(map[uint32][]uint32))
+			out.InvertedIndex = c.invertedIndex(results[i].(*analytics.Postings[uint32, uint32]))
 		case TaskSequenceCount:
-			out.SequenceCount = c.sequenceCounts(results[i].(map[analytics.Seq]uint64))
+			out.SequenceCount = c.sequenceCounts(results[i].([]analytics.SeqFreq))
 		case TaskRankedInvertedIndex:
-			out.RankedInvertedIndex = c.rankedIndex(results[i].(map[analytics.Seq][]analytics.DocFreq))
+			out.RankedInvertedIndex = c.rankedIndex(results[i].(*analytics.Postings[analytics.Seq, analytics.DocFreq]))
 		}
 	}
 	return out
@@ -266,47 +267,47 @@ func (e *Engine) converter() *converter {
 
 func (c *converter) word(id uint32) string { return dict.WordIn(c.words, id) }
 
-// seqKeys joins the sequences of one result map into their string keys
-// ("w0 w1 w2").  The keys are cut from one buffer sized for all of them up
-// front: a result's ~10^5 keys cost one allocation instead of two each, and
-// the buffer never regrows — a regrown buffer would stay pinned, whole, by
-// the keys already cut from it.
-type seqKeys struct {
-	c   *converter
-	buf strings.Builder
+// seqKeyLen returns the length of q's key: its words joined by spaces.
+func (c *converter) seqKeyLen(q analytics.Seq) int {
+	n := len(q) - 1
+	for _, id := range q {
+		n += len(c.word(id))
+	}
+	return n
 }
 
-func newSeqKeys[V any](c *converter, m map[analytics.Seq]V) *seqKeys {
+// seqKeyer returns the function joining the n sequences seq names into their
+// string keys ("w0 w1 w2").  The keys are cut from one buffer sized for all of
+// them up front: a result's ~10^5 keys cost one allocation instead of two
+// each, and the buffer never regrows — a regrown buffer would stay pinned,
+// whole, by the keys already cut from it.
+func (c *converter) seqKeyer(n int, seq func(int) analytics.Seq) func(analytics.Seq) string {
 	size := 0
-	for q := range m {
-		for _, id := range q {
-			size += len(c.word(id)) + 1
-		}
+	for i := 0; i < n; i++ {
+		size += c.seqKeyLen(seq(i))
 	}
-	k := &seqKeys{c: c}
-	k.buf.Grow(size)
-	return k
+	var buf strings.Builder
+	buf.Grow(size)
+	return func(q analytics.Seq) string {
+		start := buf.Len()
+		for i, id := range q {
+			if i > 0 {
+				buf.WriteByte(' ')
+			}
+			buf.WriteString(c.word(id))
+		}
+		return buf.String()[start:]
+	}
 }
 
-// key returns q's space-joined words.
-func (k *seqKeys) key(q analytics.Seq) string {
-	start := k.buf.Len()
-	for i, id := range q {
-		if i > 0 {
-			k.buf.WriteByte(' ')
-		}
-		k.buf.WriteString(k.c.word(id))
-	}
-	return k.buf.String()[start:]
-}
+// Conversions from the kernel's results to the public string-keyed forms.
+// Sequences that join to one key (a word holding a space) collapse to the
+// last of them in key order — the one the encoder keeps too.
 
-// Conversions from internal ID-keyed results to the public string-keyed
-// forms, shared by the per-task methods and RunBatch.
-
-func (c *converter) wordCounts(counts map[uint32]uint64) map[string]uint64 {
+func (c *converter) wordCounts(counts []analytics.WordFreq) map[string]uint64 {
 	out := make(map[string]uint64, len(counts))
-	for id, n := range counts {
-		out[c.word(id)] = n
+	for _, wf := range counts {
+		out[c.word(wf.Word)] = wf.Freq
 	}
 	return out
 }
@@ -327,36 +328,38 @@ func (c *converter) termVectors(tv [][]analytics.WordFreq) [][]TermCount {
 	return out
 }
 
-func (c *converter) invertedIndex(inv map[uint32][]uint32) map[string][]string {
-	out := make(map[string][]string, len(inv))
-	for id, docs := range inv {
-		names := make([]string, len(docs))
-		for i, doc := range docs {
-			names[i] = c.docs[doc]
-		}
-		out[c.word(id)] = names
+// The posting lists of one result are cut, like the kernel's, from one array.
+
+func (c *converter) invertedIndex(inv *analytics.Postings[uint32, uint32]) map[string][]string {
+	out := make(map[string][]string, len(inv.Keys))
+	names := analytics.Postings[uint32, string]{Ends: inv.Ends, Items: make([]string, len(inv.Items))}
+	for i, doc := range inv.Items {
+		names.Items[i] = c.docs[doc]
+	}
+	for i, id := range inv.Keys {
+		out[c.word(id)] = names.List(i)
 	}
 	return out
 }
 
-func (c *converter) sequenceCounts(sc map[analytics.Seq]uint64) map[string]uint64 {
+func (c *converter) sequenceCounts(sc []analytics.SeqFreq) map[string]uint64 {
 	out := make(map[string]uint64, len(sc))
-	keys := newSeqKeys(c, sc)
-	for q, n := range sc {
-		out[keys.key(q)] = n
+	key := c.seqKeyer(len(sc), func(i int) analytics.Seq { return sc[i].Seq })
+	for _, sf := range sc {
+		out[key(sf.Seq)] = sf.Freq
 	}
 	return out
 }
 
-func (c *converter) rankedIndex(rii map[analytics.Seq][]analytics.DocFreq) map[string][]DocCount {
-	out := make(map[string][]DocCount, len(rii))
-	keys := newSeqKeys(c, rii)
-	for q, postings := range rii {
-		row := make([]DocCount, len(postings))
-		for i, p := range postings {
-			row[i] = DocCount{Doc: c.docs[p.Doc], Count: p.Freq}
-		}
-		out[keys.key(q)] = row
+func (c *converter) rankedIndex(rii *analytics.Postings[analytics.Seq, analytics.DocFreq]) map[string][]DocCount {
+	out := make(map[string][]DocCount, len(rii.Keys))
+	key := c.seqKeyer(len(rii.Keys), func(i int) analytics.Seq { return rii.Keys[i] })
+	rows := analytics.Postings[analytics.Seq, DocCount]{Ends: rii.Ends, Items: make([]DocCount, len(rii.Items))}
+	for i, p := range rii.Items {
+		rows.Items[i] = DocCount{Doc: c.docs[p.Doc], Count: p.Freq}
+	}
+	for i, q := range rii.Keys {
+		out[key(q)] = rows.List(i)
 	}
 	return out
 }

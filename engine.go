@@ -330,22 +330,26 @@ func (e *Engine) Compact() error {
 	return nil
 }
 
+// The per-task methods are one-task batches, except TermVectors, whose k is
+// a truncation (0 keeps every term) where a batch's is a choice of default.
+func (e *Engine) runTask(t Task) (*BatchResult, error) {
+	res, err := e.RunBatch(t)
+	if err != nil {
+		return &BatchResult{}, err
+	}
+	return res, nil
+}
+
 // WordCount returns the total occurrences of each word across the archive.
 func (e *Engine) WordCount() (map[string]uint64, error) {
-	counts, err := analytics.WordCount(e.inner)
-	if err != nil {
-		return nil, err
-	}
-	return e.converter().wordCounts(counts), nil
+	res, err := e.runTask(TaskWordCount)
+	return res.WordCount, err
 }
 
 // Sort returns the distinct words with counts in alphabetical order.
 func (e *Engine) Sort() ([]TermCount, error) {
-	wf, err := analytics.Sort(e.inner)
-	if err != nil {
-		return nil, err
-	}
-	return e.converter().termCounts(wf), nil
+	res, err := e.runTask(TaskSort)
+	return res.Sort, err
 }
 
 // TermVectors returns each document's words by descending frequency,
@@ -361,31 +365,22 @@ func (e *Engine) TermVectors(k int) ([][]TermCount, error) {
 // InvertedIndex maps each word to the names of the documents containing it,
 // in document order.
 func (e *Engine) InvertedIndex() (map[string][]string, error) {
-	inv, err := analytics.InvertedIndex(e.inner)
-	if err != nil {
-		return nil, err
-	}
-	return e.converter().invertedIndex(inv), nil
+	res, err := e.runTask(TaskInvertedIndex)
+	return res.InvertedIndex, err
 }
 
 // SequenceCount returns the occurrences of each three-word sequence, keyed
 // by the space-joined words.
 func (e *Engine) SequenceCount() (map[string]uint64, error) {
-	sc, err := analytics.SequenceCount(e.inner)
-	if err != nil {
-		return nil, err
-	}
-	return e.converter().sequenceCounts(sc), nil
+	res, err := e.runTask(TaskSequenceCount)
+	return res.SequenceCount, err
 }
 
 // RankedInvertedIndex maps each three-word sequence to its documents in
 // decreasing order of occurrence.
 func (e *Engine) RankedInvertedIndex() (map[string][]DocCount, error) {
-	rii, err := analytics.RankedInvertedIndex(e.inner)
-	if err != nil {
-		return nil, err
-	}
-	return e.converter().rankedIndex(rii), nil
+	res, err := e.runTask(TaskRankedInvertedIndex)
+	return res.RankedInvertedIndex, err
 }
 
 // TopTerms is a convenience: the n most frequent words across the archive,

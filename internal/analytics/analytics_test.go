@@ -3,6 +3,7 @@ package analytics
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -458,3 +459,47 @@ func TestRunDispatch(t *testing.T) {
 type stubEngine struct{}
 
 func (stubEngine) RunOps(ops []Op) ([]any, error) { return make([]any, len(ops)), nil }
+
+// TestCompareWireKeysMatchesJoinedStrings holds the in-place key comparison
+// to its definition — bytewise order of the materialized joined keys — over
+// every pair of sequences of a vocabulary chosen to break shortcuts: words
+// that are prefixes of one another, that continue below, at and above the
+// separator, and that hold it (so distinct sequences share a key).
+func TestCompareWireKeysMatchesJoinedStrings(t *testing.T) {
+	words := []string{"a", "ab", "a b", "b", "a\x1fb", "a!", "", " ", "b c"}
+	var seqs []Seq
+	for i := range words {
+		for j := range words {
+			for k := range words {
+				seqs = append(seqs, Seq{uint32(i), uint32(j), uint32(k)})
+			}
+		}
+	}
+	sign := func(c int) int { return max(-1, min(1, c)) }
+	shared := 0
+	for _, a := range seqs {
+		ka := joinSeq(words, a)
+		for _, b := range seqs {
+			want := strings.Compare(ka, joinSeq(words, b))
+			if got := sign(CompareWireKeys(words, a, b)); got != want {
+				t.Fatalf("CompareWireKeys(%q, %q) = %d, want %d", ka, joinSeq(words, b), got, want)
+			}
+			if want == 0 && a != b {
+				shared++
+				if compareWire(words, a, b) != CompareSeq(a, b) {
+					t.Fatalf("wire order of %v and %v, which share key %q, is not CompareSeq's", a, b, ka)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("the vocabulary produced no two sequences sharing a key")
+	}
+	order := RankSequences(seqs, words)
+	for r := 1; r < len(order.Order); r++ {
+		a, b := seqs[order.Order[r-1]], seqs[order.Order[r]]
+		if strings.Compare(joinSeq(words, a), joinSeq(words, b)) > 0 || order.Rank[order.Order[r]] != uint32(r) {
+			t.Fatalf("RankSequences: position %d out of order, or rank is not the inverse", r)
+		}
+	}
+}

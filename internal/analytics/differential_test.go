@@ -18,8 +18,8 @@ import (
 
 // This file is the single cross-executor differential test: every
 // registered op runs on every executor over several randomized corpora, and
-// each result is compared against the uncompressed reference
-// implementation.  It replaces the per-task reference checks that the
+// each result is compared, in its map form (MapResult), against the
+// uncompressed reference implementation.  It replaces the per-task reference checks that the
 // tadoc and uncomp packages used to carry individually.
 
 // refFor computes the reference result for op over the raw token files.
@@ -125,7 +125,7 @@ func TestOpsDifferentialAcrossExecutors(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v: %v", op.Task(), err)
 					}
-					if !reflect.DeepEqual(got, refs[op.Task()]) {
+					if !reflect.DeepEqual(analytics.MapResult(op, got), refs[op.Task()]) {
 						t.Errorf("%v: result differs from reference", op.Task())
 					}
 				}
@@ -153,7 +153,7 @@ func TestFusedDifferentialAcrossExecutors(t *testing.T) {
 				t.Fatalf("RunOps: %v", err)
 			}
 			for i, op := range ops {
-				if !reflect.DeepEqual(results[i], refFor(t, op, files, d)) {
+				if !reflect.DeepEqual(analytics.MapResult(op, results[i]), refFor(t, op, files, d)) {
 					t.Errorf("%v: fused result differs from reference", op.Task())
 				}
 			}

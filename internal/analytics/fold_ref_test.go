@@ -128,12 +128,15 @@ func runPerFileFolds(t *testing.T, env Env, docs []MapCounts, wordKeys bool) (tv
 			}
 		}
 	}
+	// The posting ops' results are compared in their map form.
+	ops := []Op{RankedInvertedIndexOp{}, TermVectorsOp{}, InvertedIndexOp{}}
 	res := make([]any, 3)
 	for i, f := range folds {
-		var err error
-		if res[i], err = f.Finish(); err != nil {
+		out, err := f.Finish()
+		if err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
+		res[i] = MapResult(ops[i], out)
 	}
 	return res[1], res[2], res[0]
 }
@@ -238,5 +241,85 @@ func TestPerFileFoldsHugeKeys(t *testing.T) {
 	// hundred bytes per record is generous; anything sized by key is 2^63.
 	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(records)*512; alloc > limit {
 		t.Errorf("folding %d records under huge keys allocated %d bytes, more than %d", records, alloc, limit)
+	}
+}
+
+// TestFoldsFollowDeclaredOrder runs the four keyed folds under a key space
+// with a declared order — a seeded permutation — and with none: the same
+// results in map form, and under the order every result's keys ascend by
+// rank where otherwise they ascend by key.
+func TestFoldsFollowDeclaredOrder(t *testing.T) {
+	const keys = 120
+	docs := syntheticDocs(7, 12, keys)
+	total := MapCounts{}
+	for _, c := range docs {
+		for k, v := range c {
+			total[k] += v
+		}
+	}
+	order := KeyOrder{Rank: make([]uint32, keys), Order: make([]uint32, keys)}
+	for r, k := range rand.New(rand.NewSource(9)).Perm(keys) {
+		order.Order[r], order.Rank[k] = uint32(k), uint32(r)
+	}
+	ident := func(k uint64) uint64 { return k }
+	run := func(scratch *FoldScratch) []any {
+		var m metrics.Meter
+		env := scratchEnv{foldEnv{meter: &m, numFiles: len(docs), unmap: ident}, scratch}
+		ops := []Op{WordCountOp{}, SequenceCountOp{}, InvertedIndexOp{}, RankedInvertedIndexOp{}}
+		out := make([]any, len(ops))
+		for i, op := range ops {
+			f := op.NewFold(env)
+			if op.Scope() == ScopeGlobal {
+				if err := f.Global(total); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for d, c := range docs {
+				if op.Scope() == ScopePerFile {
+					if err := f.File(uint32(d), c); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var err error
+			if out[i], err = f.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	byKey := run(&FoldScratch{WordKeys: keys, SeqKeys: keys})
+	ranked := run(&FoldScratch{WordKeys: keys, SeqKeys: keys, WordOrder: order, SeqOrder: order})
+	seqKey := map[Seq]uint32{}
+	for k := uint32(0); k < keys; k++ {
+		seqKey[foldEnv{unmap: ident}.SeqOf(uint64(k))] = k
+	}
+	for i, op := range []Op{WordCountOp{}, SequenceCountOp{}, InvertedIndexOp{}, RankedInvertedIndexOp{}} {
+		if !reflect.DeepEqual(MapResult(op, ranked[i]), MapResult(op, byKey[i])) {
+			t.Errorf("%s: result under a declared order differs in map form", op.Name())
+		}
+		var ks []uint32
+		switch r := ranked[i].(type) {
+		case []WordFreq:
+			for _, wf := range r {
+				ks = append(ks, wf.Word)
+			}
+		case []SeqFreq:
+			for _, sf := range r {
+				ks = append(ks, seqKey[sf.Seq])
+			}
+		case *Postings[uint32, uint32]:
+			ks = r.Keys
+		case *Postings[Seq, DocFreq]:
+			for _, q := range r.Keys {
+				ks = append(ks, seqKey[q])
+			}
+		}
+		if len(ks) < keys/2 {
+			t.Fatalf("%s: only %d keys", op.Name(), len(ks))
+		}
+		if !slices.IsSortedFunc(ks, func(a, b uint32) int { return int(order.Rank[a]) - int(order.Rank[b]) }) {
+			t.Errorf("%s: keys are not in the declared order", op.Name())
+		}
 	}
 }

@@ -4,40 +4,27 @@
 // half folds the per-shard results back into one corpus-wide result here.
 // Merge semantics follow the op's declaration: global-scope ops combine
 // counters key-wise; per-file ops concatenate, offsetting document indices
-// by the shard's base.  Every canonical ordering (alphabetical sort, posting
-// ranking) is re-established after the merge, so merged results are
-// bit-identical to an unsharded run over the same corpus.
+// by the shard's base.  Merged results are bit-identical to an unsharded run
+// over the same corpus.
 //
-// Unit results are never mutated: callers keep them (failover retries,
-// replica lanes).  A posting list only one unit contributed, already in
-// global document numbering, is aliased read-only into the merged result
-// rather than copied; it is clipped first, so a later contribution appends
-// into fresh memory.  Only lists that need it are re-ordered at Finish — the
-// ones a second unit extended or a docmap unit touched (a docmap interleaves
-// documents) — since a unit's own lists arrive in canonical order and a
-// uniform document offset preserves it.
+// A keyed op's unit results arrive as arrays in wire order (see KeyOrder),
+// so their merge is a K-way merge over the units' keys, compared under
+// env.Dict(), into arrays of its own: a merged result shares no memory with
+// the unit results, which are only read — callers keep them (failover
+// retries, replica lanes).  A unit's own lists arrive in canonical order and
+// a uniform document offset preserves it, so only the lists more than one
+// unit contributed to, or a docmap unit did (a docmap interleaves
+// documents), are re-ordered.
 package analytics
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/text-analytics/ntadoc/internal/metrics"
 )
-
-// MergingFold is the merge capability of a fold: in addition to consuming
-// traversal counters, it can fold in the finished result of one shard's run
-// of the same op.  docBase is the global index of the shard's first
-// document; global-scope folds ignore it.  MergeShard calls must arrive in
-// ascending shard order and must not be mixed with Global/File deliveries;
-// Finish then produces the corpus-wide result.
-//
-// All registered ops implement it, which is what lets a sharded coordinator
-// run any op without task-specific merge code.
-type MergingFold interface {
-	Fold
-	MergeShard(result any, docBase uint32) error
-}
 
 // MergeShardResults folds per-shard results of op back into one corpus-wide
 // result.  results[i] is shard i's finished result; docBases[i] is the
@@ -48,33 +35,11 @@ func MergeShardResults(op Op, env Env, results []any, docBases []uint32) (any, e
 		return nil, fmt.Errorf("analytics: merge %s: %d results, %d doc bases",
 			op.Name(), len(results), len(docBases))
 	}
-	fold := op.NewFold(env)
-	mf, ok := fold.(MergingFold)
-	if !ok {
-		return nil, fmt.Errorf("analytics: op %s fold is not mergeable", op.Name())
-	}
+	units := make([]MergeUnit, len(results))
 	for i, res := range results {
-		if err := mf.MergeShard(res, docBases[i]); err != nil {
-			return nil, fmt.Errorf("analytics: merge %s shard %d: %w", op.Name(), i, err)
-		}
+		units[i] = MergeUnit{Result: res, DocBase: docBases[i]}
 	}
-	return mf.Finish()
-}
-
-// presized returns acc ready for a unit of n keys: while acc is still empty
-// it is replaced by a map with room for them, so the first unit — typically
-// most of the merged key set — is inserted without rehash growth.
-func presized[K comparable, V any](acc map[K]V, n int) map[K]V {
-	if len(acc) == 0 {
-		return make(map[K]V, n)
-	}
-	return acc
-}
-
-// mergeTypeError reports a shard result whose concrete type does not match
-// the op's canonical result type — always a coordinator bug.
-func mergeTypeError(name string, result any) error {
-	return fmt.Errorf("analytics: %s shard result has type %T", name, result)
+	return MergeUnits(op, env, units)
 }
 
 // MergeUnit is one independently-executed slice of the corpus to fold back:
@@ -89,247 +54,212 @@ type MergeUnit struct {
 	DocMap  []uint32
 }
 
-// MappedMergingFold is the docmap-aware merge capability.  All registered folds
-// implement it: global-scope folds ignore the mapping, per-file folds place
-// each unit-local document at its mapped global index.
-type MappedMergingFold interface {
-	MergingFold
-	MergeMapped(result any, docMap []uint32) error
+// merger is the merge capability of an op; all registered ops have it, so a
+// sharded coordinator runs any op without task-specific merge code.
+type merger interface {
+	merge(env Env, units []MergeUnit) (any, error)
 }
 
 // MergeUnits folds unit results of op back into one corpus-wide result.
-// Units must arrive in ascending order of their first global document; env
-// must describe the whole corpus (NumFiles spans base and appended
-// documents).
+// Units must arrive in ascending order of their first global document, keyed
+// results in wire order; env must describe the whole corpus (NumFiles spans
+// base and appended documents, Dict holds every word of every unit).
 func MergeUnits(op Op, env Env, units []MergeUnit) (any, error) {
-	fold := op.NewFold(env)
-	mf, ok := fold.(MappedMergingFold)
+	m, ok := op.(merger)
 	if !ok {
-		return nil, fmt.Errorf("analytics: op %s fold is not mergeable", op.Name())
+		return nil, fmt.Errorf("analytics: op %s is not mergeable", op.Name())
 	}
+	return m.merge(env, units)
+}
+
+// unitResults asserts every unit's result to the op's result type; another
+// type is always a coordinator bug.
+func unitResults[R any](op Op, units []MergeUnit) ([]R, error) {
+	out := make([]R, len(units))
 	for i, u := range units {
-		var err error
-		if u.DocMap == nil {
-			err = mf.MergeShard(u.Result, u.DocBase)
-		} else {
-			err = mf.MergeMapped(u.Result, u.DocMap)
+		r, ok := u.Result.(R)
+		if !ok {
+			return nil, fmt.Errorf("analytics: merge %s unit %d: result has type %T", op.Name(), i, u.Result)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("analytics: merge %s unit %d: %w", op.Name(), i, err)
-		}
+		out[i] = r
 	}
-	return mf.Finish()
+	return out, nil
 }
 
-// MergeShard sums per-word counters key-wise.
-func (f *wordCountFold) MergeShard(result any, _ uint32) error {
-	in, ok := result.(map[uint32]uint64)
-	if !ok {
-		return mergeTypeError("wordcount", result)
-	}
-	f.env.Charge(int64(len(in)), metrics.CostMergeEntry)
-	f.out = presized(f.out, len(in))
-	for w, n := range in {
-		f.out[w] += n
-	}
-	return nil
-}
-
-// MergeShard sums the sorted shard vocabularies key-wise; Finish re-sorts
-// the merged vocabulary alphabetically.
-func (f *sortFold) MergeShard(result any, _ uint32) error {
-	in, ok := result.([]WordFreq)
-	if !ok {
-		return mergeTypeError("sort", result)
-	}
-	f.acc = presized(f.acc, len(in))
-	f.env.Charge(int64(len(in)), metrics.CostMergeEntry)
-	for _, wf := range in {
-		f.acc[wf.Word] += wf.Freq
-	}
-	return nil
-}
-
-// MergeShard places the shard's per-document vectors at their global
-// document indices; vectors are already final (a document's term vector
-// depends only on that document).
-func (f *termVectorsFold) MergeShard(result any, docBase uint32) error {
-	in, ok := result.([][]WordFreq)
-	if !ok {
-		return mergeTypeError("termvectors", result)
-	}
-	if int(docBase)+len(in) > len(f.out) {
-		return fmt.Errorf("analytics: termvectors shard [%d, +%d) exceeds %d documents",
-			docBase, len(in), len(f.out))
-	}
-	f.env.Charge(int64(len(in)), metrics.CostMergeEntry)
-	for i, vec := range in {
-		f.out[int(docBase)+i] = vec
-	}
-	return nil
-}
-
-// MergeShard concatenates posting lists with documents offset to their
-// global indices; Finish re-sorts the lists more than one unit contributed
-// to into canonical document order.
-func (f *invertedIndexFold) MergeShard(result any, docBase uint32) error {
-	return f.merge(result, docBase, nil)
-}
-
-// merge folds one unit in: under docMap when it is non-nil, else at docBase.
-func (f *invertedIndexFold) merge(result any, docBase uint32, docMap []uint32) error {
-	in, ok := result.(map[uint32][]uint32)
-	if !ok {
-		return mergeTypeError("invertedindex", result)
-	}
-	f.out = presized(f.out, len(in))
-	var entries int64
-	//ntalint:ignore determcheck keyed appends commute across keys, and resort is a worklist of per-key sorts whose order never reaches the result; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.
-	for w, docs := range in {
-		if len(docs) == 0 {
-			continue
-		}
-		entries += int64(len(docs))
-		acc, seen := f.out[w]
-		if !seen && docMap == nil && docBase == 0 {
-			f.out[w] = slices.Clip(docs)
-			continue
-		}
-		if seen || docMap != nil {
-			f.resort = append(f.resort, w)
-		}
-		acc = slices.Grow(acc, len(docs))
-		for _, doc := range docs {
-			if docMap == nil {
-				acc = append(acc, doc+docBase)
+// kway walks lists, each ascending under cmp, in merged order: for every
+// distinct element visit gets the lists holding it, in list order, and every
+// list's position.
+func kway[E any](lists [][]E, cmp func(a, b *E) int, visit func(from, pos []int)) {
+	pos, from := make([]int, len(lists)), make([]int, 0, len(lists))
+	for {
+		from = from[:0]
+		for u, l := range lists {
+			if pos[u] == len(l) {
 				continue
 			}
-			if int(doc) >= len(docMap) {
-				return fmt.Errorf("analytics: invertedindex unit document %d outside map of %d", doc, len(docMap))
+			c := -1
+			if len(from) > 0 {
+				c = cmp(&l[pos[u]], &lists[from[0]][pos[from[0]]])
 			}
-			acc = append(acc, docMap[doc])
-		}
-		f.out[w] = acc
-	}
-	f.env.Charge(entries, metrics.CostMergeEntry)
-	return nil
-}
-
-// MergeShard sums per-sequence counters key-wise.
-func (f *seqCountFold) MergeShard(result any, _ uint32) error {
-	in, ok := result.(map[Seq]uint64)
-	if !ok {
-		return mergeTypeError("seqcount", result)
-	}
-	f.env.Charge(int64(len(in)), metrics.CostSeqOp)
-	f.out = presized(f.out, len(in))
-	for q, n := range in {
-		f.out[q] += n
-	}
-	return nil
-}
-
-// MergeShard concatenates ranked postings with documents offset to their
-// global indices; Finish re-ranks the lists more than one unit contributed to
-// (descending frequency, ascending document), restoring the canonical order.
-func (f *rankedIndexFold) MergeShard(result any, docBase uint32) error {
-	return f.merge(result, docBase, nil)
-}
-
-// merge folds one unit in: under docMap when it is non-nil, else at docBase.
-func (f *rankedIndexFold) merge(result any, docBase uint32, docMap []uint32) error {
-	in, ok := result.(map[Seq][]DocFreq)
-	if !ok {
-		return mergeTypeError("rankedindex", result)
-	}
-	f.merged = presized(f.merged, len(in))
-	var entries int64
-	//ntalint:ignore determcheck keyed appends commute across keys, and rerank is a worklist of per-key sorts whose order never reaches the result; the only order-dependence is which invariant-violation error surfaces first, and any violation fails the whole merge.
-	for q, postings := range in {
-		if len(postings) == 0 {
-			continue
-		}
-		entries += int64(len(postings))
-		acc, seen := f.merged[q]
-		if !seen && docMap == nil && docBase == 0 {
-			f.merged[q] = slices.Clip(postings)
-			continue
-		}
-		if seen || docMap != nil {
-			f.rerank = append(f.rerank, q)
-		}
-		acc = slices.Grow(acc, len(postings))
-		for _, p := range postings {
-			if docMap == nil {
-				acc = append(acc, DocFreq{Doc: p.Doc + docBase, Freq: p.Freq})
-				continue
+			if c < 0 {
+				from = from[:0]
 			}
-			if int(p.Doc) >= len(docMap) {
-				return fmt.Errorf("analytics: rankedindex unit document %d outside map of %d", p.Doc, len(docMap))
+			if c <= 0 {
+				from = append(from, u)
 			}
-			acc = append(acc, DocFreq{Doc: docMap[p.Doc], Freq: p.Freq})
 		}
-		f.merged[q] = acc
-	}
-	f.postings += entries
-	f.env.Charge(entries, metrics.CostMergeEntry)
-	return nil
-}
-
-// MergeMapped: global-scope folds ignore document indices entirely.
-func (f *wordCountFold) MergeMapped(result any, _ []uint32) error {
-	return f.MergeShard(result, 0)
-}
-
-// MergeMapped: global-scope folds ignore document indices entirely.
-func (f *sortFold) MergeMapped(result any, _ []uint32) error {
-	return f.MergeShard(result, 0)
-}
-
-// MergeMapped places each unit-local vector at its mapped global index.
-func (f *termVectorsFold) MergeMapped(result any, docMap []uint32) error {
-	in, ok := result.([][]WordFreq)
-	if !ok {
-		return mergeTypeError("termvectors", result)
-	}
-	if len(in) != len(docMap) {
-		return fmt.Errorf("analytics: termvectors unit has %d documents, map %d", len(in), len(docMap))
-	}
-	f.env.Charge(int64(len(in)), metrics.CostMergeEntry)
-	for i, vec := range in {
-		if int(docMap[i]) >= len(f.out) {
-			return fmt.Errorf("analytics: termvectors mapped document %d exceeds %d documents",
-				docMap[i], len(f.out))
+		if len(from) == 0 {
+			return
 		}
-		f.out[docMap[i]] = vec
+		visit(from, pos)
+		for _, u := range from {
+			pos[u]++
+		}
 	}
-	return nil
 }
 
-// MergeMapped concatenates posting lists with documents remapped to their
-// global indices; Finish re-sorts every list touched here into canonical
-// document order (a docmap interleaves this unit's documents with others').
-func (f *invertedIndexFold) MergeMapped(result any, docMap []uint32) error {
-	return f.merge(result, 0, docMap)
+// mergeCounts sums the units' counters key-wise, charging perEntry modeled
+// nanos per entry read.
+func mergeCounts[E any](op Op, env Env, units []MergeUnit, perEntry int64,
+	cmp func(a, b *E) int, freq func(*E) *uint64) ([]E, error) {
+	lists, err := unitResults[[]E](op, units)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	env.Charge(int64(total), perEntry)
+	out := make([]E, 0, total)
+	kway(lists, cmp, func(from, pos []int) {
+		out = append(out, lists[from[0]][pos[from[0]]])
+		sum := freq(&out[len(out)-1])
+		for _, u := range from[1:] {
+			*sum += *freq(&lists[u][pos[u]])
+		}
+	})
+	return out, nil
 }
 
-// MergeMapped: global-scope folds ignore document indices entirely.
-func (f *seqCountFold) MergeMapped(result any, _ []uint32) error {
-	return f.MergeShard(result, 0)
+// mergeWordCounts merges alphabetical word counters by the dictionary's rank
+// table: integer compares, no word resolved.
+func mergeWordCounts(op Op, env Env, units []MergeUnit) ([]WordFreq, error) {
+	rank, _ := env.Dict().Alphabetical()
+	return mergeCounts(op, env, units, metrics.CostMergeEntry,
+		func(a, b *WordFreq) int { return cmp.Compare(rank[a.Word], rank[b.Word]) },
+		func(e *WordFreq) *uint64 { return &e.Freq })
 }
 
-// MergeMapped concatenates ranked postings with documents remapped to their
-// global indices; Finish re-ranks every list touched here.
-func (f *rankedIndexFold) MergeMapped(result any, docMap []uint32) error {
-	return f.merge(result, 0, docMap)
+func (op WordCountOp) merge(env Env, units []MergeUnit) (any, error) {
+	return mergeWordCounts(op, env, units)
 }
 
-// Every registered op's fold must be mergeable, with and without a docmap.
-var (
-	_ MappedMergingFold = (*wordCountFold)(nil)
-	_ MappedMergingFold = (*sortFold)(nil)
-	_ MappedMergingFold = (*termVectorsFold)(nil)
-	_ MappedMergingFold = (*invertedIndexFold)(nil)
-	_ MappedMergingFold = (*seqCountFold)(nil)
-	_ MappedMergingFold = (*rankedIndexFold)(nil)
-)
+// The merged vocabulary is charged the sort the shards' orders spare it.
+func (op SortOp) merge(env Env, units []MergeUnit) (any, error) {
+	out, err := mergeWordCounts(op, env, units)
+	env.Charge(int64(len(out)), metrics.CostSortEntry)
+	return out, err
+}
+
+func (op SequenceCountOp) merge(env Env, units []MergeUnit) (any, error) {
+	words := env.Dict().Words()
+	return mergeCounts(op, env, units, metrics.CostSeqOp,
+		func(a, b *SeqFreq) int { return compareWire(words, a.Seq, b.Seq) },
+		func(e *SeqFreq) *uint64 { return &e.Freq })
+}
+
+// merge places every unit's per-document vectors at their global document
+// indices; vectors are already final (a document's term vector depends only
+// on that document).
+func (op TermVectorsOp) merge(env Env, units []MergeUnit) (any, error) {
+	parts, err := unitResults[[][]WordFreq](op, units)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]WordFreq, env.NumFiles())
+	for u, in := range parts {
+		m := units[u].DocMap
+		if m != nil && len(in) != len(m) {
+			return nil, fmt.Errorf("analytics: merge termvectors unit %d: %d documents, map %d", u, len(in), len(m))
+		}
+		env.Charge(int64(len(in)), metrics.CostMergeEntry)
+		for i, vec := range in {
+			doc := int(units[u].DocBase) + i
+			if m != nil {
+				doc = int(m[i])
+			}
+			if doc >= len(out) {
+				return nil, fmt.Errorf("analytics: merge termvectors unit %d: document %d exceeds %d documents", u, doc, len(out))
+			}
+			out[doc] = vec
+		}
+	}
+	return out, nil
+}
+
+// mergePostings concatenates each key's lists in unit order with documents
+// moved to their global indices (doc points at an item's document), and
+// re-orders with canon the lists that need it.
+func mergePostings[K comparable, T any](op Op, env Env, units []MergeUnit,
+	cmp func(a, b *K) int, doc func(*T) *uint32, canon func([]T)) (*Postings[K, T], error) {
+	parts, err := unitResults[*Postings[K, T]](op, units)
+	if err != nil {
+		return nil, err
+	}
+	keys, nkeys, nitems := make([][]K, len(parts)), 0, 0
+	for u, p := range parts {
+		keys[u] = p.Keys
+		nkeys += len(p.Keys)
+		nitems += len(p.Items)
+	}
+	if nitems > math.MaxUint32 {
+		return nil, fmt.Errorf("analytics: merge %s: %d postings, more than a result can index", op.Name(), nitems)
+	}
+	env.Charge(int64(nitems), metrics.CostMergeEntry)
+	out := &Postings[K, T]{Keys: make([]K, 0, nkeys), Ends: make([]uint32, 0, nkeys), Items: make([]T, 0, nitems)}
+	kway(keys, cmp, func(from, pos []int) {
+		lo, reorder := len(out.Items), len(from) > 1
+		for _, u := range from {
+			m := units[u].DocMap
+			reorder = reorder || m != nil
+			at := len(out.Items)
+			out.Items = append(out.Items, parts[u].List(pos[u])...)
+			for i := range out.Items[at:] {
+				switch d := doc(&out.Items[at+i]); {
+				case m == nil:
+					*d += units[u].DocBase
+				case int(*d) < len(m):
+					*d = m[*d]
+				default:
+					err = fmt.Errorf("analytics: merge %s unit %d: document %d outside map of %d", op.Name(), u, *d, len(m))
+				}
+			}
+		}
+		if reorder {
+			canon(out.Items[lo:])
+		}
+		out.Keys = append(out.Keys, keys[from[0]][pos[from[0]]])
+		out.Ends = append(out.Ends, uint32(len(out.Items)))
+	})
+	return out, err
+}
+
+func (op InvertedIndexOp) merge(env Env, units []MergeUnit) (any, error) {
+	rank, _ := env.Dict().Alphabetical()
+	return mergePostings(op, env, units,
+		func(a, b *uint32) int { return cmp.Compare(rank[*a], rank[*b]) },
+		func(doc *uint32) *uint32 { return doc }, slices.Sort[[]uint32])
+}
+
+// The ranked lists' sort is charged on every merged posting, re-ranked or not.
+func (op RankedInvertedIndexOp) merge(env Env, units []MergeUnit) (any, error) {
+	words := env.Dict().Words()
+	out, err := mergePostings(op, env, units,
+		func(a, b *Seq) int { return compareWire(words, *a, *b) },
+		func(p *DocFreq) *uint32 { return &p.Doc }, func(l []DocFreq) { RankPostingsSorted(l) })
+	if err == nil {
+		env.Charge(int64(len(out.Items)), metrics.CostSortEntry)
+	}
+	return out, err
+}

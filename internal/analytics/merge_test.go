@@ -44,7 +44,8 @@ func mergeCorpus(t *testing.T) ([][]uint32, *dict.Dictionary) {
 }
 
 // shardRefResult computes the op's reference result over one shard's files
-// alone — exactly what that shard's engine would produce.
+// alone — what that shard's engine would produce, in map form (wireForm puts
+// it into the engine's).
 func shardRefResult(t testing.TB, op Op, files [][]uint32, d *dict.Dictionary) any {
 	t.Helper()
 	switch op.Task() {
@@ -79,7 +80,7 @@ func TestMergeShardResults(t *testing.T) {
 		{1, 1, 1, 2}, // singleton shards
 	}
 	for _, op := range Ops() {
-		want := shardRefResult(t, op, files, d)
+		want := wireForm(op, shardRefResult(t, op, files, d), d)
 		for _, split := range splits {
 			var meter metrics.Meter
 			env := mergeEnv{d: d, numFiles: len(files), meter: &meter}
@@ -88,7 +89,7 @@ func TestMergeShardResults(t *testing.T) {
 			next := 0
 			for _, n := range split {
 				shard := files[next : next+n]
-				results = append(results, shardRefResult(t, op, shard, d))
+				results = append(results, wireForm(op, shardRefResult(t, op, shard, d), d))
 				bases = append(bases, uint32(next))
 				next += n
 			}
@@ -122,7 +123,7 @@ func TestMergeShardResultsEmptyFold(t *testing.T) {
 		{0, 0, 5, 0}, // several empty shards
 	}
 	for _, op := range Ops() {
-		want := shardRefResult(t, op, files, d)
+		want := wireForm(op, shardRefResult(t, op, files, d), d)
 		for _, split := range splits {
 			var meter metrics.Meter
 			env := mergeEnv{d: d, numFiles: len(files), meter: &meter}
@@ -131,7 +132,7 @@ func TestMergeShardResultsEmptyFold(t *testing.T) {
 			next := 0
 			for _, n := range split {
 				shard := files[next : next+n]
-				results = append(results, shardRefResult(t, op, shard, d))
+				results = append(results, wireForm(op, shardRefResult(t, op, shard, d), d))
 				bases = append(bases, uint32(next))
 				next += n
 			}
@@ -151,13 +152,13 @@ func TestMergeShardResultsEmptyFold(t *testing.T) {
 	// still land on the right files.
 	padded := [][]uint32{files[0], {}, {}, files[1]}
 	for _, op := range Ops() {
-		want := shardRefResult(t, op, padded, d)
+		want := wireForm(op, shardRefResult(t, op, padded, d), d)
 		var meter metrics.Meter
 		env := mergeEnv{d: d, numFiles: len(padded), meter: &meter}
 		results := []any{
-			shardRefResult(t, op, padded[:1], d),
-			shardRefResult(t, op, padded[1:3], d), // two empty documents
-			shardRefResult(t, op, padded[3:], d),
+			wireForm(op, shardRefResult(t, op, padded[:1], d), d),
+			wireForm(op, shardRefResult(t, op, padded[1:3], d), d), // two empty documents
+			wireForm(op, shardRefResult(t, op, padded[3:], d), d),
 		}
 		got, err := MergeShardResults(op, env, results, []uint32{0, 1, 3})
 		if err != nil {

@@ -110,12 +110,12 @@ func RunAs[T any](x Executor, op Op) (T, error) {
 	return out, nil
 }
 
-// The six tasks as typed single-op runs on any executor; results are in
-// their canonical forms.
+// The six tasks as typed single-op runs on any executor, the keyed ops'
+// arrays converted to the reference implementations' maps (MapResult).
 
 // WordCount returns global word -> frequency.
 func WordCount(x Executor) (map[uint32]uint64, error) {
-	return RunAs[map[uint32]uint64](x, WordCountOp{})
+	return runMapped[map[uint32]uint64](x, WordCountOp{})
 }
 
 // Sort returns (word, freq) pairs in alphabetical order of the word strings.
@@ -131,18 +131,62 @@ func TermVectors(x Executor, k int) ([][]WordFreq, error) {
 
 // InvertedIndex returns word -> ascending list of documents containing it.
 func InvertedIndex(x Executor) (map[uint32][]uint32, error) {
-	return RunAs[map[uint32][]uint32](x, InvertedIndexOp{})
+	return runMapped[map[uint32][]uint32](x, InvertedIndexOp{})
 }
 
 // SequenceCount returns global n-gram -> frequency.
 func SequenceCount(x Executor) (map[Seq]uint64, error) {
-	return RunAs[map[Seq]uint64](x, SequenceCountOp{})
+	return runMapped[map[Seq]uint64](x, SequenceCountOp{})
 }
 
 // RankedInvertedIndex returns n-gram -> postings ordered by descending
 // per-document frequency (document ascending on ties).
 func RankedInvertedIndex(x Executor) (map[Seq][]DocFreq, error) {
-	return RunAs[map[Seq][]DocFreq](x, RankedInvertedIndexOp{})
+	return runMapped[map[Seq][]DocFreq](x, RankedInvertedIndexOp{})
+}
+
+// runMapped runs one keyed op on x and returns its result in map form.
+func runMapped[M any](x Executor, op Op) (M, error) {
+	var zero M
+	res, err := RunAs[any](x, op)
+	if err != nil {
+		return zero, err
+	}
+	out, ok := MapResult(op, res).(M)
+	if !ok {
+		return zero, fmt.Errorf("analytics: op %s returned %T", op.Name(), res)
+	}
+	return out, nil
+}
+
+// MapResult returns op's result in the form the reference implementations
+// produce: a keyed op's arrays (word count's []WordFreq, sequence count's
+// []SeqFreq, the posting ops' Postings), in whatever order, become the map
+// from key to count or list — lists alias the result's backing array, each
+// clipped; the other ops' results are already in that form.
+func MapResult(op Op, res any) any {
+	switch r := res.(type) {
+	case []WordFreq:
+		if op.Task() != TaskWordCount {
+			return r
+		}
+		out := make(map[uint32]uint64, len(r))
+		for _, wf := range r {
+			out[wf.Word] = wf.Freq
+		}
+		return out
+	case []SeqFreq:
+		out := make(map[Seq]uint64, len(r))
+		for _, sf := range r {
+			out[sf.Seq] = sf.Freq
+		}
+		return out
+	case *Postings[uint32, uint32]:
+		return r.Map()
+	case *Postings[Seq, DocFreq]:
+		return r.Map()
+	}
+	return res
 }
 
 // Run dispatches task t on x with default parameters, discarding the
@@ -187,7 +231,8 @@ func OpFor(t Task) (Op, error) {
 
 var errFoldScope = errors.New("analytics: fold called outside its declared scope")
 
-// WordCountOp counts every word's corpus-wide frequency.
+// WordCountOp counts every word's corpus-wide frequency: one WordFreq per
+// distinct word, in key order.
 type WordCountOp struct{}
 
 func (WordCountOp) Task() Task     { return TaskWordCount }
@@ -195,24 +240,39 @@ func (WordCountOp) Name() string   { return "wordcount" }
 func (WordCountOp) Keys() KeySpace { return KeyWords }
 func (WordCountOp) Scope() Scope   { return ScopeGlobal }
 func (WordCountOp) NewFold(env Env) Fold {
-	return &wordCountFold{env: env, out: map[uint32]uint64{}}
+	return &countFold[WordFreq]{env: env, keys: KeyWords, cost: metrics.CostHashOp, item: wordFreqOf, out: []WordFreq{}}
 }
 
-type wordCountFold struct {
-	env Env
-	out map[uint32]uint64
+func wordFreqOf(k uint64, _ uint32, n uint64) WordFreq { return WordFreq{Word: uint32(k), Freq: n} }
+
+// countFold is the fold of the global keyed ops: the one counter it is
+// delivered is filed as records and grouped on the spot into one item per key,
+// in key order; a per-file fold of the batch borrows the record buffer next.
+type countFold[E any] struct {
+	env  Env
+	keys KeySpace
+	cost int64 // modeled nanos per key delivered
+	item func(key uint64, doc uint32, freq uint64) E
+	out  []E
+	byID bool // out is in ascending key order: the key space declared no other
 }
 
-func (f *wordCountFold) Global(c Counts) error {
-	f.env.Charge(c.Len(), metrics.CostHashOp)
-	f.out = make(map[uint32]uint64, c.Len())
-	c.Range(func(k, v uint64) bool { f.out[uint32(k)] = v; return true })
+func (f *countFold[E]) Global(c Counts) error {
+	f.env.Charge(c.Len(), f.cost)
+	var r perFileRecords
+	r.attach(f.env, f.keys, true)
+	defer func() { r.buf.lent = false }()
+	if err := r.buf.collect(0, c, r.keySpace); err != nil {
+		return err
+	}
+	f.out, f.byID = group[struct{}](&r, nil, f.item, nil).Items, r.order.Rank == nil
 	return nil
 }
-func (f *wordCountFold) File(uint32, Counts) error { return errFoldScope }
-func (f *wordCountFold) Finish() (any, error)      { return f.out, nil }
+func (f *countFold[E]) File(uint32, Counts) error { return errFoldScope }
+func (f *countFold[E]) Finish() (any, error)      { return f.out, nil }
 
-// SortOp produces the full vocabulary with counts in dictionary order.
+// SortOp produces the full vocabulary with counts in dictionary order: word
+// count's result, always alphabetical.
 type SortOp struct{}
 
 func (SortOp) Task() Task     { return TaskSort }
@@ -220,36 +280,15 @@ func (SortOp) Name() string   { return "sort" }
 func (SortOp) Keys() KeySpace { return KeyWords }
 func (SortOp) Scope() Scope   { return ScopeGlobal }
 func (SortOp) NewFold(env Env) Fold {
-	return &sortFold{env: env, out: []WordFreq{}}
+	return sortFold{&countFold[WordFreq]{env: env, keys: KeyWords,
+		cost: metrics.CostHashOp + metrics.CostSortEntry, item: wordFreqOf, out: []WordFreq{}}}
 }
 
-type sortFold struct {
-	env Env
-	out []WordFreq
-	acc map[uint32]uint64 // shard-merge accumulator; nil on the traversal path
-}
+type sortFold struct{ *countFold[WordFreq] }
 
-func (f *sortFold) Global(c Counts) error {
-	out := make([]WordFreq, 0, c.Len())
-	c.Range(func(k, v uint64) bool {
-		out = append(out, WordFreq{Word: uint32(k), Freq: v})
-		return true
-	})
-	f.env.Charge(int64(len(out)), metrics.CostHashOp+metrics.CostSortEntry)
-	SortAlphabetical(out, f.env.Dict())
-	f.out = out
-	return nil
-}
-func (f *sortFold) File(uint32, Counts) error { return errFoldScope }
-func (f *sortFold) Finish() (any, error) {
-	if f.acc != nil {
-		out := make([]WordFreq, 0, len(f.acc))
-		for w, n := range f.acc {
-			out = append(out, WordFreq{Word: w, Freq: n})
-		}
-		f.env.Charge(int64(len(out)), metrics.CostSortEntry)
-		SortAlphabetical(out, f.env.Dict())
-		f.out = out
+func (f sortFold) Finish() (any, error) {
+	if f.byID {
+		SortAlphabetical(f.out, f.env.Dict())
 	}
 	return f.out, nil
 }
@@ -303,20 +342,16 @@ func (InvertedIndexOp) NewFold(env Env) Fold {
 type invertedIndexFold struct {
 	env Env
 	perFileRecords
-	// Shard-merge state: out is the accumulator the first merged unit
-	// creates, and resort lists the words whose merged posting list Finish
-	// must re-sort.
-	out    map[uint32][]uint32
-	resort []uint32
 }
 
-// perFileRecords is the traversal-path state of a posting-list fold: one
-// flat record per (document, key) in a scratch-lent buffer, grouped into the
+// perFileRecords is the state of a keyed fold: one flat record per
+// (document, key) delivered, in a scratch-lent buffer, grouped into the
 // result at Finish.
 type perFileRecords struct {
-	scratch  *FoldScratch // attached by the first use; nil on the merge path
+	scratch  *FoldScratch // attached by the first use
 	buf      *postingBuf
 	keySpace int
+	order    KeyOrder
 }
 
 // attach borrows the fold's record buffer from env's scratch, with a count
@@ -325,7 +360,7 @@ func (r *perFileRecords) attach(env Env, ks KeySpace, withFreq bool) {
 	if r.scratch == nil {
 		r.scratch = scratchOf(env)
 		r.buf = r.scratch.lend(withFreq)
-		r.keySpace = r.scratch.keySpace(ks)
+		r.keySpace, r.order = r.scratch.keySpace(ks)
 	}
 }
 
@@ -336,18 +371,12 @@ func (f *invertedIndexFold) File(doc uint32, c Counts) error {
 	return f.buf.collect(doc, c, f.keySpace)
 }
 func (f *invertedIndexFold) Finish() (any, error) {
-	if f.out != nil {
-		for _, w := range f.resort {
-			slices.Sort(f.out[w])
-		}
-		return f.out, nil
-	}
 	// Documents arrive in ascending order, so each word's group is already
 	// its sorted posting list.
 	f.attach(f.env, KeyWords, false)
-	return groupByKey(f.scratch, f.buf, f.keySpace,
+	return group(&f.perFileRecords,
 		func(k uint64) uint32 { return uint32(k) },
-		func(doc uint32, _ uint64) uint32 { return doc }, nil), nil
+		func(_ uint64, doc uint32, _ uint64) uint32 { return doc }, nil), nil
 }
 
 // SequenceCountOp counts every SeqLen-window's corpus-wide frequency.
@@ -358,22 +387,9 @@ func (SequenceCountOp) Name() string   { return "seqcount" }
 func (SequenceCountOp) Keys() KeySpace { return KeySequences }
 func (SequenceCountOp) Scope() Scope   { return ScopeGlobal }
 func (SequenceCountOp) NewFold(env Env) Fold {
-	return &seqCountFold{env: env, out: map[Seq]uint64{}}
+	return &countFold[SeqFreq]{env: env, keys: KeySequences, cost: metrics.CostHashOp, out: []SeqFreq{},
+		item: func(k uint64, _ uint32, n uint64) SeqFreq { return SeqFreq{Seq: env.SeqOf(k), Freq: n} }}
 }
-
-type seqCountFold struct {
-	env Env
-	out map[Seq]uint64
-}
-
-func (f *seqCountFold) Global(c Counts) error {
-	f.env.Charge(c.Len(), metrics.CostHashOp)
-	f.out = make(map[Seq]uint64, c.Len())
-	c.Range(func(k, v uint64) bool { f.out[f.env.SeqOf(k)] = v; return true })
-	return nil
-}
-func (f *seqCountFold) File(uint32, Counts) error { return errFoldScope }
-func (f *seqCountFold) Finish() (any, error)      { return f.out, nil }
 
 // RankedInvertedIndexOp maps every sequence to its postings ranked by
 // frequency.
@@ -390,12 +406,6 @@ func (RankedInvertedIndexOp) NewFold(env Env) Fold {
 type rankedIndexFold struct {
 	env Env
 	perFileRecords
-	// Shard-merge state (merged is nil on the traversal path): the
-	// accumulator Finish returns, the sequences whose merged list it must
-	// re-rank, and the merged posting count its sort charge is made on.
-	merged   map[Seq][]DocFreq
-	rerank   []Seq
-	postings int64
 }
 
 func (f *rankedIndexFold) Global(Counts) error { return errFoldScope }
@@ -405,17 +415,10 @@ func (f *rankedIndexFold) File(doc uint32, c Counts) error {
 	return f.buf.collect(doc, c, f.keySpace)
 }
 func (f *rankedIndexFold) Finish() (any, error) {
-	if f.merged != nil {
-		f.env.Charge(f.postings, metrics.CostSortEntry)
-		for _, q := range f.rerank {
-			RankPostingsSorted(f.merged[q])
-		}
-		return f.merged, nil
-	}
 	f.attach(f.env, KeySequences, true)
 	f.env.Charge(int64(f.buf.len()), metrics.CostSortEntry)
-	return groupByKey(f.scratch, f.buf, f.keySpace, f.env.SeqOf,
-		func(doc uint32, freq uint64) DocFreq { return DocFreq{Doc: doc, Freq: freq} },
+	return group(&f.perFileRecords, f.env.SeqOf,
+		func(_ uint64, doc uint32, freq uint64) DocFreq { return DocFreq{Doc: doc, Freq: freq} },
 		func(list []DocFreq) { RankPostingsSorted(list) }), nil
 }
 

@@ -25,24 +25,27 @@ func RefWordCount(files [][]uint32) map[uint32]uint64 {
 }
 
 // RefSort returns the distinct words with counts, alphabetized by their
-// dictionary strings — the paper's sort benchmark output.
+// dictionary strings — the paper's sort benchmark output.  The oracle compares
+// the strings themselves; the engines go through the dictionary's rank table.
 func RefSort(files [][]uint32, d *dict.Dictionary) []WordFreq {
 	counts := RefWordCount(files)
 	out := make([]WordFreq, 0, len(counts))
 	for w, c := range counts {
 		out = append(out, WordFreq{Word: w, Freq: c})
 	}
-	SortAlphabetical(out, d)
+	words := d.Words()
+	slices.SortFunc(out, func(a, b WordFreq) int {
+		return strings.Compare(dict.WordIn(words, a.Word), dict.WordIn(words, b.Word))
+	})
 	return out
 }
 
-// SortAlphabetical orders (word, freq) pairs by the word strings, the final
-// step shared by every engine's sort task.
+// SortAlphabetical orders (word, freq) pairs by the word strings, through the
+// dictionary's alphabetical rank table: integer compares, and no vocabulary
+// sort per call.
 func SortAlphabetical(wf []WordFreq, d *dict.Dictionary) {
-	words := d.Words()
-	slices.SortFunc(wf, func(a, b WordFreq) int {
-		return strings.Compare(dict.WordIn(words, a.Word), dict.WordIn(words, b.Word))
-	})
+	rank, _ := d.Alphabetical()
+	slices.SortFunc(wf, func(a, b WordFreq) int { return cmp.Compare(rank[a.Word], rank[b.Word]) })
 }
 
 // RefTermVector builds each document's term vector: words by descending

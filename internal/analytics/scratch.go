@@ -23,6 +23,10 @@ type FoldScratch struct {
 	// be any uint64 (uncomp packs a whole sequence into one) — and folds fall
 	// back to comparison sorts whose memory is linear in the records seen.
 	WordKeys, SeqKeys int
+	// WordOrder and SeqOrder, when set, rank every key of the declared key
+	// spaces, and keyed results come out in that order (wire order, see
+	// KeyOrder) rather than by ascending key.
+	WordOrder, SeqOrder KeyOrder
 
 	bufs   []*postingBuf // every buffer ever lent
 	counts []uint32      // counting-sort offsets, one per key
@@ -92,12 +96,13 @@ func (s *FoldScratch) lend(withFreq bool) *postingBuf {
 	return b
 }
 
-// keySpace returns the declared size of ks's key space, 0 when undeclared.
-func (s *FoldScratch) keySpace(ks KeySpace) int {
+// keySpace returns the declared size of ks's key space, 0 when undeclared,
+// and its declared order.
+func (s *FoldScratch) keySpace(ks KeySpace) (int, KeyOrder) {
 	if ks == KeyWords {
-		return s.WordKeys
+		return s.WordKeys, s.WordOrder
 	}
-	return s.SeqKeys
+	return s.SeqKeys, s.SeqOrder
 }
 
 // Bytes reports the memory the scratch currently holds.
@@ -153,40 +158,48 @@ func (b *postingBuf) collect(doc uint32, c Counts, keySpace int) error {
 	return nil
 }
 
-// groupByKey turns a per-file fold's records into its result map: one list
-// per distinct key holding that key's records in arrival order — document
-// order, since documents are delivered ascending — as val makes them (freq is
-// 0 for a buffer collected without counts).  Every list is carved out of one
-// backing array allocated here and clipped, so appending to one (the shard
-// merge does) can never run into its neighbour.  finish, when non-nil, puts
-// each list into its canonical order.
+// group turns a fold's records into its result: one item per record in a
+// backing array allocated here (freq is 0 for a buffer collected without
+// counts), sorted by key — by rank when the key space declared an order —
+// and within a key in arrival order, which is document order since documents
+// are delivered ascending.  With key non-nil the distinct keys and where each
+// one's items end come with it, and finish, when non-nil, puts each list into
+// its canonical order; a global fold, one record a key, keeps only the items.
 //
 // With a declared key space the grouping is a stable counting sort scattered
 // straight into the backing array; otherwise a stable comparison sort of the
 // records, which never allocates by key magnitude.
-func groupByKey[K comparable, T any](s *FoldScratch, b *postingBuf, keySpace int,
-	key func(uint64) K, val func(doc uint32, freq uint64) T, finish func([]T)) map[K][]T {
-	backing := make([]T, b.len())
-	put := func(out map[K][]T, k uint64, list []T) {
-		if finish != nil {
-			finish(list)
-		}
-		out[key(k)] = list
-	}
+func group[K comparable, T any](r *perFileRecords, key func(uint64) K,
+	item func(k uint64, doc uint32, freq uint64) T, finish func([]T)) *Postings[K, T] {
+	s, b := r.scratch, r.buf
+	out := &Postings[K, T]{Items: make([]T, b.len())}
 	freqOf := func(i int) uint64 {
 		if i < len(b.freqs) {
 			return b.freqs[i]
 		}
 		return 0
 	}
-	if keySpace > 0 {
-		if cap(s.counts) < keySpace {
-			s.counts = make([]uint32, keySpace)
+	put := func(k uint64, lo, hi uint32) {
+		if finish != nil {
+			finish(out.Items[lo:hi])
 		}
-		ends := s.counts[:keySpace]
+		out.Keys, out.Ends = append(out.Keys, key(k)), append(out.Ends, hi)
+	}
+	if r.keySpace > 0 {
+		rank, buckets := r.order.Rank, max(r.keySpace, len(r.order.Rank)) // an order ranks every key
+		if cap(s.counts) < buckets {
+			s.counts = make([]uint32, buckets)
+		}
+		ends := s.counts[:buckets]
 		clear(ends)
+		slot := func(k uint32) uint32 {
+			if rank != nil {
+				return rank[k]
+			}
+			return k
+		}
 		for _, k := range b.k32 {
-			ends[k]++
+			ends[slot(k)]++
 		}
 		// Turn the histogram into each group's start offset.
 		distinct, next := 0, uint32(0)
@@ -202,15 +215,23 @@ func groupByKey[K comparable, T any](s *FoldScratch, b *postingBuf, keySpace int
 		for _, run := range b.docs {
 			for ; i < int(run.end); i++ {
 				k := b.k32[i]
-				backing[ends[k]] = val(run.doc, freqOf(i))
-				ends[k]++
+				at := &ends[slot(k)]
+				out.Items[*at] = item(uint64(k), run.doc, freqOf(i))
+				*at++
 			}
 		}
-		out := make(map[K][]T, distinct)
+		if key == nil {
+			return out
+		}
+		out.Keys, out.Ends = make([]K, 0, distinct), make([]uint32, 0, distinct)
 		lo := uint32(0)
-		for k, hi := range ends {
+		for at, hi := range ends {
 			if hi > lo {
-				put(out, uint64(k), backing[lo:hi:hi])
+				k := uint64(at)
+				if rank != nil {
+					k = uint64(r.order.Order[at])
+				}
+				put(k, lo, hi)
 			}
 			lo = hi
 		}
@@ -227,20 +248,15 @@ func groupByKey[K comparable, T any](s *FoldScratch, b *postingBuf, keySpace int
 		}
 	}
 	slices.SortStableFunc(recs, func(x, y rec) int { return cmp.Compare(x.key, y.key) })
-	distinct := 0
 	for i, r := range recs {
-		if i == 0 || r.key != recs[i-1].key {
-			distinct++
-		}
-		backing[i] = val(r.doc, r.freq)
+		out.Items[i] = item(r.key, r.doc, r.freq)
 	}
-	out := make(map[K][]T, distinct)
-	for lo := 0; lo < len(recs); {
+	for lo := 0; key != nil && lo < len(recs); {
 		hi := lo + 1
 		for hi < len(recs) && recs[hi].key == recs[lo].key {
 			hi++
 		}
-		put(out, recs[lo].key, backing[lo:hi:hi])
+		put(recs[lo].key, uint32(lo), uint32(hi))
 		lo = hi
 	}
 	return out

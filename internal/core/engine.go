@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
@@ -40,10 +41,12 @@ type Engine struct {
 	topoAcc  nvm.Accessor // u32 per rule, topological order
 	edgesAcc nvm.Accessor // edge records; zero accessor when disabled
 
-	seqEnabled bool
-	seqIDs     map[analytics.Seq]uint32 // DRAM forward map (counted in DRAMBytes)
-	seqList    []analytics.Seq          // DRAM reverse map
-	localsAcc  nvm.Accessor             // u64 per rule: local-window table offset
+	seqEnabled  bool
+	seqIDs      map[analytics.Seq]uint32 // DRAM forward map (counted in DRAMBytes)
+	seqList     []analytics.Seq          // DRAM reverse map
+	seqRankOnce sync.Once
+	seqRank     analytics.KeyOrder // wire order of seqList's IDs (see seqOrder)
+	localsAcc   nvm.Accessor       // u64 per rule: local-window table offset
 
 	initTop       int64 // pool watermark at the end of initialization
 	distinctWords int64 // distinct word IDs across all rule bodies

@@ -61,7 +61,7 @@ func TestFusedSubsetsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunOps(word ops): %v", err)
 	}
-	if !reflect.DeepEqual(res[0], analytics.RefWordCount(files)) {
+	if !reflect.DeepEqual(analytics.MapResult(analytics.WordCountOp{}, res[0]), analytics.RefWordCount(files)) {
 		t.Error("fused word count mismatch")
 	}
 	if !reflect.DeepEqual(res[1], analytics.RefSort(files, d)) {
@@ -74,10 +74,10 @@ func TestFusedSubsetsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunOps(seq ops): %v", err)
 	}
-	if !reflect.DeepEqual(res[0], analytics.RefSequenceCount(files)) {
+	if !reflect.DeepEqual(analytics.MapResult(analytics.SequenceCountOp{}, res[0]), analytics.RefSequenceCount(files)) {
 		t.Error("fused sequence count mismatch")
 	}
-	if !reflect.DeepEqual(res[1], analytics.RefRankedInvertedIndex(files)) {
+	if !reflect.DeepEqual(analytics.MapResult(analytics.RankedInvertedIndexOp{}, res[1]), analytics.RefRankedInvertedIndex(files)) {
 		t.Error("fused ranked inverted index mismatch")
 	}
 
@@ -90,10 +90,10 @@ func TestFusedSubsetsMatchReference(t *testing.T) {
 	if !reflect.DeepEqual(res[0], analytics.RefTermVector(files, 6)) {
 		t.Error("fused term vectors mismatch")
 	}
-	if !reflect.DeepEqual(res[1], analytics.RefInvertedIndex(files)) {
+	if !reflect.DeepEqual(analytics.MapResult(analytics.InvertedIndexOp{}, res[1]), analytics.RefInvertedIndex(files)) {
 		t.Error("fused inverted index mismatch")
 	}
-	if !reflect.DeepEqual(res[2], analytics.RefSequenceCount(files)) {
+	if !reflect.DeepEqual(analytics.MapResult(analytics.SequenceCountOp{}, res[2]), analytics.RefSequenceCount(files)) {
 		t.Error("fused sequence count mismatch")
 	}
 }
@@ -109,7 +109,7 @@ func TestFusedDuplicateOpsIndependent(t *testing.T) {
 	}
 	want := analytics.RefWordCount(files)
 	for i := range res {
-		if !reflect.DeepEqual(res[i], want) {
+		if !reflect.DeepEqual(analytics.MapResult(analytics.WordCountOp{}, res[i]), want) {
 			t.Errorf("duplicate op result %d mismatch", i)
 		}
 	}

@@ -86,7 +86,7 @@ func checkOps(t *testing.T, ex analytics.Executor, d *dict.Dictionary, files [][
 	}
 	want := refResults(t, d, files, tvK(ops))
 	for i, op := range ops {
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !reflect.DeepEqual(analytics.MapResult(op, got[i]), want[i]) {
 			t.Errorf("%s: op %s differs from reference", label, op.Name())
 		}
 	}
@@ -406,7 +406,7 @@ func TestAppendConcurrentQueries(t *testing.T) {
 					return
 				}
 				for i, op := range ops {
-					if !reflect.DeepEqual(got[i], want[i]) {
+					if !reflect.DeepEqual(analytics.MapResult(op, got[i]), want[i]) {
 						errs[r] = fmt.Errorf("op %s inconsistent with the %d-document cut", op.Name(), n)
 						return
 					}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
@@ -96,6 +97,16 @@ func (c *kcounter) Range(fn func(k, v uint64) bool) {
 		return
 	}
 	c.tbl.Range(fn)
+}
+
+// seqOrder returns the wire order of the engine's sequence IDs, ranked on
+// first use: the sequence dictionary never changes after initialization, so
+// the order is a property of the shard and no request sorts sequence keys.
+// It is serving state like a session workspace — absent from DRAMBytes,
+// which reports the design's residency, and so from the figures.
+func (e *Engine) seqOrder() analytics.KeyOrder {
+	e.seqRankOnce.Do(func() { e.seqRank = analytics.RankSequences(e.seqList, e.d.Words()) })
+	return e.seqRank
 }
 
 // keySpace returns the size of the engine's dense key space for keys.
@@ -280,6 +291,12 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 	x.ws.folds.Reset()
 	x.ws.folds.WordKeys = int(x.e.keySpace(analytics.KeyWords))
 	x.ws.folds.SeqKeys = int(x.e.keySpace(analytics.KeySequences))
+	// Keyed results come out in wire order (analytics.KeyOrder): the word
+	// table is the dictionary's, the sequence table this engine's own.
+	x.ws.folds.WordOrder.Rank, x.ws.folds.WordOrder.Order = x.e.d.Alphabetical()
+	if n := len(x.ws.folds.WordOrder.Rank); n < x.ws.folds.WordKeys {
+		return nil, nil, fmt.Errorf("dictionary holds %d words, the engine %d", n, x.ws.folds.WordKeys)
+	}
 	env := execEnv{x: x}
 	folds := make([]analytics.Fold, len(ops))
 	resultOffs = make([]int64, len(ops))
@@ -296,6 +313,12 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 		default:
 			fileSeq = append(fileSeq, i)
 		}
+	}
+	// Folds read the scratch at their first delivery, not before: the
+	// sequence order is ranked only for a batch that has a sequence op.
+	x.ws.folds.SeqOrder = analytics.KeyOrder{}
+	if len(globalSeq)+len(fileSeq) > 0 {
+		x.ws.folds.SeqOrder = x.e.seqOrder()
 	}
 
 	if len(globalWord)+len(globalSeq) > 0 {

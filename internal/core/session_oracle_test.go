@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,6 +34,17 @@ func opBatches() (batches [][]analytics.Op, labels []string) {
 		labels = append(labels, op.Name())
 	}
 	return append(batches, analytics.Ops()), append(labels, "fused")
+}
+
+// mapResults puts a batch's results into map form: the reference session
+// declares no key order, so its keyed results arrive by key where the
+// workspace session's arrive in wire order.
+func mapResults(ops []analytics.Op, results []any) []any {
+	out := make([]any, len(results))
+	for i, res := range results {
+		out[i] = analytics.MapResult(ops[i], res)
+	}
+	return out
 }
 
 // shardSet builds a K-shard engine set over files.
@@ -81,7 +93,7 @@ func TestSessionMatchesReference(t *testing.T) {
 								if err != nil {
 									t.Fatalf("%s: session: %v", labels[bi], err)
 								}
-								if !reflect.DeepEqual(res, want) {
+								if !reflect.DeepEqual(mapResults(ops, res), mapResults(ops, want)) {
 									t.Errorf("shard %d %s: results differ from the reference session's", i, labels[bi])
 								}
 								if g, w := got.Meter().Nanos(), ref.meter.Nanos(); g != w {
@@ -110,7 +122,7 @@ func TestSessionMatchesReference(t *testing.T) {
 // memory.  The results of run A — each lane's and the merged ones handed to
 // the caller — must still deep-equal their copies after runs B and C have
 // reused the same session's workspaces, including a merged result produced
-// in between (the merge aliases posting lists out of lane results).
+// in between (the merge reads lane results; it must share nothing with them).
 func TestResultsSurviveNextRun(t *testing.T) {
 	for _, strat := range []Strategy{TopDown, BottomUp} {
 		t.Run(strat.String(), func(t *testing.T) {
@@ -147,23 +159,16 @@ func TestResultsSurviveNextRun(t *testing.T) {
 				t.Error("merged results of run A changed under later runs")
 			}
 			// Appending to a returned posting list must not reach a neighbour.
-			inv := laneA[3].(map[uint32][]uint32)
-			for w, docs := range inv {
-				inv[w] = append(docs, 1<<30)
+			inv := laneA[3].(*analytics.Postings[uint32, uint32])
+			for i := range inv.Keys {
+				_ = append(inv.List(i), 1<<30)
 			}
-			rii := laneA[5].(map[analytics.Seq][]analytics.DocFreq)
-			for q, postings := range rii {
-				rii[q] = append(postings, analytics.DocFreq{Doc: 1 << 30})
+			rii := laneA[5].(*analytics.Postings[analytics.Seq, analytics.DocFreq])
+			for i := range rii.Keys {
+				_ = append(rii.List(i), analytics.DocFreq{Doc: 1 << 30})
 			}
-			for w, docs := range inv {
-				if want := laneCopy[3].(map[uint32][]uint32)[w]; !reflect.DeepEqual(docs[:len(docs)-1], want) {
-					t.Fatalf("appending to another posting list overwrote word %d's", w)
-				}
-			}
-			for q, postings := range rii {
-				if want := laneCopy[5].(map[analytics.Seq][]analytics.DocFreq)[q]; !reflect.DeepEqual(postings[:len(postings)-1], want) {
-					t.Fatalf("appending to another posting list overwrote sequence %v's", q)
-				}
+			if !reflect.DeepEqual(laneA, laneCopy) {
+				t.Error("appending to one posting list overwrote a neighbour's")
 			}
 		})
 	}
@@ -174,38 +179,20 @@ func deepCopyResults(results []any) []any {
 	out := make([]any, len(results))
 	for i, res := range results {
 		switch r := res.(type) {
-		case map[uint32]uint64:
-			c := make(map[uint32]uint64, len(r))
-			for k, v := range r {
-				c[k] = v
-			}
-			out[i] = c
 		case []analytics.WordFreq:
 			out[i] = append([]analytics.WordFreq{}, r...)
+		case []analytics.SeqFreq:
+			out[i] = append([]analytics.SeqFreq{}, r...)
 		case [][]analytics.WordFreq:
 			c := make([][]analytics.WordFreq, len(r))
 			for j, vec := range r {
 				c[j] = append([]analytics.WordFreq{}, vec...)
 			}
 			out[i] = c
-		case map[uint32][]uint32:
-			c := make(map[uint32][]uint32, len(r))
-			for k, v := range r {
-				c[k] = append([]uint32{}, v...)
-			}
-			out[i] = c
-		case map[analytics.Seq]uint64:
-			c := make(map[analytics.Seq]uint64, len(r))
-			for k, v := range r {
-				c[k] = v
-			}
-			out[i] = c
-		case map[analytics.Seq][]analytics.DocFreq:
-			c := make(map[analytics.Seq][]analytics.DocFreq, len(r))
-			for k, v := range r {
-				c[k] = append([]analytics.DocFreq{}, v...)
-			}
-			out[i] = c
+		case *analytics.Postings[uint32, uint32]:
+			out[i] = &analytics.Postings[uint32, uint32]{Keys: slices.Clone(r.Keys), Ends: slices.Clone(r.Ends), Items: slices.Clone(r.Items)}
+		case *analytics.Postings[analytics.Seq, analytics.DocFreq]:
+			out[i] = &analytics.Postings[analytics.Seq, analytics.DocFreq]{Keys: slices.Clone(r.Keys), Ends: slices.Clone(r.Ends), Items: slices.Clone(r.Items)}
 		default:
 			panic(fmt.Sprintf("deepCopyResults: %T", res))
 		}
@@ -249,7 +236,7 @@ func TestSessionCancelEveryPollPoint(t *testing.T) {
 				if err != nil {
 					t.Fatalf("clean run after cancel at poll %d: %v", n, err)
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !reflect.DeepEqual(mapResults(ops, got), mapResults(ops, want)) {
 					t.Fatalf("clean run after cancel at poll %d differs from the reference", n)
 				}
 			}
@@ -288,7 +275,7 @@ func TestWorkspaceFollowsPromotion(t *testing.T) {
 		}
 		want := refResults(t, d, files[:n], tvK(ops))
 		for i, op := range ops {
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if !reflect.DeepEqual(analytics.MapResult(op, got[i]), want[i]) {
 				t.Errorf("%s: op %s differs from a rebuild of %d documents", label, op.Name(), n)
 			}
 		}
@@ -333,7 +320,9 @@ func TestWorkspaceFollowsPromotion(t *testing.T) {
 // once, each through its own workspaces, alternating batches so that every
 // scratch form is in use on both sides.  Run it under -race -count=10 (make
 // race does): the workspaces are the only mutable traversal state, and they
-// must be private.
+// must be private.  Both sessions open with the fused batch on engines no one
+// has queried yet, so their first queries race to build each shard's lazily
+// ranked sequence order (Engine.seqOrder).
 func TestTwoSessionsOneEngine(t *testing.T) {
 	files, d, g := corpus(t, 77, 8, 150, 30)
 	for _, strat := range []Strategy{TopDown, BottomUp} {
@@ -344,6 +333,7 @@ func TestTwoSessionsOneEngine(t *testing.T) {
 			t.Fatalf("reference: %v", err)
 		}
 		batches, _ := opBatches()
+		batches = append(batches[len(batches)-1:], batches...)
 		var wg sync.WaitGroup
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
@@ -352,14 +342,17 @@ func TestTwoSessionsOneEngine(t *testing.T) {
 				ss := se.NewSession()
 				for round := 0; round < 3; round++ {
 					for bi := range batches {
-						ops := batches[(bi+w*3)%len(batches)]
+						ops := batches[0]
+						if round+bi > 0 {
+							ops = batches[(bi+w*3)%len(batches)]
+						}
 						got, err := ss.RunOps(ops)
 						if err != nil {
 							t.Errorf("session %d: %v", w, err)
 							return
 						}
 						for i, op := range ops {
-							if !reflect.DeepEqual(got[i], want[op.Task()]) {
+							if !reflect.DeepEqual(analytics.MapResult(op, got[i]), analytics.MapResult(op, want[op.Task()])) {
 								t.Errorf("session %d (%s): op %s differs from the reference", w, strat, op.Name())
 							}
 						}

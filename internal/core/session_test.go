@@ -73,7 +73,7 @@ func TestSessionDoesNotDisturbEngine(t *testing.T) {
 	e := newEngine(t, g, d, Options{Sequences: true})
 
 	s := e.NewSession()
-	got, err := analytics.RunAs[any](s, analytics.WordCountOp{})
+	got, err := analytics.WordCount(s)
 	if err != nil {
 		t.Fatalf("session WordCount: %v", err)
 	}

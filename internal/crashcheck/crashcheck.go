@@ -277,15 +277,22 @@ func runTask(g *cfg.Grammar, d *dict.Dictionary, opts core.Options, task string)
 	return runOn(e, task)
 }
 
-// runOn runs the workload task on x: a bare engine, or a shard set.
-func runOn(x analytics.Executor, task string) (any, error) {
+// taskOp returns the workload task's op.
+func taskOp(task string) analytics.Op {
 	switch task {
 	case "seqcount":
-		return analytics.SequenceCount(x)
+		return analytics.SequenceCountOp{}
 	case "invertedindex":
-		return analytics.InvertedIndex(x)
+		return analytics.InvertedIndexOp{}
 	}
-	return analytics.WordCount(x)
+	return analytics.WordCountOp{}
+}
+
+// runOn runs the workload task on x — a bare engine, or a shard set — and
+// returns its result in the map form the references are in.
+func runOn(x analytics.Executor, task string) (any, error) {
+	res, err := analytics.RunAs[any](x, taskOp(task))
+	return analytics.MapResult(taskOp(task), res), err
 }
 
 // subset is one way the pending set reaches (or fails to reach) media.

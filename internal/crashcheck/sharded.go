@@ -259,11 +259,11 @@ func checkShardRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Option
 			return "reload", []string{"rebuild after reload: " + nerr.Error()}, nil
 		}
 		defer re.Close()
-		res, rerr := runOn(re, task)
+		res, rerr := analytics.RunAs[any](re, taskOp(task))
 		if rerr != nil {
 			return "reload", []string{"re-run after rebuild: " + rerr.Error()}, nil
 		}
-		if !reflect.DeepEqual(res, ref.result) {
+		if !reflect.DeepEqual(analytics.MapResult(taskOp(task), res), ref.result) {
 			return "reload", []string{"rebuilt shard result differs from shard reference"}, res
 		}
 		return "reload", nil, res
@@ -297,12 +297,12 @@ func checkShardRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Option
 		}
 	}
 
-	res, err := runOn(e, task)
+	res, err := analytics.RunAs[any](e, taskOp(task))
 	if err != nil {
 		viols = append(viols, "re-run after recovery: "+err.Error())
 		return state, viols, nil
 	}
-	if !reflect.DeepEqual(res, ref.result) {
+	if !reflect.DeepEqual(analytics.MapResult(taskOp(task), res), ref.result) {
 		viols = append(viols, "re-run result differs from shard reference")
 	}
 	return state, viols, res
@@ -334,12 +334,11 @@ func (e mergeEnv) SeqOf(uint64) analytics.Seq {
 }
 func (e mergeEnv) Charge(int64, int64) {}
 
-// mergeShardResults merges the recovered per-shard task results the same
-// way the sharded engine does.
+// mergeShardResults merges the recovered per-shard task results — as the
+// shard engines returned them — the same way the sharded engine does, and
+// returns the merged result in map form.
 func mergeShardResults(d *dict.Dictionary, numFiles int, task string, results []any, bases []uint32) (any, error) {
-	var op analytics.Op = analytics.WordCountOp{}
-	if task == "seqcount" {
-		op = analytics.SequenceCountOp{}
-	}
-	return analytics.MergeShardResults(op, mergeEnv{d: d, n: numFiles}, results, bases)
+	op := taskOp(task)
+	merged, err := analytics.MergeShardResults(op, mergeEnv{d: d, n: numFiles}, results, bases)
+	return analytics.MapResult(op, merged), err
 }

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -30,6 +32,12 @@ type Dictionary struct {
 	mu    sync.RWMutex
 	words []string          // guarded by mu
 	index map[string]uint32 // guarded by mu
+
+	// The alphabetical ranking of a vocabulary prefix (see Alphabetical);
+	// the arrays are immutable once published.
+	alphaMu    sync.Mutex
+	alphaRank  []uint32 // guarded by alphaMu
+	alphaOrder []uint32 // guarded by alphaMu
 }
 
 // New returns an empty dictionary.
@@ -80,6 +88,41 @@ func (d *Dictionary) Words() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.words
+}
+
+// Alphabetical ranks the whole current vocabulary by word string, bytewise —
+// the order of the sort task and of JSON object keys: order lists the word IDs
+// in that order and rank[id] is id's position in it.  The table is kept; when
+// the vocabulary has grown since it was built only the new words are sorted,
+// then merged into the old order — a linear pass per append, not a
+// vocabulary-sized string sort.  Tables of different sizes order the words
+// they share identically.  Callers must not modify the slices.
+func (d *Dictionary) Alphabetical() (rank, order []uint32) {
+	words := d.Words()
+	d.alphaMu.Lock()
+	defer d.alphaMu.Unlock()
+	if old := d.alphaOrder; len(old) < len(words) {
+		byWord := func(a, b uint32) int { return strings.Compare(words[a], words[b]) }
+		fresh := make([]uint32, len(words)-len(old))
+		for i := range fresh {
+			fresh[i] = uint32(len(old) + i)
+		}
+		slices.SortFunc(fresh, byWord)
+		order, rank := make([]uint32, 0, len(words)), make([]uint32, len(words))
+		for len(old) > 0 && len(fresh) > 0 {
+			if byWord(old[0], fresh[0]) < 0 {
+				order, old = append(order, old[0]), old[1:]
+			} else {
+				order, fresh = append(order, fresh[0]), fresh[1:]
+			}
+		}
+		order = append(append(order, old...), fresh...)
+		for r, id := range order {
+			rank[id] = uint32(r)
+		}
+		d.alphaRank, d.alphaOrder = rank, order
+	}
+	return d.alphaRank, d.alphaOrder
 }
 
 // WordIn resolves id against a Words snapshot, panicking like Word on an
@@ -193,6 +236,9 @@ func (d *Dictionary) ReadFrom(r io.Reader) (int64, error) {
 	d.words = words
 	d.index = index
 	d.mu.Unlock()
+	d.alphaMu.Lock()
+	d.alphaRank, d.alphaOrder = nil, nil
+	d.alphaMu.Unlock()
 	return cr.n, nil
 }
 

@@ -3,7 +3,11 @@ package dict
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +212,49 @@ func TestEncodeIDStability(t *testing.T) {
 		if ids[i] != want[i] {
 			t.Fatalf("ids = %v, want %v", ids, want)
 		}
+	}
+}
+
+// TestAlphabeticalExtends checks the rank table against a from-scratch string
+// sort at every vocabulary size it is asked for, growing the dictionary in
+// between — so every table but the first is an extension of the one before —
+// and that readers racing an extension see a consistent table.
+func TestAlphabeticalExtends(t *testing.T) {
+	d := New()
+	rng := rand.New(rand.NewSource(3))
+	check := func() {
+		t.Helper()
+		words := d.Words()
+		rank, order := d.Alphabetical()
+		if len(rank) < len(words) || len(order) != len(rank) {
+			t.Fatalf("table of %d/%d entries for %d words", len(rank), len(order), len(words))
+		}
+		want := make([]uint32, len(order))
+		for i := range want {
+			want[i] = uint32(i)
+		}
+		all := d.Words()[:len(order)]
+		slices.SortFunc(want, func(a, b uint32) int { return strings.Compare(all[a], all[b]) })
+		if !slices.Equal(order, want) {
+			t.Fatalf("order at %d words differs from a string sort", len(order))
+		}
+		for r, id := range order {
+			if rank[id] != uint32(r) {
+				t.Fatalf("rank[%d] = %d, want %d", id, rank[id], r)
+			}
+		}
+	}
+	check() // empty
+	for round := 0; round < 6; round++ {
+		for n := rng.Intn(40); n >= 0; n-- {
+			d.Intern(fmt.Sprintf("%c%x", 'a'+rng.Intn(5), rng.Intn(1<<16)))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); d.Alphabetical() }()
+		}
+		check()
+		wg.Wait()
 	}
 }

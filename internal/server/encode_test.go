@@ -52,12 +52,15 @@ func oracle(t testing.TB, res *ntadoc.BatchResult, docs []string) []byte {
 // ordering: HTML-escaped bytes, quotes and backslashes, control bytes, DEL,
 // multi-byte runes, the two escaped line separators, invalid UTF-8, and
 // words that are prefixes of one another (so joined sequence keys differ
-// first at a separator: "ab c" sorts before "abc").
+// first at a separator: "ab c" sorts before "abc") — two of them continuing
+// below the separator ("tab\there" after "tab", "x\x1fy" after "x"), so that
+// the order of joined keys is not the order of their words' ranks:
+// "x\x1fy …" sorts before "x …", the words the other way round.
 var adversarialWords = []string{
 	"ab", "abc", "a", "b", "c", "abcd",
-	"<tag>", "a&b", `say "hi"`, `back\slash`, "tab\there", "nl\nhere", "bell\x07", "del\x7f",
+	"<tag>", "a&b", `say "hi"`, `back\slash`, "tab", "tab\there", "nl\nhere", "bell\x07", "del\x7f",
 	"naïve", "日本語", "sep\u2028line", "sep\u2029para", "bad\xffutf8", "cut\xe6\x97", "\x00",
-	"emoji😀", "Zed", "zed", "_", "~",
+	"emoji😀", "Zed", "zed", "_", "~", "x", "x\x1fy",
 }
 
 // testCorpus is one differential-test input: token files over a vocabulary.
@@ -81,8 +84,10 @@ func generated(name string, seed int64, files, tokens, vocab int) testCorpus {
 	return c
 }
 
-// testCorpora are the three shapes of core's TestShardCountInvariance plus
-// the adversarial vocabulary under adversarial document names.
+// testCorpora are the three shapes of core's TestShardCountInvariance, the
+// adversarial vocabulary under adversarial document names, and a vocabulary
+// whose words hold the separator, so that distinct sequences join to one key
+// ("a b"+"c"+"d" and "a"+"b c"+"d"): both encoders must keep the same one.
 func testCorpora() []testCorpus {
 	adv := generated("adversarial", 54, 5, 160, len(adversarialWords))
 	adv.words = adversarialWords
@@ -92,6 +97,12 @@ func testCorpora() []testCorpus {
 		generated("manyfiles", 52, 9, 120, 40),
 		generated("redundant", 53, 6, 300, 15),
 		adv,
+		{
+			name:  "sharedkeys",
+			words: []string{"a b", "c", "a", "b c", "d"},
+			files: [][]uint32{{0, 1, 4, 0, 1, 4}, {2, 3, 4}, {2, 3, 4, 2, 3, 4, 2, 3, 4}, {4, 0, 1, 4}},
+			docs:  []string{"d0", "d1", "d2", "d3"},
+		},
 	}
 }
 
@@ -159,6 +170,11 @@ func TestEncodersMatchOracle(t *testing.T) {
 				}
 				if !bytes.Equal(served, want) {
 					t.Errorf("%s: RunSpecJSON differs from the oracle\n got %s\nwant %s", id, served, want)
+				}
+				// The serving encoder sizes its buffer once, exactly when
+				// nothing needs an escape and no key is shared.
+				if plain := c.name != "adversarial" && c.name != "sharedkeys"; plain && cap(served) != len(served) {
+					t.Errorf("%s: RunSpecJSON sized its buffer %d bytes for a body of %d", id, cap(served), len(served))
 				}
 			}
 		}
@@ -301,6 +317,30 @@ func TestOversizedBodyRefused(t *testing.T) {
 	}
 	if got := s.reqErr.Load(); got != 2 {
 		t.Errorf("reqErr = %d, want 2", got)
+	}
+}
+
+// TestOversizedAppendRefused checks /v1/append bodies are bounded by what the
+// append log could hold: a body past the log's capacity plus the framing
+// allowance is refused with 413 before it is buffered, one inside it commits.
+func TestOversizedAppendRefused(t *testing.T) {
+	s, eng := newIngestServer(t, Config{})
+	h := s.Handler()
+	limit := int(eng.IngestStats().LogCapacity) + maxQueryBody
+	if limit <= maxQueryBody {
+		t.Fatalf("append log capacity %d", eng.IngestStats().LogCapacity)
+	}
+	big := `{"documents":[{"name":"big","text":"` + strings.Repeat("x ", limit/2) + `"}]}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/append", strings.NewReader(big)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /v1/append with %d-byte body (limit %d): status %d, want 413", len(big), limit, rec.Code)
+	}
+	if _, rec := postAppend(t, h, AppendRequest{Documents: []AppendDocument{{Name: "small", Text: "a small document"}}}); rec.Code != http.StatusOK {
+		t.Errorf("POST /v1/append with a small body: status %d, want 200", rec.Code)
+	}
+	if got := s.appendsErr.Load(); got != 1 {
+		t.Errorf("appendsErr = %d, want 1", got)
 	}
 }
 

@@ -98,6 +98,7 @@ type Server struct {
 
 	// Serving counters, exported via /metrics.
 	reqOK        atomic.Int64
+	bodyBytes    atomic.Int64 // result bodies of the ok responses, hit or miss
 	reqErr       atomic.Int64
 	reqShed      atomic.Int64
 	reqCanceled  atomic.Int64
@@ -257,6 +258,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 	if body, ok := s.cache.get(gen, key); ok {
 		s.cacheHits.Add(1)
 		s.reqOK.Add(1)
+		s.bodyBytes.Add(int64(len(body)))
 		writeResponse(w, gen, sig, body, true, false)
 		return
 	}
@@ -283,6 +285,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 		s.coalesced.Add(1)
 	}
 	s.reqOK.Add(1)
+	s.bodyBytes.Add(int64(len(body)))
 	writeResponse(w, gen, sig, body, false, shared)
 }
 
@@ -397,10 +400,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "engine down: unrecoverable device failure", http.StatusServiceUnavailable)
 		return
 	}
+	// A batch the append log could hold is no longer than the log plus its
+	// JSON framing, so nothing longer is read: 413, not an unbounded buffer.
 	var req AppendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.eng.IngestStats().LogCapacity+maxQueryBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.appendsErr.Add(1)
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
 	if len(req.Documents) == 0 {
@@ -566,7 +576,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Where the process's memory is: resident memory is about the heap goal
 	// plus the touched prefix of every mapped image (/debug/engine has each
 	// pool's) plus stacks and runtime structures.
-	heap := []runtimemetrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	heap := []runtimemetrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
 	runtimemetrics.Read(heap)
 	p("# HELP ntadoc_device_mapped_bytes Address space mapped by device images, live or discarded and waiting for reuse; only touched pages are resident.")
 	p("# TYPE ntadoc_device_mapped_bytes gauge")
@@ -578,6 +589,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP ntadoc_go_heap_goal_bytes Heap size the garbage collector lets the process reach before the next cycle ends.")
 	p("# TYPE ntadoc_go_heap_goal_bytes gauge")
 	p("ntadoc_go_heap_goal_bytes %d", heap[1].Value.Uint64())
+	p("# TYPE ntadoc_go_alloc_bytes_total counter")
+	p("ntadoc_go_alloc_bytes_total %d", heap[2].Value.Uint64())
+	p("# TYPE ntadoc_go_gc_cycles_total counter")
+	p("ntadoc_go_gc_cycles_total %d", heap[3].Value.Uint64())
+	p("# HELP ntadoc_response_body_bytes_total Result-body bytes of the ok responses, cached or computed; ntadoc_go_alloc_bytes_total over it is the bytes allocated per byte served.")
+	p("# TYPE ntadoc_response_body_bytes_total counter")
+	p("ntadoc_response_body_bytes_total %d", s.bodyBytes.Load())
 
 	st := s.eng.DeviceCounters()
 	p("# HELP ntadoc_device Simulated device counters summed across shards.")

@@ -478,11 +478,12 @@ func TestOperationalEndpoints(t *testing.T) {
 	s, eng := newTestServer(t, Config{})
 	h := s.Handler()
 
-	if _, rec := getResponse(t, h, "/v1/query?task=wordcount"); rec.Code != http.StatusOK {
+	warm, rec := getResponse(t, h, "/v1/query?task=wordcount")
+	if rec.Code != http.StatusOK {
 		t.Fatalf("warmup query: status %d", rec.Code)
 	}
 
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("/healthz: status %d", rec.Code)
@@ -501,6 +502,9 @@ func TestOperationalEndpoints(t *testing.T) {
 		`ntadoc_device_mapped_bytes{images="recycled"} `,
 		"ntadoc_go_heap_live_bytes ",
 		"ntadoc_go_heap_goal_bytes ",
+		"ntadoc_go_alloc_bytes_total ",
+		"ntadoc_go_gc_cycles_total ",
+		fmt.Sprintf("ntadoc_response_body_bytes_total %d\n", len(warm.Result)),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

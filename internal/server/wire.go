@@ -101,18 +101,16 @@ func (r Result) BatchResult() (*ntadoc.BatchResult, []string) {
 // internal/wire and neither reflects.  The error is always nil.
 func EncodeResult(res *ntadoc.BatchResult, docs []string) ([]byte, error) {
 	dst := []byte{'{'}
-	dst = wire.AppendMapField(dst, "wordcount", res.WordCount, wordKey, wire.AppendUint)
+	dst = wire.AppendMapField(dst, "wordcount", res.WordCount, wire.AppendUint)
 	if len(res.Sort) > 0 {
 		dst = appendTerms(wire.AppendField(dst, "sort"), res.Sort)
 	}
 	dst = wire.AppendTermVectorsField(dst, "termvector", res.TermVectors, docs, appendTerms)
-	dst = wire.AppendMapField(dst, "invertedindex", res.InvertedIndex, wordKey, appendDocs)
-	dst = wire.AppendMapField(dst, "seqcount", res.SequenceCount, wordKey, wire.AppendUint)
-	dst = wire.AppendMapField(dst, "rankedindex", res.RankedInvertedIndex, wordKey, appendPostings)
+	dst = wire.AppendMapField(dst, "invertedindex", res.InvertedIndex, appendDocs)
+	dst = wire.AppendMapField(dst, "seqcount", res.SequenceCount, wire.AppendUint)
+	dst = wire.AppendMapField(dst, "rankedindex", res.RankedInvertedIndex, appendPostings)
 	return append(dst, '}'), nil
 }
-
-func wordKey(k string) string { return k }
 
 // The list appenders write a nil slice as null and an empty one as [], the
 // distinction encoding/json draws.

@@ -6,9 +6,10 @@
 // U+2029 escaped, invalid UTF-8 replaced) — which the server's tests pin
 // against json.Marshal as the oracle.
 //
-// Two front ends share these primitives: the root package encodes the
-// kernel's ID-keyed results directly (the serving path), and
-// server.EncodeResult encodes the public string-keyed BatchResult.
+// Two front ends share these primitives: the root package streams the
+// kernel's key-ordered result arrays into a body it sized beforehand (the
+// serving path), and server.EncodeResult encodes the public string-keyed
+// BatchResult, whose maps AppendMapField sorts.
 package wire
 
 import (
@@ -33,23 +34,31 @@ var plain = func() (t [utf8.RuneSelf]bool) {
 // quoted in place; any string that needs an escape goes through
 // encoding/json itself, so the escape table can never drift from the oracle.
 func AppendString(dst []byte, s string) []byte {
+	if !verbatim(s) {
+		return appendEscaped(dst, s)
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// verbatim reports whether encoding/json copies s into a string unchanged.
+func verbatim(s string) bool {
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
 			if !plain[b] {
-				return appendEscaped(dst, s)
+				return false
 			}
 			i++
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
-			return appendEscaped(dst, s)
+			return false
 		}
 		i += size
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	return true
 }
 
 func appendEscaped(dst []byte, s string) []byte {
@@ -71,6 +80,33 @@ func AppendField(dst []byte, name string) []byte {
 	}
 	dst = append(dst, '"')
 	dst = append(dst, name...)
+	return append(dst, '"', ':')
+}
+
+// AppendKey opens the next entry of the object being written into dst (whose
+// first byte is its '{'), under any key: AppendField with the key escaped.
+func AppendKey(dst []byte, key string) []byte {
+	if dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
+	}
+	return append(AppendString(dst, key), ':')
+}
+
+// AppendJoinedKey is AppendKey under the key strings.Join(words, " "), which
+// is written in place, word by word, unless it needs an escape.  The
+// separator is ASCII, so no rune spans two words and the words can be judged
+// one at a time.
+func AppendJoinedKey(dst []byte, words []string) []byte {
+	for _, w := range words {
+		if !verbatim(w) {
+			return AppendKey(dst, strings.Join(words, " "))
+		}
+	}
+	dst = AppendKey(dst, words[0])
+	dst = dst[:len(dst)-2] // reopen the string: drop the quote and the colon
+	for _, w := range words[1:] {
+		dst = append(append(dst, ' '), w...)
+	}
 	return append(dst, '"', ':')
 }
 
@@ -116,29 +152,28 @@ func AppendTermVectorsField[T any](dst []byte, name string, vectors [][]T, docs 
 // A nil slice appends as [] too: callers for whom nil means null write that
 // themselves.
 func AppendArray[T any](dst []byte, items []T, item func([]byte, T) []byte) []byte {
-	start := len(dst)
 	dst = append(dst, '[')
 	for i, it := range items {
 		if i > 0 {
 			dst = append(dst, ',')
-		}
-		if i == reserveAfter {
-			dst = reserve(dst, start, i, len(items))
 		}
 		dst = item(dst, it)
 	}
 	return append(dst, ']')
 }
 
-// reserveAfter is how many elements of a long sequence are written before
-// the buffer is sized for the rest.
+// reserveAfter is how many entries of a long map are written before the
+// buffer is sized for the rest.
 const reserveAfter = 64
 
 // reserve grows dst for the remainder of a sequence of total elements, done
 // of which occupy dst[start:], assuming the rest average the same size (plus
 // a tenth).  A long sequence then costs one exact-ish allocation instead of
 // a chain of doublings, each copying what is written and leaving it behind
-// as garbage; multi-megabyte bodies are where that matters.
+// as garbage; multi-megabyte bodies are where that matters.  It is for
+// writers that know no size — EncodeResult's maps: inside a buffer sized for
+// its whole body (the serving encoder's) an estimate above the exact
+// remainder would reallocate all of it, so nothing on that path calls this.
 func reserve(dst []byte, start, done, total int) []byte {
 	rest := (len(dst) - start) / done * (total - done)
 	return slices.Grow(dst, rest+rest/10+total)
@@ -151,37 +186,27 @@ type entry[V any] struct {
 }
 
 // AppendMapField appends m as the next field of the object being written
-// into dst: an object whose keys are key(k) in the bytewise order
-// encoding/json gives map keys, each value appended by val.  An empty map
-// appends nothing, which is `omitempty`.  Keys that collide after key
-// collapse to one entry, as they would in the string-keyed map a reflecting
-// encoder is handed — which of them survives is unspecified.
-func AppendMapField[K comparable, V any](dst []byte, name string, m map[K]V,
-	key func(K) string, val func([]byte, V) []byte) []byte {
+// into dst: an object whose keys are in the bytewise order encoding/json
+// gives map keys, each value appended by val.  An empty map appends nothing,
+// which is `omitempty`.  Only server.EncodeResult, whose input is the public
+// map type, still sorts keys; the serving path's arrive sorted.
+func AppendMapField[V any](dst []byte, name string, m map[string]V, val func([]byte, V) []byte) []byte {
 	if len(m) == 0 {
 		return dst
 	}
 	ents := make([]entry[V], 0, len(m))
 	for k, v := range m {
-		ents = append(ents, entry[V]{key(k), v})
+		ents = append(ents, entry[V]{k, v})
 	}
 	slices.SortFunc(ents, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
 	dst = AppendField(dst, name)
 	start := len(dst)
 	dst = append(dst, '{')
 	for i, e := range ents {
-		if i > 0 {
-			if e.key == ents[i-1].key {
-				continue
-			}
-			dst = append(dst, ',')
-		}
 		if i == reserveAfter {
 			dst = reserve(dst, start, i, len(ents))
 		}
-		dst = AppendString(dst, e.key)
-		dst = append(dst, ':')
-		dst = val(dst, e.val)
+		dst = val(AppendKey(dst, e.key), e.val)
 	}
 	return append(dst, '}')
 }

@@ -29,17 +29,59 @@ func TestAppendStringMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestAppendMapFieldOrderAndCollisions checks bytewise key order, the field
-// separator, omitempty, and that keys colliding after resolution collapse to
-// one entry rather than emitting a duplicate key.
-func TestAppendMapFieldOrderAndCollisions(t *testing.T) {
-	name := func(k int) string { return []string{"abc", "ab c", "ab", "Z", "ab"}[k] }
-	dst := AppendMapField([]byte{'{'}, "empty", map[int]uint64{}, name, AppendUint)
-	dst = AppendMapField(dst, "first", map[int]uint64{0: 1, 1: 1, 2: 1, 3: 1}, name, AppendUint)
-	dst = AppendMapField(dst, "second", map[int]uint64{2: 7, 4: 7}, name, AppendUint)
+// TestAppendMapFieldOrder checks bytewise key order, the field separator and
+// omitempty.
+func TestAppendMapFieldOrder(t *testing.T) {
+	dst := AppendMapField([]byte{'{'}, "empty", map[string]uint64{}, AppendUint)
+	dst = AppendMapField(dst, "first", map[string]uint64{"abc": 1, "ab c": 1, "ab": 1, "Z": 1}, AppendUint)
+	dst = AppendMapField(dst, "second", map[string]uint64{"ab": 7}, AppendUint)
 	dst = append(dst, '}')
 	const want = `{"first":{"Z":1,"ab":1,"ab c":1,"abc":1},"second":{"ab":7}}`
 	if string(dst) != want {
 		t.Errorf("got %s\nwant %s", dst, want)
+	}
+}
+
+// TestAppendJoinedKeyMatchesJSON holds the in-place joined key to
+// json.Marshal of the joined string: plain words, words needing escapes,
+// empty words, and an invalid sequence cut off right before a separator.
+func TestAppendJoinedKeyMatchesJSON(t *testing.T) {
+	for _, words := range [][]string{
+		{"a", "b", "c"}, {"", "", ""}, {"naïve", "日本語", "x y"}, {"a<b", "c", "d"},
+		{"ok", "cut\xe6\x97", "next"}, {"tab\there", " ", "\x1f"}, {"solo"},
+	} {
+		joined := words[0]
+		for _, w := range words[1:] {
+			joined += " " + w
+		}
+		key, err := json.Marshal(joined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := AppendJoinedKey([]byte("{"), words), "{"+string(key)+":"; string(got) != want {
+			t.Errorf("AppendJoinedKey(%q) = %s, want %s", words, got, want)
+		}
+		if got, want := AppendJoinedKey([]byte(`{"k":1`), words), `{"k":1,`+string(key)+":"; string(got) != want {
+			t.Errorf("AppendJoinedKey(%q) after an entry = %s, want %s", words, got, want)
+		}
+	}
+}
+
+// TestReserveLeavesRoomAlone: reserve is for writers that know no size.  A
+// buffer that already has room for the estimate — all a presized one could
+// ask of it — is returned as it is, never reallocated; only one without room
+// grows, and then for the whole remainder at once.
+func TestReserveLeavesRoomAlone(t *testing.T) {
+	const done, total, each = reserveAfter, 10 * reserveAfter, 10
+	written := make([]byte, done*each)
+	estimate := each*(total-done) + each*(total-done)/10 + total
+
+	roomy := append(make([]byte, 0, len(written)+estimate), written...)
+	if got := reserve(roomy, 0, done, total); &got[0] != &roomy[0] || cap(got) != cap(roomy) {
+		t.Errorf("reserve reallocated a buffer with room for its estimate (cap %d -> %d)", cap(roomy), cap(got))
+	}
+	tight := append(make([]byte, 0, len(written)), written...)
+	if got := reserve(tight, 0, done, total); cap(got)-len(got) < estimate {
+		t.Errorf("reserve left room for %d bytes, estimate %d", cap(got)-len(got), estimate)
 	}
 }

@@ -3,6 +3,7 @@ package ntadoc
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/datagen"
@@ -64,7 +65,8 @@ func sessionMixLabel(spec BatchSpec) string {
 // one warmed query session serving the daemon's miss path (RunSpecJSON —
 // traversal, shard merge, wire encode) request by request, per task and
 // fused, on a top-down and a bottom-up shape.  Compare commits with
-// benchstat; allocs/op is the workspace's figure of merit.
+// benchstat; allocs/op is the workspace's figure of merit, alloc-B/body-B —
+// heap bytes allocated per byte of body returned — the result path's.
 func BenchmarkSessionMix(b *testing.B) {
 	for _, shape := range sessionMixShapes {
 		b.Run(shape.name, func(b *testing.B) {
@@ -80,6 +82,9 @@ func BenchmarkSessionMix(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					served := 0
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						body, err := sess.RunSpecJSON(ctx, spec)
@@ -87,10 +92,62 @@ func BenchmarkSessionMix(b *testing.B) {
 							b.Fatal(err)
 						}
 						b.SetBytes(int64(len(body)))
+						served += len(body)
 					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(served), "alloc-B/body-B")
 					b.ReportMetric(float64(sess.WorkspaceBytes()), "workspace-B")
 				})
 			}
 		})
+	}
+}
+
+// Allocation budgets of the miss path on the `cold-miss` shape, one warmed
+// session: a cycle of the served mix may allocate at most
+// mixAllocBytesPerBodyByte bytes per byte of body it returns (measured 2.3;
+// the map-based result path allocated 4.6), and the fused batch at most
+// fusedMixAllocs objects (measured 672; 37,353 with maps).  Past either,
+// something between Fold.Finish and the socket is building per-key structures
+// again.
+const (
+	mixAllocBytesPerBodyByte = 2.6
+	fusedMixAllocs           = 1000
+)
+
+func TestSessionMixAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("builds the cold-miss corpus")
+	}
+	sess, err := sessionMixEngine(t, sessionMixShapes[0].spec).NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var allocated, served uint64
+	for _, spec := range sessionMix() {
+		if _, err := sess.RunSpecJSON(ctx, spec); err != nil { // warm the workspace
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err := sess.RunSpecJSON(ctx, spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated, served = allocated+after.TotalAlloc-before.TotalAlloc, served+uint64(len(body))
+		if n := after.Mallocs - before.Mallocs; sessionMixLabel(spec) == "fused" && n > fusedMixAllocs {
+			t.Errorf("the fused batch made %d allocations, budget %d", n, fusedMixAllocs)
+		}
+	}
+	ratio := float64(allocated) / float64(served)
+	t.Logf("one cycle of the mix: %d bytes allocated for %d bytes of bodies (%.2f per byte)", allocated, served, ratio)
+	if ratio > mixAllocBytesPerBodyByte {
+		t.Errorf("one cycle of the mix allocated %.2f bytes per body byte, budget %.1f", ratio, mixAllocBytesPerBodyByte)
 	}
 }
