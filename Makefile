@@ -44,10 +44,14 @@ test:
 # rounds — and so does the one that closes the engine under the daemon's
 # clients, where an unordered traversal would be reading an unmapped image.
 # The same rounds cover the one thing sessions build on a shared engine: its
-# sequence order, ranked by whichever first queries get there (seqOrder).
+# sequence order, ranked by whichever first queries get there (seqOrder) —
+# and the serving cut's lifetime rule: readers, an appender and a compaction
+# loop at once, one cut held pinned and one session left idle across swaps
+# (a tail discarded under a pin is a fault, not a wrong answer), and Close
+# with a cut still pinned.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun' ./internal/core
+	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCloseUnderPinnedCut' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCloseOrdersSessionsBeforeEngineClose' ./internal/server
 
 # One iteration of every benchmark, as a compile-and-run smoke test.

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -70,11 +72,17 @@ type daemon struct {
 	done chan error    // receives cmd.Wait()
 }
 
-// startDaemon launches the binary and waits for it to report its listen
-// address and pass a health check.
+// startDaemon launches the binary over archive with one follower per shard.
 func startDaemon(t *testing.T, bin, archive string, env ...string) *daemon {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-replicas", "1", archive)
+	return startDaemonArgs(t, bin, []string{"-replicas", "1", archive}, env...)
+}
+
+// startDaemonArgs launches the binary with args and waits for it to report
+// its listen address and pass a health check.
+func startDaemonArgs(t *testing.T, bin string, args []string, env ...string) *daemon {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	cmd.Env = append(os.Environ(), env...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -261,5 +269,147 @@ func TestDaemonGracefulDrain(t *testing.T) {
 	}
 	if !strings.Contains(d.out.String(), "drained, bye") {
 		t.Errorf("missing drained-shutdown report:\n%s", d.out)
+	}
+}
+
+// ingestGauge reads one ntadoc_ingest{stat=...} gauge off /metrics.
+func ingestGauge(t *testing.T, d *daemon, stat string) int {
+	t.Helper()
+	resp, err := http.Get(d.base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	_, rest, ok := strings.Cut(string(body), fmt.Sprintf("ntadoc_ingest{stat=%q} ", stat))
+	if !ok {
+		t.Fatalf("/metrics has no ntadoc_ingest{stat=%q}", stat)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	n, err := strconv.Atoi(line)
+	if err != nil {
+		t.Fatalf("ntadoc_ingest{stat=%q} = %q: %v", stat, line, err)
+	}
+	return n
+}
+
+// TestDaemonAppendStream appends through the real binary, beside a reader,
+// for long enough that the background compactor replaces every shard's
+// serving tail more than once.  What the daemon then serves must equal a
+// from-scratch unsharded rebuild of everything appended, and what it keeps
+// mapped to serve it must not have grown with the compactions: at most its
+// own engine, one tail and one delta per shard.
+func TestDaemonAppendStream(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildDaemon(t, dir)
+	archive, docs := loadTestdata(t, dir)
+	const shards = 2 // loadTestdata's
+	d := startDaemonArgs(t, bin, []string{"-ingest-cap", "4194304", archive})
+
+	stop := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				readerErr <- nil
+				return
+			default:
+			}
+			resp, err := http.Get(d.base + "/v1/query?task=wordcount,termvector")
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("query beside the append stream: status %d", resp.StatusCode)
+				}
+			}
+			if err != nil {
+				readerErr <- err
+				return
+			}
+		}
+	}()
+
+	// Batches of 8 until each shard's delta has crossed the default policy's
+	// 64 documents, and been folded, twice over.
+	for b := 0; ingestGauge(t, d, "compactions") < 2*shards; b++ {
+		if b == 400 {
+			t.Fatalf("%d compactions after %d appended documents", ingestGauge(t, d, "compactions"), 8*b)
+		}
+		var req server.AppendRequest
+		for k := 0; k < 8; k++ {
+			n := b*8 + k
+			req.Documents = append(req.Documents, server.AppendDocument{
+				Name: fmt.Sprintf("stream%03d", n),
+				Text: fmt.Sprintf("stream document %d of batch %d says the quick brown fox met word%d again and again", n, b, n%11),
+			})
+			docs = append(docs, ntadoc.Document{Name: req.Documents[k].Name, Text: req.Documents[k].Text})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			resp, err := http.Post(d.base+"/v1/append", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("append batch %d: %v", b, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+			// 503: a compaction's merge is building; the daemon says retry.
+			if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+				t.Fatalf("append batch %d: status %d: %s", b, resp.StatusCode, msg)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	close(stop)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := ingestGauge(t, d, "serving_engines"); got > 3*shards {
+		t.Errorf("%d serving engines with requests drained after %d compactions, want at most %d",
+			got, ingestGauge(t, d, "compactions"), 3*shards)
+	}
+
+	ref, err := ntadoc.Compress(docs)
+	if err != nil {
+		t.Fatalf("Compress: %v", err)
+	}
+	eng, err := ntadoc.NewEngine(ref, ntadoc.Options{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer eng.Close()
+	tasks := []string{"wordcount", "sort", "termvector", "invertedindex", "seqcount", "rankedindex"}
+	spec, err := ntadoc.ParseBatchSpec(tasks, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := eng.RunSpec(spec)
+	if err != nil {
+		t.Fatalf("RunSpec: %v", err)
+	}
+	want, err := server.EncodeResult(direct, ref.DocumentNames())
+	if err != nil {
+		t.Fatalf("EncodeResult: %v", err)
+	}
+	resp, err := http.Get(d.base + "/v1/query?task=" + strings.Join(tasks, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var env server.Response
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("decoding response (status %d): %v", resp.StatusCode, err)
+	}
+	if !bytes.Equal(env.Result, want) {
+		t.Errorf("daemon result after the append stream differs from a from-scratch rebuild\n got %.200s\nwant %.200s",
+			env.Result, want)
 	}
 }

@@ -55,9 +55,6 @@ func run() error {
 	cache := fs.Int("cache", 0, "result cache entries (0 = default, negative disables)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = default)")
 	ingestCap := fs.Int64("ingest-cap", 0, "durable append-log bytes per shard (0 disables /v1/append)")
-	compactDocs := fs.Int("compact-docs", 0, "compact a shard once its delta exceeds this many documents (0 = default)")
-	compactBytes := fs.Int64("compact-bytes", 0, "compact a shard once its delta exceeds this many bytes (0 = default)")
-	compactEvery := fs.Duration("compact-interval", 0, "background compaction poll cadence (0 = default)")
 	fs.Parse(os.Args[1:])
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected one archive path")
@@ -95,13 +92,10 @@ func run() error {
 	}
 	defer eng.Close()
 	if *ingestCap > 0 {
-		// Background compaction keeps query cost over base+delta bounded
-		// while appends keep landing; swaps never block queries.
-		stopCompact := eng.AutoCompact(ntadoc.CompactionPolicy{
-			MaxDeltaDocs:  *compactDocs,
-			MaxDeltaBytes: *compactBytes,
-			Interval:      *compactEvery,
-		})
+		// Background compaction, at the default policy, keeps query cost
+		// over base+delta bounded while appends keep landing; swaps never
+		// block queries.
+		stopCompact := eng.AutoCompact(ntadoc.CompactionPolicy{})
 		defer stopCompact()
 	}
 

@@ -265,6 +265,11 @@ type IngestStats struct {
 	DeltaSymbols  int64  // live delta grammar body symbols
 	CompactedDocs uint32 // appended documents folded into the serving base
 	Compactions   uint64 // compactions performed
+	// ServingEngines counts the engines the appendable shards keep mapped to
+	// serve: per shard its own engine, the tail the last compaction
+	// published, the latest delta snapshot, and whatever a query in flight
+	// still has pinned.  Bounded by three per shard once requests drain.
+	ServingEngines int
 }
 
 // IngestStats reports the engine's ingestion state (zero value for engines
@@ -275,14 +280,15 @@ func (e *Engine) IngestStats() IngestStats {
 		st = e.sh.IngestStats()
 	}
 	return IngestStats{
-		Batches:       st.Batches,
-		AppendedDocs:  st.Docs,
-		LogBytes:      st.LogBytes,
-		LogCapacity:   st.LogCap,
-		DeltaDocs:     st.DeltaDocs,
-		DeltaSymbols:  st.DeltaSymbols,
-		CompactedDocs: st.CompactedDocs,
-		Compactions:   st.Compactions,
+		Batches:        st.Batches,
+		AppendedDocs:   st.Docs,
+		LogBytes:       st.LogBytes,
+		LogCapacity:    st.LogCap,
+		DeltaDocs:      st.DeltaDocs,
+		DeltaSymbols:   st.DeltaSymbols,
+		CompactedDocs:  st.CompactedDocs,
+		Compactions:    st.Compactions,
+		ServingEngines: st.ServingEngines,
 	}
 }
 

@@ -29,6 +29,9 @@ func FuzzReadArchive(f *testing.F) {
 	f.Add([]byte("NTDCCFG1 garbage"))
 	trunc := buf.Bytes()[:buf.Len()/2]
 	f.Add(trunc)
+	legacy := bytes.Clone(buf.Bytes())
+	copy(legacy[8:], "NTDCSHD1") // the section magic of the container no longer read
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadArchive(bytes.NewReader(data))

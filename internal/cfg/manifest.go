@@ -10,89 +10,26 @@ import (
 	"io"
 )
 
-// Sharded grammar container ("NTDCSHD1"): the compressed form of a corpus
-// partitioned into K independently-built grammars.  The shard boundary is
-// always whole files (separators never leave R0), so the manifest is fully
-// described by each shard's file count; shard s covers global documents
-// [fileBase(s), fileBase(s)+NumFiles(s)).
-//
-//	magic            8 bytes
-//	numShards        uvarint
-//	per shard:
-//	  fileBase       uvarint (global index of the shard's first document)
-//	  sectionLen     uvarint
-//	  grammar        sectionLen bytes ("NTDCCFG1", self-checksummed)
-//	crc32            4 bytes LE, over everything before it
-//
-// Each shard section carries its own CRC; the container CRC additionally
-// covers the manifest framing, so a truncated or reordered shard list is
-// detected even when every section is individually intact.
-
-var shardMagic = []byte("NTDCSHD1")
+// legacyShardMagic opened the first sharded container ("NTDCSHD1": K
+// independently built, self-checksummed grammar sections behind a manifest).
+// Nothing has written it since sharded compression began sharing one rule
+// table (sharedMagic below), and its reader went with its writer; the magic
+// stays so that such a file is told apart from a corrupt one.
+var legacyShardMagic = []byte("NTDCSHD1")
 
 // MaxShards bounds the shard count a container may declare.
 const MaxShards = 1 << 16
 
-// IsShardContainer reports whether b begins with either sharded-container
-// magic (independent shards or shared-table revision).  Callers use it to
-// dispatch between ReadGrammar and the shard readers.
-func IsShardContainer(b []byte) bool {
-	if len(b) < len(shardMagic) {
-		return false
-	}
-	return bytes.Equal(b[:len(shardMagic)], shardMagic) ||
-		bytes.Equal(b[:len(sharedMagic)], sharedMagic)
+// IsLegacyShardContainer reports whether b begins with the magic of the
+// sharded container this package no longer reads.
+func IsLegacyShardContainer(b []byte) bool {
+	return bytes.HasPrefix(b, legacyShardMagic)
 }
 
 // IsSharedContainer reports whether b begins with the shared-table container
-// magic specifically ("NTDCSHD2"), distinguishing it from the independent
-// shard container for readers that preserve the unified form.
+// magic ("NTDCSHD2").
 func IsSharedContainer(b []byte) bool {
-	return len(b) >= len(sharedMagic) && bytes.Equal(b[:len(sharedMagic)], sharedMagic)
-}
-
-// WriteShards serializes a sharded grammar set as one container.
-func WriteShards(w io.Writer, shards []*Grammar) (int64, error) {
-	if len(shards) == 0 {
-		return 0, fmt.Errorf("%w: empty shard set", ErrInvalid)
-	}
-	if len(shards) > MaxShards {
-		return 0, fmt.Errorf("%w: %d shards", ErrInvalid, len(shards))
-	}
-	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(w, crc)}
-	var buf [binary.MaxVarintLen64]byte
-	uv := func(v uint64) error {
-		_, err := cw.Write(buf[:binary.PutUvarint(buf[:], v)])
-		return err
-	}
-	if _, err := cw.Write(shardMagic); err != nil {
-		return cw.n, err
-	}
-	if err := uv(uint64(len(shards))); err != nil {
-		return cw.n, err
-	}
-	fileBase := uint64(0)
-	for i, g := range shards {
-		var section bytes.Buffer
-		if _, err := g.WriteTo(&section); err != nil {
-			return cw.n, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if err := uv(fileBase); err != nil {
-			return cw.n, err
-		}
-		if err := uv(uint64(section.Len())); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(section.Bytes()); err != nil {
-			return cw.n, err
-		}
-		fileBase += uint64(g.NumFiles)
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
-	m, err := w.Write(crcBuf[:])
-	return cw.n + int64(m), err
+	return bytes.HasPrefix(b, sharedMagic)
 }
 
 // hashReader hashes exactly the bytes delivered to the parser — unlike a
@@ -117,65 +54,6 @@ func (h *hashReader) ReadByte() (byte, error) {
 	}
 	h.crc.Write(b[:])
 	return b[0], nil
-}
-
-// ReadShards deserializes a container written by WriteShards, validating
-// every shard grammar and the manifest framing.
-func ReadShards(r io.Reader) ([]*Grammar, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	hr := &hashReader{r: br, crc: crc32.NewIEEE()}
-	fail := func(stage string, err error) ([]*Grammar, error) {
-		return nil, fmt.Errorf("%w: shard container %s: %v", ErrInvalid, stage, err)
-	}
-
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(hr, magic); err != nil {
-		return fail("magic", err)
-	}
-	if !bytes.Equal(magic, shardMagic) {
-		return nil, fmt.Errorf("%w: bad shard magic %q", ErrInvalid, magic)
-	}
-	numShards, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return fail("shard count", err)
-	}
-	if numShards == 0 || numShards > MaxShards {
-		return nil, fmt.Errorf("%w: absurd shard count %d", ErrInvalid, numShards)
-	}
-	shards := make([]*Grammar, 0, clampPrealloc(numShards))
-	fileBase := uint64(0)
-	for i := uint64(0); i < numShards; i++ {
-		base, err := binary.ReadUvarint(hr)
-		if err != nil {
-			return fail("file base", err)
-		}
-		if base != fileBase {
-			return nil, fmt.Errorf("%w: shard %d declares file base %d, want %d",
-				ErrInvalid, i, base, fileBase)
-		}
-		sectionLen, err := binary.ReadUvarint(hr)
-		if err != nil {
-			return fail("section length", err)
-		}
-		if sectionLen == 0 || sectionLen > 1<<40 {
-			return nil, fmt.Errorf("%w: absurd shard section length %d", ErrInvalid, sectionLen)
-		}
-		g, err := ReadGrammar(io.LimitReader(hr, int64(sectionLen)))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		shards = append(shards, g)
-		fileBase += uint64(g.NumFiles)
-	}
-	want := hr.crc.Sum32()
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return fail("crc", err)
-	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: shard container checksum mismatch", ErrInvalid)
-	}
-	return shards, nil
 }
 
 // Shared-table container ("NTDCSHD2"): the unified compressed form of a

@@ -37,46 +37,6 @@ func shardGrammars(t *testing.T) []*Grammar {
 	return []*Grammar{g1, g2}
 }
 
-func TestShardContainerRoundTrip(t *testing.T) {
-	shards := shardGrammars(t)
-	var buf bytes.Buffer
-	n, err := WriteShards(&buf, shards)
-	if err != nil {
-		t.Fatalf("WriteShards: %v", err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteShards reported %d bytes, wrote %d", n, buf.Len())
-	}
-	if !IsShardContainer(buf.Bytes()) {
-		t.Fatal("container magic not detected")
-	}
-	got, err := ReadShards(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadShards: %v", err)
-	}
-	if !reflect.DeepEqual(got, shards) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, shards)
-	}
-}
-
-func TestShardContainerDetectsCorruption(t *testing.T) {
-	shards := shardGrammars(t)
-	var buf bytes.Buffer
-	if _, err := WriteShards(&buf, shards); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Truncation and a flipped bit in the manifest framing must both fail.
-	if _, err := ReadShards(bytes.NewReader(data[:len(data)-6])); err == nil {
-		t.Fatal("truncated container accepted")
-	}
-	corrupt := append([]byte(nil), data...)
-	corrupt[9] ^= 0x01 // shard count byte
-	if _, err := ReadShards(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt shard count accepted")
-	}
-}
-
 func TestConcatShards(t *testing.T) {
 	shards := shardGrammars(t)
 	merged, err := ConcatShards(shards)
@@ -136,7 +96,7 @@ func TestSharedContainerRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteSharedSet reported %d bytes, wrote %d", n, buf.Len())
 	}
-	if !IsShardContainer(buf.Bytes()) || !IsSharedContainer(buf.Bytes()) {
+	if !IsSharedContainer(buf.Bytes()) || IsLegacyShardContainer(buf.Bytes()) {
 		t.Fatal("shared container magic not detected")
 	}
 	got, err := ReadSharedSet(bytes.NewReader(buf.Bytes()))
@@ -146,18 +106,13 @@ func TestSharedContainerRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, set) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, set)
 	}
-	// The legacy container must not read as a shared one, nor vice versa.
-	if _, err := ReadShards(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("shared container accepted by legacy reader")
+	// The container this one replaced opens with a different magic: it is
+	// neither mistaken for a shared one nor read as one.
+	legacy := append([]byte("NTDCSHD1"), buf.Bytes()[8:]...)
+	if !IsLegacyShardContainer(legacy) || IsSharedContainer(legacy) {
+		t.Fatal("legacy container magic not told apart")
 	}
-	var legacy bytes.Buffer
-	if _, err := WriteShards(&legacy, shardGrammars(t)); err != nil {
-		t.Fatal(err)
-	}
-	if IsSharedContainer(legacy.Bytes()) {
-		t.Fatal("legacy container detected as shared")
-	}
-	if _, err := ReadSharedSet(bytes.NewReader(legacy.Bytes())); err == nil {
+	if _, err := ReadSharedSet(bytes.NewReader(legacy)); err == nil {
 		t.Fatal("legacy container accepted by shared reader")
 	}
 }

@@ -497,6 +497,8 @@ func (e *Engine) initialize(g *cfg.Grammar, p *prepState) error {
 		}
 		ingAcc.WriteBytes(0, make([]byte, ingestHeaderSize))
 		pool.SetRoot(rootIngest, ingAcc.Base())
+		ingAcc.PutUint64(ingOffVocab, uint64(e.numWords))
+		ingAcc.PutUint64(ingOffCap, uint64(ingAcc.Size()-ingestHeaderSize))
 		e.ingest = newIngestState(e, ingAcc, g)
 	}
 
@@ -822,8 +824,9 @@ func (e *Engine) PersistCounts() PersistCounts {
 }
 
 // Close releases the device, recycling its simulation buffers — plus, for
-// an appendable engine, the delta-view and compacted serving engines hanging
-// off the ingest state.  The engine must not be used after Close.
+// an appendable engine, the tail and delta engines of its current serving
+// cut (one a query still has pinned goes when the pin does).  The engine
+// must not be used after Close.
 func (e *Engine) Close() error {
 	e.abandon()
 	return e.dev.Discard()

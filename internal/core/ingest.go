@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
@@ -25,23 +24,27 @@ import (
 // body is flushed and drained before the header commit, so a crash recovers
 // to "batch fully visible" or "batch absent", never a torn batch.
 //
-// Serving is layered over that durable log in DRAM: a live sequitur
-// DeltaBuilder extends a delta grammar one document at a time, and after
-// each commit the builder is snapshotted into a small engine over a fresh
-// device, published as a refcounted deltaView.  The shard set's
-// scatter-gather pins the view, runs the base traversal and the delta
+// Serving is layered over that durable log in DRAM as one published serving
+// cut per shard (servingCut): a tail engine, an engine over the delta
+// grammar's latest snapshot, and how many appended documents each holds.  A
+// live sequitur DeltaBuilder extends the delta grammar one document at a
+// time; after each commit AppendAt snapshots it into a small engine over a
+// fresh device and publishes a new cut with the same tail.  The shard set's
+// scatter-gather pins the cut, runs the tail traversal and the delta
 // traversal independently, and merges the results through
 // analytics.MergeUnits — bit-identical to rebuilding the engine from the
 // concatenated corpus, because every analytics result depends only on the
 // per-file token streams.  The shard engine's own RunOps and sessions serve
 // its pool only: base-only results, no tail redirect.
 //
-// Compaction is a serving-only promotion: the base grammar and the delta
-// snapshot are merged (cfg.MergeDelta) into a new engine that becomes the
-// serving tail; the durable log is never rewritten (it is monotonic — when
-// the region fills, AppendAt returns ErrIngestFull).  A crash at any point
-// during compaction therefore recovers the pre-compaction state trivially:
-// recovery replays the log into a fresh delta over the original base.
+// Compaction replaces the cut's tail: the tail's grammar and the delta
+// snapshot are merged (cfg.MergeDelta) into a new engine, published as the
+// tail of a cut with no delta.  An engine the current cut no longer names is
+// discarded by whoever drops the last pin on a cut that does.  The durable
+// log is never rewritten (it is monotonic — when the region fills, AppendAt
+// returns ErrIngestFull), so a crash at any point during compaction recovers
+// the pre-compaction state trivially: recovery replays the log into a fresh
+// delta over the original base.
 
 // ingestHeaderSize is the append-log region header: committed record bytes,
 // batch count, document count, vocabulary size, and the region capacity.
@@ -84,176 +87,173 @@ type IngestStats struct {
 	DeltaSymbols  int64  // live delta grammar body symbols
 	CompactedDocs uint32 // appended documents folded into the serving base
 	Compactions   uint64
+	// ServingEngines counts the engines kept mapped to serve the shard: its
+	// own, and the tails and deltas that are current or still pinned.
+	ServingEngines int
 }
 
-// deltaView is one published snapshot of the delta serving engine, pinned by
-// in-flight queries.  The engine behind it lives on its own fresh device, so
-// it stays queryable even across a base-device failover.
-type deltaView struct {
-	st   *ingestState
-	eng  *Engine // nil when the delta is empty
-	docs uint32  // appended documents this view covers
-
-	refs    int  // guarded by st.viewMu
-	retired bool // guarded by st.viewMu
+// servingCut is one published snapshot of what serves an appendable shard:
+// the tail engine (the shard engine itself until a compaction folds appended
+// documents into a new one), the engine over the delta grammar's snapshot,
+// and how many appended documents each holds.  A cut is immutable; a query
+// reaches one only through ingestState.pin and gives it back with release.
+type servingCut struct {
+	st        *ingestState // nil in a static shard's pin, which holds nothing
+	tail      *Engine
+	delta     *Engine // nil while the tail holds every appended document
+	compacted uint32  // appended documents folded into tail
+	deltaDocs uint32  // appended documents delta holds
 }
 
-// release drops one pin; the last release of a retired view closes its
-// engine.
-func (v *deltaView) release() {
-	if v == nil {
-		return
-	}
-	v.st.viewMu.Lock()
-	v.refs--
-	closeNow := v.retired && v.refs == 0 && v.eng != nil
-	v.st.viewMu.Unlock()
-	if closeNow {
-		_ = v.eng.Close()
-	}
-}
-
-// ingestState is the per-engine ingestion state.  The root engine of a
-// serving chain owns the durable log half (acc); engines promoted by
-// compaction carry a serving-only state (no log) and receive their appends
-// through the root.
+// ingestState is an appendable shard's ingestion state, owned by the shard
+// engine: the durable log half, and the serving half layered over it — the
+// delta builder, the grammar compaction merges it into, and the published
+// cut with the count of who still needs each engine a cut has named.
 type ingestState struct {
 	e *Engine
 
-	// Durable log half; acc.Size() == 0 on serving-only states.
 	acc nvm.Accessor
 	cap int64
 
-	// mu serializes appends, compaction control, and recovery replay.
+	// mu serializes appends, compaction control, and recovery replay — the
+	// cut's two writers.
 	mu        sync.Mutex
 	committed int64  // guarded by mu: committed record bytes
 	batches   uint64 // guarded by mu: committed batches
 	docs      uint64 // guarded by mu: committed appended documents
 	vocab     uint32 // guarded by mu: vocabulary size after the last batch
-	infos     []IngestBatch
-	// compacting rejects appends while a compaction merge is building; it is
-	// read and written only under mu, but the merge itself runs unlocked.
-	compacting bool
-
-	// Serving half.
-	db          *sequitur.DeltaBuilder // guarded by mu
-	baseG       *cfg.Grammar           // nil on recovered engines
+	// compacting rejects appends while a compaction merge is building: the
+	// merge itself runs unlocked.
+	compacting  bool                   // guarded by mu
+	db          *sequitur.DeltaBuilder // guarded by mu: documents appended since the tail was built
+	baseG       *cfg.Grammar           // guarded by mu: the tail's grammar; nil on recovered engines
 	compactions uint64                 // guarded by mu
 
-	viewMu   sync.Mutex
-	view     *deltaView // guarded by viewMu
-	promoted *Engine    // guarded by viewMu: compacted serving tail
-	retired  []*Engine  // guarded by viewMu: previous tails, closed on close
+	// cutMu publishes the cut.  It is separate from mu and held for a few
+	// loads and stores only — never across a commit, a merge or a discard —
+	// so a pin never waits for an append or a compaction.
+	cutMu sync.Mutex
+	cut   *servingCut // guarded by cutMu
+	// refs counts, for every engine a live cut names, the pins on cuts
+	// naming it plus one while the current cut does; an engine whose count
+	// reaches zero leaves the map and is discarded.  The shard engine holds
+	// one more for itself: it owns the append log, so it stays even when no
+	// cut serves its DAG, and goes with Engine.Close.
+	refs map[*Engine]int // guarded by cutMu
 
 	epoch atomic.Uint64 // committed batches + compactions (corpus epoch)
 }
 
-// newIngestState builds the root (durable-log-owning) state during engine
-// initialization.  g is the base grammar; its rule fingerprints seed the
-// delta builder's reuse accounting.
-func newIngestState(e *Engine, acc nvm.Accessor, g *cfg.Grammar) *ingestState {
-	st := &ingestState{e: e, acc: acc, cap: acc.Size() - ingestHeaderSize, baseG: g, vocab: e.numWords}
-	acc.PutUint64(ingOffVocab, uint64(st.vocab))
-	acc.PutUint64(ingOffCap, uint64(st.cap))
-	db, err := sequitur.NewDeltaBuilder(e.numWords, g)
+// newDeltaBuilder opens an empty delta builder whose reuse accounting is
+// seeded from g's rule fingerprints (nil: no accounting).
+func newDeltaBuilder(numWords uint32, g *cfg.Grammar) *sequitur.DeltaBuilder {
+	db, err := sequitur.NewDeltaBuilder(numWords, g)
 	if err != nil {
 		// Fingerprinting a validated grammar cannot fail; fall back to a
 		// builder without reuse accounting rather than losing ingestion.
-		db, _ = sequitur.NewDeltaBuilder(e.numWords, nil)
+		db, _ = sequitur.NewDeltaBuilder(numWords, nil)
 	}
-	st.db = db
+	return db
+}
+
+// newIngestState builds the state over the append-log region acc during
+// engine initialization (g is the engine's grammar) or recovery (g is nil:
+// the grammar is gone), and publishes the cut in which the shard engine
+// serves alone.
+func newIngestState(e *Engine, acc nvm.Accessor, g *cfg.Grammar) *ingestState {
+	st := &ingestState{e: e, acc: acc, cap: acc.Size() - ingestHeaderSize, baseG: g, vocab: e.numWords,
+		db: newDeltaBuilder(e.numWords, g), refs: map[*Engine]int{e: 1}}
 	// Appends interleave with query sessions; shared mode serializes the
 	// device's bookkeeping under concurrency.
 	e.dev.Share()
+	st.publish(&servingCut{st: st, tail: e})
 	return st
 }
 
-// newServingIngest builds the serving-only state compaction attaches to a
-// promoted tail engine.
-func newServingIngest(e *Engine, g *cfg.Grammar) *ingestState {
-	st := &ingestState{e: e, baseG: g, vocab: e.numWords}
-	st.db, _ = sequitur.NewDeltaBuilder(e.numWords, g)
-	e.dev.Share()
-	return st
-}
-
-// close retires the serving chain: the current view's engine, every retired
-// tail, and the promoted tail (recursively).
+// close gives up the state's references on everything but the shard engine,
+// by publishing the cut that names it alone: an engine no pin holds is
+// discarded here, a pinned one by the release of its last pin.
 func (st *ingestState) close() {
-	st.viewMu.Lock()
-	v, p, retired := st.view, st.promoted, st.retired
-	st.view, st.promoted, st.retired = nil, nil, nil
-	st.viewMu.Unlock()
-	if v != nil && v.eng != nil {
-		_ = v.eng.Close()
+	st.publish(&servingCut{st: st, tail: st.e})
+}
+
+// pin returns the current cut with a reference on each engine it names, so
+// both stay mapped until the caller releases the cut — whatever appends and
+// compactions publish meanwhile.
+func (st *ingestState) pin() *servingCut {
+	st.cutMu.Lock()
+	defer st.cutMu.Unlock()
+	st.retainLocked(st.cut)
+	return st.cut
+}
+
+// current returns the published cut without pinning it: for the writers,
+// which hold mu and are the only ones to replace it, and for counters.
+func (st *ingestState) current() *servingCut {
+	st.cutMu.Lock()
+	defer st.cutMu.Unlock()
+	return st.cut
+}
+
+// release gives a pinned cut back and discards the engines that nothing
+// needs any more, on the calling goroutine.
+func (c *servingCut) release() {
+	st := c.st
+	if st == nil {
+		return
 	}
-	for _, t := range retired {
-		_ = t.Close() // closes the tail's own ingest state first
+	st.cutMu.Lock()
+	dead := st.dropLocked(c)
+	st.cutMu.Unlock()
+	discardEngines(dead)
+}
+
+// publish makes c the current cut and gives up the reference the previous
+// one held.  Its callers hold mu, or own the state alone (construction,
+// close).
+func (st *ingestState) publish(c *servingCut) {
+	st.cutMu.Lock()
+	old := st.cut
+	st.cut = c
+	st.retainLocked(c) // before the drop: a tail both cuts name never reads zero
+	var dead []*Engine
+	if old != nil {
+		dead = st.dropLocked(old)
 	}
-	if p != nil {
-		_ = p.Close()
+	st.cutMu.Unlock()
+	discardEngines(dead)
+}
+
+// retainLocked takes one reference on each engine c names.
+func (st *ingestState) retainLocked(c *servingCut) {
+	st.refs[c.tail]++
+	if c.delta != nil {
+		st.refs[c.delta]++
 	}
 }
 
-// tail returns the serving engine at the end of the promotion chain: the
-// engine itself before any compaction, the latest compacted engine after.
-func (st *ingestState) tail() *Engine {
-	st.viewMu.Lock()
-	p := st.promoted
-	st.viewMu.Unlock()
-	if p == nil {
-		return st.e
-	}
-	if p.ingest != nil {
-		return p.ingest.tail()
-	}
-	return p
-}
-
-// pinServing atomically resolves the serving tail and pins its delta view
-// (nil when the tail has no appended documents).  The compaction swap
-// installs the promoted engine and retires the view in one viewMu critical
-// section, so a reader that finds a freshly promoted tail simply follows the
-// chain — it can never observe "view gone, promotion not yet visible" and
-// drop delta documents from a result.  The caller must release the view.
-func (st *ingestState) pinServing() (*Engine, *deltaView) {
-	for {
-		t := st.tail()
-		ti := t.ingest
-		if ti == nil {
-			return t, nil
-		}
-		ti.viewMu.Lock()
-		promoted := ti.promoted
-		v := ti.view
-		if promoted == nil && v != nil {
-			//ntalint:ignore guardcheck v.st == ti: the pin is taken under ti.viewMu, which is the view's own guard.
-			v.refs++
-		}
-		ti.viewMu.Unlock()
-		if promoted != nil {
+// dropLocked gives back one reference on each engine c names and returns
+// those left with none, already out of refs, for the caller to discard once
+// it has let go of cutMu.
+func (st *ingestState) dropLocked(c *servingCut) []*Engine {
+	var dead []*Engine
+	for _, e := range [...]*Engine{c.tail, c.delta} {
+		if e == nil {
 			continue
 		}
-		return t, v
+		if st.refs[e]--; st.refs[e] == 0 {
+			delete(st.refs, e)
+			dead = append(dead, e)
+		}
 	}
+	return dead
 }
 
-// publishView swaps the serving view; the previous view is retired and
-// closed once its last pin releases.
-func (st *ingestState) publishView(eng *Engine, docs uint32) {
-	nv := &deltaView{st: st, eng: eng, docs: docs}
-	st.viewMu.Lock()
-	old := st.view
-	st.view = nv
-	if old != nil {
-		//ntalint:ignore guardcheck old.st == st: retired under st.viewMu, which is the view's own guard.
-		old.retired = true
-	}
-	//ntalint:ignore guardcheck old.st == st: refs read under st.viewMu, which is the view's own guard.
-	closeOld := old != nil && old.refs == 0 && old.eng != nil
-	st.viewMu.Unlock()
-	if closeOld {
-		_ = old.eng.Close()
+// discardEngines closes engines no cut names and no pin holds.  They are
+// tails and deltas, each on a device of its own that nothing else can reach.
+func discardEngines(dead []*Engine) {
+	for _, e := range dead {
+		_ = e.Close() // a serving engine persists nothing; its Discard error says nothing a caller could act on
 	}
 }
 
@@ -271,19 +271,18 @@ func (e *Engine) deltaOptions() Options {
 	}
 }
 
-// rebuildDeltaView snapshots the builder (caller holds mu) and publishes a
-// fresh serving engine over it.
-func (st *ingestState) rebuildDeltaView() error {
-	g := st.db.Grammar()
-	if g == nil {
-		st.publishView(nil, 0)
-		return nil
+// publishDelta snapshots the delta builder into a fresh engine and publishes
+// the cut that serves it beside tail (caller holds mu).
+func (st *ingestState) publishDelta(tail *Engine, compacted uint32) error {
+	c := &servingCut{st: st, tail: tail, compacted: compacted}
+	if g := st.db.Grammar(); g != nil {
+		eng, err := New(g, st.e.d, st.e.deltaOptions())
+		if err != nil {
+			return fmt.Errorf("core: build delta engine: %w", err)
+		}
+		c.delta, c.deltaDocs = eng, g.NumFiles
 	}
-	eng, err := New(g, st.e.d, st.e.deltaOptions())
-	if err != nil {
-		return fmt.Errorf("core: build delta engine: %w", err)
-	}
-	st.publishView(eng, g.NumFiles)
+	st.publish(c)
 	return nil
 }
 
@@ -405,9 +404,26 @@ func decodeAppendRecord(rec []byte) (IngestBatch, int64, error) {
 	return b, int64(8 + ln), nil
 }
 
+// decodeAppendLog decodes the committed prefix of the append-log region acc,
+// in commit order.
+func decodeAppendLog(acc nvm.Accessor, committed int64) ([]IngestBatch, error) {
+	raw := make([]byte, committed)
+	acc.ReadBytes(ingestHeaderSize, raw)
+	var bs []IngestBatch
+	for pos := int64(0); pos < committed; {
+		b, n, err := decodeAppendRecord(raw[pos:])
+		if err != nil {
+			return nil, fmt.Errorf("append log at %d: %v", pos, err)
+		}
+		bs = append(bs, b)
+		pos += n
+	}
+	return bs, nil
+}
+
 // AppendAt appends a batch of documents to the shard: the record is made
 // durable in the append log (body first, then the watermark commit), the
-// delta grammar is extended, and a fresh delta view is published.
+// delta grammar is extended, and a cut with its fresh snapshot is published.
 // globalBase is the global index of the batch's first document — the shard
 // set routes whole batches to one shard and numbers documents globally
 // across shards.  vocab is the vocabulary size after interning the batch;
@@ -481,57 +497,48 @@ func (e *Engine) AppendAt(docs []AppendDoc, vocab uint32, novel []string, global
 	st.batches++
 	st.docs += uint64(len(docs))
 	st.vocab = vocab
-	st.infos = append(st.infos, IngestBatch{GlobalBase: globalBase, Vocab: vocab,
-		Novel: append([]string(nil), novel...), Docs: docs})
 
-	// Serving: extend the delta at the end of the promotion chain (after a
-	// compaction, new documents accumulate on the compacted tail's delta).
-	ts := st.tail().ingest
-	if err := st.extendServing(ts, docs, vocab); err != nil {
+	// Serving: extend the delta grammar and publish its snapshot beside the
+	// tail the current cut names.
+	for _, d := range docs {
+		if err := st.db.AppendDoc(d.Tokens, vocab); err != nil {
+			return errEngine("append", err)
+		}
+	}
+	cur := st.current()
+	if err := st.publishDelta(cur.tail, cur.compacted); err != nil {
 		return err
 	}
 	st.epoch.Add(1)
 	return nil
 }
 
-// extendServing appends the batch's documents to the serving state's delta
-// builder and publishes the new view.  The caller holds the root's mu; the
-// serving state's builder is only ever mutated through the root, so no
-// further lock is needed.
-func (st *ingestState) extendServing(ts *ingestState, docs []AppendDoc, vocab uint32) error {
-	for _, d := range docs {
-		if err := ts.db.AppendDoc(d.Tokens, vocab); err != nil {
-			return errEngine("append", err)
-		}
+// beginCompaction claims the shard's one compaction slot and returns the
+// merge's inputs: the tail's grammar and a snapshot of the delta's, which
+// stays the whole delta because appends are refused until the slot is given
+// back.  A nil snapshot claims nothing: there is nothing to compact.
+func (st *ingestState) beginCompaction() (base, dg *cfg.Grammar, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.compacting {
+		return nil, nil, ErrCompacting
 	}
-	ts.vocab = vocab
-	return ts.rebuildDeltaView()
+	if st.baseG == nil {
+		return nil, nil, ErrNoBaseGrammar
+	}
+	dg = st.db.Grammar()
+	st.compacting = dg != nil
+	return st.baseG, dg, nil
 }
 
-// compact merges the serving tail's delta grammar into its base and promotes
-// the merged engine as the new serving tail (see ShardedEngine.Compact).
+// compact merges the delta grammar into the tail's and publishes the merged
+// engine as the tail of a cut with no delta (see ShardedEngine.Compact).
 func (st *ingestState) compact() error {
-	st.mu.Lock()
-	if st.compacting {
-		st.mu.Unlock()
-		return ErrCompacting
+	base, dg, err := st.beginCompaction()
+	if err != nil || dg == nil {
+		return err
 	}
-	tailEng := st.tail()
-	ts := tailEng.ingest
-	if ts.baseG == nil {
-		st.mu.Unlock()
-		return ErrNoBaseGrammar
-	}
-	//ntalint:ignore guardcheck delta builders are mutated only under the root's mu, held here; ts is reached only through the promotion chain.
-	dg := ts.db.Grammar()
-	if dg == nil {
-		st.mu.Unlock()
-		return nil // nothing to compact
-	}
-	st.compacting = true
-	st.mu.Unlock()
-
-	merged, err := cfg.MergeDelta(ts.baseG, dg)
+	merged, err := cfg.MergeDelta(base, dg)
 	var ne *Engine
 	if err == nil {
 		ne, err = New(merged, st.e.d, st.e.deltaOptions())
@@ -543,31 +550,13 @@ func (st *ingestState) compact() error {
 	if err != nil {
 		return errEngine("compact", err)
 	}
-	ne.ingest = newServingIngest(ne, merged)
-	// Swap: the merged engine becomes the serving tail; the old tail's view
-	// is retired (appends were blocked, so the snapshot is current) and the
-	// old tail itself is kept alive for in-flight pins until close.
-	ts.viewMu.Lock()
-	ts.promoted = ne
-	old := ts.view
-	ts.view = nil
-	if old != nil {
-		//ntalint:ignore guardcheck old.st == ts: retired under ts.viewMu, which is the view's own guard.
-		old.retired = true
-	}
-	//ntalint:ignore guardcheck old.st == ts: refs read under ts.viewMu, which is the view's own guard.
-	closeOld := old != nil && old.refs == 0 && old.eng != nil
-	ts.viewMu.Unlock()
-	if closeOld {
-		_ = old.eng.Close()
-	}
-	if ts != st {
-		// Intermediate tails stay reachable through the promotion chain; the
-		// root additionally tracks them so close() releases every device.
-		st.viewMu.Lock()
-		st.retired = append(st.retired, tailEng)
-		st.viewMu.Unlock()
-	}
+	// Swap: the merged engine holds every appended document, the builder
+	// starts over on top of it, and the cut this one replaces goes — tail and
+	// delta engine with it — once its last pin does.
+	ne.dev.Share()
+	st.baseG = merged
+	st.db = newDeltaBuilder(ne.numWords, merged)
+	st.publish(&servingCut{st: st, tail: ne, compacted: st.current().compacted + dg.NumFiles})
 	st.compactions++
 	st.epoch.Add(1)
 	return nil
@@ -584,14 +573,21 @@ func (e *Engine) CorpusEpoch() uint64 {
 }
 
 // IngestBatches returns the committed append batches in commit order — the
-// durable history recovery replays, exposed for coordinators and tooling.
+// durable history recovery replays, decoded from the log for coordinators
+// and tooling.
 func (e *Engine) IngestBatches() []IngestBatch {
-	if e.ingest == nil {
+	st := e.ingest
+	if st == nil {
 		return nil
 	}
-	e.ingest.mu.Lock()
-	defer e.ingest.mu.Unlock()
-	return append([]IngestBatch(nil), e.ingest.infos...)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	bs, err := decodeAppendLog(st.acc, st.committed)
+	if err != nil {
+		// AppendAt framed every committed record, or recovery checked it.
+		panic("core: committed " + err.Error())
+	}
+	return bs
 }
 
 // IngestStats reports the engine's ingestion state; zero value when the
@@ -603,17 +599,17 @@ func (e *Engine) IngestStats() IngestStats {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tailEng := st.tail()
 	out := IngestStats{
-		Batches:       st.batches,
-		Docs:          st.docs,
-		LogBytes:      st.committed,
-		LogCap:        st.cap,
-		CompactedDocs: tailEng.numFiles - st.e.numFiles,
-		Compactions:   st.compactions,
+		Batches:     st.batches,
+		Docs:        st.docs,
+		LogBytes:    st.committed,
+		LogCap:      st.cap,
+		Compactions: st.compactions,
 	}
-	//ntalint:ignore guardcheck delta builders are mutated only under the root's mu, held here; the tail is reached only through the promotion chain.
-	if ds, err := tailEng.ingest.db.Stats(); err == nil {
+	st.cutMu.Lock()
+	out.CompactedDocs, out.ServingEngines = st.cut.compacted, len(st.refs)
+	st.cutMu.Unlock()
+	if ds, err := st.db.Stats(); err == nil {
 		out.DeltaDocs = ds.Docs
 		out.DeltaRules = ds.Rules
 		out.DeltaReused = ds.Reused
@@ -622,19 +618,12 @@ func (e *Engine) IngestStats() IngestStats {
 	return out
 }
 
-// runDeltaOps executes ops against a pinned delta view through a transient
-// query session (the view's engine is read-shared by concurrent queries)
-// running in ws, the shard's workspace when a session lends one.
-func (v *deltaView) runDeltaOps(ops []analytics.Op, ws *workspace) ([]any, error) {
-	return v.eng.newSession(ws).RunOps(ops)
-}
-
 // recoverIngest reattaches the append-log region after Reopen and replays
-// every committed record: the batch history is decoded, the delta builder is
-// rebuilt by replaying the documents (sequitur inference is deterministic,
-// so the delta grammar is bit-identical to the pre-crash one), and the
-// serving view is republished.  The base grammar is gone, so compaction is
-// unavailable until the corpus is recompressed (ErrNoBaseGrammar).
+// every committed record: the delta builder is rebuilt by replaying the
+// documents (sequitur inference is deterministic, so the delta grammar is
+// bit-identical to the pre-crash one) and published beside the shard engine.
+// The base grammar is gone, so compaction is unavailable until the corpus is
+// recompressed (ErrNoBaseGrammar).
 func (e *Engine) recoverIngest(regionOff int64) error {
 	hdr := e.pool.AccessorAt(regionOff, ingestHeaderSize)
 	capBytes := int64(hdr.Uint64(ingOffCap))
@@ -651,36 +640,27 @@ func (e *Engine) recoverIngest(regionOff int64) error {
 		return fmt.Errorf("%w: append-log watermark %d beyond capacity %d",
 			ErrNeedsReload, committed, capBytes)
 	}
-	st := &ingestState{e: e, acc: acc, cap: capBytes}
-	st.db, _ = sequitur.NewDeltaBuilder(e.numWords, nil)
-	st.vocab = e.numWords
-	e.dev.Share()
-
-	raw := make([]byte, committed)
-	acc.ReadBytes(ingestHeaderSize, raw)
-	var pos int64
-	for pos < committed {
-		b, n, err := decodeAppendRecord(raw[pos:])
-		if err != nil {
-			return fmt.Errorf("%w: append log at %d: %v", ErrNeedsReload, pos, err)
-		}
+	st := newIngestState(e, acc, nil)
+	bs, err := decodeAppendLog(acc, committed)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrNeedsReload, err)
+	}
+	for _, b := range bs {
 		for _, d := range b.Docs {
 			if err := st.db.AppendDoc(d.Tokens, b.Vocab); err != nil {
 				return fmt.Errorf("%w: replay append: %v", ErrNeedsReload, err)
 			}
 		}
 		st.vocab = b.Vocab
-		st.infos = append(st.infos, b)
-		pos += n
 	}
-	if uint64(len(st.infos)) != batches || st.db.Docs() != uint32(docs) || st.vocab != vocab {
+	if uint64(len(bs)) != batches || st.db.Docs() != uint32(docs) || st.vocab != vocab {
 		return fmt.Errorf("%w: append log replay mismatch (%d/%d batches, %d/%d docs)",
-			ErrNeedsReload, len(st.infos), batches, st.db.Docs(), docs)
+			ErrNeedsReload, len(bs), batches, st.db.Docs(), docs)
 	}
 	st.committed, st.batches, st.docs = committed, batches, docs
 	st.epoch.Store(batches)
 	e.ingest = st
-	return st.rebuildDeltaView()
+	return st.publishDelta(e, 0)
 }
 
 // restoreVocabulary re-interns the novel words of the given batches (already

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -353,14 +354,70 @@ func TestShardedIngestRecovery(t *testing.T) {
 // observes a consistent cut — exactly the first N documents for some N
 // between the committed count when it started and when it finished.  Run
 // under -race this is the ingestion concurrency test.
-func TestAppendConcurrentQueries(t *testing.T) {
-	files, d, _ := corpus(t, 77, 12, 120, 25)
-	const base = 4
-	g, err := sequitur.Infer(files[:base], uint32(d.Len()))
-	if err != nil {
-		t.Fatalf("Infer: %v", err)
+func TestAppendConcurrentQueries(t *testing.T) { concurrentIngest(t, 1, false) }
+
+// TestCompactConcurrentQueries is the same oracle with a compaction loop
+// beside the appender and the readers, on two shards: every cut a query
+// observes, before or after any swap, is exactly a document prefix.  It also
+// holds one cut pinned across two compactions and leaves one session idle
+// across them — the engines a pin names must stay mapped however many cuts
+// replace it (a use-after-discard is a fault on an unmapped image, not a
+// wrong answer), and a session whose tail was discarded meanwhile must
+// reopen on the pinned one without touching the old.
+func TestCompactConcurrentQueries(t *testing.T) { concurrentIngest(t, 2, true) }
+
+// compactionCount is how many compactions the test's compaction loop has
+// published, for goroutines that wait for the next one.
+type compactionCount struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	n    uint64
+	off  bool // the loop has stopped: nothing more will be published
+}
+
+func (c *compactionCount) set(n uint64, off bool) {
+	c.mu.Lock()
+	c.n, c.off = n, c.off || off
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
+// await blocks until n compactions have been published (true) or the loop
+// has stopped short of that (false).
+func (c *compactionCount) await(n uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.n < n && !c.off {
+		c.cond.Wait()
 	}
-	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	return c.n >= n
+}
+
+// pinnedDocs lists the global documents a pinned engine holds, in its own
+// document order: the explicit map, or numFiles documents from base.
+func pinnedDocs(files [][]uint32, docMap []uint32, base, numFiles uint32) [][]uint32 {
+	var docs [][]uint32
+	if docMap == nil {
+		return files[base : base+numFiles]
+	}
+	for _, g := range docMap {
+		docs = append(docs, files[g])
+	}
+	return docs
+}
+
+func concurrentIngest(t *testing.T, k int, compact bool) {
+	files, d, _ := corpus(t, 77, 24, 120, 25)
+	const base = 4
+	gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), k)
+	if err != nil {
+		t.Fatalf("InferShards: %v", err)
+	}
+	e, err := NewSharded(gs, d, Options{Sequences: true, IngestCap: 1 << 20})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
 	vocab := uint32(d.Len())
 
 	refs := make(map[int][]any, len(files)-base+1)
@@ -368,64 +425,174 @@ func TestAppendConcurrentQueries(t *testing.T) {
 	for n := base; n <= len(files); n++ {
 		refs[n] = refResults(t, d, files[:n], tvK(ops))
 	}
+	// observe runs the batch and holds it to the reference for the document
+	// count it saw.
+	observe := func(ex analytics.Executor) error {
+		got, err := ex.RunOps(ops)
+		if err != nil {
+			return err
+		}
+		tv, ok := got[2].([][]analytics.WordFreq)
+		if !ok {
+			return fmt.Errorf("op 2 returned %T, want term vectors", got[2])
+		}
+		want, ok := refs[len(tv)]
+		if !ok {
+			return fmt.Errorf("query observed %d documents, outside [%d, %d]", len(tv), base, len(files))
+		}
+		for i, op := range ops {
+			if !reflect.DeepEqual(analytics.MapResult(op, got[i]), want[i]) {
+				return fmt.Errorf("op %s inconsistent with the %d-document cut", op.Name(), len(tv))
+			}
+		}
+		return nil
+	}
 
+	compactions := &compactionCount{}
+	compactions.cond = sync.NewCond(&compactions.mu)
+	appended := make(chan struct{}) // closed once the appender is through
+	pinned := make(chan struct{})   // closed once the holder has its pin
+	if !compact {
+		compactions.set(0, true)
+		close(pinned)
+	}
 	var wg sync.WaitGroup
-	appendErr := make(chan error, 1)
+	errs := make(chan error, 8)
+	fail := func(format string, args ...any) {
+		select {
+		case errs <- fmt.Errorf(format, args...):
+		default:
+		}
+	}
+
+	// Appender: one document a batch.  Beside a compaction loop it retries
+	// the appends a merge refuses, lets every other append race the loop
+	// freely and waits out a compaction after the rest, so the run has at
+	// least (len(files)-base)/2 swaps whatever the scheduler does; it stops
+	// after four documents until the holder has pinned its cut.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(appended)
 		for i := base; i < len(files); i++ {
-			if err := e.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
-				appendErr <- err
-				return
+			if i == base+4 {
+				<-pinned
+			}
+			before := e.IngestStats().Compactions
+			for {
+				err := e.Append(appendDocs(files, i, 1), vocab, nil)
+				if err == nil {
+					break
+				}
+				if !compact || !errors.Is(err, ErrCompacting) {
+					fail("Append %d: %v", i, err)
+					return
+				}
+				runtime.Gosched()
+			}
+			if (i-base)%2 == 1 {
+				compactions.await(before + 1)
 			}
 		}
 	}()
+	if compact {
+		// Compaction loop: fold whatever delta there is, until the appender
+		// is through.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := e.Compact(); err != nil {
+					fail("Compact: %v", err)
+				}
+				select {
+				case <-appended:
+					compactions.set(e.IngestStats().Compactions, true)
+					return
+				default:
+					compactions.set(e.IngestStats().Compactions, false)
+					runtime.Gosched()
+				}
+			}
+		}()
+		// Holder: once a compacted tail serves, pin every shard's cut and
+		// run a session over it, sit out two more compactions, then read
+		// every pinned engine and wake the idle session.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			compactions.await(1)
+			idle := e.NewSession()
+			if err := observe(idle); err != nil {
+				fail("idle session, first run: %v", err)
+			}
+			pins := e.pinIngest()
+			defer pins.release()
+			c0 := e.IngestStats().Compactions
+			close(pinned)
+			if !compactions.await(c0 + 2) {
+				fail("the compaction loop stopped %d compactions after the pin, want 2", e.IngestStats().Compactions-c0)
+				return
+			}
+			for i, pin := range pins.pins {
+				sh := e.Shard(i)
+				type pinnedEngine struct {
+					eng  *Engine
+					docs [][]uint32
+				}
+				units := []pinnedEngine{{pin.tail, pinnedDocs(files, pin.baseMap, e.bases[i], sh.numFiles)}}
+				if pin.delta != nil {
+					units = append(units, pinnedEngine{pin.delta, pinnedDocs(files, pin.deltaMap, 0, 0)})
+				}
+				for _, u := range units {
+					got, err := u.eng.NewSession().RunOps(ops)
+					if err != nil {
+						fail("pinned shard %d: %v", i, err)
+						continue
+					}
+					want := refResults(t, d, u.docs, tvK(ops))
+					for j, op := range ops {
+						if !reflect.DeepEqual(analytics.MapResult(op, got[j]), want[j]) {
+							fail("pinned shard %d: op %s differs from its %d documents two compactions on", i, op.Name(), len(u.docs))
+						}
+					}
+				}
+			}
+			if err := observe(idle); err != nil {
+				fail("idle session, two compactions on: %v", err)
+			}
+		}()
+	}
 	const readers = 3
-	errs := make([]error, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			s := e.NewSession()
-			for iter := 0; iter < 8; iter++ {
-				got, err := s.RunOps(ops)
-				if err != nil {
-					errs[r] = err
+			for iter := 0; ; iter++ {
+				if err := observe(s); err != nil {
+					fail("reader %d: %v", r, err)
 					return
 				}
-				tv, ok := got[2].([][]analytics.WordFreq)
-				if !ok {
-					errs[r] = fmt.Errorf("op 2 returned %T, want term vectors", got[2])
-					return
-				}
-				n := len(tv)
-				want, ok := refs[n]
-				if !ok {
-					errs[r] = fmt.Errorf("query observed %d documents, outside [%d, %d]", n, base, len(files))
-					return
-				}
-				for i, op := range ops {
-					if !reflect.DeepEqual(analytics.MapResult(op, got[i]), want[i]) {
-						errs[r] = fmt.Errorf("op %s inconsistent with the %d-document cut", op.Name(), n)
+				select {
+				case <-appended:
+					if iter >= 8 {
 						return
 					}
+				default:
 				}
 			}
 		}(r)
 	}
 	wg.Wait()
-	select {
-	case err := <-appendErr:
-		t.Fatalf("Append: %v", err)
-	default:
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Errorf("reader %d: %v", r, err)
-		}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 	checkOps(t, e, d, files, "after concurrent phase")
+	if st := e.IngestStats(); compact && st.Compactions < uint64(len(files)-base)/2 {
+		t.Errorf("%d compactions ran beside the readers, want at least %d", st.Compactions, (len(files)-base)/2)
+	}
 }
 
 // TestCompactorWorker: the background worker compacts once the delta crosses
@@ -471,5 +638,111 @@ func TestCompactorWorker(t *testing.T) {
 	checkOps(t, e, d, files, "after background compaction")
 	if st := e.IngestStats(); st.Compactions == 0 {
 		t.Error("stats report no compactions")
+	}
+}
+
+// TestCompactionBoundsServingEngines: a compaction replaces the shard's tail,
+// it does not add one.  With no query in flight, every append-then-compact
+// round leaves each shard holding its own engine and at most one tail and no
+// delta, and the device images mapped after twelve rounds are within one
+// tail's of what they were after two — not ten tails more.
+func TestCompactionBoundsServingEngines(t *testing.T) {
+	files, d, _ := corpus(t, 79, 16, 150, 30)
+	const base, rounds = 4, 12
+	for k := 1; k <= 2; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), k)
+			if err != nil {
+				t.Fatalf("InferShards: %v", err)
+			}
+			se, err := NewSharded(gs, d, Options{Sequences: true, IngestCap: 1 << 20})
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			t.Cleanup(func() { se.Close() })
+			var afterTwo int64
+			for r := 1; r <= rounds; r++ {
+				if err := se.Append(appendDocs(files, base+r-1, 1), uint32(d.Len()), nil); err != nil {
+					t.Fatalf("round %d: Append: %v", r, err)
+				}
+				for i := 0; i < k; i++ {
+					if n := se.Shard(i).IngestStats().ServingEngines; n > 3 {
+						t.Errorf("round %d: shard %d keeps %d engines with a delta, want at most 3", r, i, n)
+					}
+				}
+				if err := se.Compact(); err != nil {
+					t.Fatalf("round %d: Compact: %v", r, err)
+				}
+				for i := 0; i < k; i++ {
+					st := se.Shard(i).IngestStats()
+					want := 1 // its own engine
+					if st.Compactions > 0 {
+						want = 2 // and the one tail that replaced its DAG
+					}
+					if st.ServingEngines != want || st.DeltaDocs != 0 {
+						t.Errorf("round %d: shard %d keeps %d engines and %d delta documents after %d compactions, want %d and 0",
+							r, i, st.ServingEngines, st.DeltaDocs, st.Compactions, want)
+					}
+				}
+				if r == 2 {
+					afterTwo = nvm.MappedBytes()
+				}
+			}
+			if got := se.IngestStats().Compactions; got != rounds {
+				t.Fatalf("%d compactions in %d rounds", got, rounds)
+			}
+			var tail int64 // the largest tail's two images
+			for i := 0; i < k; i++ {
+				tail = max(tail, 2*se.Shard(i).ingest.current().tail.Device().Size())
+			}
+			if grew := nvm.MappedBytes() - afterTwo; grew > tail {
+				t.Errorf("mapped images grew %d bytes over ten compactions; one tail maps %d", grew, tail)
+			}
+			checkOps(t, se, d, files[:base+rounds], "after the rounds")
+		})
+	}
+}
+
+// TestCloseUnderPinnedCut: Close gives up the set's own references and
+// nothing more.  The tail and delta engines of a cut that is still pinned
+// stay mapped and readable past Close, and go — every byte — with the pin.
+func TestCloseUnderPinnedCut(t *testing.T) {
+	files, d, _ := corpus(t, 80, 8, 150, 30)
+	const base = 4
+	g, err := sequitur.Infer(files[:base], uint32(d.Len()))
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	before := nvm.MappedBytes()
+	se, err := NewSharded([]*cfg.Grammar{g}, d, Options{Sequences: true, IngestCap: 1 << 20})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	if err := se.Append(appendDocs(files, base, 2), uint32(d.Len()), nil); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := se.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := se.Append(appendDocs(files, base+2, 2), uint32(d.Len()), nil); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	cut := se.Shard(0).ingest.pin()
+	if cut.tail == se.Shard(0) || cut.delta == nil {
+		t.Fatalf("pinned cut {tail is the shard engine: %v, delta: %v}, want a compacted tail and a delta",
+			cut.tail == se.Shard(0), cut.delta != nil)
+	}
+	pinnedBytes := 2 * (cut.tail.Device().Size() + cut.delta.Device().Size())
+	if err := se.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := nvm.MappedBytes() - before; got != pinnedBytes {
+		t.Errorf("%d bytes of images mapped after Close under a pin, want the pinned tail's and delta's %d", got, pinnedBytes)
+	}
+	checkOps(t, cut.tail.NewSession(), d, files[:base+2], "pinned tail after Close")
+	checkOps(t, cut.delta.NewSession(), d, files[base+2:base+4], "pinned delta after Close")
+	cut.release()
+	if got := nvm.MappedBytes() - before; got != 0 {
+		t.Errorf("%d bytes of images still mapped after the last pin's release", got)
 	}
 }

@@ -132,10 +132,10 @@ func sanitizeOpts(opts Options) Options {
 
 // NewSharded builds one engine per shard grammar concurrently and returns
 // the coordinator.  Shard grammars come from sequitur.InferShards (or
-// cfg.ReadShards); all shards share one dictionary.  Per-shard devices are
-// created automatically, or injected via opts.ShardDevices; a file-backed
-// opts.Path becomes one file per shard (path + ".shardN"), except that a
-// one-shard set keeps the path itself as its pool file.  With
+// cfg.SharedSet.Materialize); all shards share one dictionary.  Per-shard
+// devices are created automatically, or injected via opts.ShardDevices; a
+// file-backed opts.Path becomes one file per shard (path + ".shardN"),
+// except that a one-shard set keeps the path itself as its pool file.  With
 // opts.Replication, each shard's followers are seeded with a snapshot of
 // the freshly built pool and then track it commit by commit.
 func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEngine, error) {
@@ -415,17 +415,15 @@ func (se *ShardedEngine) recoverIngestMaps() error {
 	return nil
 }
 
-// shardPin is one shard's pinned serving cut: the serving tail at pin time
-// (the shard engine itself until a compaction promotes past it), a pinned
-// delta view (nil when the shard had no live delta documents), and
-// the document maps placing the tail's and the view's documents at their
-// global corpus positions.  baseMap is nil while the tail still serves
-// exactly the build-time base — the contiguous DocBase offset suffices —
-// and becomes explicit once compaction folds appended documents (globally
-// interleaved with other shards') into the tail.
+// shardPin is one shard's pinned serving cut — a static shard's names the
+// shard engine and holds nothing — and the document maps placing the tail's
+// and the delta's documents at their global corpus positions.  baseMap is
+// nil while the tail still serves exactly the build-time base — the
+// contiguous DocBase offset suffices — and becomes explicit once compaction
+// folds appended documents (globally interleaved with other shards') into
+// the tail.
 type shardPin struct {
-	tail     *Engine
-	view     *deltaView
+	servingCut
 	baseMap  []uint32
 	deltaMap []uint32
 }
@@ -454,17 +452,15 @@ func (se *ShardedEngine) pinIngest() *ingestPins {
 
 // pinShard pins shard i's current serving cut.  Caller holds ingestMu, so
 // no append is in flight and every committed delta document already has its
-// entry in deltaMaps[i]; compactions may still race, which pinServing's
-// retry protocol absorbs.
+// entry in deltaMaps[i]; a compaction may still publish a new cut, and the
+// pin sees the one before it or the one after, whole.
 func (se *ShardedEngine) pinShard(i int) shardPin {
 	sh := se.shards[i]
-	st := sh.ingest
-	if st == nil {
-		return shardPin{tail: sh} // static shard: no delta, no promotion chain
+	if sh.ingest == nil {
+		return shardPin{servingCut: servingCut{tail: sh}} // static shard
 	}
-	t, v := st.pinServing()
-	pin := shardPin{tail: t, view: v}
-	compacted := int(t.numFiles) - int(sh.numFiles)
+	pin := shardPin{servingCut: *sh.ingest.pin()}
+	compacted := int(pin.compacted)
 	if compacted > 0 {
 		bm := make([]uint32, 0, int(sh.numFiles)+compacted)
 		for d := uint32(0); d < sh.numFiles; d++ {
@@ -473,15 +469,12 @@ func (se *ShardedEngine) pinShard(i int) shardPin {
 		bm = append(bm, se.deltaMaps[i][:compacted]...)
 		pin.baseMap = bm
 	}
-	if v != nil && v.eng != nil && v.docs > 0 {
-		end := compacted + int(v.docs)
+	if pin.delta != nil {
+		end := compacted + int(pin.deltaDocs)
 		if end > len(se.deltaMaps[i]) {
-			end = len(se.deltaMaps[i]) // view outran the maps: lossy failover
+			end = len(se.deltaMaps[i]) // delta outran the maps: lossy failover
 		}
 		pin.deltaMap = append([]uint32(nil), se.deltaMaps[i][compacted:end]...)
-	} else if v != nil {
-		v.release()
-		pin.view = nil
 	}
 	return pin
 }
@@ -494,27 +487,28 @@ func (p *ingestPins) serving(i int) *Engine {
 }
 
 // repin refreshes shard i's pin after a failover promoted a new primary: the
-// recovered engine replayed its durable append log into a fresh delta view,
-// with no compaction chain, so the shard's cut is re-derived from scratch.
+// recovered engine replayed its durable append log into a fresh delta beside
+// its own DAG, so the shard's cut is taken again, from the new engine's
+// state; the old one is given back to the retired engine's.
 func (p *ingestPins) repin(se *ShardedEngine, i int) {
 	se.ingestMu.Lock()
 	pin := se.pinShard(i)
 	se.ingestMu.Unlock()
 	p.mu.Lock()
-	old := p.pins[i].view
+	old := p.pins[i]
 	p.pins[i] = pin
 	p.mu.Unlock()
 	old.release()
 }
 
-// release drops every pinned view.
+// release gives back every pinned cut.
 func (p *ingestPins) release() {
 	p.mu.Lock()
 	pins := p.pins
 	p.pins = nil
 	p.mu.Unlock()
 	for i := range pins {
-		pins[i].view.release()
+		pins[i].release()
 	}
 }
 
@@ -580,6 +574,7 @@ func (se *ShardedEngine) IngestStats() IngestStats {
 		agg.DeltaSymbols += s.DeltaSymbols
 		agg.CompactedDocs += s.CompactedDocs
 		agg.Compactions += s.Compactions
+		agg.ServingEngines += s.ServingEngines
 	}
 	return agg
 }
@@ -742,11 +737,11 @@ func (se *ShardedEngine) ensureReplica(i int) *Session {
 // ErrShardFailed.  The schedule and per-unit spans are returned so callers
 // can aggregate modeled time the same way the work actually ran.
 //
-// The scatter opens by pinning every shard's serving state — the serving
-// tail, the delta view, and a snapshot of the global document maps — so the
-// whole batch observes one consistent corpus cut even while appends and
+// The scatter opens by pinning every shard's serving cut — the tail, the
+// delta engine, and a snapshot of the global document maps — so the whole
+// batch observes one consistent corpus cut even while appends and
 // compactions proceed underneath it.  Base units run against the pinned
-// tails, delta views run through transient query sessions, and the gather
+// tails, delta engines run through transient query sessions, and the gather
 // merges everything with analytics.MergeUnits under per-unit document maps.
 // A corpus that is one contiguous unit from document 0 with no delta — the
 // static one-shard set — needs no merge: the unit's result is the result.
@@ -816,17 +811,17 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 			shardOut[u.shard][j] = outs[ui][k]
 		}
 	}
-	// Run the pinned delta views (whole batch each — deltas are small next to
-	// the base traversals), then merge base and delta units under their
-	// document maps.
+	// Run the pinned delta engines (whole batch each — deltas are small next
+	// to the base traversals) through transient query sessions, then merge
+	// base and delta units under their document maps.
 	deltaOut := make([][]any, len(se.shards))
 	for i := range pins.pins {
-		if v := pins.pins[i].view; v != nil {
+		if delta := pins.pins[i].delta; delta != nil {
 			var lent *workspace
 			if ws != nil {
 				lent = ws[i]
 			}
-			res, err := v.runDeltaOps(ops, lent)
+			res, err := delta.newSession(lent).RunOps(ops)
 			if err != nil {
 				return nil, nil, nil, wrapShard(i, err)
 			}
@@ -845,7 +840,7 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 			}
 		}
 		for i := range pins.pins {
-			if pins.pins[i].view != nil {
+			if pins.pins[i].delta != nil {
 				mu = append(mu, analytics.MergeUnit{Result: deltaOut[i][j], DocMap: pins.pins[i].deltaMap})
 			}
 		}
@@ -1025,9 +1020,9 @@ var _ analytics.Executor = (*ShardedEngine)(nil)
 // no failover path; a device error surfaces as ErrShardFailed.
 //
 // The session owns one traversal workspace per shard slot.  A slot's
-// workspace follows the shard, not an engine: when compaction promotes a new
-// serving tail the slot's session is reopened on it in the same workspace,
-// and the shard's delta view borrows it once the lane is done.
+// workspace follows the shard, not an engine: when compaction publishes a
+// new tail the slot's session is reopened on it in the same workspace, and
+// the shard's delta engine borrows it once the lane is done.
 type ShardedSession struct {
 	se       *ShardedEngine
 	sessions []*Session
@@ -1073,10 +1068,11 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 		func(u unit, sub []analytics.Op, serving *Engine) ([]any, metrics.Span, error) {
 			sess := ss.sessions[u.shard]
 			if serving != sess.e {
-				// The shard's serving tail was promoted past the engine this
-				// slot's session was opened on: reopen it over the pinned tail,
-				// which holds the compacted corpus the document maps expect.
-				// Only this shard's lane touches the slot.
+				// A compaction replaced the tail this slot's session was
+				// opened on (it may be discarded by now — compare, never
+				// touch): reopen the session over the pinned tail, which holds
+				// the compacted corpus the document maps expect.  Only this
+				// shard's lane touches the slot.
 				sess = serving.newSession(ss.ws[u.shard])
 				ss.sessions[u.shard] = sess
 			}

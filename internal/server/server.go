@@ -563,6 +563,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p(`ntadoc_ingest{stat="delta_symbols"} %d`, ing.DeltaSymbols)
 	p(`ntadoc_ingest{stat="compacted_docs"} %d`, ing.CompactedDocs)
 	p(`ntadoc_ingest{stat="compactions"} %d`, ing.Compactions)
+	p(`ntadoc_ingest{stat="serving_engines"} %d`, ing.ServingEngines)
 
 	init, trav := s.eng.PhaseTimes()
 	p("# HELP ntadoc_phase_modeled_nanos Modeled time of the last task's phases.")
@@ -647,6 +648,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Replicas   []int           `json:"live_followers,omitempty"`
 		Failovers  int             `json:"failovers"`
 		Recoveries int64           `json:"recoveries"`
+		Serving    int             `json:"serving_engines"`
 		Pool       poolInfo        `json:"pool"`
 		Cache      cacheInfo       `json:"cache"`
 	}{
@@ -660,6 +662,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Replicas:   s.eng.LiveFollowers(),
 		Failovers:  s.eng.FailoverCount(),
 		Recoveries: s.recoveries.Load(),
+		Serving:    s.eng.IngestStats().ServingEngines,
 		Pool: poolInfo{
 			Sessions:       s.cfg.Sessions,
 			Idle:           s.pool.idle(),

@@ -561,6 +561,63 @@ func TestOperationalEndpoints(t *testing.T) {
 	}
 }
 
+// TestServingEnginesGauge: what the appendable shards keep mapped to serve is
+// readable from the daemon — /metrics and /debug/engine agree with the
+// engine, and append-then-compact rounds leave the count where one round
+// did: a shard's own engine, and one tail on the shards that took documents.
+func TestServingEnginesGauge(t *testing.T) {
+	s, eng := newIngestServer(t, Config{})
+	h := s.Handler()
+	read := func() int {
+		t.Helper()
+		want := eng.IngestStats().ServingEngines
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if line := fmt.Sprintf("ntadoc_ingest{stat=\"serving_engines\"} %d\n", want); !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("/metrics missing %q", line)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/engine", nil))
+		var info struct {
+			Serving int `json:"serving_engines"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatalf("/debug/engine: %v", err)
+		}
+		if info.Serving != want {
+			t.Errorf("debug serving_engines = %d, the engine keeps %d", info.Serving, want)
+		}
+		return want
+	}
+	if got := read(); got != eng.NumShards() {
+		t.Errorf("%d serving engines before any append, want the %d shard engines", got, eng.NumShards())
+	}
+	var afterFirst int
+	for round := 0; round < 6; round++ {
+		if _, rec := postAppend(t, h, AppendRequest{Documents: []AppendDocument{
+			{Name: fmt.Sprintf("live%d", round), Text: "one more document for the quick corpus"},
+		}}); rec.Code != http.StatusOK {
+			t.Fatalf("append %d: %d %s", round, rec.Code, rec.Body.String())
+		}
+		if got := read(); got > 3*eng.NumShards() {
+			t.Errorf("round %d: %d serving engines with a delta, want at most three a shard", round, got)
+		}
+		if err := eng.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		got := read()
+		if round == 1 { // both shards have taken a document by now
+			afterFirst = got
+		}
+		if round > 1 && got != afterFirst {
+			t.Errorf("round %d: %d serving engines after the compaction, %d after the second round's", round, got, afterFirst)
+		}
+	}
+	if afterFirst != 2*eng.NumShards() {
+		t.Errorf("%d serving engines once every shard has compacted, want %d", afterFirst, 2*eng.NumShards())
+	}
+}
+
 // TestCloseOrdersSessionsBeforeEngineClose: closing the engine unmaps the
 // device images the sessions read, so the two must be ordered, and the
 // server's Close is what orders them — it returns only when no session is

@@ -24,6 +24,7 @@ package ntadoc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -52,7 +53,7 @@ type Archive struct {
 	g      *cfg.Grammar
 	d      *dict.Dictionary
 	shards []*cfg.Grammar // nil for an unsharded archive
-	shared *cfg.SharedSet // unified form; nil for unsharded or legacy archives
+	shared *cfg.SharedSet // unified form; nil for an unsharded archive
 
 	// Online ingestion appends documents after compression.  The archive
 	// tracks them separately from the base grammar so WriteTo can serialize
@@ -271,8 +272,7 @@ func (a *Archive) Decompress() []Document {
 // followed by the dictionary.  The length prefix lets the reader bound the
 // grammar parser's buffering exactly.  A sharded archive's grammar section
 // is the shared-table container (the unified form: one self-checksummed
-// shared rule table plus a root per shard) when the archive carries one, or
-// the legacy per-shard container otherwise; an unsharded archive's is a
+// shared rule table plus a root per shard); an unsharded archive's is a
 // single grammar, byte-compatible with earlier versions.
 //
 // An archive with appended documents serializes as a delta container: the
@@ -312,20 +312,15 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 	return n + m, err
 }
 
-// writeBaseSection writes the base grammar section in its richest available
-// form: shared-table container, legacy shard container, or single grammar.
+// writeBaseSection writes the base grammar section: the shared-table
+// container of a sharded archive, or the single grammar.
 func (a *Archive) writeBaseSection(w io.Writer) error {
-	switch {
-	case a.shared != nil:
+	if a.shared != nil {
 		_, err := cfg.WriteSharedSet(w, a.shared)
 		return err
-	case a.shards != nil:
-		_, err := cfg.WriteShards(w, a.shards)
-		return err
-	default:
-		_, err := a.g.WriteTo(w)
-		return err
 	}
+	_, err := a.g.WriteTo(w)
+	return err
 }
 
 // ReadArchive loads an archive written by WriteTo, validating both parts.
@@ -386,7 +381,7 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 }
 
 // readGrammarSection parses one grammar section, dispatching on its leading
-// magic: shared-table container, legacy shard container, or single grammar.
+// magic: shared-table container or single grammar.
 // section must include the peeked bytes.
 func readGrammarSection(peek []byte, section io.Reader) (g *cfg.Grammar, shards []*cfg.Grammar, shared *cfg.SharedSet, err error) {
 	switch {
@@ -404,16 +399,8 @@ func readGrammarSection(peek []byte, section io.Reader) (g *cfg.Grammar, shards 
 		} else if g, err = cfg.ConcatShards(shards); err != nil {
 			return nil, nil, nil, err
 		}
-	case cfg.IsShardContainer(peek):
-		shards, err = cfg.ReadShards(section)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if len(shards) == 1 {
-			g, shards = shards[0], nil
-		} else if g, err = cfg.ConcatShards(shards); err != nil {
-			return nil, nil, nil, err
-		}
+	case cfg.IsLegacyShardContainer(peek):
+		return nil, nil, nil, errors.New("ntadoc: archive written before the shared-table container; recompress")
 	default:
 		if g, err = cfg.ReadGrammar(section); err != nil {
 			return nil, nil, nil, err
