@@ -115,10 +115,13 @@ errcheck:
 # and sequence count a 128-byte one, which compacts 3 and 5 times inside the
 # run: frames sealed, dropped and re-based around each compaction's table
 # flush are then crash points too.  A third pass runs the per-file inverted
-# index in both traversal directions (a table allocated and merged per file,
-# and bottom-up per rule — 12 compactions); it commits no result table, so it
-# is judged by no-panic, recover-or-reload and the exact re-run.  The sampled
-# versions of all three run inside `make test` via internal/crashcheck.
+# index in both traversal directions; its counters are scratch in one reused
+# pool region, never logged or flushed, so it has almost no schedule of its
+# own and commits no result table: it is judged by no-panic, recover-or-reload
+# and the exact re-run.  The fourth fuses word count with it, so a logged,
+# compacted, committed global table sits under the reused per-file scratch,
+# and the committed counts must still be exact.  The sampled versions of all
+# four run inside `make test` via internal/crashcheck.
 # Corpus and seeds are pinned here so runs reproduce.
 CRASHCORPUS = -points 0 -seeds 3 -seed 42 -files 2 -tokens 120 -vocab 40 -corpus-seed 7
 crashcheck:
@@ -127,6 +130,7 @@ crashcheck:
 	$(GO) run ./cmd/crashcheck -task seqcount -persistence both -oplogcap 128 $(CRASHCORPUS)
 	$(GO) run ./cmd/crashcheck -task invertedindex -strategy top-down -persistence both -oplogcap 128 $(CRASHCORPUS)
 	$(GO) run ./cmd/crashcheck -task invertedindex -strategy bottom-up -persistence both -oplogcap 128 $(CRASHCORPUS)
+	$(GO) run ./cmd/crashcheck -task wordcount+invertedindex -persistence both -oplogcap 128 $(CRASHCORPUS)
 
 # Sampled replication/failover matrix on a 3-way replicated engine: per
 # sampled (shard, event) point the primary dies under sync and lag-bounded

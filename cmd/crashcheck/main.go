@@ -9,6 +9,7 @@
 //	crashcheck -task wordcount -persistence both -points 0 -seeds 3 -seed 42
 //	crashcheck -task seqcount -oplogcap 192 -points 0
 //	crashcheck -task invertedindex -strategy bottom-up -oplogcap 512 -points 0
+//	crashcheck -task wordcount+invertedindex -oplogcap 128 -points 0
 //	crashcheck -task wordcount -shards 3 -points 8
 //	crashcheck -failover -shards 3 -points 6
 //	crashcheck -ingest -points 0
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		task        = flag.String("task", "wordcount", "workload: wordcount, seqcount, or (unsharded runs only) the per-file invertedindex")
+		task        = flag.String("task", "wordcount", "workload: wordcount, seqcount, or (unsharded runs only) the per-file invertedindex or the fused wordcount+invertedindex")
 		persistence = flag.String("persistence", "both", "strategy: phase, op, or both")
 		strategy    = flag.String("strategy", "auto", "per-file traversal direction: auto, top-down, or bottom-up")
 		oplogcap    = flag.Int64("oplogcap", 0, "operation-log bytes (0 = the engine's default; a few hundred make the log compact inside the run)")
@@ -74,8 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crashcheck: unknown -strategy %q (want auto, top-down, or bottom-up)\n", *strategy)
 		os.Exit(2)
 	}
-	if *task == "invertedindex" && (*ingest || *failover || *shards > 1) {
-		fmt.Fprintln(os.Stderr, "crashcheck: -task invertedindex explores the unsharded engine only")
+	if strings.Contains(*task, "invertedindex") && (*ingest || *failover || *shards > 1) {
+		fmt.Fprintf(os.Stderr, "crashcheck: -task %s explores the unsharded engine only\n", *task)
 		os.Exit(2)
 	}
 

@@ -365,7 +365,9 @@ func estimatePoolSize(g *cfg.Grammar, p *prepState, opts Options) int64 {
 	for ri := range g.Rules {
 		size += pstruct.HashTableBytes(tableBound(p.bounds[ri], p.expLens[ri], g.NumWords))
 	}
-	// Per-file counters.
+	// Per-file counters: scratch one region holds file after file, so the
+	// largest file's pair, not their sum.
+	var perFile int64
 	for _, seg := range p.segs {
 		var segBound, segLen int64
 		for _, s := range seg {
@@ -377,11 +379,13 @@ func estimatePoolSize(g *cfg.Grammar, p *prepState, opts Options) int64 {
 				segLen += p.expLens[s.RuleIndex()]
 			}
 		}
-		size += pstruct.HashTableBytes(tableBound(segBound, segLen, g.NumWords))
+		n := pstruct.HashTableBytes(tableBound(segBound, segLen, g.NumWords))
 		if opts.Sequences {
-			size += pstruct.HashTableBytes(segLen) // per-file sequence counter
+			n += pstruct.HashTableBytes(segLen) // per-file sequence counter
 		}
+		perFile = max(perFile, n)
 	}
+	size += perFile
 	if opts.Sequences {
 		size += nRules * edgeSize
 		size += 8 + int64(len(p.seqList))*12

@@ -78,6 +78,9 @@ type kcounter struct {
 	tbl   counterTable
 	off   int64
 	dense *denseScratch
+	// scratch marks a per-file pool table: traversal scratch that no
+	// recovery reads, so its adds bypass the op log (see newKCounter).
+	scratch bool
 }
 
 func (c *kcounter) Len() int64 {
@@ -120,7 +123,15 @@ func (e *Engine) keySpace(keys analytics.KeySpace) int64 {
 // newKCounter starts a counter of at most bound distinct keys for the current
 // execution context.  A session has one counter per key space — no traversal
 // accumulates two of a kind at once — so starting one empties the last.
-func (x *exec) newKCounter(bound int64, keys analytics.KeySpace) (*kcounter, error) {
+//
+// On the persistent path the counter's scope decides what its table is.  A
+// global counter is a destination: registered for the op log's compaction
+// and replay, its allocation and every add logged.  A per-file counter — a
+// file's counter, or one of bottom-up's per-rule lists — is scratch the fold
+// consumes and no recovery reads: allocated above the per-file pass's mark
+// and truncated away with it (perFilePass), never registered, never logged,
+// so no checkpoint or compaction flushes it.
+func (x *exec) newKCounter(bound int64, keys analytics.KeySpace, scope analytics.Scope) (*kcounter, error) {
 	if x.session {
 		c, d := &x.wordC, &x.ws.words
 		if keys == analytics.KeySequences {
@@ -130,6 +141,13 @@ func (x *exec) newKCounter(bound int64, keys analytics.KeySpace) (*kcounter, err
 		*c = kcounter{off: -1, dense: d}
 		return c, nil
 	}
+	if scope == analytics.ScopePerFile {
+		tbl, err := x.e.newTable(bound, x.e.keySpace(keys))
+		if err != nil {
+			return nil, err
+		}
+		return &kcounter{tbl: tbl, scratch: true}, nil
+	}
 	tbl, off, err := x.e.newCounter(bound, x.e.keySpace(keys))
 	if err != nil {
 		return nil, err
@@ -137,12 +155,18 @@ func (x *exec) newKCounter(bound int64, keys analytics.KeySpace) (*kcounter, err
 	return &kcounter{tbl: tbl, off: off}, nil
 }
 
-// add performs one counter mutation.  The persistent path goes through the
-// op-log write-ahead protocol; the session path incurs the same hash cost.
+// add performs one counter mutation.  A global pool counter goes through
+// the op-log write-ahead protocol, a per-file one straight to its table; the
+// session path incurs the same hash cost.
 func (x *exec) add(c *kcounter, key, delta uint64) error {
-	if c.dense != nil {
+	switch {
+	case c.dense != nil:
 		x.cpu += metrics.CostHashOp
 		return c.dense.add(key, delta)
+	case c.scratch:
+		x.e.updates++
+		_, err := c.tbl.Add(key, delta)
+		return err
 	}
 	return x.e.addCount(c.tbl, c.off, key, delta)
 }
@@ -325,13 +349,13 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 		var gw, gs *kcounter
 		var root []cfg.Symbol
 		if len(globalWord) > 0 {
-			if gw, err = x.newKCounter(x.e.globalBound(), analytics.KeyWords); err != nil {
+			if gw, err = x.newKCounter(x.e.globalBound(), analytics.KeyWords, analytics.ScopeGlobal); err != nil {
 				return nil, nil, err
 			}
 		}
 		if len(globalSeq) > 0 {
 			root = x.readRoot()
-			if gs, err = x.newKCounter(x.seqBound(root), analytics.KeySequences); err != nil {
+			if gs, err = x.newKCounter(x.seqBound(root), analytics.KeySequences, analytics.ScopeGlobal); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -10,11 +10,11 @@ import (
 )
 
 // opLog implements the operation-level persistence strategy (§IV-E): every
-// counter allocation and mutation of one analytics operation (one rule
-// processed, one file merged) is staged in DRAM, and the operation's commit
-// seals the stage into one redo frame — one device write, one flush, one
-// fence — the granularity at which libpmemobj transactions wrap the paper's
-// engine.  Only the frame is made durable per operation; the tables it
+// global counter allocation and mutation of one analytics operation (one
+// rule processed) is staged in DRAM, and the operation's commit seals the
+// stage into one redo frame — one device write, one flush, one fence — the
+// granularity at which libpmemobj transactions wrap the paper's engine.
+// Per-file counters are scratch and never logged (exec.newKCounter).  Only the frame is made durable per operation; the tables it
 // describes stay volatile until a log compaction or the phase checkpoint.
 //
 // Region layout: epoch u32, poolEpoch u32, then frames back to back:

@@ -117,9 +117,6 @@ func (x *exec) addSegmentSeqCounts(syms []cfg.Symbol, counter *kcounter) error {
 		if err := x.mergeTable(counter, off, 1); err != nil {
 			return err
 		}
-		if err := x.commit(); err != nil {
-			return err
-		}
 	}
 	return x.addSpanningToCounter(syms, counter)
 }

@@ -119,7 +119,7 @@ func (e *Engine) addCount(tbl counterTable, tblOff int64, key, delta uint64) err
 }
 
 // opCommit seals the redo frame of one analytics operation (a rule
-// processed, a file merged): the operation-level persistence boundary.
+// processed): the operation-level persistence boundary.
 func (e *Engine) opCommit() error {
 	if e.oplog == nil {
 		return nil
@@ -357,13 +357,44 @@ func (e *Engine) segBound(seg []cfg.Symbol) int64 {
 // strategy, invoking fn with each file's word and/or sequence counter before
 // its scratch is released.  A fused batch requesting both key spaces walks
 // the root once and shares each file's body reads between them.
+//
+// On the persistent path the pass's tables are scratch (newKCounter): each
+// file's counters are allocated at one mark — the pool watermark the pass
+// started from, or just above bottom-up's per-rule lists — and truncated
+// back to it once fn has consumed them, and the lists go when the pass
+// returns.  One region serves file after file, and the pass leaves the
+// watermark where it found it, so the phase checkpoint flushes none of it.
 func (x *exec) perFilePass(words, seqs bool, fn func(doc uint32, wordC, seqC *kcounter) error) error {
+	mark := x.scratchMark()
+	var err error
 	switch x.e.resolveStrategy() {
 	case BottomUp:
-		return x.perFileBottomUp(words, seqs, fn)
+		err = x.perFileBottomUp(words, seqs, fn)
 	default:
-		return x.perFileTopDown(words, seqs, fn)
+		err = x.perFileTopDown(words, seqs, fn)
 	}
+	if err != nil {
+		return err
+	}
+	return x.releaseScratch(mark)
+}
+
+// scratchMark returns the pool watermark per-file scratch is allocated
+// from; zero in a session, whose counters live in its workspace.
+func (x *exec) scratchMark() int64 {
+	if x.session {
+		return 0
+	}
+	return x.e.pool.Allocated()
+}
+
+// releaseScratch truncates the pool back to mark, releasing every per-file
+// table allocated since scratchMark returned it.
+func (x *exec) releaseScratch(mark int64) error {
+	if x.session {
+		return nil
+	}
+	return x.e.pool.Truncate(mark)
 }
 
 // ruleLists is the bottom-up pass's per-rule word lists: bounded pool tables
@@ -423,7 +454,7 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 			}
 			r := topo[i]
 			m := e.meta(r)
-			tbl, err := x.newKCounter(tableBound(m.bound(), m.expLen(), e.numWords), analytics.KeyWords)
+			tbl, err := x.newKCounter(tableBound(m.bound(), m.expLen(), e.numWords), analytics.KeyWords, analytics.ScopePerFile)
 			if err != nil {
 				return err
 			}
@@ -452,9 +483,6 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 						return err
 					}
 				}
-				if err := x.commit(); err != nil {
-					return err
-				}
 			}
 			if x.session {
 				lists.runs[r] = x.freeze(tbl)
@@ -464,6 +492,7 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 		}
 	}
 	root := x.readRoot()
+	mark := x.scratchMark()
 	for doc, seg := range x.segmentsOf(root) {
 		if err := x.canceled(); err != nil {
 			return err
@@ -471,7 +500,7 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 		var wc, sc *kcounter
 		if words {
 			var err error
-			if wc, err = x.newKCounter(e.segBound(seg), analytics.KeyWords); err != nil {
+			if wc, err = x.newKCounter(e.segBound(seg), analytics.KeyWords, analytics.ScopePerFile); err != nil {
 				return err
 			}
 			for _, s := range seg {
@@ -486,13 +515,10 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 					}
 				}
 			}
-			if err := x.commit(); err != nil {
-				return err
-			}
 		}
 		if seqs {
 			var err error
-			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences); err != nil {
+			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences, analytics.ScopePerFile); err != nil {
 				return err
 			}
 			if err := x.addSegmentSeqCounts(seg, sc); err != nil {
@@ -500,6 +526,9 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 			}
 		}
 		if err := fn(uint32(doc), wc, sc); err != nil {
+			return err
+		}
+		if err := x.releaseScratch(mark); err != nil {
 			return err
 		}
 	}
@@ -528,6 +557,7 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 		x.ws.fileWeight = fit(x.ws.fileWeight, int(e.numRules))
 		fileWeight = x.ws.fileWeight
 	}
+	mark := x.scratchMark()
 	for doc, seg := range x.segmentsOf(root) {
 		if err := x.canceled(); err != nil {
 			return err
@@ -535,12 +565,12 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 		var wc, sc *kcounter
 		var err error
 		if words {
-			if wc, err = x.newKCounter(e.segBound(seg), analytics.KeyWords); err != nil {
+			if wc, err = x.newKCounter(e.segBound(seg), analytics.KeyWords, analytics.ScopePerFile); err != nil {
 				return err
 			}
 		}
 		if seqs {
-			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences); err != nil {
+			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences, analytics.ScopePerFile); err != nil {
 				return err
 			}
 		}
@@ -598,11 +628,6 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 				}
 			}
 		}
-		if words {
-			if err := x.commit(); err != nil {
-				return err
-			}
-		}
 		if seqs {
 			if err := x.addWeightedLocals(sc, fileWeight); err != nil {
 				return err
@@ -612,6 +637,9 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 			}
 		}
 		if err := fn(uint32(doc), wc, sc); err != nil {
+			return err
+		}
+		if err := x.releaseScratch(mark); err != nil {
 			return err
 		}
 	}

@@ -16,9 +16,13 @@
 //  5. the recovered engine re-runs the task to the exact reference result.
 //
 // A per-file task (Run with "invertedindex") commits no result table, so its
-// runs are judged by invariants 1, 2 and 5: what they add is the per-file
-// traversals' own persistence schedule — a table allocated and merged per
-// rule and per file, in both directions.
+// runs are judged by invariants 1, 2 and 5.  It has almost no persistence
+// schedule of its own: its counters — per file, and bottom-up's per rule —
+// are scratch in one reused pool region, never logged and never flushed, so
+// its events are the op log's resets and the checkpoint's header.  The fused
+// "wordcount+invertedindex" puts that scratch above a global destination: the
+// word count's table is logged and committed while the per-file pass reuses
+// the region over it, and invariants 3 and 4 judge the table.
 //
 // Exhaustive over every event on small corpora; seeded sampling otherwise.
 package crashcheck
@@ -44,7 +48,7 @@ import (
 // Config selects the workload and the exploration budget.
 type Config struct {
 	// Task is "wordcount" (default), "seqcount" or — Run only — the per-file
-	// "invertedindex".
+	// "invertedindex" or the fused "wordcount+invertedindex".
 	Task string
 	// Persistence is the §IV-E strategy under test.
 	Persistence core.Persistence
@@ -259,7 +263,7 @@ func goldenRun(cfg Config, g *cfg.Grammar, d *dict.Dictionary, files [][]uint32,
 		return nil, 0, fmt.Errorf("crashcheck: golden %s result does not match reference", cfg.Task)
 	}
 	ref := &reference{result: result}
-	if cfg.Task != "invertedindex" {
+	if ops := taskOps(cfg.Task); ops[len(ops)-1].Scope() == analytics.ScopeGlobal {
 		var ok bool
 		if ref.id, ref.task, ok = e.CommittedCounts(); !ok {
 			return nil, 0, errors.New("crashcheck: golden run committed no counts")
@@ -288,11 +292,38 @@ func taskOp(task string) analytics.Op {
 	return analytics.WordCountOp{}
 }
 
+// fusedTask is the fused workload: word count and the per-file inverted
+// index in one batch.
+const fusedTask = "wordcount+invertedindex"
+
+// taskOps returns the workload's ops, run as one batch.  The fused task puts
+// its per-file op first: the phase commit records a batch's last op, so the
+// word count's table — below the per-file pass's scratch — is the committed
+// result invariants 3 and 4 judge.
+func taskOps(task string) []analytics.Op {
+	if task == fusedTask {
+		return []analytics.Op{analytics.InvertedIndexOp{}, analytics.WordCountOp{}}
+	}
+	return []analytics.Op{taskOp(task)}
+}
+
 // runOn runs the workload task on x — a bare engine, or a shard set — and
-// returns its result in the map form the references are in.
+// returns its result in the map form the references are in: one result, or
+// a fused task's []any in op order.
 func runOn(x analytics.Executor, task string) (any, error) {
-	res, err := analytics.RunAs[any](x, taskOp(task))
-	return analytics.MapResult(taskOp(task), res), err
+	ops := taskOps(task)
+	res, err := x.RunOps(ops)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]any, len(ops))
+	for i, op := range ops {
+		out[i] = analytics.MapResult(op, res[i])
+	}
+	if len(out) == 1 {
+		return out[0], nil
+	}
+	return out, nil
 }
 
 // subset is one way the pending set reaches (or fails to reach) media.

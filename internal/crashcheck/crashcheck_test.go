@@ -137,8 +137,8 @@ func TestShardedSeqCountCrashPoints(t *testing.T) {
 }
 
 // smallLog is an operation log the recorded corpus fills several times per
-// run (3 compactions for word count, 5 for sequence count, 12 for the
-// bottom-up inverted index), so compaction is inside the explored events.
+// run (3 compactions for word count, 5 for sequence count; the per-file
+// inverted index logs nothing), so compaction is inside the explored events.
 const smallLog = 128
 
 // TestSmallLogCrashPoints samples the schedule of a log that compacts inside
@@ -163,11 +163,18 @@ func TestSmallLogCrashPoints(t *testing.T) {
 	}
 }
 
-// TestPerFileCrashPoints samples the per-file traversals — a table allocated
-// and merged per file top-down, per rule and per file bottom-up — which
-// commit no result table: recovery must not panic, must recover or ask for a
-// reload, and the recovered engine must re-run the task exactly.
-func TestPerFileCrashPoints(t *testing.T) {
+// TestPerFileCrashPoints samples the per-file traversals — scratch tables
+// reused per file top-down, per rule and per file bottom-up — which commit no
+// result table: recovery must not panic, must recover or ask for a reload,
+// and the recovered engine must re-run the task exactly.
+func TestPerFileCrashPoints(t *testing.T) { perFileCrashPoints(t, "invertedindex") }
+
+// TestFusedCrashPoints samples the per-file scratch fused with word count,
+// whose logged, compacted and committed table sits under it: the committed
+// counts must come back exact as well.
+func TestFusedCrashPoints(t *testing.T) { perFileCrashPoints(t, fusedTask) }
+
+func perFileCrashPoints(t *testing.T, task string) {
 	points := 16
 	if testing.Short() {
 		points = 6
@@ -176,7 +183,7 @@ func TestPerFileCrashPoints(t *testing.T) {
 		for _, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
 			t.Run(strat.String()+"/"+p.String(), func(t *testing.T) {
 				rep, err := Run(Config{
-					Task: "invertedindex", Strategy: strat, Persistence: p, OpLogCap: smallLog,
+					Task: task, Strategy: strat, Persistence: p, OpLogCap: smallLog,
 					Points: points, Subsets: 2, Seed: 23,
 				})
 				if err != nil {

@@ -315,6 +315,8 @@ func refResult(task string, files [][]uint32) any {
 		return analytics.RefSequenceCount(files)
 	case "invertedindex":
 		return analytics.RefInvertedIndex(files)
+	case fusedTask:
+		return []any{analytics.RefInvertedIndex(files), analytics.RefWordCount(files)}
 	}
 	return analytics.RefWordCount(files)
 }
