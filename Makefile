@@ -133,10 +133,9 @@ crashcheck:
 	$(GO) run ./cmd/crashcheck -task wordcount+invertedindex -persistence both -oplogcap 128 $(CRASHCORPUS)
 
 # Sampled replication/failover matrix on a 3-way replicated engine: per
-# sampled (shard, event) point the primary dies under sync and lag-bounded
-# async shipping (failover must mask it bit-identically), the follower is
-# torn and its frozen image recovered under seeded crash subsets, and a final
-# async run checks the lag-bound recovery contract.  The sampled version runs
+# sampled (shard, event) point the primary dies mid-workload (failover must
+# mask it bit-identically, twice), and the follower is torn and its frozen
+# image recovered under seeded crash subsets.  The sampled version runs
 # inside `make test` via internal/crashcheck; seeds are pinned to reproduce.
 failovercheck:
 	$(GO) run ./cmd/crashcheck -failover -shards 3 -task wordcount \

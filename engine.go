@@ -165,7 +165,6 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 	if opts.Replicas > 0 {
 		copts.Replication = core.Replication{
 			Followers:    opts.Replicas,
-			Mode:         core.ShipSync,
 			ReplicaReads: opts.ReplicaReads,
 		}
 	}

@@ -9,47 +9,18 @@ import (
 	"github.com/text-analytics/ntadoc/internal/pmem"
 )
 
-// ShipMode selects when a shard's replicator applies shipped commit batches
-// to its followers.
-type ShipMode int
-
-// Ship modes.
-const (
-	// ShipSync applies every commit batch to every follower before the
-	// primary's Drain returns: after any commit boundary the follower's
-	// durable image is byte-identical to the primary's.
-	ShipSync ShipMode = iota
-	// ShipAsync queues commit batches and applies them lazily, keeping each
-	// follower at most LagBound commits behind the primary.  A lagged
-	// follower is still a consistent durable image — one the primary held at
-	// an earlier commit boundary — so it recovers under the same contract,
-	// just potentially further back.
-	ShipAsync
-)
-
-// String names the ship mode.
-func (m ShipMode) String() string {
-	if m == ShipAsync {
-		return "async"
-	}
-	return "sync"
-}
-
 // Replication configures per-shard follower replication for a sharded
 // engine.  Each shard's primary device ships its drained persistence stream
 // — which carries the shard's op-log records along with every other durable
 // delta — to the shard's followers, so a follower holds a recoverable image
 // of the shard and the scatter-gather path can fail over to it when the
-// primary dies.
+// primary dies.  Shipping is on commit: every drained commit batch is
+// durable on every live follower before the primary's Drain returns, so a
+// live follower's durable image is the primary's as of its last commit.
 type Replication struct {
 	// Followers is how many follower devices to create per shard (ignored
 	// when FollowerDevices is set).
 	Followers int
-	// Mode selects synchronous ship-on-commit or lag-bounded async shipping.
-	Mode ShipMode
-	// LagBound is the maximum number of commit batches a follower may trail
-	// the primary by in ShipAsync mode (default 4).
-	LagBound int
 	// FollowerDevices, when non-nil, injects the follower devices: one slice
 	// per shard (len must equal the shard count; a shard's slice may be
 	// empty).  The crash harness injects pre-armed followers this way.  On
@@ -67,20 +38,10 @@ func (r Replication) enabled() bool {
 	return r.Followers > 0 || r.FollowerDevices != nil
 }
 
-// withDefaults resolves zero values.
-func (r Replication) withDefaults() Replication {
-	if r.LagBound == 0 {
-		r.LagBound = 4
-	}
-	return r
-}
-
 // follower is one replica device and its ship state.
 type follower struct {
-	dev     *nvm.SimDevice
-	queue   [][]nvm.ShipRange // unapplied commit batches (ShipAsync), oldest first
-	applied int64             // commit batches made durable on this follower
-	err     error             // non-nil once demoted: shipping to it failed
+	dev *nvm.SimDevice
+	err error // non-nil once demoted: shipping to it failed
 }
 
 // replicator ships one shard primary's drained commit batches to its
@@ -92,8 +53,6 @@ type follower struct {
 type replicator struct {
 	mu        sync.Mutex
 	primary   *nvm.SimDevice
-	mode      ShipMode
-	lag       int
 	followers []*follower // guarded by mu
 }
 
@@ -101,8 +60,8 @@ var _ nvm.Shipper = (*replicator)(nil)
 
 // newReplicator wires a primary to its follower devices.  Call bootstrap to
 // install the initial snapshot, then attach with primary.SetShipper.
-func newReplicator(primary *nvm.SimDevice, devs []*nvm.SimDevice, mode ShipMode, lag int) *replicator {
-	r := &replicator{primary: primary, mode: mode, lag: lag}
+func newReplicator(primary *nvm.SimDevice, devs []*nvm.SimDevice) *replicator {
+	r := &replicator{primary: primary}
 	for _, dev := range devs {
 		r.followers = append(r.followers, &follower{dev: dev})
 	}
@@ -159,37 +118,17 @@ func installImage(dev *nvm.SimDevice, img []byte) error {
 }
 
 // ShipCommit implements nvm.Shipper: the primary's Drain hands over each
-// committed durable delta.  Sync mode applies it to every live follower
-// before returning; async mode enqueues a copy and applies the oldest
-// batches until the follower is within the lag bound.  Always returns nil —
-// a torn follower must not fail the primary's commit.
+// committed durable delta, and it is made durable on every live follower
+// before the Drain returns.  Always returns nil — a torn follower must not
+// fail the primary's commit.
 func (r *replicator) ShipCommit(batch []nvm.ShipRange) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.mode == ShipSync {
-		for _, f := range r.followers {
-			f.apply(batch)
-		}
-		return nil
-	}
-	// The batch's data windows are only valid during this call; queued
-	// batches need their own copies.
-	cp := make([]nvm.ShipRange, len(batch))
-	for i, sr := range batch {
-		cp[i] = nvm.ShipRange{Off: sr.Off, Data: append([]byte(nil), sr.Data...)}
-	}
 	for _, f := range r.followers {
-		if f.err != nil {
-			continue
-		}
-		f.queue = append(f.queue, cp)
-		for len(f.queue) > r.lag && f.err == nil {
-			f.apply(f.queue[0])
-			f.queue = f.queue[1:]
-		}
+		f.apply(batch)
 	}
 	return nil
 }
@@ -211,37 +150,17 @@ func (f *follower) apply(batch []nvm.ShipRange) {
 	}
 	if err := f.dev.Drain(); err != nil {
 		f.err = fmt.Errorf("ship drain: %w", err)
-		return
-	}
-	f.applied++
-}
-
-// catchUpLocked drains every live follower's queue (r.mu held).
-func (r *replicator) catchUpLocked() {
-	for _, f := range r.followers {
-		for len(f.queue) > 0 && f.err == nil {
-			f.apply(f.queue[0])
-			f.queue = f.queue[1:]
-		}
 	}
 }
 
-// catchUp applies all queued batches, bringing live followers current.
-func (r *replicator) catchUp() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.catchUpLocked()
-}
-
-// promote hands the first live follower over for failover: queued batches
-// are applied first (they live in coordinator memory, which survives a
-// device failure), then the freshest live follower device is removed from
-// the replica set and returned along with the remaining live followers.
-// The shipper is detached from the (dead) primary by the caller.
+// promote hands the first live follower over for failover — every live
+// follower holds the primary's last commit, so the first is as fresh as any
+// — removing it from the replica set and returning it along with the
+// remaining live followers.  The shipper is detached from the (dead) primary
+// by the caller.
 func (r *replicator) promote() (dev *nvm.SimDevice, rest []*nvm.SimDevice, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.catchUpLocked()
 	for _, f := range r.followers {
 		if f.err != nil {
 			continue
@@ -271,12 +190,10 @@ func (r *replicator) promote() (dev *nvm.SimDevice, rest []*nvm.SimDevice, err e
 	return dev, rest, nil
 }
 
-// liveFollowers returns the current live follower devices (caught up first,
-// so sync-invariant checks see the shipped state, not the queue).
+// liveFollowers returns the current live follower devices.
 func (r *replicator) liveFollowers() []*nvm.SimDevice {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.catchUpLocked()
 	var devs []*nvm.SimDevice
 	for _, f := range r.followers {
 		if f.err == nil {

@@ -10,9 +10,9 @@ import (
 	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
-// TestSyncReplicationCRC is the replication invariant differential: under
-// synchronous shipping every commit boundary leaves each follower's durable
-// image byte-identical to its primary's.  Checked after construction
+// TestSyncReplicationCRC is the replication invariant differential: shipping
+// on commit leaves each follower's durable image byte-identical to its
+// primary's at every commit boundary.  Checked after construction
 // (bootstrap) and after every single-op batch, across corpora and shard
 // counts; under -race this also exercises ship-on-drain concurrency.
 func TestSyncReplicationCRC(t *testing.T) {
@@ -37,7 +37,7 @@ func TestSyncReplicationCRC(t *testing.T) {
 				se, err := NewSharded(gs, d, Options{
 					Sequences:   true,
 					Persistence: OpLevel,
-					Replication: Replication{Followers: 1, Mode: ShipSync},
+					Replication: Replication{Followers: 1},
 				})
 				if err != nil {
 					t.Fatalf("NewSharded(k=%d): %v", k, err)
@@ -79,40 +79,6 @@ func TestSyncReplicationCRC(t *testing.T) {
 				se.Close()
 			}
 		})
-	}
-}
-
-// TestAsyncReplicationBarrier checks lag-bounded shipping: mid-stream a
-// follower may trail its primary, but ReplicaBarrier applies every queued
-// commit batch and restores byte identity.
-func TestAsyncReplicationBarrier(t *testing.T) {
-	files, d, _ := corpus(t, 61, 6, 250, 30)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
-	se, err := NewSharded(gs, d, Options{
-		Sequences:   true,
-		Persistence: OpLevel,
-		Replication: Replication{Followers: 1, Mode: ShipAsync, LagBound: 2},
-	})
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	defer se.Close()
-	if _, err := se.RunOps(analytics.Ops()); err != nil {
-		t.Fatalf("RunOps: %v", err)
-	}
-	se.ReplicaBarrier()
-	for i := 0; i < se.NumShards(); i++ {
-		pcrc, perr := se.Shard(i).Device().DurableCRC()
-		fcrc, ferr := se.Followers(i)[0].DurableCRC()
-		if perr != nil || ferr != nil {
-			t.Fatalf("shard %d: CRC errors %v / %v", i, perr, ferr)
-		}
-		if pcrc != fcrc {
-			t.Errorf("shard %d: follower image diverged after ReplicaBarrier", i)
-		}
 	}
 }
 
@@ -205,34 +171,174 @@ func TestFailoverBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InferShards: %v", err)
 	}
-	for _, mode := range []ShipMode{ShipSync, ShipAsync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			se, err := NewSharded(gs, d, Options{
-				Sequences:   true,
-				Persistence: OpLevel,
-				Replication: Replication{Followers: 1, Mode: mode, LagBound: 2},
-			})
-			if err != nil {
-				t.Fatalf("NewSharded: %v", err)
+	se, err := NewSharded(gs, d, Options{
+		Sequences:   true,
+		Persistence: OpLevel,
+		Replication: Replication{Followers: 1},
+	})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	dev := se.Shard(2).Device()
+	dev.FailFromPersistEvent(dev.PersistEvents() + 3)
+	for round := 0; round < 2; round++ {
+		got, err := se.RunOps(ops)
+		if err != nil {
+			t.Fatalf("round %d: failover did not mask the failure: %v", round, err)
+		}
+		for i, op := range ops {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
 			}
-			defer se.Close()
-			dev := se.Shard(2).Device()
-			dev.FailFromPersistEvent(dev.PersistEvents() + 3)
-			for round := 0; round < 2; round++ {
-				got, err := se.RunOps(ops)
-				if err != nil {
-					t.Fatalf("round %d: failover did not mask the failure: %v", round, err)
-				}
-				for i, op := range ops {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
-					}
-				}
+		}
+	}
+	if se.FailoverCount() == 0 {
+		t.Error("no failover performed despite the armed primary")
+	}
+}
+
+// TestFailoverReseedsFollowers walks one shard through its whole replica
+// set.  With two followers, the first failover promotes one and re-seeds the
+// other from the recovered primary, which must then track the new primary
+// byte for byte; the second failover promotes the re-seeded follower; the
+// third finds no replica left and fails typed.
+func TestFailoverReseedsFollowers(t *testing.T) {
+	files, d, g := corpus(t, 67, 6, 200, 30)
+	ref := newEngine(t, g, d, Options{Sequences: true})
+	ops := analytics.Ops()
+	want, err := ref.RunOps(ops)
+	if err != nil {
+		t.Fatalf("unsharded RunOps: %v", err)
+	}
+	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
+	if err != nil {
+		t.Fatalf("InferShards: %v", err)
+	}
+	se, err := NewSharded(gs, d, Options{
+		Sequences:   true,
+		Persistence: OpLevel,
+		Replication: Replication{Followers: 2},
+	})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	const victim = 1
+	// kill arms the shard's current primary to die a few persistence events
+	// into the next batch.
+	kill := func() {
+		dev := se.Shard(victim).Device()
+		dev.FailFromPersistEvent(dev.PersistEvents() + 3)
+	}
+	run := func(what string, failovers int) {
+		t.Helper()
+		got, err := se.RunOps(ops)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for i, op := range ops {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s op %s: result differs from healthy run", what, op.Name())
 			}
-			if se.FailoverCount() == 0 {
-				t.Error("no failover performed despite the armed primary")
-			}
-		})
+		}
+		if n := se.FailoverCount(); n != failovers {
+			t.Fatalf("%s: %d failovers, want %d", what, n, failovers)
+		}
+	}
+
+	kill()
+	run("first failover", 1)
+	run("batch after the first failover", 1)
+	fdevs := se.Followers(victim)
+	if len(fdevs) != 1 {
+		t.Fatalf("%d live followers after the first failover, want the re-seeded one", len(fdevs))
+	}
+	pcrc, perr := se.Shard(victim).Device().DurableCRC()
+	fcrc, ferr := fdevs[0].DurableCRC()
+	if perr != nil || ferr != nil {
+		t.Fatalf("CRC errors %v / %v", perr, ferr)
+	}
+	if pcrc != fcrc {
+		t.Error("re-seeded follower's image diverged from the new primary's")
+	}
+
+	kill()
+	run("second failover", 2)
+	if n := len(se.Followers(victim)); n != 0 {
+		t.Fatalf("%d live followers after the second failover, want 0", n)
+	}
+
+	kill()
+	_, err = se.RunOps(ops)
+	var sf *ErrShardFailed
+	if !errors.As(err, &sf) || sf.Shard != victim {
+		t.Fatalf("third kill: err = %v, want ErrShardFailed{Shard: %d}", err, victim)
+	}
+	if !errors.Is(err, nvm.ErrFailPoint) {
+		t.Errorf("third kill: err = %v, want nvm.ErrFailPoint in chain", err)
+	}
+}
+
+// TestFailoverRejectsForeignFollower promotes a follower whose image is
+// stamped for another shard: the failover must refuse it with
+// ErrShardMismatch, exactly as ReopenSharded would, and give its device
+// back — once promoted it belongs to no replicator, so nothing else would.
+func TestFailoverRejectsForeignFollower(t *testing.T) {
+	files, d, _ := corpus(t, 68, 4, 200, 25)
+	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
+	if err != nil {
+		t.Fatalf("InferShards: %v", err)
+	}
+	opts := Options{Sequences: true, Persistence: OpLevel}
+	// Equal-sized pools, so shard 0's image fits shard 1's follower exactly.
+	var size int64
+	for _, g := range gs {
+		n, err := PoolEstimate(g, opts)
+		if err != nil {
+			t.Fatalf("PoolEstimate: %v", err)
+		}
+		size = max(size, n)
+	}
+	before := nvm.MappedBytes()
+	o := opts
+	o.ShardDevices = []*nvm.SimDevice{nvm.New(nvm.KindNVM, size), nvm.New(nvm.KindNVM, size)}
+	o.Replication = Replication{Followers: 1}
+	se, err := NewSharded(gs, d, o)
+	if err != nil {
+		for _, dev := range o.ShardDevices {
+			dev.Discard()
+		}
+		t.Fatalf("NewSharded: %v", err)
+	}
+	img := make([]byte, size)
+	if err := se.Shard(0).Device().ReadDurable(img); err != nil {
+		t.Fatalf("ReadDurable: %v", err)
+	}
+	if err := installImage(se.Followers(1)[0], img); err != nil {
+		t.Fatalf("install shard 0's image on shard 1's follower: %v", err)
+	}
+	// Die at the batch's first persistence event, before any commit could
+	// ship over the foreign image.
+	dev := se.Shard(1).Device()
+	dev.FailFromPersistEvent(dev.PersistEvents())
+	_, err = se.RunOps(analytics.Ops())
+	var sf *ErrShardFailed
+	if !errors.As(err, &sf) || sf.Shard != 1 {
+		t.Fatalf("err = %v, want ErrShardFailed{Shard: 1}", err)
+	}
+	if !errors.Is(err, ErrShardMismatch) {
+		t.Errorf("err = %v, want ErrShardMismatch in chain", err)
+	}
+	if !errors.Is(err, nvm.ErrFailPoint) {
+		t.Errorf("err = %v, want nvm.ErrFailPoint in chain", err)
+	}
+	if n := se.FailoverCount(); n != 0 {
+		t.Errorf("%d failovers counted for a rejected follower", n)
+	}
+	se.Close()
+	if leaked := nvm.MappedBytes() - before; leaked != 0 {
+		t.Errorf("%d bytes of device images still mapped after Close", leaked)
 	}
 }
 
@@ -254,7 +360,7 @@ func TestReplicaReads(t *testing.T) {
 	se, err := NewSharded(gs, d, Options{
 		Sequences:   true,
 		Persistence: OpLevel,
-		Replication: Replication{Followers: 1, Mode: ShipSync, ReplicaReads: true},
+		Replication: Replication{Followers: 1, ReplicaReads: true},
 	})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -286,6 +392,74 @@ func TestReplicaReads(t *testing.T) {
 	}
 }
 
+// TestReplicaReadsRejectForeignFollower gives shard 1 a follower stamped for
+// shard 0: its read replica must fail the shard-image reopen contract, so
+// shard 1 reads from its primary alone and the batch stays bit-identical,
+// while shard 0 still gets its replica.  The rejected clone is given back.
+func TestReplicaReadsRejectForeignFollower(t *testing.T) {
+	files, d, g := corpus(t, 69, 4, 200, 25)
+	ref := newEngine(t, g, d, Options{Sequences: true})
+	ops := analytics.Ops()
+	want, err := ref.RunOps(ops)
+	if err != nil {
+		t.Fatalf("unsharded RunOps: %v", err)
+	}
+	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
+	if err != nil {
+		t.Fatalf("InferShards: %v", err)
+	}
+	opts := Options{Sequences: true, Persistence: OpLevel}
+	// Equal-sized pools, so shard 0's image fits shard 1's follower exactly.
+	var size int64
+	for _, g := range gs {
+		n, err := PoolEstimate(g, opts)
+		if err != nil {
+			t.Fatalf("PoolEstimate: %v", err)
+		}
+		size = max(size, n)
+	}
+	before := nvm.MappedBytes()
+	o := opts
+	o.ShardDevices = []*nvm.SimDevice{nvm.New(nvm.KindNVM, size), nvm.New(nvm.KindNVM, size)}
+	o.Replication = Replication{Followers: 1, ReplicaReads: true}
+	se, err := NewSharded(gs, d, o)
+	if err != nil {
+		for _, dev := range o.ShardDevices {
+			dev.Discard()
+		}
+		t.Fatalf("NewSharded: %v", err)
+	}
+	img := make([]byte, size)
+	if err := se.Shard(0).Device().ReadDurable(img); err != nil {
+		t.Fatalf("ReadDurable: %v", err)
+	}
+	if err := installImage(se.Followers(1)[0], img); err != nil {
+		t.Fatalf("install shard 0's image on shard 1's follower: %v", err)
+	}
+	if se.ensureReplica(0) == nil {
+		t.Fatal("shard 0: no read replica over its own follower")
+	}
+	if se.ensureReplica(1) != nil {
+		t.Fatal("shard 1: read replica opened over a follower stamped for shard 0")
+	}
+	got, err := se.RunOps(ops)
+	if err != nil {
+		t.Fatalf("RunOps: %v", err)
+	}
+	for i, op := range ops {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("op %s: result differs from unsharded", op.Name())
+		}
+	}
+	if n := se.FailoverCount(); n != 0 {
+		t.Errorf("%d failovers on a healthy run", n)
+	}
+	se.Close()
+	if leaked := nvm.MappedBytes() - before; leaked != 0 {
+		t.Errorf("%d bytes of device images still mapped after Close", leaked)
+	}
+}
+
 // TestReopenShardedFailover recovers a sharded engine whose primary device
 // set is partially unusable: the dead shard's pool comes back from its
 // injected follower, under the same stamp validation.
@@ -298,7 +472,7 @@ func TestReopenShardedFailover(t *testing.T) {
 	se, err := NewSharded(gs, d, Options{
 		Sequences:   true,
 		Persistence: OpLevel,
-		Replication: Replication{Followers: 1, Mode: ShipSync},
+		Replication: Replication{Followers: 1},
 	})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)

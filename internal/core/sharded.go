@@ -23,9 +23,9 @@ import (
 // independent persistence and recovery domain.  Since the shard boundary is
 // whole files, each shard's traversal is a complete run of the operation
 // kernel over its slice of the corpus; the coordinator runs the shards in
-// parallel goroutines and merges their results through the
-// analytics.MergingFold capability (global ops combine counters key-wise;
-// per-file ops concatenate with document indices offset by the shard base).
+// parallel goroutines and merges their results with analytics.MergeUnits
+// (global ops combine counters key-wise; per-file ops place each shard's
+// documents at their global positions, by the shard base or a document map).
 //
 // With Options.Replication, each shard additionally ships its drained
 // commit stream to follower devices, and the scatter-gather path fails over
@@ -218,7 +218,6 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 // primary's durable image (the shipped commit stream extends it from there)
 // and hooks the replicators into the primaries' drain paths.
 func (se *ShardedEngine) attachReplication(repl Replication) error {
-	repl = repl.withDefaults()
 	if !repl.enabled() {
 		return nil
 	}
@@ -240,7 +239,7 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 		if len(fdevs) == 0 {
 			continue
 		}
-		r := newReplicator(sh.Device(), fdevs, repl.Mode, repl.LagBound)
+		r := newReplicator(sh.Device(), fdevs)
 		if err := r.bootstrap(); err != nil {
 			return err
 		}
@@ -270,7 +269,7 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 	if len(devs) == 0 {
 		return nil, nil, errEngine("reopen sharded", errors.New("no shard devices"))
 	}
-	repl := opts.Replication.withDefaults()
+	repl := opts.Replication
 	if repl.FollowerDevices != nil && len(repl.FollowerDevices) != len(devs) {
 		return nil, nil, errEngine("reopen sharded", fmt.Errorf("%d follower slices for %d shards",
 			len(repl.FollowerDevices), len(devs)))
@@ -280,35 +279,6 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 		bases:  make([]uint32, len(devs)),
 		d:      d,
 		opts:   sanitizeOpts(opts),
-	}
-	reopenOne := func(i int, dev *nvm.SimDevice) (*Engine, *RecoveryInfo, error) {
-		o := opts
-		o.Device = nil
-		o.ShardDevices = nil
-		o.Replication = Replication{}
-		o.ShardIndex = uint32(i)
-		o.ShardCount = uint32(len(devs))
-		e, info, err := Reopen(dev, d, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		if idx, cnt := e.pool.Shard(); idx != uint32(i) || cnt != uint32(len(devs)) {
-			err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, idx, cnt)
-		} else if tag := e.pool.Tag(); opts.BuildTag != 0 && tag != opts.BuildTag {
-			// Build tags must agree across the set (and with the caller's
-			// expectation, when it has one): positional stamps cannot tell
-			// shard 1-of-4 of one unified build from shard 1-of-4 of another.
-			err = fmt.Errorf("%w: pool build tag %08x, want %08x",
-				ErrShardMismatch, tag, opts.BuildTag)
-		} else if i > 0 && tag != se.shards[0].pool.Tag() {
-			err = fmt.Errorf("%w: pool build tag %08x differs from shard 0's %08x",
-				ErrShardMismatch, tag, se.shards[0].pool.Tag())
-		}
-		if err != nil {
-			e.abandon()
-			return nil, nil, err
-		}
-		return e, info, nil
 	}
 	// A failed reopen leaves every device with the caller, so the shards
 	// reopened before the failure give up only what they made themselves.
@@ -326,14 +296,14 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 	remaining := make([][]*nvm.SimDevice, len(devs))
 	infos := make([]*RecoveryInfo, 0, len(devs))
 	for i, dev := range devs {
-		e, info, err := reopenOne(i, dev)
+		e, info, err := se.reopenShard(i, dev)
 		if repl.FollowerDevices != nil {
 			remaining[i] = repl.FollowerDevices[i]
 			if err != nil {
 				// Primary unrecoverable: promote the first follower whose
 				// image passes the identical contract.
 				for fi, fdev := range repl.FollowerDevices[i] {
-					fe, finfo, ferr := reopenOne(i, fdev)
+					fe, finfo, ferr := se.reopenShard(i, fdev)
 					if ferr == nil {
 						e, info, err = fe, finfo, nil
 						dead = append(dead, dev)
@@ -370,6 +340,39 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 		_ = dev.Discard() // nothing a caller could do about a dead device's close error
 	}
 	return se, infos, nil
+}
+
+// reopenShard reopens dev as shard i of the set: the one reopen contract for
+// a shard image, whether a restart's primary or follower, a failover's
+// promoted follower or a read replica's clone.  The image must pass the
+// unsharded recovery contract, and its pool stamps must name position i of
+// this set and carry the set's build tag, se.opts.BuildTag — positional
+// stamps alone cannot tell shard 1-of-4 of one unified build from shard
+// 1-of-4 of another.  While ReopenSharded reopens shard 0 for a caller that
+// expects no tag, shard 0's tag becomes the set's.  A mismatch abandons the
+// reopened engine and reports ErrShardMismatch; dev stays the caller's either
+// way, and the caller decides what becomes of it.
+func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *RecoveryInfo, error) {
+	o := se.opts
+	o.ShardIndex = uint32(i)
+	o.ShardCount = uint32(len(se.shards))
+	e, info, err := Reopen(dev, se.d, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	adopt := se.shards[0] == nil && se.opts.BuildTag == 0
+	if idx, cnt := e.pool.Shard(); idx != o.ShardIndex || cnt != o.ShardCount {
+		err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, idx, cnt)
+	} else if tag := e.pool.Tag(); adopt {
+		se.opts.BuildTag = tag
+	} else if tag != se.opts.BuildTag {
+		err = fmt.Errorf("%w: pool build tag %08x, want %08x", ErrShardMismatch, tag, se.opts.BuildTag)
+	}
+	if err != nil {
+		e.abandon()
+		return nil, nil, err
+	}
+	return e, info, nil
 }
 
 // recoverIngestMaps rebuilds the coordinator's global ingestion state after
@@ -686,9 +689,9 @@ func (se *ShardedEngine) planUnits(numOps int) []unit {
 	return units
 }
 
-// ensureReplica lazily recovers shard i's read replica: the freshest live
+// ensureReplica lazily recovers shard i's read replica: the first live
 // follower's durable image is cloned (leaving the follower itself pure for
-// failover) and reopened under the ordinary recovery contract, and a query
+// failover) and reopened as shard i under reopenShard's contract, and a query
 // session over the clone serves reads.  Returns nil when the shard has no
 // usable replica.  Query results depend only on the immutable init
 // structures, so any post-init consistent image answers bit-identically to
@@ -714,10 +717,7 @@ func (se *ShardedEngine) ensureReplica(i int) *Session {
 	if err != nil {
 		return nil
 	}
-	o := se.opts
-	o.ShardIndex = uint32(i)
-	o.ShardCount = uint32(len(se.shards))
-	e, _, err := Reopen(clone, se.d, o)
+	e, _, err := se.reopenShard(i, clone)
 	if err != nil {
 		_ = clone.Discard()
 		return nil
@@ -869,15 +869,14 @@ func (se *ShardedEngine) failoverUnit(u unit, cause error) error {
 	return se.failoverShard(u.shard, cause)
 }
 
-// failoverShard retires shard i's primary and recovers the shard from its
-// freshest follower: queued ship batches are applied (they live in
-// coordinator memory, which survives the device failure), the follower is
-// promoted and reopened under the unsharded recovery contract — or, when
-// its image predates a completed initialization, rebuilt from the retained
-// shard grammar — its stamps are validated exactly as in ReopenSharded, and
-// the remaining followers are re-seeded from the new primary.  The measured
-// recovery span is folded into the batch's traversal span as serial
-// critical-path work.  Returns nil when the shard is ready to re-dispatch.
+// failoverShard retires shard i's primary and recovers the shard from a
+// live follower, which holds the primary's last commit: the follower is
+// promoted and reopened as shard i under reopenShard's contract — or, when
+// its image is torn before a completed initialization, the shard is rebuilt
+// from its retained grammar — and the remaining followers are re-seeded
+// from the new primary.  The measured recovery span is folded into the
+// batch's traversal span as serial critical-path work.  Returns nil when the
+// shard is ready to re-dispatch.
 func (se *ShardedEngine) failoverShard(i int, cause error) error {
 	se.failMu.Lock()
 	defer se.failMu.Unlock()
@@ -895,41 +894,29 @@ func (se *ShardedEngine) failoverShard(i int, cause error) error {
 		return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, perr)}
 	}
 	sp := metrics.Start(fdev, &se.meter)
-	o := se.opts
-	o.ShardIndex = uint32(i)
-	o.ShardCount = uint32(len(se.shards))
-	ne, _, rerr := Reopen(fdev, se.d, o)
+	ne, _, rerr := se.reopenShard(i, fdev)
 	switch {
 	case rerr == nil:
-		if idx, cnt := ne.pool.Shard(); idx != uint32(i) || cnt != uint32(len(se.shards)) {
-			err := fmt.Errorf("%w: follower pool stamped %d of %d", ErrShardMismatch, idx, cnt)
-			if cerr := ne.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, err)}
-		}
-		if tag := ne.pool.Tag(); se.opts.BuildTag != 0 && tag != se.opts.BuildTag {
-			err := fmt.Errorf("%w: follower pool build tag %08x, want %08x",
-				ErrShardMismatch, tag, se.opts.BuildTag)
-			if cerr := ne.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, err)}
-		}
 	case errors.Is(rerr, ErrNeedsReload) && se.gs != nil && se.gs[i] != nil:
-		// The follower's image predates a completed initialization (it was
-		// torn or lag-bounded very early): rebuild the shard from its
-		// retained grammar on a fresh device, the same reload contract the
-		// crash harness exercises on primaries.
+		// The follower's image is torn before a completed initialization:
+		// rebuild the shard from its retained grammar on a fresh device, the
+		// same reload contract the crash harness exercises on primaries.
 		if derr := fdev.Discard(); derr != nil {
 			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr, derr)}
 		}
+		o := se.opts
+		o.ShardIndex = uint32(i)
+		o.ShardCount = uint32(len(se.shards))
 		ne2, nerr := New(se.gs[i], se.d, o)
 		if nerr != nil {
 			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr, nerr)}
 		}
 		ne = ne2
 	default:
+		// Once promoted the follower belongs to no replicator: release it.
+		if derr := fdev.Discard(); derr != nil {
+			rerr = errors.Join(rerr, derr)
+		}
 		return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr)}
 	}
 	sp.Stop()
@@ -941,7 +928,7 @@ func (se *ShardedEngine) failoverShard(i int, cause error) error {
 		// Re-seed the surviving followers from the recovered primary and
 		// keep shipping; a shard can survive as many failures as it has
 		// replicas.
-		nr := newReplicator(ne.Device(), rest, rep.mode, rep.lag)
+		nr := newReplicator(ne.Device(), rest)
 		if err := nr.bootstrap(); err == nil {
 			ne.Device().SetShipper(nr)
 			se.reps[i] = nr
@@ -1109,37 +1096,16 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // DocBases returns the global index of each shard's first document.
 func (se *ShardedEngine) DocBases() []uint32 { return se.bases }
 
-// Followers returns shard i's current live follower devices, as they stand
-// — queued async batches are not applied first (see ReplicaBarrier).  Nil
-// when the shard is unreplicated.
+// Followers returns shard i's current live follower devices, each holding
+// the shard primary's durable image as of its last commit.  Nil when the
+// shard is unreplicated.
 func (se *ShardedEngine) Followers(i int) []*nvm.SimDevice {
 	se.failMu.Lock()
 	defer se.failMu.Unlock()
 	if se.reps == nil || se.reps[i] == nil {
 		return nil
 	}
-	r := se.reps[i]
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var devs []*nvm.SimDevice
-	for _, f := range r.followers {
-		if f.err == nil {
-			devs = append(devs, f.dev)
-		}
-	}
-	return devs
-}
-
-// ReplicaBarrier applies every queued async ship batch, bringing all live
-// followers current with their primaries' durable images.
-func (se *ShardedEngine) ReplicaBarrier() {
-	se.failMu.Lock()
-	defer se.failMu.Unlock()
-	for _, r := range se.reps {
-		if r != nil {
-			r.catchUp()
-		}
-	}
+	return se.reps[i].liveFollowers()
 }
 
 // FailoverCount reports how many shard failovers this engine has performed.

@@ -15,28 +15,20 @@ import (
 
 // RunFailover explores the replication/failover matrix of a k-way sharded
 // engine with one follower per shard.  For every sampled (shard, event)
-// point it checks three scenarios against the replicated golden run:
+// point it checks two scenarios against the replicated golden run:
 //
 //   - primary-dies: the shard's primary is armed to die at a workload-phase
-//     persistence event under synchronous shipping.  The scatter-gather
-//     path must mask the failure — promote the follower, recover it through
-//     the ordinary RecoveryInfo machinery, re-dispatch the shard's ops —
-//     and both the interrupted batch and a subsequent batch must equal the
-//     global reference bit for bit.
-//   - both-lag: the same dying primary under lag-bounded async shipping.
-//     The queued commit batches survive in coordinator memory, so failover
-//     first catches the follower up, then recovers it; results must again
-//     be bit-identical.
+//     persistence event.  Every commit it drained is already durable on its
+//     follower, so the scatter-gather path must mask the failure — promote
+//     the follower, recover it through the ordinary RecoveryInfo machinery,
+//     re-dispatch the shard's ops — and both the interrupted batch and a
+//     subsequent batch must equal the global reference bit for bit.
 //   - follower-torn: the follower itself is armed (its event space covers
 //     the bootstrap snapshot install and every shipped commit).  A torn
 //     follower must never disturb the primary workload, and its frozen
 //     image — under every seeded crash subset — must still satisfy the
 //     per-shard recovery contract, merging back to the global reference
 //     alongside the healthy shards.
-//
-// A final unarmed async run checks the lag bound itself: each follower's
-// durable clone, trailing its primary by up to the lag bound with the queue
-// discarded (a full process crash), must recover under the same contract.
 func RunFailover(kcfg Config, k int) (*Report, error) {
 	kcfg = kcfg.withDefaults()
 	if k < 2 {
@@ -68,7 +60,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	}
 
 	// newReplicated assembles fresh primaries plus one follower per shard.
-	newReplicated := func(mode core.ShipMode, lag int) (devs []*nvm.SimDevice, fdevs [][]*nvm.SimDevice, o core.Options) {
+	newReplicated := func() (devs []*nvm.SimDevice, fdevs [][]*nvm.SimDevice, o core.Options) {
 		devs = make([]*nvm.SimDevice, k)
 		fdevs = make([][]*nvm.SimDevice, k)
 		for i := range devs {
@@ -77,7 +69,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 		}
 		o = opts
 		o.ShardDevices = devs
-		o.Replication = core.Replication{FollowerDevices: fdevs, Mode: mode, LagBound: lag}
+		o.Replication = core.Replication{FollowerDevices: fdevs}
 		return devs, fdevs, o
 	}
 	// free ends a replicated replay: the engine, which owns every device of a
@@ -92,7 +84,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	// per-shard build event counts (failure points are sampled from the
 	// workload phase, after construction and bootstrap), and the primary and
 	// follower event totals that bound each event space.
-	devs, fdevs, o := newReplicated(core.ShipSync, 0)
+	devs, fdevs, o := newReplicated()
 	se, err := core.NewSharded(gs, d, o)
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("crashcheck: golden replicated build: %w", err), free(nil, devs, fdevs))
@@ -158,12 +150,12 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 
 	// primaryDies arms shard s's primary at event ev and demands the
 	// workload completes through failover, bit-identical, twice.
-	primaryDies := func(name string, s int, ev int64, mode core.ShipMode, lag int) (o Outcome) {
-		o = Outcome{Subset: name, State: "failover"}
+	primaryDies := func(s int, ev int64) (o Outcome) {
+		o = Outcome{Subset: "primary-dies", State: "failover"}
 		if ev >= totals[s] {
 			o.State = "healthy"
 		}
-		devs, fdevs, oo := newReplicated(mode, lag)
+		devs, fdevs, oo := newReplicated()
 		devs[s].FailFromPersistEvent(ev)
 		se, nerr := core.NewSharded(gs, d, oo)
 		defer func() {
@@ -208,7 +200,7 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 	// must recover under every seeded subset.
 	followerTorn := func(s int, fev int64) (outs []Outcome) {
 		head := Outcome{Subset: fmt.Sprintf("follower-torn@%d", fev), State: "healthy"}
-		devs, fdevs, oo := newReplicated(core.ShipSync, 0)
+		devs, fdevs, oo := newReplicated()
 		fdevs[s][0].FailFromPersistEvent(fev)
 		se, nerr := core.NewSharded(gs, d, oo)
 		clones := make([]*nvm.SimDevice, k)
@@ -278,15 +270,13 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 		return outs
 	}
 
-	const asyncLag = 2
 	for s := 0; s < k; s++ {
 		evs := pickEvents(totals[s]-builds[s], kcfg.Points, kcfg.Seed+int64(s))
 		fevs := pickEvents(ftotals[s], kcfg.Points, kcfg.Seed+int64(s)*7919)
 		for j, rel := range evs {
 			ev := builds[s] + rel
 			pt := Point{Event: ev, Shard: s}
-			pt.Outcomes = append(pt.Outcomes, primaryDies("primary-dies", s, ev, core.ShipSync, 0))
-			pt.Outcomes = append(pt.Outcomes, primaryDies("both-lag", s, ev, core.ShipAsync, asyncLag))
+			pt.Outcomes = append(pt.Outcomes, primaryDies(s, ev))
 			if j < len(fevs) {
 				pt.Outcomes = append(pt.Outcomes, followerTorn(s, fevs[j])...)
 			}
@@ -301,53 +291,6 @@ func RunFailover(kcfg Config, k int) (*Report, error) {
 					s, ev, totals[s], states, pt.Violations())
 			}
 		}
-	}
-
-	// Lag-bound contract: run unarmed under async shipping, then recover
-	// each follower's durable clone with the queue discarded — the full
-	// process-crash view of a follower trailing by up to the lag bound.
-	devs, fdevs, o = newReplicated(core.ShipAsync, asyncLag)
-	se, err = core.NewSharded(gs, d, o)
-	if err != nil {
-		return nil, errors.Join(fmt.Errorf("crashcheck: async lag run build: %w", err), free(nil, devs, fdevs))
-	}
-	res, werr := runOn(se, kcfg.Task)
-	if werr != nil {
-		se.Close()
-		return nil, fmt.Errorf("crashcheck: async lag run %s: %w", kcfg.Task, werr)
-	}
-	lagClones := make([]*nvm.SimDevice, k)
-	for i := range lagClones {
-		if lagClones[i], err = fdevs[i][0].CloneDurable(); err != nil {
-			se.Close()
-			return nil, fmt.Errorf("crashcheck: clone lagged follower %d: %w", i, err)
-		}
-	}
-	se.Close()
-	for s := 0; s < k; s++ {
-		pt := Point{Event: totals[s], Shard: s}
-		head := Outcome{Subset: "lag-run", State: "healthy"}
-		if !reflect.DeepEqual(res, global) {
-			head.Violations = append(head.Violations, "async-lag workload result differs from global reference")
-		}
-		pt.Outcomes = append(pt.Outcomes, head)
-		for _, sub := range subsets(kcfg, totals[s]) {
-			o := Outcome{Subset: "lagged:" + sub.name}
-			st, viols, _ := recoverCrashedClone(lagClones[s], sub, d, opts, gs[s], s, k, kcfg.Task, refs[s])
-			o.State = st
-			for _, v := range viols {
-				o.Violations = append(o.Violations, fmt.Sprintf("shard %d: %s", s, v))
-			}
-			pt.Outcomes = append(pt.Outcomes, o)
-		}
-		rep.Violations += pt.Violations()
-		rep.Points = append(rep.Points, pt)
-		if kcfg.Log != nil {
-			fmt.Fprintf(kcfg.Log, "shard %d lag-bound check: violations=%d\n", s, pt.Violations())
-		}
-	}
-	if err := discard(lagClones); err != nil {
-		return nil, fmt.Errorf("crashcheck: discard lagged clones: %w", err)
 	}
 	return rep, nil
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestFailoverSampled is the replication/failover gate that rides in the
-// normal test run: a seeded sample of the primary-dies / both-lag /
-// follower-torn matrix over a 3-way replicated engine, under both §IV-E
+// normal test run: a seeded sample of the primary-dies / follower-torn
+// matrix over a 3-way replicated engine, under both §IV-E
 // persistence strategies.  make failovercheck runs a denser matrix over more
 // shard counts.
 func TestFailoverSampled(t *testing.T) {

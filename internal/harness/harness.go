@@ -488,7 +488,7 @@ func RunFailoverBench(c *Corpus, ops []analytics.Op, k int, opts core.Options) (
 		return m
 	}
 
-	repl := core.Replication{Followers: 1, Mode: core.ShipSync}
+	repl := core.Replication{Followers: 1}
 	var ref []any
 	var tails []int64
 	if cell.Healthy, tails, _, ref, err = run(repl, false); err != nil {
