@@ -2,17 +2,18 @@
 // internal/crashcheck and prints a per-crash-point verdict table: for every
 // persistence event of the workload (or a seeded sample), the recovery
 // outcome under each injected torn-write subset.  Exit status 1 when any
-// invariant violation is found.
+// invariant violation is found, 2 on a usage or setup error.
 //
-// Usage:
+// Usage — one driver, crashcheck.Run; -shards sets its K, and -failover or
+// -ingest its scenario (Crash otherwise):
 //
 //	crashcheck -task wordcount -persistence both -points 0 -seeds 3 -seed 42
 //	crashcheck -task seqcount -oplogcap 192 -points 0
 //	crashcheck -task invertedindex -strategy bottom-up -oplogcap 512 -points 0
 //	crashcheck -task wordcount+invertedindex -oplogcap 128 -points 0
 //	crashcheck -task wordcount -shards 3 -points 8
-//	crashcheck -failover -shards 3 -points 6
-//	crashcheck -ingest -points 0
+//	crashcheck -failover -shards 3 -points 6     # K >= 2
+//	crashcheck -ingest -points 0                 # one shard only
 package main
 
 import (
@@ -46,9 +47,18 @@ func main() {
 	)
 	flag.Parse()
 
-	if *failover && *shards < 2 {
+	scenario := crashcheck.Crash
+	switch {
+	case *ingest && *shards > 1:
+		fmt.Fprintln(os.Stderr, "crashcheck: -ingest explores one shard; drop -shards")
+		os.Exit(2)
+	case *ingest:
+		scenario = crashcheck.Ingest
+	case *failover && *shards < 2:
 		fmt.Fprintln(os.Stderr, "crashcheck: -failover needs -shards >= 2")
 		os.Exit(2)
+	case *failover:
+		scenario = crashcheck.Failover
 	}
 
 	var modes []core.Persistence
@@ -83,6 +93,8 @@ func main() {
 	violations := 0
 	for _, mode := range modes {
 		cfg := crashcheck.Config{
+			Scenario:    scenario,
+			Shards:      *shards,
 			Task:        *task,
 			Persistence: mode,
 			Strategy:    direction,
@@ -98,20 +110,7 @@ func main() {
 		if *verbose {
 			cfg.Log = os.Stderr
 		}
-		var (
-			rep *crashcheck.Report
-			err error
-		)
-		switch {
-		case *ingest:
-			rep, err = crashcheck.RunIngest(cfg)
-		case *failover:
-			rep, err = crashcheck.RunFailover(cfg, *shards)
-		case *shards > 1:
-			rep, err = crashcheck.RunSharded(cfg, *shards)
-		default:
-			rep, err = crashcheck.Run(cfg)
-		}
+		rep, err := crashcheck.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "crashcheck: %v\n", err)
 			os.Exit(2)

@@ -2,6 +2,7 @@ package ntadoc
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -32,6 +33,25 @@ func FuzzReadArchive(f *testing.F) {
 	legacy := bytes.Clone(buf.Bytes())
 	copy(legacy[8:], "NTDCSHD1") // the section magic of the container no longer read
 	f.Add(legacy)
+	// An appended-to archive writes the NTDCDLT1 container: the base section
+	// as it was, then the delta grammar over the appended documents.
+	eng, err := NewEngine(a, Options{IngestCapacity: 1 << 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	err = eng.Append([]Document{{Name: "z", Text: "to be is to do or not to be"}})
+	if err = errors.Join(err, eng.Close()); err != nil {
+		f.Fatal(err)
+	}
+	var delta bytes.Buffer
+	if _, err := a.WriteTo(&delta); err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Contains(delta.Bytes(), []byte("NTDCDLT1")) {
+		f.Fatal("appended-to archive wrote no NTDCDLT1 container")
+	}
+	f.Add(delta.Bytes())
+	f.Add(delta.Bytes()[:delta.Len()-delta.Len()/4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadArchive(bytes.NewReader(data))

@@ -1,53 +1,95 @@
 // Package crashcheck systematically explores crash points of the engine's
 // persistence strategies (§IV-E), in the spirit of CrashMonkey: a golden run
-// of a workload counts the device's persistence events (every Flush and
-// Drain), then for each crash point the workload is replayed on a fresh
-// device armed to fail from that event on, and the resulting durable state —
-// under several torn-write subsets of the pending set (nvm.CrashAt) — is
-// recovered with core.Reopen and checked against invariants:
+// of a workload counts each device's persistence events (every Flush and
+// Drain), then for each crash point the workload is replayed on fresh
+// devices, one of them armed to fail from that event on, and the resulting
+// durable state — under several torn-write subsets of the pending set
+// (nvm.CrashAt) — is recovered and checked against invariants.
 //
-//  1. recovery never panics;
-//  2. it returns either core.ErrNeedsReload or a usable engine;
-//  3. replayed operation-log counts never exceed the committed reference for
-//     any key (no corrupt-record admission, no double replay of records a
-//     completed checkpoint superseded);
-//  4. when the durable phase says a traversal committed, the committed
-//     counts equal the reference exactly;
-//  5. the recovered engine re-runs the task to the exact reference result.
+// One driver, Run, explores every scenario.  Every scenario builds a K-way
+// sharded engine through core.NewSharded, K = 1 included — the path
+// ntadoc.NewEngine takes — with one injected device per shard, each its own
+// persistence domain.  A crash point arms one shard's device, so the
+// interesting states are asymmetric: one shard dies mid-stream while the
+// others run to completion.  A replay whose device died before the workload
+// ended must report the failure: one that claims success swallowed a
+// persistence error.  What the scenario does between the build and the
+// crash, and which invariants it adds, is the Scenario:
 //
-// A per-file task (Run with "invertedindex") commits no result table, so its
-// runs are judged by invariants 1, 2 and 5.  It has almost no persistence
-// schedule of its own: its counters — per file, and bottom-up's per rule —
-// are scratch in one reused pool region, never logged and never flushed, so
-// its events are the op log's resets and the checkpoint's header.  The fused
-// "wordcount+invertedindex" puts that scratch above a global destination: the
-// word count's table is logged and committed while the per-file pass reuses
-// the region over it, and invariants 3 and 4 judge the table.
+//   - Crash runs the task once.  Each shard's image is recovered with
+//     core.Reopen and checked against the per-shard contract:
+//     1. recovery never panics;
+//     2. it returns either core.ErrNeedsReload — and the shard, rebuilt from
+//     its grammar, re-runs to the shard reference — or a usable engine;
+//     3. replayed operation-log counts never exceed the shard's committed
+//     reference for any key (no corrupt-record admission, no double replay
+//     of records a completed checkpoint superseded);
+//     4. when the durable phase says a traversal committed, the committed
+//     counts equal the shard reference exactly;
+//     5. the recovered engine re-runs the task to the exact shard reference,
+//     and the recovered shards' results merge to the global reference, bit
+//     for bit.
+//   - Failover gives every shard one follower, shipped every drained commit.
+//     Per sampled (shard, event) point it checks two things.  primary-dies:
+//     the shard's primary dies at a workload-phase event, and failover must
+//     mask it — promote the follower, re-dispatch the shard's ops — so the
+//     interrupted batch and the next one equal the global reference.
+//     follower-torn: the follower dies instead (its event space covers the
+//     bootstrap snapshot and every shipped commit); the primary workload must
+//     be undisturbed, and the frozen follower image, with the healthy
+//     primaries, must pass the Crash contract.
+//   - Ingest drives a live append stream, one batch per document with a
+//     compaction at the midpoint, into one shard, and checks the append
+//     commit protocol: an acknowledged append survives any later crash;
+//     recovery lands on a batch boundary (base plus a prefix of the stream,
+//     never a torn batch) and serves that prefix's exact reference; and the
+//     recovered engine keeps accepting appends.
+//
+// A per-file task ("invertedindex") commits no result table, so invariants
+// 3 and 4 do not apply to it.  It has almost no persistence schedule of its
+// own: its counters — per file, and bottom-up's per rule — are scratch in
+// one reused pool region, never logged and never flushed, so its events are
+// the op log's resets and the checkpoint's header.  The fused
+// "wordcount+invertedindex" puts that scratch above a global destination:
+// the word count's table is logged and committed while the per-file pass
+// reuses the region over it, and invariants 3 and 4 judge the table.
 //
 // Exhaustive over every event on small corpora; seeded sampling otherwise.
 package crashcheck
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math/rand"
-	"reflect"
 	"sort"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
-	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/core"
-	"github.com/text-analytics/ntadoc/internal/datagen"
-	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
-	"github.com/text-analytics/ntadoc/internal/sequitur"
+)
+
+// Scenario is what the explored workload does between the build and the
+// crash; see the package comment for each one's invariants.
+type Scenario int
+
+const (
+	// Crash runs the task once.
+	Crash Scenario = iota
+	// Failover replicates every shard to one follower and kills either a
+	// primary or a follower.  It needs Shards >= 2.
+	Failover
+	// Ingest takes live appends with a mid-stream compaction.  It runs one
+	// shard.
+	Ingest
 )
 
 // Config selects the workload and the exploration budget.
 type Config struct {
-	// Task is "wordcount" (default), "seqcount" or — Run only — the per-file
+	// Scenario is the workload and invariant set explored (default Crash).
+	Scenario Scenario
+	// Shards is the shard count K (default 1).
+	Shards int
+	// Task is "wordcount" (default), "seqcount", the per-file
 	// "invertedindex" or the fused "wordcount+invertedindex".
 	Task string
 	// Persistence is the §IV-E strategy under test.
@@ -59,9 +101,10 @@ type Config struct {
 	// compacts several times per run, putting compaction — and the frames
 	// and table flushes around it — inside the explored events.
 	OpLogCap int64
-	// Points bounds how many crash points are explored; 0 means exhaustive
-	// (every persistence event of the golden run, plus the completed run).
-	// Sampling is seeded and always includes the first and last events.
+	// Points bounds how many crash points are explored per shard; 0 means
+	// exhaustive (every persistence event of the golden run, plus the
+	// completed run).  Sampling is seeded and always includes the first and
+	// last events.
 	Points int
 	// Subsets is how many seeded torn-write subsets are injected per crash
 	// point, in addition to the two extremes (nothing pending persists /
@@ -70,6 +113,8 @@ type Config struct {
 	// Seed drives both point sampling and torn-subset selection.
 	Seed int64
 	// Corpus shape; defaults are small enough for exhaustive exploration.
+	// Files is raised to 2K when below K, and to 4 for Ingest (a base
+	// corpus plus an appendable tail).
 	Files, TokensPer, Vocab int
 	// CorpusSeed is the datagen seed (default 7).
 	CorpusSeed int64
@@ -78,6 +123,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
 	if c.Task == "" {
 		c.Task = "wordcount"
 	}
@@ -86,6 +134,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Files == 0 {
 		c.Files = 2
+	}
+	if c.Files < c.Shards {
+		c.Files = 2 * c.Shards
+	}
+	if c.Scenario == Ingest && c.Files < 4 {
+		c.Files = 4
 	}
 	if c.TokensPer == 0 {
 		c.TokensPer = 120
@@ -101,23 +155,34 @@ func (c Config) withDefaults() Config {
 
 // engineOptions is the engine configuration the workload runs under.
 func (c Config) engineOptions() core.Options {
-	return core.Options{
+	o := core.Options{
 		Persistence: c.Persistence,
 		Strategy:    c.Strategy,
 		OpLogCap:    c.OpLogCap,
 		Sequences:   c.Task == "seqcount",
 	}
+	if c.Scenario == Ingest {
+		o.IngestCap = ingestCap
+	}
+	return o
 }
 
+// ingestCap is the append-log reservation for Ingest explorations: ample
+// for the small corpora crash exploration uses.
+const ingestCap = 1 << 16
+
 // Outcome is one recovery attempt: a crash point combined with one torn
-// subset of the pending set.
+// subset of the pending set, or one failover run.
 type Outcome struct {
 	// Subset names the injected pending-set subset: "none" (crash before
 	// anything unfenced reaches media), "all" (everything pending reaches
-	// media), or "seed=N".
+	// media), or "seed=N".  Failover names its runs "primary-dies",
+	// "follower-torn@N" and "follower-torn:<subset>".
 	Subset string
-	// State is what recovery returned: "reload" (ErrNeedsReload), "phase1",
-	// "phase2", or "error"/"panic" (always accompanied by violations).
+	// State is what recovery returned, per shard and joined with "|":
+	// "reload" (ErrNeedsReload), "phase1", "phase2", or "error"/"panic"
+	// (always accompanied by violations).  A failover run is "failover" or
+	// "healthy".
 	State string
 	// Violations lists every invariant this outcome broke; empty means the
 	// outcome is consistent.
@@ -126,13 +191,13 @@ type Outcome struct {
 
 // Point is the verdict for one crash point.
 type Point struct {
-	// Event is the persistence-event index the device died at: event Event
-	// and all later flushes and drains failed.
+	// Event is the persistence-event index the armed device died at: event
+	// Event and all later flushes and drains failed.  A Failover point
+	// pairs a primary event with a follower event and names the primary's;
+	// a point past the shard's primary events names the follower's.
 	Event int64
-	// Shard is the shard whose device was armed (RunSharded explorations
-	// only; zero for unsharded runs).  The other shards' devices stay
-	// healthy, so the point exercises recovery with some shards fully
-	// drained and one interrupted mid-stream.
+	// Shard is the shard whose device was armed.  The other shards' devices
+	// stay healthy.
 	Shard    int
 	Outcomes []Outcome
 }
@@ -148,8 +213,9 @@ func (p Point) Violations() int {
 
 // Report is the result of a Run.
 type Report struct {
-	// TotalEvents is the golden run's persistence-event count; crash points
-	// range over [0, TotalEvents] (the last one is the completed run).
+	// TotalEvents is the sum of the golden run's per-shard primary
+	// persistence-event counts; a shard's crash points range over
+	// [0, its count] (the last one is the completed run).
 	TotalEvents int64
 	Points      []Point
 	// Violations is the total invariant-violation count; zero means every
@@ -157,128 +223,80 @@ type Report struct {
 	Violations int
 }
 
-// reference is the golden run's committed state, against which every
-// recovery is judged.
-type reference struct {
-	id     map[uint32]uint64 // committed result table (word or sequence IDs); nil for a per-file task
-	task   analytics.Task
-	result any // exact task result (map[uint32]uint64 or map[Seq]uint64)
-}
-
 // Run executes the exploration and returns the per-point verdicts.  It is an
-// error when the golden run itself fails or does not match the analytic
-// reference; invariant violations during exploration are reported, not
-// returned as errors.
-func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	spec := datagen.Spec{
-		Name: "crashcheck", Seed: cfg.CorpusSeed,
-		Files: cfg.Files, TokensPer: cfg.TokensPer, Vocab: cfg.Vocab,
-		ZipfS: 1.3, Phrases: 30, PhraseLen: 5, PhraseProb: 0.6,
+// error when the configuration is invalid, or when the golden run itself
+// fails or does not match the analytic reference; invariant violations
+// during exploration are reported, not returned as errors.
+func Run(c Config) (*Report, error) {
+	c = c.withDefaults()
+	switch {
+	case c.Shards < 1:
+		return nil, fmt.Errorf("crashcheck: %d shards", c.Shards)
+	case c.Scenario == Failover && c.Shards < 2:
+		return nil, fmt.Errorf("crashcheck: failover exploration needs shards >= 2, got %d", c.Shards)
+	case c.Scenario == Ingest && c.Shards > 1:
+		return nil, fmt.Errorf("crashcheck: ingest exploration runs one shard, got %d", c.Shards)
 	}
-	files, d := spec.GenerateWithDict()
-	g, err := sequitur.Infer(files, uint32(d.Len()))
-	if err != nil {
-		return nil, fmt.Errorf("crashcheck: infer grammar: %w", err)
-	}
-	opts := cfg.engineOptions()
-	size, err := core.PoolEstimate(g, opts)
-	if err != nil {
-		return nil, fmt.Errorf("crashcheck: size pool: %w", err)
-	}
-
-	ref, total, err := goldenRun(cfg, g, d, files, opts, size)
+	r, err := newRun(c)
 	if err != nil {
 		return nil, err
 	}
+	if err := r.golden(); err != nil {
+		return nil, err
+	}
 
-	rep := &Report{TotalEvents: total}
-	for _, ev := range pickEvents(total, cfg.Points, cfg.Seed) {
-		pt := Point{Event: ev}
-		dev := nvm.New(nvm.KindNVM, size)
-		dev.FailFromPersistEvent(ev)
-		ro := opts
-		ro.Device = dev
-		_, werr := runTask(g, d, ro, cfg.Task)
-		if werr == nil && ev < total {
-			// Every flush and drain from event ev on failed; a workload that
-			// still claims success swallowed a persistence error somewhere.
-			pt.Outcomes = append(pt.Outcomes, Outcome{
-				Subset: "-", State: "error",
-				Violations: []string{fmt.Sprintf("workload succeeded despite failure from event %d", ev)},
-			})
-		}
-		for _, sub := range subsets(cfg, ev) {
-			clone, cerr := dev.CloneDurable()
-			if cerr != nil {
-				return nil, fmt.Errorf("crashcheck: clone at event %d: %w", ev, cerr)
-			}
-			o := Outcome{Subset: sub.name}
-			if cerr := sub.crash(clone); cerr != nil {
-				o.State = "error"
-				o.Violations = append(o.Violations, "crash injection: "+cerr.Error())
-			} else {
-				o.State, o.Violations = checkRecovery(clone, d, opts, cfg.Task, ref)
-			}
-			pt.Outcomes = append(pt.Outcomes, o)
-			if err := clone.Discard(); err != nil {
-				return nil, fmt.Errorf("crashcheck: discard clone at event %d: %w", ev, err)
-			}
-		}
-		if err := dev.Discard(); err != nil {
-			return nil, fmt.Errorf("crashcheck: discard replay device: %w", err)
-		}
+	rep := &Report{}
+	for _, t := range r.totals {
+		rep.TotalEvents += t
+	}
+	add := func(pt Point, events int64) {
 		rep.Violations += pt.Violations()
 		rep.Points = append(rep.Points, pt)
-		if cfg.Log != nil {
+		if c.Log != nil {
 			states := make([]string, len(pt.Outcomes))
 			for i, o := range pt.Outcomes {
 				states[i] = o.State
 			}
-			fmt.Fprintf(cfg.Log, "event %4d/%d: %v violations=%d\n", ev, total, states, pt.Violations())
+			fmt.Fprintf(c.Log, "shard %d event %4d/%d: %v violations=%d\n",
+				pt.Shard, pt.Event, events, states, pt.Violations())
+		}
+	}
+	for s, total := range r.totals {
+		if c.Scenario != Failover {
+			for _, ev := range pickEvents(total, c.Points, c.Seed+int64(s)) {
+				outs, err := r.explore(s, ev, false)
+				if err != nil {
+					return nil, err
+				}
+				add(Point{Event: ev, Shard: s, Outcomes: outs}, total)
+			}
+			continue
+		}
+		// Primary events are sampled from the workload phase, after the
+		// build and the followers' bootstrap; follower events from the
+		// follower's whole life.  The two samples are paired point by point,
+		// and each is explored in full.
+		evs := pickEvents(total-r.builds[s], c.Points, c.Seed+int64(s))
+		fevs := pickEvents(r.ftotals[s], c.Points, c.Seed+int64(s)*7919)
+		for j := range max(len(evs), len(fevs)) {
+			pt := Point{Shard: s}
+			if j < len(evs) {
+				pt.Event = r.builds[s] + evs[j]
+				pt.Outcomes = append(pt.Outcomes, r.primaryDies(s, pt.Event))
+			} else {
+				pt.Event = fevs[j]
+			}
+			if j < len(fevs) {
+				outs, err := r.explore(s, fevs[j], true)
+				if err != nil {
+					return nil, err
+				}
+				pt.Outcomes = append(pt.Outcomes, outs...)
+			}
+			add(pt, total)
 		}
 	}
 	return rep, nil
-}
-
-// goldenRun completes the workload once on an unarmed device, validates it
-// against the analytic reference, and captures the committed counts plus the
-// total persistence-event count.
-func goldenRun(cfg Config, g *cfg.Grammar, d *dict.Dictionary, files [][]uint32,
-	opts core.Options, size int64) (*reference, int64, error) {
-	dev := nvm.New(nvm.KindNVM, size)
-	defer dev.Discard() // a failed build leaves the device ours
-	o := opts
-	o.Device = dev
-	e, err := core.New(g, d, o)
-	if err != nil {
-		return nil, 0, fmt.Errorf("crashcheck: golden run: %w", err)
-	}
-	defer e.Close()
-	result, err := runOn(e, cfg.Task)
-	if err != nil {
-		return nil, 0, fmt.Errorf("crashcheck: golden %s: %w", cfg.Task, err)
-	}
-	if want := refResult(cfg.Task, files); !reflect.DeepEqual(result, want) {
-		return nil, 0, fmt.Errorf("crashcheck: golden %s result does not match reference", cfg.Task)
-	}
-	ref := &reference{result: result}
-	if ops := taskOps(cfg.Task); ops[len(ops)-1].Scope() == analytics.ScopeGlobal {
-		var ok bool
-		if ref.id, ref.task, ok = e.CommittedCounts(); !ok {
-			return nil, 0, errors.New("crashcheck: golden run committed no counts")
-		}
-	}
-	return ref, dev.PersistEvents(), nil
-}
-
-// runTask builds an engine on opts.Device and runs the task once.
-func runTask(g *cfg.Grammar, d *dict.Dictionary, opts core.Options, task string) (any, error) {
-	e, err := core.New(g, d, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runOn(e, task)
 }
 
 // taskOp returns the workload task's op.
@@ -307,23 +325,42 @@ func taskOps(task string) []analytics.Op {
 	return []analytics.Op{taskOp(task)}
 }
 
-// runOn runs the workload task on x — a bare engine, or a shard set — and
-// returns its result in the map form the references are in: one result, or
-// a fused task's []any in op order.
+// refResult computes the analytic reference for the task over files, in
+// mapResults's form.
+func refResult(task string, files [][]uint32) any {
+	switch task {
+	case "seqcount":
+		return analytics.RefSequenceCount(files)
+	case "invertedindex":
+		return analytics.RefInvertedIndex(files)
+	case fusedTask:
+		return []any{analytics.RefInvertedIndex(files), analytics.RefWordCount(files)}
+	}
+	return analytics.RefWordCount(files)
+}
+
+// runOn runs the workload task on x — a shard engine, or a shard set — and
+// returns its result in mapResults's form.
 func runOn(x analytics.Executor, task string) (any, error) {
 	ops := taskOps(task)
 	res, err := x.RunOps(ops)
 	if err != nil {
 		return nil, err
 	}
+	return mapResults(ops, res), nil
+}
+
+// mapResults converts the ops' results to the map form the references are
+// in: one result, or a fused task's []any in op order.
+func mapResults(ops []analytics.Op, res []any) any {
 	out := make([]any, len(ops))
 	for i, op := range ops {
 		out[i] = analytics.MapResult(op, res[i])
 	}
 	if len(out) == 1 {
-		return out[0], nil
+		return out[0]
 	}
-	return out, nil
+	return out
 }
 
 // subset is one way the pending set reaches (or fails to reach) media.
@@ -350,68 +387,6 @@ func subsets(cfg Config, ev int64) []subset {
 		})
 	}
 	return out
-}
-
-// checkRecovery reopens the crashed device and checks every invariant.  A
-// device that recovers is discarded with its engine; one that does not stays
-// the caller's, so the caller discards either way.
-func checkRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Options,
-	task string, ref *reference) (state string, viols []string) {
-	defer func() {
-		if r := recover(); r != nil {
-			state = "panic"
-			viols = append(viols, fmt.Sprintf("recovery panicked: %v", r))
-		}
-	}()
-	e, info, err := core.Reopen(dev, d, opts)
-	if err != nil {
-		if errors.Is(err, core.ErrNeedsReload) {
-			return "reload", nil // acceptable: caller rebuilds from input
-		}
-		return "error", []string{"unexpected recovery error: " + err.Error()}
-	}
-	defer e.Close()
-	state = fmt.Sprintf("phase%d", info.Phase)
-
-	// Replayed counts are a prefix of the committed mutation stream: no key
-	// outside the reference, no count above it.  Catches corrupt-record
-	// admission and double replay of superseded records.
-	rc, err := e.ReplayedCounts()
-	if err != nil {
-		viols = append(viols, "ReplayedCounts: "+err.Error())
-	} else if ref.id != nil {
-		for k, v := range rc {
-			want, okK := ref.id[k]
-			if !okK {
-				viols = append(viols, fmt.Sprintf("replayed key %d absent from reference", k))
-			} else if v > want {
-				viols = append(viols, fmt.Sprintf("replayed count %d=%d exceeds reference %d", k, v, want))
-			}
-		}
-	}
-
-	// A durably committed traversal must expose exactly the reference.
-	if info.Phase >= 2 && ref.id != nil {
-		cc, gotTask, ok := e.CommittedCounts()
-		switch {
-		case !ok:
-			viols = append(viols, "phase 2 but CommittedCounts not ok")
-		case gotTask != ref.task:
-			viols = append(viols, fmt.Sprintf("committed task %v, want %v", gotTask, ref.task))
-		case !maps.Equal(cc, ref.id):
-			viols = append(viols, "committed counts differ from reference")
-		}
-	}
-
-	// The recovered engine must be fully usable: re-running the task yields
-	// the exact reference result.
-	res, err := runOn(e, task)
-	if err != nil {
-		viols = append(viols, "re-run after recovery: "+err.Error())
-	} else if !reflect.DeepEqual(res, ref.result) {
-		viols = append(viols, "re-run result differs from reference")
-	}
-	return state, viols
 }
 
 // pickEvents chooses which crash points to explore.  points <= 0 or >= the

@@ -79,14 +79,15 @@ func TestShardedCrashPoints(t *testing.T) {
 	}
 	for _, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
 		t.Run(p.String(), func(t *testing.T) {
-			rep, err := RunSharded(Config{
+			rep, err := Run(Config{
+				Shards:      2,
 				Persistence: p,
 				Points:      points,
 				Subsets:     2,
 				Seed:        17,
-			}, 2)
+			})
 			if err != nil {
-				t.Fatalf("RunSharded: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if rep.TotalEvents == 0 {
 				t.Fatal("golden sharded run recorded no persistence events")
@@ -117,15 +118,16 @@ func TestShardedSeqCountCrashPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sequence exploration skipped in -short")
 	}
-	rep, err := RunSharded(Config{
+	rep, err := Run(Config{
+		Shards:      3,
 		Task:        "seqcount",
 		Persistence: core.OpLevel,
 		Points:      4,
 		Subsets:     2,
 		Seed:        29,
-	}, 3)
+	})
 	if err != nil {
-		t.Fatalf("RunSharded: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for _, pt := range rep.Points {
 		for _, o := range pt.Outcomes {
@@ -240,5 +242,58 @@ func TestStageAfterCompactionIsCaught(t *testing.T) {
 	}
 	if rep.Violations == 0 {
 		t.Fatal("harness missed the double-apply bug injected via DebugStageSurvivesCompaction")
+	}
+}
+
+// TestPinnedEventSpaces pins the golden persistence-event totals of every
+// make crashcheck, failovercheck and ingestcheck pass, phase-level then
+// operation-level.  A change that builds through a path persisting less
+// would otherwise shrink the explored matrices silently.  One sampled point
+// per shard keeps it cheap.
+func TestPinnedEventSpaces(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want [2]int64 // phase-level, operation-level
+	}{
+		{"crashcheck/wordcount", Config{}, [2]int64{12, 58}},
+		{"crashcheck/wordcount/log128", Config{OpLogCap: smallLog}, [2]int64{12, 72}},
+		{"crashcheck/seqcount", Config{Task: "seqcount", OpLogCap: smallLog}, [2]int64{12, 80}},
+		{"crashcheck/invertedindex/top-down",
+			Config{Task: "invertedindex", Strategy: core.TopDown, OpLogCap: smallLog}, [2]int64{12, 18}},
+		{"crashcheck/invertedindex/bottom-up",
+			Config{Task: "invertedindex", Strategy: core.BottomUp, OpLogCap: smallLog}, [2]int64{12, 18}},
+		{"crashcheck/fused", Config{Task: fusedTask, OpLogCap: smallLog}, [2]int64{12, 72}},
+		{"failovercheck", Config{Scenario: Failover, Shards: 3, Files: 6}, [2]int64{36, 234}},
+		{"ingestcheck", Config{Scenario: Ingest, Files: 4}, [2]int64{38, 40}},
+	} {
+		for i, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
+			t.Run(tc.name+"/"+p.String(), func(t *testing.T) {
+				c := tc.cfg
+				c.Persistence, c.Points, c.Seed = p, 1, 42
+				rep, err := Run(c)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if rep.TotalEvents != tc.want[i] {
+					t.Errorf("TotalEvents = %d, want %d", rep.TotalEvents, tc.want[i])
+				}
+				expectClean(t, rep)
+			})
+		}
+	}
+}
+
+// TestRunRejectsShardCounts checks the shard counts a scenario cannot run.
+func TestRunRejectsShardCounts(t *testing.T) {
+	for _, c := range []Config{
+		{Shards: -1},
+		{Scenario: Failover},
+		{Scenario: Failover, Shards: 1},
+		{Scenario: Ingest, Shards: 2},
+	} {
+		if _, err := Run(c); err == nil {
+			t.Errorf("Run(scenario %d, shards %d) = nil error, want a rejection", c.Scenario, c.Shards)
+		}
 	}
 }

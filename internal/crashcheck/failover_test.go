@@ -1,6 +1,8 @@
 package crashcheck
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/core"
@@ -18,7 +20,9 @@ func TestFailoverSampled(t *testing.T) {
 	}
 	for _, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
 		t.Run(p.String(), func(t *testing.T) {
-			rep, err := RunFailover(Config{
+			rep, err := Run(Config{
+				Scenario:    Failover,
+				Shards:      3,
 				Persistence: p,
 				Points:      points,
 				Subsets:     2,
@@ -27,9 +31,9 @@ func TestFailoverSampled(t *testing.T) {
 				TokensPer:   120,
 				Vocab:       40,
 				CorpusSeed:  7,
-			}, 3)
+			})
 			if err != nil {
-				t.Fatalf("RunFailover: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if rep.TotalEvents == 0 {
 				t.Fatal("golden replicated run recorded no persistence events")
@@ -60,7 +64,9 @@ func TestFailoverSeqCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sequence failover exploration skipped in -short")
 	}
-	rep, err := RunFailover(Config{
+	rep, err := Run(Config{
+		Scenario:    Failover,
+		Shards:      2,
 		Task:        "seqcount",
 		Persistence: core.OpLevel,
 		Points:      3,
@@ -70,14 +76,57 @@ func TestFailoverSeqCount(t *testing.T) {
 		TokensPer:   120,
 		Vocab:       40,
 		CorpusSeed:  9,
-	}, 2)
+	})
 	if err != nil {
-		t.Fatalf("RunFailover: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for _, pt := range rep.Points {
 		for _, o := range pt.Outcomes {
 			for _, v := range o.Violations {
 				t.Errorf("shard %d event %d scenario %s: %s", pt.Shard, pt.Event, o.Subset, v)
+			}
+		}
+	}
+}
+
+// TestFailoverExploresEveryFollowerEvent runs the phase-level matrix
+// exhaustively.  A follower logs more persistence events than its primary's
+// workload phase (the bootstrap snapshot plus every shipped commit), so the
+// follower-torn runs must outnumber the primary-dies runs and cover every
+// follower event, not stop at the primary's count.
+func TestFailoverExploresEveryFollowerEvent(t *testing.T) {
+	rep, err := Run(Config{
+		Scenario:    Failover,
+		Shards:      2,
+		Persistence: core.PhaseLevel,
+		Subsets:     1,
+		Seed:        42,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	expectClean(t, rep)
+	primary := map[int]int{}
+	follower := map[int][]string{}
+	for _, pt := range rep.Points {
+		for _, o := range pt.Outcomes {
+			switch {
+			case o.Subset == "primary-dies":
+				primary[pt.Shard]++
+			case strings.HasPrefix(o.Subset, "follower-torn@"):
+				follower[pt.Shard] = append(follower[pt.Shard], o.Subset)
+			}
+		}
+	}
+	for s := 0; s < 2; s++ {
+		got := follower[s]
+		if len(got) <= primary[s] {
+			t.Errorf("shard %d: %d follower-torn runs, want more than its %d primary-dies runs",
+				s, len(got), primary[s])
+		}
+		for ev, name := range got {
+			if want := fmt.Sprintf("follower-torn@%d", ev); name != want {
+				t.Errorf("shard %d: follower run %d is %s, want %s", s, ev, name, want)
 			}
 		}
 	}

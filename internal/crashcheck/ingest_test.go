@@ -18,13 +18,14 @@ func TestIngestCrashPoints(t *testing.T) {
 	}
 	for _, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
 		t.Run(p.String(), func(t *testing.T) {
-			rep, err := RunIngest(Config{
+			rep, err := Run(Config{
+				Scenario:    Ingest,
 				Persistence: p,
 				Points:      points,
 				Seed:        42,
 			})
 			if err != nil {
-				t.Fatalf("RunIngest: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if rep.TotalEvents == 0 {
 				t.Fatal("golden run recorded no persistence events")
@@ -50,7 +51,8 @@ func TestIngestSeqCountCrashPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sequence ingest exploration skipped in -short")
 	}
-	rep, err := RunIngest(Config{
+	rep, err := Run(Config{
+		Scenario:    Ingest,
 		Task:        "seqcount",
 		Persistence: core.OpLevel,
 		Points:      6,
@@ -58,7 +60,7 @@ func TestIngestSeqCountCrashPoints(t *testing.T) {
 		Seed:        11,
 	})
 	if err != nil {
-		t.Fatalf("RunIngest: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for _, pt := range rep.Points {
 		for _, o := range pt.Outcomes {
