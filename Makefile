@@ -70,14 +70,15 @@ bench-smoke:
 # EXPERIMENTS.md "Session workspaces").  Last the persistent path: the engine
 # task path under both persistence strategies on the `engine-persist` shape,
 # with modeled time, flushes, fences and flushed granules per run beside the
-# host time (EXPERIMENTS.md "Persistence").
+# host time (EXPERIMENTS.md "Persistence"), and the engine build on that
+# shape with its modeled initialization time (EXPERIMENTS.md "Root runs").
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(HandlerHit|EncodeResult|MergeShardResults)$$' \
 		-benchmem -count 6 ./internal/server ./internal/analytics
 	$(GO) test -run '^$$' -bench '^BenchmarkSessionMix$$' -benchtime 5x -benchmem -count 6 .
 	$(GO) test -run '^$$' -bench '^Benchmark(BodyRead|CounterAttach)$$' \
 		-benchmem -count 6 ./internal/nvm ./internal/pstruct
-	$(GO) test -run '^$$' -bench '^BenchmarkPersistTask$$' -benchtime 5x -benchmem -count 6 .
+	$(GO) test -run '^$$' -bench '^Benchmark(PersistTask|NewEngine)$$' -benchtime 5x -benchmem -count 6 .
 
 # The repo benchmark's own tests (bench/ is a module of its own, so `make
 # test` does not reach it): its percentile, open-loop timing and span

@@ -48,8 +48,8 @@ type Options struct {
 	Persistence Persistence
 	// PoolPath makes the NVM pool file-backed, surviving process restarts.
 	PoolPath string
-	// NoSequences skips the sequence-analytics preprocessing (head/tail
-	// structures, per-rule n-gram tables) at engine construction.  It makes
+	// NoSequences skips the sequence-analytics preprocessing (per-rule
+	// n-gram tables, per-file root runs) at engine construction.  It makes
 	// construction substantially cheaper; SequenceCount and
 	// RankedInvertedIndex then return an error.
 	NoSequences bool

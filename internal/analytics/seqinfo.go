@@ -184,7 +184,7 @@ func summarizeBody(body []cfg.Symbol, infos []*SeqInfo, withCounts bool) *SeqInf
 		// the stream walk below.
 	}
 	if withCounts {
-		addSpanningWindows(body, infos, func(q Seq) { out.Counts[q]++ })
+		SpanningWindows(body, infos, func(_ int, q Seq) { out.Counts[q]++ })
 	}
 	buildEdge(out, body, infos)
 	return out
@@ -221,12 +221,15 @@ func appendStream(stream []streamToken, symIdx int, s cfg.Symbol, infos []*SeqIn
 	return stream
 }
 
-// addSpanningWindows walks the body's edge stream and emits every window of
+// SpanningWindows walks the body's edge stream and emits every window of
 // SeqLen tokens that is contiguous in the underlying expansion (no gap, no
 // separator) and spans at least two symbols — i.e. exactly the windows not
-// already counted inside some rule's own Counts.
-func addSpanningWindows(body []cfg.Symbol, infos []*SeqInfo, emit func(Seq)) {
+// already counted inside some rule's own Counts — with its file: the number
+// of separators before it.  Over the root it is every file's local windows
+// in one walk.
+func SpanningWindows(body []cfg.Symbol, infos []*SeqInfo, emit func(file int, q Seq)) {
 	var stream []streamToken
+	file := 0
 	flush := func() {
 		for i := 0; i+SeqLen <= len(stream); i++ {
 			valid := true
@@ -243,13 +246,14 @@ func addSpanningWindows(body []cfg.Symbol, infos []*SeqInfo, emit func(Seq)) {
 			for j := 0; j < SeqLen; j++ {
 				q[j] = stream[i+j].tok
 			}
-			emit(q)
+			emit(file, q)
 		}
 		stream = stream[:0]
 	}
 	for idx, s := range body {
 		if s.IsSep() {
 			flush() // separators break adjacency: windows never cross files
+			file++
 			continue
 		}
 		stream = appendStream(stream, idx, s, infos)
@@ -333,7 +337,7 @@ func expandShort(body []cfg.Symbol, infos []*SeqInfo, n int) []uint32 {
 // the decomposition the engines' weighted sequence counting relies on.
 func BodySpanningCounts(body []cfg.Symbol, infos []*SeqInfo) map[Seq]uint64 {
 	out := make(map[Seq]uint64)
-	addSpanningWindows(body, infos, func(q Seq) { out[q]++ })
+	SpanningWindows(body, infos, func(_ int, q Seq) { out[q]++ })
 	return out
 }
 
@@ -348,6 +352,6 @@ func SegmentSeqCounts(seg []cfg.Symbol, infos []*SeqInfo) map[Seq]uint64 {
 			}
 		}
 	}
-	addSpanningWindows(seg, infos, func(q Seq) { out[q]++ })
+	SpanningWindows(seg, infos, func(_ int, q Seq) { out[q]++ })
 	return out
 }

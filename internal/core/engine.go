@@ -35,18 +35,17 @@ type Engine struct {
 	bodySymbols int64 // total rule-body symbols; planner input, pool-durable
 	mergeWork   int64 // bottom-up list-merge entries; planner input, pool-durable
 
-	metaAcc  nvm.Accessor
-	rootAcc  nvm.Accessor // u64 length + ordered root symbols (u32 each)
-	rootLen  int64
-	topoAcc  nvm.Accessor // u32 per rule, topological order
-	edgesAcc nvm.Accessor // edge records; zero accessor when disabled
+	metaAcc nvm.Accessor
+	rootAcc nvm.Accessor // u64 length + ordered root symbols (u32 each)
+	rootLen int64
+	topoAcc nvm.Accessor // u32 per rule, topological order
 
 	seqEnabled  bool
-	seqIDs      map[analytics.Seq]uint32 // DRAM forward map (counted in DRAMBytes)
-	seqList     []analytics.Seq          // DRAM reverse map
+	seqList     []analytics.Seq // DRAM sequence dictionary: ID -> sequence
 	seqRankOnce sync.Once
 	seqRank     analytics.KeyOrder // wire order of seqList's IDs (see seqOrder)
 	localsAcc   nvm.Accessor       // u64 per rule: local-window table offset
+	runsAcc     nvm.Accessor       // u64 per file: its root run's offset (0 none)
 
 	initTop       int64 // pool watermark at the end of initialization
 	distinctWords int64 // distinct word IDs across all rule bodies
@@ -188,7 +187,7 @@ func chargePreprocess(meter *metrics.Meter, g *cfg.Grammar, p *prepState, opts O
 			meter.Charge(mergeOps, metrics.CostMergeEntry)
 		}
 		meter.Charge(bodySyms*2, metrics.CostScanToken) // edge + local walks
-		var localEntries int64
+		localEntries := int64(p.rootWindows)
 		for _, local := range p.locals {
 			localEntries += int64(len(local))
 		}
@@ -204,10 +203,11 @@ type prepState struct {
 	bounds        []int64
 	expLens       []int64
 	distinctWords int64
-	infos         []*analytics.SeqInfo // cumulative summaries; nil unless bottom-up
-	edges         []*analytics.SeqInfo // edge-only summaries; nil unless Sequences
-	locals        []map[analytics.Seq]uint64
-	seqIDs        map[analytics.Seq]uint32
+	infos         []*analytics.SeqInfo       // cumulative summaries; nil unless bottom-up
+	locals        []map[analytics.Seq]uint64 // per rule; the root's is nil (see runs)
+	runs          [][]uint32                 // per file: its root run as stored (nil: none)
+	rootWindows   int                        // distinct windows of the root
+	seqIDs        map[analytics.Seq]uint32   // forward map; initialization only
 	seqList       []analytics.Seq
 	segs          [][]cfg.Symbol
 }
@@ -256,23 +256,24 @@ func preprocess(g *cfg.Grammar, opts Options) (*prepState, error) {
 				return nil, err
 			}
 		}
-		p.edges = edges
 		// Local windows per rule: each window of the corpus belongs to
 		// exactly one rule body, so weighted locals reproduce global and
 		// per-file counts without cumulative merging at traversal time.
+		// The root's windows are stored per file instead (fileRuns).
 		p.locals = make([]map[analytics.Seq]uint64, len(g.Rules))
-		for ri := range g.Rules {
+		for ri := 1; ri < len(g.Rules); ri++ {
 			p.locals[ri] = analytics.BodySpanningCounts(g.Rules[ri], edges)
 		}
 		// Interning: the weighted-locals decomposition covers every
-		// sequence of the corpus, so the locals' keys (including the
-		// root's own windows in locals[0]) are the complete dictionary.
-		// Keys are interned in sorted order per rule: ID assignment fixes
-		// the durable table layouts, so it must not inherit Go map
+		// sequence of the corpus, so the root's windows and the rules'
+		// locals are the complete dictionary.  Keys are interned in sorted
+		// order, the root's first, then each rule's new ones: ID assignment
+		// fixes the durable table layouts, so it must not inherit Go map
 		// iteration order or modeled device stats would vary per run.
-		p.seqIDs = make(map[analytics.Seq]uint32)
+		p.runs, p.seqList, p.seqIDs = fileRuns(g, edges)
+		p.rootWindows = len(p.seqList)
 		var keys []analytics.Seq
-		for _, local := range p.locals {
+		for _, local := range p.locals[1:] {
 			keys = keys[:0]
 			for q := range local {
 				if _, ok := p.seqIDs[q]; !ok {
@@ -287,6 +288,73 @@ func preprocess(g *cfg.Grammar, opts Options) (*prepState, error) {
 		}
 	}
 	return p, nil
+}
+
+// fileRuns walks the root once and returns each file's run as stored — the
+// windows its segment spans: u32 n, then n (sequence ID, count) pairs in
+// ascending ID order — with the root's share of the interning: its distinct
+// windows, sorted (the first IDs), and the forward map over them.  Sorting
+// the distinct windows assigns the IDs; two counting passes then group each
+// file's windows by ID for run-length encoding, with no per-file map.
+func fileRuns(g *cfg.Grammar, edges []*analytics.SeqInfo) (runs [][]uint32, distinct []analytics.Seq, ids map[analytics.Seq]uint32) {
+	type window struct{ n, file uint32 } // n: the window's first-seen number
+	hint := len(g.Rules[0])              // about one window starts at each root symbol
+	ids = make(map[analytics.Seq]uint32, hint)
+	distinct = make([]analytics.Seq, 0, hint)
+	walk := make([]window, 0, hint)
+	analytics.SpanningWindows(g.Rules[0], edges, func(f int, q analytics.Seq) {
+		if f >= int(g.NumFiles) {
+			return // past the last separator is no file
+		}
+		n, ok := ids[q]
+		if !ok {
+			n = uint32(len(distinct))
+			ids[q] = n
+			distinct = append(distinct, q)
+		}
+		walk = append(walk, window{n, uint32(f)})
+	})
+	slices.SortFunc(distinct, analytics.CompareSeq)
+	rank := make([]uint32, len(distinct)) // first-seen number -> ID
+	for id, q := range distinct {
+		rank[ids[q]], ids[q] = uint32(id), uint32(id)
+	}
+	walk = countingSort(walk, len(distinct), func(w window) uint32 { return rank[w.n] })
+	walk = countingSort(walk, int(g.NumFiles), func(w window) uint32 { return w.file })
+	runs = make([][]uint32, g.NumFiles)
+	flat := make([]uint32, 0, 2*len(distinct)+int(g.NumFiles))
+	for i := 0; i < len(walk); {
+		f, from := walk[i].file, len(flat)
+		flat = append(flat, 0)
+		for i < len(walk) && walk[i].file == f {
+			j := i + 1
+			for j < len(walk) && walk[j] == walk[i] {
+				j++
+			}
+			flat = append(flat, rank[walk[i].n], uint32(j-i))
+			i = j
+		}
+		flat[from] = uint32(len(flat)-from-1) / 2
+		runs[f] = flat[from:len(flat):len(flat)]
+	}
+	return runs, distinct, ids
+}
+
+// countingSort returns xs stably ordered by key, every key below n.
+func countingSort[T any](xs []T, n int, key func(T) uint32) []T {
+	next := make([]int, n+1)
+	for _, x := range xs {
+		next[key(x)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]T, len(xs))
+	for _, x := range xs {
+		out[next[key(x)]] = x
+		next[key(x)]++
+	}
+	return out
 }
 
 // expansionLengths computes each rule's expanded token count.
@@ -387,16 +455,25 @@ func estimatePoolSize(g *cfg.Grammar, p *prepState, opts Options) int64 {
 	}
 	size += perFile
 	if opts.Sequences {
-		size += nRules * edgeSize
 		size += 8 + int64(len(p.seqList))*12
+		// Per-rule tables as initSequences writes them: none for the root,
+		// none for an empty one (edge-only mode has no cumulative tables).
 		size += nRules * 8 // local table offset array
-		for _, info := range p.infos {
-			size += pstruct.HashTableBytes(int64(len(info.Counts)))
+		for ri := 1; ri < len(g.Rules); ri++ {
+			if p.infos != nil && len(p.infos[ri].Counts) > 0 {
+				size += pstruct.HashTableBytes(int64(len(p.infos[ri].Counts)))
+			}
+			if len(p.locals[ri]) > 0 {
+				size += pstruct.HashTableBytes(int64(len(p.locals[ri])))
+			}
 		}
-		for _, local := range p.locals {
-			size += pstruct.HashTableBytes(int64(len(local)))
+		// The root's runs, exactly, behind their per-file offset array.
+		size += int64(len(p.runs)) * 8
+		for _, run := range p.runs {
+			size += int64(len(run)) * 4
 		}
-		// Edge-only mode has no cumulative tables; nothing extra.
+		// The global sequence counter a traversal allocates.
+		size += pstruct.HashTableBytes(min(p.expLens[0], int64(len(p.seqList))))
 	}
 	if opts.NoBounds {
 		size *= 4 // growable reconstruction garbage
@@ -622,17 +699,16 @@ func bucketPairs(buckets map[uint32]uint32) []pair {
 	return out
 }
 
-// initSequences writes the sequence dictionary, per-rule n-gram tables, and
-// head/tail edge records (§IV-D).
+// initSequences writes the sequence dictionary, the per-rule n-gram tables
+// and the root's runs (§IV-D).
 func (e *Engine) initSequences(p *prepState) error {
 	pool := e.pool
 	e.seqEnabled = true
-	e.seqIDs = p.seqIDs
 	e.seqList = p.seqList
-	e.dramExtra += metrics.MapBytes(len(p.seqIDs), 12, 4) + metrics.SliceBytes(len(p.seqList), 12)
+	e.dramExtra += metrics.SliceBytes(len(p.seqList), 12)
 
 	// Sequence dictionary: count + 12-byte records; lets recovery rebuild
-	// the DRAM maps without the original grammar.
+	// seqList without the original grammar.
 	dictAcc, err := pool.Alloc(8+int64(len(p.seqList))*12, 8)
 	if err != nil {
 		return err
@@ -645,25 +721,24 @@ func (e *Engine) initSequences(p *prepState) error {
 	dictAcc.PutUint32s(8, flat)
 	pool.SetRoot(rootSeqDict, dictAcc.Base())
 
-	// Edge records.
-	edgesAcc, err := pool.AllocZeroed(int64(e.numRules)*edgeSize, 64)
+	// The root's windows, one run per file (fileRuns), behind a u64 offset
+	// per file (0: the file spans no window).
+	runsAcc, err := pool.AllocZeroed(int64(len(p.runs))*8, 8)
 	if err != nil {
 		return err
 	}
-	e.edgesAcc = edgesAcc
-	pool.SetRoot(rootEdges, edgesAcc.Base())
-	for ri, info := range p.edges {
-		rec := edgesAcc.Slice(int64(ri)*edgeSize, edgeSize)
-		rec.PutUint64(edgeLen, uint64(info.Len))
-		flags := byte(0)
-		if info.Split {
-			flags |= 1
+	e.runsAcc = runsAcc
+	pool.SetRoot(rootRuns, runsAcc.Base())
+	for f, run := range p.runs {
+		if run == nil {
+			continue
 		}
-		rec.PutByte(edgeFlags, flags)
-		rec.PutByte(edgeCount, byte(len(info.Edge)))
-		for j, tok := range info.Edge {
-			rec.PutUint32(edgeTokens+int64(j)*4, tok)
+		acc, err := pool.Alloc(int64(len(run))*4, 4)
+		if err != nil {
+			return err
 		}
+		acc.PutUint32s(0, run)
+		runsAcc.PutUint64(int64(f)*8, uint64(acc.Base()))
 	}
 
 	// Per-rule cumulative n-gram tables keyed by sequence ID, built only
@@ -678,7 +753,7 @@ func (e *Engine) initSequences(p *prepState) error {
 		if err != nil {
 			return err
 		}
-		for _, kv := range e.sortedSeqEntries(info.Counts) {
+		for _, kv := range p.sortedSeqEntries(info.Counts) {
 			if _, err := tbl.Add(uint64(kv.id), kv.count); err != nil {
 				return err
 			}
@@ -687,8 +762,7 @@ func (e *Engine) initSequences(p *prepState) error {
 	}
 
 	// Per-rule local-window tables, used by weighted sequence counting.
-	// The root's local windows are computed live from the ordered root
-	// body (they carry the file structure).
+	// The root's are its runs, above.
 	localsAcc, err := pool.AllocZeroed(int64(e.numRules)*8, 8)
 	if err != nil {
 		return err
@@ -703,7 +777,7 @@ func (e *Engine) initSequences(p *prepState) error {
 		if err != nil {
 			return err
 		}
-		for _, kv := range e.sortedSeqEntries(local) {
+		for _, kv := range p.sortedSeqEntries(local) {
 			if _, err := tbl.Add(uint64(kv.id), kv.count); err != nil {
 				return err
 			}
@@ -724,10 +798,10 @@ type seqEntry struct {
 // order: insertion order fixes each key's probe chain in the durable layout,
 // and with it the read charges of every later lookup, so iterating the Go
 // map directly would make modeled device stats vary from run to run.
-func (e *Engine) sortedSeqEntries(counts map[analytics.Seq]uint64) []seqEntry {
+func (p *prepState) sortedSeqEntries(counts map[analytics.Seq]uint64) []seqEntry {
 	out := make([]seqEntry, 0, len(counts))
 	for q, c := range counts {
-		out = append(out, seqEntry{id: e.seqIDs[q], count: c})
+		out = append(out, seqEntry{id: p.seqIDs[q], count: c})
 	}
 	slices.SortFunc(out, func(a, b seqEntry) int { return cmp.Compare(a.id, b.id) })
 	return out

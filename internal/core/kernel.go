@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
-	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/metrics"
 	"github.com/text-analytics/ntadoc/internal/pstruct"
@@ -14,9 +13,9 @@ import (
 // The operation kernel.  Every analytics task is the same DAG walk with a
 // different per-visit action, so the engine owns exactly one copy of each
 // traversal mode — top-down global, top-down per-file, bottom-up per-file,
-// and the spanning-window sequence walk (seqtask.go) — and tasks plug in as
-// analytics.Op implementations.  A batch of ops that need the same mode
-// shares one walk: the counters differ, but the body reads (the dominant
+// each adding up stored sequence tables as it goes (seqtask.go) — and tasks
+// plug in as analytics.Op implementations.  A batch of ops that need the same
+// mode shares one walk: the counters differ, but the body reads (the dominant
 // device traffic) happen once.
 //
 // exec is one traversal execution context.  The engine's task path binds it
@@ -40,8 +39,8 @@ type exec struct {
 	ctx context.Context
 
 	// cpu is modeled CPU incurred but not yet charged: session counter adds
-	// and sequence-dictionary lookups count here and reach the meter once,
-	// when runPlan returns, instead of one atomic add each.
+	// count here and reach the meter once, when runPlan returns, instead of
+	// one atomic add each.
 	cpu int64
 
 	// The two session counters (word-keyed, sequence-keyed) and the handle
@@ -347,15 +346,14 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 
 	if len(globalWord)+len(globalSeq) > 0 {
 		var gw, gs *kcounter
-		var root []cfg.Symbol
 		if len(globalWord) > 0 {
 			if gw, err = x.newKCounter(x.e.globalBound(), analytics.KeyWords, analytics.ScopeGlobal); err != nil {
 				return nil, nil, err
 			}
 		}
 		if len(globalSeq) > 0 {
-			root = x.readRoot()
-			if gs, err = x.newKCounter(x.seqBound(root), analytics.KeySequences, analytics.ScopeGlobal); err != nil {
+			bound := x.e.seqCap(x.e.meta(0).expLen())
+			if gs, err = x.newKCounter(bound, analytics.KeySequences, analytics.ScopeGlobal); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -375,13 +373,19 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 			}
 		}
 		if gs != nil {
-			// §IV-D decomposition: global sequence counts are the root's
-			// spanning windows plus each rule's local table scaled by the
-			// corpus-wide weight the pass above left behind.
+			// §IV-D decomposition: global sequence counts are each rule's
+			// local table scaled by the corpus-wide weight the pass above
+			// left behind, plus the root's runs at weight 1.
 			if err := x.addWeightedLocals(gs, nil); err != nil {
 				return nil, nil, err
 			}
-			if err := x.addSpanningToCounter(root, gs); err != nil {
+			for doc := uint32(0); doc < x.e.numFiles; doc++ {
+				if err := x.mergeRun(gs, doc); err != nil {
+					return nil, nil, err
+				}
+			}
+			// The root's share is one operation, as any rule's table is.
+			if err := x.commit(); err != nil {
 				return nil, nil, err
 			}
 			for _, i := range globalSeq {

@@ -12,7 +12,7 @@ const (
 	rootRootBody  = 2  // ordered root-rule body offset
 	rootTopo      = 3  // topological order array offset
 	rootSeqDict   = 4  // sequence dictionary offset (0 when disabled)
-	rootEdges     = 5  // head/tail edge records offset (0 when disabled)
+	rootRuns      = 5  // per-file root-run offset array offset (0 when disabled)
 	rootNumWords  = 6  // vocabulary size
 	rootNumFiles  = 7  // file count
 	rootOpLog     = 8  // operation-level log region offset (0 when disabled)
@@ -75,17 +75,6 @@ func (m ruleMeta) setBound(v int64)      { m.acc.PutUint64(metaBound, uint64(v))
 func (m ruleMeta) setExpLen(v int64)     { m.acc.PutUint64(metaExpLen, uint64(v)) }
 func (m ruleMeta) setSeqOff(v int64)     { m.acc.PutUint64(metaSeqOff, uint64(v)) }
 func (m ruleMeta) setScratch(v uint64)   { m.acc.PutUint64(metaScratch, v) }
-
-// Edge record layout for the head/tail structures (§IV-D).  With SeqLen=3
-// the edge holds at most 4 tokens (head 2 + tail 2, or a short expansion of
-// up to 4), so records are fixed 32 bytes.
-const (
-	edgeLen    = 0  // u64: expansion length
-	edgeFlags  = 8  // u8: bit 0 = split (head+tail around a gap)
-	edgeCount  = 9  // u8: number of edge tokens
-	edgeTokens = 12 // 4 x u32
-	edgeSize   = 32
-)
 
 // pair is one (id, frequency) tuple of a pruned body.
 type pair struct {

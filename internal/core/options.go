@@ -10,7 +10,7 @@
 //     NVM;
 //   - the NVM-adapted data structures of §IV-D (pool hash tables with
 //     status/key/value buffers, pool vectors, the traversal queue, and the
-//     head/tail structures for sequence analytics);
+//     per-rule n-gram tables and per-file root runs of sequence analytics);
 //   - the two persistence strategies of §IV-E: phase-level (flush +
 //     checkpoint at phase boundaries) and operation-level (a logical redo
 //     log entry per counter mutation, with crash recovery by replay).
@@ -161,7 +161,7 @@ type Options struct {
 	// (default CounterAuto).
 	Counters CounterKind
 	// Sequences enables the sequence-analytics preprocessing during
-	// initialization (head/tail structures, per-rule n-gram tables).
+	// initialization (per-rule n-gram tables, per-file root runs).
 	// Without it, SequenceCount and RankedInvertedIndex return an error —
 	// and initialization is much cheaper, matching the per-task init times
 	// of Table II.

@@ -65,11 +65,14 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 		return v
 	}
 	// Root slots are not covered by the header CRC, so validate every region
-	// they describe before constructing accessors: a corrupt slot must
-	// surface as ErrNeedsReload, never as an accessor panic.
+	// they describe, and every root run, before constructing accessors: each
+	// lies below the initialization watermark, and a corrupt slot or length
+	// word must surface as ErrNeedsReload, never as an accessor panic.
+	e.initTop = get(rootInitTop)
+	limit := min(e.initTop, pool.Size())
 	region := func(off, n int64, what string) (nvm.Accessor, error) {
-		if off < 0 || n < 0 || off > pool.Size() || n > pool.Size()-off {
-			return nvm.Accessor{}, fmt.Errorf("%w: %s region [%d, +%d) outside pool",
+		if off < 0 || n < 0 || off > limit || n > limit-off {
+			return nvm.Accessor{}, fmt.Errorf("%w: %s region [%d, +%d) outside the initialized pool",
 				ErrNeedsReload, what, off, n)
 		}
 		return pool.AccessorAt(off, n), nil
@@ -92,7 +95,6 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 	if e.topoAcc, err = region(get(rootTopo), int64(e.numRules)*4, "topo order"); err != nil {
 		return nil, nil, err
 	}
-	e.initTop = get(rootInitTop)
 	e.distinctWords = get(rootDistinct)
 	e.bodySymbols = get(rootBodySyms)
 	e.mergeWork = get(rootMergeWork)
@@ -113,17 +115,25 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 		flat := make([]uint32, cnt*3)
 		acc.Uint32s(8, flat)
 		e.seqList = make([]analytics.Seq, cnt)
-		e.seqIDs = make(map[analytics.Seq]uint32, cnt)
-		for i := int64(0); i < cnt; i++ {
-			q := analytics.Seq{flat[i*3], flat[i*3+1], flat[i*3+2]}
-			e.seqList[i] = q
-			e.seqIDs[q] = uint32(i)
-		}
-		if e.edgesAcc, err = region(get(rootEdges), int64(e.numRules)*edgeSize, "sequence edges"); err != nil {
-			return nil, nil, err
+		for i := range e.seqList {
+			e.seqList[i] = analytics.Seq{flat[i*3], flat[i*3+1], flat[i*3+2]}
 		}
 		if e.localsAcc, err = region(get(rootSeqLocal), int64(e.numRules)*8, "sequence locals"); err != nil {
 			return nil, nil, err
+		}
+		if e.runsAcc, err = region(get(rootRuns), int64(e.numFiles)*8, "root run offsets"); err != nil {
+			return nil, nil, err
+		}
+		for f := int64(0); f < int64(e.numFiles); f++ {
+			if off := int64(e.runsAcc.Uint64(f * 8)); off != 0 {
+				hdr, err := region(off, 4, "root run header")
+				if err == nil {
+					_, err = region(off, 4+8*int64(hdr.Uint32(0)), "root run")
+				}
+				if err != nil {
+					return nil, nil, err
+				}
+			}
 		}
 	}
 

@@ -1,107 +1,45 @@
 package core
 
 import (
-	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
-	"github.com/text-analytics/ntadoc/internal/metrics"
 )
 
-// Sequence analytics over pool-resident data.  Initialization stored, per
-// rule: an n-gram table (sequence ID -> count within one expansion) and a
-// 32-byte head/tail edge record (§IV-D).  The traversal phase combines them
-// along the ordered root body without expanding any rule: a segment's count
-// is the sum of its rules' internal counts plus the boundary-spanning
-// windows reconstructed from edge records.  The walks here are kernel
-// building blocks; the sequence tasks themselves are analytics.Op folds
-// driven by runPlan (kernel.go).
+// Sequence analytics over pool-resident data.  Initialization stored what
+// each rule contributes (§IV-D): its local windows as an n-gram table (the
+// root's as one run per file: they carry the file structure) and, for the
+// bottom-up per-file strategy, its cumulative n-gram table.  Traversal adds
+// up table x weight and never expands a rule or walks the root for windows.
+// The sequence tasks themselves are analytics.Op folds driven by runPlan.
 
-// edgeInfo is one rule's edge record read from the pool.
-type edgeInfo struct {
-	length int64
-	split  bool
-	tokens []uint32
-}
-
-// readEdge fetches rule r's edge record — token count, tokens, length,
-// flags: one batch.  The returned token slice is scratch, valid only until
-// the next readEdge call.
-func (x *exec) readEdge(r uint32) edgeInfo {
-	rec := x.e.edgesAcc.Slice(int64(r)*edgeSize, edgeSize)
-	b := rec.BeginReads()
-	n := int(b.Byte(rec, edgeCount))
-	x.ws.edgeToks = fit(x.ws.edgeToks, n)
-	toks := x.ws.edgeToks
-	b.Uint32s(rec, edgeTokens, toks)
-	length := int64(b.Uint64(rec, edgeLen))
-	split := b.Byte(rec, edgeFlags)&1 != 0
+// mergeRun adds file doc's root run into dst: its directory entry, length
+// word and pairs are one batch, like a body read, and each pair is one add.
+func (x *exec) mergeRun(dst *kcounter, doc uint32) error {
+	if err := x.canceled(); err != nil {
+		return err
+	}
+	dir, pool := x.e.runsAcc, x.e.pool.AccessorAt(0, x.e.pool.Size())
+	b := dir.BeginReads()
+	off := int64(b.Uint64(dir, int64(doc)*8))
+	if off == 0 {
+		b.End()
+		return nil // the file spans no window
+	}
+	n := int(b.Uint32(pool, off))
+	x.ws.runFlat = fit(x.ws.runFlat, 2*n)
+	flat := x.ws.runFlat
+	b.Uint32s(pool, off+4, flat)
 	b.End()
-	return edgeInfo{length: length, split: split, tokens: toks}
-}
-
-// poolStreamToken mirrors analytics.streamToken for pool-sourced edges.
-type poolStreamToken struct {
-	tok      uint32
-	sym      int
-	gapAfter bool
-}
-
-// spanningWindowsPool walks a symbol sequence and emits every boundary-
-// spanning window, reading per-rule edges from the pool.  Separators are
-// hard breaks.  This mirrors analytics.addSpanningWindows, sourcing from
-// NVM instead of DRAM summaries.
-func (x *exec) spanningWindowsPool(syms []cfg.Symbol, emit func(analytics.Seq)) {
-	stream := x.ws.stream[:0]
-	flush := func() {
-		for i := 0; i+analytics.SeqLen <= len(stream); i++ {
-			valid := true
-			for j := 0; j < analytics.SeqLen-1; j++ {
-				if stream[i+j].gapAfter {
-					valid = false
-					break
-				}
-			}
-			if !valid || stream[i].sym == stream[i+analytics.SeqLen-1].sym {
-				continue
-			}
-			var q analytics.Seq
-			for j := 0; j < analytics.SeqLen; j++ {
-				q[j] = stream[i+j].tok
-			}
-			emit(q)
-		}
-		stream = stream[:0]
-	}
-	for idx, s := range syms {
-		switch {
-		case s.IsSep():
-			flush()
-		case s.IsWord():
-			stream = append(stream, poolStreamToken{tok: s.WordID(), sym: idx})
-		case s.IsRule():
-			info := x.readEdge(s.RuleIndex())
-			if !info.split {
-				for _, t := range info.tokens {
-					stream = append(stream, poolStreamToken{tok: t, sym: idx})
-				}
-				continue
-			}
-			h := analytics.SeqLen - 1
-			for i, t := range info.tokens {
-				st := poolStreamToken{tok: t, sym: idx}
-				if i == h-1 {
-					st.gapAfter = true
-				}
-				stream = append(stream, st)
-			}
+	for i := 0; i < len(flat); i += 2 {
+		if err := x.add(dst, uint64(flat[i]), uint64(flat[i+1])); err != nil {
+			return err
 		}
 	}
-	flush()
-	x.ws.stream = stream
+	return nil
 }
 
-// addSegmentSeqCounts accumulates a symbol sequence's n-gram counts into
-// counter: per-rule internal counts from pool tables, plus spanning windows.
-func (x *exec) addSegmentSeqCounts(syms []cfg.Symbol, counter *kcounter) error {
+// addSegmentSeqCounts accumulates file doc's n-gram counts into counter: its
+// top-level rules' cumulative tables, then its root run.
+func (x *exec) addSegmentSeqCounts(doc uint32, syms []cfg.Symbol, counter *kcounter) error {
 	e := x.e
 	for _, s := range syms {
 		if !s.IsRule() {
@@ -118,11 +56,11 @@ func (x *exec) addSegmentSeqCounts(syms []cfg.Symbol, counter *kcounter) error {
 			return err
 		}
 	}
-	return x.addSpanningToCounter(syms, counter)
+	return x.mergeRun(counter, doc)
 }
 
 // seqBound bounds a segment's distinct-sequence count by its expansion
-// length (each window starts at one token).
+// length (see seqCap).
 func (x *exec) seqBound(syms []cfg.Symbol) int64 {
 	e := x.e
 	var length int64
@@ -134,9 +72,13 @@ func (x *exec) seqBound(syms []cfg.Symbol) int64 {
 			length += e.meta(s.RuleIndex()).expLen()
 		}
 	}
-	if length < 1 {
-		length = 1
-	}
+	return e.seqCap(length)
+}
+
+// seqCap bounds the distinct sequences of an expansion of length tokens:
+// each window starts at one token, and none lies outside the dictionary.
+func (e *Engine) seqCap(length int64) int64 {
+	length = max(length, 1)
 	if n := int64(len(e.seqList)); n > 0 && n < length {
 		return n
 	}
@@ -174,28 +116,4 @@ func (x *exec) addWeightedLocals(counter *kcounter, fileWeight []uint64) error {
 		}
 	}
 	return nil
-}
-
-// addSpanningToCounter counts the boundary-spanning windows of a top-level
-// symbol sequence into counter via the DRAM sequence dictionary.
-func (x *exec) addSpanningToCounter(syms []cfg.Symbol, counter *kcounter) error {
-	var emitErr error
-	x.spanningWindowsPool(syms, func(q analytics.Seq) {
-		if emitErr != nil {
-			return
-		}
-		x.cpu += metrics.CostSeqOp // DRAM intern lookup
-		id, ok := x.e.seqIDs[q]
-		if !ok {
-			// Every possible window was interned at initialization; an
-			// unknown one indicates pool corruption.
-			emitErr = errEngine("sequence traversal", ErrNoSequences)
-			return
-		}
-		emitErr = x.add(counter, uint64(id), 1)
-	})
-	if emitErr != nil {
-		return emitErr
-	}
-	return x.commit()
 }

@@ -30,7 +30,6 @@ type refExec struct {
 	bodySubs  []pair
 	bodyWords []pair
 	rawSyms   []cfg.Symbol
-	edgeToks  []uint32
 }
 
 // refSession runs ops through the reference traversal over e's pool.
@@ -388,7 +387,7 @@ func (x *refExec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, s
 			if sc, err = x.newKCounter(x.real.seqBound(seg), int64(len(e.seqList))); err != nil {
 				return err
 			}
-			if err := x.addSegmentSeqCounts(seg, sc); err != nil {
+			if err := x.addSegmentSeqCounts(uint32(doc), seg, sc); err != nil {
 				return err
 			}
 		}
@@ -489,7 +488,7 @@ func (x *refExec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, se
 			if err := x.addWeightedLocals(sc, func(r uint32) uint64 { return fileWeight[r] }); err != nil {
 				return err
 			}
-			if err := x.addSpanningToCounter(seg, sc); err != nil {
+			if err := x.mergeRun(sc, uint32(doc)); err != nil {
 				return err
 			}
 		}
@@ -500,71 +499,26 @@ func (x *refExec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, se
 	return nil
 }
 
-func (x *refExec) readEdge(r uint32) edgeInfo {
-	rec := x.e.edgesAcc.Slice(int64(r)*edgeSize, edgeSize)
-	n := int64(rec.Byte(edgeCount))
-	if int64(cap(x.edgeToks)) < n {
-		x.edgeToks = make([]uint32, n)
+// mergeRun merges file doc's stored root run map-style: the directory
+// entry, the length word and the pairs are three round trips.
+func (x *refExec) mergeRun(counter *refCounter, doc uint32) error {
+	e := x.e
+	off := int64(e.runsAcc.Uint64(int64(doc) * 8))
+	if off == 0 {
+		return nil
 	}
-	toks := x.edgeToks[:n]
-	rec.Uint32s(edgeTokens, toks)
-	return edgeInfo{
-		length: int64(rec.Uint64(edgeLen)),
-		split:  rec.Byte(edgeFlags)&1 != 0,
-		tokens: toks,
-	}
-}
-
-func (x *refExec) spanningWindowsPool(syms []cfg.Symbol, emit func(analytics.Seq)) {
-	var stream []poolStreamToken
-	flush := func() {
-		for i := 0; i+analytics.SeqLen <= len(stream); i++ {
-			valid := true
-			for j := 0; j < analytics.SeqLen-1; j++ {
-				if stream[i+j].gapAfter {
-					valid = false
-					break
-				}
-			}
-			if !valid || stream[i].sym == stream[i+analytics.SeqLen-1].sym {
-				continue
-			}
-			var q analytics.Seq
-			for j := 0; j < analytics.SeqLen; j++ {
-				q[j] = stream[i+j].tok
-			}
-			emit(q)
-		}
-		stream = stream[:0]
-	}
-	for idx, s := range syms {
-		switch {
-		case s.IsSep():
-			flush()
-		case s.IsWord():
-			stream = append(stream, poolStreamToken{tok: s.WordID(), sym: idx})
-		case s.IsRule():
-			info := x.readEdge(s.RuleIndex())
-			if !info.split {
-				for _, t := range info.tokens {
-					stream = append(stream, poolStreamToken{tok: t, sym: idx})
-				}
-				continue
-			}
-			h := analytics.SeqLen - 1
-			for i, t := range info.tokens {
-				st := poolStreamToken{tok: t, sym: idx}
-				if i == h-1 {
-					st.gapAfter = true
-				}
-				stream = append(stream, st)
-			}
+	n := int64(e.pool.AccessorAt(off, 4).Uint32(0))
+	flat := make([]uint32, 2*n)
+	e.pool.AccessorAt(off+4, 8*n).Uint32s(0, flat)
+	for i := 0; i < len(flat); i += 2 {
+		if err := x.add(counter, uint64(flat[i]), uint64(flat[i+1])); err != nil {
+			return err
 		}
 	}
-	flush()
+	return nil
 }
 
-func (x *refExec) addSegmentSeqCounts(syms []cfg.Symbol, counter *refCounter) error {
+func (x *refExec) addSegmentSeqCounts(doc uint32, syms []cfg.Symbol, counter *refCounter) error {
 	e := x.e
 	for _, s := range syms {
 		if !s.IsRule() {
@@ -593,23 +547,7 @@ func (x *refExec) addSegmentSeqCounts(syms []cfg.Symbol, counter *refCounter) er
 			return err
 		}
 	}
-	var emitErr error
-	x.spanningWindowsPool(syms, func(q analytics.Seq) {
-		if emitErr != nil {
-			return
-		}
-		x.meter.Charge(1, metrics.CostSeqOp) // DRAM intern lookup
-		id, ok := e.seqIDs[q]
-		if !ok {
-			emitErr = errEngine("sequence traversal", ErrNoSequences)
-			return
-		}
-		emitErr = x.add(counter, uint64(id), 1)
-	})
-	if emitErr != nil {
-		return emitErr
-	}
-	return x.commit()
+	return x.mergeRun(counter, doc)
 }
 
 func (x *refExec) addWeightedLocals(counter *refCounter, weightOf func(r uint32) uint64) error {
@@ -644,26 +582,6 @@ func (x *refExec) addWeightedLocals(counter *refCounter, weightOf func(r uint32)
 	return nil
 }
 
-func (x *refExec) addSpanningToCounter(syms []cfg.Symbol, counter *refCounter) error {
-	var emitErr error
-	x.spanningWindowsPool(syms, func(q analytics.Seq) {
-		if emitErr != nil {
-			return
-		}
-		x.meter.Charge(1, metrics.CostSeqOp) // DRAM intern lookup
-		id, ok := x.e.seqIDs[q]
-		if !ok {
-			emitErr = errEngine("sequence traversal", ErrNoSequences)
-			return
-		}
-		emitErr = x.add(counter, uint64(id), 1)
-	})
-	if emitErr != nil {
-		return emitErr
-	}
-	return x.commit()
-}
-
 func (x *refExec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, err error) {
 	env := refEnv{x: x}
 	folds := make([]analytics.Fold, len(ops))
@@ -685,15 +603,13 @@ func (x *refExec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64
 
 	if len(globalWord)+len(globalSeq) > 0 {
 		var gw, gs *refCounter
-		var root []cfg.Symbol
 		if len(globalWord) > 0 {
 			if gw, err = x.newKCounter(x.e.globalBound(), int64(x.e.numWords)); err != nil {
 				return nil, nil, err
 			}
 		}
 		if len(globalSeq) > 0 {
-			root = x.readRoot()
-			if gs, err = x.newKCounter(x.real.seqBound(root), int64(len(x.e.seqList))); err != nil {
+			if gs, err = x.newKCounter(x.e.seqCap(x.e.meta(0).expLen()), int64(len(x.e.seqList))); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -714,8 +630,10 @@ func (x *refExec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64
 			if err := x.addWeightedLocals(gs, x.weight); err != nil {
 				return nil, nil, err
 			}
-			if err := x.addSpanningToCounter(root, gs); err != nil {
-				return nil, nil, err
+			for doc := uint32(0); doc < x.e.numFiles; doc++ {
+				if err := x.mergeRun(gs, doc); err != nil {
+					return nil, nil, err
+				}
 			}
 			for _, i := range globalSeq {
 				resultOffs[i] = gs.off

@@ -521,7 +521,7 @@ func (x *exec) perFileBottomUp(words, seqs bool, fn func(doc uint32, wordC, seqC
 			if sc, err = x.newKCounter(x.seqBound(seg), analytics.KeySequences, analytics.ScopePerFile); err != nil {
 				return err
 			}
-			if err := x.addSegmentSeqCounts(seg, sc); err != nil {
+			if err := x.addSegmentSeqCounts(uint32(doc), seg, sc); err != nil {
 				return err
 			}
 		}
@@ -632,7 +632,7 @@ func (x *exec) perFileTopDown(words, seqs bool, fn func(doc uint32, wordC, seqC 
 			if err := x.addWeightedLocals(sc, fileWeight); err != nil {
 				return err
 			}
-			if err := x.addSpanningToCounter(seg, sc); err != nil {
+			if err := x.mergeRun(sc, uint32(doc)); err != nil {
 				return err
 			}
 		}

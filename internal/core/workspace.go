@@ -37,11 +37,10 @@ type workspace struct {
 	bodySubs  []pair
 	bodyWords []pair
 	rawSyms   []cfg.Symbol
-	edgeToks  []uint32
+	runFlat   []uint32
 	root      []cfg.Symbol
 	topo      []uint32
 	segs      [][]cfg.Symbol
-	stream    []poolStreamToken
 
 	// Session traversal state.
 	weights    []uint64
@@ -171,9 +170,9 @@ func (a *kvArena) bytes() int64 {
 
 // publish records the workspace's current footprint for Bytes.
 func (w *workspace) publish() {
-	n := int64(cap(w.bodyFlat)+cap(w.rawSyms)+cap(w.edgeToks)+cap(w.root)+cap(w.topo)+cap(w.ring))*4 +
+	n := int64(cap(w.bodyFlat)+cap(w.rawSyms)+cap(w.runFlat)+cap(w.root)+cap(w.topo)+cap(w.ring))*4 +
 		int64(cap(w.bodySubs)+cap(w.bodyWords)+cap(w.weights)+cap(w.remaining)+cap(w.fileWeight))*8 +
-		int64(cap(w.segs)+cap(w.runs))*24 + int64(cap(w.stream))*24 +
+		int64(cap(w.segs)+cap(w.runs))*24 +
 		w.words.bytes() + w.seqs.bytes() + w.arena.bytes() + w.folds.Bytes()
 	w.held.Store(n)
 }

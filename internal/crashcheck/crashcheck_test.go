@@ -50,7 +50,7 @@ func TestSampledCrashPoints(t *testing.T) {
 }
 
 // TestSeqCountCrashPoints spot-checks the sequence-analytics path, whose
-// recovery reattaches the head/tail structures and sequence dictionary.
+// recovery reattaches the n-gram tables, root runs and sequence dictionary.
 func TestSeqCountCrashPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sequence exploration skipped in -short")
@@ -258,7 +258,10 @@ func TestPinnedEventSpaces(t *testing.T) {
 	}{
 		{"crashcheck/wordcount", Config{}, [2]int64{12, 58}},
 		{"crashcheck/wordcount/log128", Config{OpLogCap: smallLog}, [2]int64{12, 72}},
-		{"crashcheck/seqcount", Config{Task: "seqcount", OpLogCap: smallLog}, [2]int64{12, 80}},
+		// 76, not 80, since the root's windows are stored runs: one add per
+		// distinct window of a file instead of one per occurrence, so the
+		// 128-byte log fills, and compacts, fewer times.
+		{"crashcheck/seqcount", Config{Task: "seqcount", OpLogCap: smallLog}, [2]int64{12, 76}},
 		{"crashcheck/invertedindex/top-down",
 			Config{Task: "invertedindex", Strategy: core.TopDown, OpLogCap: smallLog}, [2]int64{12, 18}},
 		{"crashcheck/invertedindex/bottom-up",

@@ -58,8 +58,8 @@ func TestFailoverSampled(t *testing.T) {
 }
 
 // TestFailoverSeqCount spot-checks the sequence-analytics path through
-// failover: promoting a follower must reattach the head/tail structures and
-// sequence dictionary exactly as plain recovery does.
+// failover: promoting a follower must reattach the n-gram tables, root runs
+// and sequence dictionary exactly as plain recovery does.
 func TestFailoverSeqCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sequence failover exploration skipped in -short")

@@ -45,7 +45,7 @@ func TestIngestCrashPoints(t *testing.T) {
 }
 
 // TestIngestSeqCountCrashPoints spot-checks the sequence path: appends
-// extend the sequence dictionary and head/tail structures, and recovery must
+// extend the sequence dictionary and n-gram tables, and recovery must
 // replay them to the exact prefix.
 func TestIngestSeqCountCrashPoints(t *testing.T) {
 	if testing.Short() {
