@@ -155,7 +155,8 @@ ingestcheck:
 
 # A short coverage-guided run of every fuzz target (archive parsing, the
 # compress/decompress round trip, op-log crash recovery, the result encoder
-# against its reflection oracle).  Each target gets FUZZTIME of fuzzing on
+# against its reflection oracle, request decoding through the daemon's
+# handlers).  Each target gets FUZZTIME of fuzzing on
 # top of its seed corpus; new crashers land in testdata/fuzz/ for `make test`
 # to replay forever after.
 fuzz-smoke:
@@ -163,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogRecovery$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResult$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecoding$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # End-to-end daemon gate: builds the real ntadocd binary, serves the
 # testdata corpus over HTTP, asserts every op bit-identical to direct

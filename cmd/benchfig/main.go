@@ -690,12 +690,11 @@ func figShards(specs []datagen.Spec) error {
 }
 
 // figFailover quantifies the replication layer: the fused six-task batch on
-// a replicated K-shard engine run healthy, run with one primary killed
-// mid-batch and masked by follower failover, and run with replica reads
-// splitting each shard's batch across primary and follower images.  Each
-// cell internally verifies all three runs return bit-identical results.
+// a replicated K-shard engine run healthy and run with one primary killed
+// mid-batch and masked by follower failover.  Each cell internally verifies
+// both runs return bit-identical results.
 func figFailover(specs []datagen.Spec) error {
-	header("Failover: replicated shards, masked primary death, replica-read tails")
+	header("Failover: replicated shards, masked primary death")
 	var sel []datagen.Spec
 	for _, spec := range specs {
 		if spec.Name == "C" || spec.Name == "D" {
@@ -718,16 +717,13 @@ func figFailover(specs []datagen.Spec) error {
 		return err
 	}
 	w := newTab()
-	fmt.Fprintln(w, "dataset\tshards\thealthy\tfailover\toverhead\trecoveries\treplica batch\ttail\treplica tail\ttail reduction")
+	fmt.Fprintln(w, "dataset\tshards\thealthy\tfailover\toverhead\trecoveries")
 	for si, spec := range sel {
 		for ki := range ks {
 			cell := cells[si*len(ks)+ki]
-			fmt.Fprintf(w, "%s\t%d\t%.2f ms\t%.2f ms\t%.2fx\t%d\t%.2f ms\t%.2f ms\t%.2f ms\t%.1f%%\n",
+			fmt.Fprintf(w, "%s\t%d\t%.2f ms\t%.2f ms\t%.2fx\t%d\n",
 				spec.Name, cell.K, ms(cell.Healthy), ms(cell.Failover),
-				ratio(cell.Failover, cell.Healthy), cell.Recoveries,
-				ms(cell.ReplicaRead),
-				ms(time.Duration(cell.TailPlain)), ms(time.Duration(cell.TailReplica)),
-				(1-float64(cell.TailReplica)/float64(cell.TailPlain))*100)
+				ratio(cell.Failover, cell.Healthy), cell.Recoveries)
 		}
 	}
 	return w.Flush()

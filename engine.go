@@ -59,10 +59,6 @@ type Options struct {
 	// follower — transparently, with bit-identical results — when the
 	// shard's primary device fails.
 	Replicas int
-	// ReplicaReads lets multi-task batches split each shard's work between
-	// its primary and a read replica recovered from a follower image,
-	// shortening the slowest lane.  Requires Replicas >= 1.
-	ReplicaReads bool
 	// IngestCapacity reserves this many bytes of durable append-log space per
 	// shard (N-TADOC media only): the engine then accepts live Append calls,
 	// serving them from per-shard delta grammars without recompressing the
@@ -163,10 +159,7 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 		BuildTag: e.buildTag,
 	}
 	if opts.Replicas > 0 {
-		copts.Replication = core.Replication{
-			Followers:    opts.Replicas,
-			ReplicaReads: opts.ReplicaReads,
-		}
+		copts.Replication = core.Replication{Followers: opts.Replicas}
 	}
 	gs := a.shards
 	if gs == nil {

@@ -10,11 +10,11 @@
 // A keyed op's unit results arrive as arrays in wire order (see KeyOrder),
 // so their merge is a K-way merge over the units' keys, compared under
 // env.Dict(), into arrays of its own: a merged result shares no memory with
-// the unit results, which are only read — callers keep them (failover
-// retries, replica lanes).  A unit's own lists arrive in canonical order and
-// a uniform document offset preserves it, so only the lists more than one
-// unit contributed to, or a docmap unit did (a docmap interleaves
-// documents), are re-ordered.
+// the unit results, which are only read — a caller may hold them past the
+// merge.  A unit's own lists arrive in canonical order and a uniform
+// document offset preserves it, so only the lists more than one unit
+// contributed to, or a docmap unit did (a docmap interleaves documents), are
+// re-ordered.
 package analytics
 
 import (

@@ -27,10 +27,6 @@ type Replication struct {
 	// successful construction the engine takes ownership; on construction
 	// failure they stay with the caller, mirroring Options.ShardDevices.
 	FollowerDevices [][]*nvm.SimDevice
-	// ReplicaReads lets the scatter-gather planner split a multi-op batch
-	// between each shard's primary and a read replica recovered from its
-	// follower image, shortening the tail lane.
-	ReplicaReads bool
 }
 
 // enabled reports whether any replication was requested.

@@ -192,6 +192,11 @@ func TestFailoverBitIdentical(t *testing.T) {
 				t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
 			}
 		}
+		for l, tail := range se.LastLaneTails() {
+			if tail <= 0 {
+				t.Errorf("round %d lane %d tail = %d, want > 0", round, l, tail)
+			}
+		}
 	}
 	if se.FailoverCount() == 0 {
 		t.Error("no failover performed despite the armed primary")
@@ -342,124 +347,6 @@ func TestFailoverRejectsForeignFollower(t *testing.T) {
 	}
 }
 
-// TestReplicaReads checks the stretch path: with replica reads enabled a
-// multi-op batch splits each shard between primary and follower image, stays
-// bit-identical, and reports per-lane tails for the tail-latency figure.
-func TestReplicaReads(t *testing.T) {
-	files, d, g := corpus(t, 65, 6, 250, 30)
-	ref := newEngine(t, g, d, Options{Sequences: true})
-	ops := analytics.Ops()
-	want, err := ref.RunOps(ops)
-	if err != nil {
-		t.Fatalf("unsharded RunOps: %v", err)
-	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
-	se, err := NewSharded(gs, d, Options{
-		Sequences:   true,
-		Persistence: OpLevel,
-		Replication: Replication{Followers: 1, ReplicaReads: true},
-	})
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	defer se.Close()
-	got, err := se.RunOps(ops)
-	if err != nil {
-		t.Fatalf("RunOps: %v", err)
-	}
-	for i, op := range ops {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("op %s: replica-read result differs from unsharded", op.Name())
-		}
-	}
-	tails := se.LastLaneTails()
-	if len(tails) == 0 {
-		t.Fatal("no lane tails recorded")
-	}
-	for l, tail := range tails {
-		if tail <= 0 {
-			t.Errorf("lane %d tail = %d, want > 0", l, tail)
-		}
-	}
-	if se.FailoverCount() != 0 {
-		t.Errorf("replica reads performed %d failovers on a healthy run", se.FailoverCount())
-	}
-	if span := se.LastTraversalSpan(); span.Total() <= 0 {
-		t.Error("traversal span not measured under replica reads")
-	}
-}
-
-// TestReplicaReadsRejectForeignFollower gives shard 1 a follower stamped for
-// shard 0: its read replica must fail the shard-image reopen contract, so
-// shard 1 reads from its primary alone and the batch stays bit-identical,
-// while shard 0 still gets its replica.  The rejected clone is given back.
-func TestReplicaReadsRejectForeignFollower(t *testing.T) {
-	files, d, g := corpus(t, 69, 4, 200, 25)
-	ref := newEngine(t, g, d, Options{Sequences: true})
-	ops := analytics.Ops()
-	want, err := ref.RunOps(ops)
-	if err != nil {
-		t.Fatalf("unsharded RunOps: %v", err)
-	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
-	opts := Options{Sequences: true, Persistence: OpLevel}
-	// Equal-sized pools, so shard 0's image fits shard 1's follower exactly.
-	var size int64
-	for _, g := range gs {
-		n, err := PoolEstimate(g, opts)
-		if err != nil {
-			t.Fatalf("PoolEstimate: %v", err)
-		}
-		size = max(size, n)
-	}
-	before := nvm.MappedBytes()
-	o := opts
-	o.ShardDevices = []*nvm.SimDevice{nvm.New(nvm.KindNVM, size), nvm.New(nvm.KindNVM, size)}
-	o.Replication = Replication{Followers: 1, ReplicaReads: true}
-	se, err := NewSharded(gs, d, o)
-	if err != nil {
-		for _, dev := range o.ShardDevices {
-			dev.Discard()
-		}
-		t.Fatalf("NewSharded: %v", err)
-	}
-	img := make([]byte, size)
-	if err := se.Shard(0).Device().ReadDurable(img); err != nil {
-		t.Fatalf("ReadDurable: %v", err)
-	}
-	if err := installImage(se.Followers(1)[0], img); err != nil {
-		t.Fatalf("install shard 0's image on shard 1's follower: %v", err)
-	}
-	if se.ensureReplica(0) == nil {
-		t.Fatal("shard 0: no read replica over its own follower")
-	}
-	if se.ensureReplica(1) != nil {
-		t.Fatal("shard 1: read replica opened over a follower stamped for shard 0")
-	}
-	got, err := se.RunOps(ops)
-	if err != nil {
-		t.Fatalf("RunOps: %v", err)
-	}
-	for i, op := range ops {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("op %s: result differs from unsharded", op.Name())
-		}
-	}
-	if n := se.FailoverCount(); n != 0 {
-		t.Errorf("%d failovers on a healthy run", n)
-	}
-	se.Close()
-	if leaked := nvm.MappedBytes() - before; leaked != 0 {
-		t.Errorf("%d bytes of device images still mapped after Close", leaked)
-	}
-}
-
 // TestReopenShardedFailover recovers a sharded engine whose primary device
 // set is partially unusable: the dead shard's pool comes back from its
 // injected follower, under the same stamp validation.
@@ -505,6 +392,33 @@ func TestReopenShardedFailover(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNeedsReload) {
 		t.Fatalf("blank shard err = %v, want ErrNeedsReload in chain", err)
+	}
+
+	// A follower stamped for another shard is refused under the same
+	// contract, and the cause says why the follower went as well as why the
+	// primary did.  Every device stays the caller's.
+	before := nvm.MappedBytes()
+	foreign, err := pc0.CloneDurable()
+	if err != nil {
+		t.Fatalf("clone primary 0 as shard 1's follower: %v", err)
+	}
+	fo := opts
+	fo.Replication = Replication{FollowerDevices: [][]*nvm.SimDevice{nil, {foreign}}}
+	_, _, err = ReopenSharded([]*nvm.SimDevice{pc0, blank}, d, fo)
+	if !errors.As(err, &sf) || sf.Shard != 1 {
+		t.Fatalf("foreign follower err = %v, want ErrShardFailed{Shard: 1}", err)
+	}
+	if !errors.Is(err, ErrNeedsReload) {
+		t.Errorf("foreign follower err = %v, want the primary's ErrNeedsReload in chain", err)
+	}
+	if !errors.Is(err, ErrShardMismatch) {
+		t.Errorf("foreign follower err = %v, want the follower's ErrShardMismatch in chain", err)
+	}
+	if err := foreign.Discard(); err != nil {
+		t.Fatalf("discard foreign follower: %v", err)
+	}
+	if leaked := nvm.MappedBytes() - before; leaked != 0 {
+		t.Errorf("%d bytes of device images still mapped after a refused reopen", leaked)
 	}
 
 	// With the follower injected, the reopen promotes it transparently.

@@ -49,12 +49,6 @@ type ShardedEngine struct {
 	opts Options
 	reps []*replicator // guarded by failMu
 
-	// Replica-read state: lazily recovered read engines over follower
-	// images, one query session each.
-	replicaReads bool
-	replicas     []*Engine
-	replicaSess  []*Session
-
 	meter    metrics.Meter // coordinator-side merge CPU
 	initSpan metrics.Span
 
@@ -221,11 +215,8 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 	if !repl.enabled() {
 		return nil
 	}
-	se.replicaReads = repl.ReplicaReads
 	//ntalint:ignore guardcheck construction phase: attachReplication runs inside BuildSharded/ReopenSharded before the engine is shared.
 	se.reps = make([]*replicator, len(se.shards))
-	se.replicas = make([]*Engine, len(se.shards))
-	se.replicaSess = make([]*Session, len(se.shards))
 	for i, sh := range se.shards {
 		var fdevs []*nvm.SimDevice
 		if repl.FollowerDevices != nil {
@@ -259,12 +250,14 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 // whose primary fails to recover falls over to the first follower that
 // passes the same recovery contract and stamp validation; only if every
 // replica of a shard is unrecoverable does the reopen fail, with
-// ErrShardFailed naming the shard (and ErrNeedsReload in its cause chain
-// when that shard's initialization never completed anywhere — the caller
-// rebuilds it from the compressed input).  The per-shard infos of the
-// shards examined so far are returned alongside the error.  A successful
-// reopen owns every device it was given — a primary a follower replaced is
-// discarded on the spot — and a failed one none of them.
+// ErrShardFailed naming the shard and joining every replica's reason in its
+// cause chain (ErrNeedsReload when an image's initialization never
+// completed — the caller rebuilds the shard from the compressed input —
+// ErrShardMismatch for a follower stamped for another shard or build).  The
+// per-shard infos of the shards examined so far are returned alongside the
+// error.  A successful reopen owns every device it was given — a primary a
+// follower replaced is discarded on the spot — and a failed one none of
+// them.
 func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*ShardedEngine, []*RecoveryInfo, error) {
 	if len(devs) == 0 {
 		return nil, nil, errEngine("reopen sharded", errors.New("no shard devices"))
@@ -301,18 +294,21 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 			remaining[i] = repl.FollowerDevices[i]
 			if err != nil {
 				// Primary unrecoverable: promote the first follower whose
-				// image passes the identical contract.
+				// image passes the identical contract.  Each refused
+				// follower's reason joins the shard's cause.
 				for fi, fdev := range repl.FollowerDevices[i] {
 					fe, finfo, ferr := se.reopenShard(i, fdev)
-					if ferr == nil {
-						e, info, err = fe, finfo, nil
-						dead = append(dead, dev)
-						rest := make([]*nvm.SimDevice, 0, len(repl.FollowerDevices[i])-1)
-						rest = append(rest, repl.FollowerDevices[i][:fi]...)
-						rest = append(rest, repl.FollowerDevices[i][fi+1:]...)
-						remaining[i] = rest
-						break
+					if ferr != nil {
+						err = errors.Join(err, fmt.Errorf("follower %d: %w", fi, ferr))
+						continue
 					}
+					e, info, err = fe, finfo, nil
+					dead = append(dead, dev)
+					rest := make([]*nvm.SimDevice, 0, len(repl.FollowerDevices[i])-1)
+					rest = append(rest, repl.FollowerDevices[i][:fi]...)
+					rest = append(rest, repl.FollowerDevices[i][fi+1:]...)
+					remaining[i] = rest
+					break
 				}
 			}
 		}
@@ -343,15 +339,15 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 }
 
 // reopenShard reopens dev as shard i of the set: the one reopen contract for
-// a shard image, whether a restart's primary or follower, a failover's
-// promoted follower or a read replica's clone.  The image must pass the
-// unsharded recovery contract, and its pool stamps must name position i of
-// this set and carry the set's build tag, se.opts.BuildTag — positional
-// stamps alone cannot tell shard 1-of-4 of one unified build from shard
-// 1-of-4 of another.  While ReopenSharded reopens shard 0 for a caller that
-// expects no tag, shard 0's tag becomes the set's.  A mismatch abandons the
-// reopened engine and reports ErrShardMismatch; dev stays the caller's either
-// way, and the caller decides what becomes of it.
+// a shard image, for both of its callers — ReopenSharded's restart, of a
+// primary or a follower, and failoverShard's promoted follower.  The image
+// must pass the unsharded recovery contract, and its pool stamps must name
+// position i of this set and carry the set's build tag, se.opts.BuildTag —
+// positional stamps alone cannot tell shard 1-of-4 of one unified build from
+// shard 1-of-4 of another.  While ReopenSharded reopens shard 0 for a caller
+// that expects no tag, shard 0's tag becomes the set's.  A mismatch abandons
+// the reopened engine and reports ErrShardMismatch; dev stays the caller's
+// either way, and the caller decides what becomes of it.
 func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *RecoveryInfo, error) {
 	o := se.opts
 	o.ShardIndex = uint32(i)
@@ -637,159 +633,64 @@ func (e shardedEnv) NumFiles() int              { return e.nfiles }
 func (e shardedEnv) SeqOf(uint64) analytics.Seq { panic("core: merge env resolves no sequence keys") }
 func (e shardedEnv) Charge(n, perOp int64)      { e.meter.Charge(n, perOp) }
 
-// unit is one dispatchable slice of a scatter-gather: a shard, the indices
-// of the batch ops it serves, and whether the shard's read replica (a query
-// session over a recovered follower image) serves it instead of the
-// primary.  Without replica reads every shard is one unit carrying the
-// whole batch.
-type unit struct {
-	shard   int
-	opIdx   []int
-	replica bool
-}
-
-// plainUnits is the one-unit-per-shard schedule.
-func plainUnits(k, numOps int) []unit {
-	idx := make([]int, numOps)
-	for j := range idx {
-		idx[j] = j
-	}
-	units := make([]unit, k)
-	for i := range units {
-		units[i] = unit{shard: i, opIdx: idx}
-	}
-	return units
-}
-
-// planUnits builds the engine path's dispatch schedule.  With replica reads
-// enabled, a multi-op batch is split between each shard's primary and its
-// read replica, halving the shard's serial tail on the lane schedule.
-func (se *ShardedEngine) planUnits(numOps int) []unit {
-	if !se.replicaReads || numOps < 2 {
-		return plainUnits(len(se.shards), numOps)
-	}
-	idx := make([]int, numOps)
-	for j := range idx {
-		idx[j] = j
-	}
-	units := make([]unit, 0, 2*len(se.shards))
-	for i, sh := range se.shards {
-		// A read replica serves the shard's build-time image, and appends are
-		// not shipped to followers: an appendable shard's serving tail may
-		// have compacted past that image, so only static shards split.
-		if sh.ingest == nil && se.ensureReplica(i) != nil {
-			half := (numOps + 1) / 2
-			units = append(units,
-				unit{shard: i, opIdx: idx[:half]},
-				unit{shard: i, opIdx: idx[half:], replica: true})
-		} else {
-			units = append(units, unit{shard: i, opIdx: idx})
-		}
-	}
-	return units
-}
-
-// ensureReplica lazily recovers shard i's read replica: the first live
-// follower's durable image is cloned (leaving the follower itself pure for
-// failover) and reopened as shard i under reopenShard's contract, and a query
-// session over the clone serves reads.  Returns nil when the shard has no
-// usable replica.  Query results depend only on the immutable init
-// structures, so any post-init consistent image answers bit-identically to
-// the primary.
-func (se *ShardedEngine) ensureReplica(i int) *Session {
-	if se.replicaSess == nil {
-		return nil
-	}
-	if se.replicaSess[i] != nil {
-		return se.replicaSess[i]
-	}
-	se.failMu.Lock()
-	rep := se.reps[i]
-	se.failMu.Unlock()
-	if rep == nil {
-		return nil
-	}
-	devs := rep.liveFollowers()
-	if len(devs) == 0 {
-		return nil
-	}
-	clone, err := devs[0].CloneDurable()
-	if err != nil {
-		return nil
-	}
-	e, _, err := se.reopenShard(i, clone)
-	if err != nil {
-		_ = clone.Discard()
-		return nil
-	}
-	se.replicas[i] = e
-	se.replicaSess[i] = e.NewSession()
-	return se.replicaSess[i]
-}
-
-// scatterGather runs the batch's units under a planned lane schedule — the
-// fan-out planner packs units onto parallel lanes from their estimated
-// costs, so trivial shards share a lane instead of each paying dispatch
-// overhead — then merges the per-shard results on meter's account.  When a
-// unit fails and a failover hook is given, the lane retires the failed
-// shard through the hook and re-dispatches the unit against the recovered
-// engine; errors that survive failover (or occur without one) surface as
-// ErrShardFailed.  The schedule and per-unit spans are returned so callers
-// can aggregate modeled time the same way the work actually ran.
+// scatterGather runs the whole batch on every shard under a planned lane
+// schedule — the fan-out planner packs shards onto parallel lanes from their
+// estimated costs, so trivial shards share a lane instead of each paying
+// dispatch overhead — then merges the per-shard results on meter's account.
+// When shard i fails and a failover hook is given, the lane retires the
+// failed shard through the hook and re-dispatches the batch against the
+// recovered engine; errors that survive failover (or occur without one)
+// surface as ErrShardFailed.  The schedule and per-shard spans are returned
+// so callers can aggregate modeled time the same way the work actually ran.
 //
 // The scatter opens by pinning every shard's serving cut — the tail, the
 // delta engine, and a snapshot of the global document maps — so the whole
 // batch observes one consistent corpus cut even while appends and
-// compactions proceed underneath it.  Base units run against the pinned
+// compactions proceed underneath it.  Base runs go against the pinned
 // tails, delta engines run through transient query sessions, and the gather
 // merges everything with analytics.MergeUnits under per-unit document maps.
 // A corpus that is one contiguous unit from document 0 with no delta — the
-// static one-shard set — needs no merge: the unit's result is the result.
+// static one-shard set — needs no merge: the shard's result is the result.
 // ws, when non-nil, holds one workspace per shard for the delta runs to
 // borrow: they start after every lane has finished with its own.
-func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
-	run func(u unit, ops []analytics.Op, serving *Engine) ([]any, metrics.Span, error),
-	failover func(u unit, cause error) error,
+func (se *ShardedEngine) scatterGather(ops []analytics.Op,
+	run func(i int, serving *Engine) ([]any, metrics.Span, error),
+	failover func(i int, cause error) error,
 	meter *metrics.Meter, ws []*workspace) ([]any, [][]int, []metrics.Span, error) {
 	pins := se.pinIngest()
 	defer pins.release()
-	costs := make([]int64, len(units))
-	for ui, u := range units {
-		costs[ui] = se.shards[u.shard].planCost(len(u.opIdx))
+	costs := make([]int64, len(se.shards))
+	for i, sh := range se.shards {
+		costs[i] = sh.planCost(len(ops))
 	}
 	lanes := planFanout(costs)
-	outs := make([][]any, len(units))
-	spans := make([]metrics.Span, len(units))
-	errs := make([]error, len(units))
+	shardOut := make([][]any, len(se.shards))
+	spans := make([]metrics.Span, len(se.shards))
+	errs := make([]error, len(se.shards))
 	var wg sync.WaitGroup
 	for _, lane := range lanes {
 		wg.Add(1)
 		go func(lane []int) {
 			defer wg.Done()
-			for _, ui := range lane {
-				u := units[ui]
-				sub := make([]analytics.Op, len(u.opIdx))
-				for k, j := range u.opIdx {
-					sub[k] = ops[j]
-				}
-				out, span, err := run(u, sub, pins.serving(u.shard))
+			for _, i := range lane {
+				out, span, err := run(i, pins.serving(i))
 				for err != nil && failover != nil && isDeviceFailure(err) {
 					// Retire the lane's failed shard and re-dispatch its ops
 					// against the recovered follower.  The loop continues as
-					// long as promotion succeeds, consuming one replica per
-					// round; a shard with no replica left fails typed.
-					if ferr := failover(u, err); ferr != nil {
+					// long as promotion succeeds, consuming one follower per
+					// round; a shard with no follower left fails typed.
+					if ferr := failover(i, err); ferr != nil {
 						err = ferr
 						break
 					}
-					pins.repin(se, u.shard)
-					out, span, err = run(u, sub, pins.serving(u.shard))
+					pins.repin(se, i)
+					out, span, err = run(i, pins.serving(i))
 				}
 				if err != nil {
-					errs[ui] = wrapShard(u.shard, err)
+					errs[i] = wrapShard(i, err)
 					continue
 				}
-				outs[ui], spans[ui] = out, span
+				shardOut[i], spans[i] = out, span
 			}
 		}(lane)
 	}
@@ -802,15 +703,6 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 	// Each dispatched lane charges the coordinator its scheduling and join
 	// bookkeeping, the cost the fan-out planner weighs against parallelism.
 	meter.Charge(int64(len(lanes)), laneDispatchCost)
-	shardOut := make([][]any, len(se.shards))
-	for i := range shardOut {
-		shardOut[i] = make([]any, len(ops))
-	}
-	for ui, u := range units {
-		for k, j := range u.opIdx {
-			shardOut[u.shard][j] = outs[ui][k]
-		}
-	}
 	// Run the pinned delta engines (whole batch each — deltas are small next
 	// to the base traversals) through transient query sessions, then merge
 	// base and delta units under their document maps.
@@ -856,17 +748,6 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op, units []unit,
 		results[j] = r
 	}
 	return results, lanes, spans, nil
-}
-
-// failoverUnit is the engine path's failover hook: promote the failed
-// shard's follower and swap the recovered engine in.  Replica units have no
-// further replica behind them — their clone device has no fail points — so
-// they fail typed immediately.
-func (se *ShardedEngine) failoverUnit(u unit, cause error) error {
-	if u.replica {
-		return wrapShard(u.shard, cause)
-	}
-	return se.failoverShard(u.shard, cause)
 }
 
 // failoverShard retires shard i's primary and recovers the shard from a
@@ -953,36 +834,25 @@ func (se *ShardedEngine) takeFailoverSpans() []metrics.Span {
 // shard concurrently, and the per-shard results are merged into corpus-wide
 // results.  results[i] corresponds to ops[i] with the op's canonical result
 // type, bit-identical to an unsharded engine over the same corpus — also
-// when a shard fails over to its follower mid-batch, and when replica reads
-// split the batch across primary and follower images.
+// when a shard fails over to its follower mid-batch.
 func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
 	cpu0 := se.meter.Nanos()
-	units := se.planUnits(len(ops))
-	results, lanes, spans, err := se.scatterGather(ops, units,
-		func(u unit, sub []analytics.Op, serving *Engine) ([]any, metrics.Span, error) {
-			if u.replica {
-				sess := se.replicaSess[u.shard]
-				sp := metrics.Start(se.replicas[u.shard].Device(), sess.Meter())
-				res, err := sess.RunOps(sub)
-				if err != nil {
-					return nil, metrics.Span{}, err
-				}
-				return res, *sp.Stop(), nil
-			}
-			res, err := serving.RunOps(sub)
+	results, lanes, spans, err := se.scatterGather(ops,
+		func(_ int, serving *Engine) ([]any, metrics.Span, error) {
+			res, err := serving.RunOps(ops)
 			if err != nil {
 				return nil, metrics.Span{}, err
 			}
 			return res, serving.LastTraversalSpan(), nil
 		},
-		se.failoverUnit, &se.meter, nil)
+		se.failoverShard, &se.meter, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Aggregate along the planned schedule: units on one lane ran serially,
+	// Aggregate along the planned schedule: shards on one lane ran serially,
 	// lanes in parallel, the coordinator's merge extends the critical path,
 	// and any failover recovery extends it further as measured serial work.
 	trav := metrics.MergeScheduled(lanes, spans).AddSerial(se.meter.Nanos() - cpu0)
@@ -1050,20 +920,19 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	units := plainUnits(len(ss.sessions), len(ops))
-	results, _, _, err := ss.se.scatterGather(ops, units,
-		func(u unit, sub []analytics.Op, serving *Engine) ([]any, metrics.Span, error) {
-			sess := ss.sessions[u.shard]
+	results, _, _, err := ss.se.scatterGather(ops,
+		func(i int, serving *Engine) ([]any, metrics.Span, error) {
+			sess := ss.sessions[i]
 			if serving != sess.e {
 				// A compaction replaced the tail this slot's session was
 				// opened on (it may be discarded by now — compare, never
 				// touch): reopen the session over the pinned tail, which holds
 				// the compacted corpus the document maps expect.  Only this
 				// shard's lane touches the slot.
-				sess = serving.newSession(ss.ws[u.shard])
-				ss.sessions[u.shard] = sess
+				sess = serving.newSession(ss.ws[i])
+				ss.sessions[i] = sess
 			}
-			res, err := sess.runOps(ctx, sub)
+			res, err := sess.runOps(ctx, ops)
 			return res, metrics.Span{}, err
 		}, nil, &ss.meter, ss.ws)
 	return results, err
@@ -1129,8 +998,7 @@ func (se *ShardedEngine) LastTraversalSpan() metrics.Span {
 
 // LastLaneTails reports each lane's serial modeled total for the last
 // engine batch — the distribution MergeScheduled's critical path is the max
-// of.  Replica reads shorten the longest tail by splitting shard batches
-// across primary and follower images.
+// of, and the lane imbalance the fan-out planner leaves.
 func (se *ShardedEngine) LastLaneTails() []int64 {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -1164,8 +1032,8 @@ func (se *ShardedEngine) DeviceStats() nvm.Stats {
 	return st
 }
 
-// Close releases every shard's simulated device, the follower devices, any
-// read-replica clones, and the primaries retired by failovers.
+// Close releases every shard's simulated device, the follower devices, and
+// the primaries retired by failovers.
 func (se *ShardedEngine) Close() error {
 	var errs []error
 	for i, sh := range se.shards {
@@ -1190,13 +1058,6 @@ func (se *ShardedEngine) Close() error {
 	for _, e := range se.retiredEng {
 		if err := e.Close(); err != nil {
 			errs = append(errs, err)
-		}
-	}
-	for _, e := range se.replicas {
-		if e != nil {
-			if err := e.Close(); err != nil {
-				errs = append(errs, err)
-			}
 		}
 	}
 	return errors.Join(errs...)

@@ -429,26 +429,20 @@ func RunShardScaling(c *Corpus, ops []analytics.Op, k int, opts core.Options) (S
 }
 
 // FailoverCell is one failover benchmark point: the same fused K-shard
-// batch run healthy, run with one shard's primary killed mid-batch (masked
-// by follower failover), and run healthy with replica reads splitting each
-// shard between primary and follower image.  All times are modeled
-// critical-path totals; the tails are the slowest lane's serial total, the
-// quantity replica reads shorten.
+// batch run healthy and run with one shard's primary killed mid-batch
+// (masked by follower failover).  Times are modeled critical-path totals.
 type FailoverCell struct {
-	K           int
-	Healthy     time.Duration // fused batch, all primaries live
-	Failover    time.Duration // same batch with one primary dying mid-stream
-	Recoveries  int           // failovers performed during the failover run
-	ReplicaRead time.Duration // healthy batch under replica reads
-	TailPlain   int64         // slowest lane, one unit per shard
-	TailReplica int64         // slowest lane with shard batches split
+	K          int
+	Healthy    time.Duration // fused batch, all primaries live
+	Failover   time.Duration // same batch with one primary dying mid-stream
+	Recoveries int           // failovers performed during the failover run
 }
 
-// RunFailoverBench builds three replicated K-shard engines over the corpus
+// RunFailoverBench builds two replicated K-shard engines over the corpus
 // (one synchronous follower per shard) and measures the failover matrix.
-// Every run's results are checked bit-identical against the healthy run —
-// the benchmark doubles as the acceptance check that failover and replica
-// reads are invisible to callers.
+// The failover run's results are checked bit-identical against the healthy
+// run — the benchmark doubles as the acceptance check that failover is
+// invisible to callers.
 func RunFailoverBench(c *Corpus, ops []analytics.Op, k int, opts core.Options) (FailoverCell, error) {
 	for _, op := range ops {
 		opts.Sequences = opts.Sequences || op.Keys() == analytics.KeySequences
@@ -458,14 +452,13 @@ func RunFailoverBench(c *Corpus, ops []analytics.Op, k int, opts core.Options) (
 		return FailoverCell{}, err
 	}
 	opts.BuildTag = sb.Set.Checksum()
+	opts.Replication = core.Replication{Followers: 1}
 	cell := FailoverCell{K: len(sb.Shards)}
 
-	run := func(repl core.Replication, arm bool) (time.Duration, []int64, int, []any, error) {
-		o := opts
-		o.Replication = repl
-		se, err := core.NewSharded(sb.Shards, c.Dict, o)
+	run := func(arm bool) (time.Duration, int, []any, error) {
+		se, err := core.NewSharded(sb.Shards, c.Dict, opts)
 		if err != nil {
-			return 0, nil, 0, nil, err
+			return 0, 0, nil, err
 		}
 		defer se.Close()
 		if arm {
@@ -474,42 +467,21 @@ func RunFailoverBench(c *Corpus, ops []analytics.Op, k int, opts core.Options) (
 		}
 		res, err := se.RunOps(ops)
 		if err != nil {
-			return 0, nil, 0, nil, err
+			return 0, 0, nil, err
 		}
-		return se.LastTraversalSpan().Total(), se.LastLaneTails(), se.FailoverCount(), res, nil
-	}
-	maxTail := func(tails []int64) int64 {
-		var m int64
-		for _, t := range tails {
-			if t > m {
-				m = t
-			}
-		}
-		return m
+		return se.LastTraversalSpan().Total(), se.FailoverCount(), res, nil
 	}
 
-	repl := core.Replication{Followers: 1}
-	var ref []any
-	var tails []int64
-	if cell.Healthy, tails, _, ref, err = run(repl, false); err != nil {
+	var ref, res []any
+	if cell.Healthy, _, ref, err = run(false); err != nil {
 		return FailoverCell{}, fmt.Errorf("healthy replicated run: %w", err)
 	}
-	cell.TailPlain = maxTail(tails)
-	var res []any
-	if cell.Failover, _, cell.Recoveries, res, err = run(repl, true); err != nil {
+	if cell.Failover, cell.Recoveries, res, err = run(true); err != nil {
 		return FailoverCell{}, fmt.Errorf("failover run: %w", err)
 	}
 	if !reflect.DeepEqual(res, ref) {
 		return FailoverCell{}, fmt.Errorf("failover run diverged from the healthy run")
 	}
-	repl.ReplicaReads = true
-	if cell.ReplicaRead, tails, _, res, err = run(repl, false); err != nil {
-		return FailoverCell{}, fmt.Errorf("replica-read run: %w", err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		return FailoverCell{}, fmt.Errorf("replica-read run diverged from the healthy run")
-	}
-	cell.TailReplica = maxTail(tails)
 	return cell, nil
 }
 

@@ -211,9 +211,8 @@ func (s Span) AddSerialSpan(t Span) Span {
 }
 
 // LaneTails reports each lane's serial total under a schedule — the values
-// MergeScheduled takes the maximum of.  The failover benchmark uses it to
-// show the tail lane before and after replica reads split shard batches
-// across primary and follower images.
+// MergeScheduled takes the maximum of.  The repo benchmark reads them for
+// the fused batch's lane imbalance (slowest lane over the mean).
 func LaneTails(lanes [][]int, spans []Span) []int64 {
 	tails := make([]int64, len(lanes))
 	for l, lane := range lanes {
