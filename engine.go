@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
-	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/core"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
@@ -54,10 +53,9 @@ type Options struct {
 	// RankedInvertedIndex then return an error.
 	NoSequences bool
 	// Replicas keeps this many follower devices per shard (N-TADOC media
-	// only; an unsharded archive is one shard): each shard ships every
-	// committed durable delta to its followers, and a query falls over to a
-	// follower — transparently, with bit-identical results — when the
-	// shard's primary device fails.
+	// only): each shard ships every committed durable delta to its
+	// followers, and a query falls over to a follower — transparently, with
+	// bit-identical results — when the shard's primary device fails.
 	Replicas int
 	// IngestCapacity reserves this many bytes of durable append-log space per
 	// shard (N-TADOC media only): the engine then accepts live Append calls,
@@ -82,15 +80,15 @@ type DocCount struct {
 // Engine runs the six analytics tasks over an archive.  Engines built on
 // MediumNVM/SSD/HDD are N-TADOC instances over simulated persistent
 // devices; MediumDRAM is the original TADOC baseline.  On N-TADOC media the
-// engine is a shard set: one device and pool per archive shard (one for an
-// unsharded archive), built in parallel, with queries scattered across the
-// shards and gathered into corpus-wide results.
+// engine is a shard set: one device and pool per archive shard, built in
+// parallel, with queries scattered across the shards and gathered into
+// corpus-wide results.
 type Engine struct {
 	a     *Archive
 	inner analytics.Executor  // sh on N-TADOC media, the TADOC engine on DRAM
 	sh    *core.ShardedEngine // nil on MediumDRAM
 
-	buildTag uint32 // the archive's shared-table checksum at construction; see BuildTag
+	buildTag uint32 // the archive's shared-table checksum; see BuildTag
 
 	namesMu sync.RWMutex
 	names   []string // guarded by namesMu: global document index -> name
@@ -123,10 +121,7 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 	if err := a.fold(); err != nil {
 		return nil, err
 	}
-	e := &Engine{a: a, names: a.DocumentNames(), committedVocab: a.d.Len()}
-	if a.shared != nil {
-		e.buildTag = a.shared.Checksum()
-	}
+	e := &Engine{a: a, names: a.DocumentNames(), committedVocab: a.d.Len(), buildTag: a.shared.Checksum()}
 	if opts.Medium == MediumDRAM {
 		// The DRAM baseline has no per-shard devices to parallelize over;
 		// it runs on the whole-corpus grammar view.
@@ -154,18 +149,14 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 		Persistence: persistence,
 		Sequences:   !opts.NoSequences,
 		IngestCap:   opts.IngestCapacity,
-		// Tie every shard pool to this unified build: recovery rejects a
-		// device set mixing shards of different shared-rule containers.
+		// Tie every shard pool to this build: recovery rejects a device set
+		// mixing shards of different shared-rule containers.
 		BuildTag: e.buildTag,
 	}
 	if opts.Replicas > 0 {
 		copts.Replication = core.Replication{Followers: opts.Replicas}
 	}
-	gs := a.shards
-	if gs == nil {
-		gs = []*cfg.Grammar{a.g}
-	}
-	sh, err := core.NewSharded(gs, a.d, copts)
+	sh, err := core.NewSharded(a.shards, a.d, copts)
 	if err != nil {
 		return nil, err
 	}
@@ -182,8 +173,8 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// NumShards returns the engine's shard count: 1 for unsharded archives and
-// for the DRAM engine, which runs on the whole-corpus grammar.
+// NumShards returns the engine's shard count: the archive's, or 1 for the
+// DRAM engine, which runs on the whole-corpus grammar.
 func (e *Engine) NumShards() int {
 	if e.sh != nil {
 		return e.sh.NumShards()

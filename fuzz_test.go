@@ -3,6 +3,7 @@ package ntadoc
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,6 +34,9 @@ func FuzzReadArchive(f *testing.F) {
 	legacy := bytes.Clone(buf.Bytes())
 	copy(legacy[8:], "NTDCSHD1") // the section magic of the container no longer read
 	f.Add(legacy)
+	// A bare NTDCCFG1 grammar section, which no writer produces any more
+	// but the reader still accepts as a one-shard set.
+	f.Add(bareGrammarArchive(f, a))
 	// An appended-to archive writes the NTDCDLT1 container: the base section
 	// as it was, then the delta grammar over the appended documents.
 	eng, err := NewEngine(a, Options{IngestCapacity: 1 << 16})
@@ -64,6 +68,19 @@ func FuzzReadArchive(f *testing.F) {
 		docs := got.Decompress()
 		if len(docs) != st.Documents {
 			t.Fatalf("decompressed %d docs, stats say %d", len(docs), st.Documents)
+		}
+		// ...and it re-serializes as a shared-table set that reads back to
+		// the same shard grammars under the same build tag.
+		var out bytes.Buffer
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatalf("WriteTo of an accepted archive: %v", err)
+		}
+		again, err := ReadArchive(&out)
+		if err != nil {
+			t.Fatalf("ReadArchive of a re-serialized archive: %v", err)
+		}
+		if !reflect.DeepEqual(again.shards, got.shards) || again.shared.Checksum() != got.shared.Checksum() {
+			t.Fatal("re-serialized archive reads back differently")
 		}
 	})
 }
@@ -104,8 +121,17 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		if _, err := a.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		if _, err := ReadArchive(&buf); err != nil {
+		a2, err := ReadArchive(&buf)
+		if err != nil {
 			t.Fatalf("ReadArchive of own output: %v", err)
+		}
+		// The reloaded archive builds engines from the identical grammar and
+		// stamps them with the identical build tag.
+		if !reflect.DeepEqual(a2.shards, a.shards) {
+			t.Fatal("reloaded archive has a different grammar")
+		}
+		if a2.shared.Checksum() != a.shared.Checksum() {
+			t.Fatalf("reloaded build tag %08x, want %08x", a2.shared.Checksum(), a.shared.Checksum())
 		}
 	})
 }

@@ -8,17 +8,17 @@ import (
 	"io"
 )
 
-// Online-ingestion container ("NTDCDLT1"): a base grammar section — any
-// legacy format: single grammar, shard container, or shared-table container
-// — followed by a delta-grammar section covering the documents appended
-// after the base was compressed.  Readers merge the two with MergeDelta, so
-// base+delta reads expand to exactly the concatenated document set and
-// analytics over them are bit-identical to a from-scratch rebuild.  Legacy
-// archives (no delta section) keep their old magics and still read.
+// Online-ingestion container ("NTDCDLT1"): a base grammar section — the
+// shared-table container, or in older archives a single grammar — followed
+// by a delta-grammar section covering the documents appended after the base
+// was compressed.  Readers merge the two with MergeDelta, so base+delta
+// reads expand to exactly the concatenated document set and analytics over
+// them are bit-identical to a from-scratch rebuild.  Archives without a
+// delta section keep their base section's magic.
 //
 //	magic     8 bytes "NTDCDLT1"
 //	baseLen   uvarint
-//	base      baseLen bytes (a complete legacy grammar section)
+//	base      baseLen bytes (a complete base grammar section)
 //	deltaLen  uvarint
 //	delta     deltaLen bytes (a single-grammar "NTDCCFG1" section)
 //	crc32     4 bytes LE, over everything before it

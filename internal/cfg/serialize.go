@@ -8,7 +8,9 @@ import (
 	"io"
 )
 
-// Compressed grammar file format ("NTDCCFG1"):
+// Compressed grammar file format ("NTDCCFG1").  Archives write it only as
+// the delta section of a delta container; as a base section it is read from
+// archives written before every archive was a shared-table set.
 //
 //	magic            8 bytes
 //	numWords         uvarint

@@ -187,6 +187,44 @@ type SharedShard struct {
 	Files    []string // optional, len == NumFiles when present
 }
 
+// SingleShard wraps one grammar as a one-shard set: the rules past the root
+// become the shared table, every rule reference shifted down by one, and the
+// root becomes the only shard's root.  It is the unified form of a K = 1
+// corpus — one shard has nothing to unify with, so no pass runs.
+// Materialize gives the grammar back rule for rule when its rules are
+// numbered in discovery order, as sequitur numbers them.
+func SingleShard(g *Grammar) (*SharedSet, error) {
+	if len(g.Rules) == 0 {
+		return nil, fmt.Errorf("%w: no rules", ErrInvalid)
+	}
+	shift := func(body []Symbol) ([]Symbol, error) {
+		out := make([]Symbol, len(body))
+		for i, s := range body {
+			if s.IsRule() {
+				if s.RuleIndex() == 0 {
+					return nil, fmt.Errorf("%w: reference to the root", ErrInvalid)
+				}
+				s = Rule(s.RuleIndex() - 1)
+			}
+			out[i] = s
+		}
+		return out, nil
+	}
+	set := &SharedSet{Shared: make([][]Symbol, len(g.Rules)-1), NumWords: g.NumWords}
+	for i, body := range g.Rules[1:] {
+		var err error
+		if set.Shared[i], err = shift(body); err != nil {
+			return nil, fmt.Errorf("R%d: %w", i+1, err)
+		}
+	}
+	root, err := shift(g.Rules[0])
+	if err != nil {
+		return nil, fmt.Errorf("R0: %w", err)
+	}
+	set.Shards = []SharedShard{{Root: root, NumFiles: g.NumFiles, Files: g.Files}}
+	return set, nil
+}
+
 // reparseLimit bounds how many adjacent symbols a dictionary re-parse will
 // coalesce into one run.  Real carving mismatches between shards span a few
 // symbols; the cap keeps root re-parsing linear.

@@ -364,3 +364,40 @@ func TestMaterializeSelfContainedShards(t *testing.T) {
 		t.Fatalf("shard 0 files = %v", got)
 	}
 }
+
+func TestSingleShard(t *testing.T) {
+	g := &Grammar{
+		Rules: [][]Symbol{
+			{Rule(1), Sep(0), Rule(2), Rule(1), Sep(1)},
+			{Word(0), Rule(2)},
+			{Word(1), Word(2)},
+		},
+		NumWords: 3,
+		NumFiles: 2,
+		Files:    []string{"a", "b"},
+	}
+	set, err := SingleShard(g)
+	if err != nil {
+		t.Fatalf("SingleShard: %v", err)
+	}
+	want := &SharedSet{
+		Shared:   [][]Symbol{{Word(0), Rule(1)}, {Word(1), Word(2)}},
+		NumWords: 3,
+		Shards:   []SharedShard{{Root: []Symbol{Rule(0), Sep(0), Rule(1), Rule(0), Sep(1)}, NumFiles: 2, Files: []string{"a", "b"}}},
+	}
+	if !reflect.DeepEqual(set, want) {
+		t.Fatalf("SingleShard = %+v, want %+v", set, want)
+	}
+	mats, err := set.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	if !reflect.DeepEqual(mats, []*Grammar{g}) {
+		t.Fatalf("Materialize(SingleShard(g)) = %+v, want g back", mats[0])
+	}
+	// A rule referencing the root has no place in a shared table.
+	g.Rules = append(g.Rules, []Symbol{Rule(0), Word(0)})
+	if _, err := SingleShard(g); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("root reference: err = %v, want ErrInvalid", err)
+	}
+}

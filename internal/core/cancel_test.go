@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
-	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
 // countdownCtx is a deterministic cancellation source: it reports Canceled
@@ -81,10 +80,7 @@ func TestShardedSessionCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unsharded RunOps: %v", err)
 	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
 	se, err := NewSharded(gs, d, Options{Sequences: true})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)

@@ -42,7 +42,7 @@ func TestFlushFailureDuringCheckpointSurfaces(t *testing.T) {
 	if _, err := analytics.WordCount(e); err == nil {
 		t.Fatal("expected checkpoint flush failure to surface")
 	}
-	e.dev.DisarmFailPoint()
+	e.dev.DisarmFailPoints()
 	// The engine remains usable once the device recovers.
 	wc, err := analytics.WordCount(e)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestOpLevelFlushFailureSurfaces(t *testing.T) {
 	if _, err := analytics.WordCount(e); err == nil {
 		t.Fatal("expected op-log flush failure to surface")
 	}
-	e.dev.DisarmFailPoint()
+	e.dev.DisarmFailPoints()
 	if _, err := analytics.WordCount(e); err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}

@@ -481,8 +481,11 @@ func estimatePoolSize(g *cfg.Grammar, p *prepState, opts Options) int64 {
 	if opts.Persistence == OpLevel {
 		size += opts.OpLogCap
 	}
-	return size + int64(float64(size)*opts.PoolSlack) + 4096
+	return size + int64(float64(size)*poolSlack) + 4096
 }
+
+// poolSlack is the extra pool capacity fraction beyond the estimate.
+const poolSlack = 0.5
 
 // initialize is the initialization phase: it lays out every pool structure
 // and checkpoints.

@@ -273,10 +273,7 @@ func TestShardedAppendBitIdentity(t *testing.T) {
 	const base = 6
 	for k := 1; k <= 4; k++ {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), k)
-			if err != nil {
-				t.Fatalf("InferShards: %v", err)
-			}
+			gs := shardGrammars(t, files[:base], uint32(d.Len()), k)
 			se, err := NewSharded(gs, d, Options{Sequences: true, IngestCap: 1 << 20})
 			if err != nil {
 				t.Fatalf("NewSharded: %v", err)
@@ -311,10 +308,7 @@ func TestShardedAppendBitIdentity(t *testing.T) {
 func TestShardedIngestRecovery(t *testing.T) {
 	files, d, _ := corpus(t, 76, 9, 150, 25)
 	const base = 5
-	gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files[:base], uint32(d.Len()), 3)
 	se, err := NewSharded(gs, d, Options{Sequences: true, IngestCap: 1 << 20})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -409,10 +403,7 @@ func pinnedDocs(files [][]uint32, docMap []uint32, base, numFiles uint32) [][]ui
 func concurrentIngest(t *testing.T, k int, compact bool) {
 	files, d, _ := corpus(t, 77, 24, 120, 25)
 	const base = 4
-	gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), k)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files[:base], uint32(d.Len()), k)
 	e, err := NewSharded(gs, d, Options{Sequences: true, IngestCap: 1 << 20})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -651,10 +642,7 @@ func TestCompactionBoundsServingEngines(t *testing.T) {
 	const base, rounds = 4, 12
 	for k := 1; k <= 2; k++ {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), k)
-			if err != nil {
-				t.Fatalf("InferShards: %v", err)
-			}
+			gs := shardGrammars(t, files[:base], uint32(d.Len()), k)
 			se, err := NewSharded(gs, d, Options{Sequences: true, IngestCap: 1 << 20})
 			if err != nil {
 				t.Fatalf("NewSharded: %v", err)

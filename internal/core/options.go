@@ -135,12 +135,11 @@ type Options struct {
 	// is rejected.
 	ShardIndex uint32
 	ShardCount uint32
-	// BuildTag, when non-zero, is a content fingerprint of the compressed
-	// input stamped into the engine's pool header (for shards of a unified
-	// shared-rule container, the container's shared-table checksum; see
-	// cfg.SharedSet.Checksum).  ReopenSharded rejects a device set whose
-	// pools carry different tags — shards of different builds — even when
-	// their positional stamps line up.
+	// BuildTag is a content fingerprint of the compressed input stamped
+	// into the engine's pool header: for an archive's shards, at every shard
+	// count, the shared-table checksum (cfg.SharedSet.Checksum).
+	// ReopenSharded rejects a pool whose tag differs from it — a shard of
+	// another build — even when its positional stamps line up.
 	BuildTag uint32
 	// ShardDevices, when non-nil, provides one pre-created device per shard
 	// to NewSharded (it must have exactly one device per shard grammar).
@@ -184,9 +183,6 @@ type Options struct {
 	// The log is monotonic: once the region fills, Append returns
 	// ErrIngestFull until the corpus is recompressed.
 	IngestCap int64
-	// PoolSlack is the extra pool capacity fraction beyond the estimate
-	// (default 0.5; NoBounds runs need headroom for reconstruction).
-	PoolSlack float64
 	// OpLogCap is the operation-level redo-log capacity (default 256 KiB;
 	// the log compacts when full, flushing the live tables).
 	OpLogCap int64
@@ -199,9 +195,6 @@ type Options struct {
 
 // withDefaults resolves zero values.
 func (o Options) withDefaults() Options {
-	if o.PoolSlack == 0 {
-		o.PoolSlack = 0.5
-	}
 	if o.OpLogCap == 0 {
 		o.OpLogCap = 256 << 10
 	}

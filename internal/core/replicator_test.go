@@ -7,7 +7,6 @@ import (
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/nvm"
-	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
 // TestSyncReplicationCRC is the replication invariant differential: shipping
@@ -30,10 +29,7 @@ func TestSyncReplicationCRC(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			files, d, _ := corpus(t, tc.seed, tc.files, tc.tokens, tc.vocab)
 			for k := 1; k <= 4; k++ {
-				gs, err := sequitur.InferShards(files, uint32(d.Len()), k)
-				if err != nil {
-					t.Fatalf("InferShards(k=%d): %v", k, err)
-				}
+				gs := shardGrammars(t, files, uint32(d.Len()), k)
 				se, err := NewSharded(gs, d, Options{
 					Sequences:   true,
 					Persistence: OpLevel,
@@ -87,10 +83,7 @@ func TestSyncReplicationCRC(t *testing.T) {
 // as ErrShardFailed naming that shard, with the device error in its chain.
 func TestShardFailedTyped(t *testing.T) {
 	files, d, _ := corpus(t, 62, 6, 200, 30)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
 	se, err := NewSharded(gs, d, Options{Sequences: true, Persistence: OpLevel})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -131,10 +124,7 @@ func TestDisarmFailPointsSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unsharded RunOps: %v", err)
 	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
 	se, err := NewSharded(gs, d, Options{Sequences: true, Persistence: OpLevel})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -167,10 +157,7 @@ func TestFailoverBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unsharded RunOps: %v", err)
 	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 4)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 4)
 	se, err := NewSharded(gs, d, Options{
 		Sequences:   true,
 		Persistence: OpLevel,
@@ -216,10 +203,7 @@ func TestFailoverReseedsFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unsharded RunOps: %v", err)
 	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	se, err := NewSharded(gs, d, Options{
 		Sequences:   true,
 		Persistence: OpLevel,
@@ -291,10 +275,7 @@ func TestFailoverReseedsFollowers(t *testing.T) {
 // back — once promoted it belongs to no replicator, so nothing else would.
 func TestFailoverRejectsForeignFollower(t *testing.T) {
 	files, d, _ := corpus(t, 68, 4, 200, 25)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	opts := Options{Sequences: true, Persistence: OpLevel}
 	// Equal-sized pools, so shard 0's image fits shard 1's follower exactly.
 	var size int64
@@ -352,10 +333,7 @@ func TestFailoverRejectsForeignFollower(t *testing.T) {
 // injected follower, under the same stamp validation.
 func TestReopenShardedFailover(t *testing.T) {
 	files, d, _ := corpus(t, 66, 4, 200, 25)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	se, err := NewSharded(gs, d, Options{
 		Sequences:   true,
 		Persistence: OpLevel,

@@ -97,10 +97,7 @@ func TestRootRunsAreTheRootWindows(t *testing.T) {
 			t.Fatalf("DRAM RunOps: %v", err)
 		}
 		for _, k := range []int{1, 2} {
-			gs, err := sequitur.InferShards(files, uint32(d.Len()), k)
-			if err != nil {
-				t.Fatalf("InferShards: %v", err)
-			}
+			gs := shardGrammars(t, files, uint32(d.Len()), k)
 			for _, strat := range []Strategy{TopDown, BottomUp} {
 				for _, raw := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/K=%d/%s/raw=%v", sh.name, k, strat, raw), func(t *testing.T) {

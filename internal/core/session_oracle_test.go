@@ -50,10 +50,7 @@ func mapResults(ops []analytics.Op, results []any) []any {
 // shardSet builds a K-shard engine set over files.
 func shardSet(t testing.TB, files [][]uint32, d *dict.Dictionary, k int, opts Options) *ShardedEngine {
 	t.Helper()
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), k)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), k)
 	se, err := NewSharded(gs, d, opts)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)

@@ -125,13 +125,13 @@ func sanitizeOpts(opts Options) Options {
 }
 
 // NewSharded builds one engine per shard grammar concurrently and returns
-// the coordinator.  Shard grammars come from sequitur.InferShards (or
-// cfg.SharedSet.Materialize); all shards share one dictionary.  Per-shard
-// devices are created automatically, or injected via opts.ShardDevices; a
-// file-backed opts.Path becomes one file per shard (path + ".shardN"),
-// except that a one-shard set keeps the path itself as its pool file.  With
-// opts.Replication, each shard's followers are seeded with a snapshot of
-// the freshly built pool and then track it commit by commit.
+// the coordinator.  Shard grammars come from cfg.SharedSet.Materialize; all
+// shards share one dictionary.  Per-shard devices are created
+// automatically, or injected via opts.ShardDevices; a file-backed opts.Path
+// becomes one file per shard (path + ".shardN"), except that a one-shard
+// set keeps the path itself as its pool file.  With opts.Replication, each
+// shard's followers are seeded with a snapshot of the freshly built pool
+// and then track it commit by commit.
 func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEngine, error) {
 	if len(gs) == 0 {
 		return nil, errEngine("new sharded", errors.New("no shard grammars"))
@@ -244,14 +244,15 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 // ReopenSharded recovers a sharded engine from its per-shard devices after
 // a crash or restart: each shard recovers independently under the unsharded
 // recovery contract (devs[i] carries shard i's pool).  Pool shard stamps
-// are validated against the assembly order, so a reordered or foreign
-// device set fails with ErrShardMismatch rather than silently merging the
-// wrong documents.  When opts.Replication injects follower devices, a shard
-// whose primary fails to recover falls over to the first follower that
-// passes the same recovery contract and stamp validation; only if every
-// replica of a shard is unrecoverable does the reopen fail, with
-// ErrShardFailed naming the shard and joining every replica's reason in its
-// cause chain (ErrNeedsReload when an image's initialization never
+// are validated against the assembly order and every pool's build tag
+// against opts.BuildTag, so a reordered or foreign device set fails with
+// ErrShardMismatch rather than silently merging the wrong documents.  When
+// opts.Replication injects follower devices, a shard whose primary fails to
+// recover falls over to the first follower that passes the same recovery
+// contract and stamp validation; only if every replica of a shard is
+// unrecoverable does the reopen fail, with ErrShardFailed naming the shard
+// and joining every replica's reason in its cause chain (ErrNeedsReload
+// when an image's initialization never
 // completed — the caller rebuilds the shard from the compressed input —
 // ErrShardMismatch for a follower stamped for another shard or build).  The
 // per-shard infos of the shards examined so far are returned alongside the
@@ -344,10 +345,9 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 // must pass the unsharded recovery contract, and its pool stamps must name
 // position i of this set and carry the set's build tag, se.opts.BuildTag —
 // positional stamps alone cannot tell shard 1-of-4 of one unified build from
-// shard 1-of-4 of another.  While ReopenSharded reopens shard 0 for a caller
-// that expects no tag, shard 0's tag becomes the set's.  A mismatch abandons
-// the reopened engine and reports ErrShardMismatch; dev stays the caller's
-// either way, and the caller decides what becomes of it.
+// shard 1-of-4 of another.  A mismatch abandons the reopened engine and
+// reports ErrShardMismatch; dev stays the caller's either way, and the
+// caller decides what becomes of it.
 func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *RecoveryInfo, error) {
 	o := se.opts
 	o.ShardIndex = uint32(i)
@@ -356,12 +356,9 @@ func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *Recov
 	if err != nil {
 		return nil, nil, err
 	}
-	adopt := se.shards[0] == nil && se.opts.BuildTag == 0
 	if idx, cnt := e.pool.Shard(); idx != o.ShardIndex || cnt != o.ShardCount {
 		err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, idx, cnt)
-	} else if tag := e.pool.Tag(); adopt {
-		se.opts.BuildTag = tag
-	} else if tag != se.opts.BuildTag {
+	} else if tag := e.pool.Tag(); tag != se.opts.BuildTag {
 		err = fmt.Errorf("%w: pool build tag %08x, want %08x", ErrShardMismatch, tag, se.opts.BuildTag)
 	}
 	if err != nil {

@@ -11,6 +11,17 @@ import (
 	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
+// shardGrammars infers k shard grammars the way archives do: through the
+// shared-dictionary path, materialized from the unified set.
+func shardGrammars(t testing.TB, files [][]uint32, numWords uint32, k int) []*cfg.Grammar {
+	t.Helper()
+	sb, err := sequitur.InferShardsShared(files, numWords, k)
+	if err != nil {
+		t.Fatalf("InferShardsShared(k=%d): %v", k, err)
+	}
+	return sb.Shards
+}
+
 // TestShardCountInvariance is the differential test of the sharded engine:
 // for every registered op, a K-way sharded engine must return results
 // bit-identical to the unsharded engine over the same corpus, for K up to
@@ -37,45 +48,30 @@ func TestShardCountInvariance(t *testing.T) {
 				t.Fatalf("unsharded RunOps: %v", err)
 			}
 			for k := 1; k <= 4; k++ {
-				// Both shard pipelines must be invariant: independent
-				// per-shard inference, and the shared-dictionary path whose
-				// grammars went through interning, cross-shard rule
-				// unification, and re-materialization.
-				gs, err := sequitur.InferShards(files, uint32(d.Len()), k)
+				// The shard grammars went through interning, cross-shard rule
+				// unification, and re-materialization, the form archives
+				// ship.
+				se, err := NewSharded(shardGrammars(t, files, uint32(d.Len()), k), d, Options{Sequences: true})
 				if err != nil {
-					t.Fatalf("InferShards(k=%d): %v", k, err)
+					t.Fatalf("NewSharded(k=%d): %v", k, err)
 				}
-				sb, err := sequitur.InferShardsShared(files, uint32(d.Len()), k)
+				t.Cleanup(func() { se.Close() })
+				got, err := se.RunOps(ops)
 				if err != nil {
-					t.Fatalf("InferShardsShared(k=%d): %v", k, err)
+					t.Fatalf("sharded RunOps(k=%d): %v", k, err)
 				}
-				for _, p := range []struct {
-					path string
-					gs   []*cfg.Grammar
-				}{{"independent", gs}, {"dedup", sb.Shards}} {
-					se, err := NewSharded(p.gs, d, Options{Sequences: true})
-					if err != nil {
-						t.Fatalf("NewSharded(k=%d, %s): %v", k, p.path, err)
+				for i, op := range ops {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("k=%d op %s: sharded result differs from unsharded", k, op.Name())
 					}
-					t.Cleanup(func() { se.Close() })
-					got, err := se.RunOps(ops)
-					if err != nil {
-						t.Fatalf("sharded RunOps(k=%d, %s): %v", k, p.path, err)
-					}
-					for i, op := range ops {
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Errorf("k=%d op %s (%s): sharded result differs from unsharded",
-								k, op.Name(), p.path)
-						}
-					}
-					// Singleton path and typed engine methods.
-					wc, err := analytics.WordCount(se)
-					if err != nil {
-						t.Fatalf("sharded WordCount(k=%d, %s): %v", k, p.path, err)
-					}
-					if !reflect.DeepEqual(wc, analytics.MapResult(ops[0], want[0])) {
-						t.Errorf("k=%d (%s): WordCount differs from unsharded", k, p.path)
-					}
+				}
+				// Singleton path and typed engine methods.
+				wc, err := analytics.WordCount(se)
+				if err != nil {
+					t.Fatalf("sharded WordCount(k=%d): %v", k, err)
+				}
+				if !reflect.DeepEqual(wc, analytics.MapResult(ops[0], want[0])) {
+					t.Errorf("k=%d: WordCount differs from unsharded", k)
 				}
 			}
 		})
@@ -92,10 +88,7 @@ func TestShardedSessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unsharded RunOps: %v", err)
 	}
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
 	se, err := NewSharded(gs, d, Options{Sequences: true})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -132,10 +125,7 @@ func TestShardedSessions(t *testing.T) {
 // critical-path totals, summed device stats, and summed residency.
 func TestShardedSpansAndAccounting(t *testing.T) {
 	files, d, _ := corpus(t, 55, 6, 250, 30)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 3)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
 	se, err := NewSharded(gs, d, Options{Sequences: true})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -200,10 +190,7 @@ func TestShardedSpansAndAccounting(t *testing.T) {
 // engine from them, checking results and stamp validation.
 func TestReopenSharded(t *testing.T) {
 	files, d, _ := corpus(t, 56, 4, 200, 25)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	se, err := NewSharded(gs, d, Options{Sequences: true})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -248,14 +235,11 @@ func TestReopenSharded(t *testing.T) {
 
 // TestReopenShardedBuildTag checks the build-tag leg of stamp validation:
 // a device set mixing shards of differently-tagged builds is rejected, as
-// is a set whose tag differs from the caller's expectation, while a
-// consistently tagged set recovers.
+// is a set whose tag differs from the caller's expectation — zero included —
+// while a consistently tagged set recovers.
 func TestReopenShardedBuildTag(t *testing.T) {
 	files, d, _ := corpus(t, 58, 4, 200, 25)
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	build := func(tag uint32) []*nvm.SimDevice {
 		se, err := NewSharded(gs, d, Options{BuildTag: tag})
 		if err != nil {
@@ -280,6 +264,10 @@ func TestReopenShardedBuildTag(t *testing.T) {
 	if _, _, err := ReopenSharded(a, d, Options{BuildTag: 0x3333}); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("wrong expected tag: err = %v, want ErrShardMismatch", err)
 	}
+	// A caller expecting tag 0 does not adopt the set's tag.
+	if _, _, err := ReopenSharded(a, d, Options{}); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("untagged caller: err = %v, want ErrShardMismatch", err)
+	}
 	// Consistent tags matching the caller's expectation recover (Close last:
 	// the recovered engine owns the devices).
 	se, _, err := ReopenSharded(a, d, Options{BuildTag: 0x1111})
@@ -298,10 +286,7 @@ func TestNewShardedValidation(t *testing.T) {
 	// Mismatched ShardDevices length is rejected before any build work.
 	dev := nvm.New(nvm.KindNVM, 1<<20)
 	defer dev.Discard()
-	gs, err := sequitur.InferShards(files, uint32(d.Len()), 2)
-	if err != nil {
-		t.Fatalf("InferShards: %v", err)
-	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	if _, err := NewSharded(gs, d, Options{ShardDevices: []*nvm.SimDevice{dev}}); err == nil {
 		t.Error("device/shard count mismatch accepted")
 	}

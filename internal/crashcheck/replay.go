@@ -41,11 +41,12 @@ type reference struct {
 	result any // exact shard-local task result, in mapResults's form
 }
 
-// newRun generates the corpus and infers the shard grammars: with
-// sequitur.Infer at K = 1 and through the shared-dictionary path at K > 1 —
-// shard grammars interned, unified against the shared rule table and
-// re-materialized, the pipeline the archive format persists — the way
-// ntadoc's compressSharded does.
+// newRun generates the corpus and infers the shard grammars the way
+// ntadoc's compressSharded does: with sequitur.Infer wrapped as a one-shard
+// set at K = 1, and through the shared-dictionary path at K > 1 — shard
+// grammars interned, unified against the shared rule table and
+// re-materialized.  Every pool carries the set's build tag, as an archive's
+// engines stamp theirs, so recovery reopens tagged pools.
 func newRun(c Config) (*run, error) {
 	spec := datagen.Spec{
 		Name: "crashcheck", Seed: c.CorpusSeed,
@@ -57,24 +58,32 @@ func newRun(c Config) (*run, error) {
 	if c.Scenario == Ingest {
 		r.base = len(files) / 2
 	}
+	var set *cfg.SharedSet
 	if c.Shards == 1 {
 		g, err := sequitur.Infer(files[:r.base], uint32(d.Len()))
 		if err != nil {
 			return nil, fmt.Errorf("crashcheck: infer grammar: %w", err)
 		}
-		r.gs = []*cfg.Grammar{g}
+		if set, err = cfg.SingleShard(g); err != nil {
+			return nil, fmt.Errorf("crashcheck: wrap grammar: %w", err)
+		}
 	} else {
 		sb, err := sequitur.InferShardsShared(files, uint32(d.Len()), c.Shards)
 		if err != nil {
 			return nil, fmt.Errorf("crashcheck: infer shard grammars: %w", err)
 		}
-		if r.gs = sb.Shards; len(r.gs) != c.Shards {
-			return nil, fmt.Errorf("crashcheck: got %d shards for k=%d", len(r.gs), c.Shards)
-		}
+		set = sb.Set
 	}
+	var err error
+	if r.gs, err = set.Materialize(); err != nil {
+		return nil, fmt.Errorf("crashcheck: materialize shards: %w", err)
+	}
+	if len(r.gs) != c.Shards {
+		return nil, fmt.Errorf("crashcheck: got %d shards for k=%d", len(r.gs), c.Shards)
+	}
+	r.opts.BuildTag = set.Checksum()
 	r.sizes = make([]int64, len(r.gs))
 	for i, g := range r.gs {
-		var err error
 		if r.sizes[i], err = core.PoolEstimate(g, r.opts); err != nil {
 			return nil, fmt.Errorf("crashcheck: size shard %d pool: %w", i, err)
 		}

@@ -245,8 +245,3 @@ func MapBytes(n int, keyBytes, valBytes int) int64 {
 
 // SliceBytes estimates a slice of n elements of w bytes each.
 func SliceBytes(n int, w int) int64 { return int64(n) * int64(w) }
-
-// StringsBytes estimates a []string with the given total content length.
-func StringsBytes(n int, contentLen int64) int64 {
-	return int64(n)*16 + contentLen
-}

@@ -106,9 +106,6 @@ func TestMemEstimates(t *testing.T) {
 	if SliceBytes(7, 8) != 56 {
 		t.Errorf("SliceBytes = %d", SliceBytes(7, 8))
 	}
-	if StringsBytes(2, 100) != 2*16+100 {
-		t.Errorf("StringsBytes = %d", StringsBytes(2, 100))
-	}
 }
 
 func TestMergeParallel(t *testing.T) {

@@ -227,26 +227,6 @@ func (a Accessor) ReadU64s(off int64, dst []uint64) {
 	}
 }
 
-// WriteU64s writes src as consecutive little-endian uint64 values at off in
-// one device write — charge-identical to WriteBytes over the same range.
-func (a Accessor) WriteU64s(off int64, src []uint64) {
-	n := int64(len(src)) * 8
-	a.check(off, n)
-	if a.sim != nil {
-		dst := a.sim.accessWrite(a.base+off, n)
-		for i, v := range src {
-			binary.LittleEndian.PutUint64(dst[i*8:], v)
-		}
-		return
-	}
-	buf := make([]byte, n)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	_, err := a.dev.WriteAt(buf, a.base+off)
-	a.must(err)
-}
-
 // Fill writes n copies of v at off in one device write — charge-identical to
 // WriteBytes of an n-byte buffer.  Zeroing loops (pool allocation, table
 // resets) use it to avoid materializing the fill pattern.
@@ -270,57 +250,6 @@ func (a Accessor) Fill(off, n int64, v byte) {
 		}
 	}
 	_, err := a.dev.WriteAt(buf, a.base+off)
-	a.must(err)
-}
-
-// FillU64 writes count copies of the little-endian uint64 v at off in one
-// device write — charge-identical to WriteBytes of the same 8*count bytes.
-func (a Accessor) FillU64(off, count int64, v uint64) {
-	n := count * 8
-	a.check(off, n)
-	if v == 0 {
-		a.Fill(off, n, 0)
-		return
-	}
-	if a.sim != nil {
-		dst := a.sim.accessWrite(a.base+off, n)
-		fillPattern64(dst, v)
-		return
-	}
-	buf := make([]byte, n)
-	fillPattern64(buf, v)
-	_, err := a.dev.WriteAt(buf, a.base+off)
-	a.must(err)
-}
-
-// fillPattern64 tiles b (whose length is a multiple of 8) with v, doubling
-// the initialized prefix each round.
-func fillPattern64(b []byte, v uint64) {
-	if len(b) == 0 {
-		return
-	}
-	binary.LittleEndian.PutUint64(b, v)
-	for done := 8; done < len(b); done *= 2 {
-		copy(b[done:], b[:done])
-	}
-}
-
-// CopyWithin copies n bytes from region offset srcOff to dstOff, equivalent
-// to (and charge-identical to) ReadBytes(srcOff) followed by
-// WriteBytes(dstOff).  Overlapping ranges behave like Go's copy.
-func (a Accessor) CopyWithin(dstOff, srcOff, n int64) {
-	a.check(srcOff, n)
-	a.check(dstOff, n)
-	if a.sim != nil {
-		src := a.sim.accessRead(a.base+srcOff, n)
-		dst := a.sim.accessWrite(a.base+dstOff, n)
-		copy(dst, src)
-		return
-	}
-	buf := make([]byte, n)
-	_, err := a.dev.ReadAt(buf, a.base+srcOff)
-	a.must(err)
-	_, err = a.dev.WriteAt(buf, a.base+dstOff)
 	a.must(err)
 }
 

@@ -1,7 +1,5 @@
 package nvm
 
-import "time"
-
 // CostModel describes the modeled timing of a medium.  All costs are in
 // nanoseconds.  An access that hits the device cache pays HitNanos; a miss
 // pays ReadNanos or WriteNanos per media granule it touches.  Block devices
@@ -108,13 +106,6 @@ func (m CostModel) WithCacheBytes(n int64) CostModel {
 	return m
 }
 
-// WithoutCache returns a copy of m with the device cache disabled, so every
-// access pays full media latency.  Used by the locality ablation.
-func (m CostModel) WithoutCache() CostModel {
-	m.CacheBytes = 0
-	return m
-}
-
 // ModelFor returns the default cost model for a medium.
 func ModelFor(k Kind) CostModel {
 	switch k {
@@ -141,6 +132,3 @@ func granules(off, n, g int64) int64 {
 	last := (off + n - 1) / g
 	return last - first + 1
 }
-
-// ModeledDuration converts accumulated modeled nanoseconds to a Duration.
-func ModeledDuration(nanos int64) time.Duration { return time.Duration(nanos) }

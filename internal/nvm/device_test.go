@@ -214,7 +214,7 @@ func TestMediaCostOrdering(t *testing.T) {
 func TestHDDSeekPenalty(t *testing.T) {
 	// Random block access on HDD must record seeks; sequential must not
 	// (beyond the first).
-	d := NewWithModel(KindHDD, 1<<20, HDDModel.WithoutCache())
+	d := NewWithModel(KindHDD, 1<<20, HDDModel.WithCacheBytes(0))
 	defer d.Discard()
 	buf := make([]byte, 4096)
 	for off := int64(0); off < 1<<20; off += 4096 {
@@ -288,7 +288,7 @@ func TestFailPoint(t *testing.T) {
 	if err := d.Flush(0, 3); !errors.Is(err, ErrFailPoint) {
 		t.Fatalf("second flush should fail: %v", err)
 	}
-	d.DisarmFailPoint()
+	d.DisarmFailPoints()
 	if err := d.Flush(0, 3); err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}

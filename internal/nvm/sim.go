@@ -928,10 +928,6 @@ func (d *SimDevice) FailAfterDrains(n int64) { d.failAfterDrains = n }
 // store instructions.
 func (d *SimDevice) FailAfterWrites(n int64) { d.failAfterWrites = n }
 
-// DisarmFailPoint clears the flush fail point (historical name; prefer
-// DisarmFailPoints).
-func (d *SimDevice) DisarmFailPoint() { d.failAfterFlushes = -1 }
-
 // DisarmFailPoints clears every armed fail point.
 func (d *SimDevice) DisarmFailPoints() {
 	d.failAfterFlushes = -1

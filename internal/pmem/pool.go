@@ -205,9 +205,6 @@ func (p *Pool) Size() int64 { return p.size }
 // Allocated returns the bytes currently allocated, including header and log.
 func (p *Pool) Allocated() int64 { return p.top }
 
-// Remaining returns the bytes still available for allocation.
-func (p *Pool) Remaining() int64 { return p.size - p.top }
-
 // Alloc reserves n bytes aligned to align (a power of two; 0 or 1 means
 // unaligned) and returns an accessor for the new region.  The watermark is
 // volatile until the next Checkpoint, matching phase-level persistence:
@@ -227,7 +224,7 @@ func (p *Pool) Alloc(n, align int64) (nvm.Accessor, error) {
 	return p.acc.Slice(off, n), nil
 }
 
-// AllocAt is Alloc with the region zeroed, for structures that rely on a
+// AllocZeroed is Alloc with the region zeroed, for structures that rely on a
 // zero initial state (hash-table status bytes, counters).
 func (p *Pool) AllocZeroed(n, align int64) (nvm.Accessor, error) {
 	a, err := p.Alloc(n, align)

@@ -48,12 +48,6 @@ func NewDenseCounter(p *pmem.Pool, size int64) (*DenseCounter, error) {
 	return &DenseCounter{acc: acc, size: size}, nil
 }
 
-// IsDenseAt reports whether the structure at pool offset off is a
-// DenseCounter (as opposed to a HashTable).
-func IsDenseAt(p *pmem.Pool, off int64) bool {
-	return p.AccessorAt(off, 8).Uint64(0)&denseMarker != 0
-}
-
 // Base returns the counter's pool offset.
 func (c *DenseCounter) Base() int64 { return c.acc.Base() }
 

@@ -4,70 +4,11 @@ import (
 	"github.com/text-analytics/ntadoc/internal/pmem"
 )
 
-// GrowableVector is the baseline the paper's bottom-up summation replaces: a
-// vector that starts small and, when full, allocates a doubled region in the
-// pool and copies every element across — the "violent reconstruction" whose
-// read-modify-write traffic the paper identifies as NVM challenge 2.  It is
-// retained for the ablation benchmarks; the engine itself never uses it.
-type GrowableVector struct {
-	pool *pmem.Pool
-	vec  *Vector
-	// Reconstructions counts how many reallocation+copy cycles occurred,
-	// so ablations can report them alongside device stats.
-	Reconstructions int
-}
-
-// NewGrowableVector allocates a growable vector with a small initial
-// capacity.
-func NewGrowableVector(p *pmem.Pool, initial int64) (*GrowableVector, error) {
-	if initial < 4 {
-		initial = 4
-	}
-	v, err := NewVector(p, initial)
-	if err != nil {
-		return nil, err
-	}
-	return &GrowableVector{pool: p, vec: v}, nil
-}
-
-// Len returns the number of elements.
-func (g *GrowableVector) Len() int64 { return g.vec.Len() }
-
-// Get returns element i.
-func (g *GrowableVector) Get(i int64) (uint64, error) { return g.vec.Get(i) }
-
-// Range iterates over the elements in order.
-func (g *GrowableVector) Range(fn func(i int64, x uint64) bool) { g.vec.Range(fn) }
-
-// Append adds x, reconstructing into a doubled region when full.
-func (g *GrowableVector) Append(x uint64) error {
-	if err := g.vec.Append(x); err == nil {
-		return nil
-	} else if err != ErrFull {
-		return err
-	}
-	bigger, err := NewVector(g.pool, g.vec.Cap()*2)
-	if err != nil {
-		return err
-	}
-	// The copy re-reads every element from NVM and rewrites it — exactly
-	// the redundant access the upper-bound design avoids.
-	var copyErr error
-	g.vec.Range(func(_ int64, v uint64) bool {
-		copyErr = bigger.Append(v)
-		return copyErr == nil
-	})
-	if copyErr != nil {
-		return copyErr
-	}
-	g.vec = bigger
-	g.Reconstructions++
-	return g.vec.Append(x)
-}
-
-// GrowableHashTable is the growable counterpart for hash tables: when the
-// load factor exceeds 1/2 it allocates a doubled table and rehashes every
-// entry, again paying full read-modify-write traffic on NVM.
+// GrowableHashTable is the baseline the paper's upper-bound-sized tables
+// replace: a table that starts small and, when the load factor exceeds 1/2,
+// allocates a doubled table in the pool and rehashes every entry — the
+// "violent reconstruction" whose read-modify-write traffic the paper
+// identifies as NVM challenge 2.  Only the NoBounds ablation uses it.
 type GrowableHashTable struct {
 	pool            *pmem.Pool
 	ht              *HashTable

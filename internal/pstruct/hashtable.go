@@ -74,20 +74,6 @@ func NewHashTable(p *pmem.Pool, bound int64) (*HashTable, error) {
 	return newHT(acc, c), nil
 }
 
-// OpenHashTable reattaches to a table previously allocated at pool offset
-// off.
-func OpenHashTable(p *pmem.Pool, off int64) (*HashTable, error) {
-	hdr := p.AccessorAt(off, htHeader)
-	c := int64(hdr.Uint64(0))
-	if c <= 0 || c&(c-1) != 0 {
-		return nil, fmt.Errorf("pstruct: corrupt hash table capacity %d", c)
-	}
-	acc := p.AccessorAt(off, htHeader+c+c*16)
-	t := newHT(acc, c)
-	t.count = int64(acc.Uint64(8))
-	return t, nil
-}
-
 func newHT(acc nvm.Accessor, c int64) *HashTable {
 	t := new(HashTable)
 	t.init(acc, c)

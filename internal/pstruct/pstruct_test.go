@@ -92,65 +92,6 @@ func TestVectorRangeAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestVectorReopen(t *testing.T) {
-	p := testPool(t, 1<<20)
-	v, _ := NewVector(p, 5)
-	v.Append(11)
-	v.Append(22)
-	v2, err := OpenVector(p, v.Base())
-	if err != nil {
-		t.Fatalf("OpenVector: %v", err)
-	}
-	if v2.Len() != 2 || v2.Cap() != 5 {
-		t.Errorf("reopened len/cap = %d/%d", v2.Len(), v2.Cap())
-	}
-	if got, _ := v2.Get(1); got != 22 {
-		t.Errorf("reopened Get(1) = %d", got)
-	}
-}
-
-func TestVectorPersistence(t *testing.T) {
-	dev := nvm.New(nvm.KindNVM, 1<<20)
-	defer dev.Discard()
-	p, _ := pmem.Create(dev, pmem.Options{LogCap: 4096})
-	v, _ := NewVector(p, 4)
-	v.Append(5)
-	v.Append(6)
-	if err := v.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	p.SetRoot(0, v.Base())
-	if err := p.Checkpoint(1); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	must(t, dev.Crash())
-	p2, err := pmem.Open(dev)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	off, _ := p2.Root(0)
-	v2, err := OpenVector(p2, off)
-	if err != nil {
-		t.Fatalf("OpenVector: %v", err)
-	}
-	if v2.Len() != 2 {
-		t.Fatalf("len after crash = %d", v2.Len())
-	}
-	if a, _ := v2.Get(0); a != 5 {
-		t.Errorf("Get(0) = %d", a)
-	}
-	if b, _ := v2.Get(1); b != 6 {
-		t.Errorf("Get(1) = %d", b)
-	}
-}
-
-func TestPairPacking(t *testing.T) {
-	id, freq := Unpair(Pair(0xabcdef12, 0x34567890))
-	if id != 0xabcdef12 || freq != 0x34567890 {
-		t.Errorf("Unpair(Pair) = %#x, %#x", id, freq)
-	}
-}
-
 func TestHashTablePutGet(t *testing.T) {
 	p := testPool(t, 1<<20)
 	h, err := NewHashTable(p, 100)
@@ -276,9 +217,9 @@ func TestHashTableReopen(t *testing.T) {
 
 	p2, _ := pmem.Open(dev)
 	off, _ := p2.Root(1)
-	h2, err := OpenHashTable(p2, off)
+	h2, err := OpenCounterAt(p2, off)
 	if err != nil {
-		t.Fatalf("OpenHashTable: %v", err)
+		t.Fatalf("OpenCounterAt: %v", err)
 	}
 	if h2.Len() != 20 {
 		t.Errorf("reopened Len = %d", h2.Len())
@@ -328,53 +269,28 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestGrowableVectorReconstructs(t *testing.T) {
-	p := testPool(t, 1<<22)
-	g, err := NewGrowableVector(p, 4)
-	if err != nil {
-		t.Fatalf("NewGrowableVector: %v", err)
-	}
-	const n = 1000
-	for i := uint64(0); i < n; i++ {
-		if err := g.Append(i); err != nil {
-			t.Fatalf("Append(%d): %v", i, err)
-		}
-	}
-	if g.Len() != n {
-		t.Errorf("Len = %d", g.Len())
-	}
-	if g.Reconstructions == 0 {
-		t.Error("expected reconstructions")
-	}
-	for i := int64(0); i < n; i++ {
-		if got, _ := g.Get(i); got != uint64(i) {
-			t.Fatalf("Get(%d) = %d", i, got)
-		}
-	}
-}
-
 func TestGrowableCostsMoreThanBounded(t *testing.T) {
 	// The paper's claim behind bottom-up summation: pre-sizing avoids the
-	// redundant NVM traffic of reconstruction.  Verify the growable vector
+	// redundant NVM traffic of reconstruction.  Verify the growable table
 	// writes strictly more bytes than a bounded one for the same workload.
 	const n = 4096
 	devA := nvm.New(nvm.KindNVM, 1<<22)
 	defer devA.Discard()
 	poolA, _ := pmem.Create(devA, pmem.Options{})
-	bounded, _ := NewVector(poolA, n)
+	bounded, _ := NewHashTable(poolA, n)
 	devA.ResetStats()
 	for i := uint64(0); i < n; i++ {
-		bounded.Append(i)
+		bounded.Put(i, i)
 	}
 	boundedBytes := devA.Stats().BytesWritten
 
 	devB := nvm.New(nvm.KindNVM, 1<<22)
 	defer devB.Discard()
 	poolB, _ := pmem.Create(devB, pmem.Options{})
-	grow, _ := NewGrowableVector(poolB, 4)
+	grow, _ := NewGrowableHashTable(poolB, 4)
 	devB.ResetStats()
 	for i := uint64(0); i < n; i++ {
-		grow.Append(i)
+		grow.Put(i, i)
 	}
 	growBytes := devB.Stats().BytesWritten
 
@@ -624,12 +540,12 @@ func TestDenseCounterRangeAndReopen(t *testing.T) {
 
 	p2, _ := pmem.Open(dev)
 	off, _ := p2.Root(0)
-	if !IsDenseAt(p2, off) {
-		t.Fatal("IsDenseAt = false for a dense counter")
-	}
 	c2, err := OpenCounterAt(p2, off)
 	if err != nil {
 		t.Fatalf("OpenCounterAt: %v", err)
+	}
+	if _, ok := c2.(*DenseCounter); !ok {
+		t.Fatalf("dispatched %T, want *DenseCounter", c2)
 	}
 	if c2.Len() != int64(len(want)) {
 		t.Errorf("reopened Len = %d", c2.Len())
@@ -644,9 +560,6 @@ func TestOpenCounterAtDispatchesHash(t *testing.T) {
 	h, _ := NewHashTable(p, 10)
 	h.Add(1, 2)
 	h.SyncLen()
-	if IsDenseAt(nil2pool(p), h.Base()) {
-		t.Fatal("hash table misidentified as dense")
-	}
 	c, err := OpenCounterAt(p, h.Base())
 	if err != nil {
 		t.Fatalf("OpenCounterAt: %v", err)
@@ -658,8 +571,6 @@ func TestOpenCounterAtDispatchesHash(t *testing.T) {
 		t.Errorf("value = %d", v)
 	}
 }
-
-func nil2pool(p *pmem.Pool) *pmem.Pool { return p }
 
 func TestDenseVsHashEquivalence(t *testing.T) {
 	p := testPool(t, 1<<22)

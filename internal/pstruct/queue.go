@@ -75,11 +75,3 @@ func (q *Queue) Pop() (uint32, error) {
 func (q *Queue) Reset() {
 	q.head, q.tail, q.size = 0, 0, 0
 }
-
-// SaveHeader persists the queue cursors, letting a phase checkpoint record
-// traversal progress.
-func (q *Queue) SaveHeader() error {
-	q.acc.PutUint64(8, uint64(q.head))
-	q.acc.PutUint64(16, uint64(q.tail))
-	return q.acc.Flush(0, queueHeader)
-}

@@ -54,14 +54,6 @@ func NewVector(p *pmem.Pool, capacity int64) (*Vector, error) {
 	return &Vector{acc: acc, cap: capacity}, nil
 }
 
-// OpenVector reattaches to a vector previously allocated at pool offset off.
-func OpenVector(p *pmem.Pool, off int64) (*Vector, error) {
-	hdr := p.AccessorAt(off, vecHeader)
-	capacity := int64(hdr.Uint64(0))
-	acc := p.AccessorAt(off, VectorBytes(capacity))
-	return &Vector{acc: acc, cap: capacity, len: int64(acc.Uint64(8))}, nil
-}
-
 // Base returns the vector's pool offset, for storage in a root slot.
 func (v *Vector) Base() int64 { return v.acc.Base() }
 
@@ -128,10 +120,3 @@ func leU64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
-
-// Pair packs an (id, freq) tuple — the unit the pruning method writes to the
-// DAG pool — into a vector element.
-func Pair(id, freq uint32) uint64 { return uint64(id)<<32 | uint64(freq) }
-
-// Unpair splits a packed pair.
-func Unpair(x uint64) (id, freq uint32) { return uint32(x >> 32), uint32(x) }

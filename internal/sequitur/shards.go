@@ -10,10 +10,8 @@ import (
 // Sharded inference: the file separators that already isolate documents in
 // a single grammar (rules never span file boundaries) make whole files the
 // natural shard boundary, so a corpus can be split into K contiguous file
-// spans and compressed into K fully independent grammars concurrently.
-// Cross-shard redundancy is deliberately given up — each shard only
-// deduplicates within itself — which is the compression-ratio cost a
-// sharded engine trades for parallel build and query.
+// spans and compressed into K grammars concurrently, then unified against
+// one shared rule table.
 
 // PartitionFiles splits n files into at most k contiguous spans, balanced
 // by weight (each span closes once the running total crosses its share of
@@ -73,42 +71,6 @@ func PartitionFiles(weights []int64, k int) [][2]int {
 	return spans
 }
 
-// InferShards partitions the corpus into k contiguous file spans balanced
-// by token count and infers one independent grammar per span, concurrently.
-// shards[s] covers global files [spans[s][0], spans[s][1]); fewer than k
-// shards are returned when the corpus has fewer than k files.
-func InferShards(tokens [][]uint32, numWords uint32, k int) ([]*cfg.Grammar, error) {
-	if k <= 1 || len(tokens) <= 1 {
-		g, err := Infer(tokens, numWords)
-		if err != nil {
-			return nil, err
-		}
-		return []*cfg.Grammar{g}, nil
-	}
-	weights := make([]int64, len(tokens))
-	for i, f := range tokens {
-		weights[i] = int64(len(f)) + 1 // +1 keeps empty files from collapsing spans
-	}
-	spans := PartitionFiles(weights, k)
-	shards := make([]*cfg.Grammar, len(spans))
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	for s, span := range spans {
-		wg.Add(1)
-		go func(s int, span [2]int) {
-			defer wg.Done()
-			shards[s], errs[s] = Infer(tokens[span[0]:span[1]], numWords)
-		}(s, span)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	return shards, nil
-}
-
 // ShardBuild is the result of InferShardsShared: the unified shard set, the
 // per-shard grammars materialized from it (what engines build from), and
 // the dedup accounting the shard-scaling experiment reports.
@@ -131,13 +93,17 @@ type ShardBuild struct {
 	Novel []int
 }
 
-// InferShardsShared is InferShards plus the cross-shard deduplication
-// layer: shard builders run concurrently and consult one shared interning
-// dictionary as they finish (identical terminal/digram sequences map to one
-// global sequence ID), then the post-build unification pass rewrites the
-// shard grammars against a single shared rule table.  The materialized
-// shard grammars expand to exactly the same files as InferShards', so
-// analytics over them are bit-identical — only the structure is shared.
+// InferShardsShared partitions the corpus into k contiguous file spans
+// balanced by token count, infers one grammar per span concurrently, and
+// recovers the cross-shard redundancy: shard builders consult one shared
+// interning dictionary as they finish (identical terminal/digram sequences
+// map to one global sequence ID), then the post-build unification pass
+// rewrites the shard grammars against a single shared rule table.  Shard s
+// of the result covers the s-th span of files, and its materialized grammar
+// expands to exactly those files, so analytics over the shards are
+// bit-identical to analytics over the whole corpus — only the structure is
+// shared.  Fewer than k shards are returned when the corpus has fewer than
+// k files.
 func InferShardsShared(tokens [][]uint32, numWords uint32, k int) (*ShardBuild, error) {
 	if k < 1 {
 		k = 1

@@ -66,44 +66,36 @@ func TestPartitionFiles(t *testing.T) {
 	}
 }
 
-// TestInferShardsRoundTrip checks every shard grammar is valid and the
-// shard expansions concatenate back to the input corpus.
-func TestInferShardsRoundTrip(t *testing.T) {
+// TestSingleShardMaterializesInfer checks the K = 1 archive form: a
+// grammar wrapped as a one-shard set materializes back to itself rule for
+// rule, because sequitur numbers rules in the discovery order Materialize
+// walks — so a K = 1 engine builds the grammar Infer returned.
+func TestSingleShardMaterializesInfer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const vocab = 25
-	files := make([][]uint32, 7)
-	for i := range files {
-		n := 20 + rng.Intn(120)
-		files[i] = make([]uint32, n)
-		for j := range files[i] {
-			files[i][j] = uint32(rng.Intn(vocab))
-		}
-	}
-	for _, k := range []int{1, 2, 3, 4, 9} {
-		shards, err := InferShards(files, vocab, k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if k > 1 && len(shards) < 2 {
-			t.Fatalf("k=%d: got %d shards", k, len(shards))
-		}
-		var got [][]uint32
-		for s, g := range shards {
-			if err := g.Validate(); err != nil {
-				t.Fatalf("k=%d shard %d invalid: %v", k, s, err)
+	for trial := 0; trial < 20; trial++ {
+		vocab := 3 + rng.Intn(40)
+		files := make([][]uint32, 1+rng.Intn(8))
+		for i := range files {
+			files[i] = make([]uint32, rng.Intn(300))
+			for j := range files[i] {
+				files[i][j] = uint32(rng.Intn(vocab))
 			}
-			got = append(got, g.ExpandFiles()...)
 		}
-		if !reflect.DeepEqual(got, files) {
-			t.Fatalf("k=%d: sharded expansion differs from input", k)
-		}
-		// The merged view must expand identically too.
-		merged, err := cfg.ConcatShards(shards)
+		g, err := Infer(files, uint32(vocab))
 		if err != nil {
-			t.Fatalf("k=%d: concat: %v", k, err)
+			t.Fatalf("trial %d: Infer: %v", trial, err)
 		}
-		if !reflect.DeepEqual(merged.ExpandFiles(), files) {
-			t.Fatalf("k=%d: merged expansion differs from input", k)
+		set, err := cfg.SingleShard(g)
+		if err != nil {
+			t.Fatalf("trial %d: SingleShard: %v", trial, err)
+		}
+		mats, err := set.Materialize()
+		if err != nil {
+			t.Fatalf("trial %d: Materialize: %v", trial, err)
+		}
+		if len(mats) != 1 || !reflect.DeepEqual(mats[0].Rules, g.Rules) ||
+			mats[0].NumWords != g.NumWords || mats[0].NumFiles != g.NumFiles {
+			t.Fatalf("trial %d: materialized wrap differs from the Infer grammar", trial)
 		}
 	}
 }
@@ -144,6 +136,14 @@ func TestInferShardsSharedRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, files) {
 			t.Fatalf("k=%d: dedup-path expansion differs from input", k)
+		}
+		// The merged view must expand identically too.
+		merged, err := cfg.ConcatShards(sb.Shards)
+		if err != nil {
+			t.Fatalf("k=%d: concat: %v", k, err)
+		}
+		if !reflect.DeepEqual(merged.ExpandFiles(), files) {
+			t.Fatalf("k=%d: merged expansion differs from input", k)
 		}
 		// Unification only removes redundancy; it never grows the form.
 		if sb.Set.SymbolCount() > sb.RawSymbols {

@@ -48,6 +48,36 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *ntadoc.Engine) {
 	return s, eng
 }
 
+// TestGenerationNamesTheCorpus checks K = 1 archives of different corpora
+// get different build tags, so their cache generations differ too: a
+// result cached for one corpus can never be served for another's.
+func TestGenerationNamesTheCorpus(t *testing.T) {
+	var prefixes []string
+	for _, docs := range [][]ntadoc.Document{serverDocs[:3], serverDocs[3:]} {
+		a, err := ntadoc.Compress(docs)
+		if err != nil {
+			t.Fatalf("Compress: %v", err)
+		}
+		eng, err := ntadoc.NewEngine(a, ntadoc.Options{})
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		s, err := New(Config{Engine: eng})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		prefix := fmt.Sprintf("%08x.", eng.BuildTag())
+		if eng.BuildTag() == 0 || !strings.HasPrefix(s.Generation(), prefix) {
+			t.Fatalf("generation %q: want a non-zero build tag prefix %q", s.Generation(), prefix)
+		}
+		prefixes = append(prefixes, prefix)
+	}
+	if prefixes[0] == prefixes[1] {
+		t.Fatalf("two K = 1 corpora share the generation prefix %q", prefixes[0])
+	}
+}
+
 func getResponse(t *testing.T, h http.Handler, url string) (Response, *httptest.ResponseRecorder) {
 	t.Helper()
 	rec := httptest.NewRecorder()

@@ -43,17 +43,19 @@ type Document struct {
 // Archive is a compressed document collection: the TADOC grammar plus its
 // dictionary.  Archives serialize with WriteTo and load with ReadArchive.
 //
-// A sharded archive (CompressSharded) additionally keeps one grammar per
-// shard plus the unified form — the shards rewritten against one shared rule
-// table, which recovers the cross-shard redundancy independent builds
-// re-learn; the whole-corpus grammar is the shard concatenation.  The shard
-// boundary is whole documents, so every document lives in exactly one shard
-// and sharded analytics merge to bit-identical results.
+// Every archive is a shard set, K = 1 included: the unified form — the
+// shards' rules in one shared table, a root per shard — is what serializes
+// and what the build tag fingerprints, and engines build from the per-shard
+// grammars materialized from it.  At K > 1 the shared table recovers the
+// cross-shard redundancy independent builds re-learn; at K = 1 it is the
+// grammar's own rules.  The shard boundary is whole documents, so every
+// document lives in exactly one shard and sharded analytics merge to
+// bit-identical results.
 type Archive struct {
-	g      *cfg.Grammar
+	g      *cfg.Grammar // whole-corpus view: the shard concatenation
 	d      *dict.Dictionary
-	shards []*cfg.Grammar // nil for an unsharded archive
-	shared *cfg.SharedSet // unified form; nil for an unsharded archive
+	shared *cfg.SharedSet // unified form: what serializes
+	shards []*cfg.Grammar // shared, materialized per shard: what engines build from
 
 	// Online ingestion appends documents after compression.  The archive
 	// tracks them separately from the base grammar so WriteTo can serialize
@@ -67,33 +69,13 @@ type Archive struct {
 // Compress builds an archive from documents.  Tokenization lowercases and
 // strips surrounding punctuation (see CompressTokens for full control).
 func Compress(docs []Document) (*Archive, error) {
-	d := dict.New()
-	var tk dict.Tokenizer
-	tokens := make([][]uint32, len(docs))
-	names := make([]string, len(docs))
-	for i, doc := range docs {
-		tokens[i] = tk.EncodeString(d, doc.Text)
-		names[i] = doc.Name
-	}
-	return compress(tokens, names, d)
+	return CompressSharded(docs, 1)
 }
 
 // CompressTokens builds an archive from pre-tokenized, dictionary-encoded
 // documents.  Token IDs must be dense dictionary IDs from dct.
 func CompressTokens(tokens [][]uint32, names []string, dct *Dictionary) (*Archive, error) {
-	return compress(tokens, names, dct.d)
-}
-
-func compress(tokens [][]uint32, names []string, d *dict.Dictionary) (*Archive, error) {
-	g, err := sequitur.Infer(tokens, uint32(d.Len()))
-	if err != nil {
-		return nil, fmt.Errorf("ntadoc: compress: %w", err)
-	}
-	g.Files = names
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &Archive{g: g, d: d}, nil
+	return compressSharded(tokens, names, dct.d, 1)
 }
 
 // CompressSharded builds a K-way sharded archive: documents are partitioned
@@ -101,9 +83,8 @@ func compress(tokens [][]uint32, names []string, d *dict.Dictionary) (*Archive, 
 // compressed independently (in parallel), so engines can build and query the
 // shards concurrently.  A cross-shard unification pass then rewrites the
 // shard grammars against one shared rule table, recovering most of the
-// compression that independent builds give up — the archive keeps both the
-// unified form (what serializes) and the per-shard closures (what engines
-// build from).  k = 1 (or a single document) degenerates to Compress.
+// compression that independent builds give up.  k = 1 compresses the corpus
+// into one grammar and wraps it as a one-shard set, without the pass.
 func CompressSharded(docs []Document, k int) (*Archive, error) {
 	d := dict.New()
 	var tk dict.Tokenizer
@@ -123,22 +104,19 @@ func CompressTokensSharded(tokens [][]uint32, names []string, dct *Dictionary, k
 
 func compressSharded(tokens [][]uint32, names []string, d *dict.Dictionary, k int) (*Archive, error) {
 	if k <= 1 {
-		return compress(tokens, names, d)
+		g, err := sequitur.Infer(tokens, uint32(d.Len()))
+		if err != nil {
+			return nil, fmt.Errorf("ntadoc: compress: %w", err)
+		}
+		g.Files = names
+		return singleShard(g, d)
 	}
 	sb, err := sequitur.InferShardsShared(tokens, uint32(d.Len()), k)
 	if err != nil {
 		return nil, fmt.Errorf("ntadoc: compress sharded: %w", err)
 	}
-	gs := sb.Shards
-	if len(gs) == 1 {
-		gs[0].Files = names
-		if err := gs[0].Validate(); err != nil {
-			return nil, err
-		}
-		return &Archive{g: gs[0], d: d}, nil
-	}
 	base := uint32(0)
-	for si, g := range gs {
+	for si, g := range sb.Shards {
 		if names != nil {
 			sub := names[base : base+g.NumFiles]
 			g.Files = sub
@@ -146,20 +124,34 @@ func compressSharded(tokens [][]uint32, names []string, d *dict.Dictionary, k in
 		}
 		base += g.NumFiles
 	}
-	merged, err := cfg.ConcatShards(gs)
-	if err != nil {
-		return nil, fmt.Errorf("ntadoc: compress sharded: %w", err)
-	}
-	return &Archive{g: merged, d: d, shards: gs, shared: sb.Set}, nil
+	return newArchive(sb.Set, sb.Shards, d)
 }
 
-// NumShards returns the archive's shard count (1 when unsharded).
-func (a *Archive) NumShards() int {
-	if a.shards == nil {
-		return 1
+// singleShard makes g a one-shard archive.
+func singleShard(g *cfg.Grammar, d *dict.Dictionary) (*Archive, error) {
+	set, err := cfg.SingleShard(g)
+	if err != nil {
+		return nil, err
 	}
-	return len(a.shards)
+	shards, err := set.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	return newArchive(set, shards, d)
 }
+
+// newArchive assembles an archive from its unified form and the per-shard
+// grammars materialized from it.
+func newArchive(set *cfg.SharedSet, shards []*cfg.Grammar, d *dict.Dictionary) (*Archive, error) {
+	g, err := cfg.ConcatShards(shards)
+	if err != nil {
+		return nil, err
+	}
+	return &Archive{g: g, d: d, shared: set, shards: shards}, nil
+}
+
+// NumShards returns the archive's shard count.
+func (a *Archive) NumShards() int { return len(a.shards) }
 
 // AppendedDocuments returns how many documents have been appended to the
 // archive since its base was compressed (and not yet folded into it).
@@ -174,9 +166,9 @@ func (a *Archive) recordAppend(tokens [][]uint32, names []string) {
 }
 
 // fold folds pending appended documents into the whole-corpus grammar — an
-// offline compaction.  The sharded forms are dropped when a delta folds:
-// the folded corpus no longer matches the per-shard images, and recovering
-// cross-shard redundancy requires recompressing.  No-op without a delta.
+// offline compaction — and wraps the result as a one-shard set.  The folded
+// corpus no longer matches the per-shard images, and recovering cross-shard
+// redundancy requires recompressing.  No-op without a delta.
 func (a *Archive) fold() error {
 	if len(a.deltaTokens) == 0 {
 		return nil
@@ -195,8 +187,11 @@ func (a *Archive) fold() error {
 	if err != nil {
 		return fmt.Errorf("ntadoc: fold delta: %w", err)
 	}
-	a.g, a.shards, a.shared = merged, nil, nil
-	a.deltaTokens, a.deltaNames = nil, nil
+	folded, err := singleShard(merged, a.d)
+	if err != nil {
+		return fmt.Errorf("ntadoc: fold delta: %w", err)
+	}
+	*a = *folded
 	return nil
 }
 
@@ -270,10 +265,9 @@ func (a *Archive) Decompress() []Document {
 
 // WriteTo serializes the archive: a length-prefixed grammar section
 // followed by the dictionary.  The length prefix lets the reader bound the
-// grammar parser's buffering exactly.  A sharded archive's grammar section
-// is the shared-table container (the unified form: one self-checksummed
-// shared rule table plus a root per shard); an unsharded archive's is a
-// single grammar, byte-compatible with earlier versions.
+// grammar parser's buffering exactly.  The grammar section is the
+// shared-table container at every shard count: the unified form, one
+// self-checksummed shared rule table plus a root per shard.
 //
 // An archive with appended documents serializes as a delta container: the
 // base section byte-for-byte unchanged, plus a compact grammar inferred over
@@ -284,7 +278,7 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 	var gbuf bytes.Buffer
 	if len(a.deltaTokens) > 0 {
 		var base bytes.Buffer
-		if err := a.writeBaseSection(&base); err != nil {
+		if _, err := cfg.WriteSharedSet(&base, a.shared); err != nil {
 			return 0, err
 		}
 		dg, err := sequitur.Infer(a.deltaTokens, uint32(a.d.Len()))
@@ -295,7 +289,7 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 		if _, err := cfg.WriteDeltaContainer(&gbuf, base.Bytes(), dg); err != nil {
 			return 0, err
 		}
-	} else if err := a.writeBaseSection(&gbuf); err != nil {
+	} else if _, err := cfg.WriteSharedSet(&gbuf, a.shared); err != nil {
 		return 0, err
 	}
 	var hdr [8]byte
@@ -312,20 +306,11 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 	return n + m, err
 }
 
-// writeBaseSection writes the base grammar section: the shared-table
-// container of a sharded archive, or the single grammar.
-func (a *Archive) writeBaseSection(w io.Writer) error {
-	if a.shared != nil {
-		_, err := cfg.WriteSharedSet(w, a.shared)
-		return err
-	}
-	_, err := a.g.WriteTo(w)
-	return err
-}
-
 // ReadArchive loads an archive written by WriteTo, validating both parts.
-// The grammar section's leading magic selects between the single-grammar
-// and shard-container formats.
+// The grammar section's leading magic selects between the shared-table
+// container, a delta container over one, and a bare single grammar — the
+// base section of archives written before every archive was a shard set,
+// read as a one-shard set.
 func ReadArchive(r io.Reader) (*Archive, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -343,16 +328,12 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 	}
 	section := io.MultiReader(bytes.NewReader(peek[:]), io.LimitReader(r, gLen-8))
 	var (
-		g      *cfg.Grammar
-		shards []*cfg.Grammar
-		shared *cfg.SharedSet
-		err    error
+		a   *Archive
+		err error
 	)
 	if cfg.IsDeltaContainer(peek[:]) {
 		// A delta archive: parse the embedded base section, then fold the
 		// delta grammar into the whole-corpus form — an offline compaction.
-		// The base's sharded forms are dropped: the folded corpus no longer
-		// matches the per-shard images.
 		baseBytes, delta, derr := cfg.ReadDeltaContainer(section)
 		if derr != nil {
 			return nil, derr
@@ -360,53 +341,54 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 		if len(baseBytes) < 8 {
 			return nil, fmt.Errorf("ntadoc: delta container base section too short (%d bytes)", len(baseBytes))
 		}
-		g, _, _, err = readGrammarSection(baseBytes[:8], bytes.NewReader(baseBytes))
-		if err != nil {
+		if a, err = readBaseSection(baseBytes[:8], bytes.NewReader(baseBytes)); err != nil {
 			return nil, err
 		}
-		if g, err = cfg.MergeDelta(g, delta); err != nil {
-			return nil, err
+		g, merr := cfg.MergeDelta(a.g, delta)
+		if merr != nil {
+			return nil, merr
 		}
-	} else if g, shards, shared, err = readGrammarSection(peek[:], section); err != nil {
+		a, err = singleShard(g, nil)
+	} else {
+		a, err = readBaseSection(peek[:], section)
+	}
+	if err != nil {
 		return nil, err
 	}
-	d := dict.New()
-	if _, err := d.ReadFrom(r); err != nil {
+	a.d = dict.New()
+	if _, err := a.d.ReadFrom(r); err != nil {
 		return nil, err
 	}
-	if uint32(d.Len()) < g.NumWords {
-		return nil, fmt.Errorf("ntadoc: dictionary (%d words) smaller than grammar vocabulary (%d)", d.Len(), g.NumWords)
+	if uint32(a.d.Len()) < a.g.NumWords {
+		return nil, fmt.Errorf("ntadoc: dictionary (%d words) smaller than grammar vocabulary (%d)", a.d.Len(), a.g.NumWords)
 	}
-	return &Archive{g: g, d: d, shards: shards, shared: shared}, nil
+	return a, nil
 }
 
-// readGrammarSection parses one grammar section, dispatching on its leading
-// magic: shared-table container or single grammar.
-// section must include the peeked bytes.
-func readGrammarSection(peek []byte, section io.Reader) (g *cfg.Grammar, shards []*cfg.Grammar, shared *cfg.SharedSet, err error) {
+// readBaseSection parses one base grammar section, dispatching on its
+// leading magic, into an archive without a dictionary.  section must
+// include the peeked bytes.
+func readBaseSection(peek []byte, section io.Reader) (*Archive, error) {
 	switch {
 	case cfg.IsSharedContainer(peek):
-		shared, err = cfg.ReadSharedSet(section)
+		set, err := cfg.ReadSharedSet(section)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		shards, err = shared.Materialize()
+		shards, err := set.Materialize()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if len(shards) == 1 {
-			g, shards, shared = shards[0], nil, nil
-		} else if g, err = cfg.ConcatShards(shards); err != nil {
-			return nil, nil, nil, err
-		}
+		return newArchive(set, shards, nil)
 	case cfg.IsLegacyShardContainer(peek):
-		return nil, nil, nil, errors.New("ntadoc: archive written before the shared-table container; recompress")
+		return nil, errors.New("ntadoc: archive written before the shared-table container; recompress")
 	default:
-		if g, err = cfg.ReadGrammar(section); err != nil {
-			return nil, nil, nil, err
+		g, err := cfg.ReadGrammar(section)
+		if err != nil {
+			return nil, err
 		}
+		return singleShard(g, nil)
 	}
-	return g, shards, shared, nil
 }
 
 // WriteDOT renders the archive's grammar DAG in Graphviz DOT format, with

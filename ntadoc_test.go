@@ -2,6 +2,7 @@ package ntadoc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +85,84 @@ func TestArchiveSerializationRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.DocumentNames(), a2.DocumentNames()) {
 		t.Error("document names lost")
+	}
+}
+
+// buildTag is the build tag of an N-TADOC engine over a.
+func buildTag(t *testing.T, a *Archive) uint32 {
+	t.Helper()
+	eng, err := NewEngine(a, Options{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer eng.Close()
+	return eng.BuildTag()
+}
+
+// TestOneShardArchiveIsTagged checks a K = 1 archive is a shard set like any
+// other: it serializes the shared-table container, its engine's build tag is
+// the shared table's checksum and not zero, and a WriteTo → ReadArchive
+// round trip keeps the grammar engines build from and the tag.
+func TestOneShardArchiveIsTagged(t *testing.T) {
+	a := compressDocs(t)
+	tag := buildTag(t, a)
+	if tag == 0 || tag != a.shared.Checksum() {
+		t.Fatalf("K = 1 build tag %08x, want the shared-table checksum %08x", tag, a.shared.Checksum())
+	}
+	var buf bytes.Buffer
+	if _, err := a.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if magic := string(buf.Bytes()[8:16]); magic != "NTDCSHD2" {
+		t.Fatalf("K = 1 grammar section magic %q, want NTDCSHD2", magic)
+	}
+	a2, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadArchive: %v", err)
+	}
+	if a2.NumShards() != 1 || !reflect.DeepEqual(a2.shards, a.shards) {
+		t.Fatal("reloaded K = 1 archive builds engines from a different grammar")
+	}
+	if got := buildTag(t, a2); got != tag {
+		t.Fatalf("reloaded build tag %08x, want %08x", got, tag)
+	}
+}
+
+// bareGrammarArchive frames a K = 1 archive the way archives were written
+// before every archive became a shard set: its grammar as a bare NTDCCFG1
+// section, then the dictionary.
+func bareGrammarArchive(tb testing.TB, a *Archive) []byte {
+	tb.Helper()
+	var section, raw bytes.Buffer
+	if _, err := a.g.WriteTo(&section); err != nil {
+		tb.Fatalf("grammar WriteTo: %v", err)
+	}
+	raw.Write(binary.LittleEndian.AppendUint64(nil, uint64(section.Len())))
+	raw.Write(section.Bytes())
+	if _, err := a.d.WriteTo(&raw); err != nil {
+		tb.Fatalf("dictionary WriteTo: %v", err)
+	}
+	return raw.Bytes()
+}
+
+// TestReadBareGrammarSection checks archives whose grammar section is a bare
+// NTDCCFG1 grammar still read, as the same one-shard set: same shard
+// grammar, same names and the same build tag as the NTDCSHD2 form of that
+// grammar.
+func TestReadBareGrammarSection(t *testing.T) {
+	a := compressDocs(t)
+	bare, err := ReadArchive(bytes.NewReader(bareGrammarArchive(t, a)))
+	if err != nil {
+		t.Fatalf("ReadArchive of a bare grammar section: %v", err)
+	}
+	if bare.NumShards() != 1 || !reflect.DeepEqual(bare.shards, a.shards) {
+		t.Fatal("bare grammar section read as a different shard grammar")
+	}
+	if !reflect.DeepEqual(bare.DocumentNames(), a.DocumentNames()) {
+		t.Error("document names lost")
+	}
+	if got, want := buildTag(t, bare), buildTag(t, a); got == 0 || got != want {
+		t.Fatalf("bare grammar section tagged %08x, its NTDCSHD2 form %08x", got, want)
 	}
 }
 

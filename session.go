@@ -96,11 +96,12 @@ func (e *Engine) docNames() []string {
 	return e.names
 }
 
-// BuildTag returns the archive's build tag: the shared rule table's
-// checksum for unified sharded archives, 0 otherwise.  The daemon folds it
-// into cache generations so results can never outlive the build that
-// produced them.  The tag is captured when the engine is built: computing it
-// re-encodes the whole shared rule table, far too much for a per-request key.
+// BuildTag returns the archive's build tag: the checksum of its shared rule
+// table, at every shard count.  The daemon folds it into cache generations
+// so results can never outlive the build that produced them, and every
+// shard pool carries it.  The tag is captured when the engine is built:
+// computing it re-encodes the whole shared rule table, far too much for a
+// per-request key.
 func (e *Engine) BuildTag() uint32 { return e.buildTag }
 
 // FailoverCount reports how many shard failovers the engine has performed
