@@ -356,28 +356,3 @@ func BenchmarkCompress(b *testing.B) {
 	}
 	b.SetBytes(total * 4)
 }
-
-// BenchmarkAblationCounters compares the two §IV-D counter forms — hash
-// table versus dense vector — for the global word counter.
-func BenchmarkAblationCounters(b *testing.B) {
-	spec := datagen.DatasetC.Scaled(0.35)
-	for name, opts := range map[string]core.Options{
-		"hash":  {Counters: core.CounterHash},
-		"dense": {Counters: core.CounterDense},
-		"auto":  {Counters: core.CounterAuto},
-	} {
-		b.Run(name, func(b *testing.B) {
-			c := corpusFor(b, spec)
-			for i := 0; i < b.N; i++ {
-				nt, err := harness.RunNTADOC(c, analytics.TaskWordCount, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(nt.Total.Nanoseconds()), "ns-modeled/op")
-					b.ReportMetric(float64(nt.NVMBytes), "nvm-bytes")
-				}
-			}
-		})
-	}
-}

@@ -581,7 +581,6 @@ func (e *Engine) initialize(g *cfg.Grammar, p *prepState) error {
 		}
 		ingAcc.WriteBytes(0, make([]byte, ingestHeaderSize))
 		pool.SetRoot(rootIngest, ingAcc.Base())
-		ingAcc.PutUint64(ingOffVocab, uint64(e.numWords))
 		ingAcc.PutUint64(ingOffCap, uint64(ingAcc.Size()-ingestHeaderSize))
 		e.ingest = newIngestState(e, ingAcc, g)
 	}
@@ -814,9 +813,10 @@ func (p *prepState) sortedSeqEntries(counts map[analytics.Seq]uint64) []seqEntry
 type counterTable = pstruct.Counter
 
 // newTable allocates a counter sized for bound entries over the given key
-// space, honouring the NoBounds ablation and the CounterKind selection:
-// a dense vector counter when its flat array beats the hash table's
-// footprint (§IV-D offers both forms), the hash table otherwise.
+// space, honouring the NoBounds ablation: a dense vector counter when the key
+// space is known and its flat array is no larger than the hash table's
+// footprint (§IV-D offers both forms), the hash table otherwise.  Dense key
+// spaces like dictionary IDs get the vector.
 func (e *Engine) newTable(bound, keySpace int64) (counterTable, error) {
 	if e.opts.NoBounds {
 		g, err := pstruct.NewGrowableHashTable(e.pool, 4)
@@ -825,25 +825,10 @@ func (e *Engine) newTable(bound, keySpace int64) (counterTable, error) {
 		}
 		return growableWithBase{g}, nil
 	}
-	if e.useDense(bound, keySpace) {
+	if keySpace > 0 && pstruct.DenseCounterBytes(keySpace) <= pstruct.HashTableBytes(bound) {
 		return pstruct.NewDenseCounter(e.pool, keySpace)
 	}
 	return pstruct.NewHashTable(e.pool, bound)
-}
-
-// useDense decides the §IV-D structure choice for one counter.
-func (e *Engine) useDense(bound, keySpace int64) bool {
-	if keySpace <= 0 {
-		return false
-	}
-	switch e.opts.Counters {
-	case CounterHash:
-		return false
-	case CounterDense:
-		return true
-	default:
-		return pstruct.DenseCounterBytes(keySpace) <= pstruct.HashTableBytes(bound)
-	}
 }
 
 // growableWithBase adapts GrowableHashTable to the counter interface (its

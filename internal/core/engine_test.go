@@ -10,6 +10,7 @@ import (
 	"github.com/text-analytics/ntadoc/internal/datagen"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
+	"github.com/text-analytics/ntadoc/internal/pstruct"
 	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
@@ -431,11 +432,14 @@ func TestInvalidGrammarRejected(t *testing.T) {
 	}
 }
 
-func TestCounterKindsAllCorrect(t *testing.T) {
+// TestCounterFormsAllCorrect: the §IV-D choice puts a dense vector counter on
+// every dictionary-ID key space small enough for it and a hash table
+// elsewhere, so each traversal direction runs both forms side by side.
+func TestCounterFormsAllCorrect(t *testing.T) {
 	files, d, g := corpus(t, 60, 3, 250, 40)
-	for _, kind := range []CounterKind{CounterAuto, CounterHash, CounterDense} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := newEngine(t, g, d, Options{Sequences: true, Counters: kind})
+	for _, s := range []Strategy{TopDown, BottomUp} {
+		t.Run(s.String(), func(t *testing.T) {
+			e := newEngine(t, g, d, Options{Sequences: true, Strategy: s})
 			checkAllTasks(t, e, files, d)
 		})
 	}
@@ -443,12 +447,15 @@ func TestCounterKindsAllCorrect(t *testing.T) {
 
 func TestDenseCounterRecovery(t *testing.T) {
 	files, d, g := corpus(t, 61, 2, 200, 30)
-	opts := Options{Counters: CounterDense, Persistence: OpLevel}
+	opts := Options{Persistence: OpLevel}
 	e := newEngine(t, g, d, opts)
 	e.beginTraversal()
 	counter, off, err := e.newCounter(e.globalBound(), int64(e.numWords))
 	if err != nil {
 		t.Fatalf("newCounter: %v", err)
+	}
+	if _, ok := counter.(*pstruct.DenseCounter); !ok {
+		t.Fatalf("global word counter is a %T, want *pstruct.DenseCounter", counter)
 	}
 	if err := e.topDownGlobal(counter, off); err != nil {
 		t.Fatalf("topDownGlobal: %v", err)
@@ -484,7 +491,6 @@ func TestQuickEngineMatchesReferenceOnRandomCorpora(t *testing.T) {
 			Sequences:   true,
 			Strategy:    Strategy(seed % 3),
 			Persistence: Persistence(seed % 2),
-			Counters:    CounterKind(seed % 3),
 		}
 		e := newEngine(t, g, d, opts)
 		wc, err := analytics.WordCount(e)

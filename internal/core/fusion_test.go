@@ -18,7 +18,7 @@ func TestFusedMatchesSequentialWithFewerReads(t *testing.T) {
 	ops := analytics.Ops()
 
 	seqEngine := newEngine(t, g, d, Options{Sequences: true})
-	seqEngine.Device().ResetStats()
+	seqBase := seqEngine.Device().Stats()
 	sequential := make([]any, len(ops))
 	for i, op := range ops {
 		res, err := analytics.RunAs[any](seqEngine, op)
@@ -27,15 +27,15 @@ func TestFusedMatchesSequentialWithFewerReads(t *testing.T) {
 		}
 		sequential[i] = res
 	}
-	seqStats := seqEngine.Device().Stats()
+	seqStats := seqEngine.Device().Stats().Sub(seqBase)
 
 	fusedEngine := newEngine(t, g, d, Options{Sequences: true})
-	fusedEngine.Device().ResetStats()
+	fusedBase := fusedEngine.Device().Stats()
 	fused, err := fusedEngine.RunOps(ops)
 	if err != nil {
 		t.Fatalf("RunOps: %v", err)
 	}
-	fusedStats := fusedEngine.Device().Stats()
+	fusedStats := fusedEngine.Device().Stats().Sub(fusedBase)
 
 	for i, op := range ops {
 		if !reflect.DeepEqual(fused[i], sequential[i]) {

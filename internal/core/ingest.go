@@ -20,9 +20,10 @@ import (
 // traversal truncation can never reclaim it).  Each AppendAt writes one
 // CRC-framed record carrying the batch's documents — tokens, names, and the
 // novel word strings the batch interned — then commits it by advancing the
-// region header's watermark through a pmem redo transaction.  The record
-// body is flushed and drained before the header commit, so a crash recovers
-// to "batch fully visible" or "batch absent", never a torn batch.
+// region header's watermark with one 8-byte store.  The record body is
+// flushed and drained before that store is made, so a crash recovers to
+// "batch fully visible" or "batch absent", never a torn batch, whichever of
+// the append's stores the cache wrote back early.
 //
 // Serving is layered over that durable log in DRAM as one published serving
 // cut per shard (servingCut): a tail engine, an engine over the delta
@@ -46,16 +47,15 @@ import (
 // the pre-compaction state trivially: recovery replays the log into a fresh
 // delta over the original base.
 
-// ingestHeaderSize is the append-log region header: committed record bytes,
-// batch count, document count, vocabulary size, and the region capacity.
+// ingestHeaderSize is the append-log region header: the committed watermark
+// and the region capacity.  Batch, document and vocabulary counts are not
+// stored: recovery derives them from the records the watermark covers.
 const ingestHeaderSize = 64
 
-// Region-header field offsets (region-relative).
+// Region-header field offsets (region-relative).  Bytes 8–31 are unused:
+// zero in a new pool, and counts recovery no longer reads in an older one.
 const (
 	ingOffCommitted = 0  // u64 committed record bytes after the header
-	ingOffBatches   = 8  // u64 committed batches
-	ingOffDocs      = 16 // u64 committed appended documents
-	ingOffVocab     = 24 // u64 vocabulary size after the last committed batch
 	ingOffCap       = 32 // u64 region capacity after the header
 )
 
@@ -266,7 +266,6 @@ func (e *Engine) deltaOptions() Options {
 		Kind:      e.opts.Kind,
 		Model:     e.opts.Model,
 		Strategy:  e.opts.Strategy,
-		Counters:  e.opts.Counters,
 		Sequences: e.opts.Sequences,
 	}
 }
@@ -462,9 +461,11 @@ func (e *Engine) AppendAt(docs []AppendDoc, vocab uint32, novel []string, global
 		return ErrIngestFull
 	}
 	// Durability protocol: write and drain the record body, then move the
-	// committed watermark (with the batch/doc/vocab mirrors) in one redo
-	// transaction.  The body is invisible until the watermark covers it, so
-	// a crash anywhere in between leaves the previous committed state.
+	// committed watermark with one 8-byte store, flushed and drained.  The
+	// body is invisible until the watermark covers it, and the watermark is
+	// the only header word an append stores, so whichever of the stores the
+	// cache writes back early, a crash anywhere leaves either the previous
+	// committed state or the new one.
 	off := ingestHeaderSize + st.committed
 	st.acc.WriteBytes(off, rec)
 	if err := st.acc.Flush(off, int64(len(rec))); err != nil {
@@ -473,24 +474,11 @@ func (e *Engine) AppendAt(docs []AppendDoc, vocab uint32, novel []string, global
 	if err := e.dev.Drain(); err != nil {
 		return errEngine("append", err)
 	}
-	tx, err := e.pool.Begin()
-	if err != nil {
+	st.acc.PutUint64(ingOffCommitted, uint64(st.committed+int64(len(rec))))
+	if err := st.acc.Flush(ingOffCommitted, 8); err != nil {
 		return errEngine("append", err)
 	}
-	regionBase := st.acc.Base()
-	if err := tx.WriteUint64(regionBase+ingOffCommitted, uint64(st.committed+int64(len(rec)))); err != nil {
-		return errEngine("append", err)
-	}
-	if err := tx.WriteUint64(regionBase+ingOffBatches, st.batches+1); err != nil {
-		return errEngine("append", err)
-	}
-	if err := tx.WriteUint64(regionBase+ingOffDocs, st.docs+uint64(len(docs))); err != nil {
-		return errEngine("append", err)
-	}
-	if err := tx.WriteUint64(regionBase+ingOffVocab, uint64(vocab)); err != nil {
-		return errEngine("append", err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := e.dev.Drain(); err != nil {
 		return errEngine("append", err)
 	}
 	st.committed += int64(len(rec))
@@ -633,9 +621,6 @@ func (e *Engine) recoverIngest(regionOff int64) error {
 	}
 	acc := e.pool.AccessorAt(regionOff, ingestHeaderSize+capBytes)
 	committed := int64(hdr.Uint64(ingOffCommitted))
-	batches := hdr.Uint64(ingOffBatches)
-	docs := hdr.Uint64(ingOffDocs)
-	vocab := uint32(hdr.Uint64(ingOffVocab))
 	if committed < 0 || committed > capBytes {
 		return fmt.Errorf("%w: append-log watermark %d beyond capacity %d",
 			ErrNeedsReload, committed, capBytes)
@@ -652,13 +637,10 @@ func (e *Engine) recoverIngest(regionOff int64) error {
 			}
 		}
 		st.vocab = b.Vocab
+		st.docs += uint64(len(b.Docs))
 	}
-	if uint64(len(bs)) != batches || st.db.Docs() != uint32(docs) || st.vocab != vocab {
-		return fmt.Errorf("%w: append log replay mismatch (%d/%d batches, %d/%d docs)",
-			ErrNeedsReload, len(bs), batches, st.db.Docs(), docs)
-	}
-	st.committed, st.batches, st.docs = committed, batches, docs
-	st.epoch.Store(batches)
+	st.committed, st.batches = committed, uint64(len(bs))
+	st.epoch.Store(st.batches)
 	e.ingest = st
 	return st.publishDelta(e, 0)
 }

@@ -344,6 +344,73 @@ func TestShardedIngestRecovery(t *testing.T) {
 	checkOps(t, re, d, append(append([][]uint32{}, files...), files[0]), "post-recovery append")
 }
 
+// TestAppendSurvivesWriteBackAtEveryEvent: the cache may write a dirty line
+// back at any moment, and on an eADR platform every store in it is durable at
+// power loss.  So an append the device dies inside must leave a log that
+// recovers whichever of its unflushed stores reach media.  For every
+// persistence event of the second append, the device fails from that event
+// on, every store is then written back (a whole-device flush and drain), and
+// a clone of the durable image is reopened: the acknowledged first batch
+// must be served, and the second must be present whole or absent.
+func TestAppendSurvivesWriteBackAtEveryEvent(t *testing.T) {
+	files, d, _ := corpus(t, 77, 6, 150, 25)
+	const base = 4
+	g, err := sequitur.Infer(files[:base], uint32(d.Len()))
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	vocab := uint32(d.Len())
+	for _, p := range []Persistence{PhaseLevel, OpLevel} {
+		t.Run(p.String(), func(t *testing.T) {
+			opts := Options{Sequences: true, Persistence: p, IngestCap: 1 << 20}
+			for k := int64(0); ; k++ {
+				se, err := NewSharded([]*cfg.Grammar{g}, d, opts)
+				if err != nil {
+					t.Fatalf("NewSharded: %v", err)
+				}
+				if err := se.Append(appendDocs(files, base, 1), vocab, nil); err != nil {
+					t.Fatalf("Append batch 1: %v", err)
+				}
+				dev := se.Shard(0).Device()
+				dev.FailFromPersistEvent(dev.PersistEvents() + k)
+				aerr := se.Append(appendDocs(files, base+1, 1), vocab, nil)
+				dev.DisarmFailPoints()
+				if aerr == nil {
+					se.Close()
+					if k == 0 {
+						t.Fatal("the append made no persistence event")
+					}
+					t.Logf("explored %d events", k)
+					return
+				}
+				if err := dev.Flush(0, dev.Size()); err != nil {
+					t.Fatalf("event %d: write-back flush: %v", k, err)
+				}
+				if err := dev.Drain(); err != nil {
+					t.Fatalf("event %d: write-back drain: %v", k, err)
+				}
+				clone, err := dev.CloneDurable()
+				se.Close()
+				if err != nil {
+					t.Fatalf("event %d: CloneDurable: %v", k, err)
+				}
+				re, _, err := ReopenSharded([]*nvm.SimDevice{clone}, d, opts)
+				if err != nil {
+					clone.Discard()
+					t.Fatalf("event %d: reopen: %v", k, err)
+				}
+				visible := base + len(re.Shard(0).IngestBatches())
+				if visible != base+1 && visible != base+2 {
+					t.Errorf("event %d: recovered %d batches, want 1 or 2", k, visible-base)
+				} else {
+					checkOps(t, re, d, files[:visible], fmt.Sprintf("event %d", k))
+				}
+				re.Close()
+			}
+		})
+	}
+}
+
 // TestAppendConcurrentQueries: appends never block queries, and every query
 // observes a consistent cut — exactly the first N documents for some N
 // between the committed count when it started and when it finished.  Run

@@ -25,7 +25,7 @@ func newLogFixture(t *testing.T, logCap int64) *logFixture {
 	t.Helper()
 	_, d, g := corpus(t, 63, 2, 120, 20)
 	fx := &logFixture{
-		opts: Options{Persistence: OpLevel, OpLogCap: logCap, Counters: CounterHash},
+		opts: Options{Persistence: OpLevel, OpLogCap: logCap},
 		want: map[uint64]uint64{},
 	}
 	fx.e = newEngine(t, g, d, fx.opts)
@@ -33,7 +33,8 @@ func newLogFixture(t *testing.T, logCap int64) *logFixture {
 		t.Fatalf("beginTraversal: %v", err)
 	}
 	var err error
-	if fx.tbl, fx.off, err = fx.e.newCounter(64, int64(fx.e.numWords)); err != nil {
+	// Key space 0: a hash table, whatever the dictionary size.
+	if fx.tbl, fx.off, err = fx.e.newCounter(64, 0); err != nil {
 		t.Fatalf("newCounter: %v", err)
 	}
 	if err := fx.e.opCommit(); err != nil {

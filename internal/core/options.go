@@ -86,34 +86,6 @@ const (
 	phaseTraversal = 2
 )
 
-// CounterKind selects the §IV-D result-structure family.
-type CounterKind int
-
-// Counter kinds.
-const (
-	// CounterAuto picks per structure: the dense vector counter when its
-	// flat array would be no larger than the equivalent hash table (dense
-	// key spaces like dictionary IDs), the hash table otherwise.
-	CounterAuto CounterKind = iota
-	// CounterHash forces hash tables everywhere.
-	CounterHash
-	// CounterDense forces dense vector counters wherever the key space is
-	// known (falling back to hash tables elsewhere).
-	CounterDense
-)
-
-// String names the counter kind.
-func (c CounterKind) String() string {
-	switch c {
-	case CounterHash:
-		return "hash"
-	case CounterDense:
-		return "dense"
-	default:
-		return "auto"
-	}
-}
-
 // Options configures an N-TADOC engine.
 type Options struct {
 	// Kind is the simulated medium for the DAG pool (default KindNVM; the
@@ -156,9 +128,6 @@ type Options struct {
 	Persistence Persistence
 	// Strategy selects the traversal direction (default Auto).
 	Strategy Strategy
-	// Counters selects between the §IV-D hash table and vector counter
-	// (default CounterAuto).
-	Counters CounterKind
 	// Sequences enables the sequence-analytics preprocessing during
 	// initialization (per-rule n-gram tables, per-file root runs).
 	// Without it, SequenceCount and RankedInvertedIndex return an error —

@@ -87,12 +87,12 @@ type Span struct {
 	started time.Time
 	base    nvm.Stats
 	baseCPU int64
-	dev     nvm.Device
+	dev     *nvm.SimDevice
 	cpu     *Meter
 }
 
 // Start begins measuring against dev and cpu (either may be nil).
-func Start(dev nvm.Device, cpu *Meter) *Span {
+func Start(dev *nvm.SimDevice, cpu *Meter) *Span {
 	//ntalint:ignore determcheck Wall is a diagnostic sidecar: modeled figures come from Device/CPU meters, never wall-clock.
 	s := &Span{started: time.Now(), dev: dev, cpu: cpu}
 	if dev != nil {

@@ -15,15 +15,15 @@ import "encoding/binary"
 // between BeginReads and End but the batch's own reads.  A failed bounds
 // check releases the lock before it panics.
 type Batch struct {
-	sim    *SimDevice // nil on a foreign Device: reads fall back to the Accessor's
+	dev    *SimDevice
 	locked bool
 }
 
 // BeginReads opens a batch on the accessor's device.
 func (a Accessor) BeginReads() Batch {
-	b := Batch{sim: a.sim}
-	if b.sim != nil && b.sim.shared.Load() {
-		b.sim.opMu.Lock()
+	b := Batch{dev: a.dev}
+	if b.dev.shared.Load() {
+		b.dev.opMu.Lock()
 		b.locked = true
 	}
 	return b
@@ -32,21 +32,18 @@ func (a Accessor) BeginReads() Batch {
 // End closes the batch, releasing the device.
 func (b Batch) End() {
 	if b.locked {
-		b.sim.opMu.Unlock()
+		b.dev.opMu.Unlock()
 	}
 }
 
 // view charges a read of a's [off, off+n) and returns the bytes; like
 // Accessor.ReadView they alias device memory.
 func (b Batch) view(a Accessor, off, n int64) []byte {
-	if off < 0 || n < 0 || off+n > a.size || a.sim != b.sim {
+	if off < 0 || n < 0 || off+n > a.size || a.dev != b.dev {
 		b.End()
 		panic("nvm: batched read out of region range or on another device")
 	}
-	if b.sim == nil {
-		return a.ReadView(off, n)
-	}
-	return b.sim.readHeld(a.base+off, n)
+	return b.dev.readHeld(a.base+off, n)
 }
 
 // Byte reads the byte at a's offset off.

@@ -1,12 +1,11 @@
 package nvm
 
 // deviceCache simulates the small cache that sits in front of the media: the
-// on-DIMM XPBuffer for Optane, a last-level-cache slice for DRAM, the OS page
-// cache for block devices.  It is a set-associative tag array with LRU
-// replacement inside each set.  Only tags are kept — the data itself lives in
-// the device's backing buffer — so the cache purely decides whether an access
-// is charged hit or miss cost.  Like the device that owns it, it is
-// unsynchronized: one goroutine per device.
+// on-DIMM XPBuffer for Optane, the OS page cache for block devices.  It is a
+// set-associative tag array with LRU replacement inside each set.  Only tags
+// are kept — the data itself lives in the device's backing buffer — so the
+// cache purely decides whether an access is charged hit or miss cost.  Like
+// the device that owns it, it is unsynchronized: one goroutine per device.
 type deviceCache struct {
 	sets  []cacheSet
 	nsets int64

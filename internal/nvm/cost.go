@@ -7,9 +7,9 @@ package nvm
 // previously accessed block.
 //
 // The default models are drawn from published measurements of the media the
-// paper uses (Optane PMem 200, Optane SSD P5800X, 7.2k SAS HDD) and DDR4
-// DRAM.  Absolute values matter less than the ratios between media; the
-// evaluation reports relative speedups, as the paper does.
+// paper uses (Optane PMem 200, Optane SSD P5800X, 7.2k SAS HDD).  Absolute
+// values matter less than the ratios between media; the evaluation reports
+// relative speedups, as the paper does.
 type CostModel struct {
 	Granule    int64 // media access granularity in bytes
 	HitNanos   int64 // cost of an access served by the device cache
@@ -20,8 +20,8 @@ type CostModel struct {
 	SeekNanos  int64 // extra cost of a non-sequential block access
 
 	// CacheBytes is the capacity of the simulated device cache: the Optane
-	// XPBuffer for NVM, a last-level-cache slice for DRAM, an OS page cache
-	// under a memory budget for block devices.  Zero disables the cache.
+	// XPBuffer for NVM, an OS page cache under a memory budget for block
+	// devices.  Zero disables the cache.
 	CacheBytes int64
 	// CacheWays is the associativity of the device cache (default 8).
 	CacheWays int
@@ -30,24 +30,11 @@ type CostModel struct {
 // Default cost models, exported so benchmarks can document the parameters
 // they ran under.  See DESIGN.md for the substitution rationale.
 var (
-	// DRAMModel: 64 B cache lines, ~80 ns row access on a miss, generous
-	// on-chip cache.  DRAM is the paper's theoretical upper bound (Fig 6).
-	DRAMModel = CostModel{
-		Granule:    64,
-		HitNanos:   4,
-		ReadNanos:  80,
-		WriteNanos: 80,
-		FlushNanos: 0,
-		DrainNanos: 0,
-		CacheBytes: 4 << 20,
-		CacheWays:  8,
-	}
-
 	// NVMModel: Optane PMem in App Direct (DAX) mode.  DAX memory is
-	// CPU-cacheable, so the device cache models an L3 slice (larger lines
-	// than DRAM's because the 256 B media granule makes adjacent-access
-	// prefetch effectively free); a hit costs SRAM latency with a small
-	// DDR-T protocol tax, a miss pays the ~3-4x-DRAM media latency.
+	// CPU-cacheable, so the device cache models an L3 slice (256 B lines,
+	// because the media granule makes adjacent-access prefetch effectively
+	// free); a hit costs SRAM latency with a small DDR-T protocol tax, a
+	// miss pays the ~3-4x-DRAM media latency.
 	// Writes are asymmetric and flushes (clwb+fence) are explicit.
 	// Writes allocate into the cache (~a write-allocate fetch on a miss);
 	// the media write itself is charged at Flush time, avoiding double
@@ -109,8 +96,6 @@ func (m CostModel) WithCacheBytes(n int64) CostModel {
 // ModelFor returns the default cost model for a medium.
 func ModelFor(k Kind) CostModel {
 	switch k {
-	case KindDRAM:
-		return DRAMModel
 	case KindNVM:
 		return NVMModel
 	case KindSSD:

@@ -169,10 +169,9 @@ func TestPersistEventsMonotone(t *testing.T) {
 	if n := d.PersistEvents(); n != 2 {
 		t.Fatalf("events after flush+drain = %d, want 2", n)
 	}
-	d.ResetStats()
 	must(t, d.Crash())
 	if n := d.PersistEvents(); n != 2 {
-		t.Errorf("events reset by ResetStats/Crash: %d, want 2 (must be monotone)", n)
+		t.Errorf("events reset by Crash: %d, want 2 (must be monotone)", n)
 	}
 }
 
@@ -190,32 +189,5 @@ func TestFailFromPersistEventSticky(t *testing.T) {
 	}
 	d.DisarmFailPoints()
 	must(t, d.Flush(0, 256))
-	must(t, d.Drain())
-}
-
-func TestFailPointsFireOnVolatileDevices(t *testing.T) {
-	d := New(KindDRAM, 4096) // no durable store; flushes are no-ops otherwise
-	defer d.Discard()
-
-	d.FailAfterFlushes(1)
-	must(t, d.Flush(0, 64))
-	if err := d.Flush(0, 64); !errors.Is(err, ErrFailPoint) {
-		t.Errorf("DRAM flush fail point: %v", err)
-	}
-	d.DisarmFailPoints()
-
-	d.FailAfterDrains(0)
-	if err := d.Drain(); !errors.Is(err, ErrFailPoint) {
-		t.Errorf("DRAM drain fail point: %v", err)
-	}
-	d.DisarmFailPoints()
-
-	d.FailAfterWrites(0)
-	if _, err := d.WriteAt([]byte("x"), 0); !errors.Is(err, ErrFailPoint) {
-		t.Errorf("DRAM write fail point: %v", err)
-	}
-	d.DisarmFailPoints()
-	devWrite(t, d, []byte("x"), 0)
-	must(t, d.Flush(0, 64))
 	must(t, d.Drain())
 }

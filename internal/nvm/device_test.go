@@ -22,7 +22,7 @@ func must(t testing.TB, err error) {
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
-		KindDRAM: "DRAM", KindNVM: "NVM", KindSSD: "SSD", KindHDD: "HDD",
+		KindNVM: "NVM", KindSSD: "SSD", KindHDD: "HDD",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -34,19 +34,8 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindPersistent(t *testing.T) {
-	if KindDRAM.Persistent() {
-		t.Error("DRAM must not be persistent")
-	}
-	for _, k := range []Kind{KindNVM, KindSSD, KindHDD} {
-		if !k.Persistent() {
-			t.Errorf("%v must be persistent", k)
-		}
-	}
-}
-
 func TestReadWriteRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindDRAM, KindNVM, KindSSD, KindHDD} {
+	for _, k := range []Kind{KindNVM, KindSSD, KindHDD} {
 		t.Run(k.String(), func(t *testing.T) {
 			d := New(k, 4096)
 			defer d.Discard()
@@ -98,9 +87,9 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.ModeledNanos <= 0 {
 		t.Error("modeled time did not accumulate")
 	}
-	d.ResetStats()
+	must(t, d.Crash())
 	if got := d.Stats(); got != (Stats{}) {
-		t.Errorf("after reset, stats = %+v", got)
+		t.Errorf("after crash, stats = %+v", got)
 	}
 }
 
@@ -191,8 +180,8 @@ func TestModeledCostReflectsLocality(t *testing.T) {
 }
 
 func TestMediaCostOrdering(t *testing.T) {
-	// For the same random access pattern, DRAM < NVM < SSD < HDD.
-	pattern := func(d Device) int64 {
+	// For the same random access pattern, NVM < SSD < HDD.
+	pattern := func(d *SimDevice) int64 {
 		r := rand.New(rand.NewSource(7))
 		buf := make([]byte, 64)
 		for i := 0; i < 2000; i++ {
@@ -201,12 +190,12 @@ func TestMediaCostOrdering(t *testing.T) {
 		return d.Stats().ModeledNanos
 	}
 	costs := make(map[Kind]int64)
-	for _, k := range []Kind{KindDRAM, KindNVM, KindSSD, KindHDD} {
+	for _, k := range []Kind{KindNVM, KindSSD, KindHDD} {
 		d := NewWithModel(k, 1<<20, ModelFor(k).WithCacheBytes(32<<10))
 		costs[k] = pattern(d)
 		d.Discard()
 	}
-	if !(costs[KindDRAM] < costs[KindNVM] && costs[KindNVM] < costs[KindSSD] && costs[KindSSD] < costs[KindHDD]) {
+	if !(costs[KindNVM] < costs[KindSSD] && costs[KindSSD] < costs[KindHDD]) {
 		t.Errorf("cost ordering violated: %v", costs)
 	}
 }
@@ -224,12 +213,11 @@ func TestHDDSeekPenalty(t *testing.T) {
 	if seqSeeks > 1 {
 		t.Errorf("sequential scan recorded %d seeks", seqSeeks)
 	}
-	d.ResetStats()
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		d.ReadAt(buf, int64(r.Intn(200))*4096)
 	}
-	if s := d.Stats().Seeks; s < 50 {
+	if s := d.Stats().Seeks - seqSeeks; s < 50 {
 		t.Errorf("random access recorded only %d seeks", s)
 	}
 }
@@ -263,20 +251,6 @@ func TestCrashDropsUnflushedWrites(t *testing.T) {
 	}
 }
 
-func TestCrashOnDRAMZeroes(t *testing.T) {
-	d := New(KindDRAM, 1024)
-	defer d.Discard()
-	d.WriteAt([]byte("gone"), 0)
-	must(t, d.Flush(0, 4)) // no-op on DRAM
-	must(t, d.Drain())
-	must(t, d.Crash())
-	got := make([]byte, 4)
-	d.ReadAt(got, 0)
-	if !bytes.Equal(got, make([]byte, 4)) {
-		t.Errorf("DRAM survived crash: %q", got)
-	}
-}
-
 func TestFailPoint(t *testing.T) {
 	d := New(KindNVM, 4096)
 	defer d.Discard()
@@ -292,6 +266,20 @@ func TestFailPoint(t *testing.T) {
 	if err := d.Flush(0, 3); err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}
+
+	d.FailAfterDrains(0)
+	if err := d.Drain(); !errors.Is(err, ErrFailPoint) {
+		t.Errorf("drain fail point: %v", err)
+	}
+	d.DisarmFailPoints()
+	d.FailAfterWrites(0)
+	if _, err := d.WriteAt([]byte("x"), 0); !errors.Is(err, ErrFailPoint) {
+		t.Errorf("write fail point: %v", err)
+	}
+	d.DisarmFailPoints()
+	devWrite(t, d, []byte("x"), 0)
+	must(t, d.Flush(0, 64))
+	must(t, d.Drain())
 }
 
 func TestFileBackedDurability(t *testing.T) {
@@ -324,12 +312,6 @@ func TestFileBackedDurability(t *testing.T) {
 	d2.ReadAt(got, 256)
 	if !bytes.Equal(got, payload) {
 		t.Errorf("read back %q", got)
-	}
-}
-
-func TestOpenRejectsDRAM(t *testing.T) {
-	if _, err := Open(KindDRAM, filepath.Join(t.TempDir(), "x"), 1024); err == nil {
-		t.Error("file-backed DRAM should be rejected")
 	}
 }
 
@@ -438,13 +420,13 @@ func TestQuickCrashConsistency(t *testing.T) {
 	}
 }
 
-// The counters are the last fields a lane writes on every access; a full
-// cache line must separate them from whatever the allocator places next
-// (see the padding comment in SimDevice).
+// The stats are the last fields a lane writes on every access; a full cache
+// line must separate them from whatever the allocator places next (see the
+// padding comment in SimDevice).
 func TestSimDeviceCountersEndInPadding(t *testing.T) {
 	var d SimDevice
-	end := unsafe.Offsetof(d.counters) + unsafe.Sizeof(d.counters)
+	end := unsafe.Offsetof(d.stats) + unsafe.Sizeof(d.stats)
 	if pad := unsafe.Sizeof(d) - end; pad < 64 {
-		t.Fatalf("%d bytes follow SimDevice's counters, want at least a 64-byte cache line", pad)
+		t.Fatalf("%d bytes follow SimDevice's stats, want at least a 64-byte cache line", pad)
 	}
 }

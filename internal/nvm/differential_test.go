@@ -19,6 +19,8 @@ func differentialConfigs() []struct {
 	hddTiny := ModelFor(KindHDD)
 	hddTiny.CacheBytes = hddTiny.Granule * 8 // 8 lines: constant eviction
 	hddTiny.CacheWays = 2
+	nvmLines := ModelFor(KindNVM)
+	nvmLines.Granule = 64 // cache-line granules: the finest the models charge
 	odd := ModelFor(KindNVM)
 	odd.Granule = 192
 	odd.CacheBytes = 192 * 64
@@ -29,7 +31,7 @@ func differentialConfigs() []struct {
 	}{
 		{"nvm-default", KindNVM, ModelFor(KindNVM)},
 		{"nvm-no-cache", KindNVM, nvmNoCache},
-		{"dram-default", KindDRAM, ModelFor(KindDRAM)},
+		{"nvm-64b-granule", KindNVM, nvmLines},
 		{"ssd-default", KindSSD, ModelFor(KindSSD)},
 		{"hdd-default", KindHDD, ModelFor(KindHDD)},
 		{"hdd-tiny-cache", KindHDD, hddTiny},
@@ -88,7 +90,7 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, a Accessor, scratch []byte) {
 		for i := range src {
 			src[i] = rng.Uint32()
 		}
-		a.WriteU32s(off-off%4, src)
+		a.PutUint32s(off-off%4, src)
 	case 7:
 		a.Fill(off, n, byte(rng.Intn(256)))
 	case 8:
@@ -195,17 +197,17 @@ func TestBatchOpsChargeIdenticalToScalarEquivalents(t *testing.T) {
 					u32s[j] = rng.Uint32()
 				}
 				raw32 := make([]byte, k*4)
-				a.WriteU32s(off, u32s)
+				a.PutUint32s(off, u32s)
 				for j, v := range u32s {
 					putLE32(raw32[j*4:], v)
 				}
 				b.WriteBytes(off, raw32)
-				check("WriteU32s vs WriteBytes")
+				check("PutUint32s vs WriteBytes")
 
 				dst32 := make([]uint32, k)
-				a.ReadU32s(off, dst32)
+				a.Uint32s(off, dst32)
 				b.ReadBytes(off, raw32)
-				check("ReadU32s vs ReadBytes")
+				check("Uint32s vs ReadBytes")
 
 				fv := byte(rng.Intn(256))
 				a.Fill(off, k*8, fv)

@@ -32,37 +32,32 @@ func mappedBy(fn func()) int64 {
 
 func TestLifecycleMapsAndUnmaps(t *testing.T) {
 	const size = 1 << 16
-	for _, c := range []struct {
-		kind   Kind
-		images int64
-	}{{KindNVM, 2}, {KindDRAM, 1}} {
-		var d *SimDevice
-		if got := mappedBy(func() { d = New(c.kind, size) }); got != c.images*size {
-			t.Errorf("%v: New mapped %d bytes, want %d images of %d", c.kind, got, c.images, size)
-		}
-		acc := NewAccessor(d, 0, size)
-		acc.PutByte(0, 'x')
-		if got := mappedBy(func() { must(t, d.Crash()) }); got != 0 {
-			t.Errorf("%v: Crash changed the mapped bytes by %d", c.kind, got)
-		}
-		if got := mappedBy(func() { must(t, d.Close()) }); got != -(c.images-1)*size {
-			t.Errorf("%v: Close unmapped %d bytes, want the durable image only", c.kind, -got)
-		}
-		d.WriteAt([]byte("still writable"), 0)
-		if got := mappedBy(func() { must(t, d.Discard()) }); got != -size {
-			t.Errorf("%v: Discard unmapped %d bytes, want the volatile image", c.kind, -got)
-		}
-		if got := mappedBy(func() { must(t, d.Discard()) }); got != 0 {
-			t.Errorf("%v: second Discard moved the mapped bytes by %d", c.kind, got)
-		}
-		if d.Size() != 0 {
-			t.Errorf("%v: discarded device reports size %d", c.kind, d.Size())
-		}
-		// Use after Discard is a bug the runtime reports as a bounds error,
-		// not a fault on the unmapped pages: here through an accessor made
-		// while the device was live, as an engine's structures hold them.
-		assertPanics(t, "access after Discard", func() { acc.Byte(0) })
+	var d *SimDevice
+	if got := mappedBy(func() { d = New(KindNVM, size) }); got != 2*size {
+		t.Errorf("New mapped %d bytes, want 2 images of %d", got, size)
 	}
+	acc := NewAccessor(d, 0, size)
+	acc.PutByte(0, 'x')
+	if got := mappedBy(func() { must(t, d.Crash()) }); got != 0 {
+		t.Errorf("Crash changed the mapped bytes by %d", got)
+	}
+	if got := mappedBy(func() { must(t, d.Close()) }); got != -size {
+		t.Errorf("Close unmapped %d bytes, want the durable image only", -got)
+	}
+	d.WriteAt([]byte("still writable"), 0)
+	if got := mappedBy(func() { must(t, d.Discard()) }); got != -size {
+		t.Errorf("Discard unmapped %d bytes, want the volatile image", -got)
+	}
+	if got := mappedBy(func() { must(t, d.Discard()) }); got != 0 {
+		t.Errorf("second Discard moved the mapped bytes by %d", got)
+	}
+	if d.Size() != 0 {
+		t.Errorf("discarded device reports size %d", d.Size())
+	}
+	// Use after Discard is a bug the runtime reports as a bounds error,
+	// not a fault on the unmapped pages: here through an accessor made
+	// while the device was live, as an engine's structures hold them.
+	assertPanics(t, "access after Discard", func() { acc.Byte(0) })
 }
 
 // A clone maps its own two images and copies only the persisted prefix.
@@ -101,34 +96,30 @@ func TestCloneDurableMapsItsOwnImages(t *testing.T) {
 
 func TestDurableCRCIsTheImagesChecksum(t *testing.T) {
 	const size = 3*len(zeroBlock) + 777 // the zero tail spans several blocks and a partial one
-	for _, kind := range []Kind{KindNVM, KindDRAM} {
-		d := New(kind, int64(size))
-		for _, n := range []int{0, 1, 4096 + 5, size} {
-			data := bytes.Repeat([]byte{0xA5}, n)
-			d.WriteAt(data, 0)
-			must(t, d.Flush(0, int64(n)))
-			must(t, d.Drain())
-			want := make([]byte, size) // a volatile kind persists nothing
-			if kind.Persistent() {
-				copy(want, data)
-			}
-			img := bytes.Repeat([]byte{0xFF}, size) // ReadDurable must overwrite all of it
-			must(t, d.ReadDurable(img))
-			if !bytes.Equal(img, want) {
-				t.Fatalf("%v: ReadDurable after flushing %d bytes is not the durable image", kind, n)
-			}
-			got, err := d.DurableCRC()
-			must(t, err)
-			if want := crc32.ChecksumIEEE(img); got != want {
-				t.Errorf("%v: DurableCRC with %d persisted bytes = %08x, want %08x", kind, n, got, want)
-			}
+	d := New(KindNVM, int64(size))
+	for _, n := range []int{0, 1, 4096 + 5, size} {
+		data := bytes.Repeat([]byte{0xA5}, n)
+		d.WriteAt(data, 0)
+		must(t, d.Flush(0, int64(n)))
+		must(t, d.Drain())
+		want := make([]byte, size)
+		copy(want, data)
+		img := bytes.Repeat([]byte{0xFF}, size) // ReadDurable must overwrite all of it
+		must(t, d.ReadDurable(img))
+		if !bytes.Equal(img, want) {
+			t.Fatalf("ReadDurable after flushing %d bytes is not the durable image", n)
 		}
-		must(t, d.Close())
-		if _, err := d.DurableCRC(); !errors.Is(err, ErrClosed) {
-			t.Errorf("%v: DurableCRC after Close: %v, want ErrClosed", kind, err)
+		got, err := d.DurableCRC()
+		must(t, err)
+		if want := crc32.ChecksumIEEE(img); got != want {
+			t.Errorf("DurableCRC with %d persisted bytes = %08x, want %08x", n, got, want)
 		}
-		must(t, d.Discard())
 	}
+	must(t, d.Close())
+	if _, err := d.DurableCRC(); !errors.Is(err, ErrClosed) {
+		t.Errorf("DurableCRC after Close: %v, want ErrClosed", err)
+	}
+	must(t, d.Discard())
 }
 
 // Opening a file-backed pool maps exactly what it uses — the file twice,

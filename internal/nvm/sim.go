@@ -11,11 +11,10 @@ import (
 	"sync/atomic"
 )
 
-// SimDevice is the concrete simulated device behind every Kind.  It keeps the
-// device contents in a page mapping outside the Go heap (the "volatile
-// image", see image.go), charges modeled cost per access through a simulated
-// device cache, and — for persistent kinds — maintains a durable image behind
-// a *pending set*:
+// SimDevice is the simulated device behind every Kind.  It keeps the device
+// contents in a page mapping outside the Go heap (the "volatile image", see
+// image.go), charges modeled cost per access through a simulated device
+// cache, and maintains a durable image behind a *pending set*:
 //
 //	volatile image --Flush--> pending set --Drain--> durable image
 //
@@ -27,6 +26,12 @@ import (
 // set first, modeling flushed-but-unfenced stores that reach media in any
 // order.  Crash then reloads the volatile image from the durable one,
 // reproducing power-failure semantics exactly.
+//
+// Offsets are byte addresses from the start of the device.  A device is owned
+// by one goroutine at a time unless it is shared (see Share): access charging
+// and statistics are deliberately unsynchronized so the simulator adds no
+// lock or atomic traffic to every modeled access.  Concurrent experiment
+// cells each own their own device (see internal/harness).
 type SimDevice struct {
 	kind  Kind
 	model CostModel
@@ -38,7 +43,7 @@ type SimDevice struct {
 	dirtyHi int64
 
 	mu      sync.Mutex // guards durable store and closed flag
-	store   *durable   // guarded by mu; nil on a volatile kind
+	store   *durable   // guarded by mu
 	closed  bool       // guarded by mu
 	lastBlk int64      // previously accessed block, for HDD seek modeling
 
@@ -83,10 +88,9 @@ type SimDevice struct {
 	pendingHi int64
 
 	// Fail points: when >= 0, operation number n (0-based, counted from
-	// arming) and all later ones fail with ErrFailPoint.  They fire on
-	// volatile (store == nil) devices too, so DRAM ablation cells exercise
-	// the same error paths.  failFromEvent instead counts the combined
-	// flush/drain sequence from device creation, for crash-point replays.
+	// arming) and all later ones fail with ErrFailPoint.  failFromEvent
+	// instead counts the combined flush/drain sequence from device creation,
+	// for crash-point replays.
 	failAfterFlushes int64
 	failAfterDrains  int64
 	failAfterWrites  int64
@@ -102,11 +106,15 @@ type SimDevice struct {
 	// batch (see SetShipper).  Guarded by mu.
 	shipper Shipper
 
-	counters
+	// stats accumulates the access counters and modeled cost.  Plain fields,
+	// not atomics: a device belongs to one goroutine unless shared, and every
+	// modeled access updates several of them, so atomic traffic here would be
+	// pure overhead.
+	stats Stats
 
-	// One cache line of padding after the counters, which every access
-	// writes.  The shards' devices are allocated back to back, so without it
-	// one device's counters can share a line with the head of the next —
+	// One cache line of padding after the stats, which every access writes.
+	// The shards' devices are allocated back to back, so without it one
+	// device's stats can share a line with the head of the next —
 	// kind, model, buf, read on every access by another shard's lane on
 	// another core — and whether they do is decided by heap layout, anew in
 	// every process: traversal was a third slower in the unlucky ones.
@@ -136,8 +144,7 @@ type Shipper interface {
 }
 
 // SetShipper attaches (or, with nil, detaches) the device's commit shipper.
-// Volatile devices never ship — they have no durable image to mirror — and
-// empty drains are skipped.
+// Empty drains are skipped.
 func (d *SimDevice) SetShipper(s Shipper) {
 	d.mu.Lock()
 	d.shipper = s
@@ -150,8 +157,6 @@ type pendingRange struct {
 	off, n int64
 	data   []byte
 }
-
-var _ Device = (*SimDevice)(nil)
 
 // durable is the image that survives a crash: Drain copies flushed bytes
 // into it.  An in-memory device keeps it in an anonymous mapping.  A
@@ -208,14 +213,9 @@ func New(kind Kind, size int64) *SimDevice {
 
 // NewWithModel creates an in-memory simulated device with an explicit cost
 // model (used by ablations and by block devices under a page-cache budget).
-// The device owns two size-byte mappings (one on a volatile kind) until
-// Discard.
+// The device owns two size-byte mappings until Discard.
 func NewWithModel(kind Kind, size int64, model CostModel) *SimDevice {
-	var store *durable
-	if kind.Persistent() {
-		store = &durable{img: newImage(size)}
-	}
-	return newDevice(kind, model, newImage(size), store)
+	return newDevice(kind, model, newImage(size), &durable{img: newImage(size)})
 }
 
 func newDevice(kind Kind, model CostModel, buf []byte, store *durable) *SimDevice {
@@ -241,12 +241,8 @@ func newDevice(kind Kind, model CostModel, buf []byte, store *durable) *SimDevic
 // Open creates (or reopens) a file-backed simulated device at path.  If the
 // file exists its contents become the durable and volatile images; otherwise
 // it is created zero-filled at the given size.  Neither case reads the file:
-// both images are mappings of it (see durable).  DRAM kind rejects file
-// backing, since DRAM does not persist.
+// both images are mappings of it (see durable).
 func Open(kind Kind, path string, size int64) (*SimDevice, error) {
-	if kind == KindDRAM {
-		return nil, fmt.Errorf("nvm: DRAM device cannot be file-backed")
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("nvm: open %s: %w", path, err)
@@ -278,31 +274,24 @@ func Open(kind Kind, path string, size int64) (*SimDevice, error) {
 	return newDevice(kind, ModelFor(kind), buf, store), nil
 }
 
-// Kind implements Device.
+// Kind identifies the medium.
 func (d *SimDevice) Kind() Kind { return d.kind }
 
-// Size implements Device.
+// Size is the device capacity in bytes.
 func (d *SimDevice) Size() int64 { return int64(len(d.buf)) }
 
 // Model returns the device's cost model.
 func (d *SimDevice) Model() CostModel { return d.model }
 
-// Stats implements Device.
+// Stats returns a snapshot of the access counters and modeled cost.  A crash
+// zeroes them; callers measure an interval as the difference of two
+// snapshots (Stats.Sub).
 func (d *SimDevice) Stats() Stats {
 	if d.shared.Load() {
 		d.opMu.Lock()
 		defer d.opMu.Unlock()
 	}
-	return d.counters.snapshot()
-}
-
-// ResetStats implements Device.
-func (d *SimDevice) ResetStats() {
-	if d.shared.Load() {
-		d.opMu.Lock()
-		defer d.opMu.Unlock()
-	}
-	d.counters.reset()
+	return d.stats
 }
 
 // Share switches the device into shared mode, permanently: access charging,
@@ -329,8 +318,8 @@ func (d *SimDevice) charge(off, n, missNanos int64, isWrite bool) {
 		// reference-charging devices never run chargeRun), so matching it
 		// implies cache != nil and !refCharge.  The function is kept this
 		// small deliberately, so the memo path inlines into the accessors.
-		d.modeledNanos += d.model.HitNanos
-		d.cacheHits++
+		d.stats.ModeledNanos += d.model.HitNanos
+		d.stats.CacheHits++
 		if d.model.SeekNanos > 0 {
 			d.lastBlk = first
 		}
@@ -347,8 +336,8 @@ func (d *SimDevice) charge2(off, n, first, missNanos int64, isWrite bool) {
 	if d.lastGranule2 == first && (off+n-1)/d.model.Granule == first {
 		d.lastGranule2 = d.lastGranule
 		d.lastGranule = first
-		d.modeledNanos += d.model.HitNanos
-		d.cacheHits++
+		d.stats.ModeledNanos += d.model.HitNanos
+		d.stats.CacheHits++
 		if d.model.SeekNanos > 0 {
 			d.lastBlk = first
 		}
@@ -422,12 +411,12 @@ func (d *SimDevice) chargeRun(first, last, missNanos int64, isWrite bool) {
 	if seek {
 		d.lastBlk = prev
 	}
-	d.modeledNanos += cost
-	d.cacheHits += hits
-	d.cacheMisses += misses
-	d.granuleReads += gReads
-	d.granuleWrites += gWrites
-	d.seeks += seeks
+	d.stats.ModeledNanos += cost
+	d.stats.CacheHits += hits
+	d.stats.CacheMisses += misses
+	d.stats.GranuleReads += gReads
+	d.stats.GranuleWrites += gWrites
+	d.stats.Seeks += seeks
 }
 
 // chargeReference is the straight-line per-granule charging loop, kept as
@@ -445,29 +434,29 @@ func (d *SimDevice) chargeReference(off, n, missNanos int64, isWrite bool) {
 		}
 		if hit {
 			cost += d.model.HitNanos
-			d.cacheHits++
+			d.stats.CacheHits++
 		} else {
 			cost += missNanos
-			d.cacheMisses++
+			d.stats.CacheMisses++
 			if d.model.SeekNanos > 0 && !isWrite {
 				prev := d.lastBlk
 				d.lastBlk = gr
 				if prev != gr-1 && prev != gr {
 					cost += d.model.SeekNanos
-					d.seeks++
+					d.stats.Seeks++
 				}
 			}
 			if isWrite {
-				d.granuleWrites++
+				d.stats.GranuleWrites++
 			} else {
-				d.granuleReads++
+				d.stats.GranuleReads++
 			}
 		}
 		if d.model.SeekNanos > 0 && (hit || isWrite) {
 			d.lastBlk = gr
 		}
 	}
-	d.modeledNanos += cost
+	d.stats.ModeledNanos += cost
 }
 
 // accessRead charges a read of [off, off+n) and returns the volatile-image
@@ -483,14 +472,14 @@ func (d *SimDevice) accessRead(off, n int64) []byte {
 	if d.shared.Load() {
 		d.opMu.Lock()
 		d.charge(off, n, d.model.ReadNanos, false)
-		d.reads++
-		d.bytesRead += n
+		d.stats.Reads++
+		d.stats.BytesRead += n
 		d.opMu.Unlock()
 		return d.buf[off : off+n]
 	}
 	d.charge(off, n, d.model.ReadNanos, false)
-	d.reads++
-	d.bytesRead += n
+	d.stats.Reads++
+	d.stats.BytesRead += n
 	return d.buf[off : off+n]
 }
 
@@ -501,8 +490,8 @@ func (d *SimDevice) readHeld(off, n int64) []byte {
 		return nil
 	}
 	d.charge(off, n, d.model.ReadNanos, false)
-	d.reads++
-	d.bytesRead += n
+	d.stats.Reads++
+	d.stats.BytesRead += n
 	return d.buf[off : off+n]
 }
 
@@ -521,15 +510,15 @@ func (d *SimDevice) accessWrite(off, n int64) []byte {
 		d.snapshotPending(off, n)
 	}
 	d.charge(off, n, d.model.WriteNanos, true)
-	d.writes++
-	d.bytesWritten += n
+	d.stats.Writes++
+	d.stats.BytesWritten += n
 	if off+n > d.dirtyHi {
 		d.dirtyHi = off + n
 	}
 	return d.buf[off : off+n]
 }
 
-// ReadAt implements Device.
+// ReadAt copies len(p) bytes at off into p, charging modeled read cost.
 func (d *SimDevice) ReadAt(p []byte, off int64) (int, error) {
 	if err := d.checkRange(off, int64(len(p))); err != nil {
 		return 0, err
@@ -542,13 +531,15 @@ func (d *SimDevice) ReadAt(p []byte, off int64) (int, error) {
 		defer d.opMu.Unlock()
 	}
 	d.charge(off, int64(len(p)), d.model.ReadNanos, false)
-	d.reads++
-	d.bytesRead += int64(len(p))
+	d.stats.Reads++
+	d.stats.BytesRead += int64(len(p))
 	copy(p, d.buf[off:])
 	return len(p), nil
 }
 
-// WriteAt implements Device.
+// WriteAt copies p to off, charging modeled write cost.  The bytes reach the
+// durable image only after Flush and Drain, mirroring the CPU-cache/ADR
+// behaviour of real persistent memory.
 func (d *SimDevice) WriteAt(p []byte, off int64) (int, error) {
 	if err := d.checkRange(off, int64(len(p))); err != nil {
 		return 0, err
@@ -570,8 +561,8 @@ func (d *SimDevice) WriteAt(p []byte, off int64) (int, error) {
 		d.snapshotPending(off, int64(len(p)))
 	}
 	d.charge(off, int64(len(p)), d.model.WriteNanos, true)
-	d.writes++
-	d.bytesWritten += int64(len(p))
+	d.stats.Writes++
+	d.stats.BytesWritten += int64(len(p))
 	if end := off + int64(len(p)); end > d.dirtyHi {
 		d.dirtyHi = end
 	}
@@ -596,7 +587,8 @@ func (d *SimDevice) snapshotPending(off, n int64) {
 	}
 }
 
-// Flush implements Device: captures [off, off+n) into the pending set.  The
+// Flush initiates write-back of [off, off+n) toward the durable image (the
+// clwb/msync analogue): it captures the range into the pending set, and the
 // bytes become durable only at the next successful Drain.
 func (d *SimDevice) Flush(off, n int64) error {
 	if err := d.checkRange(off, n); err != nil {
@@ -606,11 +598,11 @@ func (d *SimDevice) Flush(off, n int64) error {
 		d.opMu.Lock()
 		defer d.opMu.Unlock()
 	}
-	d.flushes++
-	d.flushedBytes += n
+	d.stats.Flushes++
+	d.stats.FlushedBytes += n
 	g := granules(off, n, d.model.Granule)
-	d.flushedGranules += g
-	d.modeledNanos += g * d.model.FlushNanos
+	d.stats.FlushedGranules += g
+	d.stats.ModeledNanos += g * d.model.FlushNanos
 	ev := d.persistEvents
 	d.persistEvents++
 	if d.failFromEvent >= 0 && ev >= d.failFromEvent {
@@ -621,10 +613,6 @@ func (d *SimDevice) Flush(off, n int64) error {
 		if d.failAfterFlushes < 0 {
 			return ErrFailPoint
 		}
-	}
-	//ntalint:ignore guardcheck store's nil-ness (volatile vs persistent kind) is fixed at construction; mu guards the durable image behind it.
-	if d.store == nil {
-		return nil // volatile medium: nothing to persist
 	}
 	if n == 0 {
 		return nil
@@ -648,15 +636,15 @@ func (d *SimDevice) Flush(off, n int64) error {
 	return nil
 }
 
-// Drain implements Device: retires the whole pending set into the durable
-// image, in flush order, then syncs the backing store.
+// Drain retires the whole pending set into the durable image, in flush order,
+// then syncs the backing store (the sfence/fsync analogue).
 func (d *SimDevice) Drain() error {
 	if d.shared.Load() {
 		d.opMu.Lock()
 		defer d.opMu.Unlock()
 	}
-	d.drains++
-	d.modeledNanos += d.model.DrainNanos
+	d.stats.Drains++
+	d.stats.ModeledNanos += d.model.DrainNanos
 	ev := d.persistEvents
 	d.persistEvents++
 	if d.failFromEvent >= 0 && ev >= d.failFromEvent {
@@ -667,10 +655,6 @@ func (d *SimDevice) Drain() error {
 		if d.failAfterDrains < 0 {
 			return ErrFailPoint
 		}
-	}
-	//ntalint:ignore guardcheck store's nil-ness (volatile vs persistent kind) is fixed at construction; mu guards the durable image behind it.
-	if d.store == nil {
-		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -714,7 +698,7 @@ func (d *SimDevice) dropPendingLocked() {
 // volatile image is discarded and reloaded from the durable image (a
 // file-backed device maps it anew, so views into the old one fault).  Writes
 // that were not both flushed and drained vanish.  The device stays usable;
-// stats and cache are reset.  Volatile (DRAM) devices come back zero-filled.
+// stats and cache are reset.
 func (d *SimDevice) Crash() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -737,7 +721,7 @@ func (d *SimDevice) crashLocked(rng *rand.Rand) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if rng != nil && d.store != nil && len(d.pending) > 0 {
+	if rng != nil && len(d.pending) > 0 {
 		if err := d.persistPendingSubsetLocked(rng); err != nil {
 			return err
 		}
@@ -755,15 +739,12 @@ func (d *SimDevice) crashLocked(rng *rand.Rand) error {
 		}
 	} else {
 		clear(d.buf[:d.dirtyHi])
-		d.dirtyHi = 0
-		if d.store != nil {
-			d.dirtyHi = int64(copy(d.buf, d.store.img[:d.store.hi]))
-		}
+		d.dirtyHi = int64(copy(d.buf, d.store.img[:d.store.hi]))
 	}
 	if d.cache != nil {
 		d.cache.reset()
 	}
-	d.counters.reset()
+	d.stats = Stats{}
 	d.lastBlk = -1
 	d.lastGranule = -1
 	d.lastGranule2 = -1
@@ -817,8 +798,7 @@ func (d *SimDevice) persistPendingSubsetLocked(rng *rand.Rand) error {
 // and disarmed fail points.  The clone's volatile image is the durable image
 // (the post-crash view).  One golden run can seed many independent crash
 // explorations: clone, then CrashAt with different seeds, without disturbing
-// the source device.  Cloning a volatile device yields a zero-filled one —
-// DRAM has no durable contents.
+// the source device.
 func (d *SimDevice) CloneDurable() (*SimDevice, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -826,9 +806,6 @@ func (d *SimDevice) CloneDurable() (*SimDevice, error) {
 		return nil, ErrClosed
 	}
 	nd := NewWithModel(d.kind, int64(len(d.buf)), d.model)
-	if d.store == nil {
-		return nd, nil
-	}
 	// Both of the clone's images are fresh, so zero: the persisted prefix is
 	// all there is to copy.
 	prefix := d.store.img[:d.store.hi]
@@ -850,8 +827,7 @@ func (d *SimDevice) CloneDurable() (*SimDevice, error) {
 // The copy is host-side and uncharged: replication bootstrap
 // streams the snapshot off the modeled critical path (the cost of making it
 // durable again is charged at the destination device, per the
-// persist-at-the-destination discipline).  A volatile device has no durable
-// contents, so dst comes back zero-filled.
+// persist-at-the-destination discipline).
 func (d *SimDevice) ReadDurable(dst []byte) error {
 	if int64(len(dst)) != int64(len(d.buf)) {
 		return fmt.Errorf("%w: durable read of %d bytes from %d-byte device",
@@ -862,30 +838,22 @@ func (d *SimDevice) ReadDurable(dst []byte) error {
 	if d.closed {
 		return ErrClosed
 	}
-	var n int
-	if d.store != nil {
-		n = copy(dst, d.store.img[:d.store.hi])
-	}
+	n := copy(dst, d.store.img[:d.store.hi])
 	clear(dst[n:])
 	return nil
 }
 
 // DurableCRC returns the IEEE CRC-32 of the durable image — the replication
 // invariant tests compare a follower's image against the primary's without
-// materializing both for inspection.  Volatile devices checksum their
-// (empty) durable contents: the CRC of a zero-filled image.
+// materializing both for inspection.
 func (d *SimDevice) DurableCRC() (uint32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return 0, ErrClosed
 	}
-	var crc uint32
-	rest := len(d.buf)
-	if d.store != nil {
-		crc = crc32.ChecksumIEEE(d.store.img[:d.store.hi])
-		rest -= int(d.store.hi)
-	}
+	crc := crc32.ChecksumIEEE(d.store.img[:d.store.hi])
+	rest := len(d.buf) - int(d.store.hi)
 	// The image past the persisted prefix is zero and was never touched:
 	// checksum a fixed zero block in its place.
 	for rest > 0 {
@@ -914,18 +882,17 @@ func (d *SimDevice) FailFromPersistEvent(n int64) { d.failFromEvent = n }
 
 // FailAfterFlushes arms a fail point: the next n flushes succeed, then every
 // flush fails with ErrFailPoint until disarmed.  Crash-injection tests use
-// this to interrupt persistence mid-phase.  Fires on volatile devices too.
+// this to interrupt persistence mid-phase.
 func (d *SimDevice) FailAfterFlushes(n int64) { d.failAfterFlushes = n }
 
 // FailAfterDrains arms a fail point: the next n drains succeed, then every
-// drain fails with ErrFailPoint until disarmed.  Fires on volatile devices
-// too.
+// drain fails with ErrFailPoint until disarmed.
 func (d *SimDevice) FailAfterDrains(n int64) { d.failAfterDrains = n }
 
 // FailAfterWrites arms a fail point: the next n WriteAt calls succeed, then
-// every WriteAt fails with ErrFailPoint until disarmed.  It applies to the
-// Device.WriteAt path only — accessor stores cannot fail, mirroring real CPU
-// store instructions.
+// every WriteAt fails with ErrFailPoint until disarmed.  It applies to
+// WriteAt only — accessor stores cannot fail, mirroring real CPU store
+// instructions.
 func (d *SimDevice) FailAfterWrites(n int64) { d.failAfterWrites = n }
 
 // DisarmFailPoints clears every armed fail point.
@@ -936,10 +903,10 @@ func (d *SimDevice) DisarmFailPoints() {
 	d.failFromEvent = -1
 }
 
-// Close implements Device.  It gives up the durable image (and closes a
-// backing file): a closed device's durable image is unreachable — Flush,
-// Drain, Crash and the durable readers all fail with ErrClosed first.  The
-// volatile image stays mapped, readable and writable, until Discard.
+// Close gives up the durable image (and closes a backing file): a closed
+// device's durable image is unreachable — Flush, Drain, Crash and the durable
+// readers all fail with ErrClosed first.  The volatile image stays mapped,
+// readable and writable, until Discard.
 func (d *SimDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -947,10 +914,7 @@ func (d *SimDevice) Close() error {
 		return nil
 	}
 	d.closed = true
-	if d.store != nil {
-		return d.store.close()
-	}
-	return nil
+	return d.store.close()
 }
 
 // Discard closes the device and gives up its volatile image too, which
@@ -975,7 +939,7 @@ func (d *SimDevice) Discard() error {
 
 // fileBackedLocked reports whether the images map a file (Open) rather than
 // anonymous memory.
-func (d *SimDevice) fileBackedLocked() bool { return d.store != nil && d.store.f != nil }
+func (d *SimDevice) fileBackedLocked() bool { return d.store.f != nil }
 
 func (d *SimDevice) checkRange(off, n int64) error {
 	if off < 0 || n < 0 || off+n > int64(len(d.buf)) {

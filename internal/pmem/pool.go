@@ -69,7 +69,7 @@ var (
 // pointer: the paper's engine sizes every structure up front (bottom-up
 // summation), so nothing is ever freed piecemeal; a pool is reset as a whole.
 type Pool struct {
-	dev nvm.Device
+	dev *nvm.SimDevice
 	acc nvm.Accessor
 
 	size int64
@@ -106,7 +106,7 @@ type Options struct {
 // Create formats a new pool covering the whole device and returns it.  Any
 // previous contents are ignored.  The header and empty redo log are made
 // durable before Create returns.
-func Create(dev nvm.Device, opts Options) (*Pool, error) {
+func Create(dev *nvm.SimDevice, opts Options) (*Pool, error) {
 	logCap := opts.LogCap
 	if logCap == 0 {
 		logCap = 1 << 20
@@ -158,7 +158,7 @@ func Create(dev nvm.Device, opts Options) (*Pool, error) {
 // replaying any committed-but-unapplied redo log (crash recovery for
 // operation-level persistence).  It returns ErrNoPool when the device has no
 // pool and ErrCorrupt when the header fails validation.
-func Open(dev nvm.Device) (*Pool, error) {
+func Open(dev *nvm.SimDevice) (*Pool, error) {
 	size := dev.Size()
 	if size < headerSize {
 		return nil, ErrNoPool
@@ -197,7 +197,7 @@ func Open(dev nvm.Device) (*Pool, error) {
 }
 
 // Device returns the pool's backing device.
-func (p *Pool) Device() nvm.Device { return p.dev }
+func (p *Pool) Device() *nvm.SimDevice { return p.dev }
 
 // Size returns the pool capacity in bytes.
 func (p *Pool) Size() int64 { return p.size }

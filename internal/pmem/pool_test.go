@@ -331,12 +331,12 @@ func TestTxWriteAmplification(t *testing.T) {
 	// device than the logical payload — that is the paper's Fig 5b effect.
 	p, dev := newTestPool(t, 1<<20)
 	a, _ := p.Alloc(4096, 8)
-	dev.ResetStats()
+	base := dev.Stats()
 	tx, _ := p.Begin()
 	payload := make([]byte, 1024)
 	tx.Write(a.Base(), payload)
 	must(t, tx.Commit())
-	if w := dev.Stats().BytesWritten; w < 2*1024 {
+	if w := dev.Stats().Sub(base).BytesWritten; w < 2*1024 {
 		t.Errorf("bytes written = %d, want >= 2x payload (log + in place)", w)
 	}
 }

@@ -278,21 +278,21 @@ func TestGrowableCostsMoreThanBounded(t *testing.T) {
 	defer devA.Discard()
 	poolA, _ := pmem.Create(devA, pmem.Options{})
 	bounded, _ := NewHashTable(poolA, n)
-	devA.ResetStats()
+	baseA := devA.Stats()
 	for i := uint64(0); i < n; i++ {
 		bounded.Put(i, i)
 	}
-	boundedBytes := devA.Stats().BytesWritten
+	boundedBytes := devA.Stats().Sub(baseA).BytesWritten
 
 	devB := nvm.New(nvm.KindNVM, 1<<22)
 	defer devB.Discard()
 	poolB, _ := pmem.Create(devB, pmem.Options{})
 	grow, _ := NewGrowableHashTable(poolB, 4)
-	devB.ResetStats()
+	baseB := devB.Stats()
 	for i := uint64(0); i < n; i++ {
 		grow.Put(i, i)
 	}
-	growBytes := devB.Stats().BytesWritten
+	growBytes := devB.Stats().Sub(baseB).BytesWritten
 
 	if growBytes <= boundedBytes {
 		t.Errorf("growable wrote %d bytes <= bounded %d", growBytes, boundedBytes)

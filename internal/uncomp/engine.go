@@ -20,7 +20,7 @@ import (
 
 // Engine scans device-resident tokens.  It implements analytics.Executor.
 type Engine struct {
-	dev   nvm.Device
+	dev   *nvm.SimDevice
 	d     *dict.Dictionary
 	acc   nvm.Accessor
 	offs  []int64 // token offset of each file's start; offs[len] = total
@@ -46,7 +46,7 @@ func RequiredSize(files [][]uint32) int64 {
 // Load writes the corpus onto the device and returns an engine over it.
 // This is the baseline's initialization phase: the dictionary-encoded text
 // is written sequentially to the device and flushed.
-func Load(dev nvm.Device, d *dict.Dictionary, files [][]uint32) (*Engine, error) {
+func Load(dev *nvm.SimDevice, d *dict.Dictionary, files [][]uint32) (*Engine, error) {
 	need := RequiredSize(files)
 	if dev.Size() < need {
 		return nil, fmt.Errorf("uncomp: device %d bytes, need %d", dev.Size(), need)

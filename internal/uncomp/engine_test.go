@@ -68,11 +68,11 @@ func TestScanChargesDeviceTraffic(t *testing.T) {
 	}
 	files, d := spec.GenerateWithDict()
 	e, dev := load(t, files, d)
-	dev.ResetStats()
+	base := dev.Stats()
 	if _, err := analytics.WordCount(e); err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
-	st := dev.Stats()
+	st := dev.Stats().Sub(base)
 	if st.BytesRead < RequiredSize(files) {
 		t.Errorf("scan read %d bytes, corpus is %d", st.BytesRead, RequiredSize(files))
 	}
