@@ -434,10 +434,11 @@ func TestInvalidGrammarRejected(t *testing.T) {
 
 // TestCounterFormsAllCorrect: the §IV-D choice puts a dense vector counter on
 // every dictionary-ID key space small enough for it and a hash table
-// elsewhere, so each traversal direction runs both forms side by side.
+// elsewhere, so each traversal direction — and the automatic choice between
+// them — runs both forms side by side.
 func TestCounterFormsAllCorrect(t *testing.T) {
 	files, d, g := corpus(t, 60, 3, 250, 40)
-	for _, s := range []Strategy{TopDown, BottomUp} {
+	for _, s := range []Strategy{Auto, TopDown, BottomUp} {
 		t.Run(s.String(), func(t *testing.T) {
 			e := newEngine(t, g, d, Options{Sequences: true, Strategy: s})
 			checkAllTasks(t, e, files, d)

@@ -411,6 +411,93 @@ func TestAppendSurvivesWriteBackAtEveryEvent(t *testing.T) {
 	}
 }
 
+// TestAppendCommitStoresOnlyTheWatermark: an append persists its record and
+// then the committed watermark — two flushes, two drains — and stores no
+// other header word, so bytes 8–31 of the region header stay zero and the
+// watermark equals the committed log bytes.
+func TestAppendCommitStoresOnlyTheWatermark(t *testing.T) {
+	files, d, _ := corpus(t, 78, 6, 150, 25)
+	const base = 4
+	g, err := sequitur.Infer(files[:base], uint32(d.Len()))
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	vocab := uint32(d.Len())
+	for _, p := range []Persistence{PhaseLevel, OpLevel} {
+		t.Run(p.String(), func(t *testing.T) {
+			se := newOneShard(t, g, d, Options{Sequences: true, Persistence: p, IngestCap: 1 << 20})
+			e := se.Shard(0)
+			for i := base; i < len(files); i++ {
+				before, events := e.Device().Stats(), e.Device().PersistEvents()
+				if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
+					t.Fatalf("Append %d: %v", i, err)
+				}
+				got := e.Device().Stats().Sub(before)
+				if got.Flushes != 2 || got.Drains != 2 {
+					t.Errorf("append %d: %d flushes, %d drains, want 2, 2", i, got.Flushes, got.Drains)
+				}
+				if n := e.Device().PersistEvents() - events; n != 4 {
+					t.Errorf("append %d: %d persistence events, want 4", i, n)
+				}
+				acc := e.ingest.acc
+				for off := int64(8); off < ingOffCap; off += 8 {
+					if w := acc.Uint64(off); w != 0 {
+						t.Errorf("append %d: header word at %d is %d, want 0", i, off, w)
+					}
+				}
+				st := e.IngestStats()
+				if w := int64(acc.Uint64(ingOffCommitted)); w != st.LogBytes {
+					t.Errorf("append %d: watermark %d, want %d committed bytes", i, w, st.LogBytes)
+				}
+				if c := int64(acc.Uint64(ingOffCap)); c != st.LogCap {
+					t.Errorf("append %d: capacity word %d, want %d", i, c, st.LogCap)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveryIgnoresStaleHeaderCounts: recovery derives batch, document and
+// vocabulary counts from the records the watermark covers, so whatever an
+// older pool left in header bytes 8–31 — here counts that disagree with the
+// log — the committed batches are replayed whole.
+func TestRecoveryIgnoresStaleHeaderCounts(t *testing.T) {
+	files, d, _ := corpus(t, 79, 7, 160, 25)
+	const base = 4
+	g, err := sequitur.Infer(files[:base], uint32(d.Len()))
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	opts := Options{Sequences: true, IngestCap: 1 << 20}
+	se := newOneShard(t, g, d, opts)
+	vocab := uint32(d.Len())
+	for i := base; i < len(files); i++ {
+		if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	acc := se.Shard(0).ingest.acc
+	for off, w := range map[int64]uint64{8: 1, 16: 99, 24: 7} {
+		acc.PutUint64(off, w)
+	}
+	if err := acc.Flush(8, 24); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if err := se.Shard(0).Device().Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	re := crashAndReopen(t, se, d, opts)
+	defer re.Close()
+	if got, want := len(re.Shard(0).IngestBatches()), len(files)-base; got != want {
+		t.Errorf("recovered %d batches, want %d", got, want)
+	}
+	if st := re.Shard(0).IngestStats(); st.Batches != uint64(len(files)-base) || st.Docs != uint64(len(files)-base) {
+		t.Errorf("recovered stats report %d batches, %d docs, want %d, %d",
+			st.Batches, st.Docs, len(files)-base, len(files)-base)
+	}
+	checkOps(t, re, d, files, "recovered")
+}
+
 // TestAppendConcurrentQueries: appends never block queries, and every query
 // observes a consistent cut — exactly the first N documents for some N
 // between the committed count when it started and when it finished.  Run
