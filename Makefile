@@ -72,6 +72,11 @@ bench-smoke:
 # with modeled time, flushes, fences and flushed granules per run beside the
 # host time (EXPERIMENTS.md "Persistence"), and the engine build on that
 # shape with its modeled initialization time (EXPERIMENTS.md "Root runs").
+# Last the load path on the `cold-miss` shape, the host time behind setup_s
+# before any engine exists: the serial unification of the two shard grammars
+# (UnifyShards) and ReadArchive of the resulting archive, with its MB/s and
+# allocations — per section, not per word or rule (EXPERIMENTS.md "Fast
+# set-up").
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(HandlerHit|EncodeResult|MergeShardResults)$$' \
 		-benchmem -count 6 ./internal/server ./internal/analytics
@@ -79,6 +84,8 @@ microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(BodyRead|CounterAttach)$$' \
 		-benchmem -count 6 ./internal/nvm ./internal/pstruct
 	$(GO) test -run '^$$' -bench '^Benchmark(PersistTask|NewEngine)$$' -benchtime 5x -benchmem -count 6 .
+	$(GO) test -run '^$$' -bench '^BenchmarkUnifyShards$$' -benchtime 10x -benchmem -count 6 ./internal/sequitur
+	$(GO) test -run '^$$' -bench '^BenchmarkReadArchive$$' -benchtime 10x -benchmem -count 6 .
 
 # The repo benchmark's own tests (bench/ is a module of its own, so `make
 # test` does not reach it): its percentile, open-loop timing and span

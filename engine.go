@@ -121,7 +121,7 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 	if err := a.fold(); err != nil {
 		return nil, err
 	}
-	e := &Engine{a: a, names: a.DocumentNames(), committedVocab: a.d.Len(), buildTag: a.shared.Checksum()}
+	e := &Engine{a: a, names: a.DocumentNames(), committedVocab: a.d.Len(), buildTag: a.tag}
 	if opts.Medium == MediumDRAM {
 		// The DRAM baseline has no per-shard devices to parallelize over;
 		// it runs on the whole-corpus grammar view.

@@ -82,6 +82,10 @@ func FuzzReadArchive(f *testing.F) {
 		if !reflect.DeepEqual(again.shards, got.shards) || again.shared.Checksum() != got.shared.Checksum() {
 			t.Fatal("re-serialized archive reads back differently")
 		}
+		if got.tag != got.shared.Checksum() || again.tag != got.tag {
+			t.Fatalf("archive read with tag %08x, re-read with %08x; its checksum is %08x",
+				got.tag, again.tag, got.shared.Checksum())
+		}
 	})
 }
 

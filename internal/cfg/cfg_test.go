@@ -183,7 +183,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if _, err := g.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		g2, err := ReadGrammar(bytes.NewReader(buf.Bytes()))
+		g2, err := ReadGrammar(buf.Bytes())
 		if err != nil {
 			t.Fatalf("ReadGrammar: %v", err)
 		}
@@ -206,7 +206,7 @@ func TestReadGrammarRejectsCorruption(t *testing.T) {
 		"empty":      func(b []byte) []byte { return nil },
 		"crc broken": func(b []byte) []byte { c := clone(b); c[len(c)-1] ^= 0xff; return c },
 	} {
-		if _, err := ReadGrammar(bytes.NewReader(mutate(raw))); !errors.Is(err, ErrInvalid) {
+		if _, err := ReadGrammar(mutate(raw)); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: err = %v, want ErrInvalid", name, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 		if _, err := g.WriteTo(&buf); err != nil {
 			return false
 		}
-		g2, err := ReadGrammar(&buf)
+		g2, err := ReadGrammar(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -69,67 +69,34 @@ func WriteDeltaContainer(w io.Writer, base []byte, delta *Grammar) (int64, error
 }
 
 // ReadDeltaContainer parses a delta container, returning the raw base
-// section (for the caller's format dispatch) and the validated delta
-// grammar.
-func ReadDeltaContainer(r io.Reader) (base []byte, delta *Grammar, err error) {
-	crc := crc32.NewIEEE()
-	br := &byteCounter{r: io.TeeReader(r, crc)}
-	magic := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("%w: delta magic: %v", ErrInvalid, err)
-	}
-	if !bytes.Equal(magic, deltaMagic) {
-		return nil, nil, fmt.Errorf("%w: bad delta magic %q", ErrInvalid, magic)
-	}
-	readSection := func(what string) ([]byte, error) {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s length: %v", ErrInvalid, what, err)
-		}
-		if ln > 1<<32 {
-			return nil, fmt.Errorf("%w: absurd %s length %d", ErrInvalid, what, ln)
-		}
-		// The declared length is untrusted: read in bounded chunks so a
-		// lying header cannot demand the whole allocation up front.
-		var buf bytes.Buffer
-		if _, err := io.CopyN(&buf, br, int64(ln)); err != nil {
-			return nil, fmt.Errorf("%w: %s section: %v", ErrInvalid, what, err)
-		}
-		return buf.Bytes(), nil
-	}
-	if base, err = readSection("base"); err != nil {
+// section (for the caller's format dispatch; a slice of b) and the
+// validated delta grammar.
+func ReadDeltaContainer(b []byte) (base []byte, delta *Grammar, err error) {
+	d := &decoder{b: b, what: "delta container"}
+	if err := d.magic(deltaMagic); err != nil {
 		return nil, nil, err
 	}
-	dsec, err := readSection("delta")
+	section := func(what string) ([]byte, error) {
+		ln, err := d.uvarint(what + " length")
+		if err != nil {
+			return nil, err
+		}
+		return d.next(ln, what+" section")
+	}
+	if base, err = section("base"); err != nil {
+		return nil, nil, err
+	}
+	dsec, err := section("delta")
 	if err != nil {
 		return nil, nil, err
 	}
-	want := crc.Sum32()
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: delta crc: %v", ErrInvalid, err)
+	if _, err := d.checksum(); err != nil {
+		return nil, nil, err
 	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, nil, fmt.Errorf("%w: delta container checksum mismatch", ErrInvalid)
-	}
-	if delta, err = ReadGrammar(bytes.NewReader(dsec)); err != nil {
+	if delta, err = ReadGrammar(dsec); err != nil {
 		return nil, nil, err
 	}
 	return base, delta, nil
-}
-
-// byteCounter adds ReadByte to a plain reader (binary.ReadUvarint needs it)
-// without buffered read-ahead, which would desynchronize the CRC tee.
-type byteCounter struct{ r io.Reader }
-
-func (b *byteCounter) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteCounter) ReadByte() (byte, error) {
-	var one [1]byte
-	if _, err := io.ReadFull(b.r, one[:]); err != nil {
-		return 0, err
-	}
-	return one[0], nil
 }
 
 // MergeDelta merges a delta grammar into its base: the Materialize-style

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 )
@@ -30,30 +29,6 @@ func IsLegacyShardContainer(b []byte) bool {
 // magic ("NTDCSHD2").
 func IsSharedContainer(b []byte) bool {
 	return bytes.HasPrefix(b, sharedMagic)
-}
-
-// hashReader hashes exactly the bytes delivered to the parser — unlike a
-// hashing layer under a bufio.Reader, read-ahead never pollutes the CRC.
-type hashReader struct {
-	r   io.Reader
-	crc hash.Hash32
-}
-
-func (h *hashReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	if n > 0 {
-		h.crc.Write(p[:n])
-	}
-	return n, err
-}
-
-func (h *hashReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(h.r, b[:]); err != nil {
-		return 0, err
-	}
-	h.crc.Write(b[:])
-	return b[0], nil
 }
 
 // Shared-table container ("NTDCSHD2"): the unified compressed form of a
@@ -196,177 +171,106 @@ func WriteSharedSet(w io.Writer, ss *SharedSet) (int64, error) {
 
 // ReadSharedSet deserializes a container written by WriteSharedSet,
 // verifying the shared section's own checksum, the container checksum, and
-// the unified form's structural invariants.
-func ReadSharedSet(r io.Reader) (*SharedSet, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	hr := &hashReader{r: br, crc: crc32.NewIEEE()}
-	fail := func(stage string, err error) (*SharedSet, error) {
-		return nil, fmt.Errorf("%w: shared container %s: %v", ErrInvalid, stage, err)
+// the unified form's structural invariants.  It also returns the shared
+// section's checksum, which is the set's Checksum.
+func ReadSharedSet(b []byte) (*SharedSet, uint32, error) {
+	d := &decoder{b: b, what: "shared container"}
+	if err := d.magic(sharedMagic); err != nil {
+		return nil, 0, err
 	}
-
-	magic := make([]byte, len(sharedMagic))
-	if _, err := io.ReadFull(hr, magic); err != nil {
-		return fail("magic", err)
-	}
-	if !bytes.Equal(magic, sharedMagic) {
-		return nil, fmt.Errorf("%w: bad shared container magic %q", ErrInvalid, magic)
-	}
-	sectionLen, err := binary.ReadUvarint(hr)
+	sectionLen, err := d.uvarint("section length")
 	if err != nil {
-		return fail("section length", err)
+		return nil, 0, err
 	}
-	if sectionLen < uint64(len(sharedTableMagic))+4 || sectionLen > 1<<40 {
-		return nil, fmt.Errorf("%w: absurd shared section length %d", ErrInvalid, sectionLen)
+	if sectionLen < uint64(len(sharedTableMagic))+4 {
+		return nil, 0, d.errorf("absurd shared section length %d", sectionLen)
 	}
-	ss, err := readSharedTable(hr, sectionLen)
+	section, err := d.next(sectionLen, "shared section")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	numShards, err := binary.ReadUvarint(hr)
+	ss, sum, err := readSharedTable(section)
 	if err != nil {
-		return fail("shard count", err)
+		return nil, 0, err
 	}
-	if numShards == 0 || numShards > MaxShards {
-		return nil, fmt.Errorf("%w: absurd shard count %d", ErrInvalid, numShards)
+	numShards, err := d.count("shard count", MaxShards)
+	if err != nil {
+		return nil, 0, err
 	}
-	ss.Shards = make([]SharedShard, 0, clampPrealloc(numShards))
+	if numShards == 0 {
+		return nil, 0, d.errorf("no shards")
+	}
+	ss.Shards = make([]SharedShard, numShards)
 	fileBase := uint64(0)
-	for i := uint64(0); i < numShards; i++ {
-		base, err := binary.ReadUvarint(hr)
+	for i := range ss.Shards {
+		sh := &ss.Shards[i]
+		base, err := d.uvarint("file base")
 		if err != nil {
-			return fail("file base", err)
+			return nil, 0, err
 		}
 		if base != fileBase {
-			return nil, fmt.Errorf("%w: shard %d declares file base %d, want %d",
-				ErrInvalid, i, base, fileBase)
+			return nil, 0, d.errorf("shard %d declares file base %d, want %d", i, base, fileBase)
 		}
-		numFiles, err := binary.ReadUvarint(hr)
+		numFiles, err := d.uvarint("file count")
 		if err != nil {
-			return fail("file count", err)
+			return nil, 0, err
 		}
 		if numFiles > MaxWords {
-			return nil, fmt.Errorf("%w: absurd file count %d", ErrInvalid, numFiles)
+			return nil, 0, d.errorf("absurd file count %d", numFiles)
 		}
-		sh := SharedShard{NumFiles: uint32(numFiles)}
-		hasNames, err := hr.ReadByte()
+		sh.NumFiles = uint32(numFiles)
+		hasNames, err := d.next(1, "hasNames")
 		if err != nil {
-			return fail("hasNames", err)
+			return nil, 0, err
 		}
-		if hasNames == 1 {
-			sh.Files = make([]string, 0, clampPrealloc(numFiles))
-			for j := uint64(0); j < numFiles; j++ {
-				ln, err := binary.ReadUvarint(hr)
-				if err != nil {
-					return fail("file name length", err)
-				}
-				if ln > 1<<20 {
-					return nil, fmt.Errorf("%w: absurd name length %d", ErrInvalid, ln)
-				}
-				nb := make([]byte, ln)
-				if _, err := io.ReadFull(hr, nb); err != nil {
-					return fail("file name", err)
-				}
-				sh.Files = append(sh.Files, string(nb))
+		if hasNames[0] == 1 {
+			if sh.Files, err = d.names(numFiles); err != nil {
+				return nil, 0, err
 			}
 		}
-		root, err := readSymbolRun(hr, "root")
-		if err != nil {
-			return nil, err
+		if sh.Root, err = d.symbols("root"); err != nil {
+			return nil, 0, err
 		}
-		sh.Root = root
-		ss.Shards = append(ss.Shards, sh)
 		fileBase += numFiles
 	}
-	want := hr.crc.Sum32()
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return fail("crc", err)
-	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: shared container checksum mismatch", ErrInvalid)
+	if _, err := d.checksum(); err != nil {
+		return nil, 0, err
 	}
 	if err := ss.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return ss, nil
+	return ss, sum, nil
 }
 
-// readSharedTable parses the self-checksummed shared section.  outer already
-// feeds the container checksum; a nested hashReader accumulates the
-// section's own.
-func readSharedTable(outer *hashReader, sectionLen uint64) (*SharedSet, error) {
-	fail := func(stage string, err error) (*SharedSet, error) {
-		return nil, fmt.Errorf("%w: shared table %s: %v", ErrInvalid, stage, err)
+// readSharedTable parses the self-checksummed shared section and returns
+// its checksum.
+func readSharedTable(b []byte) (*SharedSet, uint32, error) {
+	d := &decoder{b: b, what: "shared table"}
+	if err := d.magic(sharedTableMagic); err != nil {
+		return nil, 0, err
 	}
-	body := io.LimitReader(outer, int64(sectionLen)-4)
-	inner := &hashReader{r: body, crc: crc32.NewIEEE()}
-	magic := make([]byte, len(sharedTableMagic))
-	if _, err := io.ReadFull(inner, magic); err != nil {
-		return fail("magic", err)
-	}
-	if !bytes.Equal(magic, sharedTableMagic) {
-		return nil, fmt.Errorf("%w: bad shared table magic %q", ErrInvalid, magic)
-	}
-	numWords, err := binary.ReadUvarint(inner)
+	numWords, err := d.uvarint("numWords")
 	if err != nil {
-		return fail("numWords", err)
+		return nil, 0, err
 	}
-	numRules, err := binary.ReadUvarint(inner)
+	if numWords > MaxWords {
+		return nil, 0, d.errorf("absurd vocabulary %d", numWords)
+	}
+	numRules, err := d.count("rule count", MaxRules)
 	if err != nil {
-		return fail("numRules", err)
+		return nil, 0, err
 	}
-	if numWords > MaxWords || numRules > MaxRules {
-		return nil, fmt.Errorf("%w: absurd sizes words=%d rules=%d", ErrInvalid, numWords, numRules)
-	}
-	ss := &SharedSet{NumWords: uint32(numWords)}
-	ss.Shared = make([][]Symbol, 0, clampPrealloc(numRules))
-	for i := uint64(0); i < numRules; i++ {
-		b, err := readSymbolRun(inner, "rule")
-		if err != nil {
-			return nil, err
+	ss := &SharedSet{NumWords: uint32(numWords), Shared: make([][]Symbol, numRules)}
+	for i := range ss.Shared {
+		if ss.Shared[i], err = d.symbols("rule"); err != nil {
+			return nil, 0, err
 		}
-		ss.Shared = append(ss.Shared, b)
 	}
-	// The parse must consume the declared section exactly; leftover bytes
-	// mean the framing lied even if both checksums happen to hold.
-	if _, err := inner.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: shared table has trailing bytes", ErrInvalid)
-	}
-	want := inner.crc.Sum32()
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(outer, crcBuf[:]); err != nil {
-		return fail("crc", err)
-	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: shared table checksum mismatch", ErrInvalid)
-	}
-	return ss, nil
-}
-
-// readSymbolRun parses one length-prefixed symbol sequence.
-func readSymbolRun(r io.ByteReader, what string) ([]Symbol, error) {
-	ln, err := binary.ReadUvarint(r)
+	sum, err := d.checksum()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s length: %v", ErrInvalid, what, err)
+		return nil, 0, err
 	}
-	if ln > 1<<28 {
-		return nil, fmt.Errorf("%w: absurd %s length %d", ErrInvalid, what, ln)
-	}
-	var body []Symbol
-	if ln > 0 {
-		body = make([]Symbol, 0, clampPrealloc(ln))
-	}
-	for j := uint64(0); j < ln; j++ {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s symbol: %v", ErrInvalid, what, err)
-		}
-		if v > 1<<32-1 {
-			return nil, fmt.Errorf("%w: symbol overflow %d", ErrInvalid, v)
-		}
-		body = append(body, Symbol(v))
-	}
-	return body, nil
+	return ss, sum, nil
 }
 
 // ConcatShards merges per-shard grammars into one grammar equivalent to
@@ -383,10 +287,17 @@ func ConcatShards(shards []*Grammar) (*Grammar, error) {
 		return shards[0], nil
 	}
 	out := &Grammar{}
-	totalRules := 1
+	totalRules, rootSize, ruleSize := 1, 0, 0
 	hasNames := true
 	for _, g := range shards {
 		totalRules += len(g.Rules) - 1
+		for ri, body := range g.Rules {
+			if ri == 0 {
+				rootSize += len(body)
+			} else {
+				ruleSize += len(body)
+			}
+		}
 		if g.NumWords > out.NumWords {
 			out.NumWords = g.NumWords
 		}
@@ -400,7 +311,10 @@ func ConcatShards(shards []*Grammar) (*Grammar, error) {
 	if hasNames {
 		out.Files = make([]string, 0, out.NumFiles)
 	}
-	var root []Symbol
+	// The merged root and, separately, every other body are cut from one
+	// arena each; a body is capped at its own length.
+	root := make([]Symbol, 0, rootSize)
+	arena := make([]Symbol, 0, ruleSize)
 	fileBase, ruleBase := uint32(0), uint32(1)
 	for si, g := range shards {
 		if len(g.Rules) == 0 {
@@ -428,11 +342,11 @@ func ConcatShards(shards []*Grammar) (*Grammar, error) {
 			root = append(root, remap(s))
 		}
 		for _, body := range g.Rules[1:] {
-			nb := make([]Symbol, len(body))
-			for i, s := range body {
-				nb[i] = remap(s)
+			start := len(arena)
+			for _, s := range body {
+				arena = append(arena, remap(s))
 			}
-			out.Rules = append(out.Rules, nb)
+			out.Rules = append(out.Rules, arena[start:len(arena):len(arena)])
 		}
 		if remapErr != nil {
 			return nil, remapErr

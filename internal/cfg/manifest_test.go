@@ -99,12 +99,15 @@ func TestSharedContainerRoundTrip(t *testing.T) {
 	if !IsSharedContainer(buf.Bytes()) || IsLegacyShardContainer(buf.Bytes()) {
 		t.Fatal("shared container magic not detected")
 	}
-	got, err := ReadSharedSet(bytes.NewReader(buf.Bytes()))
+	got, sum, err := ReadSharedSet(buf.Bytes())
 	if err != nil {
 		t.Fatalf("ReadSharedSet: %v", err)
 	}
 	if !reflect.DeepEqual(got, set) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, set)
+	}
+	if sum != set.Checksum() {
+		t.Fatalf("ReadSharedSet returned checksum %08x, the set's is %08x", sum, set.Checksum())
 	}
 	// The container this one replaced opens with a different magic: it is
 	// neither mistaken for a shared one nor read as one.
@@ -112,7 +115,7 @@ func TestSharedContainerRoundTrip(t *testing.T) {
 	if !IsLegacyShardContainer(legacy) || IsSharedContainer(legacy) {
 		t.Fatal("legacy container magic not told apart")
 	}
-	if _, err := ReadSharedSet(bytes.NewReader(legacy)); err == nil {
+	if _, _, err := ReadSharedSet(legacy); err == nil {
 		t.Fatal("legacy container accepted by shared reader")
 	}
 }
@@ -124,7 +127,7 @@ func TestSharedContainerDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadSharedSet(bytes.NewReader(data[:len(data)-6])); err == nil {
+	if _, _, err := ReadSharedSet(data[:len(data)-6]); err == nil {
 		t.Fatal("truncated container accepted")
 	}
 	// Every single-bit flip anywhere in the container must be rejected: the
@@ -132,7 +135,7 @@ func TestSharedContainerDetectsCorruption(t *testing.T) {
 	for off := 0; off < len(data); off++ {
 		corrupt := append([]byte(nil), data...)
 		corrupt[off] ^= 0x01
-		if _, err := ReadSharedSet(bytes.NewReader(corrupt)); err == nil {
+		if _, _, err := ReadSharedSet(corrupt); err == nil {
 			t.Fatalf("bit flip at offset %d accepted", off)
 		}
 	}

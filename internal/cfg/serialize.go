@@ -3,7 +3,6 @@ package cfg
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -86,140 +85,52 @@ func (g *Grammar) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadGrammar deserializes a grammar written by WriteTo and validates it.
-// Integrity is verified by recomputing the body checksum from the parsed
-// grammar and comparing it with the trailer.
-func ReadGrammar(r io.Reader) (*Grammar, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	fail := func(stage string, err error) (*Grammar, error) {
-		return nil, fmt.Errorf("%w: %s: %v", ErrInvalid, stage, err)
+func ReadGrammar(b []byte) (*Grammar, error) {
+	d := &decoder{b: b, what: "grammar"}
+	if err := d.magic(cfgMagic); err != nil {
+		return nil, err
 	}
-
-	magic := make([]byte, len(cfgMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fail("magic", err)
-	}
-	if string(magic) != string(cfgMagic) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrInvalid, magic)
-	}
-	numWords, err := binary.ReadUvarint(br)
+	numWords, err := d.uvarint("numWords")
 	if err != nil {
-		return fail("numWords", err)
+		return nil, err
 	}
-	numFiles, err := binary.ReadUvarint(br)
+	numFiles, err := d.uvarint("numFiles")
 	if err != nil {
-		return fail("numFiles", err)
+		return nil, err
 	}
-	numRules, err := binary.ReadUvarint(br)
+	numRules, err := d.count("rule count", MaxRules)
 	if err != nil {
-		return fail("numRules", err)
+		return nil, err
 	}
-	if numWords > MaxWords || numRules > MaxRules || numFiles > MaxWords {
-		return nil, fmt.Errorf("%w: absurd sizes words=%d files=%d rules=%d", ErrInvalid, numWords, numFiles, numRules)
+	if numWords > MaxWords || numFiles > MaxWords {
+		return nil, d.errorf("absurd sizes words=%d files=%d", numWords, numFiles)
 	}
-	hasNames, err := br.ReadByte()
+	hasNames, err := d.next(1, "hasNames")
 	if err != nil {
-		return fail("hasNames", err)
+		return nil, err
 	}
 	g := &Grammar{
 		NumWords: uint32(numWords),
 		NumFiles: uint32(numFiles),
 	}
-	// Declared counts come from untrusted input: never preallocate from
-	// them wholesale — grow as the parse actually succeeds, so a tiny
-	// malicious header cannot demand gigabytes.
-	if hasNames == 1 {
-		g.Files = make([]string, 0, clampPrealloc(numFiles))
-		for i := uint64(0); i < numFiles; i++ {
-			ln, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fail("file name length", err)
-			}
-			if ln > 1<<20 {
-				return nil, fmt.Errorf("%w: absurd name length %d", ErrInvalid, ln)
-			}
-			nb := make([]byte, ln)
-			if _, err := io.ReadFull(br, nb); err != nil {
-				return fail("file name", err)
-			}
-			g.Files = append(g.Files, string(nb))
+	if hasNames[0] == 1 {
+		if g.Files, err = d.names(numFiles); err != nil {
+			return nil, err
 		}
 	}
-	g.Rules = make([][]Symbol, 0, clampPrealloc(numRules))
-	for i := uint64(0); i < numRules; i++ {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("rule length", err)
+	g.Rules = make([][]Symbol, numRules)
+	for i := range g.Rules {
+		if g.Rules[i], err = d.symbols("rule"); err != nil {
+			return nil, err
 		}
-		if ln > 1<<28 {
-			return nil, fmt.Errorf("%w: absurd rule length %d", ErrInvalid, ln)
-		}
-		var body []Symbol
-		if ln > 0 {
-			body = make([]Symbol, 0, clampPrealloc(ln))
-		}
-		for j := uint64(0); j < ln; j++ {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fail("symbol", err)
-			}
-			if v > 1<<32-1 {
-				return nil, fmt.Errorf("%w: symbol overflow %d", ErrInvalid, v)
-			}
-			body = append(body, Symbol(v))
-		}
-		g.Rules = append(g.Rules, body)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return fail("crc", err)
-	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != reserializedChecksum(g) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalid)
+	if _, err := d.checksum(); err != nil {
+		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// reserializedChecksum computes the body checksum by re-serializing, the
-// unambiguous fallback when buffered read-ahead polluted the streaming CRC.
-func reserializedChecksum(g *Grammar) uint32 {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(crc)
-	var buf [binary.MaxVarintLen64]byte
-	uv := func(v uint64) { bw.Write(buf[:binary.PutUvarint(buf[:], v)]) }
-	bw.Write(cfgMagic)
-	uv(uint64(g.NumWords))
-	uv(uint64(g.NumFiles))
-	uv(uint64(len(g.Rules)))
-	if g.Files != nil {
-		bw.WriteByte(1)
-		for _, name := range g.Files {
-			uv(uint64(len(name)))
-			bw.WriteString(name)
-		}
-	} else {
-		bw.WriteByte(0)
-	}
-	for _, body := range g.Rules {
-		uv(uint64(len(body)))
-		for _, s := range body {
-			uv(uint64(s))
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		panic("cfg: flush to hash failed: " + err.Error()) // hash.Hash writes cannot fail
-	}
-	return crc.Sum32()
-}
-
-// clampPrealloc bounds slice preallocation for untrusted declared counts.
-func clampPrealloc(n uint64) int {
-	if n > 4096 {
-		return 4096
-	}
-	return int(n)
 }
 
 type countWriter struct {

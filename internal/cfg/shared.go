@@ -2,7 +2,7 @@ package cfg
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 )
 
 // Cross-shard rule unification.  Independently-built shard grammars re-learn
@@ -14,15 +14,12 @@ import (
 //   - every rule gets an expansion fingerprint, a canonical 128-bit rolling
 //     hash of the token stream it expands to, computed bottom-up so nested
 //     rules fold into their parents in O(body) per rule;
-//   - an Interner — a concurrency-safe dictionary shard builders consult as
-//     they finish — maps each distinct fingerprint to one global sequence
-//     ID, so identical terminal/digram sequences discovered by different
-//     shards meet in one shared vocabulary;
-//   - UnifyShards rewrites the shard grammars bottom-up against that
-//     vocabulary: the first shard to contribute a sequence donates its rule
-//     body (translated to global IDs), every later shard's structurally
-//     different rule with the same expansion collapses to a reference, and
-//     the result is one shared rule table plus a per-shard root.
+//   - UnifyShards rewrites the shard grammars bottom-up against one
+//     dictionary from fingerprint to shared rule: the first shard to
+//     contribute a sequence donates its rule body (translated to global
+//     IDs), every later shard's structurally different rule with the same
+//     expansion collapses to a reference, and the result is one shared rule
+//     table plus a per-shard root.
 //
 // The unified form preserves per-file expansions exactly — analytics
 // results are bit-identical — while the shared table stores each repeated
@@ -118,56 +115,6 @@ func FingerprintRules(g *Grammar) ([]Fingerprint, error) {
 	return fps, nil
 }
 
-// Interner is the concurrent shared interning dictionary consulted by shard
-// builders: each distinct expansion fingerprint — a terminal or digram
-// sequence some shard compressed into a rule — maps to one global sequence
-// ID.  Builders intern concurrently as they finish, so the IDs are assigned
-// in completion order and are provisional; UnifyShards assigns the final
-// deterministic numbering.  What is schedule-independent, and what callers
-// rely on: the set of distinct sequences, its size (Len), and each shard's
-// novel-versus-shared split.
-type Interner struct {
-	mu  sync.Mutex
-	ids map[Fingerprint]uint32
-}
-
-// NewInterner returns an empty shared dictionary.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[Fingerprint]uint32)}
-}
-
-// Intern returns the global ID for fp, assigning the next one on first use,
-// and reports whether fp was novel.  Safe for concurrent use.
-func (it *Interner) Intern(fp Fingerprint) (uint32, bool) {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if id, ok := it.ids[fp]; ok {
-		return id, false
-	}
-	id := uint32(len(it.ids))
-	it.ids[fp] = id
-	return id, true
-}
-
-// InternRules interns every non-root rule fingerprint of one shard and
-// returns how many were novel — the shard's contribution to the shared
-// vocabulary (the rest were already discovered by other shards).
-func (it *Interner) InternRules(fps []Fingerprint) (novel int) {
-	for _, fp := range fps[1:] {
-		if _, isNew := it.Intern(fp); isNew {
-			novel++
-		}
-	}
-	return novel
-}
-
-// Len returns the number of distinct sequences interned.
-func (it *Interner) Len() int {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return len(it.ids)
-}
-
 // SharedSet is a sharded grammar set rewritten against one shared rule
 // table: Shared[i] is a rule body whose Rule symbols index Shared itself,
 // and each shard keeps only its root.  Expanding shard s's root against the
@@ -197,18 +144,24 @@ func SingleShard(g *Grammar) (*SharedSet, error) {
 	if len(g.Rules) == 0 {
 		return nil, fmt.Errorf("%w: no rules", ErrInvalid)
 	}
+	size := 0
+	for _, body := range g.Rules {
+		size += len(body)
+	}
+	// Every body is cut from one arena, capped at its own length.
+	arena := make([]Symbol, 0, size)
 	shift := func(body []Symbol) ([]Symbol, error) {
-		out := make([]Symbol, len(body))
-		for i, s := range body {
+		start := len(arena)
+		for _, s := range body {
 			if s.IsRule() {
 				if s.RuleIndex() == 0 {
 					return nil, fmt.Errorf("%w: reference to the root", ErrInvalid)
 				}
 				s = Rule(s.RuleIndex() - 1)
 			}
-			out[i] = s
+			arena = append(arena, s)
 		}
-		return out, nil
+		return arena[start:len(arena):len(arena)], nil
 	}
 	set := &SharedSet{Shared: make([][]Symbol, len(g.Rules)-1), NumWords: g.NumWords}
 	for i, body := range g.Rules[1:] {
@@ -232,21 +185,81 @@ const reparseLimit = 64
 
 // unifier is the working state of UnifyShards: the shared table under
 // construction and the fingerprint dictionary over it.
+//
+// The re-parse probes the dictionary once per (start, end) pair of every
+// body — up to reparseLimit probes per symbol — and almost every probe
+// misses.  A bit set over the low bits of each entry's h1 answers most
+// misses without touching the map: a clear bit proves the fingerprint was
+// never entered, and a set bit only sends the probe on to the map, so the
+// filter cannot change which runs match.
 type unifier struct {
 	byFP   map[Fingerprint]uint32
+	filter []uint64 // bit h1&mask is set for every fingerprint in byFP
+	mask   uint64
 	shared [][]Symbol
 	gfps   []Fingerprint // fingerprint of each shared rule's expansion
+	gpows  []fpScale     // fpBase^n of each shared rule's expansion length
+	steps  []fpStep      // re-parse scratch: one step per body symbol
 }
 
-// fpOf returns the expansion fingerprint of one translated symbol.
-func (u *unifier) fpOf(s Symbol) Fingerprint {
+// fpScale holds (fpBase1ⁿ, fpBase2ⁿ) for an expansion of n tokens: what a
+// fingerprint is multiplied by when those n tokens are appended to it.
+type fpScale struct{ p1, p2 uint64 }
+
+// fpStep is one symbol's contribution to a run's fingerprint.
+type fpStep struct {
+	fp  Fingerprint
+	pow fpScale
+}
+
+// filterBitsPerRule sizes the filter: at 32 bits per entry a probe for an
+// absent fingerprint reaches the map about once in 32.
+const filterBitsPerRule = 32
+
+// newUnifier returns an empty unifier sized for up to rules entries.
+func newUnifier(rules int) *unifier {
+	nbits := uint64(1) << bits.Len64(uint64(rules*filterBitsPerRule)|63)
+	return &unifier{
+		byFP:   make(map[Fingerprint]uint32, rules),
+		filter: make([]uint64, nbits/64),
+		mask:   nbits - 1,
+	}
+}
+
+// lookup returns the shared rule whose expansion fingerprint is fp.
+func (u *unifier) lookup(fp Fingerprint) (uint32, bool) {
+	if bit := fp.h1 & u.mask; u.filter[bit/64]&(1<<(bit%64)) == 0 {
+		return 0, false
+	}
+	gid, ok := u.byFP[fp]
+	return gid, ok
+}
+
+// add appends a shared rule with expansion fingerprint fp and returns its
+// index.
+func (u *unifier) add(fp Fingerprint, body []Symbol) uint32 {
+	gid := uint32(len(u.shared))
+	u.shared = append(u.shared, body)
+	u.gfps = append(u.gfps, fp)
+	u.gpows = append(u.gpows, fpScale{fpPow(fpBase1, fp.n), fpPow(fpBase2, fp.n)})
+	u.byFP[fp] = gid
+	bit := fp.h1 & u.mask
+	u.filter[bit/64] |= 1 << (bit % 64)
+	return gid
+}
+
+// tokenScale is the scale of a one-token expansion.
+var tokenScale = fpScale{fpBase1, fpBase2}
+
+// step returns the fingerprint step of one translated symbol.
+func (u *unifier) step(s Symbol) fpStep {
 	switch {
 	case s.IsRule():
-		return u.gfps[s.RuleIndex()]
+		return fpStep{u.gfps[s.RuleIndex()], u.gpows[s.RuleIndex()]}
 	case s.IsSep():
-		return fpToken(uint64(s.SepIndex()) | 1<<40)
+		return fpStep{fpToken(uint64(s.SepIndex()) | 1<<40), tokenScale}
 	default:
-		return fpToken(uint64(s.WordID()))
+		return fpStep{fpToken(uint64(s.WordID())), tokenScale}
 	}
 }
 
@@ -273,6 +286,11 @@ func (u *unifier) reparse(body []Symbol) []Symbol {
 }
 
 func (u *unifier) reparseOnce(body []Symbol) []Symbol {
+	steps := u.steps[:0]
+	for _, s := range body {
+		steps = append(steps, u.step(s))
+	}
+	u.steps = steps
 	out := make([]Symbol, 0, len(body))
 	for i := 0; i < len(body); {
 		s := body[i]
@@ -282,15 +300,18 @@ func (u *unifier) reparseOnce(body []Symbol) []Symbol {
 			i++
 			continue
 		}
-		run := u.fpOf(s)
+		run := steps[i].fp
 		match, matchEnd := uint32(0), 0
 		for j := i + 1; j < len(body) && j-i < reparseLimit; j++ {
-			n := body[j]
-			if n.IsSep() {
+			if body[j].IsSep() {
 				break
 			}
-			run = run.append(u.fpOf(n))
-			if gid, ok := u.byFP[run]; ok {
+			// run = run·body[j], as Fingerprint.append computes it.
+			st := &steps[j]
+			run.h1 = run.h1*st.pow.p1 + st.fp.h1
+			run.h2 = run.h2*st.pow.p2 + st.fp.h2
+			run.n += st.fp.n
+			if gid, ok := u.lookup(run); ok {
 				match, matchEnd = gid, j+1
 			}
 		}
@@ -313,7 +334,7 @@ func (u *unifier) reparseOnce(body []Symbol) []Symbol {
 // equivalent-but-differently-carved structure snaps to the first shard's
 // rules.  The pass is deterministic — shards are processed in order and the
 // surviving table is renumbered by first use — regardless of the
-// interleaving that built the shards or interned their fingerprints.
+// interleaving that built the shards.
 func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("%w: empty shard set", ErrInvalid)
@@ -322,7 +343,11 @@ func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
 		return nil, fmt.Errorf("%w: %d fingerprint tables for %d shards", ErrInvalid, len(fps), len(shards))
 	}
 	set := &SharedSet{Shards: make([]SharedShard, len(shards))}
-	u := &unifier{byFP: make(map[Fingerprint]uint32)}
+	rules := 0
+	for _, g := range shards {
+		rules += len(g.Rules)
+	}
+	u := newUnifier(rules)
 	for si, g := range shards {
 		if len(g.Rules) == 0 {
 			return nil, fmt.Errorf("%w: shard %d has no rules", ErrInvalid, si)
@@ -358,15 +383,11 @@ func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
 				continue
 			}
 			fp := fps[si][r]
-			if gid, ok := u.byFP[fp]; ok {
+			if gid, ok := u.lookup(fp); ok {
 				toGlobal[r] = gid
 				continue
 			}
-			gid := uint32(len(u.shared))
-			u.shared = append(u.shared, u.reparse(translate(g.Rules[r])))
-			u.gfps = append(u.gfps, fp)
-			u.byFP[fp] = gid
-			toGlobal[r] = gid
+			toGlobal[r] = u.add(fp, u.reparse(translate(g.Rules[r])))
 		}
 		set.Shards[si] = SharedShard{
 			Root:     u.reparse(translate(g.Rules[0])),
@@ -393,8 +414,13 @@ const recompressRounds = 32
 // becomes a new shared rule — until the digram-uniqueness invariant the
 // single-grammar build enjoys holds across the shard set too.
 func (ss *SharedSet) recompress() {
+	// The first round counts about one distinct digram per stored symbol;
+	// later rounds reuse the maps, cleared.
+	counts := make(map[uint64]int, ss.SymbolCount())
+	rules := make(map[uint64]uint32)
 	for round := 0; round < recompressRounds; round++ {
-		counts := make(map[uint64]int)
+		clear(counts)
+		clear(rules)
 		scan := func(body []Symbol) {
 			for i := 0; i+1 < len(body); i++ {
 				a, b := body[i], body[i+1]
@@ -410,10 +436,12 @@ func (ss *SharedSet) recompress() {
 		for _, sh := range ss.Shards {
 			scan(sh.Root)
 		}
-		rules := make(map[uint64]uint32)
 		changed := false
+		// Bodies are rewritten in place: a fold writes position j <= i only
+		// after reading positions i and i+1, and no two bodies share an
+		// array.
 		apply := func(body []Symbol) []Symbol {
-			out := make([]Symbol, 0, len(body))
+			out := body[:0]
 			for i := 0; i < len(body); {
 				if i+1 < len(body) {
 					a, b := body[i], body[i+1]
@@ -703,18 +731,25 @@ func (ss *SharedSet) Materialize() ([]*Grammar, error) {
 		return nil, err
 	}
 	out := make([]*Grammar, len(ss.Shards))
+	// local[gid] is shared rule gid's local index in the shard being
+	// materialized, 0 while unseen (local index 0 is the root).
+	local := make([]uint32, len(ss.Shared))
+	type frame struct {
+		body []Symbol
+		next int
+	}
+	var (
+		orderGlobal []uint32
+		stack       []frame
+	)
 	for si, sh := range ss.Shards {
-		local := make(map[uint32]uint32) // shared index -> local rule index
-		orderGlobal := []uint32{}
 		// Discovery-order walk: assign a local index at first reference,
 		// descending into a rule's body before continuing past it, so the
 		// layout matches the builder's discovery order.  Iterative, because
 		// serialized sets are untrusted and may nest deeply.
-		type frame struct {
-			body []Symbol
-			next int
-		}
-		stack := []frame{{body: sh.Root}}
+		orderGlobal = orderGlobal[:0]
+		stack = append(stack[:0], frame{body: sh.Root})
+		size := len(sh.Root)
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.next >= len(f.body) {
@@ -727,12 +762,13 @@ func (ss *SharedSet) Materialize() ([]*Grammar, error) {
 				continue
 			}
 			gid := s.RuleIndex()
-			if _, seen := local[gid]; seen {
+			if local[gid] != 0 {
 				continue
 			}
 			local[gid] = uint32(len(orderGlobal) + 1)
 			orderGlobal = append(orderGlobal, gid)
 			stack = append(stack, frame{body: ss.Shared[gid]})
+			size += len(ss.Shared[gid])
 		}
 		g := &Grammar{
 			Rules:    make([][]Symbol, 1+len(orderGlobal)),
@@ -740,20 +776,24 @@ func (ss *SharedSet) Materialize() ([]*Grammar, error) {
 			NumFiles: sh.NumFiles,
 			Files:    sh.Files,
 		}
+		// Every rule body is cut from one arena, capped at its own length.
+		arena := make([]Symbol, 0, size)
 		translate := func(body []Symbol) []Symbol {
-			out := make([]Symbol, len(body))
-			for i, s := range body {
+			start := len(arena)
+			for _, s := range body {
 				if s.IsRule() {
-					out[i] = Rule(local[s.RuleIndex()])
-				} else {
-					out[i] = s
+					s = Rule(local[s.RuleIndex()])
 				}
+				arena = append(arena, s)
 			}
-			return out
+			return arena[start:len(arena):len(arena)]
 		}
 		g.Rules[0] = translate(sh.Root)
 		for i, gid := range orderGlobal {
 			g.Rules[i+1] = translate(ss.Shared[gid])
+		}
+		for _, gid := range orderGlobal {
+			local[gid] = 0
 		}
 		if err := g.Validate(); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)

@@ -2,8 +2,8 @@ package cfg
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -65,47 +65,6 @@ func TestFingerprintSepSalting(t *testing.T) {
 	sep := fpToken(uint64(Sep(0).SepIndex()) | 1<<40)
 	if sep == fpToken(0) {
 		t.Fatal("separator fingerprint collides with word 0")
-	}
-}
-
-func TestInternerConcurrent(t *testing.T) {
-	it := NewInterner()
-	fps := make([]Fingerprint, 64)
-	for i := range fps {
-		fps[i] = fpToken(uint64(i % 16)) // 16 distinct, heavy contention
-	}
-	var wg sync.WaitGroup
-	novel := make([]int, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, fp := range fps {
-				if _, isNew := it.Intern(fp); isNew {
-					novel[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if it.Len() != 16 {
-		t.Fatalf("Len = %d, want 16 distinct", it.Len())
-	}
-	total := 0
-	for _, n := range novel {
-		total += n
-	}
-	if total != 16 {
-		t.Fatalf("novel interns sum to %d, want 16", total)
-	}
-	// Re-interning resolves to a stable ID.
-	id1, isNew := it.Intern(fps[0])
-	if isNew {
-		t.Fatal("re-intern reported novel")
-	}
-	id2, _ := it.Intern(fps[0])
-	if id1 != id2 {
-		t.Fatalf("unstable ID: %d then %d", id1, id2)
 	}
 }
 
@@ -400,4 +359,179 @@ func TestSingleShard(t *testing.T) {
 	if _, err := SingleShard(g); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("root reference: err = %v, want ErrInvalid", err)
 	}
+}
+
+// randomShards builds k shard grammars over one pool of nested phrases,
+// each shard carving the pool its own way: a phrase is a rule in some
+// shards and spelled out in others, and a rule body refers to the rules of
+// the phrases inside it where its shard has them.  Phrases carved at
+// different boundaries in different shards are what the re-parse unifies.
+func randomShards(rng *rand.Rand, k int) []*Grammar {
+	const vocab = 12
+	// A pool item is a word (>= 0) or phrase q (encoded -(q+1)); a phrase
+	// holds only earlier phrases, so the rules built from it are acyclic.
+	pool := make([][]int, 24)
+	for p := range pool {
+		for n := 2 + rng.Intn(4); n > 0; n-- {
+			if p > 0 && rng.Intn(3) == 0 {
+				pool[p] = append(pool[p], -(rng.Intn(p) + 1))
+			} else {
+				pool[p] = append(pool[p], rng.Intn(vocab))
+			}
+		}
+	}
+	shards := make([]*Grammar, k)
+	for s := range shards {
+		g := &Grammar{NumWords: vocab, Rules: [][]Symbol{nil}}
+		ruleOf := make([]uint32, len(pool)) // 0: spelled out in this shard
+		var emit func(body []Symbol, it int) []Symbol
+		emit = func(body []Symbol, it int) []Symbol {
+			if it >= 0 {
+				return append(body, Word(uint32(it)))
+			}
+			if p := -it - 1; ruleOf[p] != 0 {
+				return append(body, Rule(ruleOf[p]))
+			} else {
+				for _, sub := range pool[p] {
+					body = emit(body, sub)
+				}
+			}
+			return body
+		}
+		for p := range pool {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			var body []Symbol
+			for _, it := range pool[p] {
+				body = emit(body, it)
+			}
+			ruleOf[p] = uint32(len(g.Rules))
+			g.Rules = append(g.Rules, body)
+		}
+		var root []Symbol
+		g.NumFiles = uint32(1 + rng.Intn(3))
+		for f := uint32(0); f < g.NumFiles; f++ {
+			for n := 5 + rng.Intn(20); n > 0; n-- {
+				if rng.Intn(2) == 0 {
+					root = emit(root, -(rng.Intn(len(pool)) + 1))
+				} else {
+					root = emit(root, rng.Intn(vocab))
+				}
+			}
+			root = append(root, Sep(f))
+		}
+		g.Rules[0] = root
+		shards[s] = g
+	}
+	return shards
+}
+
+// referenceReparse is the re-parse in its plainest form: each run's
+// fingerprint extended with Fingerprint.append and probed in a map.
+func referenceReparse(byFP map[Fingerprint]uint32, gfps []Fingerprint, body []Symbol) []Symbol {
+	fpOf := func(s Symbol) Fingerprint {
+		switch {
+		case s.IsRule():
+			return gfps[s.RuleIndex()]
+		case s.IsSep():
+			return fpToken(uint64(s.SepIndex()) | 1<<40)
+		default:
+			return fpToken(uint64(s.WordID()))
+		}
+	}
+	for {
+		out := make([]Symbol, 0, len(body))
+		for i := 0; i < len(body); {
+			if body[i].IsSep() {
+				out = append(out, body[i])
+				i++
+				continue
+			}
+			run, match, matchEnd := fpOf(body[i]), uint32(0), 0
+			for j := i + 1; j < len(body) && j-i < reparseLimit && !body[j].IsSep(); j++ {
+				run = run.append(fpOf(body[j]))
+				if gid, ok := byFP[run]; ok {
+					match, matchEnd = gid, j+1
+				}
+			}
+			if matchEnd > 0 {
+				out = append(out, Rule(match))
+				i = matchEnd
+			} else {
+				out = append(out, body[i])
+				i++
+			}
+		}
+		if len(out) == len(body) {
+			return out
+		}
+		body = out
+	}
+}
+
+// TestReparseMatchesReference drives the unifier over random shard grammars
+// the way UnifyShards does and holds every re-parse, and every dictionary
+// lookup, to the plain-map reference: the filter in front of the map and
+// the cached powers must not change which runs match.
+func TestReparseMatchesReference(t *testing.T) {
+	rewritten := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shards := randomShards(rng, 2+rng.Intn(3))
+		rules := 0
+		for _, g := range shards {
+			rules += len(g.Rules)
+		}
+		u := newUnifier(rules)
+		byFP := make(map[Fingerprint]uint32)
+		reparse := func(body []Symbol) []Symbol {
+			got, want := u.reparse(body), referenceReparse(byFP, u.gfps, body)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: re-parse of %v = %v, reference %v", seed, body, got, want)
+			}
+			if len(got) < len(body) {
+				rewritten++
+			}
+			return got
+		}
+		for si, g := range shards {
+			fps := mustFingerprint(t, g)
+			order, err := g.TopoOrder()
+			if err != nil {
+				t.Fatalf("seed %d shard %d: %v", seed, si, err)
+			}
+			toGlobal := make([]uint32, len(g.Rules))
+			translate := func(body []Symbol) []Symbol {
+				out := make([]Symbol, len(body))
+				for i, s := range body {
+					if s.IsRule() {
+						s = Rule(toGlobal[s.RuleIndex()])
+					}
+					out[i] = s
+				}
+				return out
+			}
+			for i := len(order) - 1; i >= 0; i-- {
+				r := order[i]
+				if r == 0 {
+					continue
+				}
+				gid, ok := u.lookup(fps[r])
+				if wantGID, wantOK := byFP[fps[r]]; gid != wantGID || ok != wantOK {
+					t.Fatalf("seed %d: lookup = %d, %v; reference %d, %v", seed, gid, ok, wantGID, wantOK)
+				}
+				if !ok {
+					gid = u.add(fps[r], reparse(translate(g.Rules[r])))
+					byFP[fps[r]] = gid
+				}
+				toGlobal[r] = gid
+			}
+			reparse(translate(g.Rules[0]))
+		}
+	}
+	if rewritten == 0 {
+		t.Fatal("no re-parse rewrote anything: the grammars exercise nothing")
+	}
+	t.Logf("%d re-parses rewrote their body", rewritten)
 }

@@ -143,6 +143,9 @@ func panicUnknown(id uint32, vocab int) {
 	panic(fmt.Sprintf("dict: unknown word id %d (vocabulary %d)", id, vocab))
 }
 
+// magic opens a serialized dictionary.
+const magic = "NTDCDICT"
+
 // WriteTo serializes the dictionary: header, word count, length-prefixed
 // words, trailing CRC of everything before it.
 func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
@@ -157,7 +160,7 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
-	if err := write([]byte("NTDCDICT")); err != nil {
+	if err := write([]byte(magic)); err != nil {
 		return n, err
 	}
 	if err := write(buf[:binary.PutUvarint(buf[:], uint64(len(d.words)))]); err != nil {
@@ -181,56 +184,79 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom deserializes a dictionary written by WriteTo, replacing the
-// receiver's contents.  Integrity is verified by recomputing the body
-// checksum from the parsed words and comparing it with the trailer.
+// receiver's contents.  Every byte the parse consumes goes into one arena,
+// whose checksum is checked against the trailer in one pass; the arena then
+// becomes one string, and every word is a slice of it.  The declared word
+// count is untrusted: the arena grows only as words arrive, and the word
+// table and index are sized once the whole body has been read.
 func (d *Dictionary) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countReader{r: r}
 	br := bufio.NewReader(cr)
 
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	arena := make([]byte, len(magic), br.Size())
+	if _, err := io.ReadFull(br, arena); err != nil {
 		return cr.n, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	if string(hdr[:]) != "NTDCDICT" {
-		return cr.n, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:])
+	if string(arena) != magic {
+		return cr.n, fmt.Errorf("%w: bad magic %q", ErrCorrupt, arena)
 	}
-	count, err := binary.ReadUvarint(br)
+	// uvarint appends the next varint's bytes to the arena as they were
+	// written, so the checksum covers the input, not a re-encoding of it.
+	uvarint := func() (uint64, error) {
+		buf, err := br.Peek(binary.MaxVarintLen64)
+		v, n := binary.Uvarint(buf)
+		switch {
+		case n > 0:
+		case n == 0 && err != nil:
+			return 0, err
+		default:
+			return 0, errors.New("malformed varint")
+		}
+		arena = append(arena, buf[:n]...)
+		_, err = br.Discard(n)
+		return v, err
+	}
+	count, err := uvarint()
 	if err != nil {
 		return cr.n, fmt.Errorf("%w: count: %v", ErrCorrupt, err)
 	}
 	if count > 1<<31 {
 		return cr.n, fmt.Errorf("%w: absurd word count %d", ErrCorrupt, count)
 	}
-	// count is untrusted: grow as parsing succeeds instead of preallocating.
-	prealloc := count
-	if prealloc > 4096 {
-		prealloc = 4096
-	}
-	words := make([]string, 0, prealloc)
-	index := make(map[string]uint32, prealloc)
+	bodyStart := len(arena)
 	for i := uint64(0); i < count; i++ {
-		ln, err := binary.ReadUvarint(br)
+		ln, err := uvarint()
 		if err != nil {
 			return cr.n, fmt.Errorf("%w: word %d length: %v", ErrCorrupt, i, err)
 		}
 		if ln > 1<<20 {
 			return cr.n, fmt.Errorf("%w: absurd word length %d", ErrCorrupt, ln)
 		}
-		wb := make([]byte, ln)
-		if _, err := io.ReadFull(br, wb); err != nil {
+		start := len(arena)
+		arena = append(arena, make([]byte, ln)...)
+		if _, err := io.ReadFull(br, arena[start:]); err != nil {
 			return cr.n, fmt.Errorf("%w: word %d: %v", ErrCorrupt, i, err)
 		}
-		w := string(wb)
-		index[w] = uint32(len(words))
-		words = append(words, w)
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
 		return cr.n, fmt.Errorf("%w: crc: %v", ErrCorrupt, err)
 	}
-	tmp := &Dictionary{words: words, index: index}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != tmp.checksumLocked() {
+	if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(arena) {
 		return cr.n, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	// The body is checked; walk it again to slice out the words.
+	text := string(arena)
+	words := make([]string, count)
+	index := make(map[string]uint32, count)
+	p := bodyStart
+	for i := range words {
+		ln, n := binary.Uvarint(arena[p:])
+		p += n
+		w := text[p : p+int(ln)]
+		p += int(ln)
+		words[i] = w
+		index[w] = uint32(i)
 	}
 	d.mu.Lock()
 	d.words = words
@@ -240,21 +266,6 @@ func (d *Dictionary) ReadFrom(r io.Reader) (int64, error) {
 	d.alphaRank, d.alphaOrder = nil, nil
 	d.alphaMu.Unlock()
 	return cr.n, nil
-}
-
-// checksumLocked computes the CRC of the serialized body, matching WriteTo.
-// Caller holds d.mu, or d is a locally constructed dictionary no other
-// goroutine can reach (the ReadFrom verification path).
-func (d *Dictionary) checksumLocked() uint32 {
-	crc := crc32.NewIEEE()
-	var buf [binary.MaxVarintLen64]byte
-	crc.Write([]byte("NTDCDICT"))
-	crc.Write(buf[:binary.PutUvarint(buf[:], uint64(len(d.words)))])
-	for _, w := range d.words {
-		crc.Write(buf[:binary.PutUvarint(buf[:], uint64(len(w)))])
-		crc.Write([]byte(w))
-	}
-	return crc.Sum32()
 }
 
 type countReader struct {

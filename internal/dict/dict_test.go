@@ -2,9 +2,11 @@ package dict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -108,6 +110,26 @@ func TestReadFromRejectsCorruption(t *testing.T) {
 	// Empty.
 	if _, err := New().ReadFrom(bytes.NewReader(nil)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("empty: %v", err)
+	}
+}
+
+// TestReadFromHugeCountFailsFast declares two billion words over a body of
+// three: the read must fail at the end of the body, having allocated for the
+// bytes that arrived, not for the count.
+func TestReadFromHugeCountFailsFast(t *testing.T) {
+	raw := binary.AppendUvarint([]byte(magic), 1<<31)
+	for _, w := range []string{"the", "quick", "fox"} {
+		raw = append(binary.AppendUvarint(raw, uint64(len(w))), w...)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New().ReadFrom(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("a %d-byte truncated dictionary allocated %d bytes", len(raw), n)
 	}
 }
 

@@ -26,8 +26,8 @@ type DeltaBuilder struct {
 	numFiles uint32
 	numWords uint32
 
-	// base is the base grammar's rule-fingerprint set (the same InternTable
-	// fingerprints sharded builds dedup with, see cfg.Interner): appended
+	// base is the base grammar's rule-fingerprint set (the fingerprints
+	// sharded builds unify by, see cfg.UnifyShards): appended
 	// phrases whose delta rules re-hit it are structure the base grammar
 	// already learned, which the reuse stats report and compaction folds
 	// back together.

@@ -73,7 +73,7 @@ func PartitionFiles(weights []int64, k int) [][2]int {
 
 // ShardBuild is the result of InferShardsShared: the unified shard set, the
 // per-shard grammars materialized from it (what engines build from), and
-// the dedup accounting the shard-scaling experiment reports.
+// the raw size the shard-scaling experiment reports beside it.
 type ShardBuild struct {
 	// Set is the unified form: one shared rule table plus per-shard roots.
 	Set *cfg.SharedSet
@@ -84,21 +84,13 @@ type ShardBuild struct {
 	// RawSymbols is the total grammar size before unification — what the
 	// independent builds produced, growing with K.
 	RawSymbols int64
-	// Distinct is the shared dictionary size: how many distinct sequences
-	// the shard builders interned between them.
-	Distinct int
-	// Novel[s] counts the sequences shard s interned first — its own
-	// contribution to the shared dictionary; the rest of its rules were
-	// already discovered by other shards.
-	Novel []int
 }
 
 // InferShardsShared partitions the corpus into k contiguous file spans
-// balanced by token count, infers one grammar per span concurrently, and
-// recovers the cross-shard redundancy: shard builders consult one shared
-// interning dictionary as they finish (identical terminal/digram sequences
-// map to one global sequence ID), then the post-build unification pass
-// rewrites the shard grammars against a single shared rule table.  Shard s
+// balanced by token count, infers and fingerprints one grammar per span
+// concurrently, and recovers the cross-shard redundancy: the post-build
+// unification pass rewrites the shard grammars against a single shared rule
+// table, in which identical sequences discovered by different shards meet.  Shard s
 // of the result covers the s-th span of files, and its materialized grammar
 // expands to exactly those files, so analytics over the shards are
 // bit-identical to analytics over the whole corpus — only the structure is
@@ -118,9 +110,7 @@ func InferShardsShared(tokens [][]uint32, numWords uint32, k int) (*ShardBuild, 
 	}
 	shards := make([]*cfg.Grammar, len(spans))
 	fps := make([][]cfg.Fingerprint, len(spans))
-	novel := make([]int, len(spans))
 	errs := make([]error, len(spans))
-	interner := cfg.NewInterner()
 	var wg sync.WaitGroup
 	for s, span := range spans {
 		wg.Add(1)
@@ -136,11 +126,6 @@ func InferShardsShared(tokens [][]uint32, numWords uint32, k int) (*ShardBuild, 
 				errs[s] = err
 				return
 			}
-			// Consult the shared dictionary while sibling builders are
-			// still running: sequences another shard already discovered
-			// resolve to its ID, the rest are interned as this shard's
-			// contribution.
-			novel[s] = interner.InternRules(f)
 			shards[s], fps[s] = g, f
 		}(s, span)
 	}
@@ -164,11 +149,5 @@ func InferShardsShared(tokens [][]uint32, numWords uint32, k int) (*ShardBuild, 
 	if err != nil {
 		return nil, fmt.Errorf("sequitur: materialize shards: %w", err)
 	}
-	return &ShardBuild{
-		Set:        set,
-		Shards:     mats,
-		RawSymbols: raw,
-		Distinct:   interner.Len(),
-		Novel:      novel,
-	}, nil
+	return &ShardBuild{Set: set, Shards: mats, RawSymbols: raw}, nil
 }

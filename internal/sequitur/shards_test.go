@@ -1,11 +1,13 @@
 package sequitur
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/cfg"
+	"github.com/text-analytics/ntadoc/internal/datagen"
 )
 
 func TestPartitionFiles(t *testing.T) {
@@ -102,8 +104,8 @@ func TestSingleShardMaterializesInfer(t *testing.T) {
 
 // TestInferShardsSharedRoundTrip checks the dedup path: the materialized
 // shard grammars expand to exactly the same corpus as the independent
-// builds, the unified form is structurally valid, and the dedup accounting
-// is consistent.
+// builds, the unified form is structurally valid, and it is no larger than
+// the independent builds.
 func TestInferShardsSharedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const vocab = 25
@@ -124,7 +126,7 @@ func TestInferShardsSharedRoundTrip(t *testing.T) {
 		if err := sb.Set.Validate(); err != nil {
 			t.Fatalf("k=%d: unified set invalid: %v", k, err)
 		}
-		if len(sb.Shards) != sb.Set.NumShards() || len(sb.Novel) != len(sb.Shards) {
+		if len(sb.Shards) != sb.Set.NumShards() {
 			t.Fatalf("k=%d: inconsistent shard counts", k)
 		}
 		var got [][]uint32
@@ -149,13 +151,6 @@ func TestInferShardsSharedRoundTrip(t *testing.T) {
 		if sb.Set.SymbolCount() > sb.RawSymbols {
 			t.Fatalf("k=%d: unified %d symbols > raw %d", k, sb.Set.SymbolCount(), sb.RawSymbols)
 		}
-		novel := 0
-		for _, n := range sb.Novel {
-			novel += n
-		}
-		if novel != sb.Distinct {
-			t.Fatalf("k=%d: novel counts sum to %d, dictionary holds %d", k, novel, sb.Distinct)
-		}
 	}
 }
 
@@ -178,5 +173,97 @@ func TestInferShardsSharedDegenerate(t *testing.T) {
 	}
 	if got := sb.Shards[0].ExpandFiles(); !reflect.DeepEqual(got, files) {
 		t.Fatalf("k=0: expansion %v, want %v", got, files)
+	}
+}
+
+// unifyGoldenCorpora are the reduced A- and D-shaped corpora
+// TestUnifyShardsGolden pins: dataset A's single long document cut into six
+// shorter ones, so there is something to shard, and a quarter of dataset D.
+var unifyGoldenCorpora = []struct {
+	name string
+	spec datagen.Spec
+}{
+	{"A", func() datagen.Spec { s := datagen.DatasetA; s.Files, s.TokensPer = 6, 5_000; return s }()},
+	{"D", datagen.DatasetD.Scaled(0.25)},
+}
+
+// TestUnifyShardsGolden pins the unified form byte for byte: the shared
+// table's checksum, the stored symbol count and the shared rule count of
+// sharded builds over generated corpora.  Unification is deterministic and
+// every archive serializes its result, so any change here changes archives:
+// a speed-up of the unifier must leave every figure as it is.
+func TestUnifyShardsGolden(t *testing.T) {
+	golden := map[string]struct {
+		checksum uint32
+		symbols  int64
+		shared   int
+	}{
+		"A/k=2/seed=1": {0xb80c4861, 5534, 1096},
+		"A/k=2/seed=2": {0x7a0611cd, 5564, 1124},
+		"A/k=2/seed=3": {0x43c3b93e, 5949, 1217},
+		"A/k=4/seed=1": {0xaf762c41, 6330, 1301},
+		"A/k=4/seed=2": {0xfd9eecd1, 6450, 1337},
+		"A/k=4/seed=3": {0x4d0e2981, 6611, 1352},
+		"D/k=2/seed=1": {0x5c55961e, 11640, 1979},
+		"D/k=2/seed=2": {0x9835e2bb, 11130, 1874},
+		"D/k=2/seed=3": {0xabdaa53d, 11926, 2025},
+		"D/k=4/seed=1": {0x991d1a46, 12341, 2159},
+		"D/k=4/seed=2": {0x0ff98971, 11736, 2018},
+		"D/k=4/seed=3": {0x1d71738f, 12576, 2184},
+	}
+	for _, c := range unifyGoldenCorpora {
+		for _, k := range []int{2, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				spec := c.spec
+				spec.Seed ^= seed
+				files := spec.Generate()
+				sb, err := InferShardsShared(files, uint32(spec.Vocab), k)
+				if err != nil {
+					t.Fatalf("%s k=%d seed %d: %v", c.name, k, seed, err)
+				}
+				key := fmt.Sprintf("%s/k=%d/seed=%d", c.name, k, seed)
+				want := golden[key]
+				if sum, n, rules := sb.Set.Checksum(), sb.Set.SymbolCount(), len(sb.Set.Shared); sum != want.checksum || n != want.symbols || rules != want.shared {
+					t.Errorf("%s: checksum %#08x, %d symbols, %d shared rules; want %#08x, %d, %d",
+						key, sum, n, rules, want.checksum, want.symbols, want.shared)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkUnifyShards is the unification slice of `make microbench`:
+// UnifyShards over the `cold-miss` shape's two shard grammars (dataset D cut
+// to 32 documents, K=2), inferred and fingerprinted once outside the timer.
+// It is the serial step between the parallel shard builds and the archive.
+func BenchmarkUnifyShards(b *testing.B) {
+	spec := datagen.DatasetD
+	spec.Files = 32
+	files := spec.Generate()
+	weights := make([]int64, len(files))
+	for i, f := range files {
+		weights[i] = int64(len(f)) + 1
+	}
+	var (
+		shards []*cfg.Grammar
+		fps    [][]cfg.Fingerprint
+	)
+	for _, span := range PartitionFiles(weights, 2) {
+		g, err := Infer(files[span[0]:span[1]], uint32(spec.Vocab))
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := cfg.FingerprintRules(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards, fps = append(shards, g), append(fps, f)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.UnifyShards(shards, fps); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

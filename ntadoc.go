@@ -55,6 +55,7 @@ type Archive struct {
 	g      *cfg.Grammar // whole-corpus view: the shard concatenation
 	d      *dict.Dictionary
 	shared *cfg.SharedSet // unified form: what serializes
+	tag    uint32         // shared.Checksum(): the build tag engines stamp
 	shards []*cfg.Grammar // shared, materialized per shard: what engines build from
 
 	// Online ingestion appends documents after compression.  The archive
@@ -124,7 +125,7 @@ func compressSharded(tokens [][]uint32, names []string, d *dict.Dictionary, k in
 		}
 		base += g.NumFiles
 	}
-	return newArchive(sb.Set, sb.Shards, d)
+	return newArchive(sb.Set, sb.Set.Checksum(), sb.Shards, d)
 }
 
 // singleShard makes g a one-shard archive.
@@ -137,17 +138,17 @@ func singleShard(g *cfg.Grammar, d *dict.Dictionary) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newArchive(set, shards, d)
+	return newArchive(set, set.Checksum(), shards, d)
 }
 
-// newArchive assembles an archive from its unified form and the per-shard
-// grammars materialized from it.
-func newArchive(set *cfg.SharedSet, shards []*cfg.Grammar, d *dict.Dictionary) (*Archive, error) {
+// newArchive assembles an archive from its unified form, that form's
+// checksum, and the per-shard grammars materialized from it.
+func newArchive(set *cfg.SharedSet, tag uint32, shards []*cfg.Grammar, d *dict.Dictionary) (*Archive, error) {
 	g, err := cfg.ConcatShards(shards)
 	if err != nil {
 		return nil, err
 	}
-	return &Archive{g: g, d: d, shared: set, shards: shards}, nil
+	return &Archive{g: g, d: d, shared: set, tag: tag, shards: shards}, nil
 }
 
 // NumShards returns the archive's shard count.
@@ -316,32 +317,28 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ntadoc: archive header: %w", err)
 	}
-	gLen := int64(binary.LittleEndian.Uint64(hdr[:]))
+	gLen := binary.LittleEndian.Uint64(hdr[:])
 	if gLen < 8 || gLen > 1<<40 {
 		return nil, fmt.Errorf("ntadoc: absurd grammar section length %d", gLen)
 	}
-	// Peek the section magic to dispatch without disturbing the section
-	// reader's byte accounting.
-	var peek [8]byte
-	if _, err := io.ReadFull(r, peek[:]); err != nil {
+	var section bytes.Buffer
+	section.Grow(int(min(gLen, sectionPrealloc)))
+	n, err := section.ReadFrom(io.LimitReader(r, int64(gLen)))
+	if err != nil {
 		return nil, fmt.Errorf("ntadoc: grammar section: %w", err)
 	}
-	section := io.MultiReader(bytes.NewReader(peek[:]), io.LimitReader(r, gLen-8))
-	var (
-		a   *Archive
-		err error
-	)
-	if cfg.IsDeltaContainer(peek[:]) {
+	if uint64(n) != gLen {
+		return nil, fmt.Errorf("ntadoc: grammar section: %d of %d bytes: %w", n, gLen, io.ErrUnexpectedEOF)
+	}
+	var a *Archive
+	if b := section.Bytes(); cfg.IsDeltaContainer(b) {
 		// A delta archive: parse the embedded base section, then fold the
 		// delta grammar into the whole-corpus form — an offline compaction.
-		baseBytes, delta, derr := cfg.ReadDeltaContainer(section)
+		base, delta, derr := cfg.ReadDeltaContainer(b)
 		if derr != nil {
 			return nil, derr
 		}
-		if len(baseBytes) < 8 {
-			return nil, fmt.Errorf("ntadoc: delta container base section too short (%d bytes)", len(baseBytes))
-		}
-		if a, err = readBaseSection(baseBytes[:8], bytes.NewReader(baseBytes)); err != nil {
+		if a, err = readBaseSection(base); err != nil {
 			return nil, err
 		}
 		g, merr := cfg.MergeDelta(a.g, delta)
@@ -350,7 +347,7 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 		}
 		a, err = singleShard(g, nil)
 	} else {
-		a, err = readBaseSection(peek[:], section)
+		a, err = readBaseSection(b)
 	}
 	if err != nil {
 		return nil, err
@@ -365,13 +362,17 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 	return a, nil
 }
 
+// sectionPrealloc caps the buffer ReadArchive reserves for a grammar section
+// before its bytes arrive: the declared length is untrusted, so past this the
+// buffer grows only as bytes do.
+const sectionPrealloc = 1 << 20
+
 // readBaseSection parses one base grammar section, dispatching on its
-// leading magic, into an archive without a dictionary.  section must
-// include the peeked bytes.
-func readBaseSection(peek []byte, section io.Reader) (*Archive, error) {
+// leading magic, into an archive without a dictionary.
+func readBaseSection(b []byte) (*Archive, error) {
 	switch {
-	case cfg.IsSharedContainer(peek):
-		set, err := cfg.ReadSharedSet(section)
+	case cfg.IsSharedContainer(b):
+		set, tag, err := cfg.ReadSharedSet(b)
 		if err != nil {
 			return nil, err
 		}
@@ -379,11 +380,11 @@ func readBaseSection(peek []byte, section io.Reader) (*Archive, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newArchive(set, shards, nil)
-	case cfg.IsLegacyShardContainer(peek):
+		return newArchive(set, tag, shards, nil)
+	case cfg.IsLegacyShardContainer(b):
 		return nil, errors.New("ntadoc: archive written before the shared-table container; recompress")
 	default:
-		g, err := cfg.ReadGrammar(section)
+		g, err := cfg.ReadGrammar(b)
 		if err != nil {
 			return nil, err
 		}

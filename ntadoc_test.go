@@ -99,12 +99,24 @@ func buildTag(t *testing.T, a *Archive) uint32 {
 	return eng.BuildTag()
 }
 
+// checkStoredTag checks the build tag an archive records is its shared
+// table's checksum as computed afresh.
+func checkStoredTag(t *testing.T, what string, a *Archive) {
+	t.Helper()
+	if want := a.shared.Checksum(); a.tag != want {
+		t.Errorf("%s archive records tag %08x, its shared table's checksum is %08x", what, a.tag, want)
+	}
+}
+
 // TestOneShardArchiveIsTagged checks a K = 1 archive is a shard set like any
 // other: it serializes the shared-table container, its engine's build tag is
 // the shared table's checksum and not zero, and a WriteTo → ReadArchive
-// round trip keeps the grammar engines build from and the tag.
+// round trip keeps the grammar engines build from and the tag.  The tag is
+// recorded once per archive — compressed, read, or folded after appends, by
+// NewEngine or by reading a delta container — and is always the checksum.
 func TestOneShardArchiveIsTagged(t *testing.T) {
 	a := compressDocs(t)
+	checkStoredTag(t, "compressed", a)
 	tag := buildTag(t, a)
 	if tag == 0 || tag != a.shared.Checksum() {
 		t.Fatalf("K = 1 build tag %08x, want the shared-table checksum %08x", tag, a.shared.Checksum())
@@ -126,6 +138,29 @@ func TestOneShardArchiveIsTagged(t *testing.T) {
 	if got := buildTag(t, a2); got != tag {
 		t.Fatalf("reloaded build tag %08x, want %08x", got, tag)
 	}
+	checkStoredTag(t, "read", a2)
+
+	eng, err := NewEngine(a2, Options{IngestCapacity: 1 << 20})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if err := eng.Append(liveDocs); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	eng.Close()
+	var delta bytes.Buffer
+	if _, err := a2.WriteTo(&delta); err != nil {
+		t.Fatalf("WriteTo with a delta: %v", err)
+	}
+	if folded := buildTag(t, a2); folded == tag {
+		t.Fatalf("folding appended documents kept the base's tag %08x", tag)
+	}
+	checkStoredTag(t, "folded", a2)
+	a3, err := ReadArchive(bytes.NewReader(delta.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadArchive of a delta container: %v", err)
+	}
+	checkStoredTag(t, "delta-folded", a3)
 }
 
 // bareGrammarArchive frames a K = 1 archive the way archives were written
@@ -161,6 +196,7 @@ func TestReadBareGrammarSection(t *testing.T) {
 	if !reflect.DeepEqual(bare.DocumentNames(), a.DocumentNames()) {
 		t.Error("document names lost")
 	}
+	checkStoredTag(t, "bare", bare)
 	if got, want := buildTag(t, bare), buildTag(t, a); got == 0 || got != want {
 		t.Fatalf("bare grammar section tagged %08x, its NTDCSHD2 form %08x", got, want)
 	}
