@@ -61,9 +61,10 @@ bench-smoke:
 # The serving path's microbenchmarks, six runs each with allocation counts,
 # in the form benchstat reads: `make microbench > new.txt`, then
 # `benchstat old.txt new.txt` against a run of the commit being compared.
-# Egress (hit-path handler, result encoder, shard merge — per task, and the
-# `cold-miss` shape's two-unit ranked index; EXPERIMENTS.md "Egress path",
-# "Array results"), then the kernel traversal per direction — one warmed
+# Egress (hit-path handler, result encoder, shard merge — per task, the
+# `cold-miss` shape's two-unit ranked index, and its six-task gather whole
+# and cut into two key-range parts; EXPERIMENTS.md "Egress path", "Array
+# results", "Parallel gather"), then the kernel traversal per direction — one warmed
 # session serving each task and the fused batch on a top-down and a bottom-up
 # shape, with alloc-B/body-B, the heap bytes allocated per body byte served —
 # with the device round trips under it (batched body read, table re-attach;

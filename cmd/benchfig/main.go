@@ -648,8 +648,10 @@ func figFused(specs []datagen.Spec) error {
 // figShards quantifies the sharded engine: the corpus split into K
 // independent shards, built in parallel, with the fused six-task batch
 // scattered across the shards and gathered.  Speedups are modeled
-// critical-path times relative to K=1; the compression delta is the growth
-// of the total grammar, the price of not sharing redundancy across shards.
+// critical-path times relative to K=1, and the gather column is the merge's
+// share of the batch traversal (its critical path; none at K=1, where one
+// shard needs no merge); the compression delta is the growth of the total
+// grammar, the price of not sharing redundancy across shards.
 func figShards(specs []datagen.Spec) error {
 	header("Shard scaling: parallel build and scatter-gather fused batch (vs K=1)")
 	var sel []datagen.Spec
@@ -674,13 +676,13 @@ func figShards(specs []datagen.Spec) error {
 		return err
 	}
 	w := newTab()
-	fmt.Fprintln(w, "dataset\tshards\tbuild\tbatch traversal\tbuild speedup\tbatch speedup\traw symbols\tdedup symbols\tshared rules\tdedup delta")
+	fmt.Fprintln(w, "dataset\tshards\tbuild\tbatch traversal\tgather\tbuild speedup\tbatch speedup\traw symbols\tdedup symbols\tshared rules\tdedup delta")
 	for si, spec := range sel {
 		base := cells[si*len(ks)]
 		for ki := range ks {
 			cell := cells[si*len(ks)+ki]
-			fmt.Fprintf(w, "%s\t%d\t%.2f ms\t%.2f ms\t%.2fx\t%.2fx\t%d\t%d\t%d\t%+.1f%%\n",
-				spec.Name, cell.K, ms(cell.BuildTotal), ms(cell.TravTotal),
+			fmt.Fprintf(w, "%s\t%d\t%.2f ms\t%.2f ms\t%.2f ms\t%.2fx\t%.2fx\t%d\t%d\t%d\t%+.1f%%\n",
+				spec.Name, cell.K, ms(cell.BuildTotal), ms(cell.TravTotal), ms(cell.Gather),
 				ratio(base.BuildTotal, cell.BuildTotal), ratio(base.TravTotal, cell.TravTotal),
 				cell.Symbols, cell.DedupSymbols, cell.SharedRules,
 				(float64(cell.DedupSymbols)/float64(base.DedupSymbols)-1)*100)

@@ -14,7 +14,9 @@
 // merge.  A unit's own lists arrive in canonical order and a uniform
 // document offset preserves it, so only the lists more than one unit
 // contributed to, or a docmap unit did (a docmap interleaves documents), are
-// re-ordered.
+// re-ordered.  The K-way merge can be cut into contiguous key ranges that
+// merge concurrently into one result (MergeJob); the whole merge is the
+// one-range case.
 package analytics
 
 import (
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"github.com/text-analytics/ntadoc/internal/metrics"
 )
@@ -57,19 +60,89 @@ type MergeUnit struct {
 // merger is the merge capability of an op; all registered ops have it, so a
 // sharded coordinator runs any op without task-specific merge code.
 type merger interface {
-	merge(env Env, units []MergeUnit) (any, error)
+	plan(env Env, units []MergeUnit, parts int) (*MergeJob, error)
 }
 
 // MergeUnits folds unit results of op back into one corpus-wide result.
 // Units must arrive in ascending order of their first global document, keyed
 // results in wire order; env must describe the whole corpus (NumFiles spans
-// base and appended documents, Dict holds every word of every unit).
+// base and appended documents, Dict holds every word of every unit).  It is
+// the one-part MergeJob, run on env's account.
 func MergeUnits(op Op, env Env, units []MergeUnit) (any, error) {
+	j, err := PlanMerge(op, env, units, 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.Run(0, env); err != nil {
+		return nil, err
+	}
+	return j.Finish(env), nil
+}
+
+// MergeJob is one op's merge cut into key-range parts.  Every unit's keys
+// are cut at the same splitter keys, so part p merges a contiguous range of
+// the merged key order, and the concatenated parts are the one-part merge.
+// Each entry is charged to the part that merges it, exactly as the one-part
+// merge charges it.  Run(p, env) merges part p on env's account; parts write
+// disjoint regions of one result, so they may run concurrently.  Finish,
+// after every part has run, moves the parts' keys together and returns the
+// result, charging env a scan step per key it moves.
+type MergeJob struct {
+	parts  int
+	run    func(p int, env Env) error
+	finish func(env Env) any
+}
+
+// PlanMerge sizes op's merge of units and cuts it into parts key ranges
+// (term vectors, which have no keys, always into one).  Units and env are as
+// for MergeUnits.
+func PlanMerge(op Op, env Env, units []MergeUnit, parts int) (*MergeJob, error) {
 	m, ok := op.(merger)
 	if !ok {
 		return nil, fmt.Errorf("analytics: op %s is not mergeable", op.Name())
 	}
-	return m.merge(env, units)
+	return m.plan(env, units, max(parts, 1))
+}
+
+// Parts returns the number of parts the job was cut into.
+func (j *MergeJob) Parts() int { return j.parts }
+
+// Run merges part p, charging env.
+func (j *MergeJob) Run(p int, env Env) error { return j.run(p, env) }
+
+// Finish stitches the merged parts into the op's result, charging env.
+func (j *MergeJob) Finish(env Env) any { return j.finish(env) }
+
+// MergeWork sizes op's merge of units for the gather planner: work is the
+// modeled nanos its parts share — every unit entry (every posting, for the
+// posting ops) at the op's per-entry merge charges — and keys bounds the
+// entries a stitch could move.  Term vectors never split: 0, 0.
+func MergeWork(op Op, units []MergeUnit) (work, keys int64) {
+	var entries int64
+	for _, u := range units {
+		switch r := u.Result.(type) {
+		case []WordFreq:
+			entries, keys = entries+int64(len(r)), keys+int64(len(r))
+		case []SeqFreq:
+			entries, keys = entries+int64(len(r)), keys+int64(len(r))
+		case *Postings[uint32, uint32]:
+			entries, keys = entries+int64(len(r.Items)), keys+int64(len(r.Keys))
+		case *Postings[Seq, DocFreq]:
+			entries, keys = entries+int64(len(r.Items)), keys+int64(len(r.Keys))
+		}
+	}
+	var perEntry int64
+	switch op.Task() {
+	case TaskWordCount, TaskInvertedIndex:
+		perEntry = metrics.CostMergeEntry
+	case TaskSort, TaskRankedInvertedIndex:
+		perEntry = metrics.CostMergeEntry + metrics.CostSortEntry
+	case TaskSequenceCount:
+		perEntry = metrics.CostSeqOp
+	default:
+		return 0, 0
+	}
+	return entries * perEntry, keys
 }
 
 // unitResults asserts every unit's result to the op's result type; another
@@ -118,10 +191,84 @@ func kway[E any](lists [][]E, cmp func(a, b *E) int, visit func(from, pos []int)
 	}
 }
 
-// mergeCounts sums the units' counters key-wise, charging perEntry modeled
-// nanos per entry read.
-func mergeCounts[E any](op Op, env Env, units []MergeUnit, perEntry int64,
-	cmp func(a, b *E) int, freq func(*E) *uint64) ([]E, error) {
+// keyRanges cuts every unit's keys, each ascending under cmp, into parts
+// contiguous key ranges: unit u's keys in part p are keys[u][cuts[p][u]:
+// cuts[p+1][u]].  The splitters are keys of the unit with the most entries,
+// at entry-weighted quantiles — a key weighs one entry, or, when ends is
+// given, the postings its list holds — and every unit is cut at the lower
+// bound of each splitter, so equal keys fall into one part.
+func keyRanges[K any](keys [][]K, ends [][]uint32, parts int, cmp func(a, b *K) int) [][]int {
+	entries := func(u int) int {
+		if ends == nil {
+			return len(keys[u])
+		}
+		if n := len(ends[u]); n > 0 {
+			return int(ends[u][n-1])
+		}
+		return 0
+	}
+	big := 0
+	for u := range keys {
+		if entries(u) > entries(big) {
+			big = u
+		}
+	}
+	cuts := make([][]int, parts+1)
+	for p := range cuts {
+		cuts[p] = make([]int, len(keys))
+	}
+	for u, l := range keys {
+		cuts[parts][u] = len(l)
+	}
+	for p := 1; p < parts; p++ {
+		q := int64(p) * int64(entries(big)) / int64(parts)
+		i := int(q)
+		if ends != nil {
+			i = sort.Search(len(ends[big]), func(i int) bool { return int64(ends[big][i]) > q })
+		}
+		if i == len(keys[big]) {
+			copy(cuts[p], cuts[parts])
+			continue
+		}
+		split := &keys[big][i]
+		for u, l := range keys {
+			cuts[p][u] = sort.Search(len(l), func(j int) bool { return cmp(&l[j], split) >= 0 })
+		}
+	}
+	return cuts
+}
+
+// subLists returns each unit's lists[u][lo[u]:hi[u]] and the number of
+// entries before lo and within the range, summed over the units.
+func subLists[E any](lists [][]E, lo, hi []int) (sub [][]E, before, n int) {
+	sub = make([][]E, len(lists))
+	for u, l := range lists {
+		sub[u] = l[lo[u]:hi[u]]
+		before += lo[u]
+		n += len(sub[u])
+	}
+	return sub, before, n
+}
+
+// stitch moves every part's merged keys, written from the start of its
+// region (starts[p]), down behind the previous part's, charging a scan step
+// per key moved, and returns the merged key count.
+func stitch(env Env, starts, lens []int, move func(dst, src, n int)) int {
+	dst := 0
+	for p, n := range lens {
+		if starts[p] != dst && n > 0 {
+			move(dst, starts[p], n)
+			env.Charge(int64(n), metrics.CostScanToken)
+		}
+		dst += n
+	}
+	return dst
+}
+
+// planCounts cuts a key-wise counter sum: every entry read is charged
+// perEntry modeled nanos, every merged entry perOut.
+func planCounts[E any](op Op, units []MergeUnit, parts int, perEntry, perOut int64,
+	cmp func(a, b *E) int, freq func(*E) *uint64) (*MergeJob, error) {
 	lists, err := unitResults[[]E](op, units)
 	if err != nil {
 		return nil, err
@@ -130,136 +277,185 @@ func mergeCounts[E any](op Op, env Env, units []MergeUnit, perEntry int64,
 	for _, l := range lists {
 		total += len(l)
 	}
-	env.Charge(int64(total), perEntry)
-	out := make([]E, 0, total)
-	kway(lists, cmp, func(from, pos []int) {
-		out = append(out, lists[from[0]][pos[from[0]]])
-		sum := freq(&out[len(out)-1])
-		for _, u := range from[1:] {
-			*sum += *freq(&lists[u][pos[u]])
-		}
-	})
-	return out, nil
+	cuts := keyRanges(lists, nil, parts, cmp)
+	out := make([]E, total)
+	starts, lens := make([]int, parts), make([]int, parts)
+	return &MergeJob{parts: parts,
+		run: func(p int, env Env) error {
+			sub, at, n := subLists(lists, cuts[p], cuts[p+1])
+			env.Charge(int64(n), perEntry)
+			w := at
+			kway(sub, cmp, func(from, pos []int) {
+				out[w] = sub[from[0]][pos[from[0]]]
+				sum := freq(&out[w])
+				for _, u := range from[1:] {
+					*sum += *freq(&sub[u][pos[u]])
+				}
+				w++
+			})
+			starts[p], lens[p] = at, w-at
+			env.Charge(int64(lens[p]), perOut)
+			return nil
+		},
+		finish: func(env Env) any {
+			return out[:stitch(env, starts, lens, func(dst, src, n int) { copy(out[dst:], out[src:src+n]) })]
+		},
+	}, nil
 }
 
-// mergeWordCounts merges alphabetical word counters by the dictionary's rank
+// planWordCounts merges alphabetical word counters by the dictionary's rank
 // table: integer compares, no word resolved.
-func mergeWordCounts(op Op, env Env, units []MergeUnit) ([]WordFreq, error) {
+func planWordCounts(op Op, env Env, units []MergeUnit, parts int, perOut int64) (*MergeJob, error) {
 	rank, _ := env.Dict().Alphabetical()
-	return mergeCounts(op, env, units, metrics.CostMergeEntry,
+	return planCounts(op, units, parts, metrics.CostMergeEntry, perOut,
 		func(a, b *WordFreq) int { return cmp.Compare(rank[a.Word], rank[b.Word]) },
 		func(e *WordFreq) *uint64 { return &e.Freq })
 }
 
-func (op WordCountOp) merge(env Env, units []MergeUnit) (any, error) {
-	return mergeWordCounts(op, env, units)
+func (op WordCountOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
+	return planWordCounts(op, env, units, parts, 0)
 }
 
 // The merged vocabulary is charged the sort the shards' orders spare it.
-func (op SortOp) merge(env Env, units []MergeUnit) (any, error) {
-	out, err := mergeWordCounts(op, env, units)
-	env.Charge(int64(len(out)), metrics.CostSortEntry)
-	return out, err
+func (op SortOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
+	return planWordCounts(op, env, units, parts, metrics.CostSortEntry)
 }
 
-func (op SequenceCountOp) merge(env Env, units []MergeUnit) (any, error) {
+func (op SequenceCountOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
 	words := env.Dict().Words()
-	return mergeCounts(op, env, units, metrics.CostSeqOp,
+	return planCounts(op, units, parts, metrics.CostSeqOp, 0,
 		func(a, b *SeqFreq) int { return compareWire(words, a.Seq, b.Seq) },
 		func(e *SeqFreq) *uint64 { return &e.Freq })
 }
 
-// merge places every unit's per-document vectors at their global document
+// plan places every unit's per-document vectors at their global document
 // indices; vectors are already final (a document's term vector depends only
-// on that document).
-func (op TermVectorsOp) merge(env Env, units []MergeUnit) (any, error) {
-	parts, err := unitResults[[][]WordFreq](op, units)
+// on that document).  There are no keys to cut: one part.
+func (op TermVectorsOp) plan(env Env, units []MergeUnit, _ int) (*MergeJob, error) {
+	vecs, err := unitResults[[][]WordFreq](op, units)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]WordFreq, env.NumFiles())
-	for u, in := range parts {
-		m := units[u].DocMap
-		if m != nil && len(in) != len(m) {
-			return nil, fmt.Errorf("analytics: merge termvectors unit %d: %d documents, map %d", u, len(in), len(m))
-		}
-		env.Charge(int64(len(in)), metrics.CostMergeEntry)
-		for i, vec := range in {
-			doc := int(units[u].DocBase) + i
-			if m != nil {
-				doc = int(m[i])
+	return &MergeJob{parts: 1,
+		run: func(_ int, env Env) error {
+			for u, in := range vecs {
+				m := units[u].DocMap
+				if m != nil && len(in) != len(m) {
+					return fmt.Errorf("analytics: merge termvectors unit %d: %d documents, map %d", u, len(in), len(m))
+				}
+				env.Charge(int64(len(in)), metrics.CostMergeEntry)
+				for i, vec := range in {
+					doc := int(units[u].DocBase) + i
+					if m != nil {
+						doc = int(m[i])
+					}
+					if doc >= len(out) {
+						return fmt.Errorf("analytics: merge termvectors unit %d: document %d exceeds %d documents", u, doc, len(out))
+					}
+					out[doc] = vec
+				}
 			}
-			if doc >= len(out) {
-				return nil, fmt.Errorf("analytics: merge termvectors unit %d: document %d exceeds %d documents", u, doc, len(out))
-			}
-			out[doc] = vec
-		}
-	}
-	return out, nil
+			return nil
+		},
+		finish: func(Env) any { return out },
+	}, nil
 }
 
-// mergePostings concatenates each key's lists in unit order with documents
+// planPostings concatenates each key's lists in unit order with documents
 // moved to their global indices (doc points at an item's document), and
-// re-orders with canon the lists that need it.
-func mergePostings[K comparable, T any](op Op, env Env, units []MergeUnit,
-	cmp func(a, b *K) int, doc func(*T) *uint32, canon func([]T)) (*Postings[K, T], error) {
-	parts, err := unitResults[*Postings[K, T]](op, units)
+// re-orders with canon the lists that need it, charging every posting
+// CostMergeEntry and, once its part has merged without error, perOut.
+// Items are never collapsed, so a part's postings go straight to their final
+// offsets: only its keys and ends are stitched.
+func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int, perOut int64,
+	cmp func(a, b *K) int, doc func(*T) *uint32, canon func([]T)) (*MergeJob, error) {
+	ps, err := unitResults[*Postings[K, T]](op, units)
 	if err != nil {
 		return nil, err
 	}
-	keys, nkeys, nitems := make([][]K, len(parts)), 0, 0
-	for u, p := range parts {
-		keys[u] = p.Keys
+	keys, ends, nkeys, nitems := make([][]K, len(ps)), make([][]uint32, len(ps)), 0, 0
+	for u, p := range ps {
+		keys[u], ends[u] = p.Keys, p.Ends
 		nkeys += len(p.Keys)
 		nitems += len(p.Items)
 	}
 	if nitems > math.MaxUint32 {
 		return nil, fmt.Errorf("analytics: merge %s: %d postings, more than a result can index", op.Name(), nitems)
 	}
-	env.Charge(int64(nitems), metrics.CostMergeEntry)
-	out := &Postings[K, T]{Keys: make([]K, 0, nkeys), Ends: make([]uint32, 0, nkeys), Items: make([]T, 0, nitems)}
-	kway(keys, cmp, func(from, pos []int) {
-		lo, reorder := len(out.Items), len(from) > 1
-		for _, u := range from {
-			m := units[u].DocMap
-			reorder = reorder || m != nil
-			at := len(out.Items)
-			out.Items = append(out.Items, parts[u].List(pos[u])...)
-			for i := range out.Items[at:] {
-				switch d := doc(&out.Items[at+i]); {
-				case m == nil:
-					*d += units[u].DocBase
-				case int(*d) < len(m):
-					*d = m[*d]
-				default:
-					err = fmt.Errorf("analytics: merge %s unit %d: document %d outside map of %d", op.Name(), u, *d, len(m))
-				}
+	// itemsBefore counts the postings of the units' keys before cut.
+	itemsBefore := func(cut []int) (n int) {
+		for u, c := range cut {
+			if c > 0 {
+				n += int(ends[u][c-1])
 			}
 		}
-		if reorder {
-			canon(out.Items[lo:])
-		}
-		out.Keys = append(out.Keys, keys[from[0]][pos[from[0]]])
-		out.Ends = append(out.Ends, uint32(len(out.Items)))
-	})
-	return out, err
+		return n
+	}
+	cuts := keyRanges(keys, ends, parts, cmp)
+	out := &Postings[K, T]{Keys: make([]K, nkeys), Ends: make([]uint32, nkeys), Items: make([]T, nitems)}
+	starts, lens := make([]int, parts), make([]int, parts)
+	return &MergeJob{parts: parts,
+		run: func(p int, env Env) (err error) {
+			sub, at, _ := subLists(keys, cuts[p], cuts[p+1])
+			w := itemsBefore(cuts[p])
+			n := itemsBefore(cuts[p+1]) - w
+			env.Charge(int64(n), metrics.CostMergeEntry)
+			k := at
+			kway(sub, cmp, func(from, pos []int) {
+				first, reorder := w, len(from) > 1
+				for _, u := range from {
+					m := units[u].DocMap
+					reorder = reorder || m != nil
+					src := ps[u].List(cuts[p][u] + pos[u])
+					l := out.Items[w : w+len(src)]
+					copy(l, src)
+					for i := range l {
+						switch d := doc(&l[i]); {
+						case m == nil:
+							*d += units[u].DocBase
+						case int(*d) < len(m):
+							*d = m[*d]
+						default:
+							err = fmt.Errorf("analytics: merge %s unit %d: document %d outside map of %d", op.Name(), u, *d, len(m))
+						}
+					}
+					w += len(l)
+				}
+				if reorder {
+					canon(out.Items[first:w])
+				}
+				out.Keys[k], out.Ends[k] = sub[from[0]][pos[from[0]]], uint32(w)
+				k++
+			})
+			starts[p], lens[p] = at, k-at
+			if err == nil {
+				env.Charge(int64(n), perOut)
+			}
+			return err
+		},
+		finish: func(env Env) any {
+			n := stitch(env, starts, lens, func(dst, src, n int) {
+				copy(out.Keys[dst:], out.Keys[src:src+n])
+				copy(out.Ends[dst:], out.Ends[src:src+n])
+			})
+			out.Keys, out.Ends = out.Keys[:n], out.Ends[:n]
+			return out
+		},
+	}, nil
 }
 
-func (op InvertedIndexOp) merge(env Env, units []MergeUnit) (any, error) {
+func (op InvertedIndexOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
 	rank, _ := env.Dict().Alphabetical()
-	return mergePostings(op, env, units,
+	return planPostings(op, units, parts, 0,
 		func(a, b *uint32) int { return cmp.Compare(rank[*a], rank[*b]) },
 		func(doc *uint32) *uint32 { return doc }, slices.Sort[[]uint32])
 }
 
 // The ranked lists' sort is charged on every merged posting, re-ranked or not.
-func (op RankedInvertedIndexOp) merge(env Env, units []MergeUnit) (any, error) {
+func (op RankedInvertedIndexOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
 	words := env.Dict().Words()
-	out, err := mergePostings(op, env, units,
+	return planPostings(op, units, parts, metrics.CostSortEntry,
 		func(a, b *Seq) int { return compareWire(words, *a, *b) },
 		func(p *DocFreq) *uint32 { return &p.Doc }, func(l []DocFreq) { RankPostingsSorted(l) })
-	if err == nil {
-		env.Charge(int64(len(out.Items)), metrics.CostSortEntry)
-	}
-	return out, err
 }

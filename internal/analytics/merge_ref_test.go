@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/datagen"
@@ -229,21 +230,8 @@ func mergeLayouts(numFiles int) []mergeLayout {
 // the reference's result (so equal after conversion, and in wire order),
 // modeled charge identical, unit results unmodified.
 func TestMergeMatchesReference(t *testing.T) {
-	corpora := []datagen.Spec{
-		{Name: "small", Seed: 51, Files: 4, TokensPer: 200, Vocab: 30},
-		{Name: "manyfiles", Seed: 52, Files: 9, TokensPer: 120, Vocab: 40},
-		{Name: "redundant", Seed: 53, Files: 6, TokensPer: 300, Vocab: 15},
-		{Name: "adversarial", Seed: 54, Files: 5, TokensPer: 160, Vocab: len(adversarialWords)},
-	}
-	for _, spec := range corpora {
-		spec.ZipfS, spec.Phrases, spec.PhraseLen, spec.PhraseProb = 1.3, 30, 5, 0.6
-		files, d := spec.GenerateWithDict()
-		if spec.Name == "adversarial" {
-			d = dict.New()
-			for _, w := range adversarialWords {
-				d.Intern(w)
-			}
-		}
+	for _, spec := range mergeRefCorpora {
+		files, d := mergeRefCorpus(spec)
 		for _, layout := range mergeLayouts(len(files)) {
 			for _, op := range Ops() {
 				id := fmt.Sprintf("%s %s %s", spec.Name, layout.name, op.Name())
@@ -306,6 +294,96 @@ func TestMergeMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) || shardMeter.Nanos() != refMeter.Nanos() {
 					t.Errorf("%s: MergeShardResults differs from the reference merge (charged %d, reference %d)",
 						id, shardMeter.Nanos(), refMeter.Nanos())
+				}
+			}
+		}
+	}
+}
+
+// mergeRefCorpora are the shard-count-invariance corpora and the adversarial
+// vocabulary the merge oracles run over.
+var mergeRefCorpora = []datagen.Spec{
+	{Name: "small", Seed: 51, Files: 4, TokensPer: 200, Vocab: 30},
+	{Name: "manyfiles", Seed: 52, Files: 9, TokensPer: 120, Vocab: 40},
+	{Name: "redundant", Seed: 53, Files: 6, TokensPer: 300, Vocab: 15},
+	{Name: "adversarial", Seed: 54, Files: 5, TokensPer: 160, Vocab: len(adversarialWords)},
+}
+
+// mergeRefCorpus generates one of mergeRefCorpora, phrase-heavy so units
+// share keys; the adversarial corpus's word IDs name adversarialWords.
+func mergeRefCorpus(spec datagen.Spec) ([][]uint32, *dict.Dictionary) {
+	spec.ZipfS, spec.Phrases, spec.PhraseLen, spec.PhraseProb = 1.3, 30, 5, 0.6
+	files, d := spec.GenerateWithDict()
+	if spec.Name == "adversarial" {
+		d = dict.New()
+		for _, w := range adversarialWords {
+			d.Intern(w)
+		}
+	}
+	return files, d
+}
+
+// TestMergePartsMatchSerial cuts every op's merge into P key-range parts,
+// run concurrently, each on a meter of its own, over the oracle's corpora
+// and unit layouts: the stitched result deep-equals the one-part merge's,
+// and the parts' charges sum to the one-part charge to the nanosecond.
+func TestMergePartsMatchSerial(t *testing.T) {
+	for _, spec := range mergeRefCorpora {
+		files, d := mergeRefCorpus(spec)
+		for _, layout := range mergeLayouts(len(files)) {
+			for _, op := range Ops() {
+				units := make([]MergeUnit, len(layout.units))
+				for u, docs := range layout.units {
+					unitFiles := make([][]uint32, len(docs))
+					for i, doc := range docs {
+						unitFiles[i] = files[doc]
+					}
+					units[u].Result = wireForm(op, shardRefResult(t, op, unitFiles, d), d)
+					switch {
+					case layout.mapped[u]:
+						units[u].DocMap = docs
+					case len(docs) > 0:
+						units[u].DocBase = docs[0]
+					}
+				}
+				var serialMeter metrics.Meter
+				want, err := MergeUnits(op, mergeEnv{d: d, numFiles: len(files), meter: &serialMeter}, units)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for parts := 1; parts <= 4; parts++ {
+					id := fmt.Sprintf("%s %s %s parts=%d", spec.Name, layout.name, op.Name(), parts)
+					var stitchMeter metrics.Meter
+					j, err := PlanMerge(op, mergeEnv{d: d, numFiles: len(files), meter: &stitchMeter}, units, parts)
+					if err != nil {
+						t.Fatalf("%s: PlanMerge: %v", id, err)
+					}
+					meters, errs := make([]metrics.Meter, j.Parts()), make([]error, j.Parts())
+					var wg sync.WaitGroup
+					for p := range meters {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							errs[p] = j.Run(p, mergeEnv{d: d, numFiles: len(files), meter: &meters[p]})
+						}()
+					}
+					wg.Wait()
+					var charged int64
+					for p := range meters {
+						if errs[p] != nil {
+							t.Fatalf("%s: part %d: %v", id, p, errs[p])
+						}
+						charged += meters[p].Nanos()
+					}
+					if got := j.Finish(mergeEnv{d: d, numFiles: len(files), meter: &stitchMeter}); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: parted result differs from the one-part merge\n got %v\nwant %v", id, got, want)
+					}
+					if charged != serialMeter.Nanos() {
+						t.Errorf("%s: parts charged %d modeled ns, one part %d", id, charged, serialMeter.Nanos())
+					}
+					if parts == 1 && stitchMeter.Nanos() != 0 {
+						t.Errorf("%s: a one-part merge charged %d ns of stitch", id, stitchMeter.Nanos())
+					}
 				}
 			}
 		}
@@ -386,7 +464,9 @@ var benchMerged any
 // per-shard reference results of a dataset D-shaped corpus, and the ranked
 // index — the merge with the most keys and the most bytes — over the
 // `cold-miss` shape too: dataset D's first 32 documents in two units, where
-// the K-way merge walks 10^5 sequence keys a side.
+// the K-way merge walks 10^5 sequence keys a side.  On that shape the whole
+// six-task gather runs as the coordinator runs it, whole (parts=1) and cut
+// into two key-range parts on two goroutines, then stitched (parts=2).
 func BenchmarkMergeShardResults(b *testing.B) {
 	spec := datagen.DatasetD
 	spec.Files, spec.TokensPer, spec.Vocab = 16, 6000, 20000
@@ -416,4 +496,51 @@ func BenchmarkMergeShardResults(b *testing.B) {
 	d32.Files = 32
 	files, d = d32.GenerateWithDict()
 	run("rankedindex/D32", RankedInvertedIndexOp{}, files, d)
+
+	half := len(files) / 2
+	units := make([][]MergeUnit, len(Ops()))
+	for j, op := range Ops() {
+		units[j] = []MergeUnit{
+			{Result: wireForm(op, shardRefResult(b, op, files[:half], d), d)},
+			{Result: wireForm(op, shardRefResult(b, op, files[half:], d), d), DocBase: uint32(half)},
+		}
+	}
+	for _, parts := range []int{1, 2} {
+		b.Run(fmt.Sprintf("gather/D32/parts=%d", parts), func(b *testing.B) {
+			b.ReportAllocs()
+			meters := make([]metrics.Meter, parts+1)
+			env := func(m int) Env { return mergeEnv{d: d, numFiles: len(files), meter: &meters[m]} }
+			jobs := make([]*MergeJob, len(units))
+			for i := 0; i < b.N; i++ {
+				for j, op := range Ops() {
+					var err error
+					if jobs[j], err = PlanMerge(op, env(parts), units[j], parts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				lane := func(p int) {
+					for _, job := range jobs {
+						if p < job.Parts() {
+							if err := job.Run(p, env(p)); err != nil {
+								b.Error(err)
+							}
+						}
+					}
+				}
+				if parts == 1 {
+					lane(0)
+				} else {
+					var wg sync.WaitGroup
+					for p := 0; p < parts; p++ {
+						wg.Add(1)
+						go func() { defer wg.Done(); lane(p) }()
+					}
+					wg.Wait()
+				}
+				for _, job := range jobs {
+					benchMerged = job.Finish(env(parts))
+				}
+			}
+		})
+	}
 }

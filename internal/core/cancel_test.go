@@ -120,3 +120,45 @@ func TestShardedSessionCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionCancelRealContexts runs a session under the standard library's
+// contexts, whose Done channel the kernel polls instead of Err: a canceled
+// context and an already-expired deadline each unwind with the context's
+// own error, and a live cancelable context then runs the batch clean.
+func TestSessionCancelRealContexts(t *testing.T) {
+	_, d, g := corpus(t, 63, 6, 300, 30)
+	e := newEngine(t, g, d, Options{Sequences: true})
+	ops := analytics.Ops()
+	want, err := e.NewSession().RunOps(ops)
+	if err != nil {
+		t.Fatalf("reference session RunOps: %v", err)
+	}
+
+	s := e.NewSession()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"canceled", canceled, context.Canceled},
+		{"expired", expired, context.DeadlineExceeded},
+	} {
+		if _, err := s.RunOpsContext(tc.ctx, ops); !errors.Is(err, tc.want) {
+			t.Fatalf("RunOpsContext(%s) = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	got, err := s.RunOpsContext(live, ops)
+	if err != nil {
+		t.Fatalf("RunOpsContext(live) after cancellations: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("post-cancel results differ from a clean session's")
+	}
+}

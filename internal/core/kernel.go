@@ -35,8 +35,9 @@ type exec struct {
 	// per-file) operations: the walks poll it at their loop heads and
 	// unwind with ctx.Err().  Only query sessions set it — the persistent
 	// path never aborts mid-phase, so its crash-consistency story is
-	// unchanged.
-	ctx context.Context
+	// unchanged.  done is ctx.Done(), taken once per run (see setCtx).
+	ctx  context.Context
+	done <-chan struct{}
 
 	// cpu is modeled CPU incurred but not yet charged: session counter adds
 	// count here and reach the meter once, when runPlan returns, instead of
@@ -57,17 +58,36 @@ type exec struct {
 	mergeFn    func(k, v uint64) bool
 }
 
+// setCtx installs the run's cancellation context (nil clears it) and
+// caches its Done channel, so a poll never takes the context's mutex.
+func (x *exec) setCtx(ctx context.Context) {
+	x.ctx, x.done = ctx, nil
+	if ctx != nil {
+		x.done = ctx.Done()
+	}
+}
+
 // canceled reports the execution context's cancellation state: nil on the
 // persistent path (no context) and between cancellations, ctx.Err() once the
 // session's request has been canceled or has passed its deadline.  The walks
 // call it once per rule or file processed — frequent enough to bound
-// cancellation latency by one body read, cheap enough (two atomic loads) to
-// vanish against the modeled work of the visit itself.
+// cancellation latency by one body read.  A poll is a non-blocking receive
+// on the cached Done channel (one atomic load while it is open); Err, which
+// locks the context, runs only once the channel is closed, or on every poll
+// for a context whose Done is nil.
 func (x *exec) canceled() error {
 	if x.ctx == nil {
 		return nil
 	}
-	return x.ctx.Err()
+	if x.done == nil {
+		return x.ctx.Err()
+	}
+	select {
+	case <-x.done:
+		return x.ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // kcounter is one kernel-managed counter: a bounded pool table on the

@@ -68,8 +68,8 @@ func (s *Session) runOps(ctx context.Context, ops []analytics.Op) ([]any, error)
 	if err := s.e.checkSequences(ops); err != nil {
 		return nil, err
 	}
-	s.run.ctx = ctx
-	defer func() { s.run.ctx = nil }()
+	s.run.setCtx(ctx)
+	defer s.run.setCtx(nil)
 	results, _, err := s.run.runPlan(ops)
 	if err != nil {
 		return nil, errEngine("session", err)

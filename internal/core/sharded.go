@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
@@ -34,8 +35,10 @@ import (
 // the merged result stays bit-identical to the healthy run.
 //
 // Modeled time follows the parallel execution: a phase's Total is the
-// critical path (the slowest shard) plus the coordinator's serial merge,
-// while device statistics sum across shards (see metrics.MergeParallel).
+// critical path (the slowest shard) plus the gather's (its slowest key-range
+// part plus the coordinator's serial dispatch and stitch, or the whole merge
+// when it is not cut), while device statistics sum across shards (see
+// metrics.MergeParallel).
 type ShardedEngine struct {
 	shards []*Engine
 	bases  []uint32 // global index of each shard's first document
@@ -62,9 +65,10 @@ type ShardedEngine struct {
 	retiredEng    []*Engine      // guarded by failMu
 	retiredReps   []*replicator  // guarded by failMu
 
-	mu        sync.Mutex
-	lastTrav  metrics.Span // guarded by mu
-	lastTails []int64      // guarded by mu
+	mu         sync.Mutex
+	lastTrav   metrics.Span // guarded by mu
+	lastTails  []int64      // guarded by mu
+	lastGather int64        // guarded by mu
 
 	// Online-ingestion coordination: appends route whole batches to the
 	// least-loaded shard's durable append log, and documents are numbered
@@ -630,22 +634,34 @@ func (e shardedEnv) NumFiles() int              { return e.nfiles }
 func (e shardedEnv) SeqOf(uint64) analytics.Seq { panic("core: merge env resolves no sequence keys") }
 func (e shardedEnv) Charge(n, perOp int64)      { e.meter.Charge(n, perOp) }
 
+// scattered is what a scatter-gather ran besides its results: the scatter's
+// lane schedule and per-shard spans, so callers can aggregate modeled time
+// the same way the work actually ran, and the gather's part lanes' charges
+// (nil when the merges ran whole on the coordinator) with its critical path.
+type scattered struct {
+	lanes  [][]int
+	spans  []metrics.Span
+	parts  []int64
+	gather int64
+}
+
 // scatterGather runs the whole batch on every shard under a planned lane
 // schedule — the fan-out planner packs shards onto parallel lanes from their
 // estimated costs, so trivial shards share a lane instead of each paying
-// dispatch overhead — then merges the per-shard results on meter's account.
-// When shard i fails and a failover hook is given, the lane retires the
-// failed shard through the hook and re-dispatches the batch against the
-// recovered engine; errors that survive failover (or occur without one)
-// surface as ErrShardFailed.  The schedule and per-shard spans are returned
-// so callers can aggregate modeled time the same way the work actually ran.
+// dispatch overhead — then merges the per-shard results (see gather):
+// serial work on meter's account, the parts' on their lanes' own.  When
+// shard i fails and a failover hook is given, the lane retires the failed
+// shard through the hook and re-dispatches the batch against the recovered
+// engine; errors that survive failover (or occur without one) surface as
+// ErrShardFailed.
 //
 // The scatter opens by pinning every shard's serving cut — the tail, the
 // delta engine, and a snapshot of the global document maps — so the whole
 // batch observes one consistent corpus cut even while appends and
 // compactions proceed underneath it.  Base runs go against the pinned
 // tails, delta engines run through transient query sessions, and the gather
-// merges everything with analytics.MergeUnits under per-unit document maps.
+// merges everything as analytics.MergeUnits does, under per-unit document
+// maps.
 // A corpus that is one contiguous unit from document 0 with no delta — the
 // static one-shard set — needs no merge: the shard's result is the result.
 // ws, when non-nil, holds one workspace per shard for the delta runs to
@@ -653,7 +669,7 @@ func (e shardedEnv) Charge(n, perOp int64)      { e.meter.Charge(n, perOp) }
 func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	run func(i int, serving *Engine) ([]any, metrics.Span, error),
 	failover func(i int, cause error) error,
-	meter *metrics.Meter, ws []*workspace) ([]any, [][]int, []metrics.Span, error) {
+	meter *metrics.Meter, ws []*workspace) ([]any, scattered, error) {
 	pins := se.pinIngest()
 	defer pins.release()
 	costs := make([]int64, len(se.shards))
@@ -694,7 +710,7 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, scattered{}, err
 		}
 	}
 	// Each dispatched lane charges the coordinator its scheduling and join
@@ -712,13 +728,14 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 			}
 			res, err := delta.newSession(lent).RunOps(ops)
 			if err != nil {
-				return nil, nil, nil, wrapShard(i, err)
+				return nil, scattered{}, wrapShard(i, err)
 			}
 			deltaOut[i] = res
 		}
 	}
-	env := shardedEnv{d: se.d, nfiles: pins.nfiles, meter: meter}
 	results := make([]any, len(ops))
+	units := make([][]analytics.MergeUnit, len(ops))
+	var work, keys int64
 	for j, op := range ops {
 		mu := make([]analytics.MergeUnit, 0, 2*len(se.shards))
 		for i := range se.shards {
@@ -738,13 +755,79 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 			results[j] = mu[0].Result
 			continue
 		}
-		r, err := analytics.MergeUnits(op, env, mu)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		results[j] = r
+		units[j] = mu
+		w, k := analytics.MergeWork(op, mu)
+		work, keys = work+w, keys+k
 	}
-	return results, lanes, spans, nil
+	g0 := meter.Nanos()
+	env := shardedEnv{d: se.d, nfiles: pins.nfiles, meter: meter}
+	parts, err := gather(ops, units, results, env, planGather(work, keys, len(lanes)))
+	if err != nil {
+		return nil, scattered{}, err
+	}
+	gathered := metrics.Span{CPUNanos: meter.Nanos() - g0}.AddParallel(parts)
+	return results, scattered{lanes: lanes, spans: spans, parts: parts, gather: int64(gathered.Total())}, nil
+}
+
+// gather merges every op whose units are given into results.  Each merge is
+// cut into parts key ranges, and part p of every op runs on lane p, charging
+// a meter of the lane's own; the coordinator charges env the lanes'
+// dispatch, then stitches each op's parts together on env's account.  One
+// part runs on the coordinator itself, dispatching nothing.  Returns each
+// lane's charged nanos, nil for one part.
+func gather(ops []analytics.Op, units [][]analytics.MergeUnit, results []any, env shardedEnv, parts int) ([]int64, error) {
+	jobs := make([]*analytics.MergeJob, len(ops))
+	for j, op := range ops {
+		if units[j] != nil {
+			var err error
+			if jobs[j], err = analytics.PlanMerge(op, env, units[j], parts); err != nil {
+				return nil, err
+			}
+		}
+	}
+	lane := func(p int, env shardedEnv) error {
+		for _, job := range jobs {
+			if job != nil && p < job.Parts() {
+				if err := job.Run(p, env); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	var laneNanos []int64
+	if parts == 1 {
+		if err := lane(0, env); err != nil {
+			return nil, err
+		}
+	} else {
+		env.meter.Charge(int64(parts), laneDispatchCost)
+		meters, errs := make([]metrics.Meter, parts), make([]error, parts)
+		var wg sync.WaitGroup
+		for p := range meters {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				le := env
+				le.meter = &meters[p]
+				errs[p] = lane(p, le)
+			}(p)
+		}
+		wg.Wait()
+		laneNanos = make([]int64, parts)
+		for p := range meters {
+			if errs[p] != nil {
+				return nil, errs[p]
+			}
+			laneNanos[p] = meters[p].Nanos()
+		}
+	}
+	for j, job := range jobs {
+		if job != nil {
+			results[j] = job.Finish(env)
+		}
+	}
+	return laneNanos, nil
 }
 
 // failoverShard retires shard i's primary and recovers the shard from a
@@ -837,7 +920,7 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 		return nil, nil
 	}
 	cpu0 := se.meter.Nanos()
-	results, lanes, spans, err := se.scatterGather(ops,
+	results, sc, err := se.scatterGather(ops,
 		func(_ int, serving *Engine) ([]any, metrics.Span, error) {
 			res, err := serving.RunOps(ops)
 			if err != nil {
@@ -850,16 +933,19 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 		return nil, err
 	}
 	// Aggregate along the planned schedule: shards on one lane ran serially,
-	// lanes in parallel, the coordinator's merge extends the critical path,
-	// and any failover recovery extends it further as measured serial work.
-	trav := metrics.MergeScheduled(lanes, spans).AddSerial(se.meter.Nanos() - cpu0)
-	tails := metrics.LaneTails(lanes, spans)
+	// lanes in parallel, the coordinator's dispatches, merge and stitch
+	// extend the critical path, the gather's parts extend it by the slowest
+	// part, and any failover recovery extends it further as measured serial
+	// work.
+	trav := metrics.MergeScheduled(sc.lanes, sc.spans).AddSerial(se.meter.Nanos() - cpu0).AddParallel(sc.parts)
+	tails := metrics.LaneTails(sc.lanes, sc.spans)
 	for _, fs := range se.takeFailoverSpans() {
 		trav = trav.AddSerialSpan(fs)
 	}
 	se.mu.Lock()
 	se.lastTrav = trav
 	se.lastTails = tails
+	se.lastGather = sc.gather
 	se.mu.Unlock()
 	return results, nil
 }
@@ -917,7 +1003,7 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	results, _, _, err := ss.se.scatterGather(ops,
+	results, sc, err := ss.se.scatterGather(ops,
 		func(i int, serving *Engine) ([]any, metrics.Span, error) {
 			sess := ss.sessions[i]
 			if serving != sess.e {
@@ -932,12 +1018,16 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 			res, err := sess.runOps(ctx, ops)
 			return res, metrics.Span{}, err
 		}, nil, &ss.meter, ss.ws)
+	for _, n := range sc.parts {
+		ss.meter.Charge(n, 1)
+	}
 	return results, err
 }
 
 var _ analytics.Executor = (*ShardedSession)(nil)
 
-// Meter reports the modeled CPU cost of this session's merge work; the
+// Meter reports the modeled CPU cost of this session's gather work — lane
+// dispatches, merges and stitches, a cut gather's parts summed; the
 // per-shard traversal costs live on the shard sessions' meters.
 func (ss *ShardedSession) Meter() *metrics.Meter { return &ss.meter }
 
@@ -986,11 +1076,20 @@ func (se *ShardedEngine) FailoverCount() int {
 func (se *ShardedEngine) InitSpan() metrics.Span { return se.initSpan }
 
 // LastTraversalSpan reports the last scatter-gather: the slowest lane's
-// traversal plus the coordinator's merge and any failover recovery.
+// traversal plus the gather and any failover recovery.
 func (se *ShardedEngine) LastTraversalSpan() metrics.Span {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	return se.lastTrav
+}
+
+// LastGather reports the modeled critical path of the last engine batch's
+// gather: the coordinator's serial merge work (lane dispatches and stitch,
+// when cut into parts) plus the slowest part.
+func (se *ShardedEngine) LastGather() time.Duration {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return time.Duration(se.lastGather)
 }
 
 // LastLaneTails reports each lane's serial modeled total for the last

@@ -7,6 +7,7 @@ import (
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
+	"github.com/text-analytics/ntadoc/internal/metrics"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
@@ -183,6 +184,94 @@ func TestShardedSpansAndAccounting(t *testing.T) {
 	}
 	if st := se.DeviceStats(); st.ModeledNanos <= 0 {
 		t.Error("DeviceStats not summed")
+	}
+}
+
+// TestGatherCriticalPath recomputes a cut gather from the shards' own
+// results and spans: the batch's critical path is the scatter's slowest lane
+// plus the lane dispatches, the slowest key-range part and the stitch, its
+// CPU the sum of all of them.  The session path charges its meter the same
+// gather work.
+func TestGatherCriticalPath(t *testing.T) {
+	files, d, _ := corpus(t, 56, 6, 400, 40)
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
+	se, err := NewSharded(gs, d, Options{Sequences: true})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	ops := analytics.Ops()
+	if _, err := se.RunOps(ops); err != nil {
+		t.Fatalf("RunOps: %v", err)
+	}
+	trav, gather := se.LastTraversalSpan(), int64(se.LastGather())
+
+	spans, costs := make([]metrics.Span, se.NumShards()), make([]int64, se.NumShards())
+	units := make([][]analytics.MergeUnit, len(ops))
+	var work, keys int64
+	for i := range spans {
+		spans[i], costs[i] = se.Shard(i).LastTraversalSpan(), se.Shard(i).planCost(len(ops))
+		res, err := se.Shard(i).NewSession().RunOps(ops)
+		if err != nil {
+			t.Fatalf("shard %d session: %v", i, err)
+		}
+		for j := range ops {
+			units[j] = append(units[j], analytics.MergeUnit{Result: res[j], DocBase: se.DocBases()[i]})
+		}
+	}
+	for j, op := range ops {
+		w, k := analytics.MergeWork(op, units[j])
+		work, keys = work+w, keys+k
+	}
+	lanes := planFanout(costs)
+	parts := planGather(work, keys, len(lanes))
+	if parts < 2 {
+		t.Fatalf("gather of %d ns over %d lanes left whole; the corpus is too small to test the cut", work, len(lanes))
+	}
+	var stitch metrics.Meter
+	partNanos := make([]int64, parts)
+	for j, op := range ops {
+		job, err := analytics.PlanMerge(op, shardedEnv{d: d, nfiles: len(files), meter: &stitch}, units[j], parts)
+		if err != nil {
+			t.Fatalf("%s: PlanMerge: %v", op.Name(), err)
+		}
+		for p := 0; p < job.Parts(); p++ {
+			var m metrics.Meter
+			if err := job.Run(p, shardedEnv{d: d, nfiles: len(files), meter: &m}); err != nil {
+				t.Fatalf("%s part %d: %v", op.Name(), p, err)
+			}
+			partNanos[p] += m.Nanos()
+		}
+		job.Finish(shardedEnv{d: d, nfiles: len(files), meter: &stitch})
+	}
+	var slowest, sum int64
+	for _, n := range partNanos {
+		slowest, sum = max(slowest, n), sum+n
+	}
+	if stitch.Nanos() == 0 {
+		t.Error("a cut gather moved no keys: the stitch is untested")
+	}
+	scatter := metrics.MergeScheduled(lanes, spans)
+	dispatch := int64(len(lanes)+parts) * laneDispatchCost
+	if want := int64(scatter.Total()) + dispatch + slowest + stitch.Nanos(); int64(trav.Total()) != want {
+		t.Errorf("critical path %d, want lanes %d + dispatch %d + slowest part %d + stitch %d = %d",
+			int64(trav.Total()), int64(scatter.Total()), dispatch, slowest, stitch.Nanos(), want)
+	}
+	if want := scatter.CPUNanos + dispatch + sum + stitch.Nanos(); trav.CPUNanos != want {
+		t.Errorf("CPU %d, want lanes %d + dispatch %d + parts %d + stitch %d = %d",
+			trav.CPUNanos, scatter.CPUNanos, dispatch, sum, stitch.Nanos(), want)
+	}
+	if want := int64(parts)*laneDispatchCost + slowest + stitch.Nanos(); gather != want {
+		t.Errorf("LastGather %d, want %d", gather, want)
+	}
+
+	ss := se.NewSession()
+	if _, err := ss.RunOps(ops); err != nil {
+		t.Fatalf("session RunOps: %v", err)
+	}
+	if want := dispatch + sum + stitch.Nanos(); ss.Meter().Nanos() != want {
+		t.Errorf("session meter %d, want dispatch %d + parts %d + stitch %d = %d",
+			ss.Meter().Nanos(), dispatch, sum, stitch.Nanos(), want)
 	}
 }
 

@@ -390,6 +390,7 @@ type ShardCell struct {
 	K            int
 	BuildTotal   time.Duration // parallel per-shard build, critical path
 	TravTotal    time.Duration // fused batch traversal, critical path + merge
+	Gather       time.Duration // the merge's share of TravTotal: its critical path
 	Symbols      int64         // total rule-body symbols before unification
 	DedupSymbols int64         // unified-form symbols: shared table + roots
 	SharedRules  int           // shared rule table size
@@ -421,6 +422,7 @@ func RunShardScaling(c *Corpus, ops []analytics.Op, k int, opts core.Options) (S
 		K:            len(sb.Shards),
 		BuildTotal:   se.InitSpan().Total(),
 		TravTotal:    se.LastTraversalSpan().Total(),
+		Gather:       se.LastGather(),
 		Symbols:      sb.RawSymbols,
 		DedupSymbols: sb.Set.SymbolCount(),
 		SharedRules:  len(sb.Set.Shared),

@@ -210,6 +210,24 @@ func (s Span) AddSerialSpan(t Span) Span {
 	return s
 }
 
+// AddParallel extends a span with work that ran on parallel lanes after it —
+// the key-range parts of a parallel gather: every lane's nanos add to the CPU
+// account, the slowest lane's to the critical path.  The receiver's total is
+// frozen first, as in AddSerialSpan.  No lanes leave the span as it is.
+func (s Span) AddParallel(lanes []int64) Span {
+	if len(lanes) == 0 {
+		return s
+	}
+	var sum, slowest int64
+	for _, n := range lanes {
+		sum += n
+		slowest = max(slowest, n)
+	}
+	s.CriticalNanos = int64(s.Total()) + slowest
+	s.CPUNanos += sum
+	return s
+}
+
 // LaneTails reports each lane's serial total under a schedule — the values
 // MergeScheduled takes the maximum of.  The repo benchmark reads them for
 // the fused batch's lane imbalance (slowest lane over the mean).
