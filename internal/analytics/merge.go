@@ -113,38 +113,6 @@ func (j *MergeJob) Run(p int, env Env) error { return j.run(p, env) }
 // Finish stitches the merged parts into the op's result, charging env.
 func (j *MergeJob) Finish(env Env) any { return j.finish(env) }
 
-// MergeWork sizes op's merge of units for the gather planner: work is the
-// modeled nanos its parts share — every unit entry (every posting, for the
-// posting ops) at the op's per-entry merge charges — and keys bounds the
-// entries a stitch could move.  Term vectors never split: 0, 0.
-func MergeWork(op Op, units []MergeUnit) (work, keys int64) {
-	var entries int64
-	for _, u := range units {
-		switch r := u.Result.(type) {
-		case []WordFreq:
-			entries, keys = entries+int64(len(r)), keys+int64(len(r))
-		case []SeqFreq:
-			entries, keys = entries+int64(len(r)), keys+int64(len(r))
-		case *Postings[uint32, uint32]:
-			entries, keys = entries+int64(len(r.Items)), keys+int64(len(r.Keys))
-		case *Postings[Seq, DocFreq]:
-			entries, keys = entries+int64(len(r.Items)), keys+int64(len(r.Keys))
-		}
-	}
-	var perEntry int64
-	switch op.Task() {
-	case TaskWordCount, TaskInvertedIndex:
-		perEntry = metrics.CostMergeEntry
-	case TaskSort, TaskRankedInvertedIndex:
-		perEntry = metrics.CostMergeEntry + metrics.CostSortEntry
-	case TaskSequenceCount:
-		perEntry = metrics.CostSeqOp
-	default:
-		return 0, 0
-	}
-	return entries * perEntry, keys
-}
-
 // unitResults asserts every unit's result to the op's result type; another
 // type is always a coordinator bug.
 func unitResults[R any](op Op, units []MergeUnit) ([]R, error) {

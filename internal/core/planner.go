@@ -139,24 +139,6 @@ func (e *Engine) planCost(numOps int) int64 {
 // bookkeeping — the same order as one general-purpose transaction.
 const laneDispatchCost = metrics.CostTxOverhead
 
-// planGather picks how many key-range parts a gather's merges are cut into
-// (analytics.PlanMerge), at most the scatter's lane count: work is the
-// modeled nanos the merges' parts share and keys the entries a stitch could
-// move (analytics.MergeWork, summed over the batch).  One part runs on the
-// coordinator and dispatches nothing; p parts cost the slowest part's work/p,
-// p lane dispatches, and a stitch that moves at most the keys outside part 0.
-// Ties keep fewer parts, so a gather too small to repay its dispatches stays
-// whole.
-func planGather(work, keys int64, lanes int) int {
-	best, bestCost := 1, work
-	for p := int64(2); p <= int64(lanes); p++ {
-		if c := work/p + p*laneDispatchCost + keys*(p-1)/p*metrics.CostScanToken; c < bestCost {
-			best, bestCost = int(p), c
-		}
-	}
-	return best
-}
-
 // packLanes assigns shards to f lanes by longest-processing-time-first:
 // shards sorted by descending estimated cost (index ascending on ties), each
 // placed on the least-loaded lane (lowest index on ties).  Deterministic,

@@ -107,38 +107,6 @@ func TestPlanFanout(t *testing.T) {
 	}
 }
 
-// TestPlanGather: a gather is cut only where the parts repay their lane
-// dispatches and stitch, and never into more parts than the scatter had
-// lanes.
-func TestPlanGather(t *testing.T) {
-	// A gather the size of dataset A's, about a microsecond a task batch,
-	// stays whole.  (The hot-hit corpus is dataset A's one document, so at
-	// K=2 it is one shard and has no gather at all.)
-	if p := planGather(1_200, 48, 2); p != 1 {
-		t.Errorf("dataset A-sized gather cut into %d parts, want 1", p)
-	}
-	// Nothing to cut (term vectors alone), or one lane to cut it over.
-	if p := planGather(0, 0, 4); p != 1 {
-		t.Errorf("empty gather cut into %d parts", p)
-	}
-	if p := planGather(21_240_000, 101_891, 1); p != 1 {
-		t.Errorf("one-lane scatter's gather cut into %d parts", p)
-	}
-	// Cutting in two pays two dispatches: below four of them, whole.
-	for work := int64(0); work <= 4*laneDispatchCost; work += 100 {
-		if p := planGather(work, 0, 4); p != 1 {
-			t.Fatalf("%d ns gather cut into %d parts, want 1", work, p)
-		}
-	}
-	// The cold-miss gather (dataset D, 32 documents, K=2): 21.24 ms over
-	// 101,891 keys takes every lane, at K=2 and K=4.
-	for _, lanes := range []int{2, 4} {
-		if p := planGather(21_240_000, 101_891, lanes); p != lanes {
-			t.Errorf("cold-miss gather over %d lanes cut into %d parts, want %d", lanes, p, lanes)
-		}
-	}
-}
-
 func TestMergeScheduledLaneAccounting(t *testing.T) {
 	spans := []metrics.Span{
 		{CPUNanos: 100},

@@ -648,8 +648,9 @@ type scattered struct {
 // scatterGather runs the whole batch on every shard under a planned lane
 // schedule — the fan-out planner packs shards onto parallel lanes from their
 // estimated costs, so trivial shards share a lane instead of each paying
-// dispatch overhead — then merges the per-shard results (see gather):
-// serial work on meter's account, the parts' on their lanes' own.  When
+// dispatch overhead — then merges the per-shard results in one key-range
+// part per scatter lane (see gather): serial work on meter's account, the
+// parts' on their lanes' own.  When
 // shard i fails and a failover hook is given, the lane retires the failed
 // shard through the hook and re-dispatches the batch against the recovered
 // engine; errors that survive failover (or occur without one) surface as
@@ -735,8 +736,7 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	}
 	results := make([]any, len(ops))
 	units := make([][]analytics.MergeUnit, len(ops))
-	var work, keys int64
-	for j, op := range ops {
+	for j := range ops {
 		mu := make([]analytics.MergeUnit, 0, 2*len(se.shards))
 		for i := range se.shards {
 			if bm := pins.pins[i].baseMap; bm != nil {
@@ -756,12 +756,10 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 			continue
 		}
 		units[j] = mu
-		w, k := analytics.MergeWork(op, mu)
-		work, keys = work+w, keys+k
 	}
 	g0 := meter.Nanos()
 	env := shardedEnv{d: se.d, nfiles: pins.nfiles, meter: meter}
-	parts, err := gather(ops, units, results, env, planGather(work, keys, len(lanes)))
+	parts, err := gather(ops, units, results, env, len(lanes))
 	if err != nil {
 		return nil, scattered{}, err
 	}
@@ -770,21 +768,25 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 }
 
 // gather merges every op whose units are given into results.  Each merge is
-// cut into parts key ranges, and part p of every op runs on lane p, charging
-// a meter of the lane's own; the coordinator charges env the lanes'
-// dispatch, then stitches each op's parts together on env's account.  One
-// part runs on the coordinator itself, dispatching nothing.  Returns each
-// lane's charged nanos, nil for one part.
+// cut into at most parts key ranges, and part p of every op runs on lane p,
+// charging a meter of the lane's own; the coordinator charges env the lanes'
+// dispatch, then stitches each op's parts together on env's account.  Only
+// lanes some part runs on are dispatched, so a batch of unkeyed merges (term
+// vectors) runs on the coordinator itself, dispatching nothing.  Returns
+// each lane's charged nanos, nil when the coordinator ran everything.
 func gather(ops []analytics.Op, units [][]analytics.MergeUnit, results []any, env shardedEnv, parts int) ([]int64, error) {
 	jobs := make([]*analytics.MergeJob, len(ops))
+	cut := 1
 	for j, op := range ops {
 		if units[j] != nil {
 			var err error
 			if jobs[j], err = analytics.PlanMerge(op, env, units[j], parts); err != nil {
 				return nil, err
 			}
+			cut = max(cut, jobs[j].Parts())
 		}
 	}
+	parts = cut
 	lane := func(p int, env shardedEnv) error {
 		for _, job := range jobs {
 			if job != nil && p < job.Parts() {

@@ -208,7 +208,6 @@ func TestGatherCriticalPath(t *testing.T) {
 
 	spans, costs := make([]metrics.Span, se.NumShards()), make([]int64, se.NumShards())
 	units := make([][]analytics.MergeUnit, len(ops))
-	var work, keys int64
 	for i := range spans {
 		spans[i], costs[i] = se.Shard(i).LastTraversalSpan(), se.Shard(i).planCost(len(ops))
 		res, err := se.Shard(i).NewSession().RunOps(ops)
@@ -219,14 +218,10 @@ func TestGatherCriticalPath(t *testing.T) {
 			units[j] = append(units[j], analytics.MergeUnit{Result: res[j], DocBase: se.DocBases()[i]})
 		}
 	}
-	for j, op := range ops {
-		w, k := analytics.MergeWork(op, units[j])
-		work, keys = work+w, keys+k
-	}
 	lanes := planFanout(costs)
-	parts := planGather(work, keys, len(lanes))
+	parts := len(lanes)
 	if parts < 2 {
-		t.Fatalf("gather of %d ns over %d lanes left whole; the corpus is too small to test the cut", work, len(lanes))
+		t.Fatalf("scatter over %d lane(s): the gather is not cut, so the test tests nothing", parts)
 	}
 	var stitch metrics.Meter
 	partNanos := make([]int64, parts)
@@ -272,6 +267,31 @@ func TestGatherCriticalPath(t *testing.T) {
 	if want := dispatch + sum + stitch.Nanos(); ss.Meter().Nanos() != want {
 		t.Errorf("session meter %d, want dispatch %d + parts %d + stitch %d = %d",
 			ss.Meter().Nanos(), dispatch, sum, stitch.Nanos(), want)
+	}
+
+	// Term vectors have no keys to cut: a batch of them alone merges on the
+	// coordinator, dispatching no part lanes.
+	tv, err := analytics.OpFor(analytics.TaskTermVector)
+	if err != nil {
+		t.Fatalf("OpFor: %v", err)
+	}
+	if _, err := se.RunOps([]analytics.Op{tv}); err != nil {
+		t.Fatalf("term vectors RunOps: %v", err)
+	}
+	var whole metrics.Meter
+	tvUnits := make([]analytics.MergeUnit, se.NumShards())
+	for i := range tvUnits {
+		res, err := se.Shard(i).NewSession().RunOps([]analytics.Op{tv})
+		if err != nil {
+			t.Fatalf("shard %d term vectors: %v", i, err)
+		}
+		tvUnits[i] = analytics.MergeUnit{Result: res[0], DocBase: se.DocBases()[i]}
+	}
+	if _, err := analytics.MergeUnits(tv, shardedEnv{d: d, nfiles: len(files), meter: &whole}, tvUnits); err != nil {
+		t.Fatalf("term vectors MergeUnits: %v", err)
+	}
+	if got := int64(se.LastGather()); got != whole.Nanos() {
+		t.Errorf("term vectors LastGather %d, want the one-part merge %d with no dispatch", got, whole.Nanos())
 	}
 }
 
