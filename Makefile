@@ -48,10 +48,12 @@ test:
 # and the serving cut's lifetime rule: readers, an appender and a compaction
 # loop at once, one cut held pinned and one session left idle across swaps
 # (a tail discarded under a pin is a fault, not a wrong answer), and Close
-# with a cut still pinned.
+# with a cut still pinned.  Every multi-shard scatter runs its shards on
+# overlapping lanes, failover included, so the sharded sessions, failover and
+# gather tests get the same rounds.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCloseUnderPinnedCut' ./internal/core
+	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCloseUnderPinnedCut|TestShardedSessions|TestFailoverBitIdentical|TestGatherCriticalPath' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCloseOrdersSessionsBeforeEngineClose' ./internal/server
 
 # One iteration of every benchmark, as a compile-and-run smoke test.

@@ -1,29 +1,19 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/metrics"
 )
 
-// Cost-based execution planning.  Two decisions that used to be fixed
-// heuristics are derived from the metrics cost model and the grammar shape
-// instead:
+// Cost-based execution planning.  The traversal direction for per-file
+// tasks (§VI-E) used to be a fixed heuristic — the old rule flipped to
+// bottom-up above a fixed 500-file threshold, which got both shapes wrong:
+// our §VI-E trend table measures top-down 1.4× slower already at 400
+// B-shaped files, while D's 96 deep documents (past no threshold) are 1.4×
+// *faster* top-down.  File count alone cannot separate them; the model below
+// weighs the per-file weight sweep against the bottom-up list-merge volume.
 //
-//   - traversal direction for per-file tasks (§VI-E): the old rule flipped
-//     to bottom-up above a fixed 500-file threshold, which got both shapes
-//     wrong — our §VI-E trend table measures top-down 1.4× slower already
-//     at 400 B-shaped files, while D's 96 deep documents (past no threshold)
-//     are 1.4× *faster* top-down.  File count alone cannot separate them;
-//     the model below weighs the per-file weight sweep against the
-//     bottom-up list-merge volume;
-//   - shard fan-out per fused batch: how many parallel lanes a
-//     scatter-gather dispatches, packing shards onto lanes so a batch over
-//     many trivial shards does not pay per-lane dispatch overhead for lanes
-//     that save no critical-path time.
-//
-// Both planners are pure functions of grammar shape and the cost constants,
+// The planner is a pure function of grammar shape and the cost constants,
 // so the same decision falls out at initialization (which commits the
 // sequence-table layout), at traversal time, and after crash recovery.
 
@@ -120,87 +110,4 @@ func strategyForGrammar(g *cfg.Grammar, opts Options) Strategy {
 	}
 	s, m := planFeatures(g)
 	return chooseStrategy(g.NumFiles, uint32(len(g.Rules)), s, m)
-}
-
-// planCost estimates the modeled cost of running a fused batch of numOps
-// operations over this shard, from the shape the pool stores durably: one
-// body scan plus one table operation per rule, per op.  Only relative
-// magnitudes matter — the estimate ranks shards for lane packing.
-func (e *Engine) planCost(numOps int) int64 {
-	perOp := e.bodySymbols*metrics.CostScanToken + int64(e.numRules)*metrics.CostHashOp
-	if perOp <= 0 {
-		perOp = 1
-	}
-	return int64(numOps) * perOp
-}
-
-// laneDispatchCost is the coordinator-side overhead modeled per dispatched
-// lane of a scatter-gather: scheduling, joining, and per-lane merge
-// bookkeeping — the same order as one general-purpose transaction.
-const laneDispatchCost = metrics.CostTxOverhead
-
-// packLanes assigns shards to f lanes by longest-processing-time-first:
-// shards sorted by descending estimated cost (index ascending on ties), each
-// placed on the least-loaded lane (lowest index on ties).  Deterministic,
-// and within 4/3 of the optimal makespan.  Empty lanes are dropped.
-func packLanes(costs []int64, f int) [][]int {
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return costs[order[a]] > costs[order[b]]
-	})
-	lanes := make([][]int, f)
-	loads := make([]int64, f)
-	for _, i := range order {
-		best := 0
-		for l := 1; l < f; l++ {
-			if loads[l] < loads[best] {
-				best = l
-			}
-		}
-		lanes[best] = append(lanes[best], i)
-		loads[best] += costs[i]
-	}
-	out := lanes[:0]
-	for _, lane := range lanes {
-		if len(lane) > 0 {
-			out = append(out, lane)
-		}
-	}
-	return out
-}
-
-// planFanout picks the lane count for one fused scatter-gather batch: for
-// every candidate fan-out it packs the shards by LPT and models the makespan
-// (slowest lane plus per-lane dispatch overhead), keeping the cheapest.
-// Realistic shards dwarf the dispatch cost, so the plan is full fan-out —
-// but a batch over mostly-trivial shards folds them into fewer lanes rather
-// than paying dispatch for parallelism that cannot shorten the critical
-// path.  Ties prefer fewer lanes.
-func planFanout(costs []int64) [][]int {
-	if len(costs) <= 1 {
-		return packLanes(costs, 1)
-	}
-	var best [][]int
-	bestSpan := int64(-1)
-	for f := 1; f <= len(costs); f++ {
-		lanes := packLanes(costs, f)
-		var makespan int64
-		for _, lane := range lanes {
-			var load int64
-			for _, i := range lane {
-				load += costs[i]
-			}
-			if load > makespan {
-				makespan = load
-			}
-		}
-		makespan += int64(len(lanes)) * laneDispatchCost
-		if bestSpan < 0 || makespan < bestSpan {
-			best, bestSpan = lanes, makespan
-		}
-	}
-	return best
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-
-	"github.com/text-analytics/ntadoc/internal/metrics"
-)
+import "testing"
 
 func TestChooseStrategy(t *testing.T) {
 	// The shape vectors below are planFeatures outputs measured on the
@@ -45,91 +40,5 @@ func TestChooseStrategy(t *testing.T) {
 	}
 	if !flipped {
 		t.Fatal("bottom-up never chosen over 5k rules up to 4096 files")
-	}
-}
-
-func TestPackLanesDeterministicLPT(t *testing.T) {
-	costs := []int64{50, 10, 40, 10, 30}
-	got := packLanes(costs, 2)
-	// LPT: 50->lane0, 40->lane1, 30->lane1(70? no: loads 50/40, least is
-	// lane1)->lane1=70, 10->lane0=60, 10->lane0=70.
-	want := [][]int{{0, 1, 3}, {2, 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("packLanes = %v, want %v", got, want)
-	}
-	// Equal costs tie-break by index, and repeated runs are identical.
-	eq := []int64{7, 7, 7, 7}
-	a, b := packLanes(eq, 3), packLanes(eq, 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("packLanes not deterministic: %v vs %v", a, b)
-	}
-	if len(a) != 3 {
-		t.Fatalf("packLanes dropped lanes: %v", a)
-	}
-	// More lanes than shards: empty lanes are dropped.
-	if got := packLanes([]int64{5}, 4); !reflect.DeepEqual(got, [][]int{{0}}) {
-		t.Fatalf("packLanes single shard = %v", got)
-	}
-}
-
-func TestPlanFanout(t *testing.T) {
-	// Realistic shards dwarf dispatch overhead: full fan-out.
-	big := []int64{5_000_000, 4_000_000, 4_500_000, 3_000_000}
-	lanes := planFanout(big)
-	if len(lanes) != len(big) {
-		t.Fatalf("big shards packed into %d lanes, want %d", len(lanes), len(big))
-	}
-	seen := make(map[int]bool)
-	for _, lane := range lanes {
-		for _, i := range lane {
-			if seen[i] {
-				t.Fatalf("shard %d scheduled twice: %v", i, lanes)
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != len(big) {
-		t.Fatalf("schedule covers %d of %d shards", len(seen), len(big))
-	}
-	// Trivial shards are folded together: parallelism cannot recoup the
-	// per-lane dispatch cost, so the plan collapses to one lane.
-	tiny := []int64{10, 10, 10, 10}
-	if lanes := planFanout(tiny); len(lanes) != 1 {
-		t.Fatalf("trivial shards got %d lanes, want 1: %v", len(lanes), lanes)
-	}
-	// One heavy shard among moderate ones: a second lane pays for its
-	// dispatch (moving 3 x 3600 off the heavy lane saves far more than the
-	// extra 1200), but a third lane would cost more than it saves.
-	mixed := []int64{10 * laneDispatchCost, 3 * laneDispatchCost, 3 * laneDispatchCost, 3 * laneDispatchCost}
-	lanes = planFanout(mixed)
-	if len(lanes) != 2 {
-		t.Fatalf("mixed shards got %d lanes, want 2: %v", len(lanes), lanes)
-	}
-}
-
-func TestMergeScheduledLaneAccounting(t *testing.T) {
-	spans := []metrics.Span{
-		{CPUNanos: 100},
-		{CPUNanos: 200},
-		{CPUNanos: 50},
-	}
-	// Lane 0 runs spans 0 and 2 serially (150), lane 1 runs span 1 (200).
-	merged := metrics.MergeScheduled([][]int{{0, 2}, {1}}, spans)
-	if got := int64(merged.Total()); got != 200 {
-		t.Errorf("critical path = %d, want slowest lane 200", got)
-	}
-	if merged.CPUNanos != 350 {
-		t.Errorf("CPU = %d, want summed 350", merged.CPUNanos)
-	}
-	// A serial lane longer than any single span dominates.
-	merged = metrics.MergeScheduled([][]int{{0, 1, 2}}, spans)
-	if got := int64(merged.Total()); got != 350 {
-		t.Errorf("single-lane critical path = %d, want 350", got)
-	}
-	// Full fan-out reduces to MergeParallel.
-	par := metrics.MergeParallel(spans...)
-	sched := metrics.MergeScheduled([][]int{{0}, {1}, {2}}, spans)
-	if par.Total() != sched.Total() || par.CPUNanos != sched.CPUNanos {
-		t.Errorf("full fan-out %v != parallel merge %v", sched, par)
 	}
 }

@@ -146,9 +146,10 @@ func TestDisarmFailPointsSharded(t *testing.T) {
 }
 
 // TestFailoverBitIdentical is the acceptance check: a K=4 replicated run
-// with one shard's primary killed mid-batch must complete through follower
+// with shard primaries killed mid-batch must complete through follower
 // failover and match the healthy run bit for bit on every registered op —
-// and so must the next batch, served by the promoted follower.
+// and so must the next batch, served by the promoted followers.  With two
+// primaries killed, both shards' lanes fail over within one batch.
 func TestFailoverBitIdentical(t *testing.T) {
 	files, d, g := corpus(t, 64, 8, 200, 30)
 	ref := newEngine(t, g, d, Options{Sequences: true})
@@ -158,35 +159,51 @@ func TestFailoverBitIdentical(t *testing.T) {
 		t.Fatalf("unsharded RunOps: %v", err)
 	}
 	gs := shardGrammars(t, files, uint32(d.Len()), 4)
-	se, err := NewSharded(gs, d, Options{
-		Sequences:   true,
-		Persistence: OpLevel,
-		Replication: Replication{Followers: 1},
-	})
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	defer se.Close()
-	dev := se.Shard(2).Device()
-	dev.FailFromPersistEvent(dev.PersistEvents() + 3)
-	for round := 0; round < 2; round++ {
-		got, err := se.RunOps(ops)
-		if err != nil {
-			t.Fatalf("round %d: failover did not mask the failure: %v", round, err)
-		}
-		for i, op := range ops {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
+	for _, tc := range []struct {
+		name  string
+		armed []int
+	}{
+		{"one primary", []int{2}},
+		{"two primaries", []int{0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			se, err := NewSharded(gs, d, Options{
+				Sequences:   true,
+				Persistence: OpLevel,
+				Replication: Replication{Followers: 1},
+			})
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
 			}
-		}
-		for l, tail := range se.LastLaneTails() {
-			if tail <= 0 {
-				t.Errorf("round %d lane %d tail = %d, want > 0", round, l, tail)
+			defer se.Close()
+			for _, i := range tc.armed {
+				dev := se.Shard(i).Device()
+				dev.FailFromPersistEvent(dev.PersistEvents() + 3)
 			}
-		}
-	}
-	if se.FailoverCount() == 0 {
-		t.Error("no failover performed despite the armed primary")
+			for round := 0; round < 2; round++ {
+				got, err := se.RunOps(ops)
+				if err != nil {
+					t.Fatalf("round %d: failover did not mask the failure: %v", round, err)
+				}
+				for i, op := range ops {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
+					}
+				}
+				tails := se.LastLaneTails()
+				if len(tails) != se.NumShards() {
+					t.Errorf("round %d: %d lane tails for %d shards, want one lane per shard", round, len(tails), se.NumShards())
+				}
+				for l, tail := range tails {
+					if tail <= 0 {
+						t.Errorf("round %d lane %d tail = %d, want > 0", round, l, tail)
+					}
+				}
+			}
+			if n := se.FailoverCount(); n != len(tc.armed) {
+				t.Errorf("%d failovers for %d armed primaries", n, len(tc.armed))
+			}
+		})
 	}
 }
 

@@ -634,27 +634,29 @@ func (e shardedEnv) NumFiles() int              { return e.nfiles }
 func (e shardedEnv) SeqOf(uint64) analytics.Seq { panic("core: merge env resolves no sequence keys") }
 func (e shardedEnv) Charge(n, perOp int64)      { e.meter.Charge(n, perOp) }
 
-// scattered is what a scatter-gather ran besides its results: the scatter's
-// lane schedule and per-shard spans, so callers can aggregate modeled time
-// the same way the work actually ran, and the gather's part lanes' charges
-// (nil when the merges ran whole on the coordinator) with its critical path.
+// scattered is what a scatter-gather ran besides its results: each shard's
+// traversal span — shard i ran on lane i, all lanes in parallel — so callers
+// can aggregate modeled time the way the work actually ran, and the gather's
+// part lanes' charges (nil when the merges ran whole on the coordinator) with
+// its critical path.
 type scattered struct {
-	lanes  [][]int
 	spans  []metrics.Span
 	parts  []int64
 	gather int64
 }
 
-// scatterGather runs the whole batch on every shard under a planned lane
-// schedule — the fan-out planner packs shards onto parallel lanes from their
-// estimated costs, so trivial shards share a lane instead of each paying
-// dispatch overhead — then merges the per-shard results in one key-range
-// part per scatter lane (see gather): serial work on meter's account, the
-// parts' on their lanes' own.  When
-// shard i fails and a failover hook is given, the lane retires the failed
-// shard through the hook and re-dispatches the batch against the recovered
-// engine; errors that survive failover (or occur without one) surface as
-// ErrShardFailed.
+// laneDispatchCost is the coordinator-side overhead modeled per dispatched
+// lane of a scatter-gather: scheduling, joining, and per-lane merge
+// bookkeeping — the same order as one general-purpose transaction.
+const laneDispatchCost = metrics.CostTxOverhead
+
+// scatterGather runs the whole batch on every shard, one lane per shard,
+// then merges the per-shard results in one key-range part per shard lane
+// (see gather): serial work on meter's account, the parts' on their lanes'
+// own.  When shard i fails and a failover hook is given, its lane retires
+// the failed shard through the hook and re-dispatches the batch against the
+// recovered engine; errors that survive failover (or occur without one)
+// surface as ErrShardFailed.
 //
 // The scatter opens by pinning every shard's serving cut — the tail, the
 // delta engine, and a snapshot of the global document maps — so the whole
@@ -673,40 +675,33 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	meter *metrics.Meter, ws []*workspace) ([]any, scattered, error) {
 	pins := se.pinIngest()
 	defer pins.release()
-	costs := make([]int64, len(se.shards))
-	for i, sh := range se.shards {
-		costs[i] = sh.planCost(len(ops))
-	}
-	lanes := planFanout(costs)
 	shardOut := make([][]any, len(se.shards))
 	spans := make([]metrics.Span, len(se.shards))
 	errs := make([]error, len(se.shards))
 	var wg sync.WaitGroup
-	for _, lane := range lanes {
+	for i := range se.shards {
 		wg.Add(1)
-		go func(lane []int) {
+		go func(i int) {
 			defer wg.Done()
-			for _, i := range lane {
-				out, span, err := run(i, pins.serving(i))
-				for err != nil && failover != nil && isDeviceFailure(err) {
-					// Retire the lane's failed shard and re-dispatch its ops
-					// against the recovered follower.  The loop continues as
-					// long as promotion succeeds, consuming one follower per
-					// round; a shard with no follower left fails typed.
-					if ferr := failover(i, err); ferr != nil {
-						err = ferr
-						break
-					}
-					pins.repin(se, i)
-					out, span, err = run(i, pins.serving(i))
+			out, span, err := run(i, pins.serving(i))
+			for err != nil && failover != nil && isDeviceFailure(err) {
+				// Retire the lane's failed shard and re-dispatch its ops
+				// against the recovered follower.  The loop continues as
+				// long as promotion succeeds, consuming one follower per
+				// round; a shard with no follower left fails typed.
+				if ferr := failover(i, err); ferr != nil {
+					err = ferr
+					break
 				}
-				if err != nil {
-					errs[i] = wrapShard(i, err)
-					continue
-				}
-				shardOut[i], spans[i] = out, span
+				pins.repin(se, i)
+				out, span, err = run(i, pins.serving(i))
 			}
-		}(lane)
+			if err != nil {
+				errs[i] = wrapShard(i, err)
+				return
+			}
+			shardOut[i], spans[i] = out, span
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -714,9 +709,9 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 			return nil, scattered{}, err
 		}
 	}
-	// Each dispatched lane charges the coordinator its scheduling and join
-	// bookkeeping, the cost the fan-out planner weighs against parallelism.
-	meter.Charge(int64(len(lanes)), laneDispatchCost)
+	// Each shard's lane charges the coordinator its scheduling and join
+	// bookkeeping.
+	meter.Charge(int64(len(se.shards)), laneDispatchCost)
 	// Run the pinned delta engines (whole batch each — deltas are small next
 	// to the base traversals) through transient query sessions, then merge
 	// base and delta units under their document maps.
@@ -759,12 +754,12 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	}
 	g0 := meter.Nanos()
 	env := shardedEnv{d: se.d, nfiles: pins.nfiles, meter: meter}
-	parts, err := gather(ops, units, results, env, len(lanes))
+	parts, err := gather(ops, units, results, env, len(se.shards))
 	if err != nil {
 		return nil, scattered{}, err
 	}
 	gathered := metrics.Span{CPUNanos: meter.Nanos() - g0}.AddParallel(parts)
-	return results, scattered{lanes: lanes, spans: spans, parts: parts, gather: int64(gathered.Total())}, nil
+	return results, scattered{spans: spans, parts: parts, gather: int64(gathered.Total())}, nil
 }
 
 // gather merges every op whose units are given into results.  Each merge is
@@ -934,13 +929,15 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Aggregate along the planned schedule: shards on one lane ran serially,
-	// lanes in parallel, the coordinator's dispatches, merge and stitch
-	// extend the critical path, the gather's parts extend it by the slowest
-	// part, and any failover recovery extends it further as measured serial
-	// work.
-	trav := metrics.MergeScheduled(sc.lanes, sc.spans).AddSerial(se.meter.Nanos() - cpu0).AddParallel(sc.parts)
-	tails := metrics.LaneTails(sc.lanes, sc.spans)
+	// Aggregate as the batch ran: shard lanes in parallel, the coordinator's
+	// dispatches, merge and stitch extending the critical path, the gather's
+	// parts extending it by the slowest part, and any failover recovery
+	// extending it further as measured serial work.
+	trav := metrics.MergeParallel(sc.spans...).AddSerial(se.meter.Nanos() - cpu0).AddParallel(sc.parts)
+	tails := make([]int64, len(sc.spans))
+	for i, sp := range sc.spans {
+		tails[i] = int64(sp.Total())
+	}
 	for _, fs := range se.takeFailoverSpans() {
 		trav = trav.AddSerialSpan(fs)
 	}
@@ -1094,9 +1091,9 @@ func (se *ShardedEngine) LastGather() time.Duration {
 	return time.Duration(se.lastGather)
 }
 
-// LastLaneTails reports each lane's serial modeled total for the last
-// engine batch — the distribution MergeScheduled's critical path is the max
-// of, and the lane imbalance the fan-out planner leaves.
+// LastLaneTails reports each shard lane's modeled total for the last engine
+// batch, one entry per shard — the distribution whose maximum is the
+// scatter's critical path, and the lane imbalance the shards' sizes leave.
 func (se *ShardedEngine) LastLaneTails() []int64 {
 	se.mu.Lock()
 	defer se.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
+	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/metrics"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 	"github.com/text-analytics/ntadoc/internal/sequitur"
@@ -188,28 +189,89 @@ func TestShardedSpansAndAccounting(t *testing.T) {
 }
 
 // TestGatherCriticalPath recomputes a cut gather from the shards' own
-// results and spans: the batch's critical path is the scatter's slowest lane
-// plus the lane dispatches, the slowest key-range part and the stitch, its
-// CPU the sum of all of them.  The session path charges its meter the same
-// gather work.
+// results and spans: the batch's critical path is the slowest shard lane
+// plus one lane dispatch per shard, the slowest key-range part and the
+// stitch, its CPU the sum of all of them.  The session path charges its
+// meter the same gather work.  The small single-op batch is one whose
+// shards are cheap next to a lane dispatch: it still runs one lane per
+// shard, and its gather is still cut.
 func TestGatherCriticalPath(t *testing.T) {
-	files, d, _ := corpus(t, 56, 6, 400, 40)
-	gs := shardGrammars(t, files, uint32(d.Len()), 2)
-	se, err := NewSharded(gs, d, Options{Sequences: true})
+	wc, err := analytics.OpFor(analytics.TaskWordCount)
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("OpFor: %v", err)
 	}
-	defer se.Close()
-	ops := analytics.Ops()
+	for _, tc := range []struct {
+		name                  string
+		seed                  int64
+		nFiles, tokens, vocab int
+		ops                   []analytics.Op
+	}{
+		{"fused", 56, 6, 400, 40, analytics.Ops()},
+		{"small wordcount", 7, 4, 60, 20, []analytics.Op{wc}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files, d, _ := corpus(t, tc.seed, tc.nFiles, tc.tokens, tc.vocab)
+			se, err := NewSharded(shardGrammars(t, files, uint32(d.Len()), 2), d, Options{Sequences: true})
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			defer se.Close()
+			checkGatherCriticalPath(t, se, d, len(files), tc.ops)
+		})
+	}
+
+	// Term vectors have no keys to cut: a batch of them alone merges on the
+	// coordinator, dispatching no part lanes.
+	t.Run("term vectors", func(t *testing.T) {
+		files, d, _ := corpus(t, 56, 6, 400, 40)
+		se, err := NewSharded(shardGrammars(t, files, uint32(d.Len()), 2), d, Options{Sequences: true})
+		if err != nil {
+			t.Fatalf("NewSharded: %v", err)
+		}
+		defer se.Close()
+		tv, err := analytics.OpFor(analytics.TaskTermVector)
+		if err != nil {
+			t.Fatalf("OpFor: %v", err)
+		}
+		if _, err := se.RunOps([]analytics.Op{tv}); err != nil {
+			t.Fatalf("term vectors RunOps: %v", err)
+		}
+		var whole metrics.Meter
+		tvUnits := make([]analytics.MergeUnit, se.NumShards())
+		for i := range tvUnits {
+			res, err := se.Shard(i).NewSession().RunOps([]analytics.Op{tv})
+			if err != nil {
+				t.Fatalf("shard %d term vectors: %v", i, err)
+			}
+			tvUnits[i] = analytics.MergeUnit{Result: res[0], DocBase: se.DocBases()[i]}
+		}
+		if _, err := analytics.MergeUnits(tv, shardedEnv{d: d, nfiles: len(files), meter: &whole}, tvUnits); err != nil {
+			t.Fatalf("term vectors MergeUnits: %v", err)
+		}
+		if got := int64(se.LastGather()); got != whole.Nanos() {
+			t.Errorf("term vectors LastGather %d, want the one-part merge %d with no dispatch", got, whole.Nanos())
+		}
+	})
+}
+
+func checkGatherCriticalPath(t *testing.T, se *ShardedEngine, d *dict.Dictionary, nfiles int, ops []analytics.Op) {
+	t.Helper()
 	if _, err := se.RunOps(ops); err != nil {
 		t.Fatalf("RunOps: %v", err)
 	}
 	trav, gather := se.LastTraversalSpan(), int64(se.LastGather())
+	parts, tails := se.NumShards(), se.LastLaneTails()
+	if len(tails) != parts {
+		t.Fatalf("scatter over %d lane(s) %v for %d shards: the gather is not cut", len(tails), tails, parts)
+	}
 
-	spans, costs := make([]metrics.Span, se.NumShards()), make([]int64, se.NumShards())
+	spans := make([]metrics.Span, parts)
 	units := make([][]analytics.MergeUnit, len(ops))
 	for i := range spans {
-		spans[i], costs[i] = se.Shard(i).LastTraversalSpan(), se.Shard(i).planCost(len(ops))
+		spans[i] = se.Shard(i).LastTraversalSpan()
+		if tails[i] != int64(spans[i].Total()) {
+			t.Errorf("lane %d tail %d, want shard %d's total %d", i, tails[i], i, int64(spans[i].Total()))
+		}
 		res, err := se.Shard(i).NewSession().RunOps(ops)
 		if err != nil {
 			t.Fatalf("shard %d session: %v", i, err)
@@ -218,26 +280,21 @@ func TestGatherCriticalPath(t *testing.T) {
 			units[j] = append(units[j], analytics.MergeUnit{Result: res[j], DocBase: se.DocBases()[i]})
 		}
 	}
-	lanes := planFanout(costs)
-	parts := len(lanes)
-	if parts < 2 {
-		t.Fatalf("scatter over %d lane(s): the gather is not cut, so the test tests nothing", parts)
-	}
 	var stitch metrics.Meter
 	partNanos := make([]int64, parts)
 	for j, op := range ops {
-		job, err := analytics.PlanMerge(op, shardedEnv{d: d, nfiles: len(files), meter: &stitch}, units[j], parts)
+		job, err := analytics.PlanMerge(op, shardedEnv{d: d, nfiles: nfiles, meter: &stitch}, units[j], parts)
 		if err != nil {
 			t.Fatalf("%s: PlanMerge: %v", op.Name(), err)
 		}
 		for p := 0; p < job.Parts(); p++ {
 			var m metrics.Meter
-			if err := job.Run(p, shardedEnv{d: d, nfiles: len(files), meter: &m}); err != nil {
+			if err := job.Run(p, shardedEnv{d: d, nfiles: nfiles, meter: &m}); err != nil {
 				t.Fatalf("%s part %d: %v", op.Name(), p, err)
 			}
 			partNanos[p] += m.Nanos()
 		}
-		job.Finish(shardedEnv{d: d, nfiles: len(files), meter: &stitch})
+		job.Finish(shardedEnv{d: d, nfiles: nfiles, meter: &stitch})
 	}
 	var slowest, sum int64
 	for _, n := range partNanos {
@@ -246,8 +303,9 @@ func TestGatherCriticalPath(t *testing.T) {
 	if stitch.Nanos() == 0 {
 		t.Error("a cut gather moved no keys: the stitch is untested")
 	}
-	scatter := metrics.MergeScheduled(lanes, spans)
-	dispatch := int64(len(lanes)+parts) * laneDispatchCost
+	scatter := metrics.MergeParallel(spans...)
+	// One dispatch per shard lane of the scatter, one per part of the gather.
+	dispatch := int64(2*parts) * laneDispatchCost
 	if want := int64(scatter.Total()) + dispatch + slowest + stitch.Nanos(); int64(trav.Total()) != want {
 		t.Errorf("critical path %d, want lanes %d + dispatch %d + slowest part %d + stitch %d = %d",
 			int64(trav.Total()), int64(scatter.Total()), dispatch, slowest, stitch.Nanos(), want)
@@ -267,31 +325,6 @@ func TestGatherCriticalPath(t *testing.T) {
 	if want := dispatch + sum + stitch.Nanos(); ss.Meter().Nanos() != want {
 		t.Errorf("session meter %d, want dispatch %d + parts %d + stitch %d = %d",
 			ss.Meter().Nanos(), dispatch, sum, stitch.Nanos(), want)
-	}
-
-	// Term vectors have no keys to cut: a batch of them alone merges on the
-	// coordinator, dispatching no part lanes.
-	tv, err := analytics.OpFor(analytics.TaskTermVector)
-	if err != nil {
-		t.Fatalf("OpFor: %v", err)
-	}
-	if _, err := se.RunOps([]analytics.Op{tv}); err != nil {
-		t.Fatalf("term vectors RunOps: %v", err)
-	}
-	var whole metrics.Meter
-	tvUnits := make([]analytics.MergeUnit, se.NumShards())
-	for i := range tvUnits {
-		res, err := se.Shard(i).NewSession().RunOps([]analytics.Op{tv})
-		if err != nil {
-			t.Fatalf("shard %d term vectors: %v", i, err)
-		}
-		tvUnits[i] = analytics.MergeUnit{Result: res[0], DocBase: se.DocBases()[i]}
-	}
-	if _, err := analytics.MergeUnits(tv, shardedEnv{d: d, nfiles: len(files), meter: &whole}, tvUnits); err != nil {
-		t.Fatalf("term vectors MergeUnits: %v", err)
-	}
-	if got := int64(se.LastGather()); got != whole.Nanos() {
-		t.Errorf("term vectors LastGather %d, want the one-part merge %d with no dispatch", got, whole.Nanos())
 	}
 }
 

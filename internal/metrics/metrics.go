@@ -155,35 +155,6 @@ func MergeParallel(spans ...Span) Span {
 	return out
 }
 
-// MergeScheduled aggregates spans executed under a lane schedule: lanes[l]
-// lists the indices of spans that ran back-to-back on lane l, and the lanes
-// themselves ran in parallel.  A lane's total is the sum of its members'
-// totals (serial execution), the merged critical path is the slowest lane,
-// and device statistics and CPU nanos sum across all spans exactly as in
-// MergeParallel — the schedule moves work between lanes, never changes its
-// amount.  Full fan-out (one span per lane) reduces to MergeParallel.
-func MergeScheduled(lanes [][]int, spans []Span) Span {
-	var out Span
-	for _, lane := range lanes {
-		var laneTotal int64
-		var laneWall time.Duration
-		for _, i := range lane {
-			sp := spans[i]
-			laneWall += sp.Wall
-			out.Device = out.Device.Add(sp.Device)
-			out.CPUNanos += sp.CPUNanos
-			laneTotal += int64(sp.Total())
-		}
-		if laneWall > out.Wall {
-			out.Wall = laneWall
-		}
-		if laneTotal > out.CriticalNanos {
-			out.CriticalNanos = laneTotal
-		}
-	}
-	return out
-}
-
 // AddSerial extends a span with work that ran after its parallel lanes
 // completed (the coordinator's merge step): serial nanos extend the
 // critical path as well as the CPU account.
@@ -226,19 +197,6 @@ func (s Span) AddParallel(lanes []int64) Span {
 	s.CriticalNanos = int64(s.Total()) + slowest
 	s.CPUNanos += sum
 	return s
-}
-
-// LaneTails reports each lane's serial total under a schedule — the values
-// MergeScheduled takes the maximum of.  The repo benchmark reads them for
-// the fused batch's lane imbalance (slowest lane over the mean).
-func LaneTails(lanes [][]int, spans []Span) []int64 {
-	tails := make([]int64, len(lanes))
-	for l, lane := range lanes {
-		for _, i := range lane {
-			tails[l] += int64(spans[i].Total())
-		}
-	}
-	return tails
 }
 
 // Breakdown records per-phase spans for one task run (Table II).

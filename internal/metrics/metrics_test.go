@@ -154,18 +154,3 @@ func TestAddSerialSpan(t *testing.T) {
 		t.Errorf("plain Total = %v, want 150ns", got)
 	}
 }
-
-func TestLaneTails(t *testing.T) {
-	spans := []Span{
-		{CPUNanos: 100}, {CPUNanos: 200}, {CPUNanos: 300},
-	}
-	lanes := [][]int{{0, 2}, {1}}
-	tails := LaneTails(lanes, spans)
-	if len(tails) != 2 || tails[0] != 400 || tails[1] != 200 {
-		t.Errorf("LaneTails = %v, want [400 200]", tails)
-	}
-	// The schedule's critical path is the max tail.
-	if got := int64(MergeScheduled(lanes, spans).Total()); got != 400 {
-		t.Errorf("MergeScheduled Total = %d, want max tail 400", got)
-	}
-}
