@@ -3,7 +3,7 @@ GO ?= go
 # Seconds of coverage-guided fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 20s
 
-.PHONY: all build cross vet staticcheck lint test race bench-smoke microbench bench-test errcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loc check
+.PHONY: all build cross vet staticcheck lint test race bench-smoke microbench bench-test errcheck crashcheck failovercheck ingestcheck figcheck fuzz-smoke e2e loc check
 
 all: check
 
@@ -163,6 +163,14 @@ ingestcheck:
 	$(GO) run ./cmd/crashcheck -ingest -task wordcount -persistence both \
 		-points 0 -seeds 3 -seed 42 -files 4 -tokens 120 -vocab 40 -corpus-seed 7
 
+# The printed figures hold modeled numbers only, so they are byte-identical
+# from run to run and at any -parallel: every figure of the paper, regenerated
+# and compared with the recorded output, byte for byte.  A change that moves a
+# figure on purpose re-records bench_output_figures.txt with it.
+figcheck:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/benchfig -fig all -parallel 2 > "$$out" && cmp "$$out" bench_output_figures.txt
+
 # A short coverage-guided run of every fuzz target (archive parsing, the
 # compress/decompress round trip, op-log crash recovery, the result encoder
 # against its reflection oracle, request decoding through the daemon's
@@ -193,4 +201,4 @@ loc:
 		printf '%7d %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%7d total\n' $$total
 
-check: build cross vet staticcheck lint test race bench-smoke crashcheck failovercheck ingestcheck fuzz-smoke e2e
+check: build cross vet staticcheck lint test race bench-smoke crashcheck failovercheck ingestcheck figcheck fuzz-smoke e2e

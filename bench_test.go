@@ -18,7 +18,6 @@ import (
 	"github.com/text-analytics/ntadoc/internal/datagen"
 	"github.com/text-analytics/ntadoc/internal/harness"
 	"github.com/text-analytics/ntadoc/internal/nvm"
-	"github.com/text-analytics/ntadoc/internal/tadoc"
 )
 
 // benchSpecs returns the four dataset analogues, shrunk under -short.
@@ -111,7 +110,7 @@ func BenchmarkFig6(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					td, err := harness.RunTADOC(c, task, tadoc.Auto)
+					td, err := harness.RunTADOC(c, task)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -160,7 +159,7 @@ func BenchmarkDRAMSavings(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", spec.Name, task), func(b *testing.B) {
 				c := corpusFor(b, spec)
 				for i := 0; i < b.N; i++ {
-					td, err := harness.RunTADOC(c, task, tadoc.Auto)
+					td, err := harness.RunTADOC(c, task)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -247,7 +246,7 @@ func BenchmarkFigCrossEval(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				td, err := harness.RunTADOC(c, analytics.TaskWordCount, tadoc.Auto)
+				td, err := harness.RunTADOC(c, analytics.TaskWordCount)
 				if err != nil {
 					b.Fatal(err)
 				}

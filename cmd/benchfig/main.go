@@ -37,7 +37,6 @@ import (
 	"github.com/text-analytics/ntadoc/internal/datagen"
 	"github.com/text-analytics/ntadoc/internal/harness"
 	"github.com/text-analytics/ntadoc/internal/nvm"
-	"github.com/text-analytics/ntadoc/internal/tadoc"
 )
 
 func main() {
@@ -215,7 +214,7 @@ func fig6(specs []datagen.Spec) error {
 		if err != nil {
 			return err
 		}
-		td, err := harness.RunTADOC(c, task, tadoc.Auto)
+		td, err := harness.RunTADOC(c, task)
 		if err != nil {
 			return err
 		}
@@ -278,7 +277,7 @@ func figDRAM(specs []datagen.Spec) error {
 		if err != nil {
 			return err
 		}
-		td, err := harness.RunTADOC(c, task, tadoc.Auto)
+		td, err := harness.RunTADOC(c, task)
 		if err != nil {
 			return err
 		}
@@ -478,7 +477,7 @@ func figCross(specs []datagen.Spec) error {
 		if err != nil {
 			return err
 		}
-		td, err := harness.RunTADOC(c, task, tadoc.Auto)
+		td, err := harness.RunTADOC(c, task)
 		if err != nil {
 			return err
 		}

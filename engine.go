@@ -125,7 +125,7 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 	if opts.Medium == MediumDRAM {
 		// The DRAM baseline has no per-shard devices to parallelize over;
 		// it runs on the whole-corpus grammar view.
-		inner, err := tadoc.New(a.g, a.d, tadoc.Auto)
+		inner, err := tadoc.New(a.g, a.d)
 		if err != nil {
 			return nil, err
 		}

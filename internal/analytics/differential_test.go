@@ -69,15 +69,8 @@ var executors = []executorCase{
 	{"core-session", func(t *testing.T, _ [][]uint32, d *dict.Dictionary, g *cfg.Grammar) analytics.Executor {
 		return newCore(t, g, d, core.TopDown).NewSession()
 	}},
-	{"tadoc-topdown", func(t *testing.T, _ [][]uint32, d *dict.Dictionary, g *cfg.Grammar) analytics.Executor {
-		e, err := tadoc.New(g, d, tadoc.TopDown)
-		if err != nil {
-			t.Fatalf("tadoc.New: %v", err)
-		}
-		return e
-	}},
-	{"tadoc-bottomup", func(t *testing.T, _ [][]uint32, d *dict.Dictionary, g *cfg.Grammar) analytics.Executor {
-		e, err := tadoc.New(g, d, tadoc.BottomUp)
+	{"tadoc", func(t *testing.T, _ [][]uint32, d *dict.Dictionary, g *cfg.Grammar) analytics.Executor {
+		e, err := tadoc.New(g, d)
 		if err != nil {
 			t.Fatalf("tadoc.New: %v", err)
 		}
@@ -96,7 +89,8 @@ var executors = []executorCase{
 
 // The randomized corpora: different shapes stress different strategy and
 // batching paths (few large files vs. many small ones, dense vs. sparse
-// phrase reuse).
+// phrase reuse).  "many" has more files than tadoc's top-down threshold, so
+// tadoc runs its per-file tasks bottom-up there and top-down on the rest.
 var corpora = []datagen.Spec{
 	{Name: "base", Seed: 101, Files: 5, TokensPer: 300, Vocab: 50,
 		ZipfS: 1.3, Phrases: 30, PhraseLen: 5, PhraseProb: 0.6},
@@ -104,6 +98,8 @@ var corpora = []datagen.Spec{
 		ZipfS: 1.1, Phrases: 15, PhraseLen: 4, PhraseProb: 0.8},
 	{Name: "wide", Seed: 303, Files: 12, TokensPer: 120, Vocab: 80,
 		ZipfS: 1.5, Phrases: 40, PhraseLen: 6, PhraseProb: 0.4},
+	{Name: "many", Seed: 404, Files: 520, TokensPer: 8, Vocab: 40,
+		ZipfS: 1.3, Phrases: 20, PhraseLen: 4, PhraseProb: 0.5},
 }
 
 func TestOpsDifferentialAcrossExecutors(t *testing.T) {
@@ -134,9 +130,10 @@ func TestOpsDifferentialAcrossExecutors(t *testing.T) {
 	}
 }
 
-// TestFusedDifferentialAcrossExecutors runs the full op set as one fused
-// batch on every executor and checks each slot against the reference —
-// every engine's RunOps must agree with its per-op path.
+// TestFusedDifferentialAcrossExecutors runs every non-empty subset of the op
+// set as one fused batch on every executor — one executor serving all 63 —
+// and checks each slot against the reference: every engine's RunOps must
+// agree with its per-op path, also on batches whose passes are partly absent.
 func TestFusedDifferentialAcrossExecutors(t *testing.T) {
 	spec := corpora[0]
 	files, d := spec.GenerateWithDict()
@@ -144,17 +141,30 @@ func TestFusedDifferentialAcrossExecutors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	ops := analytics.Ops()
+	all := analytics.Ops()
+	refs := make([]any, len(all))
+	for i, op := range all {
+		refs[i] = refFor(t, op, files, d)
+	}
 	for _, ex := range executors {
 		t.Run(ex.name, func(t *testing.T) {
 			x := ex.build(t, files, d, g)
-			results, err := x.RunOps(ops)
-			if err != nil {
-				t.Fatalf("RunOps: %v", err)
-			}
-			for i, op := range ops {
-				if !reflect.DeepEqual(analytics.MapResult(op, results[i]), refFor(t, op, files, d)) {
-					t.Errorf("%v: fused result differs from reference", op.Task())
+			for mask := 1; mask < 1<<len(all); mask++ {
+				var ops []analytics.Op
+				var want []any
+				for i, op := range all {
+					if mask&(1<<i) != 0 {
+						ops, want = append(ops, op), append(want, refs[i])
+					}
+				}
+				results, err := x.RunOps(ops)
+				if err != nil {
+					t.Fatalf("batch %06b: RunOps: %v", mask, err)
+				}
+				for i, op := range ops {
+					if !reflect.DeepEqual(analytics.MapResult(op, results[i]), want[i]) {
+						t.Errorf("batch %06b: %v: fused result differs from reference", mask, op.Task())
+					}
 				}
 			}
 		})

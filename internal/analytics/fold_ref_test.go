@@ -3,7 +3,6 @@ package analytics
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -15,8 +14,7 @@ import (
 // oracle for the record-buffer folds: one map[key] = append(map[key], ...)
 // per (file, key), a map and a full sort per term vector, a sort per posting
 // list, a sort charge per key.  The production folds must return deep-equal
-// results and charge the same modeled nanoseconds, whichever grouping path
-// they take.
+// results and charge the same modeled nanoseconds.
 
 type refTermVectorsFold struct {
 	env Env
@@ -73,23 +71,30 @@ func (f *refRankedIndexFold) Finish() map[Seq][]DocFreq {
 	return out
 }
 
+// MapCounts adapts a plain uint64-keyed count map.
+type MapCounts map[uint64]uint64
+
+func (m MapCounts) Len() int64 { return int64(len(m)) }
+func (m MapCounts) Range(fn func(k, v uint64) bool) {
+	for k, v := range m {
+		if !fn(k, v) {
+			return
+		}
+	}
+}
+
 // foldEnv is a fold environment over a synthetic key space: sequence key k
-// resolves to a Seq derived from unmap(k), so the same documents can be
-// delivered under dense keys and under keys of any magnitude.  scratch, when
-// set, is lent to the folds (ScratchEnv) by the scratchEnv wrapper.
+// resolves to a Seq derived from k.  The scratchEnv wrapper lends the folds
+// the scratch that declares the key spaces (ScratchEnv).
 type foldEnv struct {
 	meter    *metrics.Meter
 	numFiles int
-	unmap    func(uint64) uint64
 }
 
 func (e foldEnv) Dict() *dict.Dictionary { return nil }
 func (e foldEnv) NumFiles() int          { return e.numFiles }
 func (e foldEnv) Charge(n, perOp int64)  { e.meter.Charge(n, perOp) }
-func (e foldEnv) SeqOf(k uint64) Seq {
-	id := e.unmap(k)
-	return Seq{uint32(id), uint32(id >> 7), uint32(id * 31)}
-}
+func (e foldEnv) SeqOf(k uint64) Seq     { return Seq{uint32(k), uint32(k >> 7), uint32(k * 31)} }
 
 type scratchEnv struct {
 	foldEnv
@@ -97,6 +102,15 @@ type scratchEnv struct {
 }
 
 func (e scratchEnv) FoldScratch() *FoldScratch { return e.scratch }
+
+// identityOrder ranks keys [0, n) by themselves.
+func identityOrder(n int) KeyOrder {
+	o := KeyOrder{Rank: make([]uint32, n), Order: make([]uint32, n)}
+	for k := range o.Rank {
+		o.Rank[k], o.Order[k] = uint32(k), uint32(k)
+	}
+	return o
+}
 
 // syntheticDocs draws per-document counters over [0, keys): document d holds
 // a random subset of the keys with random counts.
@@ -141,17 +155,15 @@ func runPerFileFolds(t *testing.T, env Env, docs []MapCounts, wordKeys bool) (tv
 	return res[1], res[2], res[0]
 }
 
-// TestPerFileFoldsMatchReference drives the production folds down both
-// grouping paths — counting sort under a declared key space (twice, so the
-// second run reuses the first's buffers), comparison sort with none — and
+// TestPerFileFoldsMatchReference drives the production folds under a
+// declared key space twice, so the second run reuses the first's buffers, and
 // holds results and charges to the first-written accumulators'.
 func TestPerFileFoldsMatchReference(t *testing.T) {
 	const keys = 300
 	docs := syntheticDocs(5, 40, keys)
-	ident := func(k uint64) uint64 { return k }
 
 	var refMeter metrics.Meter
-	renv := foldEnv{meter: &refMeter, numFiles: len(docs), unmap: ident}
+	renv := foldEnv{meter: &refMeter, numFiles: len(docs)}
 	rtv := &refTermVectorsFold{env: renv, k: 4, out: make([][]WordFreq, len(docs))}
 	rinv := &refInvertedIndexFold{env: renv, out: map[uint32][]uint32{}}
 	rrii := &refRankedIndexFold{env: renv, perDoc: map[uint64][]DocFreq{}}
@@ -179,75 +191,33 @@ func TestPerFileFoldsMatchReference(t *testing.T) {
 			t.Errorf("%s: charged %d modeled ns, reference %d", label, got, want)
 		}
 	}
-	var m1 metrics.Meter
-	check("undeclared", foldEnv{meter: &m1, numFiles: len(docs), unmap: ident}, &m1)
-	scratch := &FoldScratch{WordKeys: keys, SeqKeys: keys}
+	scratch := &FoldScratch{WordKeys: keys, SeqKeys: keys, WordOrder: identityOrder(keys)}
 	for _, label := range []string{"declared", "declared, buffers reused"} {
 		var m metrics.Meter
 		scratch.Reset()
-		check(label, scratchEnv{foldEnv{meter: &m, numFiles: len(docs), unmap: ident}, scratch}, &m)
+		check(label, scratchEnv{foldEnv{meter: &m, numFiles: len(docs)}, scratch}, &m)
 	}
 
 	// A key outside a declared key space is reported, not indexed.
 	scratch.Reset()
 	scratch.SeqKeys = 10
 	var m metrics.Meter
-	f := RankedInvertedIndexOp{}.NewFold(scratchEnv{foldEnv{meter: &m, numFiles: 1, unmap: ident}, scratch})
+	f := RankedInvertedIndexOp{}.NewFold(scratchEnv{foldEnv{meter: &m, numFiles: 1}, scratch})
 	if err := f.File(0, MapCounts{11: 1}); err == nil {
 		t.Error("a key beyond the declared key space was accepted")
 	}
-}
-
-// TestPerFileFoldsHugeKeys is the regression a counting sort over an assumed
-// dense key space tripped: uncomp's sequence keys are three tokens packed 21
-// bits each, values up to 2^63, with no executor declaring a key space.  The
-// folds must take the sort path, allocate in proportion to the records they
-// were given — not to the largest key — and return what the same documents
-// return under dense keys.
-func TestPerFileFoldsHugeKeys(t *testing.T) {
-	const keys = 200
-	dense := syntheticDocs(6, 30, keys)
-	// An injective, order-scrambling map onto keys just below 2^63.
-	spread := func(k uint64) uint64 { return 1<<63 - 1 - k*0x9E3779B97F4A7 }
-	inverse := make(map[uint64]uint64, keys)
-	for k := uint64(0); k < keys; k++ {
-		inverse[spread(k)] = k
-	}
-	huge := make([]MapCounts, len(dense))
-	records := 0
-	for d, c := range dense {
-		huge[d] = MapCounts{}
-		for k, v := range c {
-			huge[d][spread(k)] = v
-			records++
-		}
-	}
-
-	var m1, m2 metrics.Meter
-	_, _, want := runPerFileFolds(t, foldEnv{meter: &m1, numFiles: len(dense), unmap: func(k uint64) uint64 { return k }}, dense, false)
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, got := runPerFileFolds(t, foldEnv{meter: &m2, numFiles: len(huge), unmap: func(k uint64) uint64 { return inverse[k] }}, huge, false)
-	runtime.ReadMemStats(&after)
-
-	if !reflect.DeepEqual(got, want) {
-		t.Error("ranked index under keys near 2^63 differs from the one under dense keys")
-	}
-	if m1.Nanos() != m2.Nanos() {
-		t.Errorf("charged %d modeled ns under huge keys, %d under dense ones", m2.Nanos(), m1.Nanos())
-	}
-	// Records, their sort copy, the backing array and the result map: a few
-	// hundred bytes per record is generous; anything sized by key is 2^63.
-	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(records)*512; alloc > limit {
-		t.Errorf("folding %d records under huge keys allocated %d bytes, more than %d", records, alloc, limit)
+	// So is a word key space declared without its order: the sort op's
+	// alphabetical order is the declared word order.
+	f = SortOp{}.NewFold(scratchEnv{foldEnv{meter: &m, numFiles: 1}, &FoldScratch{WordKeys: keys}})
+	if err := f.Global(MapCounts{1: 1}); err == nil {
+		t.Error("a word key space without its order was accepted")
 	}
 }
 
 // TestFoldsFollowDeclaredOrder runs the four keyed folds under a key space
-// with a declared order — a seeded permutation — and with none: the same
-// results in map form, and under the order every result's keys ascend by
-// rank where otherwise they ascend by key.
+// with a declared order — a seeded permutation — and by key (the identity
+// order for words, none for sequences): the same results in map form, and
+// under the permutation every result's keys ascend by rank.
 func TestFoldsFollowDeclaredOrder(t *testing.T) {
 	const keys = 120
 	docs := syntheticDocs(7, 12, keys)
@@ -261,10 +231,9 @@ func TestFoldsFollowDeclaredOrder(t *testing.T) {
 	for r, k := range rand.New(rand.NewSource(9)).Perm(keys) {
 		order.Order[r], order.Rank[k] = uint32(k), uint32(r)
 	}
-	ident := func(k uint64) uint64 { return k }
 	run := func(scratch *FoldScratch) []any {
 		var m metrics.Meter
-		env := scratchEnv{foldEnv{meter: &m, numFiles: len(docs), unmap: ident}, scratch}
+		env := scratchEnv{foldEnv{meter: &m, numFiles: len(docs)}, scratch}
 		ops := []Op{WordCountOp{}, SequenceCountOp{}, InvertedIndexOp{}, RankedInvertedIndexOp{}}
 		out := make([]any, len(ops))
 		for i, op := range ops {
@@ -288,11 +257,11 @@ func TestFoldsFollowDeclaredOrder(t *testing.T) {
 		}
 		return out
 	}
-	byKey := run(&FoldScratch{WordKeys: keys, SeqKeys: keys})
+	byKey := run(&FoldScratch{WordKeys: keys, SeqKeys: keys, WordOrder: identityOrder(keys)})
 	ranked := run(&FoldScratch{WordKeys: keys, SeqKeys: keys, WordOrder: order, SeqOrder: order})
 	seqKey := map[Seq]uint32{}
 	for k := uint32(0); k < keys; k++ {
-		seqKey[foldEnv{unmap: ident}.SeqOf(uint64(k))] = k
+		seqKey[foldEnv{}.SeqOf(uint64(k))] = k
 	}
 	for i, op := range []Op{WordCountOp{}, SequenceCountOp{}, InvertedIndexOp{}, RankedInvertedIndexOp{}} {
 		if !reflect.DeepEqual(MapResult(op, ranked[i]), MapResult(op, byKey[i])) {

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -53,7 +54,7 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 			out = append(out, WordFreq{Word: w, Freq: n})
 		}
 		meter.Charge(int64(len(out)), metrics.CostSortEntry)
-		SortAlphabetical(out, d)
+		sortAlphabetical(out, d)
 		return out
 	case TaskTermVector:
 		out := make([][]WordFreq, numFiles)
@@ -543,4 +544,12 @@ func BenchmarkMergeShardResults(b *testing.B) {
 			}
 		})
 	}
+}
+
+// sortAlphabetical orders (word, freq) pairs by the word strings, through the
+// dictionary's alphabetical rank table: integer compares, and no vocabulary
+// sort per call.
+func sortAlphabetical(wf []WordFreq, d *dict.Dictionary) {
+	rank, _ := d.Alphabetical()
+	slices.SortFunc(wf, func(a, b WordFreq) int { return cmp.Compare(rank[a.Word], rank[b.Word]) })
 }

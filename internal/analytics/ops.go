@@ -3,16 +3,15 @@
 // to an Op — a declaration of which traversal it needs (key space + scope)
 // plus a Fold that turns the traversal's accumulated counters into the
 // task's canonical result.  Executors (core on NVM, tadoc on DRAM, uncomp
-// scanning raw text) own the traversal machinery once and run any Op; a
-// batch of Ops that agree on traversal requirements shares a single walk
-// (fused execution), which is where the modeled device-read savings of
-// RunOps come from.
+// scanning raw text) own the traversal machinery once and run any Op through
+// one Batch; a batch of Ops that agree on traversal requirements shares a
+// single walk (fused execution), which is where the modeled device-read
+// savings of RunOps come from.
 package analytics
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/metrics"
@@ -24,12 +23,9 @@ type KeySpace int
 const (
 	// KeyWords: counter keys are dictionary word IDs.
 	KeyWords KeySpace = iota
-	// KeySequences: counter keys are executor-chosen sequence identifiers,
-	// resolved to Seq values through Env.SeqOf.  They are opaque: core and
-	// tadoc hand out dense interned ids, uncomp packs the sequence's tokens
-	// 21 bits each into the key itself, so a key may be anywhere below 2^63.
-	// A fold may size anything by key only under a key space the executor
-	// declared (FoldScratch.SeqKeys).
+	// KeySequences: counter keys are dense sequence ids the executor hands
+	// out, below its declared FoldScratch.SeqKeys, resolved to Seq values
+	// through Env.SeqOf.
 	KeySequences
 )
 
@@ -45,11 +41,10 @@ const (
 )
 
 // Counts is a read-only view of one accumulated counter.  Keys are distinct
-// but otherwise arbitrary uint64 values unless the executor declared a dense
-// key space (see KeySpace, FoldScratch).  Range order is unspecified; folds
-// must not depend on it.  The view is valid only for the duration of the Fold
-// callback it is passed to — executors reuse the backing storage between
-// documents.
+// ids of the key space the executor declared (see KeySpace, FoldScratch).
+// Range order is unspecified; folds must not depend on it.  The view is valid
+// only for the duration of the Fold callback it is passed to — executors
+// reuse the backing storage between documents.
 type Counts interface {
 	// Len returns the number of distinct keys.
 	Len() int64
@@ -94,6 +89,77 @@ type Op interface {
 // results positionally.
 type Executor interface {
 	RunOps(ops []Op) ([]any, error)
+}
+
+// Batch is one run of a batch of ops: it makes their folds, groups them by
+// the pass that feeds them — a (scope, key space) pair — and hands each
+// pass's counters to that group in op order.  An executor keeps only its
+// passes: it runs those the batch Needs, delivers each counter through Global
+// or File as the pass produces it, and ends with Finish.
+type Batch struct{ slots []slot }
+
+type slot struct {
+	fold  Fold
+	scope Scope
+	keys  KeySpace
+}
+
+// NewBatch makes the folds of ops under env.
+func NewBatch(ops []Op, env Env) *Batch {
+	b := &Batch{slots: make([]slot, len(ops))}
+	for i, op := range ops {
+		b.slots[i] = slot{op.NewFold(env), op.Scope(), op.Keys()}
+	}
+	return b
+}
+
+// Needs reports whether an op of the batch consumes the counters of keys at
+// scope.
+func (b *Batch) Needs(scope Scope, keys KeySpace) bool {
+	for _, s := range b.slots {
+		if s.scope == scope && s.keys == keys {
+			return true
+		}
+	}
+	return false
+}
+
+// Global delivers the corpus-wide counter of keys to the global ops that
+// consume it.
+func (b *Batch) Global(keys KeySpace, c Counts) error {
+	for _, s := range b.slots {
+		if s.scope == ScopeGlobal && s.keys == keys {
+			if err := s.fold.Global(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// File delivers document doc's counter of keys to the per-file ops that
+// consume it; documents arrive in ascending order.
+func (b *Batch) File(keys KeySpace, doc uint32, c Counts) error {
+	for _, s := range b.slots {
+		if s.scope == ScopePerFile && s.keys == keys {
+			if err := s.fold.File(doc, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Finish finishes every fold and returns the results positionally.
+func (b *Batch) Finish() ([]any, error) {
+	results := make([]any, len(b.slots))
+	for i, s := range b.slots {
+		var err error
+		if results[i], err = s.fold.Finish(); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // RunAs runs one op on x and asserts its concrete result type.
@@ -254,25 +320,26 @@ type countFold[E any] struct {
 	cost int64 // modeled nanos per key delivered
 	item func(key uint64, doc uint32, freq uint64) E
 	out  []E
-	byID bool // out is in ascending key order: the key space declared no other
 }
 
 func (f *countFold[E]) Global(c Counts) error {
 	f.env.Charge(c.Len(), f.cost)
 	var r perFileRecords
-	r.attach(f.env, f.keys, true)
+	if err := r.attach(f.env, f.keys, true); err != nil {
+		return err
+	}
 	defer func() { r.buf.lent = false }()
 	if err := r.buf.collect(0, c, r.keySpace); err != nil {
 		return err
 	}
-	f.out, f.byID = group[struct{}](&r, nil, f.item, nil).Items, r.order.Rank == nil
+	f.out = group[struct{}](&r, nil, f.item, nil).Items
 	return nil
 }
 func (f *countFold[E]) File(uint32, Counts) error { return errFoldScope }
 func (f *countFold[E]) Finish() (any, error)      { return f.out, nil }
 
 // SortOp produces the full vocabulary with counts in dictionary order: word
-// count's result, always alphabetical.
+// count's result, which the declared word order makes alphabetical.
 type SortOp struct{}
 
 func (SortOp) Task() Task     { return TaskSort }
@@ -280,17 +347,8 @@ func (SortOp) Name() string   { return "sort" }
 func (SortOp) Keys() KeySpace { return KeyWords }
 func (SortOp) Scope() Scope   { return ScopeGlobal }
 func (SortOp) NewFold(env Env) Fold {
-	return sortFold{&countFold[WordFreq]{env: env, keys: KeyWords,
-		cost: metrics.CostHashOp + metrics.CostSortEntry, item: wordFreqOf, out: []WordFreq{}}}
-}
-
-type sortFold struct{ *countFold[WordFreq] }
-
-func (f sortFold) Finish() (any, error) {
-	if f.byID {
-		SortAlphabetical(f.out, f.env.Dict())
-	}
-	return f.out, nil
+	return &countFold[WordFreq]{env: env, keys: KeyWords,
+		cost: metrics.CostHashOp + metrics.CostSortEntry, item: wordFreqOf, out: []WordFreq{}}
 }
 
 // TermVectorsOp produces each document's top-K most frequent words.
@@ -356,24 +414,33 @@ type perFileRecords struct {
 
 // attach borrows the fold's record buffer from env's scratch, with a count
 // column when withFreq.
-func (r *perFileRecords) attach(env Env, ks KeySpace, withFreq bool) {
-	if r.scratch == nil {
-		r.scratch = scratchOf(env)
-		r.buf = r.scratch.lend(withFreq)
-		r.keySpace, r.order = r.scratch.keySpace(ks)
+func (r *perFileRecords) attach(env Env, ks KeySpace, withFreq bool) error {
+	if r.scratch != nil {
+		return nil
 	}
+	s := scratchOf(env)
+	n, order, err := s.keySpace(ks)
+	if err != nil {
+		return err
+	}
+	r.scratch, r.buf, r.keySpace, r.order = s, s.lend(withFreq), n, order
+	return nil
 }
 
 func (f *invertedIndexFold) Global(Counts) error { return errFoldScope }
 func (f *invertedIndexFold) File(doc uint32, c Counts) error {
 	f.env.Charge(c.Len(), metrics.CostHashOp+metrics.CostSortEntry)
-	f.attach(f.env, KeyWords, false)
+	if err := f.attach(f.env, KeyWords, false); err != nil {
+		return err
+	}
 	return f.buf.collect(doc, c, f.keySpace)
 }
 func (f *invertedIndexFold) Finish() (any, error) {
 	// Documents arrive in ascending order, so each word's group is already
 	// its sorted posting list.
-	f.attach(f.env, KeyWords, false)
+	if err := f.attach(f.env, KeyWords, false); err != nil {
+		return nil, err
+	}
 	return group(&f.perFileRecords,
 		func(k uint64) uint32 { return uint32(k) },
 		func(_ uint64, doc uint32, _ uint64) uint32 { return doc }, nil), nil
@@ -411,28 +478,19 @@ type rankedIndexFold struct {
 func (f *rankedIndexFold) Global(Counts) error { return errFoldScope }
 func (f *rankedIndexFold) File(doc uint32, c Counts) error {
 	f.env.Charge(c.Len(), metrics.CostHashOp)
-	f.attach(f.env, KeySequences, true)
+	if err := f.attach(f.env, KeySequences, true); err != nil {
+		return err
+	}
 	return f.buf.collect(doc, c, f.keySpace)
 }
 func (f *rankedIndexFold) Finish() (any, error) {
-	f.attach(f.env, KeySequences, true)
+	if err := f.attach(f.env, KeySequences, true); err != nil {
+		return nil, err
+	}
 	f.env.Charge(int64(f.buf.len()), metrics.CostSortEntry)
 	return group(&f.perFileRecords, f.env.SeqOf,
 		func(_ uint64, doc uint32, freq uint64) DocFreq { return DocFreq{Doc: doc, Freq: freq} },
 		func(list []DocFreq) { RankPostingsSorted(list) }), nil
-}
-
-// MapCounts adapts a plain uint64-keyed count map.
-type MapCounts map[uint64]uint64
-
-func (m MapCounts) Len() int64 { return int64(len(m)) }
-func (m MapCounts) Range(fn func(k, v uint64) bool) {
-	//ntalint:ignore determcheck Counts.Range order is contractually unspecified; folds consume it commutatively and sort at Finish.
-	for k, v := range m {
-		if !fn(k, v) {
-			return
-		}
-	}
 }
 
 // WordMapCounts adapts a word-keyed count map.
@@ -446,67 +504,4 @@ func (m WordMapCounts) Range(fn func(k, v uint64) bool) {
 			return
 		}
 	}
-}
-
-// KVCounts is a materialized Counts over parallel key/value slices.
-type KVCounts struct {
-	Keys []uint64
-	Vals []uint64
-}
-
-func (c KVCounts) Len() int64 { return int64(len(c.Keys)) }
-func (c KVCounts) Range(fn func(k, v uint64) bool) {
-	for i, k := range c.Keys {
-		if !fn(k, c.Vals[i]) {
-			return
-		}
-	}
-}
-
-// SeqInterner assigns dense uint64 keys to sequences for one executor run.
-// DRAM executors whose natural counters are Seq-keyed use it to satisfy the
-// KeySequences key contract: Counts views carry interned keys, and SeqOf
-// resolves them back.
-type SeqInterner struct {
-	ids  map[Seq]uint64
-	seqs []Seq
-}
-
-// Key returns q's dense key, assigning the next one on first sight.
-func (si *SeqInterner) Key(q Seq) uint64 {
-	if si.ids == nil {
-		si.ids = make(map[Seq]uint64)
-	}
-	id, ok := si.ids[q]
-	if !ok {
-		id = uint64(len(si.seqs))
-		si.ids[q] = id
-		si.seqs = append(si.seqs, q)
-	}
-	return id
-}
-
-// SeqOf resolves a key previously returned by Key.
-func (si *SeqInterner) SeqOf(k uint64) Seq { return si.seqs[k] }
-
-// Counts interns every key of m and returns a materialized view.  Keys are
-// interned in canonical sequence order: interning straight off the map range
-// would let Go's randomized iteration order pick the dense keys, so interned
-// results (and everything keyed by them downstream) would differ between
-// identical runs.
-func (si *SeqInterner) Counts(m map[Seq]uint64) Counts {
-	qs := make([]Seq, 0, len(m))
-	for q := range m {
-		qs = append(qs, q)
-	}
-	slices.SortFunc(qs, CompareSeq)
-	kv := KVCounts{
-		Keys: make([]uint64, 0, len(m)),
-		Vals: make([]uint64, 0, len(m)),
-	}
-	for _, q := range qs {
-		kv.Keys = append(kv.Keys, si.Key(q))
-		kv.Vals = append(kv.Vals, m[q])
-	}
-	return kv
 }

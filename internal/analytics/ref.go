@@ -40,14 +40,6 @@ func RefSort(files [][]uint32, d *dict.Dictionary) []WordFreq {
 	return out
 }
 
-// SortAlphabetical orders (word, freq) pairs by the word strings, through the
-// dictionary's alphabetical rank table: integer compares, and no vocabulary
-// sort per call.
-func SortAlphabetical(wf []WordFreq, d *dict.Dictionary) {
-	rank, _ := d.Alphabetical()
-	slices.SortFunc(wf, func(a, b WordFreq) int { return cmp.Compare(rank[a.Word], rank[b.Word]) })
-}
-
 // RefTermVector builds each document's term vector: words by descending
 // frequency (ascending word ID on ties), truncated to k when k > 0.
 func RefTermVector(files [][]uint32, k int) [][]WordFreq {

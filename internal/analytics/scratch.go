@@ -1,31 +1,28 @@
 package analytics
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 )
 
 // FoldScratch is the working memory the per-file folds accumulate in, and
-// the place an executor declares its key spaces.  An executor that keeps one
-// across runs (core's traversal workspace) offers it through ScratchEnv and
-// calls Reset at the start of every run; its buffers then keep their
-// capacity from request to request.  Folds on any other Env get a fresh one
-// and behave the same, only allocating as they go.
+// the place an executor declares its key spaces.  Every executor offers one
+// through ScratchEnv and calls Reset at the start of every run; one kept
+// across runs (core's traversal workspace) keeps its buffers' capacity from
+// request to request.
 //
 // Nothing a fold returns aliases scratch memory: Finish copies what it keeps
 // into arrays of its own, because callers hold results across later runs.
 type FoldScratch struct {
-	// WordKeys and SeqKeys declare dense key spaces: when positive, every
-	// key of a KeyWords (KeySequences) counter is an id below it, and folds
-	// may index arrays of that size by key.  Zero declares nothing — keys may
-	// be any uint64 (uncomp packs a whole sequence into one) — and folds fall
-	// back to comparison sorts whose memory is linear in the records seen.
+	// WordKeys and SeqKeys declare the dense key spaces: every key of a
+	// KeyWords (KeySequences) counter is an id below it, and folds index
+	// arrays of that size by key.  A space left at zero holds no key.
 	WordKeys, SeqKeys int
-	// WordOrder and SeqOrder, when set, rank every key of the declared key
-	// spaces, and keyed results come out in that order (wire order, see
-	// KeyOrder) rather than by ascending key.
+	// WordOrder ranks every word key and SeqOrder, when set, every sequence
+	// key; keyed results come out in that order (wire order, see KeyOrder),
+	// sequence results without one by ascending key.  The word order is
+	// required: it is the sort op's alphabetical order.
 	WordOrder, SeqOrder KeyOrder
 
 	bufs   []*postingBuf // every buffer ever lent
@@ -33,14 +30,16 @@ type FoldScratch struct {
 	vec    []WordFreq    // term-vector selection
 }
 
-// ScratchEnv is the optional Env capability that lends folds an
-// executor-owned FoldScratch.
+// ScratchEnv is the Env capability that lends folds an executor-owned
+// FoldScratch.  Every executor's Env has it; the merge path's Env, which runs
+// no fold, need not.
 type ScratchEnv interface {
 	Env
 	FoldScratch() *FoldScratch
 }
 
-// scratchOf returns env's scratch, or a fresh one declaring no key space.
+// scratchOf returns env's scratch, or a fresh one declaring empty key spaces:
+// a keyed fold on such an Env reports its first key as outside them.
 func scratchOf(env Env) *FoldScratch {
 	if se, ok := env.(ScratchEnv); ok {
 		return se.FoldScratch()
@@ -50,12 +49,11 @@ func scratchOf(env Env) *FoldScratch {
 
 // postingBuf is one per-file fold's record buffer, lent for a run: one record
 // per (document, key) delivered, as parallel arrays so that each fold pays
-// only for the columns it needs and a declared key space for half-width keys.
+// only for the columns it needs and keys are ids of the declared key space.
 // A record's document is not stored: records arrive a document at a time, so
 // docs keeps where each document's run ends.
 type postingBuf struct {
-	k32      []uint32 // keys, under a declared key space
-	k64      []uint64 // keys, otherwise
+	keys     []uint32
 	freqs    []uint64 // counts, when the fold keeps them
 	docs     []docRun
 	lent     bool // in use by a fold of the current run
@@ -65,7 +63,7 @@ type postingBuf struct {
 // docRun says records [previous run's end, end) belong to document doc.
 type docRun struct{ doc, end uint32 }
 
-func (b *postingBuf) len() int { return len(b.k32) + len(b.k64) }
+func (b *postingBuf) len() int { return len(b.keys) }
 
 // Reset reclaims every lent buffer.  Executors call it at the start of a
 // run, so a run abandoned midway (cancellation) leaves nothing behind.
@@ -92,62 +90,57 @@ func (s *FoldScratch) lend(withFreq bool) *postingBuf {
 		s.bufs = append(s.bufs, b)
 	}
 	b.lent = true
-	b.k32, b.k64, b.freqs, b.docs = b.k32[:0], b.k64[:0], b.freqs[:0], b.docs[:0]
+	b.keys, b.freqs, b.docs = b.keys[:0], b.freqs[:0], b.docs[:0]
 	return b
 }
 
-// keySpace returns the declared size of ks's key space, 0 when undeclared,
-// and its declared order.
-func (s *FoldScratch) keySpace(ks KeySpace) (int, KeyOrder) {
+// keySpace returns the declared size of ks's key space and its order.
+func (s *FoldScratch) keySpace(ks KeySpace) (int, KeyOrder, error) {
+	n, o := s.SeqKeys, s.SeqOrder
 	if ks == KeyWords {
-		return s.WordKeys, s.WordOrder
+		n, o = s.WordKeys, s.WordOrder
 	}
-	return s.SeqKeys, s.SeqOrder
+	// An order ranks every key, and a word key space comes with one.
+	if (o.Rank != nil || ks == KeyWords) && len(o.Rank) < n {
+		return 0, KeyOrder{}, fmt.Errorf("analytics: key space of %d keys with %d ranked", n, len(o.Rank))
+	}
+	return n, o, nil
 }
 
 // Bytes reports the memory the scratch currently holds.
 func (s *FoldScratch) Bytes() int64 {
 	n := int64(cap(s.counts))*4 + int64(cap(s.vec))*16
 	for _, b := range s.bufs {
-		n += int64(cap(b.k32))*4 + int64(cap(b.k64)+cap(b.freqs)+cap(b.docs))*8
+		n += int64(cap(b.keys))*4 + int64(cap(b.freqs)+cap(b.docs))*8
 	}
 	return n
 }
 
 // collect files one record per key of c, for document doc, with the key's
-// count when the buffer was lent for counts.  Each column grows by what the document needs, not by
-// doubling: the buffer outlives the run.  Under a declared key space a key
-// outside it is the executor's bug, reported rather than left to index out
-// of range at Finish.
+// count when the buffer was lent for counts.  Each column grows by what the
+// document needs, not by doubling: the buffer outlives the run.  A key outside
+// the declared key space is the executor's bug, reported rather than left to
+// index out of range at Finish.
 func (b *postingBuf) collect(doc uint32, c Counts, keySpace int) error {
 	n, withFreq := int(c.Len()), b.withFreq
-	k32, k64, freqs := b.k32, b.k64, b.freqs
-	if keySpace > 0 {
-		k32 = slices.Grow(k32, n)
-	} else {
-		k64 = slices.Grow(k64, n)
-	}
+	keys, freqs := slices.Grow(b.keys, n), b.freqs
 	if withFreq {
 		freqs = slices.Grow(freqs, n)
 	}
 	var bad uint64
 	ok := true
 	c.Range(func(k, v uint64) bool {
-		switch {
-		case keySpace == 0:
-			k64 = append(k64, k)
-		case k < uint64(keySpace):
-			k32 = append(k32, uint32(k))
-		default:
+		if k >= uint64(keySpace) {
 			bad, ok = k, false
 			return false
 		}
+		keys = append(keys, uint32(k))
 		if withFreq {
 			freqs = append(freqs, v)
 		}
 		return true
 	})
-	b.k32, b.k64, b.freqs = k32, k64, freqs
+	b.keys, b.freqs = keys, freqs
 	if !ok {
 		return fmt.Errorf("analytics: counter key %d outside the declared key space of %d", bad, keySpace)
 	}
@@ -165,10 +158,8 @@ func (b *postingBuf) collect(doc uint32, c Counts, keySpace int) error {
 // are delivered ascending.  With key non-nil the distinct keys and where each
 // one's items end come with it, and finish, when non-nil, puts each list into
 // its canonical order; a global fold, one record a key, keeps only the items.
-//
-// With a declared key space the grouping is a stable counting sort scattered
-// straight into the backing array; otherwise a stable comparison sort of the
-// records, which never allocates by key magnitude.
+// The grouping is a stable counting sort scattered straight into the backing
+// array.
 func group[K comparable, T any](r *perFileRecords, key func(uint64) K,
 	item func(k uint64, doc uint32, freq uint64) T, finish func([]T)) *Postings[K, T] {
 	s, b := r.scratch, r.buf
@@ -179,84 +170,56 @@ func group[K comparable, T any](r *perFileRecords, key func(uint64) K,
 		}
 		return 0
 	}
-	put := func(k uint64, lo, hi uint32) {
-		if finish != nil {
-			finish(out.Items[lo:hi])
-		}
-		out.Keys, out.Ends = append(out.Keys, key(k)), append(out.Ends, hi)
+	rank, buckets := r.order.Rank, max(r.keySpace, len(r.order.Rank)) // an order ranks every key
+	if cap(s.counts) < buckets {
+		s.counts = make([]uint32, buckets)
 	}
-	if r.keySpace > 0 {
-		rank, buckets := r.order.Rank, max(r.keySpace, len(r.order.Rank)) // an order ranks every key
-		if cap(s.counts) < buckets {
-			s.counts = make([]uint32, buckets)
+	ends := s.counts[:buckets]
+	clear(ends)
+	slot := func(k uint32) uint32 {
+		if rank != nil {
+			return rank[k]
 		}
-		ends := s.counts[:buckets]
-		clear(ends)
-		slot := func(k uint32) uint32 {
-			if rank != nil {
-				return rank[k]
-			}
-			return k
+		return k
+	}
+	for _, k := range b.keys {
+		ends[slot(k)]++
+	}
+	// Turn the histogram into each group's start offset.
+	distinct, next := 0, uint32(0)
+	for k, n := range ends {
+		if n != 0 {
+			distinct++
 		}
-		for _, k := range b.k32 {
-			ends[slot(k)]++
+		ends[k] = next
+		next += n
+	}
+	// Scatter, a document at a time; each cursor ends on its group's end.
+	i := 0
+	for _, run := range b.docs {
+		for ; i < int(run.end); i++ {
+			k := b.keys[i]
+			at := &ends[slot(k)]
+			out.Items[*at] = item(uint64(k), run.doc, freqOf(i))
+			*at++
 		}
-		// Turn the histogram into each group's start offset.
-		distinct, next := 0, uint32(0)
-		for k, n := range ends {
-			if n != 0 {
-				distinct++
-			}
-			ends[k] = next
-			next += n
-		}
-		// Scatter, a document at a time; each cursor ends on its group's end.
-		i := 0
-		for _, run := range b.docs {
-			for ; i < int(run.end); i++ {
-				k := b.k32[i]
-				at := &ends[slot(k)]
-				out.Items[*at] = item(uint64(k), run.doc, freqOf(i))
-				*at++
-			}
-		}
-		if key == nil {
-			return out
-		}
-		out.Keys, out.Ends = make([]K, 0, distinct), make([]uint32, 0, distinct)
-		lo := uint32(0)
-		for at, hi := range ends {
-			if hi > lo {
-				k := uint64(at)
-				if rank != nil {
-					k = uint64(r.order.Order[at])
-				}
-				put(k, lo, hi)
-			}
-			lo = hi
-		}
+	}
+	if key == nil {
 		return out
 	}
-	type rec struct {
-		key, freq uint64
-		doc       uint32
-	}
-	recs := make([]rec, 0, len(b.k64))
-	for _, run := range b.docs {
-		for i := len(recs); i < int(run.end); i++ {
-			recs = append(recs, rec{key: b.k64[i], freq: freqOf(i), doc: run.doc})
+	out.Keys, out.Ends = make([]K, 0, distinct), make([]uint32, 0, distinct)
+	lo := uint32(0)
+	for at, hi := range ends {
+		if hi > lo {
+			k := uint64(at)
+			if rank != nil {
+				k = uint64(r.order.Order[at])
+			}
+			if finish != nil {
+				finish(out.Items[lo:hi])
+			}
+			out.Keys, out.Ends = append(out.Keys, key(k)), append(out.Ends, hi)
 		}
-	}
-	slices.SortStableFunc(recs, func(x, y rec) int { return cmp.Compare(x.key, y.key) })
-	for i, r := range recs {
-		out.Items[i] = item(r.key, r.doc, r.freq)
-	}
-	for lo := 0; key != nil && lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].key == recs[lo].key {
-			hi++
-		}
-		put(recs[lo].key, uint32(lo), uint32(hi))
 		lo = hi
 	}
 	return out

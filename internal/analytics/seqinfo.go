@@ -138,6 +138,22 @@ func ComputeSeqInfo(g *cfg.Grammar) ([]*SeqInfo, error) {
 	return computeSummaries(g, true)
 }
 
+// SeqMergeEntries returns the count-table entries merged when the bodies'
+// rule occurrences each add their rule's cumulative Counts: what
+// ComputeSeqInfo merges over every rule body, and SegmentSeqCounts over one
+// file's segment.
+func SeqMergeEntries(infos []*SeqInfo, bodies ...[]cfg.Symbol) int64 {
+	var n int64
+	for _, body := range bodies {
+		for _, s := range body {
+			if s.IsRule() {
+				n += int64(len(infos[s.RuleIndex()].Counts))
+			}
+		}
+	}
+	return n
+}
+
 // ComputeEdgeInfo builds the per-rule summaries without the cumulative
 // Counts maps: only expansion lengths and head/tail edges.  This is all that
 // local-window counting (BodySpanningCounts) needs, and it costs one linear

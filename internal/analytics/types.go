@@ -122,12 +122,12 @@ func (p *Postings[K, T]) Map() map[K][]T {
 // key's wire string under the dictionary — the word, or a sequence's words
 // joined by single spaces (sequences of one key, which a word holding a space
 // can make, by CompareSeq) — the order encoding/json gives object keys, so a
-// result in it streams into its body unsorted.  An executor that declares the
-// order with its key space (FoldScratch.WordOrder, SeqOrder: core, always)
-// gets its keyed results in it, and MergeUnits takes and returns nothing else;
-// one that declares none (tadoc, uncomp, bare test envs) gets ascending
-// counter keys, which resolve no word: good for MapResult, never for a merge
-// or the encoder.
+// result in it streams into its body unsorted.  Keyed results come out in the
+// order declared with their key space (FoldScratch.WordOrder, SeqOrder), and
+// MergeUnits takes and returns nothing else.  Every executor declares the
+// word order; core and tadoc declare the sequence order too, while uncomp's
+// sequence results come by its per-run window ids: good for MapResult, never
+// for a merge or the encoder.
 type KeyOrder struct{ Rank, Order []uint32 }
 
 // CompareWireKeys compares the wire keys of two sequences — their words under

@@ -176,15 +176,7 @@ func chargePreprocess(meter *metrics.Meter, g *cfg.Grammar, p *prepState, opts O
 		if p.infos != nil {
 			// ComputeSeqInfo merges each referenced rule's count table
 			// into its parent once per occurrence (bottom-up strategy).
-			var mergeOps int64
-			for _, body := range g.Rules {
-				for _, s := range body {
-					if s.IsRule() {
-						mergeOps += int64(len(p.infos[s.RuleIndex()].Counts))
-					}
-				}
-			}
-			meter.Charge(mergeOps, metrics.CostMergeEntry)
+			meter.Charge(analytics.SeqMergeEntries(p.infos, g.Rules...), metrics.CostMergeEntry)
 		}
 		meter.Charge(bodySyms*2, metrics.CostScanToken) // edge + local walks
 		localEntries := int64(p.rootWindows)

@@ -14,6 +14,21 @@ import (
 	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
+// topDownGlobal runs the top-down pass accumulating weight x frequency for
+// every word into counter: the single-counter entry point the
+// crash-consistency and fuzz tests drive traversals through by hand.
+func (e *Engine) topDownGlobal(counter counterTable, counterOff int64) error {
+	return e.run.topDownPass(func(w uint32, count uint64) error {
+		return e.addCount(counter, counterOff, uint64(w), count)
+	})
+}
+
+// computeWeights runs the weight-only top-down pass, leaving each rule's
+// corpus-wide weight in its metadata slot.
+func (e *Engine) computeWeights() error {
+	return e.run.topDownPass(nil)
+}
+
 // corpus builds a deterministic redundant corpus, dictionary, and grammar.
 func corpus(t testing.TB, seed int64, nFiles, tokens, vocab int) ([][]uint32, *dict.Dictionary, *cfg.Grammar) {
 	t.Helper()

@@ -125,3 +125,37 @@ func TestFusedSeqOpWithoutSequences(t *testing.T) {
 		t.Fatalf("RunOps = %v, want ErrNoSequences", err)
 	}
 }
+
+// TestCommittedCountsNameLastOp: the phase commit records the last op's task
+// and result table.  A batch ending in a global sequence op with no global
+// word op starts no word counter, and the committed table must be the
+// sequence counter; a batch ending in a per-file op commits no table.
+func TestCommittedCountsNameLastOp(t *testing.T) {
+	files, d, g := corpus(t, 51, 4, 250, 40)
+	e := newEngine(t, g, d, Options{Sequences: true})
+	if _, err := e.RunOps([]analytics.Op{analytics.TermVectorsOp{K: 3}, analytics.SequenceCountOp{}}); err != nil {
+		t.Fatalf("RunOps: %v", err)
+	}
+	counts, task, ok := e.CommittedCounts()
+	if !ok || task != analytics.TaskSequenceCount {
+		t.Fatalf("CommittedCounts = ok %v, task %v; want the sequence count's table", ok, task)
+	}
+	ids := make(map[analytics.Seq]uint32, len(e.seqList))
+	for id, q := range e.seqList {
+		ids[q] = uint32(id)
+	}
+	want := make(map[uint32]uint64)
+	for q, n := range analytics.RefSequenceCount(files) {
+		want[ids[q]] = n
+	}
+	if !reflect.DeepEqual(counts, want) {
+		t.Error("committed table differs from the reference sequence counts")
+	}
+
+	if _, err := e.RunOps([]analytics.Op{analytics.SequenceCountOp{}, analytics.InvertedIndexOp{}}); err != nil {
+		t.Fatalf("RunOps: %v", err)
+	}
+	if _, _, ok := e.CommittedCounts(); ok {
+		t.Error("a batch ending in a per-file op committed a result table")
+	}
+}

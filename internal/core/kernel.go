@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/dict"
@@ -325,10 +324,10 @@ func (v execEnv) FoldScratch() *analytics.FoldScratch { return &v.x.ws.folds }
 // runPlan executes a batch of ops over the fewest traversals their
 // declarations allow: one top-down global pass feeds every global op (word
 // counters and, via the weights it leaves behind, the sequence
-// decomposition), and one per-file pass feeds every per-file op.
-// resultOffs[i] is the durable pool offset of op i's global counter (0 for
-// per-file ops, whose results are DRAM aggregates).
-func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, err error) {
+// decomposition), and one per-file pass feeds every per-file op.  lastOff is
+// the durable pool offset of the last op's global counter (0 for a per-file
+// op, whose result is a DRAM aggregate).
+func (x *exec) runPlan(ops []analytics.Op) (results []any, lastOff int64, err error) {
 	defer x.chargeCPU()
 	defer x.ws.publish()
 	x.ws.folds.Reset()
@@ -337,44 +336,30 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 	// Keyed results come out in wire order (analytics.KeyOrder): the word
 	// table is the dictionary's, the sequence table this engine's own.
 	x.ws.folds.WordOrder.Rank, x.ws.folds.WordOrder.Order = x.e.d.Alphabetical()
-	if n := len(x.ws.folds.WordOrder.Rank); n < x.ws.folds.WordKeys {
-		return nil, nil, fmt.Errorf("dictionary holds %d words, the engine %d", n, x.ws.folds.WordKeys)
-	}
-	env := execEnv{x: x}
-	folds := make([]analytics.Fold, len(ops))
-	resultOffs = make([]int64, len(ops))
-	var globalWord, globalSeq, fileWord, fileSeq []int
-	for i, op := range ops {
-		folds[i] = op.NewFold(env)
-		switch {
-		case op.Scope() == analytics.ScopeGlobal && op.Keys() == analytics.KeyWords:
-			globalWord = append(globalWord, i)
-		case op.Scope() == analytics.ScopeGlobal:
-			globalSeq = append(globalSeq, i)
-		case op.Keys() == analytics.KeyWords:
-			fileWord = append(fileWord, i)
-		default:
-			fileSeq = append(fileSeq, i)
-		}
-	}
+	b := analytics.NewBatch(ops, execEnv{x: x})
+	globalWords := b.Needs(analytics.ScopeGlobal, analytics.KeyWords)
+	globalSeqs := b.Needs(analytics.ScopeGlobal, analytics.KeySequences)
+	fileWords := b.Needs(analytics.ScopePerFile, analytics.KeyWords)
+	fileSeqs := b.Needs(analytics.ScopePerFile, analytics.KeySequences)
 	// Folds read the scratch at their first delivery, not before: the
 	// sequence order is ranked only for a batch that has a sequence op.
 	x.ws.folds.SeqOrder = analytics.KeyOrder{}
-	if len(globalSeq)+len(fileSeq) > 0 {
+	if globalSeqs || fileSeqs {
 		x.ws.folds.SeqOrder = x.e.seqOrder()
 	}
 
-	if len(globalWord)+len(globalSeq) > 0 {
+	var globalOffs [2]int64 // by key space
+	if globalWords || globalSeqs {
 		var gw, gs *kcounter
-		if len(globalWord) > 0 {
+		if globalWords {
 			if gw, err = x.newKCounter(x.e.globalBound(), analytics.KeyWords, analytics.ScopeGlobal); err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 		}
-		if len(globalSeq) > 0 {
+		if globalSeqs {
 			bound := x.e.seqCap(x.e.meta(0).expLen())
 			if gs, err = x.newKCounter(bound, analytics.KeySequences, analytics.ScopeGlobal); err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 		}
 		var emit func(word uint32, count uint64) error
@@ -384,12 +369,12 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 		// One pass propagates the weights; word emission rides along for
 		// free because the body read fetches subrules and words together.
 		if err := x.topDownPass(emit); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		for _, i := range globalWord {
-			resultOffs[i] = gw.off
-			if err := folds[i].Global(gw); err != nil {
-				return nil, nil, err
+		if gw != nil {
+			globalOffs[analytics.KeyWords] = gw.off
+			if err := b.Global(analytics.KeyWords, gw); err != nil {
+				return nil, 0, err
 			}
 		}
 		if gs != nil {
@@ -397,53 +382,43 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 			// local table scaled by the corpus-wide weight the pass above
 			// left behind, plus the root's runs at weight 1.
 			if err := x.addWeightedLocals(gs, nil); err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			for doc := uint32(0); doc < x.e.numFiles; doc++ {
 				if err := x.mergeRun(gs, doc); err != nil {
-					return nil, nil, err
+					return nil, 0, err
 				}
 			}
 			// The root's share is one operation, as any rule's table is.
 			if err := x.commit(); err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
-			for _, i := range globalSeq {
-				resultOffs[i] = gs.off
-				if err := folds[i].Global(gs); err != nil {
-					return nil, nil, err
-				}
+			globalOffs[analytics.KeySequences] = gs.off
+			if err := b.Global(analytics.KeySequences, gs); err != nil {
+				return nil, 0, err
 			}
 		}
 	}
 
-	if len(fileWord)+len(fileSeq) > 0 {
-		err := x.perFilePass(len(fileWord) > 0, len(fileSeq) > 0,
-			func(doc uint32, wordC, seqC *kcounter) error {
-				for _, i := range fileWord {
-					if err := folds[i].File(doc, wordC); err != nil {
-						return err
-					}
-				}
-				for _, i := range fileSeq {
-					if err := folds[i].File(doc, seqC); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+	if fileWords || fileSeqs {
+		err := x.perFilePass(fileWords, fileSeqs, func(doc uint32, wordC, seqC *kcounter) error {
+			if err := b.File(analytics.KeyWords, doc, wordC); err != nil {
+				return err
+			}
+			return b.File(analytics.KeySequences, doc, seqC)
+		})
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 	}
 
-	results = make([]any, len(ops))
-	for i := range ops {
-		if results[i], err = folds[i].Finish(); err != nil {
-			return nil, nil, err
-		}
+	if results, err = b.Finish(); err != nil {
+		return nil, 0, err
 	}
-	return results, resultOffs, nil
+	if last := ops[len(ops)-1]; last.Scope() == analytics.ScopeGlobal {
+		lastOff = globalOffs[last.Keys()]
+	}
+	return results, lastOff, nil
 }
 
 // checkSequences rejects a batch with a sequence op on an engine initialized
@@ -474,12 +449,11 @@ func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 	if err != nil {
 		return nil, errEngine("run ops", err)
 	}
-	results, offs, err := e.run.runPlan(ops)
+	results, lastOff, err := e.run.runPlan(ops)
 	if err != nil {
 		return nil, errEngine("run ops", err)
 	}
-	last := len(ops) - 1
-	if err := e.endTraversal(span, ops[last].Task(), offs[last]); err != nil {
+	if err := e.endTraversal(span, ops[len(ops)-1].Task(), lastOff); err != nil {
 		return nil, errEngine("run ops", err)
 	}
 	return results, nil

@@ -88,7 +88,7 @@ func TestRootRunsAreTheRootWindows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Infer: %v", err)
 		}
-		dram, err := tadoc.New(whole, d, tadoc.Auto)
+		dram, err := tadoc.New(whole, d)
 		if err != nil {
 			t.Fatalf("tadoc.New: %v", err)
 		}

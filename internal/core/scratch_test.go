@@ -18,7 +18,7 @@ import (
 // lone run of its op does.  Every result equals the DRAM engine's.
 func TestPerFileCountersAreScratch(t *testing.T) {
 	files, d, g := corpus(t, 66, 4, 300, 30)
-	dram, err := tadoc.New(g, d, tadoc.Auto)
+	dram, err := tadoc.New(g, d)
 	if err != nil {
 		t.Fatalf("tadoc.New: %v", err)
 	}

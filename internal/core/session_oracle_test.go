@@ -37,8 +37,8 @@ func opBatches() (batches [][]analytics.Op, labels []string) {
 }
 
 // mapResults puts a batch's results into map form: the reference session
-// declares no key order, so its keyed results arrive by key where the
-// workspace session's arrive in wire order.
+// declares no sequence order, so its sequence-keyed results arrive by key
+// where the workspace session's arrive in wire order.
 func mapResults(ops []analytics.Op, results []any) []any {
 	out := make([]any, len(results))
 	for i, res := range results {

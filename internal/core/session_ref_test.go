@@ -25,6 +25,7 @@ type refExec struct {
 
 	weights []uint64
 	remains []uint64
+	folds   analytics.FoldScratch
 
 	bodyFlat  []uint32
 	bodySubs  []pair
@@ -107,6 +108,10 @@ func (v refEnv) Dict() *dict.Dictionary         { return v.x.e.d }
 func (v refEnv) NumFiles() int                  { return int(v.x.e.numFiles) }
 func (v refEnv) SeqOf(key uint64) analytics.Seq { return v.x.e.seqList[key] }
 func (v refEnv) Charge(n, perOp int64)          { v.x.meter.Charge(n, perOp) }
+
+// FoldScratch declares the engine's key spaces and the word order, which
+// makes the sort op alphabetical.
+func (v refEnv) FoldScratch() *analytics.FoldScratch { return &v.x.folds }
 
 func (x *refExec) perFilePass(words, seqs bool, fn func(doc uint32, wordC, seqC *refCounter) error) error {
 	if x.e.resolveStrategy() == BottomUp {
@@ -583,6 +588,8 @@ func (x *refExec) addWeightedLocals(counter *refCounter, weightOf func(r uint32)
 }
 
 func (x *refExec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, err error) {
+	x.folds = analytics.FoldScratch{WordKeys: int(x.e.numWords), SeqKeys: len(x.e.seqList)}
+	x.folds.WordOrder.Rank, x.folds.WordOrder.Order = x.e.d.Alphabetical()
 	env := refEnv{x: x}
 	folds := make([]analytics.Fold, len(ops))
 	resultOffs = make([]int64, len(ops))

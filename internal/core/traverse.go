@@ -306,21 +306,6 @@ func (x *exec) topDownPass(emit func(word uint32, count uint64) error) error {
 	return nil
 }
 
-// topDownGlobal runs the top-down pass accumulating weight x frequency for
-// every word into counter (the historical single-counter entry point, kept
-// for the crash-consistency tests that drive traversals by hand).
-func (e *Engine) topDownGlobal(counter counterTable, counterOff int64) error {
-	return e.run.topDownPass(func(w uint32, count uint64) error {
-		return e.addCount(counter, counterOff, uint64(w), count)
-	})
-}
-
-// computeWeights runs the weight-only top-down pass, leaving each rule's
-// corpus-wide weight in its metadata slot (or session array).
-func (e *Engine) computeWeights() error {
-	return e.run.topDownPass(nil)
-}
-
 // segmentsOf splits the pool root body at separators.  The segment table is
 // workspace memory, valid until the next segmentsOf.
 func (x *exec) segmentsOf(root []cfg.Symbol) [][]cfg.Symbol {

@@ -293,9 +293,9 @@ func RunUncompressed(c *Corpus, task analytics.Task, kind nvm.Kind) (Result, err
 // RunTADOC runs one task on the DRAM TADOC engine: the theoretical upper
 // bound (Fig 6).  The grammar and all intermediates live in DRAM; modeled
 // device time is zero, so Total is pure wall time.
-func RunTADOC(c *Corpus, task analytics.Task, strategy tadoc.Strategy) (Result, error) {
+func RunTADOC(c *Corpus, task analytics.Task) (Result, error) {
 	initSpan := metrics.Start(nil, nil)
-	eng, err := tadoc.New(c.G, c.Dict, strategy)
+	eng, err := tadoc.New(c.G, c.Dict)
 	if err != nil {
 		return Result{}, err
 	}

@@ -11,7 +11,6 @@ import (
 	"github.com/text-analytics/ntadoc/internal/core"
 	"github.com/text-analytics/ntadoc/internal/datagen"
 	"github.com/text-analytics/ntadoc/internal/nvm"
-	"github.com/text-analytics/ntadoc/internal/tadoc"
 )
 
 func tinySpec() datagen.Spec {
@@ -55,7 +54,7 @@ func TestRunnersAgreeOnResultsShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunUncompressed(%v): %v", task, err)
 		}
-		td, err := RunTADOC(c, task, tadoc.Auto)
+		td, err := RunTADOC(c, task)
 		if err != nil {
 			t.Fatalf("RunTADOC(%v): %v", task, err)
 		}

@@ -17,68 +17,41 @@ import (
 	"github.com/text-analytics/ntadoc/internal/metrics"
 )
 
-// Strategy selects the traversal direction for per-file tasks (§VI-E).
-type Strategy int
-
-// Traversal strategies.
-const (
-	// Auto picks bottom-up when the corpus has many files, top-down
-	// otherwise, mirroring the paper's per-dataset choices.
-	Auto Strategy = iota
-	// TopDown propagates weights from the root: efficient for few files.
-	TopDown
-	// BottomUp merges word lists upward: efficient for many files.
-	BottomUp
-)
-
-// autoFileThreshold is the file count above which Auto selects BottomUp.
-const autoFileThreshold = 500
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case TopDown:
-		return "top-down"
-	case BottomUp:
-		return "bottom-up"
-	default:
-		return "auto"
-	}
-}
+// bottomUpFiles is the file count above which per-file tasks merge word
+// lists bottom-up rather than propagate weights top-down per file, mirroring
+// the paper's per-dataset choices (§VI-E).
+const bottomUpFiles = 500
 
 // Engine is the DRAM TADOC engine.  It implements analytics.Executor.
 type Engine struct {
-	g        *cfg.Grammar
-	d        *dict.Dictionary
-	strategy Strategy
+	g *cfg.Grammar
+	d *dict.Dictionary
+	// bottomUp selects the per-file traversal: word-list merging, efficient
+	// for many files, or weight propagation from each file, efficient for
+	// few.
+	bottomUp bool
 	meter    metrics.Meter
+	folds    analytics.FoldScratch
 
 	// Cached preprocessing, built lazily.
 	weights []uint64
 	lists   []map[uint32]uint64
 	infos   []*analytics.SeqInfo
 	segs    [][]cfg.Symbol
+	// The corpus's sequences in CompareSeq order, a sequence's index its
+	// counter key, and that index by sequence (see ensureSeqs).
+	seqList []analytics.Seq
+	seqIDs  map[analytics.Seq]uint32
 }
 
 var _ analytics.Executor = (*Engine)(nil)
 
 // New creates an engine over a validated grammar.
-func New(g *cfg.Grammar, d *dict.Dictionary, strategy Strategy) (*Engine, error) {
+func New(g *cfg.Grammar, d *dict.Dictionary) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{g: g, d: d, strategy: strategy}, nil
-}
-
-// effectiveStrategy resolves Auto against the corpus shape.
-func (e *Engine) effectiveStrategy() Strategy {
-	if e.strategy != Auto {
-		return e.strategy
-	}
-	if e.g.NumFiles > autoFileThreshold {
-		return BottomUp
-	}
-	return TopDown
+	return &Engine{g: g, d: d, bottomUp: g.NumFiles > bottomUpFiles}, nil
 }
 
 func (e *Engine) ensureWeights() error {
@@ -128,18 +101,54 @@ func (e *Engine) ensureInfos() error {
 	if err != nil {
 		return err
 	}
-	var mergeOps int64
-	for _, body := range e.g.Rules {
-		for _, s := range body {
-			if s.IsRule() {
-				mergeOps += int64(len(i[s.RuleIndex()].Counts))
-			}
-		}
-	}
-	e.meter.Charge(mergeOps, metrics.CostMergeEntry)
+	e.meter.Charge(analytics.SeqMergeEntries(i, e.g.Rules...), metrics.CostMergeEntry)
 	e.meter.Charge(e.bodySymbols(), metrics.CostScanToken)
 	e.infos = i
 	return nil
+}
+
+// ensureSeqs declares the sequence key space: the root's cumulative summary
+// holds every sequence of the corpus, listed in CompareSeq order and ranked
+// into wire order.  Like core's sequence order it is serving state, absent
+// from DRAMBytes and charged nothing: the figures count the summaries it is
+// read from.
+func (e *Engine) ensureSeqs() error {
+	if e.seqIDs != nil {
+		return nil
+	}
+	if err := e.ensureInfos(); err != nil {
+		return err
+	}
+	root := e.infos[0].Counts
+	e.seqList = make([]analytics.Seq, 0, len(root))
+	for q := range root {
+		e.seqList = append(e.seqList, q)
+	}
+	slices.SortFunc(e.seqList, analytics.CompareSeq)
+	e.seqIDs = make(map[analytics.Seq]uint32, len(e.seqList))
+	for id, q := range e.seqList {
+		e.seqIDs[q] = uint32(id)
+	}
+	e.folds.SeqKeys = len(e.seqList)
+	e.folds.SeqOrder = analytics.RankSequences(e.seqList, e.d.Words())
+	return nil
+}
+
+// seqCounts views a sequence-keyed count map under the engine's sequence ids:
+// every window of a file is a window of the root's expansion, so the corpus
+// list holds every sequence a count map can.
+type seqCounts struct {
+	m   map[analytics.Seq]uint64
+	ids map[analytics.Seq]uint32
+}
+
+func (c seqCounts) Len() int64 { return int64(len(c.m)) }
+func (c seqCounts) Range(fn func(k, v uint64) bool) {
+	for q, v := range c.m {
+		if !fn(uint64(c.ids[q]), v) {
+			return
+		}
+	}
 }
 
 func (e *Engine) segments() [][]cfg.Symbol {
@@ -149,16 +158,14 @@ func (e *Engine) segments() [][]cfg.Symbol {
 	return e.segs
 }
 
-// opEnv adapts the engine to analytics.Env.
-type opEnv struct {
-	e  *Engine
-	si *analytics.SeqInterner
-}
+// opEnv adapts the engine to analytics.ScratchEnv.
+type opEnv struct{ e *Engine }
 
-func (v opEnv) Dict() *dict.Dictionary       { return v.e.d }
-func (v opEnv) NumFiles() int                { return len(v.e.segments()) }
-func (v opEnv) SeqOf(k uint64) analytics.Seq { return v.si.SeqOf(k) }
-func (v opEnv) Charge(n, perOp int64)        { v.e.meter.Charge(n, perOp) }
+func (v opEnv) Dict() *dict.Dictionary              { return v.e.d }
+func (v opEnv) NumFiles() int                       { return len(v.e.segments()) }
+func (v opEnv) SeqOf(k uint64) analytics.Seq        { return v.e.seqList[k] }
+func (v opEnv) Charge(n, perOp int64)               { v.e.meter.Charge(n, perOp) }
+func (v opEnv) FoldScratch() *analytics.FoldScratch { return &v.e.folds }
 
 // globalWordCounts runs the top-down weight propagation (Figure 1e's worked
 // example), the single walk behind every global word-keyed op.
@@ -183,15 +190,13 @@ func (e *Engine) globalWordCounts() (map[uint32]uint64, error) {
 	return out, nil
 }
 
-// fileWordCounts computes per-file word frequencies with the configured
-// traversal strategy.
+// fileWordCounts computes per-file word frequencies in the engine's
+// traversal direction.
 func (e *Engine) fileWordCounts() ([]map[uint32]uint64, error) {
-	switch e.effectiveStrategy() {
-	case BottomUp:
+	if e.bottomUp {
 		return e.fileWordCountsBottomUp()
-	default:
-		return e.fileWordCountsTopDown()
 	}
+	return e.fileWordCountsTopDown()
 }
 
 // fileWordCountsBottomUp merges the cached per-rule word lists at the top
@@ -275,93 +280,56 @@ func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	env := opEnv{e: e, si: &analytics.SeqInterner{}}
-	folds := make([]analytics.Fold, len(ops))
-	var globalWord, globalSeq, fileWord, fileSeq []int
-	for i, op := range ops {
-		folds[i] = op.NewFold(env)
-		switch {
-		case op.Scope() == analytics.ScopeGlobal && op.Keys() == analytics.KeyWords:
-			globalWord = append(globalWord, i)
-		case op.Scope() == analytics.ScopeGlobal:
-			globalSeq = append(globalSeq, i)
-		case op.Keys() == analytics.KeyWords:
-			fileWord = append(fileWord, i)
-		default:
-			fileSeq = append(fileSeq, i)
-		}
-	}
-
-	if len(globalWord) > 0 {
+	e.folds.Reset()
+	e.folds.WordOrder.Rank, e.folds.WordOrder.Order = e.d.Alphabetical()
+	e.folds.WordKeys = len(e.folds.WordOrder.Rank)
+	b := analytics.NewBatch(ops, opEnv{e})
+	if b.Needs(analytics.ScopeGlobal, analytics.KeyWords) {
 		counts, err := e.globalWordCounts()
 		if err != nil {
 			return nil, err
 		}
-		view := analytics.WordMapCounts(counts)
-		for _, i := range globalWord {
-			if err := folds[i].Global(view); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(globalSeq)+len(fileSeq) > 0 {
-		if err := e.ensureInfos(); err != nil {
+		if err := b.Global(analytics.KeyWords, analytics.WordMapCounts(counts)); err != nil {
 			return nil, err
 		}
 	}
-	if len(globalSeq) > 0 {
-		// The root's cumulative sequence summary is the global result.
-		e.meter.Charge(int64(len(e.infos[0].Counts)), metrics.CostSeqOp)
-		view := env.si.Counts(e.infos[0].Counts)
-		for _, i := range globalSeq {
-			if err := folds[i].Global(view); err != nil {
-				return nil, err
-			}
+	globalSeqs := b.Needs(analytics.ScopeGlobal, analytics.KeySequences)
+	fileSeqs := b.Needs(analytics.ScopePerFile, analytics.KeySequences)
+	if globalSeqs || fileSeqs {
+		if err := e.ensureSeqs(); err != nil {
+			return nil, err
 		}
 	}
-	if len(fileWord) > 0 {
+	if globalSeqs {
+		// The root's cumulative sequence summary is the global result.
+		e.meter.Charge(int64(len(e.infos[0].Counts)), metrics.CostSeqOp)
+		if err := b.Global(analytics.KeySequences, seqCounts{e.infos[0].Counts, e.seqIDs}); err != nil {
+			return nil, err
+		}
+	}
+	if b.Needs(analytics.ScopePerFile, analytics.KeyWords) {
 		perFile, err := e.fileWordCounts()
 		if err != nil {
 			return nil, err
 		}
 		for doc, counts := range perFile {
-			view := analytics.WordMapCounts(counts)
-			for _, i := range fileWord {
-				if err := folds[i].File(uint32(doc), view); err != nil {
-					return nil, err
-				}
+			if err := b.File(analytics.KeyWords, uint32(doc), analytics.WordMapCounts(counts)); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if len(fileSeq) > 0 {
+	if fileSeqs {
 		for fi, seg := range e.segments() {
 			segCounts := analytics.SegmentSeqCounts(seg, e.infos)
 			// SegmentSeqCounts merges each top-level rule's count table plus
 			// the spanning-window walk.
-			var mergeOps int64
-			for _, s := range seg {
-				if s.IsRule() {
-					mergeOps += int64(len(e.infos[s.RuleIndex()].Counts))
-				}
-			}
-			e.meter.Charge(mergeOps+int64(len(seg)), metrics.CostMergeEntry)
-			view := env.si.Counts(segCounts)
-			for _, i := range fileSeq {
-				if err := folds[i].File(uint32(fi), view); err != nil {
-					return nil, err
-				}
+			e.meter.Charge(analytics.SeqMergeEntries(e.infos, seg)+int64(len(seg)), metrics.CostMergeEntry)
+			if err := b.File(analytics.KeySequences, uint32(fi), seqCounts{segCounts, e.seqIDs}); err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	results := make([]any, len(ops))
-	for i := range ops {
-		var err error
-		if results[i], err = folds[i].Finish(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return b.Finish()
 }
 
 // DRAMBytes estimates the engine's resident DRAM: the grammar plus every
@@ -400,7 +368,3 @@ func (e *Engine) bodySymbols() int64 {
 
 // Meter exposes the engine's modeled CPU meter for measurement.
 func (e *Engine) Meter() *metrics.Meter { return &e.meter }
-
-func sortU32(s []uint32) {
-	slices.Sort(s)
-}

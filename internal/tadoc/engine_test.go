@@ -1,7 +1,6 @@
 package tadoc
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -27,41 +26,41 @@ func corpus(t testing.TB, seed int64, nFiles, tokens, vocab int) ([][]uint32, *d
 	return files, d, g
 }
 
-func newEngine(t testing.TB, g *cfg.Grammar, d *dict.Dictionary, s Strategy) *Engine {
+func newEngine(t testing.TB, g *cfg.Grammar, d *dict.Dictionary) *Engine {
 	t.Helper()
-	e, err := New(g, d, s)
+	e, err := New(g, d)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return e
 }
 
-// Full per-task reference coverage for both strategies lives in the
-// cross-executor differential test (internal/analytics/differential_test.go).
+// Full per-task reference coverage for both directions lives in the
+// cross-executor differential test (internal/analytics/differential_test.go),
+// whose corpora fall on both sides of the file threshold.
 
 func TestAutoStrategySelection(t *testing.T) {
 	_, d, gFew := corpus(t, 1, 2, 100, 20)
-	e := newEngine(t, gFew, d, Auto)
-	if e.effectiveStrategy() != TopDown {
-		t.Errorf("few files: auto = %v", e.effectiveStrategy())
+	if newEngine(t, gFew, d).bottomUp {
+		t.Error("few files: engine runs bottom-up")
 	}
 	_, d2, gMany := corpus(t, 2, 600, 30, 20)
-	e2 := newEngine(t, gMany, d2, Auto)
-	if e2.effectiveStrategy() != BottomUp {
-		t.Errorf("many files: auto = %v", e2.effectiveStrategy())
+	if !newEngine(t, gMany, d2).bottomUp {
+		t.Error("many files: engine runs top-down")
 	}
 }
 
 func TestNewRejectsInvalidGrammar(t *testing.T) {
 	bad := &cfg.Grammar{Rules: [][]cfg.Symbol{{cfg.Rule(9)}}, NumWords: 1}
-	if _, err := New(bad, dict.New(), Auto); err == nil {
+	if _, err := New(bad, dict.New()); err == nil {
 		t.Error("expected validation error")
 	}
 }
 
 func TestDRAMBytesGrowsWithCaching(t *testing.T) {
 	_, d, g := corpus(t, 3, 4, 300, 40)
-	e := newEngine(t, g, d, BottomUp)
+	e := newEngine(t, g, d)
+	e.bottomUp = true
 	base := e.DRAMBytes()
 	if base <= 0 {
 		t.Fatalf("base DRAM estimate %d", base)
@@ -80,7 +79,7 @@ func TestEmptyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, dict.New(), Auto)
+	e := newEngine(t, g, dict.New())
 	wc, err := analytics.WordCount(e)
 	if err != nil || len(wc) != 0 {
 		t.Errorf("WordCount on empty = %v, %v", wc, err)
@@ -100,7 +99,7 @@ func TestSingleWordFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, TopDown)
+	e := newEngine(t, g, d)
 	inv, err := analytics.InvertedIndex(e)
 	if err != nil {
 		t.Fatalf("InvertedIndex: %v", err)
@@ -113,21 +112,5 @@ func TestSingleWordFiles(t *testing.T) {
 	sc, _ := analytics.SequenceCount(e)
 	if len(sc) != 0 {
 		t.Errorf("SequenceCount = %v", sc)
-	}
-}
-
-func TestSortU32(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 10, 24, 25, 100, 1000} {
-		s := make([]uint32, n)
-		for i := range s {
-			s[i] = uint32(r.Intn(50))
-		}
-		sortU32(s)
-		for i := 1; i < len(s); i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
-		}
 	}
 }

@@ -25,8 +25,10 @@ type Engine struct {
 	acc   nvm.Accessor
 	offs  []int64 // token offset of each file's start; offs[len] = total
 	meter metrics.Meter
+	folds analytics.FoldScratch
 
-	scanBuf []uint32 // scanFile scratch, reused across files
+	scanBuf []uint32        // scanFile scratch, reused across files
+	seqs    []analytics.Seq // the run's windows by sequence key
 }
 
 var _ analytics.Executor = (*Engine)(nil)
@@ -105,26 +107,6 @@ func (e *Engine) scanFile(fi int, fn func(tokens []uint32)) {
 	}
 }
 
-// Sequence accumulators key windows by a packed uint64 whenever the
-// vocabulary fits packBits per token: Go maps hash 8-byte keys through a
-// fast path that the 12-byte Seq array misses.  Packed and generic scans
-// emit the same windows and charge identically; env.SeqOf converts keys
-// back at fold time.
-const packBits = 21
-
-func (e *Engine) canPackSeq() bool {
-	return analytics.SeqLen == 3 && e.d.Len() <= 1<<packBits
-}
-
-func unpackSeq(pk uint64) analytics.Seq {
-	const m = 1<<packBits - 1
-	return analytics.Seq{
-		uint32(pk >> (2 * packBits)),
-		uint32((pk >> packBits) & m),
-		uint32(pk & m),
-	}
-}
-
 // numWindows returns how many SeqLen-windows file fi emits.
 func (e *Engine) numWindows(fi int) int64 {
 	n := e.offs[fi+1] - e.offs[fi] - analytics.SeqLen + 1
@@ -134,84 +116,88 @@ func (e *Engine) numWindows(fi int) int64 {
 	return n
 }
 
-// opEnv adapts the engine to analytics.Env.  seqOf is unpackSeq when windows
-// are packed, interner resolution otherwise.
-type opEnv struct {
-	e     *Engine
-	seqOf func(uint64) analytics.Seq
-}
+// opEnv adapts the engine to analytics.ScratchEnv.
+type opEnv struct{ e *Engine }
 
-func (v opEnv) Dict() *dict.Dictionary       { return v.e.d }
-func (v opEnv) NumFiles() int                { return v.e.NumFiles() }
-func (v opEnv) SeqOf(k uint64) analytics.Seq { return v.seqOf(k) }
-func (v opEnv) Charge(n, perOp int64)        { v.e.meter.Charge(n, perOp) }
+func (v opEnv) Dict() *dict.Dictionary              { return v.e.d }
+func (v opEnv) NumFiles() int                       { return v.e.NumFiles() }
+func (v opEnv) SeqOf(k uint64) analytics.Seq        { return v.e.seqs[k] }
+func (v opEnv) Charge(n, perOp int64)               { v.e.meter.Charge(n, perOp) }
+func (v opEnv) FoldScratch() *analytics.FoldScratch { return &v.e.folds }
 
-// fileWordView is the per-file word counter handed to folds: counts live in
-// a vocabulary-sized array, touched lists the distinct words in
-// first-occurrence order.
-type fileWordView struct {
-	counts  []uint64
+// tally is one scan accumulator and the counter folds are handed: a count per
+// key in a key-indexed array, touched listing the counted keys in order of
+// first occurrence.
+type tally struct {
+	vals    []uint64
 	touched []uint32
 }
 
-func (c fileWordView) Len() int64 { return int64(len(c.touched)) }
-func (c fileWordView) Range(fn func(k, v uint64) bool) {
-	for _, w := range c.touched {
-		if !fn(uint64(w), c.counts[w]) {
+func (c *tally) add(k uint32) {
+	for int(k) >= len(c.vals) {
+		c.vals = append(c.vals, 0)
+	}
+	if c.vals[k] == 0 {
+		c.touched = append(c.touched, k)
+	}
+	c.vals[k]++
+}
+
+// reset zeroes what the tally counted.
+func (c *tally) reset() {
+	for _, k := range c.touched {
+		c.vals[k] = 0
+	}
+	c.touched = c.touched[:0]
+}
+
+func (c *tally) Len() int64 { return int64(len(c.touched)) }
+func (c *tally) Range(fn func(k, v uint64) bool) {
+	for _, k := range c.touched {
+		if !fn(uint64(k), c.vals[k]) {
 			return
 		}
 	}
+}
+
+// newTally returns a tally over size keys when the batch needs the keys
+// counted at scope, nil otherwise.
+func newTally(b *analytics.Batch, scope analytics.Scope, keys analytics.KeySpace, size int) *tally {
+	if !b.Needs(scope, keys) {
+		return nil
+	}
+	return &tally{vals: make([]uint64, size)}
 }
 
 // RunOps implements analytics.Executor with one fused pass: every op in the
 // batch is fed from the same token scan.  Per-token CPU work is charged per
 // accumulator (each op class still hashes every token), but the scan itself
 // — and with it the modeled device traffic — happens once for the whole
-// batch instead of once per task.
+// batch instead of once per task.  A window's sequence key is a dense id
+// handed out in order of first occurrence in the scan, so the run's keys
+// never depend on map order; the corpus's window count bounds them.
 func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	packed := e.canPackSeq()
-	si := &analytics.SeqInterner{}
-	env := opEnv{e: e}
-	if packed {
-		env.seqOf = unpackSeq
-	} else {
-		env.seqOf = si.SeqOf
+	e.folds.Reset()
+	e.folds.WordOrder.Rank, e.folds.WordOrder.Order = e.d.Alphabetical()
+	e.folds.WordKeys = len(e.folds.WordOrder.Rank)
+	e.folds.SeqKeys = 0
+	for fi := 0; fi < e.NumFiles(); fi++ {
+		e.folds.SeqKeys += int(e.numWindows(fi))
 	}
-	folds := make([]analytics.Fold, len(ops))
-	var globalWord, globalSeq, fileWord, fileSeq []int
-	for i, op := range ops {
-		folds[i] = op.NewFold(env)
-		switch {
-		case op.Scope() == analytics.ScopeGlobal && op.Keys() == analytics.KeyWords:
-			globalWord = append(globalWord, i)
-		case op.Scope() == analytics.ScopeGlobal:
-			globalSeq = append(globalSeq, i)
-		case op.Keys() == analytics.KeyWords:
-			fileWord = append(fileWord, i)
-		default:
-			fileSeq = append(fileSeq, i)
-		}
-	}
+	e.seqs = e.seqs[:0]
+	b := analytics.NewBatch(ops, opEnv{e})
 
-	// Counting goes through vocabulary-sized arrays rather than maps; the
+	// Counting goes through key-indexed arrays rather than maps; the
 	// charged hash-op cost per token is unchanged — only host wall-clock
 	// differs.
-	var gw, fw []uint64
-	var touched []uint32
-	if len(globalWord) > 0 {
-		gw = make([]uint64, e.d.Len())
-	}
-	if len(fileWord) > 0 {
-		fw = make([]uint64, e.d.Len())
-	}
-	var gseq map[uint64]uint64
-	if len(globalSeq) > 0 {
-		gseq = make(map[uint64]uint64)
-	}
-	scanSeqs := len(globalSeq)+len(fileSeq) > 0
+	gw := newTally(b, analytics.ScopeGlobal, analytics.KeyWords, e.d.Len())
+	fw := newTally(b, analytics.ScopePerFile, analytics.KeyWords, e.d.Len())
+	gs := newTally(b, analytics.ScopeGlobal, analytics.KeySequences, 0)
+	fs := newTally(b, analytics.ScopePerFile, analytics.KeySequences, 0)
+	ids := make(map[analytics.Seq]uint32)
 	// Each word-keyed accumulator costs one hash op per token; the scan-token
 	// cost is charged once per token regardless of batch width.
 	wordAccums := int64(0)
@@ -222,16 +208,10 @@ func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 		wordAccums++
 	}
 
-	const packMask = 1<<(2*packBits) - 1
 	for fi := 0; fi < e.NumFiles(); fi++ {
-		var fseq map[uint64]uint64
-		if len(fileSeq) > 0 {
-			fseq = make(map[uint64]uint64)
-		}
 		// Rolling window state, maintained across scan batches.
-		var pk uint64
+		var q analytics.Seq
 		warm := 0
-		var window []uint32
 		e.scanFile(fi, func(toks []uint32) {
 			e.meter.Charge(int64(len(toks)), metrics.CostScanToken)
 			if wordAccums > 0 {
@@ -239,110 +219,66 @@ func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 			}
 			for _, w := range toks {
 				if gw != nil {
-					gw[w]++
+					gw.add(w)
 				}
 				if fw != nil {
-					if fw[w] == 0 {
-						touched = append(touched, w)
-					}
-					fw[w]++
+					fw.add(w)
 				}
-				if !scanSeqs {
+				if gs == nil && fs == nil {
 					continue
 				}
-				var key uint64
-				ready := false
-				if packed {
-					pk = (pk&packMask)<<packBits | uint64(w)
-					if warm < analytics.SeqLen-1 {
-						warm++
-					} else {
-						key, ready = pk, true
-					}
-				} else {
-					window = append(window, w)
-					if len(window) > analytics.SeqLen {
-						copy(window, window[1:])
-						window = window[:analytics.SeqLen]
-					}
-					if len(window) == analytics.SeqLen {
-						var q analytics.Seq
-						copy(q[:], window)
-						key, ready = si.Key(q), true
-					}
-				}
-				if !ready {
+				copy(q[:], q[1:])
+				q[analytics.SeqLen-1] = w
+				if warm++; warm < analytics.SeqLen {
 					continue
 				}
-				if gseq != nil {
-					gseq[key]++
+				id, ok := ids[q]
+				if !ok {
+					id = uint32(len(e.seqs))
+					ids[q] = id
+					e.seqs = append(e.seqs, q)
 				}
-				if fseq != nil {
-					fseq[key]++
+				if gs != nil {
+					gs.add(id)
+				}
+				if fs != nil {
+					fs.add(id)
 				}
 			}
 		})
 		// One charge per file covers every emitted window: Charge is linear
 		// in its op count, so this equals per-window charges.
-		if gseq != nil {
+		if gs != nil {
 			e.meter.Charge(e.numWindows(fi), metrics.CostSeqOp)
 		}
-		if len(fileSeq) > 0 {
+		if fs != nil {
 			e.meter.Charge(e.numWindows(fi), metrics.CostSeqOp+metrics.CostHashOp)
 		}
 		if fw != nil {
-			view := fileWordView{counts: fw, touched: touched}
-			for _, i := range fileWord {
-				if err := folds[i].File(uint32(fi), view); err != nil {
-					return nil, err
-				}
+			if err := b.File(analytics.KeyWords, uint32(fi), fw); err != nil {
+				return nil, err
 			}
-			for _, w := range touched {
-				fw[w] = 0
-			}
-			touched = touched[:0]
+			fw.reset()
 		}
-		if fseq != nil {
-			view := analytics.MapCounts(fseq)
-			for _, i := range fileSeq {
-				if err := folds[i].File(uint32(fi), view); err != nil {
-					return nil, err
-				}
+		if fs != nil {
+			if err := b.File(analytics.KeySequences, uint32(fi), fs); err != nil {
+				return nil, err
 			}
+			fs.reset()
 		}
 	}
 
 	if gw != nil {
-		kv := analytics.KVCounts{}
-		for w, c := range gw {
-			if c != 0 {
-				kv.Keys = append(kv.Keys, uint64(w))
-				kv.Vals = append(kv.Vals, c)
-			}
-		}
-		for _, i := range globalWord {
-			if err := folds[i].Global(kv); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if gseq != nil {
-		view := analytics.MapCounts(gseq)
-		for _, i := range globalSeq {
-			if err := folds[i].Global(view); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	results := make([]any, len(ops))
-	for i := range ops {
-		var err error
-		if results[i], err = folds[i].Finish(); err != nil {
+		if err := b.Global(analytics.KeyWords, gw); err != nil {
 			return nil, err
 		}
 	}
-	return results, nil
+	if gs != nil {
+		if err := b.Global(analytics.KeySequences, gs); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish()
 }
 
 // Meter exposes the engine's modeled CPU meter for measurement.
