@@ -172,7 +172,8 @@ figcheck:
 	$(GO) run ./cmd/benchfig -fig all -parallel 2 > "$$out" && cmp "$$out" bench_output_figures.txt
 
 # A short coverage-guided run of every fuzz target (archive parsing, the
-# compress/decompress round trip, op-log crash recovery, the result encoder
+# compress/decompress round trip, op-log crash recovery, the shard merge's
+# posting-list runs against its reference merge, the result encoder
 # against its reflection oracle, request decoding through the daemon's
 # handlers).  Each target gets FUZZTIME of fuzzing on
 # top of its seed corpus; new crashers land in testdata/fuzz/ for `make test`
@@ -181,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogRecovery$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMergePostingRuns$$' -fuzztime $(FUZZTIME) ./internal/analytics
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResult$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecoding$$' -fuzztime $(FUZZTIME) ./internal/server
 

@@ -11,19 +11,17 @@
 // so their merge is a K-way merge over the units' keys, compared under
 // env.Dict(), into arrays of its own: a merged result shares no memory with
 // the unit results, which are only read — a caller may hold them past the
-// merge.  A unit's own lists arrive in canonical order and a uniform
-// document offset preserves it, so only the lists more than one unit
-// contributed to, or a docmap unit did (a docmap interleaves documents), are
-// re-ordered.  The K-way merge can be cut into contiguous key ranges that
-// merge concurrently into one result (MergeJob); the whole merge is the
-// one-range case.
+// merge.  A unit's own lists arrive in canonical order, and a uniform
+// document offset or an increasing docmap preserves it, so a list more than
+// one unit contributed to is a merge of ordered runs, never a sort.  The
+// K-way merge can be cut into contiguous key ranges that merge concurrently
+// into one result (MergeJob); the whole merge is the one-range case.
 package analytics
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"github.com/text-analytics/ntadoc/internal/metrics"
@@ -95,11 +93,18 @@ type MergeJob struct {
 
 // PlanMerge sizes op's merge of units and cuts it into parts key ranges
 // (term vectors, which have no keys, always into one).  Units and env are as
-// for MergeUnits.
+// for MergeUnits; a unit's DocMap must be strictly increasing.
 func PlanMerge(op Op, env Env, units []MergeUnit, parts int) (*MergeJob, error) {
 	m, ok := op.(merger)
 	if !ok {
 		return nil, fmt.Errorf("analytics: op %s is not mergeable", op.Name())
+	}
+	for u, unit := range units {
+		for i := 1; i < len(unit.DocMap); i++ {
+			if unit.DocMap[i] <= unit.DocMap[i-1] {
+				return nil, fmt.Errorf("analytics: merge %s unit %d: document map not increasing at %d", op.Name(), u, i)
+			}
+		}
 	}
 	return m.plan(env, units, max(parts, 1))
 }
@@ -330,14 +335,17 @@ func (op TermVectorsOp) plan(env Env, units []MergeUnit, _ int) (*MergeJob, erro
 	}, nil
 }
 
-// planPostings concatenates each key's lists in unit order with documents
-// moved to their global indices (doc points at an item's document), and
-// re-orders with canon the lists that need it, charging every posting
-// CostMergeEntry and, once its part has merged without error, perOut.
-// Items are never collapsed, so a part's postings go straight to their final
-// offsets: only its keys and ends are stitched.
-func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int, perOut int64,
-	cmp func(a, b *K) int, doc func(*T) *uint32, canon func([]T)) (*MergeJob, error) {
+// planPostings merges each key's lists, one run per unit holding the key,
+// with documents moved to their global indices (doc points at an item's
+// document).  Every unit's list arrives in the op's item order (before), and
+// a document offset or an increasing document map (PlanMerge refuses any
+// other) keeps it, so a list one unit contributed is final and any other is
+// the merge of its runs.  Every posting is charged CostMergeEntry, as
+// planCounts charges an entry whatever the fan-in.  Items are never
+// collapsed, so a part's postings go straight to their final offsets: only
+// its keys and ends are stitched.
+func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int,
+	cmp func(a, b *K) int, doc func(*T) *uint32, before func(a, b *T) int) (*MergeJob, error) {
 	ps, err := unitResults[*Postings[K, T]](op, units)
 	if err != nil {
 		return nil, err
@@ -367,39 +375,50 @@ func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int, perO
 		run: func(p int, env Env) (err error) {
 			sub, at, _ := subLists(keys, cuts[p], cuts[p+1])
 			w := itemsBefore(cuts[p])
-			n := itemsBefore(cuts[p+1]) - w
-			env.Charge(int64(n), metrics.CostMergeEntry)
+			env.Charge(int64(itemsBefore(cuts[p+1])-w), metrics.CostMergeEntry)
+			nfiles := uint64(env.NumFiles())
+			rm := runMerge[T]{doc: doc, before: before}
 			k := at
 			kway(sub, cmp, func(from, pos []int) {
-				first, reorder := w, len(from) > 1
+				if err != nil {
+					return
+				}
+				first := w
+				rm.bounds = append(rm.bounds[:0], 0)
 				for _, u := range from {
-					m := units[u].DocMap
-					reorder = reorder || m != nil
 					src := ps[u].List(cuts[p][u] + pos[u])
 					l := out.Items[w : w+len(src)]
 					copy(l, src)
+					m, base := units[u].DocMap, uint64(units[u].DocBase)
 					for i := range l {
-						switch d := doc(&l[i]); {
-						case m == nil:
-							*d += units[u].DocBase
-						case int(*d) < len(m):
-							*d = m[*d]
-						default:
-							err = fmt.Errorf("analytics: merge %s unit %d: document %d outside map of %d", op.Name(), u, *d, len(m))
+						d := doc(&l[i])
+						g := uint64(*d) + base
+						if m != nil {
+							if int(*d) >= len(m) {
+								err = fmt.Errorf("analytics: merge %s unit %d: document %d outside map of %d", op.Name(), u, *d, len(m))
+								return
+							}
+							g = uint64(m[*d])
 						}
+						if g >= nfiles {
+							err = fmt.Errorf("analytics: merge %s unit %d: document %d exceeds %d documents", op.Name(), u, g, nfiles)
+							return
+						}
+						*d = uint32(g)
 					}
 					w += len(l)
+					rm.bounds = append(rm.bounds, w-first)
 				}
-				if reorder {
-					canon(out.Items[first:w])
+				if len(from) > 1 {
+					if d, dup := rm.merge(out.Items[first:w], int(nfiles)); dup {
+						err = fmt.Errorf("analytics: merge %s: document %d in two runs of one list", op.Name(), d)
+						return
+					}
 				}
 				out.Keys[k], out.Ends[k] = sub[from[0]][pos[from[0]]], uint32(w)
 				k++
 			})
 			starts[p], lens[p] = at, k-at
-			if err == nil {
-				env.Charge(int64(n), perOut)
-			}
 			return err
 		},
 		finish: func(env Env) any {
@@ -413,17 +432,70 @@ func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int, perO
 	}, nil
 }
 
-func (op InvertedIndexOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
-	rank, _ := env.Dict().Alphabetical()
-	return planPostings(op, units, parts, 0,
-		func(a, b *uint32) int { return cmp.Compare(rank[*a], rank[*b]) },
-		func(doc *uint32) *uint32 { return doc }, slices.Sort[[]uint32])
+// runMerge is one part's merge of a list's runs, its buffers reused from list
+// to list: no allocation grows with the number of lists.
+type runMerge[T any] struct {
+	doc    func(*T) *uint32
+	before func(a, b *T) int
+	bounds []int    // run r of the list being merged is l[bounds[r]:bounds[r+1]]
+	cur    []int    // each run's next item
+	buf    []T      // the runs, while they merge back into the list
+	seen   []uint32 // per global document, the stamp of the last list it was in
+	stamp  uint32
 }
 
-// The ranked lists' sort is charged on every merged posting, re-ranked or not.
+// merge orders l, the concatenation of ascending runs at rm.bounds, in
+// place.  It reports a document found in two runs; runs that already follow
+// one another in order (contiguous document ranges in document order) are
+// left as they are.
+func (rm *runMerge[T]) merge(l []T, nfiles int) (uint32, bool) {
+	if rm.seen == nil {
+		rm.seen = make([]uint32, nfiles)
+	}
+	rm.stamp++
+	for i := range l {
+		d := *rm.doc(&l[i])
+		if rm.seen[d] == rm.stamp {
+			return d, true
+		}
+		rm.seen[d] = rm.stamp
+	}
+	runs := len(rm.bounds) - 1
+	sorted := true
+	for r := 1; r < runs && sorted; r++ {
+		if i := rm.bounds[r]; i > 0 && i < len(l) {
+			sorted = rm.before(&l[i-1], &l[i]) < 0
+		}
+	}
+	if sorted {
+		return 0, false
+	}
+	rm.buf = append(rm.buf[:0], l...)
+	rm.cur = append(rm.cur[:0], rm.bounds[:runs]...)
+	for i := range l {
+		best := -1
+		for r, c := range rm.cur {
+			if c < rm.bounds[r+1] && (best < 0 || rm.before(&rm.buf[c], &rm.buf[rm.cur[best]]) < 0) {
+				best = r
+			}
+		}
+		l[i] = rm.buf[rm.cur[best]]
+		rm.cur[best]++
+	}
+	return 0, false
+}
+
+func (op InvertedIndexOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
+	rank, _ := env.Dict().Alphabetical()
+	return planPostings(op, units, parts,
+		func(a, b *uint32) int { return cmp.Compare(rank[*a], rank[*b]) },
+		func(doc *uint32) *uint32 { return doc },
+		func(a, b *uint32) int { return cmp.Compare(*a, *b) })
+}
+
 func (op RankedInvertedIndexOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {
 	words := env.Dict().Words()
-	return planPostings(op, units, parts, metrics.CostSortEntry,
+	return planPostings(op, units, parts,
 		func(a, b *Seq) int { return compareWire(words, *a, *b) },
-		func(p *DocFreq) *uint32 { return &p.Doc }, func(l []DocFreq) { RankPostingsSorted(l) })
+		func(p *DocFreq) *uint32 { return &p.Doc }, compareRanked)
 }

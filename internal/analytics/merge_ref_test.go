@@ -102,7 +102,6 @@ func refMergeUnits(op Op, d *dict.Dictionary, numFiles int, units []MergeUnit, m
 		}
 		out := make(map[Seq][]DocFreq, len(merged))
 		for q, postings := range merged {
-			meter.Charge(int64(len(postings)), metrics.CostSortEntry)
 			out[q] = RankPostingsSorted(postings)
 		}
 		return out
@@ -223,6 +222,26 @@ func mergeLayouts(numFiles int) []mergeLayout {
 		compacted.units[doc%3] = append(compacted.units[doc%3], uint32(doc))
 	}
 	return append(out, compacted)
+}
+
+// layoutUnits runs op's reference over each unit of layout alone and returns
+// the units in wire form, under their document maps or bases.
+func layoutUnits(t testing.TB, op Op, files [][]uint32, d *dict.Dictionary, layout mergeLayout) []MergeUnit {
+	units := make([]MergeUnit, len(layout.units))
+	for u, docs := range layout.units {
+		unitFiles := make([][]uint32, len(docs))
+		for i, doc := range docs {
+			unitFiles[i] = files[doc]
+		}
+		units[u].Result = wireForm(op, shardRefResult(t, op, unitFiles, d), d)
+		switch {
+		case layout.mapped[u]:
+			units[u].DocMap = docs
+		case len(docs) > 0:
+			units[u].DocBase = docs[0]
+		}
+	}
+	return units
 }
 
 // TestMergeMatchesReference runs the production merge and the reference
@@ -414,6 +433,33 @@ func TestMergeDocMapBounds(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesBadLayouts: a document map that does not strictly increase
+// is an error of PlanMerge for every op, and a document two units both hold
+// is an error of a posting-list merge — not a silent re-sort, and not a list
+// naming the document twice.
+func TestMergeRefusesBadLayouts(t *testing.T) {
+	files, d := mergeCorpus(t)
+	env := mergeEnv{d: d, numFiles: len(files), meter: new(metrics.Meter)}
+	for _, op := range Ops() {
+		res := wireForm(op, shardRefResult(t, op, files[:2], d), d)
+		for _, m := range [][]uint32{{1, 0}, {3, 3}} {
+			if _, err := PlanMerge(op, env, []MergeUnit{{Result: res, DocMap: m}}, 1); err == nil {
+				t.Errorf("%s: planned a merge under document map %v", op.Name(), m)
+			}
+		}
+	}
+	for _, op := range []Op{InvertedIndexOp{}, RankedInvertedIndexOp{}} {
+		// Document 2 is in both units, under a base and under a map.
+		units := []MergeUnit{
+			{Result: wireForm(op, shardRefResult(t, op, files[:3], d), d)},
+			{Result: wireForm(op, shardRefResult(t, op, files[2:], d), d), DocMap: []uint32{2, 3, 4}},
+		}
+		if _, err := MergeUnits(op, env, units); err == nil {
+			t.Errorf("%s: merged two units that both hold document 2", op.Name())
+		}
+	}
+}
+
 // TestMergeSharesNothing pins the ownership rule: a merged result is arrays
 // of its own, whatever the units — one unit or several, lists one unit
 // contributed alone or lists re-ranked — so writing to it, or appending to
@@ -497,6 +543,28 @@ func BenchmarkMergeShardResults(b *testing.B) {
 	d32.Files = 32
 	files, d = d32.GenerateWithDict()
 	run("rankedindex/D32", RankedInvertedIndexOp{}, files, d)
+
+	// The `live-ingest` shape on the same documents (mergeLayouts' "ingest"):
+	// two base units over the first half and two delta units sharing the
+	// second half document by document under maps, so a list merges up to
+	// four runs.
+	for _, layout := range mergeLayouts(len(files)) {
+		if layout.name != "ingest" {
+			continue
+		}
+		op := RankedInvertedIndexOp{}
+		units := layoutUnits(b, op, files, d, layout)
+		env := mergeEnv{d: d, numFiles: len(files), meter: new(metrics.Meter)}
+		b.Run("rankedindex/D32-ingest", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if benchMerged, err = MergeUnits(op, env, units); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	half := len(files) / 2
 	units := make([][]MergeUnit, len(Ops()))

@@ -151,11 +151,15 @@ func RankPostings(m map[uint32]uint64) []DocFreq {
 // RankPostingsSorted orders an already-built postings slice in place into the
 // canonical ranking: descending frequency, ascending document on ties.
 func RankPostingsSorted(postings []DocFreq) []DocFreq {
-	slices.SortFunc(postings, func(a, b DocFreq) int {
-		if a.Freq != b.Freq {
-			return cmp.Compare(b.Freq, a.Freq)
-		}
-		return cmp.Compare(a.Doc, b.Doc)
-	})
+	slices.SortFunc(postings, func(a, b DocFreq) int { return compareRanked(&a, &b) })
 	return postings
+}
+
+// compareRanked is the canonical ranking: descending frequency, ascending
+// document on ties.
+func compareRanked(a, b *DocFreq) int {
+	if a.Freq != b.Freq {
+		return cmp.Compare(b.Freq, a.Freq)
+	}
+	return cmp.Compare(a.Doc, b.Doc)
 }

@@ -344,6 +344,116 @@ func TestShardedIngestRecovery(t *testing.T) {
 	checkOps(t, re, d, append(append([][]uint32{}, files...), files[0]), "post-recovery append")
 }
 
+// TestDocMapsStrictlyIncrease: the gather merges each unit's ranked lists as
+// runs, and analytics.PlanMerge refuses a document map that does not
+// strictly increase, or a document two units hold.  So on a real engine every
+// pinned base and delta map must strictly increase and no global document
+// may sit in two units: after appends, a compaction, a failover, and a
+// sharded reopen that rebuilds the maps from the append logs.
+func TestDocMapsStrictlyIncrease(t *testing.T) {
+	files, d, _ := corpus(t, 77, 16, 150, 25)
+	const base = 6
+	vocab := uint32(d.Len())
+	for k := 1; k <= 3; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			check := func(se *ShardedEngine, when string) {
+				t.Helper()
+				pins := se.pinIngest()
+				defer pins.release()
+				held := make([]bool, pins.nfiles)
+				hold := func(i int, what string, docs ...uint32) {
+					for j, doc := range docs {
+						if j > 0 && doc <= docs[j-1] {
+							t.Errorf("%s: shard %d %s map not increasing at %d: %v", when, i, what, j, docs)
+						}
+						if int(doc) >= len(held) || held[doc] {
+							t.Errorf("%s: shard %d %s holds document %d twice or past %d documents", when, i, what, doc, len(held))
+							continue
+						}
+						held[doc] = true
+					}
+				}
+				for i, pin := range pins.pins {
+					if pin.baseMap == nil {
+						docs := make([]uint32, pin.tail.numFiles)
+						for j := range docs {
+							docs[j] = se.bases[i] + uint32(j)
+						}
+						hold(i, "base range", docs...)
+					}
+					hold(i, "base", pin.baseMap...)
+					hold(i, "delta", pin.deltaMap...)
+				}
+			}
+			gs := shardGrammars(t, files[:base], vocab, k)
+			opts := Options{Sequences: true, Persistence: OpLevel, IngestCap: 1 << 20}
+			build := func(opts Options) *ShardedEngine {
+				se, err := NewSharded(gs, d, opts)
+				if err != nil {
+					t.Fatalf("NewSharded: %v", err)
+				}
+				check(se, "built")
+				return se
+			}
+			appendBatches := func(se *ShardedEngine, visible int, when string, sizes ...int) int {
+				t.Helper()
+				for bi, n := range sizes {
+					if err := se.Append(appendDocs(files, visible, n), vocab, nil); err != nil {
+						t.Fatalf("%s: Append: %v", when, err)
+					}
+					visible += n
+					check(se, fmt.Sprintf("%s, batch %d", when, bi))
+				}
+				return visible
+			}
+
+			// Appends, a compaction (base maps), more appends, then a crash
+			// and a reopen that rebuilds every map from the append logs.
+			se := build(opts)
+			// Runs after the reopened engine's Close, as in
+			// TestShardedIngestRecovery.
+			defer se.Close()
+			visible := appendBatches(se, base, "appended", 1, 2, 1)
+			if err := se.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			check(se, "compacted")
+			visible = appendBatches(se, visible, "appended after compaction", 2, 1)
+			devs := make([]*nvm.SimDevice, se.NumShards())
+			for i := range devs {
+				devs[i] = se.Shard(i).Device()
+				if err := devs[i].Crash(); err != nil {
+					t.Fatalf("Crash shard %d: %v", i, err)
+				}
+			}
+			re, _, err := ReopenSharded(devs, d, opts)
+			if err != nil {
+				t.Fatalf("ReopenSharded: %v", err)
+			}
+			defer re.Close()
+			check(re, "reopened")
+			appendBatches(re, visible, "appended after reopen", 2)
+
+			// Appends, then a failover of the last shard's primary.
+			ro := opts
+			ro.Replication = Replication{Followers: 1}
+			se = build(ro)
+			defer se.Close()
+			visible = appendBatches(se, base, "replicated", 1, 2, 1)
+			dev := se.Shard(k - 1).Device()
+			dev.FailFromPersistEvent(dev.PersistEvents())
+			if _, err := se.RunOps(analytics.Ops()); err != nil {
+				t.Fatalf("failover did not mask the failure: %v", err)
+			}
+			if n := se.FailoverCount(); n != 1 {
+				t.Fatalf("%d failovers, want 1", n)
+			}
+			check(se, "failed over")
+			appendBatches(se, visible, "appended after failover", 2)
+		})
+	}
+}
+
 // TestAppendSurvivesWriteBackAtEveryEvent: the cache may write a dirty line
 // back at any moment, and on an eADR platform every store in it is durable at
 // power loss.  So an append the device dies inside must leave a log that
