@@ -376,44 +376,51 @@ func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int,
 			sub, at, _ := subLists(keys, cuts[p], cuts[p+1])
 			w := itemsBefore(cuts[p])
 			env.Charge(int64(itemsBefore(cuts[p+1])-w), metrics.CostMergeEntry)
-			nfiles := uint64(env.NumFiles())
-			rm := runMerge[T]{doc: doc, before: before}
+			nfiles := env.NumFiles()
+			rm := runMerge[T]{before: before}
 			k := at
 			kway(sub, cmp, func(from, pos []int) {
 				if err != nil {
 					return
 				}
-				first := w
-				rm.bounds = append(rm.bounds[:0], 0)
+				first, runs := w, len(from) > 1
+				if runs {
+					rm.start(nfiles)
+				}
+				rm.ends = rm.ends[:0]
 				for _, u := range from {
 					src := ps[u].List(cuts[p][u] + pos[u])
 					l := out.Items[w : w+len(src)]
 					copy(l, src)
-					m, base := units[u].DocMap, uint64(units[u].DocBase)
+					m, base := units[u].DocMap, int(units[u].DocBase)
 					for i := range l {
 						d := doc(&l[i])
-						g := uint64(*d) + base
+						g := int(*d) + base
 						if m != nil {
 							if int(*d) >= len(m) {
 								err = fmt.Errorf("analytics: merge %s unit %d: document %d outside map of %d", op.Name(), u, *d, len(m))
 								return
 							}
-							g = uint64(m[*d])
+							g = int(m[*d])
 						}
 						if g >= nfiles {
 							err = fmt.Errorf("analytics: merge %s unit %d: document %d exceeds %d documents", op.Name(), u, g, nfiles)
 							return
 						}
 						*d = uint32(g)
+						if runs {
+							if rm.seen[g] == rm.stamp {
+								err = fmt.Errorf("analytics: merge %s: document %d in two runs of one list", op.Name(), g)
+								return
+							}
+							rm.seen[g] = rm.stamp
+						}
 					}
 					w += len(l)
-					rm.bounds = append(rm.bounds, w-first)
+					rm.ends = append(rm.ends, w-first)
 				}
-				if len(from) > 1 {
-					if d, dup := rm.merge(out.Items[first:w], int(nfiles)); dup {
-						err = fmt.Errorf("analytics: merge %s: document %d in two runs of one list", op.Name(), d)
-						return
-					}
+				if runs {
+					rm.merge(out.Items[first:w])
 				}
 				out.Keys[k], out.Ends[k] = sub[from[0]][pos[from[0]]], uint32(w)
 				k++
@@ -435,54 +442,52 @@ func planPostings[K comparable, T any](op Op, units []MergeUnit, parts int,
 // runMerge is one part's merge of a list's runs, its buffers reused from list
 // to list: no allocation grows with the number of lists.
 type runMerge[T any] struct {
-	doc    func(*T) *uint32
 	before func(a, b *T) int
-	bounds []int    // run r of the list being merged is l[bounds[r]:bounds[r+1]]
-	cur    []int    // each run's next item
-	buf    []T      // the runs, while they merge back into the list
+	ends   []int    // run r of the list ends at l[ends[r]], the next starts there
+	buf    []T      // the merged prefix, while the next run merges into it
 	seen   []uint32 // per global document, the stamp of the last list it was in
 	stamp  uint32
 }
 
-// merge orders l, the concatenation of ascending runs at rm.bounds, in
-// place.  It reports a document found in two runs; runs that already follow
-// one another in order (contiguous document ranges in document order) are
-// left as they are.
-func (rm *runMerge[T]) merge(l []T, nfiles int) (uint32, bool) {
+// start gives the next list of several runs a fresh stamp.
+func (rm *runMerge[T]) start(nfiles int) {
 	if rm.seen == nil {
 		rm.seen = make([]uint32, nfiles)
 	}
 	rm.stamp++
-	for i := range l {
-		d := *rm.doc(&l[i])
-		if rm.seen[d] == rm.stamp {
-			return d, true
+}
+
+// merge orders l, the runs at rm.ends end to end, each ascending under
+// before, by merging each run into the ordered prefix before it.  A run that
+// already follows its prefix stays as it is, so contiguous document ranges in
+// document order cost one comparison.  Otherwise the prefix's items from the
+// first one the run's head goes before move aside, and the two merge forward
+// into l, where a write never passes the run's next item.
+func (rm *runMerge[T]) merge(l []T) {
+	before := rm.before
+	for r := 1; r < len(rm.ends); r++ {
+		mid, end := rm.ends[r-1], rm.ends[r]
+		if mid == 0 || mid == end || before(&l[mid-1], &l[mid]) < 0 {
+			continue
 		}
-		rm.seen[d] = rm.stamp
-	}
-	runs := len(rm.bounds) - 1
-	sorted := true
-	for r := 1; r < runs && sorted; r++ {
-		if i := rm.bounds[r]; i > 0 && i < len(l) {
-			sorted = rm.before(&l[i-1], &l[i]) < 0
+		lo := 0
+		for before(&l[lo], &l[mid]) < 0 {
+			lo++
 		}
-	}
-	if sorted {
-		return 0, false
-	}
-	rm.buf = append(rm.buf[:0], l...)
-	rm.cur = append(rm.cur[:0], rm.bounds[:runs]...)
-	for i := range l {
-		best := -1
-		for r, c := range rm.cur {
-			if c < rm.bounds[r+1] && (best < 0 || rm.before(&rm.buf[c], &rm.buf[rm.cur[best]]) < 0) {
-				best = r
+		a, b, dst := append(rm.buf[:0], l[lo:mid]...), l[mid:end], l[lo:end]
+		rm.buf = a
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			if before(&b[j], &a[i]) < 0 {
+				dst[i+j] = b[j]
+				j++
+			} else {
+				dst[i+j] = a[i]
+				i++
 			}
 		}
-		l[i] = rm.buf[rm.cur[best]]
-		rm.cur[best]++
+		copy(dst[i+j:], a[i:])
 	}
-	return 0, false
 }
 
 func (op InvertedIndexOp) plan(env Env, units []MergeUnit, parts int) (*MergeJob, error) {

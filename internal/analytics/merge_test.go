@@ -190,9 +190,10 @@ func TestMergeDocBaseBounds(t *testing.T) {
 	files, d := mergeCorpus(t)
 	var meter metrics.Meter
 	env := mergeEnv{d: d, numFiles: 2, meter: &meter} // corpus said 2 docs
-	op := TermVectorsOp{K: DefaultTermVectorK}
-	res := shardRefResult(t, op, files, d) // but the shard carries 5
-	if _, err := MergeShardResults(op, env, []any{res}, []uint32{0}); err == nil {
-		t.Fatal("termvectors merge beyond NumFiles did not fail")
+	for _, op := range []Op{TermVectorsOp{K: DefaultTermVectorK}, InvertedIndexOp{}, RankedInvertedIndexOp{}} {
+		res := wireForm(op, shardRefResult(t, op, files, d), d) // but the shard carries 5
+		if _, err := MergeShardResults(op, env, []any{res}, []uint32{0}); err == nil {
+			t.Errorf("%s merge beyond NumFiles did not fail", op.Name())
+		}
 	}
 }
