@@ -511,7 +511,9 @@ var benchMerged any
 // per-shard reference results of a dataset D-shaped corpus, and the ranked
 // index — the merge with the most keys and the most bytes — over the
 // `cold-miss` shape too: dataset D's first 32 documents in two units, where
-// the K-way merge walks 10^5 sequence keys a side.  On that shape the whole
+// the K-way merge walks 10^5 sequence keys a side, and over the same
+// documents in the `live-ingest` shape, where a ranked list merges up to four
+// runs (rankedindex/D32-ingest).  On the two-unit shape the whole
 // six-task gather runs as the coordinator runs it, whole (parts=1) and cut
 // into two key-range parts on two goroutines, then stitched (parts=2).
 func BenchmarkMergeShardResults(b *testing.B) {

@@ -158,8 +158,17 @@ func RankPostingsSorted(postings []DocFreq) []DocFreq {
 // compareRanked is the canonical ranking: descending frequency, ascending
 // document on ties.
 func compareRanked(a, b *DocFreq) int {
-	if a.Freq != b.Freq {
-		return cmp.Compare(b.Freq, a.Freq)
+	switch {
+	case a.Freq != b.Freq:
+		if a.Freq > b.Freq {
+			return -1
+		}
+		return 1
+	case a.Doc != b.Doc:
+		if a.Doc < b.Doc {
+			return -1
+		}
+		return 1
 	}
-	return cmp.Compare(a.Doc, b.Doc)
+	return 0
 }
