@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"github.com/text-analytics/ntadoc/internal/dict"
 )
 
 // liveDocs are the documents appended online in the ingestion tests; they
@@ -142,21 +144,26 @@ func TestAppendRequiresIngest(t *testing.T) {
 	}
 }
 
-// TestArchiveDeltaRoundTrip serializes an appended-to archive (which emits
-// the NTDCDLT1 delta container: base bytes unchanged plus a delta grammar)
-// and checks the reloaded archive folds the delta in and serves results
-// bit-identical to a from-scratch compression of the full corpus.
+// TestArchiveDeltaRoundTrip serializes an appended-to archive (which is
+// written folded, as the same shared-table container as any other archive)
+// and checks the reloaded archive serves results bit-identical to a
+// from-scratch compression of the full corpus, under the document names the
+// live engine gave — an unnamed base included — while WriteTo leaves the
+// archive's own pending appends in place.
 func TestArchiveDeltaRoundTrip(t *testing.T) {
-	ref, err := NewEngine(mustCompress(t, allDocs()), Options{})
-	if err != nil {
-		t.Fatalf("NewEngine(ref): %v", err)
-	}
-	defer ref.Close()
-	want := runAll(t, ref)
-
 	shard3, err := CompressSharded(shardDocs, 3)
 	if err != nil {
 		t.Fatalf("CompressSharded: %v", err)
+	}
+	dct := NewDictionary()
+	var tk dict.Tokenizer
+	tokens := make([][]uint32, len(shardDocs))
+	for i, doc := range shardDocs {
+		tokens[i] = tk.EncodeString(dct.d, doc.Text)
+	}
+	unnamed, err := CompressTokens(tokens, nil, dct)
+	if err != nil {
+		t.Fatalf("CompressTokens: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -164,6 +171,7 @@ func TestArchiveDeltaRoundTrip(t *testing.T) {
 	}{
 		{"unsharded", mustCompress(t, shardDocs)},
 		{"sharded", shard3},
+		{"unnamed", unnamed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := NewEngine(tc.a, Options{IngestCapacity: 1 << 20})
@@ -173,7 +181,19 @@ func TestArchiveDeltaRoundTrip(t *testing.T) {
 			if err := eng.Append(liveDocs); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
+			names := eng.DocumentNames()
 			eng.Close()
+			// The reference is the full corpus compressed from scratch under
+			// the names the live engine gave its documents.
+			full := allDocs()
+			for i := range full {
+				full[i].Name = names[i]
+			}
+			ref, err := NewEngine(mustCompress(t, full), Options{})
+			if err != nil {
+				t.Fatalf("NewEngine(ref): %v", err)
+			}
+			defer ref.Close()
 			if got := tc.a.AppendedDocuments(); got != len(liveDocs) {
 				t.Fatalf("AppendedDocuments = %d, want %d", got, len(liveDocs))
 			}
@@ -182,25 +202,33 @@ func TestArchiveDeltaRoundTrip(t *testing.T) {
 			if _, err := tc.a.WriteTo(&buf); err != nil {
 				t.Fatalf("WriteTo: %v", err)
 			}
+			if magic := string(buf.Bytes()[8:16]); magic != "NTDCSHD2" {
+				t.Errorf("grammar section magic %q, want NTDCSHD2", magic)
+			}
+			if got := tc.a.AppendedDocuments(); got != len(liveDocs) {
+				t.Errorf("AppendedDocuments after WriteTo = %d, want %d", got, len(liveDocs))
+			}
 			b, err := ReadArchive(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("ReadArchive: %v", err)
 			}
-			// Reading folds the delta: the loaded archive is a compacted
-			// whole-corpus grammar.
+			// The written archive is the folded whole-corpus grammar.
 			if got := b.AppendedDocuments(); got != 0 {
 				t.Errorf("AppendedDocuments after reload = %d, want 0", got)
 			}
 			if got := b.Stats().Documents; got != len(allDocs()) {
 				t.Errorf("Documents = %d, want %d", got, len(allDocs()))
 			}
+			if got := b.DocumentNames(); !reflect.DeepEqual(got, names) {
+				t.Errorf("reloaded DocumentNames = %v, the live engine's %v", got, names)
+			}
 			reng, err := NewEngine(b, Options{})
 			if err != nil {
 				t.Fatalf("NewEngine(reloaded): %v", err)
 			}
 			defer reng.Close()
-			if got := runAll(t, reng); !reflect.DeepEqual(got, want) {
-				t.Error("reloaded delta archive results differ from from-scratch rebuild")
+			if got, want := runAll(t, reng), runAll(t, ref); !reflect.DeepEqual(got, want) {
+				t.Error("reloaded appended-to archive results differ from from-scratch rebuild")
 			}
 		})
 	}

@@ -31,14 +31,12 @@ func FuzzReadArchive(f *testing.F) {
 	f.Add([]byte("NTDCCFG1 garbage"))
 	trunc := buf.Bytes()[:buf.Len()/2]
 	f.Add(trunc)
-	legacy := bytes.Clone(buf.Bytes())
-	copy(legacy[8:], "NTDCSHD1") // the section magic of the container no longer read
-	f.Add(legacy)
-	// A bare NTDCCFG1 grammar section, which no writer produces any more
-	// but the reader still accepts as a one-shard set.
+	// The sections of retired formats, refused by name: the per-shard
+	// container, the delta container and a bare NTDCCFG1 grammar.
+	f.Add(withSectionMagic(buf.Bytes(), "NTDCSHD1"))
+	f.Add(withSectionMagic(buf.Bytes(), "NTDCDLT1"))
 	f.Add(bareGrammarArchive(f, a))
-	// An appended-to archive writes the NTDCDLT1 container: the base section
-	// as it was, then the delta grammar over the appended documents.
+	// An appended-to archive is written folded, as one more shared-table set.
 	eng, err := NewEngine(a, Options{IngestCapacity: 1 << 16})
 	if err != nil {
 		f.Fatal(err)
@@ -47,20 +45,23 @@ func FuzzReadArchive(f *testing.F) {
 	if err = errors.Join(err, eng.Close()); err != nil {
 		f.Fatal(err)
 	}
-	var delta bytes.Buffer
-	if _, err := a.WriteTo(&delta); err != nil {
+	var appended bytes.Buffer
+	if _, err := a.WriteTo(&appended); err != nil {
 		f.Fatal(err)
 	}
-	if !bytes.Contains(delta.Bytes(), []byte("NTDCDLT1")) {
-		f.Fatal("appended-to archive wrote no NTDCDLT1 container")
+	if magic := string(appended.Bytes()[8:16]); magic != "NTDCSHD2" {
+		f.Fatalf("appended-to archive written as %q, want NTDCSHD2", magic)
 	}
-	f.Add(delta.Bytes())
-	f.Add(delta.Bytes()[:delta.Len()-delta.Len()/4])
+	f.Add(appended.Bytes())
+	f.Add(appended.Bytes()[:appended.Len()-appended.Len()/4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadArchive(bytes.NewReader(data))
 		if err != nil {
 			return // clean rejection
+		}
+		if magic := string(data[8:16]); magic != "NTDCSHD2" {
+			t.Fatalf("accepted a grammar section opening with %q", magic)
 		}
 		// Anything accepted must be internally consistent: stats compute
 		// and decompression terminates with the declared document count.

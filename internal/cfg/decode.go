@@ -9,8 +9,7 @@ import (
 )
 
 // decoder parses one serialized section held in memory.  The shared-table
-// container, its shared section, a single grammar and the delta container
-// all read through it.  Every read is checked against the bytes actually
+// container and its shared section read through it.  Every read is checked against the bytes actually
 // present, so a declared length or count larger than what follows fails at
 // once instead of sizing an allocation, and a section's checksum is one
 // crc32 call over its slice.

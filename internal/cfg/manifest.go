@@ -9,27 +9,8 @@ import (
 	"io"
 )
 
-// legacyShardMagic opened the first sharded container ("NTDCSHD1": K
-// independently built, self-checksummed grammar sections behind a manifest).
-// Nothing has written it since sharded compression began sharing one rule
-// table (sharedMagic below), and its reader went with its writer; the magic
-// stays so that such a file is told apart from a corrupt one.
-var legacyShardMagic = []byte("NTDCSHD1")
-
 // MaxShards bounds the shard count a container may declare.
 const MaxShards = 1 << 16
-
-// IsLegacyShardContainer reports whether b begins with the magic of the
-// sharded container this package no longer reads.
-func IsLegacyShardContainer(b []byte) bool {
-	return bytes.HasPrefix(b, legacyShardMagic)
-}
-
-// IsSharedContainer reports whether b begins with the shared-table container
-// magic ("NTDCSHD2").
-func IsSharedContainer(b []byte) bool {
-	return bytes.HasPrefix(b, sharedMagic)
-}
 
 // Shared-table container ("NTDCSHD2"): the unified compressed form of a
 // sharded corpus after cross-shard rule unification — one shared rule table

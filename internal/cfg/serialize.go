@@ -7,9 +7,9 @@ import (
 	"io"
 )
 
-// Compressed grammar file format ("NTDCCFG1").  Archives write it only as
-// the delta section of a delta container; as a base section it is read from
-// archives written before every archive was a shared-table set.
+// Compressed grammar file format ("NTDCCFG1").  No archive holds it: it is
+// written only to size compressed grammars for the figure harness, and
+// nothing reads it.
 //
 //	magic            8 bytes
 //	numWords         uvarint
@@ -82,55 +82,6 @@ func (g *Grammar) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
 	m, err := w.Write(crcBuf[:])
 	return cw.n + int64(m), err
-}
-
-// ReadGrammar deserializes a grammar written by WriteTo and validates it.
-func ReadGrammar(b []byte) (*Grammar, error) {
-	d := &decoder{b: b, what: "grammar"}
-	if err := d.magic(cfgMagic); err != nil {
-		return nil, err
-	}
-	numWords, err := d.uvarint("numWords")
-	if err != nil {
-		return nil, err
-	}
-	numFiles, err := d.uvarint("numFiles")
-	if err != nil {
-		return nil, err
-	}
-	numRules, err := d.count("rule count", MaxRules)
-	if err != nil {
-		return nil, err
-	}
-	if numWords > MaxWords || numFiles > MaxWords {
-		return nil, d.errorf("absurd sizes words=%d files=%d", numWords, numFiles)
-	}
-	hasNames, err := d.next(1, "hasNames")
-	if err != nil {
-		return nil, err
-	}
-	g := &Grammar{
-		NumWords: uint32(numWords),
-		NumFiles: uint32(numFiles),
-	}
-	if hasNames[0] == 1 {
-		if g.Files, err = d.names(numFiles); err != nil {
-			return nil, err
-		}
-	}
-	g.Rules = make([][]Symbol, numRules)
-	for i := range g.Rules {
-		if g.Rules[i], err = d.symbols("rule"); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := d.checksum(); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 type countWriter struct {

@@ -59,10 +59,9 @@ type Archive struct {
 	shards []*cfg.Grammar // shared, materialized per shard: what engines build from
 
 	// Online ingestion appends documents after compression.  The archive
-	// tracks them separately from the base grammar so WriteTo can serialize
-	// the base unchanged plus a compact delta grammar over just the appended
-	// documents (the NTDCDLT1 container), mirroring how a live engine serves
-	// base + delta without recompressing.
+	// tracks them beside the base grammar, as a live engine serves base +
+	// delta without recompressing, until NewEngine folds them in or WriteTo
+	// writes them folded.
 	deltaTokens [][]uint32 // appended documents' token streams, in append order
 	deltaNames  []string   // appended documents' display names
 }
@@ -158,9 +157,9 @@ func (a *Archive) NumShards() int { return len(a.shards) }
 // archive since its base was compressed (and not yet folded into it).
 func (a *Archive) AppendedDocuments() int { return len(a.deltaTokens) }
 
-// recordAppend tracks appended documents so WriteTo can serialize them as a
-// delta over the unchanged base.  Called by Engine.Append under its append
-// lock; tokens are already interned in the archive's dictionary.
+// recordAppend tracks appended documents until they are folded into the
+// base.  Called by Engine.Append under its append lock; tokens are already
+// interned in the archive's dictionary.
 func (a *Archive) recordAppend(tokens [][]uint32, names []string) {
 	a.deltaTokens = append(a.deltaTokens, tokens...)
 	a.deltaNames = append(a.deltaNames, names...)
@@ -169,7 +168,9 @@ func (a *Archive) recordAppend(tokens [][]uint32, names []string) {
 // fold folds pending appended documents into the whole-corpus grammar — an
 // offline compaction — and wraps the result as a one-shard set.  The folded
 // corpus no longer matches the per-shard images, and recovering cross-shard
-// redundancy requires recompressing.  No-op without a delta.
+// redundancy requires recompressing.  No-op without a delta.  Only *a is
+// replaced: the grammars it pointed to are left as they were, so folding a
+// copy of an archive leaves the archive itself untouched.
 func (a *Archive) fold() error {
 	if len(a.deltaTokens) == 0 {
 		return nil
@@ -179,12 +180,15 @@ func (a *Archive) fold() error {
 		return fmt.Errorf("ntadoc: fold delta: %w", err)
 	}
 	dg.Files = a.deltaNames
-	if a.g.Files == nil {
+	base := a.g
+	if base.Files == nil {
 		// MergeDelta synthesizes names for an unnamed base; pin the base's
 		// default names so the folded corpus keeps DocumentNames stable.
-		a.g.Files = a.DocumentNames()
+		named := *base
+		named.Files = a.DocumentNames()
+		base = &named
 	}
-	merged, err := cfg.MergeDelta(a.g, dg)
+	merged, err := cfg.MergeDelta(base, dg)
 	if err != nil {
 		return fmt.Errorf("ntadoc: fold delta: %w", err)
 	}
@@ -270,27 +274,16 @@ func (a *Archive) Decompress() []Document {
 // shared-table container at every shard count: the unified form, one
 // self-checksummed shared rule table plus a root per shard.
 //
-// An archive with appended documents serializes as a delta container: the
-// base section byte-for-byte unchanged, plus a compact grammar inferred over
-// just the appended documents — no recompression of the base.  ReadArchive
-// folds the delta back in (an offline compaction), so a load/store cycle
-// compacts the archive.
+// An archive with appended documents is written folded, as the one-shard set
+// NewEngine would build from: the fold runs on a copy, so the archive itself
+// keeps its base and its pending appends.
 func (a *Archive) WriteTo(w io.Writer) (int64, error) {
+	folded := *a
+	if err := folded.fold(); err != nil {
+		return 0, err
+	}
 	var gbuf bytes.Buffer
-	if len(a.deltaTokens) > 0 {
-		var base bytes.Buffer
-		if _, err := cfg.WriteSharedSet(&base, a.shared); err != nil {
-			return 0, err
-		}
-		dg, err := sequitur.Infer(a.deltaTokens, uint32(a.d.Len()))
-		if err != nil {
-			return 0, fmt.Errorf("ntadoc: delta section: %w", err)
-		}
-		dg.Files = a.deltaNames
-		if _, err := cfg.WriteDeltaContainer(&gbuf, base.Bytes(), dg); err != nil {
-			return 0, err
-		}
-	} else if _, err := cfg.WriteSharedSet(&gbuf, a.shared); err != nil {
+	if _, err := cfg.WriteSharedSet(&gbuf, folded.shared); err != nil {
 		return 0, err
 	}
 	var hdr [8]byte
@@ -308,10 +301,10 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadArchive loads an archive written by WriteTo, validating both parts.
-// The grammar section's leading magic selects between the shared-table
-// container, a delta container over one, and a bare single grammar — the
-// base section of archives written before every archive was a shard set,
-// read as a one-shard set.
+// The grammar section is the shared-table container ("NTDCSHD2").  The
+// sections of retired formats — the per-shard container ("NTDCSHD1"), the
+// delta container ("NTDCDLT1") and a bare grammar ("NTDCCFG1") — are refused
+// by name, so that an old archive is told apart from a corrupt one.
 func ReadArchive(r io.Reader) (*Archive, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -330,29 +323,23 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 	if uint64(n) != gLen {
 		return nil, fmt.Errorf("ntadoc: grammar section: %d of %d bytes: %w", n, gLen, io.ErrUnexpectedEOF)
 	}
-	var a *Archive
-	if b := section.Bytes(); cfg.IsDeltaContainer(b) {
-		// A delta archive: parse the embedded base section, then fold the
-		// delta grammar into the whole-corpus form — an offline compaction.
-		base, delta, derr := cfg.ReadDeltaContainer(b)
-		if derr != nil {
-			return nil, derr
-		}
-		if a, err = readBaseSection(base); err != nil {
-			return nil, err
-		}
-		g, merr := cfg.MergeDelta(a.g, delta)
-		if merr != nil {
-			return nil, merr
-		}
-		a, err = singleShard(g, nil)
-	} else {
-		a, err = readBaseSection(b)
+	b := section.Bytes()
+	switch string(b[:8]) {
+	case "NTDCSHD1", "NTDCDLT1", "NTDCCFG1":
+		return nil, errors.New("ntadoc: archive written before the shared-table container; recompress")
 	}
+	set, tag, err := cfg.ReadSharedSet(b)
 	if err != nil {
 		return nil, err
 	}
-	a.d = dict.New()
+	shards, err := set.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	a, err := newArchive(set, tag, shards, dict.New())
+	if err != nil {
+		return nil, err
+	}
 	if _, err := a.d.ReadFrom(r); err != nil {
 		return nil, err
 	}
@@ -366,31 +353,6 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 // before its bytes arrive: the declared length is untrusted, so past this the
 // buffer grows only as bytes do.
 const sectionPrealloc = 1 << 20
-
-// readBaseSection parses one base grammar section, dispatching on its
-// leading magic, into an archive without a dictionary.
-func readBaseSection(b []byte) (*Archive, error) {
-	switch {
-	case cfg.IsSharedContainer(b):
-		set, tag, err := cfg.ReadSharedSet(b)
-		if err != nil {
-			return nil, err
-		}
-		shards, err := set.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		return newArchive(set, tag, shards, nil)
-	case cfg.IsLegacyShardContainer(b):
-		return nil, errors.New("ntadoc: archive written before the shared-table container; recompress")
-	default:
-		g, err := cfg.ReadGrammar(b)
-		if err != nil {
-			return nil, err
-		}
-		return singleShard(g, nil)
-	}
-}
 
 // WriteDOT renders the archive's grammar DAG in Graphviz DOT format, with
 // short rule bodies labelled using real words — the paper's Figure 1(e)

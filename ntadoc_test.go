@@ -3,9 +3,12 @@ package ntadoc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/text-analytics/ntadoc/internal/cfg"
 )
 
 var testDocs = []Document{
@@ -113,7 +116,7 @@ func checkStoredTag(t *testing.T, what string, a *Archive) {
 // the shared table's checksum and not zero, and a WriteTo → ReadArchive
 // round trip keeps the grammar engines build from and the tag.  The tag is
 // recorded once per archive — compressed, read, or folded after appends, by
-// NewEngine or by reading a delta container — and is always the checksum.
+// NewEngine or by WriteTo — and is always the checksum.
 func TestOneShardArchiveIsTagged(t *testing.T) {
 	a := compressDocs(t)
 	checkStoredTag(t, "compressed", a)
@@ -148,19 +151,23 @@ func TestOneShardArchiveIsTagged(t *testing.T) {
 		t.Fatalf("Append: %v", err)
 	}
 	eng.Close()
-	var delta bytes.Buffer
-	if _, err := a2.WriteTo(&delta); err != nil {
-		t.Fatalf("WriteTo with a delta: %v", err)
+	var appended bytes.Buffer
+	if _, err := a2.WriteTo(&appended); err != nil {
+		t.Fatalf("WriteTo with appended documents: %v", err)
 	}
-	if folded := buildTag(t, a2); folded == tag {
+	folded := buildTag(t, a2)
+	if folded == tag {
 		t.Fatalf("folding appended documents kept the base's tag %08x", tag)
 	}
 	checkStoredTag(t, "folded", a2)
-	a3, err := ReadArchive(bytes.NewReader(delta.Bytes()))
+	a3, err := ReadArchive(bytes.NewReader(appended.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadArchive of a delta container: %v", err)
+		t.Fatalf("ReadArchive of an appended-to archive: %v", err)
 	}
-	checkStoredTag(t, "delta-folded", a3)
+	checkStoredTag(t, "written folded", a3)
+	if a3.tag != folded {
+		t.Fatalf("archive written folded reads with tag %08x, NewEngine's fold has %08x", a3.tag, folded)
+	}
 }
 
 // bareGrammarArchive frames a K = 1 archive the way archives were written
@@ -180,25 +187,48 @@ func bareGrammarArchive(tb testing.TB, a *Archive) []byte {
 	return raw.Bytes()
 }
 
-// TestReadBareGrammarSection checks archives whose grammar section is a bare
-// NTDCCFG1 grammar still read, as the same one-shard set: same shard
-// grammar, same names and the same build tag as the NTDCSHD2 form of that
-// grammar.
-func TestReadBareGrammarSection(t *testing.T) {
-	a := compressDocs(t)
-	bare, err := ReadArchive(bytes.NewReader(bareGrammarArchive(t, a)))
+// withSectionMagic returns a copy of a serialized archive whose grammar
+// section opens with magic instead.
+func withSectionMagic(archive []byte, magic string) []byte {
+	raw := bytes.Clone(archive)
+	copy(raw[8:], magic) // the section's magic, after the length prefix
+	return raw
+}
+
+// TestReadArchiveRefusesRetiredSections checks the grammar sections of
+// retired formats — the per-shard container nothing has written since shards
+// began sharing one rule table, the delta container appended-to archives were
+// written as, and a bare grammar, the section of K = 1 archives before every
+// archive became a shard set — are refused as what they are, old and not
+// corrupt, with the remedy in the error, while a section with any other
+// magic is a parse error that does not say to recompress.
+func TestReadArchiveRefusesRetiredSections(t *testing.T) {
+	a, err := CompressSharded(shardDocs, 3)
 	if err != nil {
-		t.Fatalf("ReadArchive of a bare grammar section: %v", err)
+		t.Fatalf("CompressSharded: %v", err)
 	}
-	if bare.NumShards() != 1 || !reflect.DeepEqual(bare.shards, a.shards) {
-		t.Fatal("bare grammar section read as a different shard grammar")
+	var buf bytes.Buffer
+	if _, err := a.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
 	}
-	if !reflect.DeepEqual(bare.DocumentNames(), a.DocumentNames()) {
-		t.Error("document names lost")
+	for _, tc := range []struct {
+		name    string
+		archive []byte
+	}{
+		{"NTDCSHD1", withSectionMagic(buf.Bytes(), "NTDCSHD1")},
+		{"NTDCDLT1", withSectionMagic(buf.Bytes(), "NTDCDLT1")},
+		{"NTDCCFG1", bareGrammarArchive(t, compressDocs(t))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadArchive(bytes.NewReader(tc.archive))
+			if err == nil || !strings.Contains(err.Error(), "recompress") {
+				t.Errorf("ReadArchive of an %s section: err = %v, want one that says to recompress", tc.name, err)
+			}
+		})
 	}
-	checkStoredTag(t, "bare", bare)
-	if got, want := buildTag(t, bare), buildTag(t, a); got == 0 || got != want {
-		t.Fatalf("bare grammar section tagged %08x, its NTDCSHD2 form %08x", got, want)
+	_, err = ReadArchive(bytes.NewReader(withSectionMagic(buf.Bytes(), "NTDCXXX9")))
+	if !errors.Is(err, cfg.ErrInvalid) || strings.Contains(err.Error(), "recompress") {
+		t.Errorf("ReadArchive of an unknown section: err = %v, want cfg.ErrInvalid without a remedy", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/core"
@@ -77,27 +76,6 @@ func TestShardedArchiveSerialization(t *testing.T) {
 	raw[len(raw)/3] ^= 0x40
 	if _, err := ReadArchive(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupted shard container accepted")
-	}
-}
-
-// TestReadArchiveRefusesLegacyShardContainer: an archive whose grammar section
-// is the per-shard container nothing has written since shards began sharing
-// one rule table is refused as what it is — old, not corrupt — with the
-// remedy in the error.
-func TestReadArchiveRefusesLegacyShardContainer(t *testing.T) {
-	a, err := CompressSharded(shardDocs, 3)
-	if err != nil {
-		t.Fatalf("CompressSharded: %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	raw := buf.Bytes()
-	copy(raw[8:], "NTDCSHD1") // the section's magic, after the length prefix
-	_, err = ReadArchive(bytes.NewReader(raw))
-	if err == nil || !strings.Contains(err.Error(), "recompress") {
-		t.Errorf("ReadArchive of an NTDCSHD1 section: err = %v, want one that says to recompress", err)
 	}
 }
 
