@@ -62,10 +62,11 @@ type merger interface {
 }
 
 // MergeUnits folds unit results of op back into one corpus-wide result.
-// Units must arrive in ascending order of their first global document, keyed
-// results in wire order; env must describe the whole corpus (NumFiles spans
-// base and appended documents, Dict holds every word of every unit).  It is
-// the one-part MergeJob, run on env's account.
+// Each unit's DocMap must strictly increase and no global document may sit
+// in two units; units may come in any order, keyed results in wire order.
+// env must describe the whole corpus (NumFiles spans base and appended
+// documents, Dict holds every word of every unit).  It is the one-part
+// MergeJob, run on env's account.
 func MergeUnits(op Op, env Env, units []MergeUnit) (any, error) {
 	j, err := PlanMerge(op, env, units, 1)
 	if err != nil {

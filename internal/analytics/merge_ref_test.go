@@ -190,7 +190,9 @@ type mergeLayout struct {
 // mergeLayouts are the unit shapes the engines produce: K contiguous shards
 // (MergeShard only), and the live-ingest shapes — shard bases followed by
 // delta units whose appended documents interleave globally, before and after
-// a compaction has folded appended documents into the bases.
+// a compaction has folded appended documents into the bases — plus units out
+// of first-document order: the scatter passes delta units in shard order,
+// which is not ascending once one shard has compacted.
 func mergeLayouts(numFiles int) []mergeLayout {
 	var out []mergeLayout
 	for k := 1; k <= 4; k++ {
@@ -221,7 +223,16 @@ func mergeLayouts(numFiles int) []mergeLayout {
 	for doc := 0; doc < numFiles; doc++ {
 		compacted.units[doc%3] = append(compacted.units[doc%3], uint32(doc))
 	}
-	return append(out, compacted)
+	out = append(out, compacted)
+	// The ingest layout with its delta units swapped, and three contiguous
+	// shards in reverse.
+	swapped := mergeLayout{name: "swapped-deltas", units: slices.Clone(ingest.units), mapped: ingest.mapped}
+	swapped.units[2], swapped.units[3] = swapped.units[3], swapped.units[2]
+	reversed := out[2]
+	reversed.name = "reversed"
+	reversed.units = slices.Clone(reversed.units)
+	slices.Reverse(reversed.units)
+	return append(out, swapped, reversed)
 }
 
 // layoutUnits runs op's reference over each unit of layout alone and returns

@@ -95,14 +95,20 @@ type IngestStats struct {
 // servingCut is one published snapshot of what serves an appendable shard:
 // the tail engine (the shard engine itself until a compaction folds appended
 // documents into a new one), the engine over the delta grammar's snapshot,
-// and how many appended documents each holds.  A cut is immutable; a query
-// reaches one only through ingestState.pin and gives it back with release.
+// and the maps placing each one's documents at their global corpus
+// positions.  A cut is immutable; a query reaches one only through
+// ingestState.pin and gives it back with release.  Successive cuts may share
+// a map's backing array: each writer extends the current cut's map, and no
+// cut reads past its own length.
 type servingCut struct {
 	st        *ingestState // nil in a static shard's pin, which holds nothing
 	tail      *Engine
 	delta     *Engine // nil while the tail holds every appended document
 	compacted uint32  // appended documents folded into tail
-	deltaDocs uint32  // appended documents delta holds
+	// tailMap is nil while the tail is the build-time base, whose documents
+	// are contiguous from the shard's first; deltaMap lists the delta's.
+	tailMap  []uint32
+	deltaMap []uint32
 }
 
 // ingestState is an appendable shard's ingestion state, owned by the shard
@@ -271,17 +277,17 @@ func (e *Engine) deltaOptions() Options {
 }
 
 // publishDelta snapshots the delta builder into a fresh engine and publishes
-// the cut that serves it beside tail (caller holds mu).
-func (st *ingestState) publishDelta(tail *Engine, compacted uint32) error {
-	c := &servingCut{st: st, tail: tail, compacted: compacted}
+// c with it as the delta (caller holds mu).
+func (st *ingestState) publishDelta(c servingCut) error {
+	c.delta = nil
 	if g := st.db.Grammar(); g != nil {
 		eng, err := New(g, st.e.d, st.e.deltaOptions())
 		if err != nil {
 			return fmt.Errorf("core: build delta engine: %w", err)
 		}
-		c.delta, c.deltaDocs = eng, g.NumFiles
+		c.delta = eng
 	}
-	st.publish(c)
+	st.publish(&c)
 	return nil
 }
 
@@ -487,14 +493,15 @@ func (e *Engine) AppendAt(docs []AppendDoc, vocab uint32, novel []string, global
 	st.vocab = vocab
 
 	// Serving: extend the delta grammar and publish its snapshot beside the
-	// tail the current cut names.
-	for _, d := range docs {
+	// tail the current cut names, the batch placed at its global positions.
+	next := *st.current()
+	for k, d := range docs {
 		if err := st.db.AppendDoc(d.Tokens, vocab); err != nil {
 			return errEngine("append", err)
 		}
+		next.deltaMap = append(next.deltaMap, globalBase+uint32(k))
 	}
-	cur := st.current()
-	if err := st.publishDelta(cur.tail, cur.compacted); err != nil {
+	if err := st.publishDelta(next); err != nil {
 		return err
 	}
 	st.epoch.Add(1)
@@ -521,7 +528,9 @@ func (st *ingestState) beginCompaction() (base, dg *cfg.Grammar, err error) {
 
 // compact merges the delta grammar into the tail's and publishes the merged
 // engine as the tail of a cut with no delta (see ShardedEngine.Compact).
-func (st *ingestState) compact() error {
+// first is the global index of the shard's first document, which places the
+// build-time base's documents in the merged tail's map.
+func (st *ingestState) compact(first uint32) error {
 	base, dg, err := st.beginCompaction()
 	if err != nil || dg == nil {
 		return err
@@ -544,7 +553,16 @@ func (st *ingestState) compact() error {
 	ne.dev.Share()
 	st.baseG = merged
 	st.db = newDeltaBuilder(ne.numWords, merged)
-	st.publish(&servingCut{st: st, tail: ne, compacted: st.current().compacted + dg.NumFiles})
+	cur := st.current()
+	tailMap := cur.tailMap
+	if tailMap == nil {
+		tailMap = make([]uint32, st.e.numFiles, int(st.e.numFiles)+len(cur.deltaMap))
+		for d := range tailMap {
+			tailMap[d] = first + uint32(d)
+		}
+	}
+	st.publish(&servingCut{st: st, tail: ne, compacted: cur.compacted + dg.NumFiles,
+		tailMap: append(tailMap, cur.deltaMap...)})
 	st.compactions++
 	st.epoch.Add(1)
 	return nil
@@ -609,7 +627,8 @@ func (e *Engine) IngestStats() IngestStats {
 // recoverIngest reattaches the append-log region after Reopen and replays
 // every committed record: the delta builder is rebuilt by replaying the
 // documents (sequitur inference is deterministic, so the delta grammar is
-// bit-identical to the pre-crash one) and published beside the shard engine.
+// bit-identical to the pre-crash one) and published beside the shard engine,
+// each document placed at the global position its batch recorded.
 // The base grammar is gone, so compaction is unavailable until the corpus is
 // recompressed (ErrNoBaseGrammar).
 func (e *Engine) recoverIngest(regionOff int64) error {
@@ -630,11 +649,13 @@ func (e *Engine) recoverIngest(regionOff int64) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNeedsReload, err)
 	}
+	var deltaMap []uint32
 	for _, b := range bs {
-		for _, d := range b.Docs {
+		for k, d := range b.Docs {
 			if err := st.db.AppendDoc(d.Tokens, b.Vocab); err != nil {
 				return fmt.Errorf("%w: replay append: %v", ErrNeedsReload, err)
 			}
+			deltaMap = append(deltaMap, b.GlobalBase+uint32(k))
 		}
 		st.vocab = b.Vocab
 		st.docs += uint64(len(b.Docs))
@@ -642,7 +663,7 @@ func (e *Engine) recoverIngest(regionOff int64) error {
 	st.committed, st.batches = committed, uint64(len(bs))
 	st.epoch.Store(st.batches)
 	e.ingest = st
-	return st.publishDelta(e, 0)
+	return st.publishDelta(servingCut{st: st, tail: e, deltaMap: deltaMap})
 }
 
 // restoreVocabulary re-interns the novel words of the given batches (already

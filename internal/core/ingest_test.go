@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -347,9 +348,11 @@ func TestShardedIngestRecovery(t *testing.T) {
 // TestDocMapsStrictlyIncrease: the gather merges each unit's ranked lists as
 // runs, and analytics.PlanMerge refuses a document map that does not
 // strictly increase, or a document two units hold.  So on a real engine every
-// pinned base and delta map must strictly increase and no global document
-// may sit in two units: after appends, a compaction, a failover, and a
-// sharded reopen that rebuilds the maps from the append logs.
+// pinned tail and delta map must strictly increase, every global document
+// must sit in exactly one unit, and each shard's delta map must list the
+// global documents its own append log records past the compacted prefix:
+// after appends, a compaction, a failover, and a sharded reopen that places
+// the documents from the append logs.
 func TestDocMapsStrictlyIncrease(t *testing.T) {
 	files, d, _ := corpus(t, 77, 16, 150, 25)
 	const base = 6
@@ -374,15 +377,30 @@ func TestDocMapsStrictlyIncrease(t *testing.T) {
 					}
 				}
 				for i, pin := range pins.pins {
-					if pin.baseMap == nil {
+					if pin.tailMap == nil {
 						docs := make([]uint32, pin.tail.numFiles)
 						for j := range docs {
 							docs[j] = se.bases[i] + uint32(j)
 						}
 						hold(i, "base range", docs...)
 					}
-					hold(i, "base", pin.baseMap...)
+					hold(i, "tail", pin.tailMap...)
 					hold(i, "delta", pin.deltaMap...)
+					var logged []uint32
+					for _, b := range se.Shard(i).IngestBatches() {
+						for k := range b.Docs {
+							logged = append(logged, b.GlobalBase+uint32(k))
+						}
+					}
+					if want := logged[pin.compacted:]; !slices.Equal(pin.deltaMap, want) {
+						t.Errorf("%s: shard %d delta map %v, its append log records %v past %d compacted",
+							when, i, pin.deltaMap, want, pin.compacted)
+					}
+				}
+				for doc, ok := range held {
+					if !ok {
+						t.Errorf("%s: no pinned unit holds document %d", when, doc)
+					}
 				}
 			}
 			gs := shardGrammars(t, files[:base], vocab, k)
@@ -451,6 +469,93 @@ func TestDocMapsStrictlyIncrease(t *testing.T) {
 			check(se, "failed over")
 			appendBatches(se, visible, "appended after failover", 2)
 		})
+	}
+}
+
+// TestAppendRoutesToLeastLoadedShard: each batch goes to the appendable
+// shard holding the fewest appended documents, the ones compaction folded
+// into its tail included (the lowest index on a tie), and the counts survive
+// a reopen, which replays every log into a fresh delta.
+func TestAppendRoutesToLeastLoadedShard(t *testing.T) {
+	files, d, _ := corpus(t, 82, 16, 100, 25)
+	const base = 4
+	vocab := uint32(d.Len())
+	opts := Options{Sequences: true, IngestCap: 1 << 20}
+	se, err := NewSharded(shardGrammars(t, files[:base], vocab, 2), d, opts)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	// Runs after the reopened engine's Close, as in TestShardedIngestRecovery.
+	defer se.Close()
+	next := base
+	appendTo := func(se *ShardedEngine, n, want int) {
+		t.Helper()
+		before := len(se.Shard(want).IngestBatches())
+		if err := se.Append(appendDocs(files, next, n), vocab, nil); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if got := len(se.Shard(want).IngestBatches()); got != before+1 {
+			t.Fatalf("the batch of %d documents at global %d did not go to shard %d", n, next, want)
+		}
+		next += n
+	}
+	appendTo(se, 3, 0) // 0 / 0
+	if err := se.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	appendTo(se, 1, 1) // 3 compacted / 0
+	appendTo(se, 1, 1) // 3 compacted / 1
+	appendTo(se, 2, 1) // 3 / 2
+	appendTo(se, 1, 0) // 3 / 4
+	devs := []*nvm.SimDevice{se.Shard(0).Device(), se.Shard(1).Device()}
+	for i, dev := range devs {
+		if err := dev.Crash(); err != nil {
+			t.Fatalf("Crash shard %d: %v", i, err)
+		}
+	}
+	re, _, err := ReopenSharded(devs, d, opts)
+	if err != nil {
+		t.Fatalf("ReopenSharded: %v", err)
+	}
+	defer re.Close()
+	appendTo(re, 1, 0) // 4 / 4
+	appendTo(re, 1, 1) // 5 / 4
+}
+
+// TestReopenRefusesAppendGap: a sharded reopen orders every shard's
+// recovered batches globally and refuses, with ErrNeedsReload, logs that do
+// not number the appended documents contiguously from the end of the base
+// corpus — here shard 0's image from before its batch beside shard 1's from
+// after its own, which starts one document past the end.
+func TestReopenRefusesAppendGap(t *testing.T) {
+	files, d, _ := corpus(t, 81, 8, 100, 25)
+	const base = 4
+	vocab := uint32(d.Len())
+	opts := Options{Sequences: true, IngestCap: 1 << 20}
+	se, err := NewSharded(shardGrammars(t, files[:base], vocab, 2), d, opts)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	early, err := se.Shard(0).Device().CloneDurable()
+	if err != nil {
+		t.Fatalf("CloneDurable: %v", err)
+	}
+	defer early.Discard()
+	for i := base; i < base+2; i++ {
+		if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if bs := se.Shard(1).IngestBatches(); len(bs) != 1 || bs[0].GlobalBase != base+1 {
+		t.Fatalf("shard 1 logged %+v, want one batch at global %d", bs, base+1)
+	}
+	late := se.Shard(1).Device()
+	if err := late.Crash(); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	if _, _, err := ReopenSharded([]*nvm.SimDevice{early, late}, d, opts); !errors.Is(err, ErrNeedsReload) {
+		t.Fatalf("ReopenSharded over a gap in the append numbering: %v, want ErrNeedsReload", err)
 	}
 }
 
@@ -795,7 +900,7 @@ func concurrentIngest(t *testing.T, k int, compact bool) {
 					eng  *Engine
 					docs [][]uint32
 				}
-				units := []pinnedEngine{{pin.tail, pinnedDocs(files, pin.baseMap, e.bases[i], sh.numFiles)}}
+				units := []pinnedEngine{{pin.tail, pinnedDocs(files, pin.tailMap, e.bases[i], sh.numFiles)}}
 				if pin.delta != nil {
 					units = append(units, pinnedEngine{pin.delta, pinnedDocs(files, pin.deltaMap, 0, 0)})
 				}

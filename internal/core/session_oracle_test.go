@@ -80,7 +80,7 @@ func TestSessionMatchesReference(t *testing.T) {
 						a, b := shardSet(t, files, d, k, opts), shardSet(t, files, d, k, opts)
 						ss := a.NewSession()
 						for i := 0; i < k; i++ {
-							got, ref := ss.sessions[i], newRefSession(b.Shard(i))
+							got, ref := a.Shard(i).newSession(ss.ws[i]), newRefSession(b.Shard(i))
 							for bi, ops := range batches {
 								want, err := ref.RunOps(ops)
 								if err != nil {
@@ -128,7 +128,7 @@ func TestResultsSurviveNextRun(t *testing.T) {
 			ss := se.NewSession()
 			ops := analytics.Ops()
 
-			laneA, err := ss.sessions[0].RunOps(ops)
+			laneA, err := se.Shard(0).newSession(ss.ws[0]).RunOps(ops)
 			if err != nil {
 				t.Fatalf("lane run A: %v", err)
 			}
@@ -249,8 +249,8 @@ func heapAllocated() uint64 {
 }
 
 // TestWorkspaceFollowsPromotion runs one ShardedSession before and after a
-// compaction promotes a new serving tail: the slot's workspace is re-fitted
-// to the promoted engine — results stay exact — and once warm again a run
+// compaction promotes a new serving tail: the promoted tail is served in the
+// lane's workspace — results stay exact — and once warm again a run
 // allocates nothing the size of a key space (only its results).
 func TestWorkspaceFollowsPromotion(t *testing.T) {
 	// A vocabulary much wider than any document, so a key-space-sized
@@ -278,7 +278,6 @@ func TestWorkspaceFollowsPromotion(t *testing.T) {
 		}
 	}
 	check("before append", base)
-	before := ss.sessions[0]
 	if err := se.Append(appendDocs(files, base, len(files)-base), uint32(d.Len()), nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -286,20 +285,19 @@ func TestWorkspaceFollowsPromotion(t *testing.T) {
 	if err := se.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	check("after promotion", len(files))
-	after := ss.sessions[0]
-	if after == before || after.e == before.e {
-		t.Fatal("the slot's session did not follow the promoted serving tail")
+	cut := se.Shard(0).ingest.pin()
+	defer cut.release()
+	if cut.tail == se.Shard(0) || cut.delta != nil {
+		t.Fatal("the compaction did not promote a tail that serves every document")
 	}
-	if after.run.ws != before.run.ws || after.run.ws != ss.ws[0] {
-		t.Fatal("the promoted tail's session does not run in the slot's workspace")
+	ss.ws[0].held.Store(0)
+	check("after promotion", len(files))
+	if ss.ws[0].Bytes() == 0 {
+		t.Fatal("the promoted tail was not served in the lane's workspace")
 	}
 	check("second run on the promoted tail", len(files))
-	if ss.sessions[0] != after {
-		t.Error("a warm slot reopened its session again")
-	}
 
-	keySpace := uint64(after.e.numWords) * 8 // one dense value array
+	keySpace := uint64(cut.tail.numWords) * 8 // one dense value array
 	const runs = 5
 	a0 := heapAllocated()
 	for i := 0; i < runs; i++ {
@@ -309,7 +307,7 @@ func TestWorkspaceFollowsPromotion(t *testing.T) {
 	}
 	if perRun := (heapAllocated() - a0) / runs; perRun >= keySpace {
 		t.Errorf("a warm run on the promoted tail allocated %d bytes, a key space (%d words) is %d",
-			perRun, after.e.numWords, keySpace)
+			perRun, cut.tail.numWords, keySpace)
 	}
 }
 

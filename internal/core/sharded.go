@@ -72,12 +72,11 @@ type ShardedEngine struct {
 
 	// Online-ingestion coordination: appends route whole batches to the
 	// least-loaded shard's durable append log, and documents are numbered
-	// globally in append order — so a shard's delta documents interleave
-	// globally with other shards', and the gather path merges them through
-	// per-unit document maps (analytics.MergeUnits).
-	ingestMu  sync.Mutex
-	deltaMaps [][]uint32 // guarded by ingestMu: global doc IDs per shard, append order
-	appended  uint32     // guarded by ingestMu: total appended documents
+	// globally in append order — so a shard's appended documents interleave
+	// globally with other shards', and each shard's serving cut carries the
+	// document maps the gather merges its units under (analytics.MergeUnits).
+	ingestMu sync.Mutex
+	appended uint32 // guarded by ingestMu: total appended documents
 }
 
 // ErrShardMismatch reports a sharded device set whose pool stamps do not
@@ -203,7 +202,6 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 		}
 		return nil, errEngine("new sharded", err)
 	}
-	se.deltaMaps = make([][]uint32, len(se.shards))
 	spans := make([]metrics.Span, len(se.shards))
 	for i, sh := range se.shards {
 		spans[i] = sh.InitSpan()
@@ -334,7 +332,7 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 			return fail(infos, errEngine("reopen sharded", err))
 		}
 	}
-	if err := se.recoverIngestMaps(); err != nil {
+	if err := se.recoverIngestOrder(); err != nil {
 		return fail(infos, errEngine("reopen sharded", err))
 	}
 	for _, dev := range dead {
@@ -372,143 +370,70 @@ func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *Recov
 	return e, info, nil
 }
 
-// recoverIngestMaps rebuilds the coordinator's global ingestion state after
-// a sharded reopen: every shard's recovered batch history is collected,
-// ordered globally (batches carry the global index of their first document),
-// the shared dictionary's appended vocabulary is restored in that global
-// order, and the per-shard document maps are rebuilt.
-func (se *ShardedEngine) recoverIngestMaps() error {
+// recoverIngestOrder restores the coordinator's global ingestion state after
+// a sharded reopen: every shard's recovered batches, ordered globally
+// (batches carry the global index of their first document), must number the
+// appended documents contiguously from the end of the base corpus, and the
+// shared dictionary's appended vocabulary is restored in that order.  Each
+// shard's recovered cut already places its own documents.
+func (se *ShardedEngine) recoverIngestOrder() error {
 	se.ingestMu.Lock()
 	defer se.ingestMu.Unlock()
-	se.deltaMaps = make([][]uint32, len(se.shards))
-	type owned struct {
-		b     IngestBatch
-		shard int
+	var all []IngestBatch
+	for _, sh := range se.shards {
+		all = append(all, sh.IngestBatches()...)
 	}
-	var all []owned
-	for i, sh := range se.shards {
-		for _, b := range sh.IngestBatches() {
-			all = append(all, owned{b: b, shard: i})
-		}
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	slices.SortFunc(all, func(a, b owned) int { return cmp.Compare(a.b.GlobalBase, b.b.GlobalBase) })
-	batches := make([]IngestBatch, len(all))
-	for i, o := range all {
-		batches[i] = o.b
-	}
-	if err := restoreVocabulary(se.d, batches); err != nil {
+	slices.SortFunc(all, func(a, b IngestBatch) int { return cmp.Compare(a.GlobalBase, b.GlobalBase) })
+	if err := restoreVocabulary(se.d, all); err != nil {
 		return fmt.Errorf("%w: %v", ErrNeedsReload, err)
 	}
-	for _, o := range all {
-		if o.b.GlobalBase != se.nfiles+se.appended {
+	for _, b := range all {
+		if b.GlobalBase != se.nfiles+se.appended {
 			return fmt.Errorf("%w: append batch at global %d, expected %d",
-				ErrNeedsReload, o.b.GlobalBase, se.nfiles+se.appended)
+				ErrNeedsReload, b.GlobalBase, se.nfiles+se.appended)
 		}
-		for k := range o.b.Docs {
-			se.deltaMaps[o.shard] = append(se.deltaMaps[o.shard], o.b.GlobalBase+uint32(k))
-		}
-		se.appended += uint32(len(o.b.Docs))
+		se.appended += uint32(len(b.Docs))
 	}
 	return nil
 }
 
-// shardPin is one shard's pinned serving cut — a static shard's names the
-// shard engine and holds nothing — and the document maps placing the tail's
-// and the delta's documents at their global corpus positions.  baseMap is
-// nil while the tail still serves exactly the build-time base — the
-// contiguous DocBase offset suffices — and becomes explicit once compaction
-// folds appended documents (globally interleaved with other shards') into
-// the tail.
-type shardPin struct {
-	servingCut
-	baseMap  []uint32
-	deltaMap []uint32
-}
-
 // ingestPins is the consistent corpus cut one scatter-gather observes: every
-// shard's serving state pinned under ingestMu, so the merged result reflects
+// shard's serving cut pinned under ingestMu, so the merged result reflects
 // exactly the appends committed before the batch started, no matter how many
-// appends and compactions land while it runs.
+// appends and compactions land while it runs.  Until the lanes join, lane i
+// alone touches pins[i].
 type ingestPins struct {
-	mu     sync.Mutex // guards pins: failover lanes repin concurrently
-	pins   []shardPin
+	pins   []servingCut
 	nfiles int // global document count at pin time
 }
 
-// pinIngest pins every shard's serving state for one scatter-gather.  The
+// pinIngest pins every shard's serving cut for one scatter-gather.  The
 // caller must release the pins.
 func (se *ShardedEngine) pinIngest() *ingestPins {
 	se.ingestMu.Lock()
 	defer se.ingestMu.Unlock()
-	p := &ingestPins{pins: make([]shardPin, len(se.shards)), nfiles: int(se.nfiles + se.appended)}
+	p := &ingestPins{pins: make([]servingCut, len(se.shards)), nfiles: int(se.nfiles + se.appended)}
 	for i := range se.shards {
 		p.pins[i] = se.pinShard(i)
 	}
 	return p
 }
 
-// pinShard pins shard i's current serving cut.  Caller holds ingestMu, so
-// no append is in flight and every committed delta document already has its
-// entry in deltaMaps[i]; a compaction may still publish a new cut, and the
-// pin sees the one before it or the one after, whole.
-func (se *ShardedEngine) pinShard(i int) shardPin {
+// pinShard pins shard i's current serving cut; a static shard's names the
+// shard engine and holds nothing.  A compaction may publish a new cut
+// meanwhile, and the pin sees the one before it or the one after, whole.
+func (se *ShardedEngine) pinShard(i int) servingCut {
 	sh := se.shards[i]
 	if sh.ingest == nil {
-		return shardPin{servingCut: servingCut{tail: sh}} // static shard
+		return servingCut{tail: sh}
 	}
-	pin := shardPin{servingCut: *sh.ingest.pin()}
-	compacted := int(pin.compacted)
-	if compacted > 0 {
-		bm := make([]uint32, 0, int(sh.numFiles)+compacted)
-		for d := uint32(0); d < sh.numFiles; d++ {
-			bm = append(bm, se.bases[i]+d)
-		}
-		bm = append(bm, se.deltaMaps[i][:compacted]...)
-		pin.baseMap = bm
-	}
-	if pin.delta != nil {
-		end := compacted + int(pin.deltaDocs)
-		if end > len(se.deltaMaps[i]) {
-			end = len(se.deltaMaps[i]) // delta outran the maps: lossy failover
-		}
-		pin.deltaMap = append([]uint32(nil), se.deltaMaps[i][compacted:end]...)
-	}
-	return pin
-}
-
-// serving returns shard i's pinned serving tail.
-func (p *ingestPins) serving(i int) *Engine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pins[i].tail
-}
-
-// repin refreshes shard i's pin after a failover promoted a new primary: the
-// recovered engine replayed its durable append log into a fresh delta beside
-// its own DAG, so the shard's cut is taken again, from the new engine's
-// state; the old one is given back to the retired engine's.
-func (p *ingestPins) repin(se *ShardedEngine, i int) {
-	se.ingestMu.Lock()
-	pin := se.pinShard(i)
-	se.ingestMu.Unlock()
-	p.mu.Lock()
-	old := p.pins[i]
-	p.pins[i] = pin
-	p.mu.Unlock()
-	old.release()
+	return *sh.ingest.pin()
 }
 
 // release gives back every pinned cut.
 func (p *ingestPins) release() {
-	p.mu.Lock()
-	pins := p.pins
-	p.pins = nil
-	p.mu.Unlock()
-	for i := range pins {
-		pins[i].release()
+	for i := range p.pins {
+		p.pins[i].release()
 	}
 }
 
@@ -525,24 +450,21 @@ func (se *ShardedEngine) Append(docs []AppendDoc, vocab uint32, novel []string) 
 	}
 	se.ingestMu.Lock()
 	defer se.ingestMu.Unlock()
-	best := -1
-	for i := range se.shards {
-		if se.shards[i].ingest == nil {
+	best, load := -1, uint32(0)
+	for i, sh := range se.shards {
+		if sh.ingest == nil {
 			continue
 		}
-		if best < 0 || len(se.deltaMaps[i]) < len(se.deltaMaps[best]) {
-			best = i
+		c := sh.ingest.current()
+		if n := c.compacted + uint32(len(c.deltaMap)); best < 0 || n < load {
+			best, load = i, n
 		}
 	}
 	if best < 0 {
 		return ErrNoIngest
 	}
-	base := se.nfiles + se.appended
-	if err := se.shards[best].AppendAt(docs, vocab, novel, base); err != nil {
+	if err := se.shards[best].AppendAt(docs, vocab, novel, se.nfiles+se.appended); err != nil {
 		return err
-	}
-	for k := range docs {
-		se.deltaMaps[best] = append(se.deltaMaps[best], base+uint32(k))
 	}
 	se.appended += uint32(len(docs))
 	return nil
@@ -585,7 +507,7 @@ func (se *ShardedEngine) IngestStats() IngestStats {
 func (se *ShardedEngine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
 	p = p.withDefaults()
 	did := false
-	for _, sh := range se.shards {
+	for i, sh := range se.shards {
 		st := sh.ingest
 		if st == nil {
 			continue
@@ -593,7 +515,7 @@ func (se *ShardedEngine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
 		if !p.exceeded(sh.IngestStats()) {
 			continue
 		}
-		if err := st.compact(); err != nil {
+		if err := st.compact(se.bases[i]); err != nil {
 			if errors.Is(err, ErrCompacting) {
 				continue
 			}
@@ -658,24 +580,22 @@ const laneDispatchCost = metrics.CostTxOverhead
 // recovered engine; errors that survive failover (or occur without one)
 // surface as ErrShardFailed.
 //
-// The scatter opens by pinning every shard's serving cut — the tail, the
-// delta engine, and a snapshot of the global document maps — so the whole
-// batch observes one consistent corpus cut even while appends and
-// compactions proceed underneath it.  Base runs go against the pinned
-// tails, delta engines run through transient query sessions, and the gather
-// merges everything as analytics.MergeUnits does, under per-unit document
-// maps.
-// A corpus that is one contiguous unit from document 0 with no delta — the
-// static one-shard set — needs no merge: the shard's result is the result.
-// ws, when non-nil, holds one workspace per shard for the delta runs to
-// borrow: they start after every lane has finished with its own.
+// The scatter opens by pinning every shard's serving cut, so the whole batch
+// observes one consistent corpus cut even while appends and compactions
+// proceed underneath it.  Lane i runs everything shard i's cut names: its
+// tail, then, on the same goroutine, its delta (run's delta flag set), and
+// the gather merges every unit as analytics.MergeUnits does, under the
+// document maps the cut carries.  A corpus that is one contiguous unit from
+// document 0 with no delta — the static one-shard set — needs no merge: the
+// shard's result is the result.
 func (se *ShardedEngine) scatterGather(ops []analytics.Op,
-	run func(i int, serving *Engine) ([]any, metrics.Span, error),
+	run func(i int, e *Engine, delta bool) ([]any, metrics.Span, error),
 	failover func(i int, cause error) error,
-	meter *metrics.Meter, ws []*workspace) ([]any, scattered, error) {
+	meter *metrics.Meter) ([]any, scattered, error) {
 	pins := se.pinIngest()
 	defer pins.release()
-	shardOut := make([][]any, len(se.shards))
+	tailOut := make([][]any, len(se.shards))
+	deltaOut := make([][]any, len(se.shards))
 	spans := make([]metrics.Span, len(se.shards))
 	errs := make([]error, len(se.shards))
 	var wg sync.WaitGroup
@@ -683,7 +603,8 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, span, err := run(i, pins.serving(i))
+			pin := &pins.pins[i]
+			out, span, err := run(i, pin.tail, false)
 			for err != nil && failover != nil && isDeviceFailure(err) {
 				// Retire the lane's failed shard and re-dispatch its ops
 				// against the recovered follower.  The loop continues as
@@ -693,14 +614,28 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 					err = ferr
 					break
 				}
-				pins.repin(se, i)
-				out, span, err = run(i, pins.serving(i))
+				// The recovered engine replayed its durable append log into
+				// a fresh delta beside its own DAG: pin the shard's cut again,
+				// from the new engine's state, and give the old one back to
+				// the retired engine's.
+				old := *pin
+				*pin = se.pinShard(i)
+				old.release()
+				out, span, err = run(i, pin.tail, false)
+			}
+			// The delta's meter and device are not charged to the batch's
+			// span: on dataset B's first 800 documents at K=2 after 20
+			// appended batches of 8, six single-task batches charge 4.99 ms
+			// of delta work to no one against 20.35 ms reported (ROADMAP
+			// item 2).
+			if err == nil && pin.delta != nil {
+				deltaOut[i], _, err = run(i, pin.delta, true)
 			}
 			if err != nil {
 				errs[i] = wrapShard(i, err)
 				return
 			}
-			shardOut[i], spans[i] = out, span
+			tailOut[i], spans[i] = out, span
 		}(i)
 	}
 	wg.Wait()
@@ -712,36 +647,12 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	// Each shard's lane charges the coordinator its scheduling and join
 	// bookkeeping.
 	meter.Charge(int64(len(se.shards)), laneDispatchCost)
-	// Run the pinned delta engines, whole batch each, through transient query
-	// sessions, then merge base and delta units under their document maps.
-	// The delta runs' meters and devices are not charged to the batch's span:
-	// on dataset B's first 800 documents at K=2 after 20 appended batches of
-	// 8, six single-task batches charge 4.99 ms of delta work to no one
-	// against 20.35 ms reported (ROADMAP item 2).
-	deltaOut := make([][]any, len(se.shards))
-	for i := range pins.pins {
-		if delta := pins.pins[i].delta; delta != nil {
-			var lent *workspace
-			if ws != nil {
-				lent = ws[i]
-			}
-			res, err := delta.newSession(lent).RunOps(ops)
-			if err != nil {
-				return nil, scattered{}, wrapShard(i, err)
-			}
-			deltaOut[i] = res
-		}
-	}
 	results := make([]any, len(ops))
 	units := make([][]analytics.MergeUnit, len(ops))
 	for j := range ops {
 		mu := make([]analytics.MergeUnit, 0, 2*len(se.shards))
-		for i := range se.shards {
-			if bm := pins.pins[i].baseMap; bm != nil {
-				mu = append(mu, analytics.MergeUnit{Result: shardOut[i][j], DocMap: bm})
-			} else {
-				mu = append(mu, analytics.MergeUnit{Result: shardOut[i][j], DocBase: se.bases[i]})
-			}
+		for i := range pins.pins {
+			mu = append(mu, analytics.MergeUnit{Result: tailOut[i][j], DocBase: se.bases[i], DocMap: pins.pins[i].tailMap})
 		}
 		for i := range pins.pins {
 			if pins.pins[i].delta != nil {
@@ -921,14 +832,18 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 	}
 	cpu0 := se.meter.Nanos()
 	results, sc, err := se.scatterGather(ops,
-		func(_ int, serving *Engine) ([]any, metrics.Span, error) {
-			res, err := serving.RunOps(ops)
+		func(_ int, e *Engine, delta bool) ([]any, metrics.Span, error) {
+			if delta {
+				res, err := e.NewSession().RunOps(ops)
+				return res, metrics.Span{}, err
+			}
+			res, err := e.RunOps(ops)
 			if err != nil {
 				return nil, metrics.Span{}, err
 			}
-			return res, serving.LastTraversalSpan(), nil
+			return res, e.LastTraversalSpan(), nil
 		},
-		se.failoverShard, &se.meter, nil)
+		se.failoverShard, &se.meter)
 	if err != nil {
 		return nil, err
 	}
@@ -954,34 +869,28 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 
 var _ analytics.Executor = (*ShardedEngine)(nil)
 
-// ShardedSession is a read-only query context over every shard: one session
-// per shard engine, run in parallel and merged like the engine's task path,
-// with all merge-side state session-local.  Sessions model the post-load
-// query phase and must not run concurrently with engine task methods or
-// Close, only with each other.  Sessions never mutate devices, so they have
-// no failover path; a device error surfaces as ErrShardFailed.
+// ShardedSession is a read-only query context over every shard: each lane
+// runs a query session over its shard's pinned cut, in parallel, merged like
+// the engine's task path, with all merge-side state session-local.  Sessions
+// model the post-load query phase and must not run concurrently with engine
+// task methods or Close, only with each other.  Sessions never mutate
+// devices, so they have no failover path; a device error surfaces as
+// ErrShardFailed.
 //
-// The session owns one traversal workspace per shard slot.  A slot's
-// workspace follows the shard, not an engine: when compaction publishes a
-// new tail the slot's session is reopened on it in the same workspace, and
-// the shard's delta engine borrows it once the lane is done.
+// The session holds one traversal workspace per shard lane and nothing
+// else: a lane's workspace follows the shard, not an engine, so each run
+// serves whatever tail and delta the shard's cut names in it.
 type ShardedSession struct {
-	se       *ShardedEngine
-	sessions []*Session
-	ws       []*workspace
-	meter    metrics.Meter
+	se    *ShardedEngine
+	ws    []*workspace
+	meter metrics.Meter
 }
 
-// NewSession opens one query session per shard.
+// NewSession opens a query session over every shard.
 func (se *ShardedEngine) NewSession() *ShardedSession {
-	ss := &ShardedSession{
-		se:       se,
-		sessions: make([]*Session, len(se.shards)),
-		ws:       make([]*workspace, len(se.shards)),
-	}
-	for i, sh := range se.shards {
+	ss := &ShardedSession{se: se, ws: make([]*workspace, len(se.shards))}
+	for i := range ss.ws {
 		ss.ws[i] = &workspace{}
-		ss.sessions[i] = sh.newSession(ss.ws[i])
 	}
 	return ss
 }
@@ -991,9 +900,9 @@ func (ss *ShardedSession) RunOps(ops []analytics.Op) ([]any, error) {
 	return ss.runOps(nil, ops)
 }
 
-// RunOpsContext is RunOps with cancellation: every shard session polls the
-// same ctx, so canceling the request unwinds all lanes of the scatter-gather
-// promptly (within one body read per lane).  The cancellation surfaces as
+// RunOpsContext is RunOps with cancellation: every lane polls the same ctx,
+// so canceling the request unwinds all lanes of the scatter-gather promptly
+// (within one body read per lane).  The cancellation surfaces as
 // ErrShardFailed with ctx.Err() in its cause chain — callers distinguish a
 // canceled batch from a genuine shard failure with errors.Is against
 // context.Canceled / context.DeadlineExceeded.
@@ -1006,20 +915,10 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 		return nil, nil
 	}
 	results, sc, err := ss.se.scatterGather(ops,
-		func(i int, serving *Engine) ([]any, metrics.Span, error) {
-			sess := ss.sessions[i]
-			if serving != sess.e {
-				// A compaction replaced the tail this slot's session was
-				// opened on (it may be discarded by now — compare, never
-				// touch): reopen the session over the pinned tail, which holds
-				// the compacted corpus the document maps expect.  Only this
-				// shard's lane touches the slot.
-				sess = serving.newSession(ss.ws[i])
-				ss.sessions[i] = sess
-			}
-			res, err := sess.runOps(ctx, ops)
+		func(i int, e *Engine, _ bool) ([]any, metrics.Span, error) {
+			res, err := e.newSession(ss.ws[i]).runOps(ctx, ops)
 			return res, metrics.Span{}, err
-		}, nil, &ss.meter, ss.ws)
+		}, nil, &ss.meter)
 	for _, n := range sc.parts {
 		ss.meter.Charge(n, 1)
 	}
@@ -1029,8 +928,8 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 var _ analytics.Executor = (*ShardedSession)(nil)
 
 // Meter reports the modeled CPU cost of this session's gather work — lane
-// dispatches, merges and stitches, a cut gather's parts summed; the
-// per-shard traversal costs live on the shard sessions' meters.
+// dispatches, merges and stitches, a cut gather's parts summed.  The lanes'
+// traversals charge their own transient sessions, which nothing reads.
 func (ss *ShardedSession) Meter() *metrics.Meter { return &ss.meter }
 
 // WorkspaceBytes reports the traversal working memory the session's lanes

@@ -9,10 +9,10 @@ import (
 )
 
 // workspace is one lane's traversal working memory, and the only home of a
-// query session's traversal state.  A ShardedSession owns one per shard slot
-// and lends it to whichever engine the pin says is serving that shard — the
-// build-time engine, a compacted tail, and (after the lane has finished) the
-// shard's delta view — so a session that keeps serving keeps its memory.
+// query session's traversal state.  A ShardedSession owns one per shard lane,
+// and the lane runs everything the shard's pinned cut names in it — the
+// build-time engine or a compacted tail, then the shard's delta — so a
+// session that keeps serving keeps its memory.
 //
 // Everything is grown on first use, never in NewSession, and every structure
 // is (re)initialized by the pass that uses it, for the engine that pass runs

@@ -11,27 +11,6 @@ import (
 	"github.com/text-analytics/ntadoc/internal/nvm"
 )
 
-// Phase identifies the two phases of the paper's workflow (§IV-A).
-type Phase int
-
-// The workflow phases.
-const (
-	PhaseInit Phase = iota + 1
-	PhaseTraversal
-)
-
-// String names the phase as the paper does.
-func (p Phase) String() string {
-	switch p {
-	case PhaseInit:
-		return "initialization"
-	case PhaseTraversal:
-		return "graph traversal"
-	default:
-		return "unknown"
-	}
-}
-
 // Meter accumulates modeled CPU time.  Engines charge it for the
 // data-structure work the device model cannot see — hash operations on
 // DRAM-resident maps, per-token stream processing, sorting — using the Cost
@@ -199,20 +178,10 @@ func (s Span) AddParallel(lanes []int64) Span {
 	return s
 }
 
-// Breakdown records per-phase spans for one task run (Table II).
-type Breakdown struct {
-	Init      Span
-	Traversal Span
-}
-
-// Total returns the end-to-end total time.
-func (b Breakdown) Total() time.Duration { return b.Init.Total() + b.Traversal.Total() }
-
-// MemEstimate approximates the DRAM bytes held by common Go structures; the
-// RSS analogue used for §VI-C.  Constants reflect amd64 Go runtime layouts:
-// a map entry costs roughly its key+value plus ~48 bytes of bucket and
-// header overhead; a slice costs its backing array.
-type MemEstimate int64
+// MapBytes and SliceBytes approximate the DRAM bytes held by common Go
+// structures; the RSS analogue used for §VI-C.  Constants reflect amd64 Go
+// runtime layouts: a map entry costs roughly its key+value plus ~48 bytes of
+// bucket and header overhead; a slice costs its backing array.
 
 // MapBytes estimates a map with n entries of the given key/value widths.
 func MapBytes(n int, keyBytes, valBytes int) int64 {

@@ -8,18 +8,6 @@ import (
 	"github.com/text-analytics/ntadoc/internal/nvm"
 )
 
-func TestPhaseString(t *testing.T) {
-	if PhaseInit.String() != "initialization" {
-		t.Errorf("PhaseInit = %q", PhaseInit)
-	}
-	if PhaseTraversal.String() != "graph traversal" {
-		t.Errorf("PhaseTraversal = %q", PhaseTraversal)
-	}
-	if Phase(0).String() != "unknown" {
-		t.Errorf("Phase(0) = %q", Phase(0))
-	}
-}
-
 func TestMeterCharge(t *testing.T) {
 	var m Meter
 	m.Charge(10, 25)
@@ -86,16 +74,6 @@ func TestSpanNilSources(t *testing.T) {
 	}
 	if s.Total() != 0 {
 		t.Errorf("Total = %v, want 0 (no modeled sources)", s.Total())
-	}
-}
-
-func TestBreakdownTotal(t *testing.T) {
-	b := Breakdown{
-		Init:      Span{CPUNanos: 100},
-		Traversal: Span{CPUNanos: 50},
-	}
-	if b.Total() != 150 {
-		t.Errorf("Total = %v", b.Total())
 	}
 }
 
