@@ -3,7 +3,7 @@ GO ?= go
 # Seconds of coverage-guided fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 20s
 
-.PHONY: all build cross vet staticcheck lint test race bench-smoke microbench bench-test errcheck crashcheck failovercheck ingestcheck figcheck fuzz-smoke e2e loc check
+.PHONY: all build cross vet staticcheck lint test race bench-smoke microbench bench-test crashcheck failovercheck ingestcheck figcheck fuzz-smoke e2e loc check
 
 all: check
 
@@ -113,13 +113,6 @@ bench-test:
 #	$(GO) vet -vettool=/tmp/ntalint ./...
 lint:
 	$(GO) run ./cmd/ntalint ./...
-
-# errcheck used to be a line-regex grep for bare persistence-method calls; a
-# multi-line call, an `_ =` assignment, or a call through an interface all
-# slipped past it.  The name stays for muscle memory, but it now runs the
-# type-aware analyzer that replaced the grep.
-errcheck:
-	$(GO) run ./cmd/ntalint -c persistcheck ./...
 
 # Exhaustive crash-point exploration on the recorded small corpus: every
 # flush/drain event of WordCount under both persistence strategies, the

@@ -1,10 +1,10 @@
 // Ngram: mine frequent three-word sequences from a document collection
 // directly on the compressed archive, then build a ranked inverted index
 // over them — the paper's two sequence-analytics benchmarks, exercised
-// through the head/tail structures of §IV-D.  The example also demonstrates
-// phase-level persistence: the pool is file-backed, and a second engine
-// reopened from the same file reads the committed results after a simulated
-// restart.
+// through the head/tail structures of §IV-D.  The pool is file-backed, and
+// after a simulated restart a second engine rebuilds over the same file from
+// the archive (NewEngine formats the pool; it does not reopen it) and
+// reproduces the results.
 //
 //	go run ./examples/ngram
 package main
@@ -90,8 +90,8 @@ func main() {
 		fmt.Println()
 	}
 
-	// Phase-level persistence: close the engine, then reopen the pool file
-	// as a fresh process would after a restart.
+	// A restart: close the engine, then build a second one over the same
+	// pool file.  NewEngine rebuilds the pool from the archive, not reopens it.
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter reopening the persistent pool: %d sequences, "+
+	fmt.Printf("\nafter rebuilding over the same pool file: %d sequences, "+
 		"'down the stream' x%d (results reproducible across restarts)\n",
 		len(again), again["down the stream"])
 }

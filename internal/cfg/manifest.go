@@ -69,8 +69,8 @@ func encodeSharedTable(ss *SharedSet) []byte {
 
 // Checksum fingerprints the shared rule table: the CRC32 of its serialized
 // section, identical to the checksum embedded in the container.  Engines
-// stamp it into their pool headers so recovery can tell shards of different
-// unified builds apart.
+// stamp it into their pools' root slots so recovery can tell shards of
+// different unified builds apart.
 func (ss *SharedSet) Checksum() uint32 {
 	enc := encodeSharedTable(ss)
 	return binary.LittleEndian.Uint32(enc[len(enc)-4:])

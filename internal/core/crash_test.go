@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
@@ -35,10 +37,36 @@ func TestCrashDuringInitRequiresReload(t *testing.T) {
 	}
 }
 
+// TestReopenRefusesUnsealedRootSlot changes a root slot on the durable image
+// without resealing the header.  The header CRC covers the root slots, so
+// recovery asks for a rebuild instead of trusting the slot: here the
+// distinct-word count, a scalar no region check could doubt.
+func TestReopenRefusesUnsealedRootSlot(t *testing.T) {
+	_, d, g := corpus(t, 50, 2, 150, 25)
+	e := newEngine(t, g, d, Options{})
+	if err := e.pool.SetRoot(rootDistinct, e.distinctWords+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.dev.Flush(0, pmem.HeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.dev.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.dev.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Reopen(e.dev, d, Options{})
+	if !errors.Is(err, ErrNeedsReload) || !strings.Contains(fmt.Sprint(err), pmem.ErrCorrupt.Error()) {
+		t.Errorf("Reopen with an unsealed root slot: %v, want ErrNeedsReload for a corrupt header", err)
+	}
+}
+
 func TestFlushFailureDuringCheckpointSurfaces(t *testing.T) {
 	files, d, g := corpus(t, 51, 2, 150, 25)
 	e := newEngine(t, g, d, Options{})
-	e.dev.FailAfterFlushes(0)
+	// The traversal's first persistence event is its checkpoint's flush.
+	e.dev.FailFromPersistEvent(e.dev.PersistEvents())
 	if _, err := analytics.WordCount(e); err == nil {
 		t.Fatal("expected checkpoint flush failure to surface")
 	}
@@ -56,7 +84,9 @@ func TestFlushFailureDuringCheckpointSurfaces(t *testing.T) {
 func TestOpLevelFlushFailureSurfaces(t *testing.T) {
 	_, d, g := corpus(t, 52, 2, 150, 25)
 	e := newEngine(t, g, d, Options{Persistence: OpLevel})
-	e.dev.FailAfterFlushes(3)
+	// Events +0 to +5 are three op-log commits, each a flush and a drain;
+	// event +6 is the fourth flush.
+	e.dev.FailFromPersistEvent(e.dev.PersistEvents() + 6)
 	if _, err := analytics.WordCount(e); err == nil {
 		t.Fatal("expected op-log flush failure to surface")
 	}

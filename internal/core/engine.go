@@ -124,12 +124,7 @@ func New(g *cfg.Grammar, d *dict.Dictionary, opts Options) (*Engine, error) {
 		}
 		return nil, err
 	}
-	pool, err := pmem.Create(dev, pmem.Options{
-		LogCap:     opts.OpLogCap,
-		Shard:      opts.ShardIndex,
-		ShardCount: opts.ShardCount,
-		Tag:        opts.BuildTag,
-	})
+	pool, err := pmem.Create(dev, pmem.Options{LogCap: opts.OpLogCap})
 	if err != nil {
 		return fail(err)
 	}
@@ -501,6 +496,8 @@ func (e *Engine) initialize(g *cfg.Grammar, p *prepState) error {
 	// for from exactly these slots.
 	pool.SetRoot(rootBodySyms, e.bodySymbols)
 	pool.SetRoot(rootMergeWork, e.mergeWork)
+	pool.SetRoot(rootShard, int64(e.opts.shardIndex)|int64(e.opts.shardCount)<<32)
+	pool.SetRoot(rootBuildTag, int64(e.opts.BuildTag))
 
 	// Static metadata.
 	for ri := range g.Rules {

@@ -5,7 +5,8 @@ import (
 )
 
 // Pool root slots.  Slots hold either offsets of pool regions or small
-// scalar values; all are made durable by the initialization checkpoint.
+// scalar values; all are made durable by the initialization checkpoint, and
+// the pool header's CRC seals every one of them.
 const (
 	rootMeta      = 0  // rule metadata array offset
 	rootNumRules  = 1  // rule count
@@ -24,6 +25,8 @@ const (
 	rootBodySyms  = 14 // total rule-body symbols (a traversal-planner input)
 	rootMergeWork = 15 // bottom-up list-merge entries (a traversal-planner input)
 	rootIngest    = 16 // append-log region offset (0 when ingestion is disabled)
+	rootShard     = 17 // shard stamp: index | count<<32 (0 outside a shard set)
+	rootBuildTag  = 18 // build tag (Options.BuildTag)
 )
 
 // Rule metadata record layout (§IV-B: "the position of subrules and words,

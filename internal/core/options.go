@@ -100,16 +100,16 @@ type Options struct {
 	// The crash-exploration harness injects pre-armed devices this way; the
 	// engine takes ownership (Close discards it).
 	Device *nvm.SimDevice
-	// ShardIndex and ShardCount stamp the engine's pool with its position in
+	// shardIndex and shardCount stamp the engine's pool with its position in
 	// a shard set (both zero for a bare engine built outside one, as the
-	// figure harness does).  NewSharded fills them per shard; ReopenSharded
-	// validates the stamps so a device set assembled from mismatched shards
-	// is rejected.
-	ShardIndex uint32
-	ShardCount uint32
+	// figure harness does).  NewSharded and the failover rebuild set them;
+	// reopenShard refuses a pool stamped for another position or set size.
+	shardIndex uint32
+	shardCount uint32
 	// BuildTag is a content fingerprint of the compressed input stamped
-	// into the engine's pool header: for an archive's shards, at every shard
-	// count, the shared-table checksum (cfg.SharedSet.Checksum).
+	// into the engine's pool (root slot rootBuildTag): for an archive's
+	// shards, at every shard count, the shared-table checksum
+	// (cfg.SharedSet.Checksum).
 	// ReopenSharded rejects a pool whose tag differs from it — a shard of
 	// another build — even when its positional stamps line up.
 	BuildTag uint32

@@ -109,10 +109,10 @@ func wrapShard(shard int, err error) error {
 	return &ErrShardFailed{Shard: shard, Cause: err}
 }
 
-// isDeviceFailure reports whether err is the kind of failure failover can
+// IsDeviceFailure reports whether err is the kind of failure failover can
 // mask: the shard's device died (injected fail point or closed device), as
 // opposed to a semantic error every replica would reproduce.
-func isDeviceFailure(err error) bool {
+func IsDeviceFailure(err error) bool {
 	return errors.Is(err, nvm.ErrFailPoint) || errors.Is(err, nvm.ErrClosed)
 }
 
@@ -165,8 +165,8 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 		go func(i int, g *cfg.Grammar) {
 			defer wg.Done()
 			o := opts
-			o.ShardIndex = uint32(i)
-			o.ShardCount = uint32(len(gs))
+			o.shardIndex = uint32(i)
+			o.shardCount = uint32(len(gs))
 			o.Device = nil
 			o.ShardDevices = nil
 			if opts.ShardDevices != nil {
@@ -351,16 +351,16 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 // reports ErrShardMismatch; dev stays the caller's either way, and the
 // caller decides what becomes of it.
 func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *RecoveryInfo, error) {
-	o := se.opts
-	o.ShardIndex = uint32(i)
-	o.ShardCount = uint32(len(se.shards))
-	e, info, err := Reopen(dev, se.d, o)
+	e, info, err := Reopen(dev, se.d, se.opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if idx, cnt := e.pool.Shard(); idx != o.ShardIndex || cnt != o.ShardCount {
-		err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, idx, cnt)
-	} else if tag := e.pool.Tag(); tag != se.opts.BuildTag {
+	// Root fails only for a slot outside the header, and these are inside.
+	stamp, _ := e.pool.Root(rootShard)
+	tag, _ := e.pool.Root(rootBuildTag)
+	if stamp != int64(i)|int64(len(se.shards))<<32 {
+		err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, uint32(stamp), stamp>>32)
+	} else if tag != int64(se.opts.BuildTag) {
 		err = fmt.Errorf("%w: pool build tag %08x, want %08x", ErrShardMismatch, tag, se.opts.BuildTag)
 	}
 	if err != nil {
@@ -605,7 +605,7 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 			defer wg.Done()
 			pin := &pins.pins[i]
 			out, span, err := run(i, pin.tail, false)
-			for err != nil && failover != nil && isDeviceFailure(err) {
+			for err != nil && failover != nil && IsDeviceFailure(err) {
 				// Retire the lane's failed shard and re-dispatch its ops
 				// against the recovered follower.  The loop continues as
 				// long as promotion succeeds, consuming one follower per
@@ -777,8 +777,8 @@ func (se *ShardedEngine) failoverShard(i int, cause error) error {
 			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr, derr)}
 		}
 		o := se.opts
-		o.ShardIndex = uint32(i)
-		o.ShardCount = uint32(len(se.shards))
+		o.shardIndex = uint32(i)
+		o.shardCount = uint32(len(se.shards))
 		ne2, nerr := New(se.gs[i], se.d, o)
 		if nerr != nil {
 			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr, nerr)}

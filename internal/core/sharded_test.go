@@ -377,12 +377,12 @@ func TestReopenSharded(t *testing.T) {
 
 // TestReopenShardedBuildTag checks the build-tag leg of stamp validation:
 // a device set mixing shards of differently-tagged builds is rejected, as
-// is a set whose tag differs from the caller's expectation — zero included —
-// while a consistently tagged set recovers.
+// is a set whose tag differs from the caller's expectation — zero included,
+// and at K = 1 as at K = 2 — while a consistently tagged set recovers.
 func TestReopenShardedBuildTag(t *testing.T) {
-	files, d, _ := corpus(t, 58, 4, 200, 25)
+	files, d, g := corpus(t, 58, 4, 200, 25)
 	gs := shardGrammars(t, files, uint32(d.Len()), 2)
-	build := func(tag uint32) []*nvm.SimDevice {
+	build := func(gs []*cfg.Grammar, tag uint32) []*nvm.SimDevice {
 		se, err := NewSharded(gs, d, Options{BuildTag: tag})
 		if err != nil {
 			t.Fatalf("NewSharded(tag=%08x): %v", tag, err)
@@ -396,7 +396,7 @@ func TestReopenShardedBuildTag(t *testing.T) {
 		}
 		return devs
 	}
-	a, b := build(0x1111), build(0x2222)
+	a, b := build(gs, 0x1111), build(gs, 0x2222)
 	for _, dev := range b { // never reopened successfully, so still the test's
 		defer dev.Discard()
 	}
@@ -415,6 +415,17 @@ func TestReopenShardedBuildTag(t *testing.T) {
 	se, _, err := ReopenSharded(a, d, Options{BuildTag: 0x1111})
 	if err != nil {
 		t.Fatalf("matching tags rejected: %v", err)
+	}
+	se.Close()
+
+	// One shard: a pool of another build is refused the same way.
+	one := build([]*cfg.Grammar{g}, 0x4444)
+	if _, _, err := ReopenSharded(one, d, Options{BuildTag: 0x5555}); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("K=1 pool of another build: err = %v, want ErrShardMismatch", err)
+	}
+	se, _, err = ReopenSharded(one, d, Options{BuildTag: 0x4444})
+	if err != nil {
+		t.Fatalf("K=1 matching tag rejected: %v", err)
 	}
 	se.Close()
 }

@@ -255,7 +255,8 @@ func TestFailPoint(t *testing.T) {
 	d := New(KindNVM, 4096)
 	defer d.Discard()
 	d.WriteAt([]byte("abc"), 0)
-	d.FailAfterFlushes(1)
+	// The next event passes and the one after, the second flush, fails.
+	d.FailFromPersistEvent(d.PersistEvents() + 1)
 	if err := d.Flush(0, 3); err != nil {
 		t.Fatalf("first flush should pass: %v", err)
 	}
@@ -267,7 +268,7 @@ func TestFailPoint(t *testing.T) {
 		t.Fatalf("after disarm: %v", err)
 	}
 
-	d.FailAfterDrains(0)
+	d.FailFromPersistEvent(d.PersistEvents()) // the very next event, this drain
 	if err := d.Drain(); !errors.Is(err, ErrFailPoint) {
 		t.Errorf("drain fail point: %v", err)
 	}

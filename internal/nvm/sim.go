@@ -87,14 +87,12 @@ type SimDevice struct {
 	pendingLo int64
 	pendingHi int64
 
-	// Fail points: when >= 0, operation number n (0-based, counted from
-	// arming) and all later ones fail with ErrFailPoint.  failFromEvent
-	// instead counts the combined flush/drain sequence from device creation,
-	// for crash-point replays.
-	failAfterFlushes int64
-	failAfterDrains  int64
-	failAfterWrites  int64
-	failFromEvent    int64
+	// Fail points, armed when >= 0.  failAfterWrites counts WriteAt calls
+	// from arming: call n (0-based) and all later ones fail with
+	// ErrFailPoint.  failFromEvent counts the combined flush/drain sequence
+	// from device creation, for crash-point replays.
+	failAfterWrites int64
+	failFromEvent   int64
 
 	// persistEvents numbers every Flush and Drain call over the device's
 	// lifetime.  Never reset (not part of Stats): crash-exploration
@@ -228,8 +226,6 @@ func newDevice(kind Kind, model CostModel, buf []byte, store *durable) *SimDevic
 	if model.CacheBytes > 0 {
 		d.cache = newDeviceCache(model.CacheBytes, model.Granule, model.CacheWays)
 	}
-	d.failAfterFlushes = -1
-	d.failAfterDrains = -1
 	d.failAfterWrites = -1
 	d.failFromEvent = -1
 	d.lastBlk = -1
@@ -608,12 +604,6 @@ func (d *SimDevice) Flush(off, n int64) error {
 	if d.failFromEvent >= 0 && ev >= d.failFromEvent {
 		return ErrFailPoint
 	}
-	if d.failAfterFlushes >= 0 {
-		d.failAfterFlushes--
-		if d.failAfterFlushes < 0 {
-			return ErrFailPoint
-		}
-	}
 	if n == 0 {
 		return nil
 	}
@@ -649,12 +639,6 @@ func (d *SimDevice) Drain() error {
 	d.persistEvents++
 	if d.failFromEvent >= 0 && ev >= d.failFromEvent {
 		return ErrFailPoint
-	}
-	if d.failAfterDrains >= 0 {
-		d.failAfterDrains--
-		if d.failAfterDrains < 0 {
-			return ErrFailPoint
-		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -880,15 +864,6 @@ func (d *SimDevice) PersistEvents() int64 { return d.persistEvents }
 // replay needs.  n at or past the workload's total event count never fires.
 func (d *SimDevice) FailFromPersistEvent(n int64) { d.failFromEvent = n }
 
-// FailAfterFlushes arms a fail point: the next n flushes succeed, then every
-// flush fails with ErrFailPoint until disarmed.  Crash-injection tests use
-// this to interrupt persistence mid-phase.
-func (d *SimDevice) FailAfterFlushes(n int64) { d.failAfterFlushes = n }
-
-// FailAfterDrains arms a fail point: the next n drains succeed, then every
-// drain fails with ErrFailPoint until disarmed.
-func (d *SimDevice) FailAfterDrains(n int64) { d.failAfterDrains = n }
-
 // FailAfterWrites arms a fail point: the next n WriteAt calls succeed, then
 // every WriteAt fails with ErrFailPoint until disarmed.  It applies to
 // WriteAt only — accessor stores cannot fail, mirroring real CPU store
@@ -897,8 +872,6 @@ func (d *SimDevice) FailAfterWrites(n int64) { d.failAfterWrites = n }
 
 // DisarmFailPoints clears every armed fail point.
 func (d *SimDevice) DisarmFailPoints() {
-	d.failAfterFlushes = -1
-	d.failAfterDrains = -1
 	d.failAfterWrites = -1
 	d.failFromEvent = -1
 }

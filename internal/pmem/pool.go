@@ -18,16 +18,15 @@ import (
 //	off  size  field
 //	0    8     magic "NTADOCPM"
 //	8    4     version
-//	12   4     shard stamp: index (low 16 bits) | count (high 16 bits);
-//	           zero for an unsharded pool
+//	12   4     reserved
 //	16   8     pool size
 //	24   8     allocation top (watermark)
 //	32   4     last completed checkpoint phase
 //	36   4     checkpoint epoch
 //	40   8     redo-log offset
 //	48   8     redo-log capacity
-//	56   4     build tag: caller-chosen content fingerprint; zero when unused
-//	60   4     crc32 of bytes [0,60)
+//	56   4     reserved
+//	60   4     crc32 of every other header byte: [0,60) then [64,256)
 //	64   192   24 named root slots (uint64 each)
 const (
 	headerSize = 256
@@ -41,18 +40,16 @@ const (
 
 	offMagic   = 0
 	offVersion = 8
-	offShard   = 12 // flags word: shard index (low 16) | shard count (high 16)
 	offSize    = 16
 	offTop     = 24
 	offPhase   = 32
 	offEpoch   = 36
 	offLogOff  = 40
 	offLogCap  = 48
-	offTag     = 56
 	offCRC     = 60
 	offRoots   = 64
 
-	poolVersion = 3
+	poolVersion = 4
 )
 
 var magic = [8]byte{'N', 'T', 'A', 'D', 'O', 'C', 'P', 'M'}
@@ -89,18 +86,6 @@ type Options struct {
 	// persistence.  Zero defaults to 1 MiB.  The log is carved out of the
 	// pool itself, immediately after the header.
 	LogCap int64
-	// Shard and ShardCount stamp the pool as shard Shard of a ShardCount-way
-	// sharded engine (both zero for an unsharded pool).  The stamp is part
-	// of the checksummed header: sharded recovery uses it to reject a device
-	// set whose pools were built for different positions or set sizes.
-	Shard      uint32
-	ShardCount uint32
-	// Tag is a caller-chosen content fingerprint stamped into the header
-	// (zero when unused).  A sharded engine built from a unified shared-rule
-	// container stamps every shard pool with the container's shared-table
-	// checksum, so recovery can reject a device set assembled from shards of
-	// different builds even when their positional stamps happen to line up.
-	Tag uint32
 }
 
 // Create formats a new pool covering the whole device and returns it.  Any
@@ -115,12 +100,6 @@ func Create(dev *nvm.SimDevice, opts Options) (*Pool, error) {
 	if size < headerSize+logCap+logHeaderSize {
 		return nil, fmt.Errorf("%w: device size %d too small", ErrOutOfSpace, size)
 	}
-	if opts.ShardCount >= 1<<16 || opts.Shard >= 1<<16 {
-		return nil, fmt.Errorf("pmem: shard stamp %d/%d out of range", opts.Shard, opts.ShardCount)
-	}
-	if opts.ShardCount > 0 && opts.Shard >= opts.ShardCount {
-		return nil, fmt.Errorf("pmem: shard index %d outside count %d", opts.Shard, opts.ShardCount)
-	}
 	p := &Pool{
 		dev:    dev,
 		acc:    nvm.NewAccessor(dev, 0, size),
@@ -132,14 +111,12 @@ func Create(dev *nvm.SimDevice, opts Options) (*Pool, error) {
 	}
 	p.acc.WriteBytes(offMagic, magic[:])
 	p.acc.PutUint32(offVersion, poolVersion)
-	p.acc.PutUint32(offShard, opts.Shard|opts.ShardCount<<16)
 	p.acc.PutUint64(offSize, uint64(size))
 	p.acc.PutUint64(offTop, uint64(p.top))
 	p.acc.PutUint32(offPhase, 0)
 	p.acc.PutUint32(offEpoch, 0)
 	p.acc.PutUint64(offLogOff, uint64(p.logOff))
 	p.acc.PutUint64(offLogCap, uint64(p.logCap))
-	p.acc.PutUint32(offTag, opts.Tag)
 	for i := 0; i < rootSlots; i++ {
 		p.acc.PutUint64(offRoots+int64(i)*8, 0)
 	}
@@ -169,13 +146,12 @@ func Open(dev *nvm.SimDevice) (*Pool, error) {
 	if m != magic {
 		return nil, ErrNoPool
 	}
-	head := make([]byte, offCRC)
-	acc.ReadBytes(0, head)
-	if acc.Uint32(offCRC) != crc32.ChecksumIEEE(head) {
-		return nil, ErrCorrupt
-	}
+	// Version first: an older format is refused by name, not as a torn header.
 	if v := acc.Uint32(offVersion); v != poolVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	}
+	if acc.Uint32(offCRC) != headerCRC(acc) {
+		return nil, ErrCorrupt
 	}
 	if s := int64(acc.Uint64(offSize)); s != size {
 		return nil, fmt.Errorf("%w: header size %d != device size %d", ErrCorrupt, s, size)
@@ -287,16 +263,6 @@ func (p *Pool) Root(i int) (int64, error) {
 // reattach to structures found via root slots after reopening a pool.
 func (p *Pool) AccessorAt(off, n int64) nvm.Accessor { return p.acc.Slice(off, n) }
 
-// Shard returns the pool's shard stamp: its position and the shard count of
-// the engine set it was created for.  Both are zero for an unsharded pool.
-func (p *Pool) Shard() (index, count uint32) {
-	v := p.acc.Uint32(offShard)
-	return v & 0xffff, v >> 16
-}
-
-// Tag returns the build tag the pool was created with, zero when none.
-func (p *Pool) Tag() uint32 { return p.acc.Uint32(offTag) }
-
 // Phase returns the last durably completed checkpoint phase, 0 if none.
 func (p *Pool) Phase() uint32 { return p.acc.Uint32(offPhase) }
 
@@ -343,10 +309,14 @@ func (p *Pool) FlushHeader() error {
 // transaction are redo-logged and become durable atomically at Commit.
 func (p *Pool) Begin() (*Tx, error) { return p.log.begin(p) }
 
-func (p *Pool) sealHeader() {
-	head := make([]byte, offCRC)
-	p.acc.ReadBytes(0, head)
-	p.acc.PutUint32(offCRC, crc32.ChecksumIEEE(head))
+func (p *Pool) sealHeader() { p.acc.PutUint32(offCRC, headerCRC(p.acc)) }
+
+// headerCRC reads the header once and returns the CRC of every byte of it
+// but the CRC word: the seal covers the root slots too.
+func headerCRC(acc nvm.Accessor) uint32 {
+	head := make([]byte, headerSize)
+	acc.ReadBytes(0, head)
+	return crc32.Update(crc32.ChecksumIEEE(head[:offCRC]), crc32.IEEETable, head[offRoots:])
 }
 
 func (p *Pool) flushHeader() error {

@@ -2,8 +2,11 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -75,18 +78,40 @@ func TestOpenNoPool(t *testing.T) {
 	}
 }
 
+// TestOpenCorruptHeader changes the durable header behind the pool's back:
+// any changed byte the CRC covers, root slots included, is ErrCorrupt, and a
+// header of an older format is refused by its version before its CRC is read.
 func TestOpenCorruptHeader(t *testing.T) {
-	_, dev := newTestPool(t, 1<<16)
-	// Flip a bit inside the checksummed region.
-	var b [1]byte
-	dev.ReadAt(b[:], offTop)
-	b[0] ^= 0xff
-	dev.WriteAt(b[:], offTop)
-	must(t, dev.Flush(0, headerSize))
-	must(t, dev.Drain())
-	must(t, dev.Crash())
-	if _, err := Open(dev); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Open with corrupt header: %v", err)
+	for _, tc := range []struct {
+		name  string
+		edit  func(head []byte)
+		error string
+	}{
+		{"allocation top", func(head []byte) { head[offTop] ^= 0xff }, ""},
+		{"root slot", func(head []byte) { head[offRoots+3*8] ^= 0x01 }, ""},
+		{"version 3", func(head []byte) {
+			// A version-3 header, sealed as version 3 sealed it: the CRC
+			// covered bytes [0,60) only.
+			binary.LittleEndian.PutUint32(head[offVersion:], 3)
+			binary.LittleEndian.PutUint32(head[offCRC:], crc32.ChecksumIEEE(head[:offCRC]))
+		}, "unsupported version 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, dev := newTestPool(t, 1<<16)
+			must(t, p.SetRoot(3, 12345))
+			must(t, p.Checkpoint(1))
+			head := make([]byte, headerSize)
+			dev.ReadAt(head, 0)
+			tc.edit(head)
+			dev.WriteAt(head, 0)
+			must(t, dev.Flush(0, headerSize))
+			must(t, dev.Drain())
+			must(t, dev.Crash())
+			_, err := Open(dev)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), tc.error) {
+				t.Errorf("Open = %v, want ErrCorrupt %q", err, tc.error)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package ntadoc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
@@ -76,9 +75,7 @@ func (s *QuerySession) WorkspaceBytes() int64 { return s.sh.WorkspaceBytes() }
 // failure (a dead shard primary) rather than a semantic error or a
 // cancellation — the class of error Engine.Recover can mask by promoting
 // followers.
-func IsDeviceFailure(err error) bool {
-	return errors.Is(err, nvm.ErrFailPoint) || errors.Is(err, nvm.ErrClosed)
-}
+func IsDeviceFailure(err error) bool { return core.IsDeviceFailure(err) }
 
 // DocumentNames returns the archive's document names in corpus order —
 // the index space of per-document results like term vectors.  The snapshot
