@@ -50,10 +50,13 @@ test:
 # (a tail discarded under a pin is a fault, not a wrong answer), and Close
 # with a cut still pinned.  Every multi-shard scatter runs its shards on
 # overlapping lanes, failover included, so the sharded sessions, failover and
-# gather tests get the same rounds.
+# gather tests get the same rounds.  An append that leaves a delta past the
+# thresholds hands the compaction to the worker goroutine through a one-slot
+# channel, so the worker's test gets them too: a wake-up lost or taken twice
+# is a compaction that never runs or one that races the next append.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCloseUnderPinnedCut|TestShardedSessions|TestFailoverBitIdentical|TestGatherCriticalPath' ./internal/core
+	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCompactorWorker|TestCloseUnderPinnedCut|TestShardedSessions|TestFailoverBitIdentical|TestGatherCriticalPath' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCloseOrdersSessionsBeforeEngineClose' ./internal/server
 
 # One iteration of every benchmark, as a compile-and-run smoke test.
@@ -105,12 +108,6 @@ bench-test:
 # order-sensitive map iteration in modeled-result packages), publishcheck
 # (body-before-header persistence ordering), guardcheck (`guarded by <mu>`
 # annotations).  See DESIGN.md "Enforced invariants".
-#
-# The binary also speaks the go vet vettool protocol, which runs the same
-# checks under vet's per-package caching:
-#
-#	$(GO) build -o /tmp/ntalint ./cmd/ntalint
-#	$(GO) vet -vettool=/tmp/ntalint ./...
 lint:
 	$(GO) run ./cmd/ntalint ./...
 

@@ -92,10 +92,9 @@ func run() error {
 	}
 	defer eng.Close()
 	if *ingestCap > 0 {
-		// Background compaction, at the default policy, keeps query cost
-		// over base+delta bounded while appends keep landing; swaps never
-		// block queries.
-		stopCompact := eng.AutoCompact(ntadoc.CompactionPolicy{})
+		// Background compaction keeps query cost over base+delta bounded
+		// while appends keep landing; swaps never block queries.
+		stopCompact := eng.AutoCompact()
 		defer stopCompact()
 	}
 

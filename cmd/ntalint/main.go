@@ -1,51 +1,19 @@
 // Command ntalint runs the repository's custom static-analysis suite
 // (internal/lint): persistcheck, determcheck, publishcheck, and guardcheck.
-//
-// Standalone mode loads and checks packages itself:
+// Usage:
 //
 //	ntalint [-c analyzer,analyzer] [packages]   (default ./...)
-//
-// It also speaks the `go vet -vettool` unit-checker protocol: when invoked
-// by the go command it answers -V=full with a version line and accepts a
-// *.cfg JSON file describing one package unit, so
-//
-//	go build -o /tmp/ntalint ./cmd/ntalint
-//	go vet -vettool=/tmp/ntalint ./...
-//
-// runs the suite under go vet's caching and package graph.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"strings"
 
 	"github.com/text-analytics/ntadoc/internal/lint"
 )
 
 func main() {
-	// The go command probes vet tools twice before use: -V=full for a
-	// version line (a cache key component) and -flags for a JSON description
-	// of the tool's analyzer flags (none here beyond the standard protocol).
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "-V":
-			fmt.Printf("ntalint version v1 (ntadoc invariant suite)\n")
-			return
-		case "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	selected := flag.String("c", "", "comma-separated analyzers to run (default: all)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: ntalint [-c analyzers] [packages]\n\nanalyzers:\n")
@@ -65,12 +33,7 @@ func main() {
 		}
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0], analyzers))
-	}
-
-	pkgs, err := lint.Load(".", args...)
+	pkgs, err := lint.Load(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -86,112 +49,4 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// vetConfig is the JSON unit description the go command hands a vettool (see
-// golang.org/x/tools/go/analysis/unitchecker for the reference decoder).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package unit under the vettool protocol: parse the
-// unit's files, type-check them against the export data the go command
-// already compiled, run the analyzers, and report findings on stderr.
-func runVetUnit(cfgFile string, analyzers []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ntalint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "ntalint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	// The go command requires the facts file to exist even though this suite
-	// exports no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "ntalint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	pkg := &lint.Package{
-		PkgPath:  cfg.ImportPath,
-		Dir:      cfg.Dir,
-		Fset:     fset,
-		TestFile: make(map[*ast.File]bool),
-	}
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ntalint: %v\n", err)
-			return 2
-		}
-		pkg.Files = append(pkg.Files, f)
-		if strings.HasSuffix(name, "_test.go") {
-			pkg.TestFile[f] = true
-		}
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("ntalint: no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, pkg.Files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "ntalint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
-
-	diags, err := lint.Run([]*lint.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ntalint: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"os/exec"
-	"strings"
 	"testing"
 )
 
@@ -21,18 +20,5 @@ func TestSmoke(t *testing.T) {
 	}
 	if len(out) != 0 {
 		t.Fatalf("ntalint over a clean tree produced output:\n%s", out)
-	}
-}
-
-// TestVersionProbe answers the go command's vettool version handshake.
-func TestVersionProbe(t *testing.T) {
-	cmd := exec.Command("go", "run", "./cmd/ntalint", "-V=full")
-	cmd.Dir = "../.."
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("-V=full failed: %v\n%s", err, out)
-	}
-	if !strings.HasPrefix(string(out), "ntalint version ") {
-		t.Fatalf("-V=full answered %q; the go command requires a 'name version ...' line", out)
 	}
 }

@@ -275,36 +275,20 @@ func (e *Engine) IngestStats() IngestStats {
 	}
 }
 
-// CompactionPolicy sets the thresholds at which AutoCompact folds live
-// delta grammars back into the serving base.  Zero fields use defaults.
-type CompactionPolicy struct {
-	// MaxDeltaDocs triggers compaction once a shard's live delta holds more
-	// than this many appended documents.
-	MaxDeltaDocs int
-	// MaxDeltaBytes triggers compaction once a shard's live delta grammar
-	// exceeds this many bytes of body symbols.
-	MaxDeltaBytes int64
-	// Interval is the background worker's polling cadence.
-	Interval time.Duration
-}
-
-// AutoCompact starts the background compaction worker: it polls the
-// engine's delta sizes on the policy's cadence and folds deltas into the
-// serving base whenever thresholds are crossed, keeping query cost over
-// base+delta bounded while appends continue.  Compaction swaps never block
-// queries (in-flight queries finish on their pinned snapshot).  The
-// returned stop function shuts the worker down; it is a no-op for engines
-// without ingestion.
-func (e *Engine) AutoCompact(p CompactionPolicy) (stop func()) {
+// AutoCompact starts the background compaction worker: it wakes when an
+// append leaves a shard's live delta past a fixed size (more than 64
+// documents, or more than 1 MiB of grammar body at 8 bytes per symbol) and
+// folds every such delta into the serving base, keeping query cost over
+// base+delta bounded while appends continue.  A delta that crossed the size
+// before the worker started is folded at once.  Compaction swaps never block
+// queries (in-flight queries finish on their pinned snapshot).  The returned
+// stop function shuts the worker down; it is a no-op for engines without
+// ingestion.
+func (e *Engine) AutoCompact() (stop func()) {
 	if e.sh == nil {
 		return func() {}
 	}
-	c := core.StartCompactor(e.sh, core.CompactionPolicy{
-		MaxDeltaDocs:  p.MaxDeltaDocs,
-		MaxDeltaBytes: p.MaxDeltaBytes,
-		Interval:      p.Interval,
-	})
-	return c.Stop
+	return core.StartCompactor(e.sh).Stop
 }
 
 // Compact folds all live delta grammars into the serving base immediately.

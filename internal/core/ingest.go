@@ -82,8 +82,6 @@ type IngestStats struct {
 	LogBytes      int64  // committed append-log bytes
 	LogCap        int64  // append-log capacity
 	DeltaDocs     int    // documents in the live (uncompacted) delta
-	DeltaRules    int    // rules in the live delta grammar
-	DeltaReused   int    // delta rules whose fingerprint the base already interned
 	DeltaSymbols  int64  // live delta grammar body symbols
 	CompactedDocs uint32 // appended documents folded into the serving base
 	Compactions   uint64
@@ -94,17 +92,20 @@ type IngestStats struct {
 
 // servingCut is one published snapshot of what serves an appendable shard:
 // the tail engine (the shard engine itself until a compaction folds appended
-// documents into a new one), the engine over the delta grammar's snapshot,
-// and the maps placing each one's documents at their global corpus
-// positions.  A cut is immutable; a query reaches one only through
-// ingestState.pin and gives it back with release.  Successive cuts may share
-// a map's backing array: each writer extends the current cut's map, and no
-// cut reads past its own length.
+// documents into a new one), the engine over the delta grammar's snapshot
+// and that grammar's size, and the maps placing each one's documents at
+// their global corpus positions.  A cut is immutable; a query reaches one
+// only through ingestState.pin and gives it back with release.  Successive
+// cuts may share a map's backing array: each writer extends the current
+// cut's map, and no cut reads past its own length.
 type servingCut struct {
 	st        *ingestState // nil in a static shard's pin, which holds nothing
 	tail      *Engine
 	delta     *Engine // nil while the tail holds every appended document
 	compacted uint32  // appended documents folded into tail
+	// deltaSymbols counts the delta grammar's body symbols, as
+	// cfg.Grammar.ComputeStats does.
+	deltaSymbols int64
 	// tailMap is nil while the tail is the build-time base, whose documents
 	// are contiguous from the shard's first; deltaMap lists the delta's.
 	tailMap  []uint32
@@ -150,25 +151,14 @@ type ingestState struct {
 	epoch atomic.Uint64 // committed batches + compactions (corpus epoch)
 }
 
-// newDeltaBuilder opens an empty delta builder whose reuse accounting is
-// seeded from g's rule fingerprints (nil: no accounting).
-func newDeltaBuilder(numWords uint32, g *cfg.Grammar) *sequitur.DeltaBuilder {
-	db, err := sequitur.NewDeltaBuilder(numWords, g)
-	if err != nil {
-		// Fingerprinting a validated grammar cannot fail; fall back to a
-		// builder without reuse accounting rather than losing ingestion.
-		db, _ = sequitur.NewDeltaBuilder(numWords, nil)
-	}
-	return db
-}
-
 // newIngestState builds the state over the append-log region acc during
 // engine initialization (g is the engine's grammar) or recovery (g is nil:
 // the grammar is gone), and publishes the cut in which the shard engine
 // serves alone.
 func newIngestState(e *Engine, acc nvm.Accessor, g *cfg.Grammar) *ingestState {
+	db, _ := sequitur.NewDeltaBuilder(e.numWords, nil) // its error is always nil
 	st := &ingestState{e: e, acc: acc, cap: acc.Size() - ingestHeaderSize, baseG: g, vocab: e.numWords,
-		db: newDeltaBuilder(e.numWords, g), refs: map[*Engine]int{e: 1}}
+		db: db, refs: map[*Engine]int{e: 1}}
 	// Appends interleave with query sessions; shared mode serializes the
 	// device's bookkeeping under concurrency.
 	e.dev.Share()
@@ -279,13 +269,16 @@ func (e *Engine) deltaOptions() Options {
 // publishDelta snapshots the delta builder into a fresh engine and publishes
 // c with it as the delta (caller holds mu).
 func (st *ingestState) publishDelta(c servingCut) error {
-	c.delta = nil
+	c.delta, c.deltaSymbols = nil, 0
 	if g := st.db.Grammar(); g != nil {
 		eng, err := New(g, st.e.d, st.e.deltaOptions())
 		if err != nil {
 			return fmt.Errorf("core: build delta engine: %w", err)
 		}
 		c.delta = eng
+		for _, body := range g.Rules {
+			c.deltaSymbols += int64(len(body))
+		}
 	}
 	st.publish(&c)
 	return nil
@@ -527,13 +520,14 @@ func (st *ingestState) beginCompaction() (base, dg *cfg.Grammar, err error) {
 }
 
 // compact merges the delta grammar into the tail's and publishes the merged
-// engine as the tail of a cut with no delta (see ShardedEngine.Compact).
-// first is the global index of the shard's first document, which places the
+// engine as the tail of a cut with no delta (see ShardedEngine.Compact),
+// reporting whether it did: an empty delta leaves the cut as it is.  first
+// is the global index of the shard's first document, which places the
 // build-time base's documents in the merged tail's map.
-func (st *ingestState) compact(first uint32) error {
+func (st *ingestState) compact(first uint32) (bool, error) {
 	base, dg, err := st.beginCompaction()
 	if err != nil || dg == nil {
-		return err
+		return false, err
 	}
 	merged, err := cfg.MergeDelta(base, dg)
 	var ne *Engine
@@ -545,14 +539,14 @@ func (st *ingestState) compact(first uint32) error {
 	defer st.mu.Unlock()
 	st.compacting = false
 	if err != nil {
-		return errEngine("compact", err)
+		return false, errEngine("compact", err)
 	}
 	// Swap: the merged engine holds every appended document, the builder
 	// starts over on top of it, and the cut this one replaces goes — tail and
 	// delta engine with it — once its last pin does.
 	ne.dev.Share()
 	st.baseG = merged
-	st.db = newDeltaBuilder(ne.numWords, merged)
+	st.db, _ = sequitur.NewDeltaBuilder(ne.numWords, nil) // its error is always nil
 	cur := st.current()
 	tailMap := cur.tailMap
 	if tailMap == nil {
@@ -565,7 +559,7 @@ func (st *ingestState) compact(first uint32) error {
 		tailMap: append(tailMap, cur.deltaMap...)})
 	st.compactions++
 	st.epoch.Add(1)
-	return nil
+	return true, nil
 }
 
 // CorpusEpoch returns the engine's corpus epoch: it advances on every
@@ -597,7 +591,8 @@ func (e *Engine) IngestBatches() []IngestBatch {
 }
 
 // IngestStats reports the engine's ingestion state; zero value when the
-// engine was built without ingestion.
+// engine was built without ingestion.  The delta's size is the published
+// cut's, so a read snapshots no grammar.
 func (e *Engine) IngestStats() IngestStats {
 	st := e.ingest
 	if st == nil {
@@ -614,13 +609,8 @@ func (e *Engine) IngestStats() IngestStats {
 	}
 	st.cutMu.Lock()
 	out.CompactedDocs, out.ServingEngines = st.cut.compacted, len(st.refs)
+	out.DeltaDocs, out.DeltaSymbols = len(st.cut.deltaMap), st.cut.deltaSymbols
 	st.cutMu.Unlock()
-	if ds, err := st.db.Stats(); err == nil {
-		out.DeltaDocs = ds.Docs
-		out.DeltaRules = ds.Rules
-		out.DeltaReused = ds.Reused
-		out.DeltaSymbols = ds.Symbols
-	}
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -291,8 +292,8 @@ func TestShardedAppendBitIdentity(t *testing.T) {
 				checkOps(t, se.NewSession(), d, files[:visible], fmt.Sprintf("session after batch %d", bi))
 			}
 			// Force-compact every shard with a delta and re-verify.
-			if _, err := se.CompactIfNeeded(CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1}); err != nil {
-				t.Fatalf("CompactIfNeeded: %v", err)
+			if err := se.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
 			}
 			checkOps(t, se, d, files[:visible], "after compaction")
 			// And appends keep landing after compaction.
@@ -955,50 +956,172 @@ func concurrentIngest(t *testing.T, k int, compact bool) {
 	}
 }
 
-// TestCompactorWorker: the background worker compacts once the delta crosses
-// the policy thresholds, and results stay correct throughout.
+// TestCompactorWorker: the worker sleeps while the delta is at or under the
+// thresholds — no append wakes it — and the append that crosses them leads
+// to a compaction.  A wake-up sent while no worker runs is taken by the next
+// one to start.  Results stay correct throughout.
 func TestCompactorWorker(t *testing.T) {
-	files, d, _ := corpus(t, 78, 10, 100, 25)
 	const base = 4
+	files, d, _ := corpus(t, 78, base+2*(compactDeltaDocs+1), 40, 25)
 	g, err := sequitur.Infer(files[:base], uint32(d.Len()))
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
 	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
-	c := StartCompactor(e, CompactionPolicy{MaxDeltaDocs: 2, Interval: time.Millisecond})
-	defer c.Stop()
 	vocab := uint32(d.Len())
-	for i := base; i < len(files); i++ {
-		// The worker may hold the compaction lock; retry rejected appends.
-		for {
-			err := e.Append(appendDocs(files, i, 1), vocab, nil)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrCompacting) {
-				t.Fatalf("Append %d: %v", i, err)
-			}
-			time.Sleep(time.Millisecond)
+	next := base
+	appendN := func(n int) {
+		t.Helper()
+		if err := e.Append(appendDocs(files, next, n), vocab, nil); err != nil {
+			t.Fatalf("Append %d documents at %d: %v", n, next, err)
 		}
+		next += n
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runs, err := c.Runs(); runs > 0 {
+	waitRuns := func(c *Compactor, want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			runs, err := c.Runs()
 			if err != nil {
 				t.Fatalf("compactor error after %d runs: %v", runs, err)
 			}
-			break
+			if runs == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("compactor ran %d times, want %d", runs, want)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("compactor never ran")
-		}
-		time.Sleep(time.Millisecond)
 	}
+
+	c := StartCompactor(e)
+	defer c.Stop()
+	appendN(compactDeltaDocs)
+	if st := e.IngestStats(); st.DeltaDocs != compactDeltaDocs || len(e.due) != 0 {
+		t.Fatalf("a delta of %d documents left %d wake-ups pending, want %d documents and none",
+			st.DeltaDocs, len(e.due), compactDeltaDocs)
+	}
+	if runs, _ := c.Runs(); runs != 0 {
+		t.Fatalf("compactor ran %d times under the thresholds", runs)
+	}
+	appendN(1)
+	waitRuns(c, 1)
 	c.Stop()
-	checkOps(t, e, d, files, "after background compaction")
-	if st := e.IngestStats(); st.Compactions == 0 {
-		t.Error("stats report no compactions")
+	checkOps(t, e, d, files[:next], "after background compaction")
+
+	appendN(compactDeltaDocs + 1)
+	if len(e.due) != 1 {
+		t.Fatalf("%d wake-ups pending past the thresholds with no worker, want 1", len(e.due))
 	}
+	c = StartCompactor(e)
+	defer c.Stop()
+	waitRuns(c, 1)
+	c.Stop()
+	checkOps(t, e, d, files[:next], "after the wake-up sent before the worker")
+	if st := e.IngestStats(); st.Compactions != 2 || st.DeltaDocs != 0 {
+		t.Errorf("stats report %d compactions and %d delta documents, want 2 and 0", st.Compactions, st.DeltaDocs)
+	}
+}
+
+// TestIngestStatsReadsTheCut: a shard's delta size is the one the published
+// cut recorded when its delta engine was built — the same document and
+// body-symbol counts a snapshot of the builder gives — so reading it
+// allocates nothing.  The thresholds sit where they always have: more than
+// 64 documents, or more than 1 MiB of body at 8 bytes per symbol.
+func TestIngestStatsReadsTheCut(t *testing.T) {
+	files, d, _ := corpus(t, 83, 24, 120, 30)
+	const base = 8
+	vocab := uint32(d.Len())
+	se, err := NewSharded(shardGrammars(t, files[:base], vocab, 2), d, Options{Sequences: true, IngestCap: 1 << 20})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	t.Cleanup(func() { se.Close() })
+	next := base
+	for _, n := range []int{3, 2, 4, 1, 2} {
+		if err := se.Append(appendDocs(files, next, n), vocab, nil); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		next += n
+	}
+	var docs int
+	var symbols int64
+	for i := 0; i < se.NumShards(); i++ {
+		sh := se.Shard(i)
+		g := sh.ingest.db.Grammar()
+		if g == nil {
+			t.Fatalf("shard %d has no delta", i)
+		}
+		want := g.ComputeStats()
+		if st := sh.IngestStats(); st.DeltaDocs != int(g.NumFiles) || st.DeltaSymbols != want.BodySymbols {
+			t.Errorf("shard %d reads %d delta documents and %d symbols, its builder's snapshot %d and %d",
+				i, st.DeltaDocs, st.DeltaSymbols, g.NumFiles, want.BodySymbols)
+		}
+		docs += int(g.NumFiles)
+		symbols += want.BodySymbols
+	}
+	if st := se.IngestStats(); st.DeltaDocs != docs || st.DeltaSymbols != symbols {
+		t.Errorf("set reads %d delta documents and %d symbols, want %d and %d", st.DeltaDocs, st.DeltaSymbols, docs, symbols)
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { se.IngestStats() }); n != 0 {
+			t.Errorf("IngestStats allocates %v times per read, want 0", n)
+		}
+	}
+	for _, tc := range []struct {
+		docs    int
+		symbols int64
+		over    bool
+	}{
+		{64, 0, false},
+		{65, 0, true},
+		{1, 1 << 17, false},
+		{1, 1<<17 + 1, true},
+	} {
+		if got := overThreshold(&servingCut{deltaMap: make([]uint32, tc.docs), deltaSymbols: tc.symbols}); got != tc.over {
+			t.Errorf("a delta of %d documents and %d symbols: over the thresholds %v, want %v", tc.docs, tc.symbols, got, tc.over)
+		}
+	}
+}
+
+// TestCompactPastShardWithoutBase: a shard that cannot compact does not keep
+// the others from it.  After a failover the promoted shard recovered from
+// its log and has no base grammar; compacting the set still folds every
+// other shard's delta, and the error names the shard that could not.
+func TestCompactPastShardWithoutBase(t *testing.T) {
+	files, d, _ := corpus(t, 84, 10, 120, 30)
+	const base = 8
+	vocab := uint32(d.Len())
+	se, err := NewSharded(shardGrammars(t, files[:base], vocab, 2), d, Options{
+		Sequences: true, Persistence: OpLevel, IngestCap: 1 << 20, Replication: Replication{Followers: 1},
+	})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	t.Cleanup(func() { se.Close() })
+	dev := se.Shard(0).Device()
+	dev.FailFromPersistEvent(dev.PersistEvents())
+	if _, err := se.RunOps(analytics.Ops()); err != nil {
+		t.Fatalf("failover did not mask the failure: %v", err)
+	}
+	if n := se.FailoverCount(); n != 1 {
+		t.Fatalf("%d failovers, want 1", n)
+	}
+	for i := base; i < base+2; i++ { // one document on each shard
+		if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	err = se.Compact()
+	if !errors.Is(err, ErrNoBaseGrammar) || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("Compact = %v, want shard 0's %v", err, ErrNoBaseGrammar)
+	}
+	for i, want := range []IngestStats{{DeltaDocs: 1}, {DeltaDocs: 0, Compactions: 1}} {
+		if st := se.Shard(i).IngestStats(); st.DeltaDocs != want.DeltaDocs || st.Compactions != want.Compactions {
+			t.Errorf("shard %d: %d delta documents after %d compactions, want %d after %d",
+				i, st.DeltaDocs, st.Compactions, want.DeltaDocs, want.Compactions)
+		}
+	}
+	checkOps(t, se, d, files[:base+2], "after compacting past the failed-over shard")
 }
 
 // TestCompactionBoundsServingEngines: a compaction replaces the shard's tail,

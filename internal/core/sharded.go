@@ -77,6 +77,9 @@ type ShardedEngine struct {
 	// document maps the gather merges its units under (analytics.MergeUnits).
 	ingestMu sync.Mutex
 	appended uint32 // guarded by ingestMu: total appended documents
+	// due holds one wake-up for the Compactor, sent by an append that leaves
+	// its shard's delta past the compaction thresholds.
+	due chan struct{}
 }
 
 // ErrShardMismatch reports a sharded device set whose pool stamps do not
@@ -153,6 +156,7 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 		d:      d,
 		gs:     append([]*cfg.Grammar(nil), gs...),
 		opts:   sanitizeOpts(opts),
+		due:    make(chan struct{}, 1),
 	}
 	for i, g := range gs {
 		se.bases[i] = se.nfiles
@@ -275,6 +279,7 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 		bases:  make([]uint32, len(devs)),
 		d:      d,
 		opts:   sanitizeOpts(opts),
+		due:    make(chan struct{}, 1),
 	}
 	// A failed reopen leaves every device with the caller, so the shards
 	// reopened before the failure give up only what they made themselves.
@@ -467,6 +472,12 @@ func (se *ShardedEngine) Append(docs []AppendDoc, vocab uint32, novel []string) 
 		return err
 	}
 	se.appended += uint32(len(docs))
+	if overThreshold(se.shards[best].ingest.current()) {
+		select {
+		case se.due <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 	return nil
 }
 
@@ -491,8 +502,6 @@ func (se *ShardedEngine) IngestStats() IngestStats {
 		agg.LogBytes += s.LogBytes
 		agg.LogCap += s.LogCap
 		agg.DeltaDocs += s.DeltaDocs
-		agg.DeltaRules += s.DeltaRules
-		agg.DeltaReused += s.DeltaReused
 		agg.DeltaSymbols += s.DeltaSymbols
 		agg.CompactedDocs += s.CompactedDocs
 		agg.Compactions += s.Compactions
@@ -501,29 +510,35 @@ func (se *ShardedEngine) IngestStats() IngestStats {
 	return agg
 }
 
-// CompactIfNeeded re-merges every shard's delta whose size exceeds the
-// policy, one shard at a time; a shard already compacting is skipped.  It
-// reports whether any shard compacted.
-func (se *ShardedEngine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
-	p = p.withDefaults()
-	did := false
+// compact folds the live delta of every appendable shard whose cut due
+// accepts into its serving base, one shard at a time, and reports how many
+// it folded.  A shard already compacting is skipped; a shard that cannot
+// compact does not stop the others, and its error joins the result under
+// its index.
+func (se *ShardedEngine) compact(due func(*servingCut) bool) (int, error) {
+	n, appendable := 0, false
+	var errs []error
 	for i, sh := range se.shards {
 		st := sh.ingest
 		if st == nil {
 			continue
 		}
-		if !p.exceeded(sh.IngestStats()) {
+		appendable = true
+		if !due(st.current()) {
 			continue
 		}
-		if err := st.compact(se.bases[i]); err != nil {
-			if errors.Is(err, ErrCompacting) {
-				continue
-			}
-			return did, err
+		ran, err := st.compact(se.bases[i])
+		if ran {
+			n++
 		}
-		did = true
+		if err != nil && !errors.Is(err, ErrCompacting) {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+		}
 	}
-	return did, nil
+	if !appendable {
+		return 0, ErrNoIngest
+	}
+	return n, errors.Join(errs...)
 }
 
 // Compact folds every shard's live delta into its serving base now.  The
@@ -533,13 +548,8 @@ func (se *ShardedEngine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
 // ErrCompacting; queries are never blocked — they keep their pinned
 // pre-compaction cut until the swap.
 func (se *ShardedEngine) Compact() error {
-	for _, sh := range se.shards {
-		if sh.ingest != nil {
-			_, err := se.CompactIfNeeded(CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1})
-			return err
-		}
-	}
-	return ErrNoIngest
+	_, err := se.compact(func(*servingCut) bool { return true })
+	return err
 }
 
 // shardedEnv is the Env the coordinator offers merging folds: whole-corpus

@@ -25,27 +25,11 @@ type DeltaBuilder struct {
 	b        *builder
 	numFiles uint32
 	numWords uint32
-
-	// base is the base grammar's rule-fingerprint set (the fingerprints
-	// sharded builds unify by, see cfg.UnifyShards): appended
-	// phrases whose delta rules re-hit it are structure the base grammar
-	// already learned, which the reuse stats report and compaction folds
-	// back together.
-	base map[cfg.Fingerprint]struct{}
-}
-
-// DeltaStats is the reuse accounting of a delta snapshot.
-type DeltaStats struct {
-	Docs    int   // appended documents
-	Tokens  int64 // appended tokens
-	Rules   int   // delta rules (excluding the delta root)
-	Reused  int   // delta rules whose fingerprint the base grammar already interned
-	Symbols int64 // delta grammar body symbols
 }
 
 // NewDeltaBuilder returns an empty delta builder over a numWords-word
-// vocabulary.  base, when non-nil, seeds the fingerprint set used for the
-// reuse accounting; nil skips it (stats then report zero reuse).
+// vocabulary.  It never fails, and base is not read: the delta grammar
+// depends on the appended documents alone.  Both stay for existing callers.
 func NewDeltaBuilder(numWords uint32, base *cfg.Grammar) (*DeltaBuilder, error) {
 	db := &DeltaBuilder{
 		b: &builder{
@@ -56,16 +40,6 @@ func NewDeltaBuilder(numWords uint32, base *cfg.Grammar) (*DeltaBuilder, error) 
 		numWords: numWords,
 	}
 	db.b.root.id = -1
-	if base != nil {
-		fps, err := cfg.FingerprintRules(base)
-		if err != nil {
-			return nil, fmt.Errorf("sequitur: fingerprint base: %w", err)
-		}
-		db.base = make(map[cfg.Fingerprint]struct{}, len(fps))
-		for _, fp := range fps {
-			db.base[fp] = struct{}{}
-		}
-	}
 	return db, nil
 }
 
@@ -100,32 +74,4 @@ func (db *DeltaBuilder) Grammar() *cfg.Grammar {
 		return nil
 	}
 	return db.b.finish(db.numFiles, db.numWords)
-}
-
-// Stats snapshots the delta and computes its reuse accounting against the
-// base fingerprints.
-func (db *DeltaBuilder) Stats() (DeltaStats, error) {
-	g := db.Grammar()
-	if g == nil {
-		return DeltaStats{}, nil
-	}
-	st := g.ComputeStats()
-	ds := DeltaStats{
-		Docs:    int(db.numFiles),
-		Tokens:  st.Expanded,
-		Rules:   st.Rules - 1,
-		Symbols: st.BodySymbols,
-	}
-	if db.base != nil && len(g.Rules) > 1 {
-		fps, err := cfg.FingerprintRules(g)
-		if err != nil {
-			return ds, err
-		}
-		for ri := 1; ri < len(fps); ri++ {
-			if _, ok := db.base[fps[ri]]; ok {
-				ds.Reused++
-			}
-		}
-	}
-	return ds, nil
 }
