@@ -49,7 +49,7 @@ func run() error {
 	addr := fs.String("addr", "localhost:8080", "listen address (host:0 picks a free port)")
 	medium := fs.String("medium", "nvm", "nvm|ssd|hdd (query sessions need an N-TADOC medium)")
 	pool := fs.String("pool", "", "file-backed NVM pool path (persists across runs)")
-	replicas := fs.Int("replicas", 0, "follower devices per shard (enables failover recovery)")
+	replicas := fs.Int("replicas", 0, "follower devices per shard, each kept in step with every committed append")
 	sessions := fs.Int("sessions", 0, "concurrent query sessions (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth before shedding with 429 (0 = default)")
 	cache := fs.Int("cache", 0, "result cache entries (0 = default, negative disables)")

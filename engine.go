@@ -248,6 +248,11 @@ type IngestStats struct {
 	DeltaSymbols  int64  // live delta grammar body symbols
 	CompactedDocs uint32 // appended documents folded into the serving base
 	Compactions   uint64 // compactions performed
+	// CompactionFailures counts shard compactions that ran and failed,
+	// whether started by Compact or by the AutoCompact worker, whose errors
+	// reach no caller.  A compaction refused because another was running is
+	// not counted.
+	CompactionFailures uint64
 	// ServingEngines counts the engines the appendable shards keep mapped to
 	// serve: per shard its own engine, the tail the last compaction
 	// published, the latest delta snapshot, and whatever a query in flight
@@ -263,15 +268,16 @@ func (e *Engine) IngestStats() IngestStats {
 		st = e.sh.IngestStats()
 	}
 	return IngestStats{
-		Batches:        st.Batches,
-		AppendedDocs:   st.Docs,
-		LogBytes:       st.LogBytes,
-		LogCapacity:    st.LogCap,
-		DeltaDocs:      st.DeltaDocs,
-		DeltaSymbols:   st.DeltaSymbols,
-		CompactedDocs:  st.CompactedDocs,
-		Compactions:    st.Compactions,
-		ServingEngines: st.ServingEngines,
+		Batches:            st.Batches,
+		AppendedDocs:       st.Docs,
+		LogBytes:           st.LogBytes,
+		LogCapacity:        st.LogCap,
+		DeltaDocs:          st.DeltaDocs,
+		DeltaSymbols:       st.DeltaSymbols,
+		CompactedDocs:      st.CompactedDocs,
+		Compactions:        st.Compactions,
+		CompactionFailures: st.CompactionFailures,
+		ServingEngines:     st.ServingEngines,
 	}
 }
 

@@ -35,7 +35,7 @@ func FuzzReadArchive(f *testing.F) {
 	// container, the delta container and a bare NTDCCFG1 grammar.
 	f.Add(withSectionMagic(buf.Bytes(), "NTDCSHD1"))
 	f.Add(withSectionMagic(buf.Bytes(), "NTDCDLT1"))
-	f.Add(bareGrammarArchive(f, a))
+	f.Add(withSectionMagic(buf.Bytes(), "NTDCCFG1"))
 	// An appended-to archive is written folded, as one more shared-table set.
 	eng, err := NewEngine(a, Options{IngestCapacity: 1 << 16})
 	if err != nil {

@@ -1,11 +1,9 @@
 package cfg
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 // paperGrammar builds the grammar of the paper's Figure 1:
@@ -173,143 +171,17 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-// readGrammar deserializes a grammar written by WriteTo and validates it: the
-// oracle of the WriteTo round trips below.  No archive holds this format, so
-// nothing outside these tests reads it.
-func readGrammar(b []byte) (*Grammar, error) {
-	d := &decoder{b: b, what: "grammar"}
-	if err := d.magic(cfgMagic); err != nil {
-		return nil, err
-	}
-	numWords, err := d.uvarint("numWords")
-	if err != nil {
-		return nil, err
-	}
-	numFiles, err := d.uvarint("numFiles")
-	if err != nil {
-		return nil, err
-	}
-	numRules, err := d.count("rule count", MaxRules)
-	if err != nil {
-		return nil, err
-	}
-	if numWords > MaxWords || numFiles > MaxWords {
-		return nil, d.errorf("absurd sizes words=%d files=%d", numWords, numFiles)
-	}
-	hasNames, err := d.next(1, "hasNames")
-	if err != nil {
-		return nil, err
-	}
-	g := &Grammar{
-		NumWords: uint32(numWords),
-		NumFiles: uint32(numFiles),
-	}
-	if hasNames[0] == 1 {
-		if g.Files, err = d.names(numFiles); err != nil {
-			return nil, err
-		}
-	}
-	g.Rules = make([][]Symbol, numRules)
-	for i := range g.Rules {
-		if g.Rules[i], err = d.symbols("rule"); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := d.checksum(); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	for _, withNames := range []bool{true, false} {
-		g := paperGrammar()
-		if !withNames {
-			g.Files = nil
-		}
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			t.Fatalf("WriteTo: %v", err)
-		}
-		g2, err := readGrammar(buf.Bytes())
-		if err != nil {
-			t.Fatalf("readGrammar: %v", err)
-		}
-		if !reflect.DeepEqual(g, g2) {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", g2, g)
-		}
-	}
-}
-
-func TestReadGrammarRejectsCorruption(t *testing.T) {
+// TestEncodedSize pins the compressed grammar format's size of the paper's
+// example grammar, with and without its file names: the bytes the format's
+// writer produced, magic, varints, names and CRC included.
+func TestEncodedSize(t *testing.T) {
 	g := paperGrammar()
-	var buf bytes.Buffer
-	g.WriteTo(&buf)
-	raw := buf.Bytes()
-
-	for name, mutate := range map[string]func([]byte) []byte{
-		"bad magic":  func(b []byte) []byte { c := clone(b); c[0] ^= 0xff; return c },
-		"bit flip":   func(b []byte) []byte { c := clone(b); c[len(c)-8] ^= 0x01; return c },
-		"truncated":  func(b []byte) []byte { return b[:len(b)-3] },
-		"empty":      func(b []byte) []byte { return nil },
-		"crc broken": func(b []byte) []byte { c := clone(b); c[len(c)-1] ^= 0xff; return c },
-	} {
-		if _, err := readGrammar(mutate(raw)); !errors.Is(err, ErrInvalid) {
-			t.Errorf("%s: err = %v, want ErrInvalid", name, err)
-		}
+	if n := g.EncodedSize(); n != 67 {
+		t.Errorf("with names: %d bytes, want 67", n)
 	}
-}
-
-func clone(b []byte) []byte { return append([]byte{}, b...) }
-
-func TestQuickSerializeRoundTrip(t *testing.T) {
-	f := func(bodies [][]uint16, vocabSeed uint16) bool {
-		if len(bodies) == 0 {
-			bodies = [][]uint16{{}}
-		}
-		if len(bodies) > 20 {
-			bodies = bodies[:20]
-		}
-		vocab := uint32(vocabSeed)%100 + 1
-		g := &Grammar{NumWords: vocab}
-		for ri, raw := range bodies {
-			var body []Symbol
-			for _, v := range raw {
-				switch v % 3 {
-				case 0:
-					body = append(body, Word(uint32(v)%vocab))
-				case 1:
-					// Only reference later rules to stay acyclic.
-					if ri+1 < len(bodies) {
-						body = append(body, Rule(uint32(ri+1)+uint32(v)%uint32(len(bodies)-ri-1)))
-					}
-				case 2:
-					if ri == 0 {
-						body = append(body, Sep(g.NumFiles))
-						g.NumFiles++
-					}
-				}
-			}
-			g.Rules = append(g.Rules, body)
-		}
-		if g.Validate() != nil {
-			return true // not a valid grammar; nothing to check
-		}
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			return false
-		}
-		g2, err := readGrammar(buf.Bytes())
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(g, g2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	g.Files = nil
+	if n := g.EncodedSize(); n != 55 {
+		t.Errorf("without names: %d bytes, want 55", n)
 	}
 }
 

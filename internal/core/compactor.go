@@ -19,16 +19,13 @@ func overThreshold(c *servingCut) bool {
 // Compactor is the background compaction worker: it sleeps until an append
 // leaves a shard's delta past the thresholds, then folds every such delta
 // into its serving base, so query cost over base+delta stays bounded while
-// appends continue.
+// appends continue.  A failed compaction counts in the target's
+// IngestStats().CompactionFailures.
 type Compactor struct {
 	target *ShardedEngine
 	stop   chan struct{}
 	done   chan struct{}
-
-	mu      sync.Mutex
-	runs    int   // guarded by mu: compactions performed
-	lastErr error // guarded by mu: most recent compaction error
-	stopped bool  // guarded by mu: Stop has completed
+	once   sync.Once
 }
 
 // StartCompactor launches the worker; Stop shuts it down.  A wake-up an
@@ -50,13 +47,8 @@ func (c *Compactor) loop() {
 		case <-c.stop:
 			return
 		case <-c.target.due:
-			n, err := c.target.compact(overThreshold)
-			c.mu.Lock()
-			c.runs += n
-			if err != nil {
-				c.lastErr = err
-			}
-			c.mu.Unlock()
+			//ntalint:ignore persistcheck the worker has no caller to return to: compact counts each shard's failure in IngestStats' CompactionFailures.
+			_ = c.target.compact(overThreshold)
 		}
 	}
 }
@@ -64,21 +56,6 @@ func (c *Compactor) loop() {
 // Stop shuts the worker down and waits for the in-flight pass, if any, to
 // finish.  Idempotent.
 func (c *Compactor) Stop() {
-	c.mu.Lock()
-	already := c.stopped
-	c.stopped = true
-	c.mu.Unlock()
-	if already {
-		return
-	}
-	close(c.stop)
+	c.once.Do(func() { close(c.stop) })
 	<-c.done
-}
-
-// Runs reports how many compactions the worker has performed and the most
-// recent compaction error, if any.
-func (c *Compactor) Runs() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs, c.lastErr
 }

@@ -85,6 +85,9 @@ type IngestStats struct {
 	DeltaSymbols  int64  // live delta grammar body symbols
 	CompactedDocs uint32 // appended documents folded into the serving base
 	Compactions   uint64
+	// CompactionFailures counts the shard compactions ShardedEngine.compact
+	// saw fail, ErrCompacting aside; zero in a shard's own stats.
+	CompactionFailures uint64
 	// ServingEngines counts the engines kept mapped to serve the shard: its
 	// own, and the tails and deltas that are current or still pinned.
 	ServingEngines int
@@ -520,14 +523,14 @@ func (st *ingestState) beginCompaction() (base, dg *cfg.Grammar, err error) {
 }
 
 // compact merges the delta grammar into the tail's and publishes the merged
-// engine as the tail of a cut with no delta (see ShardedEngine.Compact),
-// reporting whether it did: an empty delta leaves the cut as it is.  first
-// is the global index of the shard's first document, which places the
-// build-time base's documents in the merged tail's map.
-func (st *ingestState) compact(first uint32) (bool, error) {
+// engine as the tail of a cut with no delta (see ShardedEngine.Compact); an
+// empty delta leaves the cut as it is.  first is the global index of the
+// shard's first document, which places the build-time base's documents in
+// the merged tail's map.
+func (st *ingestState) compact(first uint32) error {
 	base, dg, err := st.beginCompaction()
 	if err != nil || dg == nil {
-		return false, err
+		return err
 	}
 	merged, err := cfg.MergeDelta(base, dg)
 	var ne *Engine
@@ -539,7 +542,7 @@ func (st *ingestState) compact(first uint32) (bool, error) {
 	defer st.mu.Unlock()
 	st.compacting = false
 	if err != nil {
-		return false, errEngine("compact", err)
+		return errEngine("compact", err)
 	}
 	// Swap: the merged engine holds every appended document, the builder
 	// starts over on top of it, and the cut this one replaces goes — tail and
@@ -559,7 +562,7 @@ func (st *ingestState) compact(first uint32) (bool, error) {
 		tailMap: append(tailMap, cur.deltaMap...)})
 	st.compactions++
 	st.epoch.Add(1)
-	return true, nil
+	return nil
 }
 
 // CorpusEpoch returns the engine's corpus epoch: it advances on every

@@ -977,18 +977,18 @@ func TestCompactorWorker(t *testing.T) {
 		}
 		next += n
 	}
-	waitRuns := func(c *Compactor, want int) {
+	waitCompactions := func(want uint64) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			runs, err := c.Runs()
-			if err != nil {
-				t.Fatalf("compactor error after %d runs: %v", runs, err)
+			st := e.IngestStats()
+			if st.CompactionFailures != 0 {
+				t.Fatalf("%d compactions failed after %d ran", st.CompactionFailures, st.Compactions)
 			}
-			if runs == want {
+			if st.Compactions == want {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("compactor ran %d times, want %d", runs, want)
+				t.Fatalf("%d compactions, want %d", st.Compactions, want)
 			}
 		}
 	}
@@ -1000,11 +1000,11 @@ func TestCompactorWorker(t *testing.T) {
 		t.Fatalf("a delta of %d documents left %d wake-ups pending, want %d documents and none",
 			st.DeltaDocs, len(e.due), compactDeltaDocs)
 	}
-	if runs, _ := c.Runs(); runs != 0 {
-		t.Fatalf("compactor ran %d times under the thresholds", runs)
+	if n := e.IngestStats().Compactions; n != 0 {
+		t.Fatalf("compactor ran %d times under the thresholds", n)
 	}
 	appendN(1)
-	waitRuns(c, 1)
+	waitCompactions(1)
 	c.Stop()
 	checkOps(t, e, d, files[:next], "after background compaction")
 
@@ -1014,7 +1014,7 @@ func TestCompactorWorker(t *testing.T) {
 	}
 	c = StartCompactor(e)
 	defer c.Stop()
-	waitRuns(c, 1)
+	waitCompactions(2)
 	c.Stop()
 	checkOps(t, e, d, files[:next], "after the wake-up sent before the worker")
 	if st := e.IngestStats(); st.Compactions != 2 || st.DeltaDocs != 0 {
@@ -1086,7 +1086,8 @@ func TestIngestStatsReadsTheCut(t *testing.T) {
 // TestCompactPastShardWithoutBase: a shard that cannot compact does not keep
 // the others from it.  After a failover the promoted shard recovered from
 // its log and has no base grammar; compacting the set still folds every
-// other shard's delta, and the error names the shard that could not.
+// other shard's delta, the error names the shard that could not, and the
+// set's stats count its failure.
 func TestCompactPastShardWithoutBase(t *testing.T) {
 	files, d, _ := corpus(t, 84, 10, 120, 30)
 	const base = 8
@@ -1114,6 +1115,9 @@ func TestCompactPastShardWithoutBase(t *testing.T) {
 	err = se.Compact()
 	if !errors.Is(err, ErrNoBaseGrammar) || !strings.Contains(err.Error(), "shard 0") {
 		t.Fatalf("Compact = %v, want shard 0's %v", err, ErrNoBaseGrammar)
+	}
+	if n := se.IngestStats().CompactionFailures; n != 1 {
+		t.Errorf("%d compaction failures counted, want 1", n)
 	}
 	for i, want := range []IngestStats{{DeltaDocs: 1}, {DeltaDocs: 0, Compactions: 1}} {
 		if st := se.Shard(i).IngestStats(); st.DeltaDocs != want.DeltaDocs || st.Compactions != want.Compactions {

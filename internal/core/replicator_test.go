@@ -345,10 +345,13 @@ func TestFailoverRejectsForeignFollower(t *testing.T) {
 	}
 }
 
-// TestReopenShardedFailover recovers a sharded engine whose primary device
-// set is partially unusable: the dead shard's pool comes back from its
-// injected follower, under the same stamp validation.
-func TestReopenShardedFailover(t *testing.T) {
+// TestReopenShardedFollowers: a reopen seeds followers from the reopened
+// primaries and promotes none.  A blank primary fails the reopen typed and
+// reloadable whether or not a follower holding its image is injected, and
+// the failed reopen leaves nothing mapped of its own; with every primary
+// whole, the injected followers end byte-identical to their primaries and
+// the reopened set counts what the healthy one did.
+func TestReopenShardedFollowers(t *testing.T) {
 	files, d, _ := corpus(t, 66, 4, 200, 25)
 	gs := shardGrammars(t, files, uint32(d.Len()), 2)
 	se, err := NewSharded(gs, d, Options{
@@ -363,75 +366,97 @@ func TestReopenShardedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
-	// Clone the surviving images before Close discards the originals: shard
-	// 0's primary, shard 1's follower.  Shard 1's primary is replaced by a
-	// blank device — a total loss its follower must cover.
-	pc0, err := se.Shard(0).Device().CloneDurable()
-	if err != nil {
-		t.Fatalf("clone primary 0: %v", err)
+	// Clone the images before Close discards the originals: both primaries,
+	// and shard 1's follower.
+	var pcs []*nvm.SimDevice
+	for i := 0; i < se.NumShards(); i++ {
+		pc, err := se.Shard(i).Device().CloneDurable()
+		if err != nil {
+			t.Fatalf("clone primary %d: %v", i, err)
+		}
+		pcs = append(pcs, pc)
 	}
 	fc1, err := se.Followers(1)[0].CloneDurable()
 	if err != nil {
 		t.Fatalf("clone follower 1: %v", err)
 	}
-	blankSize := se.Shard(1).Device().Size()
 	se.Close()
-	blank := nvm.New(nvm.KindNVM, blankSize)
 	opts := Options{Sequences: true, Persistence: OpLevel}
 
-	// Without a follower the dead shard is typed and reloadable.
-	_, _, err = ReopenSharded([]*nvm.SimDevice{pc0, blank}, d, opts)
-	var sf *ErrShardFailed
-	if !errors.As(err, &sf) || sf.Shard != 1 {
-		t.Fatalf("blank shard err = %v, want ErrShardFailed{Shard: 1}", err)
-	}
-	if !errors.Is(err, ErrNeedsReload) {
-		t.Fatalf("blank shard err = %v, want ErrNeedsReload in chain", err)
-	}
-
-	// A follower stamped for another shard is refused under the same
-	// contract, and the cause says why the follower went as well as why the
-	// primary did.  Every device stays the caller's.
+	// Shard 1's primary is a blank device: a total loss, which the follower
+	// holding its image does not cover.
+	blank := nvm.New(nvm.KindNVM, pcs[1].Size())
 	before := nvm.MappedBytes()
-	foreign, err := pc0.CloneDurable()
-	if err != nil {
-		t.Fatalf("clone primary 0 as shard 1's follower: %v", err)
+	for _, fdevs := range [][][]*nvm.SimDevice{nil, {nil, {fc1}}} {
+		o := opts
+		o.Replication = Replication{FollowerDevices: fdevs}
+		re, _, err := ReopenSharded([]*nvm.SimDevice{pcs[0], blank}, d, o)
+		if err == nil {
+			re.Close()
+			t.Fatalf("followers %v: a blank primary reopened", fdevs)
+		}
+		var sf *ErrShardFailed
+		if !errors.As(err, &sf) || sf.Shard != 1 {
+			t.Fatalf("followers %v: err = %v, want ErrShardFailed{Shard: 1}", fdevs, err)
+		}
+		if !errors.Is(err, ErrNeedsReload) {
+			t.Errorf("followers %v: err = %v, want ErrNeedsReload in chain", fdevs, err)
+		}
+		if leaked := nvm.MappedBytes() - before; leaked != 0 {
+			t.Errorf("followers %v: %d bytes of device images still mapped after a refused reopen", fdevs, leaked)
+		}
 	}
-	fo := opts
-	fo.Replication = Replication{FollowerDevices: [][]*nvm.SimDevice{nil, {foreign}}}
-	_, _, err = ReopenSharded([]*nvm.SimDevice{pc0, blank}, d, fo)
-	if !errors.As(err, &sf) || sf.Shard != 1 {
-		t.Fatalf("foreign follower err = %v, want ErrShardFailed{Shard: 1}", err)
-	}
-	if !errors.Is(err, ErrNeedsReload) {
-		t.Errorf("foreign follower err = %v, want the primary's ErrNeedsReload in chain", err)
-	}
-	if !errors.Is(err, ErrShardMismatch) {
-		t.Errorf("foreign follower err = %v, want the follower's ErrShardMismatch in chain", err)
-	}
-	if err := foreign.Discard(); err != nil {
-		t.Fatalf("discard foreign follower: %v", err)
-	}
-	if leaked := nvm.MappedBytes() - before; leaked != 0 {
-		t.Errorf("%d bytes of device images still mapped after a refused reopen", leaked)
+	for _, dev := range []*nvm.SimDevice{blank, fc1} {
+		if err := dev.Discard(); err != nil {
+			t.Fatalf("Discard: %v", err)
+		}
 	}
 
-	// With the follower injected, the reopen promotes it transparently.
-	ro := opts
-	ro.Replication = Replication{FollowerDevices: [][]*nvm.SimDevice{nil, {fc1}}}
-	re, infos, err := ReopenSharded([]*nvm.SimDevice{pc0, blank}, d, ro)
+	// With both primaries whole, the injected followers are seeded from
+	// them and track every commit after.
+	fo := opts
+	fo.Replication = Replication{FollowerDevices: [][]*nvm.SimDevice{
+		{nvm.New(nvm.KindNVM, pcs[0].Size())}, {nvm.New(nvm.KindNVM, pcs[1].Size())},
+	}}
+	re, infos, err := ReopenSharded(pcs, d, fo)
 	if err != nil {
-		t.Fatalf("ReopenSharded with follower: %v", err)
+		t.Fatalf("ReopenSharded with followers: %v", err)
 	}
 	defer re.Close()
 	if len(infos) != 2 {
 		t.Fatalf("got %d recovery infos, want 2", len(infos))
 	}
+	checkCRCs := func(when string) {
+		t.Helper()
+		for i := 0; i < re.NumShards(); i++ {
+			fdevs := re.Followers(i)
+			if len(fdevs) != 1 || fdevs[0] != fo.Replication.FollowerDevices[i][0] {
+				t.Fatalf("%s: shard %d follows %v, want its injected follower", when, i, fdevs)
+			}
+			clone, err := re.Shard(i).Device().CloneDurable()
+			if err != nil {
+				t.Fatalf("%s: clone primary %d: %v", when, i, err)
+			}
+			pcrc, perr := clone.DurableCRC()
+			fcrc, ferr := fdevs[0].DurableCRC()
+			if err := clone.Discard(); err != nil {
+				t.Fatalf("discard clone: %v", err)
+			}
+			if perr != nil || ferr != nil {
+				t.Fatalf("%s: shard %d: CRC errors %v / %v", when, i, perr, ferr)
+			}
+			if pcrc != fcrc {
+				t.Errorf("%s: shard %d's follower diverged from its primary", when, i)
+			}
+		}
+	}
+	checkCRCs("after the reopen")
 	got, err := analytics.WordCount(re)
 	if err != nil {
-		t.Fatalf("recovered WordCount: %v", err)
+		t.Fatalf("reopened WordCount: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("failover-recovered word count differs from the healthy run")
+		t.Error("reopened word count differs from the healthy run")
 	}
+	checkCRCs("after a word count")
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
@@ -80,6 +81,9 @@ type ShardedEngine struct {
 	// due holds one wake-up for the Compactor, sent by an append that leaves
 	// its shard's delta past the compaction thresholds.
 	due chan struct{}
+	// compactFailures counts failed shard compactions: the Compactor's
+	// errors reach no caller, so IngestStats is where they show.
+	compactFailures atomic.Uint64
 }
 
 // ErrShardMismatch reports a sharded device set whose pool stamps do not
@@ -252,27 +256,23 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 // recovery contract (devs[i] carries shard i's pool).  Pool shard stamps
 // are validated against the assembly order and every pool's build tag
 // against opts.BuildTag, so a reordered or foreign device set fails with
-// ErrShardMismatch rather than silently merging the wrong documents.  When
-// opts.Replication injects follower devices, a shard whose primary fails to
-// recover falls over to the first follower that passes the same recovery
-// contract and stamp validation; only if every replica of a shard is
-// unrecoverable does the reopen fail, with ErrShardFailed naming the shard
-// and joining every replica's reason in its cause chain (ErrNeedsReload
-// when an image's initialization never
-// completed — the caller rebuilds the shard from the compressed input —
-// ErrShardMismatch for a follower stamped for another shard or build).  The
-// per-shard infos of the shards examined so far are returned alongside the
-// error.  A successful reopen owns every device it was given — a primary a
-// follower replaced is discarded on the spot — and a failed one none of
-// them.
+// ErrShardMismatch rather than silently merging the wrong documents.  A
+// shard that cannot recover fails the reopen with ErrShardFailed naming it
+// (ErrNeedsReload in its chain when the image's initialization never
+// completed — the caller rebuilds the shard from the compressed input); the
+// per-shard infos of the shards reopened so far are returned alongside the
+// error.  opts.Replication means what it means to NewSharded: each shard's
+// followers, injected or made, are seeded from its reopened primary.  A
+// reopen promotes no follower: followers are in-memory devices, so none
+// outlives the process a restart reopens after.  A successful reopen owns
+// every device it was given, and a failed one none of them.
 func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*ShardedEngine, []*RecoveryInfo, error) {
 	if len(devs) == 0 {
 		return nil, nil, errEngine("reopen sharded", errors.New("no shard devices"))
 	}
-	repl := opts.Replication
-	if repl.FollowerDevices != nil && len(repl.FollowerDevices) != len(devs) {
+	if fd := opts.Replication.FollowerDevices; fd != nil && len(fd) != len(devs) {
 		return nil, nil, errEngine("reopen sharded", fmt.Errorf("%d follower slices for %d shards",
-			len(repl.FollowerDevices), len(devs)))
+			len(fd), len(devs)))
 	}
 	se := &ShardedEngine{
 		shards: make([]*Engine, len(devs)),
@@ -291,35 +291,9 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 		}
 		return nil, infos, err
 	}
-	// dead collects the primaries a follower replaced: a successful reopen
-	// owns every device it was given, so it releases those it will not use.
-	var dead []*nvm.SimDevice
-	remaining := make([][]*nvm.SimDevice, len(devs))
 	infos := make([]*RecoveryInfo, 0, len(devs))
 	for i, dev := range devs {
 		e, info, err := se.reopenShard(i, dev)
-		if repl.FollowerDevices != nil {
-			remaining[i] = repl.FollowerDevices[i]
-			if err != nil {
-				// Primary unrecoverable: promote the first follower whose
-				// image passes the identical contract.  Each refused
-				// follower's reason joins the shard's cause.
-				for fi, fdev := range repl.FollowerDevices[i] {
-					fe, finfo, ferr := se.reopenShard(i, fdev)
-					if ferr != nil {
-						err = errors.Join(err, fmt.Errorf("follower %d: %w", fi, ferr))
-						continue
-					}
-					e, info, err = fe, finfo, nil
-					dead = append(dead, dev)
-					rest := make([]*nvm.SimDevice, 0, len(repl.FollowerDevices[i])-1)
-					rest = append(rest, repl.FollowerDevices[i][:fi]...)
-					rest = append(rest, repl.FollowerDevices[i][fi+1:]...)
-					remaining[i] = rest
-					break
-				}
-			}
-		}
 		if err != nil {
 			return fail(infos, wrapShard(i, err))
 		}
@@ -328,28 +302,19 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 		se.nfiles += e.numFiles
 		infos = append(infos, info)
 	}
-	if repl.enabled() {
-		r2 := repl
-		if repl.FollowerDevices != nil {
-			r2.FollowerDevices = remaining
-		}
-		if err := se.attachReplication(r2); err != nil {
-			return fail(infos, errEngine("reopen sharded", err))
-		}
+	if err := se.attachReplication(opts.Replication); err != nil {
+		return fail(infos, errEngine("reopen sharded", err))
 	}
 	if err := se.recoverIngestOrder(); err != nil {
 		return fail(infos, errEngine("reopen sharded", err))
-	}
-	for _, dev := range dead {
-		_ = dev.Discard() // nothing a caller could do about a dead device's close error
 	}
 	return se, infos, nil
 }
 
 // reopenShard reopens dev as shard i of the set: the one reopen contract for
-// a shard image, for both of its callers — ReopenSharded's restart, of a
-// primary or a follower, and failoverShard's promoted follower.  The image
-// must pass the unsharded recovery contract, and its pool stamps must name
+// a shard image, for both of its callers — ReopenSharded's restart of a
+// primary, and failoverShard's promoted follower.  The image must pass the
+// unsharded recovery contract, and its pool stamps must name
 // position i of this set and carry the set's build tag, se.opts.BuildTag —
 // positional stamps alone cannot tell shard 1-of-4 of one unified build from
 // shard 1-of-4 of another.  A mismatch abandons the reopened engine and
@@ -507,16 +472,17 @@ func (se *ShardedEngine) IngestStats() IngestStats {
 		agg.Compactions += s.Compactions
 		agg.ServingEngines += s.ServingEngines
 	}
+	agg.CompactionFailures = se.compactFailures.Load()
 	return agg
 }
 
 // compact folds the live delta of every appendable shard whose cut due
-// accepts into its serving base, one shard at a time, and reports how many
-// it folded.  A shard already compacting is skipped; a shard that cannot
-// compact does not stop the others, and its error joins the result under
-// its index.
-func (se *ShardedEngine) compact(due func(*servingCut) bool) (int, error) {
-	n, appendable := 0, false
+// accepts into its serving base, one shard at a time.  A shard already
+// compacting is skipped; a shard that cannot compact does not stop the
+// others, and its error joins the result under its index and counts in
+// IngestStats' CompactionFailures.
+func (se *ShardedEngine) compact(due func(*servingCut) bool) error {
+	appendable := false
 	var errs []error
 	for i, sh := range se.shards {
 		st := sh.ingest
@@ -527,18 +493,15 @@ func (se *ShardedEngine) compact(due func(*servingCut) bool) (int, error) {
 		if !due(st.current()) {
 			continue
 		}
-		ran, err := st.compact(se.bases[i])
-		if ran {
-			n++
-		}
-		if err != nil && !errors.Is(err, ErrCompacting) {
+		if err := st.compact(se.bases[i]); err != nil && !errors.Is(err, ErrCompacting) {
+			se.compactFailures.Add(1)
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
 	if !appendable {
-		return 0, ErrNoIngest
+		return ErrNoIngest
 	}
-	return n, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // Compact folds every shard's live delta into its serving base now.  The
@@ -548,8 +511,7 @@ func (se *ShardedEngine) compact(due func(*servingCut) bool) (int, error) {
 // ErrCompacting; queries are never blocked — they keep their pinned
 // pre-compaction cut until the swap.
 func (se *ShardedEngine) Compact() error {
-	_, err := se.compact(func(*servingCut) bool { return true })
-	return err
+	return se.compact(func(*servingCut) bool { return true })
 }
 
 // shardedEnv is the Env the coordinator offers merging folds: whole-corpus

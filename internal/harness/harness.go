@@ -73,11 +73,7 @@ func buildCorpus(spec datagen.Spec) (*Corpus, error) {
 	for _, f := range files {
 		bytes += int64(len(f)) * 4
 	}
-	var cw countWriter
-	if _, err := g.WriteTo(&cw); err != nil {
-		return nil, err
-	}
-	return &Corpus{Spec: spec, Files: files, Dict: d, G: g, Bytes: bytes, CompressedBytes: cw.n}, nil
+	return &Corpus{Spec: spec, Files: files, Dict: d, G: g, Bytes: bytes, CompressedBytes: g.EncodedSize()}, nil
 }
 
 // parallelism is the experiment-grid concurrency level (≥ 1).  Each grid
@@ -146,14 +142,6 @@ func ForEachCell(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// countWriter measures serialized size without storing it.
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 // diskReadNanos models the initialization-time cost of reading the input

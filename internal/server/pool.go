@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-
 	"sync"
 
 	"github.com/text-analytics/ntadoc"
@@ -14,18 +13,16 @@ var (
 	// ErrOverloaded reports that the admission queue is full: the request
 	// is shed immediately (429) rather than adding unbounded latency.
 	ErrOverloaded = errors.New("server: session pool overloaded")
-	// ErrRecovering reports that the pool is quiesced for engine recovery;
-	// requests arriving meanwhile are refused (503) and should retry.
-	ErrRecovering = errors.New("server: engine recovering")
+	// ErrClosed reports that the server is closed: Close has drained the
+	// pool, and every later request is refused (503).
+	ErrClosed = errors.New("server: closed")
 )
 
 // sessionPool is the admission-controlled pool of query sessions.  Capacity
 // bounds concurrent traversals (each session runs one batch at a time); the
 // queue depth bounds how many requests may wait for a session before the
-// pool starts shedding load.  drain/refill quiesce the pool around engine
-// recovery: drain collects every session (waiting out in-flight batches),
-// and refill installs fresh sessions over the recovered engine — the old
-// ones may reference shard engines retired by a failover.
+// pool starts shedding load.  drain closes the pool for Server.Close: it
+// collects every session, waiting out in-flight batches.
 //
 // Sessions are handed out most recently released first.  A session's
 // traversal workspaces grow when it first serves and stay warm afterwards,
@@ -48,9 +45,18 @@ type sessionPool struct {
 
 // newSessionPool opens size sessions over eng up front.
 func newSessionPool(eng *ntadoc.Engine, size, depth int) (*sessionPool, error) {
-	p := &sessionPool{ready: make(chan struct{}, size), size: size, depth: depth}
-	if err := p.refill(eng); err != nil {
-		return nil, err
+	all := make([]*ntadoc.QuerySession, size)
+	for i := range all {
+		s, err := eng.NewSession()
+		if err != nil {
+			return nil, err
+		}
+		all[i] = s
+	}
+	p := &sessionPool{ready: make(chan struct{}, size), size: size, depth: depth,
+		all: all, free: append([]*ntadoc.QuerySession(nil), all...)}
+	for range all {
+		p.ready <- struct{}{}
 	}
 	return p, nil
 }
@@ -75,13 +81,13 @@ func (p *sessionPool) popLocked() *ntadoc.QuerySession {
 //
 // The draining check runs before any channel receive, so once drain begins
 // no new request can take a session; requests already queued may still win
-// one released by an in-flight batch — that is safe (recovery starts only
-// after drain holds all sessions) and finite (the waiter set only shrinks).
+// one released by an in-flight batch — that is safe (drain returns only
+// once it holds every session) and finite (the waiter set only shrinks).
 func (p *sessionPool) admit() (*ntadoc.QuerySession, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {
-		return nil, ErrRecovering
+		return nil, ErrClosed
 	}
 	select {
 	case <-p.ready:
@@ -103,8 +109,8 @@ func (p *sessionPool) unqueue() {
 }
 
 // acquire borrows a session, queueing up to the admission depth.  It fails
-// fast with ErrOverloaded when the queue is full, ErrRecovering while the
-// pool is quiesced, and ctx.Err() if the request dies while queued.
+// fast with ErrOverloaded when the queue is full, ErrClosed once the pool
+// is drained, and ctx.Err() if the request dies while queued.
 func (p *sessionPool) acquire(ctx context.Context) (*ntadoc.QuerySession, error) {
 	s, err := p.admit()
 	if err != nil || s != nil {
@@ -148,7 +154,7 @@ func (p *sessionPool) queued() int {
 	return p.waiting
 }
 
-// drain quiesces the pool: new acquires are refused, and drain blocks until
+// drain closes the pool: new acquires are refused, and drain blocks until
 // it holds every session — i.e. until all in-flight batches have finished.
 func (p *sessionPool) drain() {
 	p.mu.Lock()
@@ -158,26 +164,4 @@ func (p *sessionPool) drain() {
 		<-p.ready
 		p.pop()
 	}
-}
-
-// refill installs fresh sessions after recovery and reopens admission.
-// On error the pool stays quiesced; the server marks itself down.
-func (p *sessionPool) refill(eng *ntadoc.Engine) error {
-	fresh := make([]*ntadoc.QuerySession, p.size)
-	for i := range fresh {
-		s, err := eng.NewSession()
-		if err != nil {
-			return err
-		}
-		fresh[i] = s
-	}
-	p.mu.Lock()
-	p.all = fresh
-	p.free = append(p.free[:0], fresh...)
-	p.draining = false
-	p.mu.Unlock()
-	for range fresh {
-		p.ready <- struct{}{}
-	}
-	return nil
 }

@@ -62,10 +62,10 @@ func (c Config) withDefaults() Config {
 // batches coalesce into one traversal, and hot results are served from an
 // LRU cache keyed by (generation, canonical batch signature).
 //
-// When a query session surfaces a device failure (a dead shard primary),
-// the server quiesces the pool, drives the engine's failover recovery, and
-// bumps the cache generation — no result computed against the dead primary
-// can be served after recovery.
+// A query only reads the engine's devices: it issues no flush or fence, so
+// it has no persistence event to fail at and the server no recovery to run.
+// Any error a query returns answers that one request.  Failover stays on
+// the engine task path, where writes can fail (core.ShardedEngine).
 type Server struct {
 	cfg Config
 	eng *ntadoc.Engine
@@ -77,19 +77,13 @@ type Server struct {
 	// appendMu serializes /v1/append admissions; queries never take it.
 	appendMu sync.Mutex
 
-	// gen counts recovery epochs; the cache generation string combines it
-	// with the archive build tag (tagPrefix, "<8 hex digits>.", fixed for the
-	// engine's lifetime) and the corpus epoch.
-	gen       atomic.Uint64
+	// tagPrefix is the archive build tag as the generation string opens
+	// with it, "<8 hex digits>.", fixed for the engine's lifetime.
 	tagPrefix string
-	// down latches when recovery fails: the engine lost a shard with no
-	// follower left, so the server can only refuse traffic.
-	down atomic.Bool
-
-	// recoverMu serializes recoveries; recoverBusy dedupes triggers from
-	// concurrent failed requests.
-	recoverMu   sync.Mutex
-	recoverBusy atomic.Bool
+	// closed latches in Close: later requests are refused.  closeOnce makes
+	// every Close wait for the one drain.
+	closed    atomic.Bool
+	closeOnce sync.Once
 
 	// execute runs one batch on a pooled session and returns the encoded
 	// result body; tests override it to inject failures the simulated read
@@ -105,7 +99,6 @@ type Server struct {
 	cacheHits    atomic.Int64
 	cacheMisses  atomic.Int64
 	coalesced    atomic.Int64
-	recoveries   atomic.Int64
 	appendsOK    atomic.Int64
 	appendsErr   atomic.Int64
 	docsIngested atomic.Int64
@@ -142,13 +135,11 @@ func New(cfg Config) (*Server, error) {
 // engine unmaps its device images, and a traversal still reading one would
 // fault; the pool drain is what orders the two.  Later requests answer 503.
 func (s *Server) Close() {
-	s.recoverMu.Lock()
-	defer s.recoverMu.Unlock()
-	// A server that latched down did so with its pool already drained.
-	if !s.down.Swap(true) {
+	s.closeOnce.Do(func() {
+		s.closed.Store(true)
 		s.pool.drain()
-	}
-	// An append that passed its down check before the swap holds appendMu.
+	})
+	// An append that passed its closed check before the latch holds appendMu.
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
 }
@@ -166,20 +157,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Generation identifies the archive build, recovery epoch, and corpus
-// epoch: results and cache keys are scoped to it.  It changes whenever the
-// engine recovers from a failure and whenever an append batch commits or a
-// compaction runs — a committed append is therefore never masked by a
+// Generation identifies the archive build and the corpus epoch: results and
+// cache keys are scoped to it.  It changes whenever an append batch commits
+// or a compaction runs — a committed append is therefore never masked by a
 // cached pre-append result.
 func (s *Server) Generation() string {
 	return string(s.appendGeneration(make([]byte, 0, 32)))
 }
 
-// appendGeneration appends "<build tag, 8 hex digits>.<recovery epoch>.<corpus epoch>".
+// appendGeneration appends "<build tag, 8 hex digits>.<corpus epoch>".
 func (s *Server) appendGeneration(dst []byte) []byte {
 	dst = append(dst, s.tagPrefix...)
-	dst = strconv.AppendUint(dst, s.gen.Load(), 10)
-	dst = append(dst, '.')
 	return strconv.AppendUint(dst, s.eng.CorpusEpoch(), 10)
 }
 
@@ -235,9 +223,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.BatchSpec) {
-	if s.down.Load() {
+	if s.closed.Load() {
 		s.reqErr.Add(1)
-		http.Error(w, "engine down: unrecoverable device failure", http.StatusServiceUnavailable)
+		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -322,14 +310,13 @@ func writeResponse(w http.ResponseWriter, gen, sig string, body []byte, cached, 
 // envelopeTail closes the envelope after the result body.
 var envelopeTail = []byte("}\n")
 
-// fail maps an execution error to its HTTP status, triggering recovery on
-// device failures.
+// fail maps an execution error to its HTTP status.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case err == ErrOverloaded:
 		s.reqShed.Add(1)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case err == ErrRecovering:
+	case err == ErrClosed:
 		s.reqErr.Add(1)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case r.Context().Err() != nil:
@@ -338,49 +325,10 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	case ctxErr(err):
 		s.reqErr.Add(1)
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-	case ntadoc.IsDeviceFailure(err):
-		s.reqErr.Add(1)
-		s.triggerRecovery()
-		http.Error(w, "device failure, recovering", http.StatusServiceUnavailable)
 	default:
 		s.reqErr.Add(1)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// triggerRecovery starts one background recovery; concurrent failures while
-// it runs fold into the same attempt.
-func (s *Server) triggerRecovery() {
-	if !s.recoverBusy.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer s.recoverBusy.Store(false)
-		s.recoverNow()
-	}()
-}
-
-// recoverNow quiesces the session pool, drives the engine's failover
-// recovery, and — on success — installs fresh sessions and a new cache
-// generation.  If recovery fails (no follower left) the server latches
-// down.
-func (s *Server) recoverNow() {
-	s.recoverMu.Lock()
-	defer s.recoverMu.Unlock()
-	if s.down.Load() {
-		return
-	}
-	s.pool.drain()
-	if err := s.eng.Recover(); err != nil {
-		s.down.Store(true)
-		return
-	}
-	if err := s.pool.refill(s.eng); err != nil {
-		s.down.Store(true)
-		return
-	}
-	s.gen.Add(1) // the cache drops the old generation's entries on its next use
-	s.recoveries.Add(1)
 }
 
 // handleAppend admits one append batch: the documents are tokenized and
@@ -395,9 +343,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.down.Load() {
+	if s.closed.Load() {
 		s.appendsErr.Add(1)
-		http.Error(w, "engine down: unrecoverable device failure", http.StatusServiceUnavailable)
+		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	// A batch the append log could hold is no longer than the log plus its
@@ -428,10 +376,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		docs[i] = ntadoc.Document{Name: d.Name, Text: d.Text}
 	}
 	s.appendMu.Lock()
-	if s.down.Load() { // checked again under the lock Close waits on
+	if s.closed.Load() { // checked again under the lock Close waits on
 		s.appendMu.Unlock()
 		s.appendsErr.Add(1)
-		http.Error(w, "engine down", http.StatusServiceUnavailable)
+		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	err := s.eng.Append(docs)
@@ -499,8 +447,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 const maxIngestNames = 32
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.down.Load() {
-		http.Error(w, "down", http.StatusServiceUnavailable)
+	if s.closed.Load() {
+		http.Error(w, "closed", http.StatusServiceUnavailable)
 		return
 	}
 	fmt.Fprintln(w, "ok")
@@ -525,8 +473,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("ntadoc_cache_misses_total %d", s.cacheMisses.Load())
 	p("# TYPE ntadoc_coalesced_total counter")
 	p("ntadoc_coalesced_total %d", s.coalesced.Load())
-	p("# TYPE ntadoc_recoveries_total counter")
-	p("ntadoc_recoveries_total %d", s.recoveries.Load())
 	p("# TYPE ntadoc_failovers_total counter")
 	p("ntadoc_failovers_total %d", s.eng.FailoverCount())
 	p("# TYPE ntadoc_sessions_idle gauge")
@@ -541,8 +487,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP ntadoc_cache_bytes Total bytes of cached result bodies.")
 	p("# TYPE ntadoc_cache_bytes gauge")
 	p("ntadoc_cache_bytes %d", s.cache.size())
-	p("# TYPE ntadoc_generation_epoch gauge")
-	p("ntadoc_generation_epoch %d", s.gen.Load())
 	p("# HELP ntadoc_corpus_epoch Committed append batches plus compactions.")
 	p("# TYPE ntadoc_corpus_epoch counter")
 	p("ntadoc_corpus_epoch %d", s.eng.CorpusEpoch())
@@ -563,6 +507,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p(`ntadoc_ingest{stat="delta_symbols"} %d`, ing.DeltaSymbols)
 	p(`ntadoc_ingest{stat="compacted_docs"} %d`, ing.CompactedDocs)
 	p(`ntadoc_ingest{stat="compactions"} %d`, ing.Compactions)
+	p(`ntadoc_ingest{stat="compaction_failures"} %d`, ing.CompactionFailures)
 	p(`ntadoc_ingest{stat="serving_engines"} %d`, ing.ServingEngines)
 
 	init, trav := s.eng.PhaseTimes()
@@ -640,28 +585,24 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	info := struct {
 		Generation string          `json:"generation"`
 		BuildTag   string          `json:"build_tag"`
-		Down       bool            `json:"down"`
 		Shards     int             `json:"shards"`
 		Documents  []string        `json:"documents"`
 		Strategies []string        `json:"planner_strategies"`
 		ShardPools []shardPoolInfo `json:"shard_pools"`
 		Replicas   []int           `json:"live_followers,omitempty"`
 		Failovers  int             `json:"failovers"`
-		Recoveries int64           `json:"recoveries"`
 		Serving    int             `json:"serving_engines"`
 		Pool       poolInfo        `json:"pool"`
 		Cache      cacheInfo       `json:"cache"`
 	}{
 		Generation: s.Generation(),
 		BuildTag:   fmt.Sprintf("%08x", s.eng.BuildTag()),
-		Down:       s.down.Load(),
 		Shards:     s.eng.NumShards(),
 		Documents:  s.eng.DocumentNames(),
 		Strategies: s.eng.ShardStrategies(),
 		ShardPools: pools,
 		Replicas:   s.eng.LiveFollowers(),
 		Failovers:  s.eng.FailoverCount(),
-		Recoveries: s.recoveries.Load(),
 		Serving:    s.eng.IngestStats().ServingEngines,
 		Pool: poolInfo{
 			Sessions:       s.cfg.Sessions,

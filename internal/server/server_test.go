@@ -27,8 +27,8 @@ var serverDocs = []ntadoc.Document{
 	{Name: "d5", Text: "words appear here once more while the fox naps"},
 }
 
-// newTestServer builds a server over a sharded, replicated engine (so the
-// recovery path has a follower to fall back on).
+// newTestServer builds a server over a sharded engine with one follower per
+// shard, the shape of a daemon started with -replicas 1.
 func newTestServer(t *testing.T, cfg Config) (*Server, *ntadoc.Engine) {
 	t.Helper()
 	a, err := ntadoc.CompressSharded(serverDocs, 2)
@@ -180,10 +180,11 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestCacheHitAndRecoveryInvalidation checks the LRU serves repeated batches
-// without touching the engine, and that a device failure surfaced by a query
-// bumps the generation and drops every cached result.
-func TestCacheHitAndRecoveryInvalidation(t *testing.T) {
+// TestCacheHitAndFailedQuery checks the LRU serves repeated batches without
+// touching the engine, and that a query failing with a device error answers
+// that one request with a 500: the generation stays, the cache keeps its
+// entries, and every session comes back to the pool.
+func TestCacheHitAndFailedQuery(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
 
@@ -203,12 +204,12 @@ func TestCacheHitAndRecoveryInvalidation(t *testing.T) {
 		t.Error("cached result differs")
 	}
 	if second.Generation != first.Generation {
-		t.Errorf("generation changed without recovery: %q vs %q", second.Generation, first.Generation)
+		t.Errorf("generation changed between two reads: %q vs %q", second.Generation, first.Generation)
 	}
 
 	// Inject a device failure into the next execution: the simulated read
-	// path cannot produce one organically (fail points fire on writes), so
-	// the seam stands in for a shard primary dying mid-query.
+	// path cannot produce one (fail points fire on persistence events, which
+	// a query never issues), so the seam stands in for one.
 	run := s.execute
 	var injected atomic.Bool
 	s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
@@ -218,80 +219,25 @@ func TestCacheHitAndRecoveryInvalidation(t *testing.T) {
 		return run(ctx, sess, spec)
 	}
 	_, rec = getResponse(t, h, "/v1/query?task=seqcount")
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("failed query: status %d, want 503", rec.Code)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.recoveries.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("recovery did not complete")
-		}
-		time.Sleep(time.Millisecond)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("failed query: status %d, want 500", rec.Code)
 	}
 
 	third, rec := getResponse(t, h, "/v1/query?task=sort,wordcount")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("post-recovery: status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("after the failed query: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if third.Cached {
-		t.Error("post-recovery result served from stale cache")
+	if !third.Cached {
+		t.Error("the failed query dropped the cached result")
 	}
-	if third.Generation == first.Generation {
-		t.Errorf("generation %q did not change across recovery", third.Generation)
+	if third.Generation != first.Generation {
+		t.Errorf("generation %q changed to %q across a failed query", first.Generation, third.Generation)
 	}
 	if !bytes.Equal(third.Result, first.Result) {
-		t.Error("post-recovery result differs from pre-recovery")
+		t.Error("result after the failed query differs")
 	}
 	if got := s.pool.idle(); got != s.cfg.Sessions {
-		t.Errorf("pool idle = %d after recovery, want %d", got, s.cfg.Sessions)
-	}
-}
-
-// TestRecoveryWithoutFollowerLatchesDown checks the other recovery outcome:
-// an engine with no live follower — unsharded or sharded alike — has nothing
-// to fail over to, so Engine.Recover reports an error and the server latches
-// down instead of resuming on a device it was told is dead.
-func TestRecoveryWithoutFollowerLatchesDown(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			a, err := ntadoc.CompressSharded(serverDocs, k)
-			if err != nil {
-				t.Fatalf("CompressSharded: %v", err)
-			}
-			eng, err := ntadoc.NewEngine(a, ntadoc.Options{})
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			t.Cleanup(func() { eng.Close() })
-			if err := eng.Recover(); err == nil {
-				t.Fatal("Recover succeeded on an engine with no follower")
-			}
-			s, err := New(Config{Engine: eng})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			s.execute = func(context.Context, *ntadoc.QuerySession, ntadoc.BatchSpec) ([]byte, error) {
-				return nil, fmt.Errorf("shard 0: %w", nvm.ErrFailPoint)
-			}
-			h := s.Handler()
-			if _, rec := getResponse(t, h, "/v1/query?task=wordcount"); rec.Code != http.StatusServiceUnavailable {
-				t.Fatalf("failed query: status %d, want 503", rec.Code)
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for !s.down.Load() {
-				if time.Now().After(deadline) {
-					t.Fatal("server did not latch down")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if _, rec := getResponse(t, h, "/v1/query?task=sort"); rec.Code != http.StatusServiceUnavailable ||
-				!strings.Contains(rec.Body.String(), "engine down") {
-				t.Errorf("after latch: status %d body %q, want 503 engine down", rec.Code, rec.Body.String())
-			}
-			if s.recoveries.Load() != 0 {
-				t.Errorf("recoveries = %d, want 0", s.recoveries.Load())
-			}
-		})
+		t.Errorf("pool idle = %d after the failed query, want %d", got, s.cfg.Sessions)
 	}
 }
 

@@ -2,7 +2,6 @@ package ntadoc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -170,23 +169,6 @@ func TestOneShardArchiveIsTagged(t *testing.T) {
 	}
 }
 
-// bareGrammarArchive frames a K = 1 archive the way archives were written
-// before every archive became a shard set: its grammar as a bare NTDCCFG1
-// section, then the dictionary.
-func bareGrammarArchive(tb testing.TB, a *Archive) []byte {
-	tb.Helper()
-	var section, raw bytes.Buffer
-	if _, err := a.g.WriteTo(&section); err != nil {
-		tb.Fatalf("grammar WriteTo: %v", err)
-	}
-	raw.Write(binary.LittleEndian.AppendUint64(nil, uint64(section.Len())))
-	raw.Write(section.Bytes())
-	if _, err := a.d.WriteTo(&raw); err != nil {
-		tb.Fatalf("dictionary WriteTo: %v", err)
-	}
-	return raw.Bytes()
-}
-
 // withSectionMagic returns a copy of a serialized archive whose grammar
 // section opens with magic instead.
 func withSectionMagic(archive []byte, magic string) []byte {
@@ -217,7 +199,7 @@ func TestReadArchiveRefusesRetiredSections(t *testing.T) {
 	}{
 		{"NTDCSHD1", withSectionMagic(buf.Bytes(), "NTDCSHD1")},
 		{"NTDCDLT1", withSectionMagic(buf.Bytes(), "NTDCDLT1")},
-		{"NTDCCFG1", bareGrammarArchive(t, compressDocs(t))},
+		{"NTDCCFG1", withSectionMagic(buf.Bytes(), "NTDCCFG1")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadArchive(bytes.NewReader(tc.archive))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/core"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 )
@@ -17,8 +16,8 @@ import (
 // borrows a session.
 //
 // Sessions model the post-load query phase: they must not run concurrently
-// with engine task methods, Recover, or Close (those mutate pool scratch),
-// only with each other.  One session serves one batch at a time.
+// with engine task methods or Close (those mutate pool scratch), only with
+// each other.  One session serves one batch at a time.
 type QuerySession struct {
 	e  *Engine
 	sh *core.ShardedSession
@@ -70,12 +69,6 @@ func (s *QuerySession) runOps(ctx context.Context, spec BatchSpec) ([]any, error
 // the end of its last run: what it keeps warm between requests.  Safe to call
 // while the session is serving.
 func (s *QuerySession) WorkspaceBytes() int64 { return s.sh.WorkspaceBytes() }
-
-// IsDeviceFailure reports whether err originated in a simulated device
-// failure (a dead shard primary) rather than a semantic error or a
-// cancellation — the class of error Engine.Recover can mask by promoting
-// followers.
-func IsDeviceFailure(err error) bool { return core.IsDeviceFailure(err) }
 
 // DocumentNames returns the archive's document names in corpus order —
 // the index space of per-document results like term vectors.  The snapshot
@@ -209,22 +202,4 @@ func (e *Engine) DeviceCounters() DeviceCounters {
 		Seeks:           st.Seeks,
 		ModeledNanos:    st.ModeledNanos,
 	}
-}
-
-// Recover drives the engine's failover machinery after a query session
-// surfaced a device failure: the engine re-dispatches a minimal engine-path
-// batch, which retires any dead primary by promoting and recovering one of
-// its followers (bit-identical results, see core.ShardedEngine).  An engine
-// with no live follower on any shard has no failover path and returns an
-// error.
-//
-// Recover runs on the engine task path: callers must quiesce query sessions
-// first and must discard existing sessions afterwards — they may reference
-// retired shard engines.
-func (e *Engine) Recover() error {
-	if e.LiveFollowers() == nil {
-		return fmt.Errorf("ntadoc: engine has no failover path to recover through")
-	}
-	_, err := analytics.WordCount(e.sh)
-	return err
 }
