@@ -1,9 +1,12 @@
 package cfg
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // paperGrammar builds the grammar of the paper's Figure 1:
@@ -182,6 +185,58 @@ func TestEncodedSize(t *testing.T) {
 	g.Files = nil
 	if n := g.EncodedSize(); n != 55 {
 		t.Errorf("without names: %d bytes, want 55", n)
+	}
+}
+
+// encodeGrammar writes the grammar in the compressed grammar format, field
+// by field as EncodedSize documents it, CRC included: the oracle of
+// TestQuickEncodedSize.
+func encodeGrammar(g *Grammar) []byte {
+	b := []byte("NTDCCFG1")
+	b = binary.AppendUvarint(b, uint64(g.NumWords))
+	b = binary.AppendUvarint(b, uint64(g.NumFiles))
+	b = binary.AppendUvarint(b, uint64(len(g.Rules)))
+	if g.Files == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		for _, name := range g.Files {
+			b = binary.AppendUvarint(b, uint64(len(name)))
+			b = append(b, name...)
+		}
+	}
+	for _, body := range g.Rules {
+		b = binary.AppendUvarint(b, uint64(len(body)))
+		for _, s := range body {
+			b = binary.AppendUvarint(b, uint64(s))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestQuickEncodedSize checks EncodedSize against the bytes encodeGrammar
+// writes, over arbitrary symbols (every class, multi-byte varints), counts
+// and file names, with and without the names.
+func TestQuickEncodedSize(t *testing.T) {
+	f := func(bodies [][]uint32, numWords, numFiles uint32, files []string, withNames bool) bool {
+		g := &Grammar{NumWords: numWords, NumFiles: numFiles}
+		if withNames {
+			g.Files = append([]string{}, files...)
+		}
+		for _, raw := range bodies {
+			body := make([]Symbol, len(raw))
+			for i, v := range raw {
+				body[i] = Symbol(v)
+			}
+			g.Rules = append(g.Rules, body)
+		}
+		return g.EncodedSize() == int64(len(encodeGrammar(g)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if g := paperGrammar(); g.EncodedSize() != int64(len(encodeGrammar(g))) {
+		t.Errorf("paper grammar: EncodedSize %d, encoding %d bytes", g.EncodedSize(), len(encodeGrammar(g)))
 	}
 }
 

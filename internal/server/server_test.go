@@ -241,6 +241,112 @@ func TestCacheHitAndFailedQuery(t *testing.T) {
 	}
 }
 
+// TestFailedQueryWithoutFollower checks an engine with no follower to fall
+// back on, unsharded and sharded alike: a query failing with a device error
+// answers that one request with a 500 and counts one error, and the server
+// keeps serving — nothing latches it down.
+func TestFailedQueryWithoutFollower(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			a, err := ntadoc.CompressSharded(serverDocs, k)
+			if err != nil {
+				t.Fatalf("CompressSharded: %v", err)
+			}
+			eng, err := ntadoc.NewEngine(a, ntadoc.Options{})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			s, err := New(Config{Engine: eng})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			run := s.execute
+			var injected atomic.Bool
+			s.execute = func(ctx context.Context, sess *ntadoc.QuerySession, spec ntadoc.BatchSpec) ([]byte, error) {
+				if injected.CompareAndSwap(false, true) {
+					return nil, fmt.Errorf("shard 0: %w", nvm.ErrFailPoint)
+				}
+				return run(ctx, sess, spec)
+			}
+			h := s.Handler()
+			_, rec := getResponse(t, h, "/v1/query?task=wordcount")
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), nvm.ErrFailPoint.Error()) {
+				t.Fatalf("failed query: status %d body %q, want 500 naming the device error", rec.Code, rec.Body.String())
+			}
+			spec, err := ntadoc.ParseBatchSpec([]string{"wordcount"}, 0)
+			if err != nil {
+				t.Fatalf("ParseBatchSpec: %v", err)
+			}
+			direct, err := eng.RunSpec(spec)
+			if err != nil {
+				t.Fatalf("RunSpec: %v", err)
+			}
+			want, err := EncodeResult(direct, eng.DocumentNames())
+			if err != nil {
+				t.Fatalf("EncodeResult: %v", err)
+			}
+			got, rec := getResponse(t, h, "/v1/query?task=wordcount")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("query after the failed one: status %d: %s", rec.Code, rec.Body.String())
+			}
+			if !bytes.Equal(got.Result, want) {
+				t.Errorf("query after the failed one served %s, want %s", got.Result, want)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("/healthz after a failed query: status %d", rec.Code)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			for _, want := range []string{
+				`ntadoc_requests_total{outcome="ok"} 1` + "\n",
+				`ntadoc_requests_total{outcome="error"} 1` + "\n",
+			} {
+				if !strings.Contains(rec.Body.String(), want) {
+					t.Errorf("/metrics missing %q", want)
+				}
+			}
+		})
+	}
+}
+
+// TestClosedServerRefuses checks what Close latches: every query form, an
+// append and /healthz answer 503 afterwards, the query and append bodies
+// naming ErrClosed, and no session is left on offer.
+func TestClosedServerRefuses(t *testing.T) {
+	s, _ := newIngestServer(t, Config{})
+	h := s.Handler()
+	if _, rec := getResponse(t, h, "/v1/query?task=wordcount"); rec.Code != http.StatusOK {
+		t.Fatalf("query before Close: status %d", rec.Code)
+	}
+	s.Close()
+	s.Close() // idempotent
+
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/v1/query?task=wordcount", nil),
+		httptest.NewRequest(http.MethodGet, "/v1/query?task=sort", nil),
+		httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`{"tasks":["wordcount"]}`)),
+		httptest.NewRequest(http.MethodPost, "/v1/append", strings.NewReader(`{"documents":[{"name":"late","text":"too late"}]}`)),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), ErrClosed.Error()) {
+			t.Errorf("%s %s after Close: status %d body %q, want 503 %q",
+				req.Method, req.URL, rec.Code, rec.Body.String(), ErrClosed)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("/healthz after Close: status %d, want 503", rec.Code)
+	}
+	if got := s.pool.idle(); got != 0 {
+		t.Errorf("%d sessions on offer after Close", got)
+	}
+}
+
 // TestCoalescing checks a burst of identical batches traverses once: the
 // leader executes, concurrent followers share its bytes (or hit the cache if
 // they arrive after it lands).
