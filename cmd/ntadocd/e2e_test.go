@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -73,10 +72,10 @@ type daemon struct {
 	done chan error    // receives cmd.Wait()
 }
 
-// startDaemon launches the binary over archive with one follower per shard.
+// startDaemon launches the binary over archive.
 func startDaemon(t *testing.T, bin, archive string, env ...string) *daemon {
 	t.Helper()
-	return startDaemonArgs(t, bin, []string{"-replicas", "1", archive}, env...)
+	return startDaemonArgs(t, bin, []string{archive}, env...)
 }
 
 // startDaemonArgs launches the binary with args and waits for it to report
@@ -299,14 +298,13 @@ func ingestGauge(t *testing.T, d *daemon, stat string) int {
 // serving tail more than once.  What the daemon then serves must equal a
 // from-scratch unsharded rebuild of everything appended, and what it keeps
 // mapped to serve it must not have grown with the compactions: at most its
-// own engine, one tail and one delta per shard.  Started with -replicas 1, it
-// must end with every shard's follower live and no failover.
+// own engine, one tail and one delta per shard.
 func TestDaemonAppendStream(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildDaemon(t, dir)
 	archive, docs := loadTestdata(t, dir)
 	const shards = 2 // loadTestdata's
-	d := startDaemonArgs(t, bin, []string{"-replicas", "1", "-ingest-cap", "4194304", archive})
+	d := startDaemonArgs(t, bin, []string{"-ingest-cap", "4194304", archive})
 
 	stop := make(chan struct{})
 	readerErr := make(chan error, 1)
@@ -379,24 +377,6 @@ func TestDaemonAppendStream(t *testing.T) {
 	}
 	if n := ingestGauge(t, d, "compaction_failures"); n != 0 {
 		t.Errorf("%d compactions failed", n)
-	}
-	// The followers stayed live through every append and compaction, and
-	// nothing failed over: queries and appends give a follower no reason to.
-	dresp, err := http.Get(d.base + "/debug/engine")
-	if err != nil {
-		t.Fatalf("GET /debug/engine: %v", err)
-	}
-	var dbg struct {
-		Followers []int `json:"live_followers"`
-		Failovers int   `json:"failovers"`
-	}
-	err = json.NewDecoder(dresp.Body).Decode(&dbg)
-	dresp.Body.Close()
-	if err != nil {
-		t.Fatalf("decoding /debug/engine: %v", err)
-	}
-	if !slices.Equal(dbg.Followers, []int{1, 1}) || dbg.Failovers != 0 {
-		t.Errorf("/debug/engine: live_followers %v and %d failovers, want [1 1] and 0", dbg.Followers, dbg.Failovers)
 	}
 
 	ref, err := ntadoc.Compress(docs)

@@ -5,7 +5,7 @@
 // batches, and caching hot results.
 //
 //	ntadocd -addr :8080 corpus.tdc
-//	ntadocd -addr 127.0.0.1:0 -medium nvm -replicas 1 -sessions 16 corpus.tdc
+//	ntadocd -addr 127.0.0.1:0 -medium nvm -sessions 16 corpus.tdc
 //
 // Endpoints:
 //
@@ -15,7 +15,7 @@
 //	GET      /v1/ingest    live ingestion state (epoch, delta sizes, names)
 //	GET      /healthz      liveness
 //	GET      /metrics      Prometheus-style serving + device counters
-//	GET      /debug/engine shard, replica, planner, pool, and cache state
+//	GET      /debug/engine shard, planner, pool, and cache state
 //
 // On SIGTERM/SIGINT the daemon stops accepting connections, drains in-flight
 // requests, and exits 0.
@@ -49,7 +49,6 @@ func run() error {
 	addr := fs.String("addr", "localhost:8080", "listen address (host:0 picks a free port)")
 	medium := fs.String("medium", "nvm", "nvm|ssd|hdd (query sessions need an N-TADOC medium)")
 	pool := fs.String("pool", "", "file-backed NVM pool path (persists across runs)")
-	replicas := fs.Int("replicas", 0, "follower devices per shard, each kept in step with every committed append")
 	sessions := fs.Int("sessions", 0, "concurrent query sessions (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth before shedding with 429 (0 = default)")
 	cache := fs.Int("cache", 0, "result cache entries (0 = default, negative disables)")
@@ -84,7 +83,6 @@ func run() error {
 	eng, err := ntadoc.NewEngine(a, ntadoc.Options{
 		Medium:         m,
 		PoolPath:       *pool,
-		Replicas:       *replicas,
 		IngestCapacity: *ingestCap,
 	})
 	if err != nil {

@@ -345,12 +345,11 @@ func TestFailoverRejectsForeignFollower(t *testing.T) {
 	}
 }
 
-// TestReopenShardedFollowers: a reopen seeds followers from the reopened
-// primaries and promotes none.  A blank primary fails the reopen typed and
-// reloadable whether or not a follower holding its image is injected, and
-// the failed reopen leaves nothing mapped of its own; with every primary
-// whole, the injected followers end byte-identical to their primaries and
-// the reopened set counts what the healthy one did.
+// TestReopenShardedFollowers: a reopen promotes no follower.  A blank
+// primary fails the reopen typed and reloadable, and the failed reopen
+// leaves nothing mapped of its own; a reopen offered a follower holding the
+// blank shard's image refuses it and leaves it with the caller; with every
+// primary whole, the reopened set counts what the healthy one did.
 func TestReopenShardedFollowers(t *testing.T) {
 	files, d, _ := corpus(t, 66, 4, 200, 25)
 	gs := shardGrammars(t, files, uint32(d.Len()), 2)
@@ -387,24 +386,23 @@ func TestReopenShardedFollowers(t *testing.T) {
 	// holding its image does not cover.
 	blank := nvm.New(nvm.KindNVM, pcs[1].Size())
 	before := nvm.MappedBytes()
-	for _, fdevs := range [][][]*nvm.SimDevice{nil, {nil, {fc1}}} {
-		o := opts
-		o.Replication = Replication{FollowerDevices: fdevs}
-		re, _, err := ReopenSharded([]*nvm.SimDevice{pcs[0], blank}, d, o)
-		if err == nil {
-			re.Close()
-			t.Fatalf("followers %v: a blank primary reopened", fdevs)
-		}
-		var sf *ErrShardFailed
-		if !errors.As(err, &sf) || sf.Shard != 1 {
-			t.Fatalf("followers %v: err = %v, want ErrShardFailed{Shard: 1}", fdevs, err)
-		}
-		if !errors.Is(err, ErrNeedsReload) {
-			t.Errorf("followers %v: err = %v, want ErrNeedsReload in chain", fdevs, err)
-		}
-		if leaked := nvm.MappedBytes() - before; leaked != 0 {
-			t.Errorf("followers %v: %d bytes of device images still mapped after a refused reopen", fdevs, leaked)
-		}
+	re, _, err := ReopenSharded([]*nvm.SimDevice{pcs[0], blank}, d, opts)
+	if err == nil {
+		re.Close()
+		t.Fatal("a blank primary reopened")
+	}
+	var sf *ErrShardFailed
+	if !errors.As(err, &sf) || sf.Shard != 1 || !errors.Is(err, ErrNeedsReload) {
+		t.Fatalf("err = %v, want ErrShardFailed{Shard: 1} with ErrNeedsReload in chain", err)
+	}
+	if leaked := nvm.MappedBytes() - before; leaked != 0 {
+		t.Errorf("%d bytes of device images still mapped after a refused reopen", leaked)
+	}
+	fo := opts
+	fo.Replication = Replication{FollowerDevices: [][]*nvm.SimDevice{nil, {fc1}}}
+	if re, _, err := ReopenSharded([]*nvm.SimDevice{pcs[0], blank}, d, fo); err == nil {
+		re.Close()
+		t.Fatal("a reopen took a follower")
 	}
 	for _, dev := range []*nvm.SimDevice{blank, fc1} {
 		if err := dev.Discard(); err != nil {
@@ -412,45 +410,14 @@ func TestReopenShardedFollowers(t *testing.T) {
 		}
 	}
 
-	// With both primaries whole, the injected followers are seeded from
-	// them and track every commit after.
-	fo := opts
-	fo.Replication = Replication{FollowerDevices: [][]*nvm.SimDevice{
-		{nvm.New(nvm.KindNVM, pcs[0].Size())}, {nvm.New(nvm.KindNVM, pcs[1].Size())},
-	}}
-	re, infos, err := ReopenSharded(pcs, d, fo)
+	re, infos, err := ReopenSharded(pcs, d, opts)
 	if err != nil {
-		t.Fatalf("ReopenSharded with followers: %v", err)
+		t.Fatalf("ReopenSharded: %v", err)
 	}
 	defer re.Close()
 	if len(infos) != 2 {
 		t.Fatalf("got %d recovery infos, want 2", len(infos))
 	}
-	checkCRCs := func(when string) {
-		t.Helper()
-		for i := 0; i < re.NumShards(); i++ {
-			fdevs := re.Followers(i)
-			if len(fdevs) != 1 || fdevs[0] != fo.Replication.FollowerDevices[i][0] {
-				t.Fatalf("%s: shard %d follows %v, want its injected follower", when, i, fdevs)
-			}
-			clone, err := re.Shard(i).Device().CloneDurable()
-			if err != nil {
-				t.Fatalf("%s: clone primary %d: %v", when, i, err)
-			}
-			pcrc, perr := clone.DurableCRC()
-			fcrc, ferr := fdevs[0].DurableCRC()
-			if err := clone.Discard(); err != nil {
-				t.Fatalf("discard clone: %v", err)
-			}
-			if perr != nil || ferr != nil {
-				t.Fatalf("%s: shard %d: CRC errors %v / %v", when, i, perr, ferr)
-			}
-			if pcrc != fcrc {
-				t.Errorf("%s: shard %d's follower diverged from its primary", when, i)
-			}
-		}
-	}
-	checkCRCs("after the reopen")
 	got, err := analytics.WordCount(re)
 	if err != nil {
 		t.Fatalf("reopened WordCount: %v", err)
@@ -458,5 +425,4 @@ func TestReopenShardedFollowers(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("reopened word count differs from the healthy run")
 	}
-	checkCRCs("after a word count")
 }

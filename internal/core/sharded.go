@@ -225,7 +225,7 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 	if !repl.enabled() {
 		return nil
 	}
-	//ntalint:ignore guardcheck construction phase: attachReplication runs inside BuildSharded/ReopenSharded before the engine is shared.
+	//ntalint:ignore guardcheck construction phase: attachReplication runs inside NewSharded before the engine is shared.
 	se.reps = make([]*replicator, len(se.shards))
 	for i, sh := range se.shards {
 		var fdevs []*nvm.SimDevice
@@ -245,7 +245,7 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 			return err
 		}
 		sh.Device().SetShipper(r)
-		//ntalint:ignore guardcheck construction phase: attachReplication runs inside BuildSharded/ReopenSharded before the engine is shared.
+		//ntalint:ignore guardcheck construction phase: attachReplication runs inside NewSharded before the engine is shared.
 		se.reps[i] = r
 	}
 	return nil
@@ -261,18 +261,16 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 // (ErrNeedsReload in its chain when the image's initialization never
 // completed — the caller rebuilds the shard from the compressed input); the
 // per-shard infos of the shards reopened so far are returned alongside the
-// error.  opts.Replication means what it means to NewSharded: each shard's
-// followers, injected or made, are seeded from its reopened primary.  A
-// reopen promotes no follower: followers are in-memory devices, so none
-// outlives the process a restart reopens after.  A successful reopen owns
-// every device it was given, and a failed one none of them.
+// error.  A reopen takes no followers and refuses opts.Replication:
+// followers are in-memory devices, so none outlives the process a restart
+// reopens after.  A successful reopen owns every device it was given, and a
+// failed one none of them.
 func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*ShardedEngine, []*RecoveryInfo, error) {
 	if len(devs) == 0 {
 		return nil, nil, errEngine("reopen sharded", errors.New("no shard devices"))
 	}
-	if fd := opts.Replication.FollowerDevices; fd != nil && len(fd) != len(devs) {
-		return nil, nil, errEngine("reopen sharded", fmt.Errorf("%d follower slices for %d shards",
-			len(fd), len(devs)))
+	if opts.Replication.enabled() {
+		return nil, nil, errEngine("reopen sharded", errors.New("a reopen takes no followers"))
 	}
 	se := &ShardedEngine{
 		shards: make([]*Engine, len(devs)),
@@ -301,9 +299,6 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 		se.bases[i] = se.nfiles
 		se.nfiles += e.numFiles
 		infos = append(infos, info)
-	}
-	if err := se.attachReplication(opts.Replication); err != nil {
-		return fail(infos, errEngine("reopen sharded", err))
 	}
 	if err := se.recoverIngestOrder(); err != nil {
 		return fail(infos, errEngine("reopen sharded", err))

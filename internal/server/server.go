@@ -473,8 +473,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("ntadoc_cache_misses_total %d", s.cacheMisses.Load())
 	p("# TYPE ntadoc_coalesced_total counter")
 	p("ntadoc_coalesced_total %d", s.coalesced.Load())
-	p("# TYPE ntadoc_failovers_total counter")
-	p("ntadoc_failovers_total %d", s.eng.FailoverCount())
 	p("# TYPE ntadoc_sessions_idle gauge")
 	p("ntadoc_sessions_idle %d", s.pool.idle())
 	p("# TYPE ntadoc_sessions_queued gauge")
@@ -560,7 +558,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p(`ntadoc_device{counter="modeled_nanos"} %d`, st.ModeledNanos)
 }
 
-// handleDebug reports shard, replica, planner, pool, and cache state.
+// handleDebug reports shard, planner, pool, and cache state.
 func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	type poolInfo struct {
 		Sessions       int   `json:"sessions"`
@@ -574,9 +572,8 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Max     int `json:"max"`
 	}
 	type shardPoolInfo struct {
-		Size      int64 `json:"size_bytes"`
-		Used      int64 `json:"used_bytes"`
-		Followers int   `json:"followers"`
+		Size int64 `json:"size_bytes"`
+		Used int64 `json:"used_bytes"`
 	}
 	var pools []shardPoolInfo
 	for _, sp := range s.eng.ShardPools() {
@@ -589,8 +586,6 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Documents  []string        `json:"documents"`
 		Strategies []string        `json:"planner_strategies"`
 		ShardPools []shardPoolInfo `json:"shard_pools"`
-		Replicas   []int           `json:"live_followers,omitempty"`
-		Failovers  int             `json:"failovers"`
 		Serving    int             `json:"serving_engines"`
 		Pool       poolInfo        `json:"pool"`
 		Cache      cacheInfo       `json:"cache"`
@@ -601,8 +596,6 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Documents:  s.eng.DocumentNames(),
 		Strategies: s.eng.ShardStrategies(),
 		ShardPools: pools,
-		Replicas:   s.eng.LiveFollowers(),
-		Failovers:  s.eng.FailoverCount(),
 		Serving:    s.eng.IngestStats().ServingEngines,
 		Pool: poolInfo{
 			Sessions:       s.cfg.Sessions,

@@ -27,15 +27,14 @@ var serverDocs = []ntadoc.Document{
 	{Name: "d5", Text: "words appear here once more while the fox naps"},
 }
 
-// newTestServer builds a server over a sharded engine with one follower per
-// shard, the shape of a daemon started with -replicas 1.
+// newTestServer builds a server over a two-shard engine.
 func newTestServer(t *testing.T, cfg Config) (*Server, *ntadoc.Engine) {
 	t.Helper()
 	a, err := ntadoc.CompressSharded(serverDocs, 2)
 	if err != nil {
 		t.Fatalf("CompressSharded: %v", err)
 	}
-	eng, err := ntadoc.NewEngine(a, ntadoc.Options{Replicas: 1})
+	eng, err := ntadoc.NewEngine(a, ntadoc.Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -241,11 +240,11 @@ func TestCacheHitAndFailedQuery(t *testing.T) {
 	}
 }
 
-// TestFailedQueryWithoutFollower checks an engine with no follower to fall
-// back on, unsharded and sharded alike: a query failing with a device error
-// answers that one request with a 500 and counts one error, and the server
-// keeps serving — nothing latches it down.
-func TestFailedQueryWithoutFollower(t *testing.T) {
+// TestFailedQueryKeepsServing checks, unsharded and sharded alike, that a
+// query failing with a device error answers that one request with a 500 and
+// counts one error, and that the server keeps serving — nothing latches it
+// down.
+func TestFailedQueryKeepsServing(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			a, err := ntadoc.CompressSharded(serverDocs, k)
@@ -604,9 +603,8 @@ func TestOperationalEndpoints(t *testing.T) {
 		Generation string   `json:"generation"`
 		Strategies []string `json:"planner_strategies"`
 		ShardPools []struct {
-			Size      int64 `json:"size_bytes"`
-			Used      int64 `json:"used_bytes"`
-			Followers int   `json:"followers"`
+			Size int64 `json:"size_bytes"`
+			Used int64 `json:"used_bytes"`
 		} `json:"shard_pools"`
 		Pool struct {
 			WorkspaceBytes int64 `json:"session_workspace_bytes"`
@@ -628,14 +626,14 @@ func TestOperationalEndpoints(t *testing.T) {
 	if info.Generation == "" || len(info.Strategies) == 0 {
 		t.Errorf("debug missing generation/strategies: %+v", info)
 	}
-	// Each shard's device maps two images and so does its one follower:
-	// what the daemon maps is what its pools say it should.
+	// Each shard's device maps two images: what the daemon maps is what its
+	// pools say it should.
 	var mapped int64
 	for i, sp := range info.ShardPools {
-		if sp.Used <= 0 || sp.Used > sp.Size || sp.Followers != 1 {
-			t.Errorf("debug shard_pools[%d] = %+v, want 0 < used <= size and one follower", i, sp)
+		if sp.Used <= 0 || sp.Used > sp.Size {
+			t.Errorf("debug shard_pools[%d] = %+v, want 0 < used <= size", i, sp)
 		}
-		mapped += 2 * sp.Size * int64(1+sp.Followers)
+		mapped += 2 * sp.Size
 	}
 	if len(info.ShardPools) != eng.NumShards() || mapped != nvm.MappedBytes() {
 		t.Errorf("debug shard_pools = %+v account for %d mapped bytes, the process maps %d",

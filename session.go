@@ -124,13 +124,11 @@ func (e *Engine) LiveFollowers() []int {
 
 // ShardPool is one shard's simulated-device pool as the process holds it.
 // The device keeps the pool in page mappings, of which only the touched
-// prefix is resident: about Used bytes in each of the primary's two images
-// (volatile and durable), and all Size bytes in each image of a follower,
-// whose bootstrap installs the whole image.
+// prefix is resident: about Used bytes in each of its two images (volatile
+// and durable).
 type ShardPool struct {
-	Size      int64 // bytes each of the device's images maps
-	Used      int64 // the pool's allocation watermark
-	Followers int   // live follower devices
+	Size int64 // bytes each of the device's images maps
+	Used int64 // the pool's allocation watermark
 }
 
 // ShardPools reports every shard's pool (nil for DRAM engines).
@@ -141,7 +139,7 @@ func (e *Engine) ShardPools() []ShardPool {
 	out := make([]ShardPool, e.sh.NumShards())
 	for i := range out {
 		p := e.sh.Shard(i).Pool()
-		out[i] = ShardPool{Size: p.Size(), Used: p.Allocated(), Followers: len(e.sh.Followers(i))}
+		out[i] = ShardPool{Size: p.Size(), Used: p.Allocated()}
 	}
 	return out
 }
