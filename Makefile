@@ -80,11 +80,14 @@ bench-smoke:
 # with modeled time, flushes, fences and flushed granules per run beside the
 # host time (EXPERIMENTS.md "Persistence"), and the engine build on that
 # shape with its modeled initialization time (EXPERIMENTS.md "Root runs").
-# Last the load path on the `cold-miss` shape, the host time behind setup_s
-# before any engine exists: the serial unification of the two shard grammars
-# (UnifyShards) and ReadArchive of the resulting archive, with its MB/s and
-# allocations — per section, not per word or rule (EXPERIMENTS.md "Fast
-# set-up").
+# Last the set-up path, the host time behind setup_s before any engine
+# exists: Sequitur inference on datasets A–D (Infer, with Mtok/s and
+# allocations) and the append path on B's shape (DeltaAppend: batches of 8
+# documents, a snapshot after each, a fresh builder every 64; EXPERIMENTS.md
+# "Sequitur on an index arena"), then on the `cold-miss` shape the serial
+# unification of the two shard grammars (UnifyShards) and ReadArchive of the
+# resulting archive, with its MB/s and allocations — per section, not per
+# word or rule (EXPERIMENTS.md "Fast set-up").
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(HandlerHit|EncodeResult|MergeShardResults)$$' \
 		-benchmem -count 6 ./internal/server ./internal/analytics
@@ -92,6 +95,7 @@ microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(BodyRead|CounterAttach)$$' \
 		-benchmem -count 6 ./internal/nvm ./internal/pstruct
 	$(GO) test -run '^$$' -bench '^Benchmark(PersistTask|NewEngine)$$' -benchtime 5x -benchmem -count 6 .
+	$(GO) test -run '^$$' -bench '^Benchmark(Infer|DeltaAppend)$$' -benchtime 3x -benchmem -count 6 ./internal/sequitur
 	$(GO) test -run '^$$' -bench '^BenchmarkUnifyShards$$' -benchtime 10x -benchmem -count 6 ./internal/sequitur
 	$(GO) test -run '^$$' -bench '^BenchmarkReadArchive$$' -benchtime 10x -benchmem -count 6 .
 
@@ -164,7 +168,8 @@ figcheck:
 	$(GO) run ./cmd/benchfig -fig all -parallel 2 > "$$out" && cmp "$$out" bench_output_figures.txt
 
 # A short coverage-guided run of every fuzz target (archive parsing, the
-# compress/decompress round trip, op-log crash recovery, the shard merge's
+# compress/decompress round trip, Sequitur against its pointer-linked
+# reference builder, op-log crash recovery, the shard merge's
 # posting-list runs against its reference merge, the result encoder
 # against its reflection oracle, request decoding through the daemon's
 # handlers).  Each target gets FUZZTIME of fuzzing on
@@ -173,6 +178,7 @@ figcheck:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzInferMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sequitur
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogRecovery$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergePostingRuns$$' -fuzztime $(FUZZTIME) ./internal/analytics
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResult$$' -fuzztime $(FUZZTIME) ./internal/server

@@ -30,7 +30,9 @@ var ErrCorrupt = errors.New("dict: corrupt dictionary")
 // word after.
 type Dictionary struct {
 	mu    sync.RWMutex
-	words []string          // guarded by mu
+	words []string // guarded by mu
+	// index maps each word to its ID.  Only Intern and Lookup need it, so
+	// it is built on the first call to either (nil until then).
 	index map[string]uint32 // guarded by mu
 
 	// The alphabetical ranking of a vocabulary prefix (see Alphabetical);
@@ -42,7 +44,7 @@ type Dictionary struct {
 
 // New returns an empty dictionary.
 func New() *Dictionary {
-	return &Dictionary{index: make(map[string]uint32)}
+	return &Dictionary{}
 }
 
 // Len returns the number of distinct words (the vocabulary size).
@@ -56,9 +58,7 @@ func (d *Dictionary) Len() int {
 func (d *Dictionary) Intern(word string) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.index == nil {
-		d.index = make(map[string]uint32)
-	}
+	d.indexLocked()
 	if id, ok := d.index[word]; ok {
 		return id
 	}
@@ -71,9 +71,29 @@ func (d *Dictionary) Intern(word string) uint32 {
 // Lookup returns the ID for word without interning.
 func (d *Dictionary) Lookup(word string) (uint32, bool) {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
+	if d.index != nil {
+		id, ok := d.index[word]
+		d.mu.RUnlock()
+		return id, ok
+	}
+	d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.indexLocked()
 	id, ok := d.index[word]
 	return id, ok
+}
+
+// indexLocked builds the word index if it is not built yet; d.mu must be
+// held for writing.  A word stored twice maps to its last ID.
+func (d *Dictionary) indexLocked() {
+	if d.index != nil {
+		return
+	}
+	d.index = make(map[string]uint32, len(d.words))
+	for i, w := range d.words {
+		d.index[w] = uint32(i)
+	}
 }
 
 // Word returns the word for id.  It panics on an unknown ID, which indicates
@@ -188,7 +208,8 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 // whose checksum is checked against the trailer in one pass; the arena then
 // becomes one string, and every word is a slice of it.  The declared word
 // count is untrusted: the arena grows only as words arrive, and the word
-// table and index are sized once the whole body has been read.
+// table is sized once the whole body has been read.  The word index is left
+// to the first Intern or Lookup.
 func (d *Dictionary) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countReader{r: r}
 	br := bufio.NewReader(cr)
@@ -248,7 +269,6 @@ func (d *Dictionary) ReadFrom(r io.Reader) (int64, error) {
 	// The body is checked; walk it again to slice out the words.
 	text := string(arena)
 	words := make([]string, count)
-	index := make(map[string]uint32, count)
 	p := bodyStart
 	for i := range words {
 		ln, n := binary.Uvarint(arena[p:])
@@ -256,11 +276,10 @@ func (d *Dictionary) ReadFrom(r io.Reader) (int64, error) {
 		w := text[p : p+int(ln)]
 		p += int(ln)
 		words[i] = w
-		index[w] = uint32(i)
 	}
 	d.mu.Lock()
 	d.words = words
-	d.index = index
+	d.index = nil
 	d.mu.Unlock()
 	d.alphaMu.Lock()
 	d.alphaRank, d.alphaOrder = nil, nil

@@ -84,6 +84,88 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// readBack round-trips words through WriteTo and ReadFrom into a dictionary
+// that has interned something else first, so the index ReadFrom discards
+// is a stale one.
+func readBack(t *testing.T, words ...string) *Dictionary {
+	t.Helper()
+	d := New()
+	for _, w := range words {
+		d.Intern(w)
+	}
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	d2 := New()
+	d2.Intern("stale")
+	if _, err := d2.ReadFrom(&buf); err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	return d2
+}
+
+// TestLazyIndexAfterReadFrom: ReadFrom leaves the word index to the first
+// Lookup or Intern, which must index the words read, whichever comes first.
+func TestLazyIndexAfterReadFrom(t *testing.T) {
+	words := []string{"the", "quick", "brown", "fox"}
+	d := readBack(t, words...)
+	if _, ok := d.Lookup("stale"); ok {
+		t.Error("a word interned before ReadFrom is still indexed")
+	}
+	for i, w := range words {
+		if id, ok := d.Lookup(w); !ok || id != uint32(i) {
+			t.Errorf("Lookup(%q) = %d, %v; want %d", w, id, ok, i)
+		}
+	}
+	if id := d.Intern("fox"); id != 3 {
+		t.Errorf("Intern(fox) after ReadFrom = %d, want 3", id)
+	}
+	if id := d.Intern("jumps"); id != 4 {
+		t.Errorf("Intern(jumps) = %d, want 4", id)
+	}
+	// Intern first: it must index the words read, not start an empty map.
+	d = readBack(t, words...)
+	if id := d.Intern("brown"); id != 2 {
+		t.Errorf("Intern(brown) as the first call after ReadFrom = %d, want 2", id)
+	}
+	if id := d.Intern("jumps"); id != 4 {
+		t.Errorf("Intern(jumps) = %d, want 4", id)
+	}
+	if id, ok := d.Lookup("jumps"); !ok || id != 4 || d.Len() != 5 {
+		t.Errorf("Lookup(jumps) = %d, %v with %d words", id, ok, d.Len())
+	}
+}
+
+// TestConcurrentLookupsBuildOneIndex races the first Lookups on a freshly
+// read dictionary, where each may find the index unbuilt; run under -race.
+func TestConcurrentLookupsBuildOneIndex(t *testing.T) {
+	words := make([]string, 500)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%d", i)
+	}
+	d := readBack(t, words...)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(words); i += 7 {
+				if id, ok := d.Lookup(words[i]); !ok || id != uint32(i) {
+					errs <- fmt.Sprintf("Lookup(%q) = %d, %v", words[i], id, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 func TestReadFromRejectsCorruption(t *testing.T) {
 	d := New()
 	d.Intern("hello")

@@ -312,8 +312,9 @@ func (d *SimDevice) charge(off, n, missNanos int64, isWrite bool) {
 		// hit whose MRU move is a no-op.  Skip the cache walk.  lastGranule
 		// is only ever set by chargeRun on a cached device (first >= 0, and
 		// reference-charging devices never run chargeRun), so matching it
-		// implies cache != nil and !refCharge.  The function is kept this
-		// small deliberately, so the memo path inlines into the accessors.
+		// implies cache != nil and !refCharge.  The memo path is a call,
+		// not inlined: with Go 1.24's gc, -gcflags=-m=2 reports charge (and
+		// charge2) "function too complex: cost 113 exceeds budget 80".
 		d.stats.ModeledNanos += d.model.HitNanos
 		d.stats.CacheHits++
 		if d.model.SeekNanos > 0 {

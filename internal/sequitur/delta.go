@@ -1,10 +1,6 @@
 package sequitur
 
-import (
-	"fmt"
-
-	"github.com/text-analytics/ntadoc/internal/cfg"
-)
+import "github.com/text-analytics/ntadoc/internal/cfg"
 
 // DeltaBuilder is the incremental inference mode behind online ingestion: a
 // live Sequitur builder that extends a *delta grammar* one document at a
@@ -23,7 +19,6 @@ import (
 // (the engine's ingest mutex).
 type DeltaBuilder struct {
 	b        *builder
-	numFiles uint32
 	numWords uint32
 }
 
@@ -31,47 +26,26 @@ type DeltaBuilder struct {
 // vocabulary.  It never fails, and base is not read: the delta grammar
 // depends on the appended documents alone.  Both stay for existing callers.
 func NewDeltaBuilder(numWords uint32, base *cfg.Grammar) (*DeltaBuilder, error) {
-	db := &DeltaBuilder{
-		b: &builder{
-			digrams: newDigramTable(),
-			root:    newRule(),
-			rules:   make(map[*rule]struct{}),
-		},
-		numWords: numWords,
-	}
-	db.b.root.id = -1
-	return db, nil
+	return &DeltaBuilder{b: newBuilder(), numWords: numWords}, nil
 }
 
 // AppendDoc extends the delta grammar with one document.  numWords is the
 // vocabulary size after interning the document (vocabularies only grow, so
-// the builder keeps the maximum).  The document's tokens must be below it.
+// the builder keeps the maximum).  The document's tokens must be below it;
+// a refused document leaves the delta grammar as it was.
 func (db *DeltaBuilder) AppendDoc(tokens []uint32, numWords uint32) error {
-	if numWords > db.numWords {
-		db.numWords = numWords
-	}
-	if uint64(db.numFiles)+1 >= cfg.MaxWords {
-		return fmt.Errorf("sequitur: too many appended files (%d)", db.numFiles)
-	}
-	for _, id := range tokens {
-		if id >= db.numWords {
-			return fmt.Errorf("sequitur: token %d beyond vocabulary %d", id, db.numWords)
-		}
-		db.b.appendSymbol(cfg.Word(id))
-	}
-	db.b.appendSymbol(cfg.Sep(db.numFiles))
-	db.numFiles++
-	return nil
+	db.numWords = max(db.numWords, numWords)
+	return db.b.appendFile(tokens, db.numWords)
 }
 
 // Docs returns the number of appended documents.
-func (db *DeltaBuilder) Docs() uint32 { return db.numFiles }
+func (db *DeltaBuilder) Docs() uint32 { return db.b.files }
 
 // Grammar snapshots the delta grammar covering every document appended so
 // far, or nil when nothing has been appended.  The builder remains live.
 func (db *DeltaBuilder) Grammar() *cfg.Grammar {
-	if db.numFiles == 0 {
+	if db.b.files == 0 {
 		return nil
 	}
-	return db.b.finish(db.numFiles, db.numWords)
+	return db.b.finish(db.numWords)
 }

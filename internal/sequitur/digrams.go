@@ -1,14 +1,15 @@
 package sequitur
 
 // digramTable is the digram index: packed digram key -> first occurrence
-// (left node).  It is an open-addressing hash table with linear probing and
-// backward-shift deletion, replacing a Go map on the hottest path of
-// inference.  The index is only ever used for point lookups, insertions,
-// and deletions — never iterated — so the table is observationally
-// identical to the map it replaces.
+// (the left node's arena index; 0, the sentinel node, marks an empty slot).
+// It is an open-addressing hash table with linear probing and backward-shift
+// deletion, replacing a Go map on the hottest path of inference.  The index
+// is only ever used for point lookups, insertions, and deletions — never
+// iterated — so the table is observationally identical to the map it
+// replaces.
 type digramTable struct {
 	keys  []uint64
-	vals  []*node
+	vals  []int32
 	mask  uint64
 	shift uint
 	n     int
@@ -24,7 +25,7 @@ func newDigramTable() *digramTable {
 
 func (t *digramTable) init(size int) {
 	t.keys = make([]uint64, size)
-	t.vals = make([]*node, size)
+	t.vals = make([]int32, size)
 	t.mask = uint64(size - 1)
 	t.shift = 64
 	for s := size; s > 1; s >>= 1 {
@@ -41,12 +42,12 @@ func (t *digramTable) home(k uint64) uint64 {
 // put indexes v under k, replacing any existing entry.  The table grows at
 // 50% load: linear probing degrades quickly past that, and lookup is the
 // hot operation here.
-func (t *digramTable) put(k uint64, v *node) {
+func (t *digramTable) put(k uint64, v int32) {
 	if t.n >= len(t.vals)/2 {
 		t.grow()
 	}
 	i := t.home(k)
-	for t.vals[i] != nil {
+	for t.vals[i] != 0 {
 		if t.keys[i] == k {
 			t.vals[i] = v
 			return
@@ -59,13 +60,13 @@ func (t *digramTable) put(k uint64, v *node) {
 }
 
 // getOrPut returns the node indexed under k; when absent it indexes v
-// instead and returns nil.  A single probe pass serves both outcomes.
-func (t *digramTable) getOrPut(k uint64, v *node) *node {
+// instead and returns 0.  A single probe pass serves both outcomes.
+func (t *digramTable) getOrPut(k uint64, v int32) int32 {
 	if t.n >= len(t.vals)/2 {
 		t.grow()
 	}
 	i := t.home(k)
-	for t.vals[i] != nil {
+	for t.vals[i] != 0 {
 		if t.keys[i] == k {
 			return t.vals[i]
 		}
@@ -74,15 +75,15 @@ func (t *digramTable) getOrPut(k uint64, v *node) *node {
 	t.keys[i] = k
 	t.vals[i] = v
 	t.n++
-	return nil
+	return 0
 }
 
 // delIf removes the entry for k only when it indexes v, compacting the probe
 // cluster so no tombstones accumulate.
-func (t *digramTable) delIf(k uint64, v *node) {
+func (t *digramTable) delIf(k uint64, v int32) {
 	i := t.home(k)
 	for {
-		if t.vals[i] == nil {
+		if t.vals[i] == 0 {
 			return
 		}
 		if t.keys[i] == k {
@@ -97,11 +98,11 @@ func (t *digramTable) delIf(k uint64, v *node) {
 	// Backward-shift: pull later cluster members into the hole whenever
 	// their home position permits it.
 	for {
-		t.vals[i] = nil
+		t.vals[i] = 0
 		j := i
 		for {
 			j = (j + 1) & t.mask
-			if t.vals[j] == nil {
+			if t.vals[j] == 0 {
 				return
 			}
 			h := t.home(t.keys[j])
@@ -118,12 +119,12 @@ func (t *digramTable) grow() {
 	oldKeys, oldVals := t.keys, t.vals
 	t.init(len(oldVals) * 2)
 	for i, v := range oldVals {
-		if v == nil {
+		if v == 0 {
 			continue
 		}
 		k := oldKeys[i]
 		j := t.home(k)
-		for t.vals[j] != nil {
+		for t.vals[j] != 0 {
 			j = (j + 1) & t.mask
 		}
 		t.keys[j] = k

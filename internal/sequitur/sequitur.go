@@ -21,127 +21,154 @@ import (
 	"github.com/text-analytics/ntadoc/internal/cfg"
 )
 
-// node is a doubly-linked symbol in a rule body, or a rule's guard node.
+// The builder keeps every symbol in one arena, a []node linked by int32
+// indices, so inference allocates per arena growth rather than per symbol.
+// Node 0 is a sentinel that is never linked and that no digram indexes, so
+// 0 reads as "empty" in the digram table.  Nodes a substitution unlinks are
+// recycled only after the append that unlinked them returns, so no index a
+// caller up the stack still holds is reused by the same append.
+//
+// Nodes are allocated at most seven per appended symbol: one per append;
+// five per new rule (guard, two body symbols, two references), and there
+// are no more rules than symbols, since bodies are never empty and together
+// hold at most one node per appended symbol; one per reuse of a rule, which
+// shrinks the bodies by a node, so there are no more reuses than symbols
+// either.  An input of at most maxSymbols symbols therefore never needs more
+// than 2^31 nodes, and no index wraps around.  It is a variable only so that
+// tests can lower it.
+var maxSymbols = int64(1<<31-2) / 7
+
+// node is a symbol in a rule body, or a rule's guard node.
 type node struct {
-	prev, next *node
+	prev, next int32
 	sym        cfg.Symbol
-	rule       *rule // non-nil only for guard nodes
+	rule       int32 // for a guard node, the index of its rule; -1 otherwise
 }
 
-// rule is an inferred rule: a circular list hanging off a guard node.
-type rule struct {
-	guard *node
-	uses  int // reference count from other rule bodies
-	id    int // temporary numbering during inference
-}
-
-func newRule() *rule {
-	r := &rule{}
-	g := &node{rule: r}
-	g.prev, g.next = g, g
-	r.guard = g
-	return r
-}
-
-func (r *rule) first() *node { return r.guard.next }
-func (r *rule) last() *node  { return r.guard.prev }
-
-// builder runs the inference.
+// builder runs the inference.  Rules are numbered in creation order with
+// the root at 0; a rule's placeholder symbol during inference is
+// cfg.Rule(index), and rules[index] is its guard node.
 type builder struct {
-	digrams *digramTable // digram -> first occurrence (left node)
-	root    *rule
-	rules   map[*rule]struct{} // all live non-root rules
-	nextID  int
+	nodes   []node
+	rules   []int32
+	free    []int32 // recycled nodes
+	dead    []int32 // nodes unlinked by the append in progress
+	digrams *digramTable
+	files   uint32
+	symbols int64 // appended so far, separators included
+}
 
-	// ruleOf maps a placeholder symbol (index into ruleList) to its rule.
-	ruleList []*rule
+func newBuilder() *builder {
+	b := &builder{nodes: make([]node, 1, 1024), digrams: newDigramTable()}
+	b.newRule()
+	return b
 }
 
 // digramKey packs two symbols.
 func digramKey(a, b cfg.Symbol) uint64 { return uint64(a)<<32 | uint64(b) }
 
-// ruleSym returns the placeholder symbol referencing r during inference.
-func (b *builder) ruleSym(r *rule) cfg.Symbol {
-	if r.id < 0 {
-		r.id = len(b.ruleList)
-		b.ruleList = append(b.ruleList, r)
+func (b *builder) newNode(s cfg.Symbol) int32 {
+	if n := len(b.free) - 1; n >= 0 {
+		i := b.free[n]
+		b.free = b.free[:n]
+		b.nodes[i] = node{sym: s, rule: -1}
+		return i
 	}
-	return cfg.Rule(uint32(r.id))
+	b.nodes = append(b.nodes, node{sym: s, rule: -1})
+	return int32(len(b.nodes) - 1)
 }
 
-func (b *builder) ruleFromSym(s cfg.Symbol) *rule { return b.ruleList[s.RuleIndex()] }
+// newRule adds an empty rule and returns its index.
+func (b *builder) newRule() int32 {
+	r := int32(len(b.rules))
+	g := b.newNode(0)
+	b.nodes[g] = node{prev: g, next: g, rule: r}
+	b.rules = append(b.rules, g)
+	return r
+}
 
 // Infer compresses per-file token streams into a grammar.  tokens[i] is the
 // dictionary-encoded content of file i.  numWords is the vocabulary size.
 func Infer(tokens [][]uint32, numWords uint32) (*cfg.Grammar, error) {
-	if uint64(len(tokens)) >= cfg.MaxWords {
-		return nil, fmt.Errorf("sequitur: too many files (%d)", len(tokens))
-	}
-	b := &builder{
-		digrams: newDigramTable(),
-		root:    newRule(),
-		rules:   make(map[*rule]struct{}),
-	}
-	b.root.id = -1
-	for fi, ids := range tokens {
-		for _, id := range ids {
-			if id >= numWords {
-				return nil, fmt.Errorf("sequitur: token %d beyond vocabulary %d", id, numWords)
-			}
-			b.appendSymbol(cfg.Word(id))
+	b := newBuilder()
+	for _, ids := range tokens {
+		if err := b.appendFile(ids, numWords); err != nil {
+			return nil, err
 		}
-		// File separators are unique symbols: their digrams can never
-		// repeat, so they stay in the root.
-		b.appendSymbol(cfg.Sep(uint32(fi)))
 	}
-	return b.finish(uint32(len(tokens)), numWords), nil
+	return b.finish(numWords), nil
+}
+
+// appendFile appends one file's tokens and its separator.  It checks the
+// whole file first, so a refused file leaves the builder as it was.
+func (b *builder) appendFile(ids []uint32, numWords uint32) error {
+	if uint64(b.files)+1 >= cfg.MaxWords {
+		return fmt.Errorf("sequitur: too many files (%d)", b.files+1)
+	}
+	if b.symbols+int64(len(ids))+1 > maxSymbols {
+		return fmt.Errorf("sequitur: more than %d symbols", maxSymbols)
+	}
+	for _, id := range ids {
+		if id >= numWords {
+			return fmt.Errorf("sequitur: token %d beyond vocabulary %d", id, numWords)
+		}
+	}
+	for _, id := range ids {
+		b.appendSymbol(cfg.Word(id))
+	}
+	// File separators are unique symbols: their digrams can never repeat,
+	// so they stay in the root.
+	b.appendSymbol(cfg.Sep(b.files))
+	b.files++
+	b.symbols += int64(len(ids)) + 1
+	return nil
 }
 
 // appendSymbol appends s to the root and restores the invariants.
 func (b *builder) appendSymbol(s cfg.Symbol) {
-	n := &node{sym: s}
-	b.link(b.root.last(), n)
-	b.link(n, b.root.guard)
-	if s.IsRule() {
-		b.ruleFromSym(s).uses++
-	}
-	b.checkDigram(n.prev)
+	n := b.newNode(s)
+	g := b.rules[0]
+	b.link(b.nodes[g].prev, n)
+	b.link(n, g)
+	b.checkDigram(b.nodes[n].prev)
+	b.free = append(b.free, b.dead...)
+	b.dead = b.dead[:0]
 }
 
 // link makes y follow x.
-func (b *builder) link(x, y *node) {
-	x.next = y
-	y.prev = x
+func (b *builder) link(x, y int32) {
+	b.nodes[x].next = y
+	b.nodes[y].prev = x
 }
 
 // isGuard reports whether n is a guard node.
-func isGuard(n *node) bool { return n.rule != nil }
+func (b *builder) isGuard(n int32) bool { return b.nodes[n].rule >= 0 }
 
 // removeDigram unindexes the digram starting at n, if n owns it.
-func (b *builder) removeDigram(n *node) {
-	if isGuard(n) || isGuard(n.next) {
+func (b *builder) removeDigram(n int32) {
+	next := b.nodes[n].next
+	if b.isGuard(n) || b.isGuard(next) {
 		return
 	}
-	b.digrams.delIf(digramKey(n.sym, n.next.sym), n)
+	b.digrams.delIf(digramKey(b.nodes[n].sym, b.nodes[next].sym), n)
 }
 
 // checkDigram enforces digram uniqueness for the digram starting at n.
 // It returns true when the grammar changed.
-func (b *builder) checkDigram(n *node) bool {
-	if n == nil || isGuard(n) || isGuard(n.next) {
+func (b *builder) checkDigram(n int32) bool {
+	next := b.nodes[n].next
+	if b.isGuard(n) || b.isGuard(next) {
 		return false
 	}
 	// Separators are unique; digrams containing them never repeat, and
 	// keeping them out of the index guarantees no rule spans a file.
-	if n.sym.IsSep() || n.next.sym.IsSep() {
+	a, c := b.nodes[n].sym, b.nodes[next].sym
+	if a.IsSep() || c.IsSep() {
 		return false
 	}
-	match := b.digrams.getOrPut(digramKey(n.sym, n.next.sym), n)
-	if match == nil {
-		return false
-	}
-	if match == n || match.next == n {
-		// Same or overlapping occurrence (aaa): leave as is.
+	match := b.digrams.getOrPut(digramKey(a, c), n)
+	if match == 0 || match == n || b.nodes[match].next == n {
+		// New, or the same or an overlapping occurrence (aaa): leave as is.
 		return false
 	}
 	b.handleMatch(n, match)
@@ -150,140 +177,128 @@ func (b *builder) checkDigram(n *node) bool {
 
 // handleMatch resolves a repeated digram: reuse an existing rule when the
 // match is a whole rule body, otherwise create a new rule.
-func (b *builder) handleMatch(n, match *node) {
-	if isGuard(match.prev) && isGuard(match.next.next) && match.prev.rule != b.root {
-		// match is the entire body of a rule: substitute that rule at n.
-		r := match.prev.rule
+func (b *builder) handleMatch(n, match int32) {
+	m := b.nodes[match]
+	if r := b.nodes[m.prev].rule; r > 0 && b.isGuard(b.nodes[m.next].next) {
+		// match is the entire body of a rule other than the root:
+		// substitute that rule at n.
 		b.substitute(n, r)
-	} else {
-		// Create a new rule for the digram.
-		r := newRule()
-		r.id = -1
-		b.rules[r] = struct{}{}
-		a, c := match.sym, match.next.sym
-		ra := &node{sym: a}
-		rc := &node{sym: c}
-		b.link(r.guard, ra)
-		b.link(ra, rc)
-		b.link(rc, r.guard)
-		if a.IsRule() {
-			b.ruleFromSym(a).uses++
-		}
-		if c.IsRule() {
-			b.ruleFromSym(c).uses++
-		}
-		b.digrams.put(digramKey(a, c), ra)
-		// Replace both occurrences; order matters: the original first.
-		b.substitute(match, r)
-		b.substitute(n, r)
+		return
 	}
+	// Create a new rule for the digram.
+	r := b.newRule()
+	a, c := m.sym, b.nodes[m.next].sym
+	g := b.rules[r]
+	ra := b.newNode(a)
+	rc := b.newNode(c)
+	b.link(g, ra)
+	b.link(ra, rc)
+	b.link(rc, g)
+	b.digrams.put(digramKey(a, c), ra)
+	// Replace both occurrences; order matters: the original first.
+	b.substitute(match, r)
+	b.substitute(n, r)
 }
 
-// substitute replaces the digram starting at n with a reference to r and
-// re-checks the neighbouring digrams.
-func (b *builder) substitute(n *node, r *rule) {
-	prev := n.prev
+// substitute replaces the digram starting at n with a reference to rule r
+// and re-checks the neighbouring digrams.
+func (b *builder) substitute(n, r int32) {
+	prev := b.nodes[n].prev
 	// Delete the two nodes of the digram.
 	b.deleteNode(n)
-	b.deleteNode(prev.next)
+	b.deleteNode(b.nodes[prev].next)
 	// Insert the rule reference.
-	ref := &node{sym: b.ruleSym(r)}
-	nxt := prev.next
+	ref := b.newNode(cfg.Rule(uint32(r)))
+	next := b.nodes[prev].next
 	b.link(prev, ref)
-	b.link(ref, nxt)
-	r.uses++
+	b.link(ref, next)
 	// Restore invariants around the new reference.
 	if !b.checkDigram(prev) {
 		b.checkDigram(ref)
 	}
 }
 
-// deleteNode unlinks n, maintaining the digram index and rule use counts.
-// Rule utility (inlining rules whose use count drops to one) is deferred to
-// finish(), which computes exact reachable counts; deferring keeps the
-// online phase simple and cannot corrupt the structure mid-substitution.
-func (b *builder) deleteNode(n *node) {
-	b.removeDigram(n.prev)
+// deleteNode unlinks n, maintaining the digram index.  Rule utility
+// (inlining rules used once) is deferred to finish(), which computes exact
+// reachable counts; deferring keeps the online phase simple and cannot
+// corrupt the structure mid-substitution.
+func (b *builder) deleteNode(n int32) {
+	prev, next := b.nodes[n].prev, b.nodes[n].next
+	b.removeDigram(prev)
 	b.removeDigram(n)
-	b.link(n.prev, n.next)
-	if n.sym.IsRule() {
-		b.ruleFromSym(n.sym).uses--
-	}
+	b.link(prev, next)
+	b.dead = append(b.dead, n)
 }
 
 // finish converts the linked structure into a cfg.Grammar: it counts
 // references reachable from the root, inlines rules referenced exactly once
 // (rule utility), drops unreachable rules, and renumbers densely with R0
 // first in discovery order (which also yields a stable topological layout
-// for the DAG pool).
-func (b *builder) finish(numFiles, numWords uint32) *cfg.Grammar {
+// for the DAG pool).  It only reads the builder.
+func (b *builder) finish(numWords uint32) *cfg.Grammar {
+	// each calls f on every symbol of rule r's body.
+	each := func(r uint32, f func(cfg.Symbol)) {
+		for n := b.nodes[b.rules[r]].next; !b.isGuard(n); n = b.nodes[n].next {
+			f(b.nodes[n].sym)
+		}
+	}
 	// Count references with multiplicity, reachable from the root.
-	refs := make(map[*rule]int)
-	var count func(r *rule)
-	count = func(r *rule) {
-		for n := r.first(); !isGuard(n); n = n.next {
-			if !n.sym.IsRule() {
-				continue
-			}
-			child := b.ruleFromSym(n.sym)
-			refs[child]++
-			if refs[child] == 1 {
-				count(child)
-			}
+	refs := make([]int32, len(b.rules))
+	var count func(s cfg.Symbol)
+	count = func(s cfg.Symbol) {
+		if !s.IsRule() {
+			return
+		}
+		r := s.RuleIndex()
+		refs[r]++
+		if refs[r] == 1 {
+			each(r, count)
 		}
 	}
-	count(b.root)
+	each(0, count)
 
-	inline := func(r *rule) bool { return refs[r] == 1 }
-
-	// Assign final indices to surviving rules in discovery order.
-	finalIdx := map[*rule]uint32{b.root: 0}
-	order := []*rule{b.root}
-	var discover func(r *rule)
-	discover = func(r *rule) {
-		for n := r.first(); !isGuard(n); n = n.next {
-			if !n.sym.IsRule() {
-				continue
-			}
-			child := b.ruleFromSym(n.sym)
-			if inline(child) {
-				discover(child)
-				continue
-			}
-			if _, seen := finalIdx[child]; !seen {
-				finalIdx[child] = uint32(len(order))
-				order = append(order, child)
-				discover(child)
-			}
+	// Assign final indices to surviving rules in discovery order; 0 marks
+	// a rule not yet numbered, since nothing references the root.
+	final := make([]uint32, len(b.rules))
+	order := []uint32{0}
+	var discover func(s cfg.Symbol)
+	discover = func(s cfg.Symbol) {
+		if !s.IsRule() {
+			return
 		}
+		r := s.RuleIndex()
+		if refs[r] != 1 {
+			if final[r] != 0 {
+				return
+			}
+			final[r] = uint32(len(order))
+			order = append(order, r)
+		}
+		each(r, discover)
 	}
-	discover(b.root)
+	each(0, discover)
 
 	g := &cfg.Grammar{
 		Rules:    make([][]cfg.Symbol, len(order)),
 		NumWords: numWords,
-		NumFiles: numFiles,
+		NumFiles: b.files,
 	}
-	var emit func(r *rule, out *[]cfg.Symbol)
-	emit = func(r *rule, out *[]cfg.Symbol) {
-		for n := r.first(); !isGuard(n); n = n.next {
-			if n.sym.IsRule() {
-				child := b.ruleFromSym(n.sym)
-				if inline(child) {
-					emit(child, out)
-					continue
-				}
-				*out = append(*out, cfg.Rule(finalIdx[child]))
-				continue
-			}
-			*out = append(*out, n.sym)
+	var body []cfg.Symbol
+	var emit func(s cfg.Symbol)
+	emit = func(s cfg.Symbol) {
+		switch {
+		case !s.IsRule():
+			body = append(body, s)
+		case refs[s.RuleIndex()] == 1:
+			each(s.RuleIndex(), emit)
+		default:
+			body = append(body, cfg.Rule(final[s.RuleIndex()]))
 		}
 	}
-	//ntalint:ignore determcheck each iteration fills only g.Rules[finalIdx[r]] — a distinct slot per rule, from that rule's own symbols — so iteration order cannot show in the result.
-	for r, idx := range finalIdx {
-		var body []cfg.Symbol
-		emit(r, &body)
-		g.Rules[idx] = body
+	for i, r := range order {
+		body = nil
+		each(r, emit)
+		g.Rules[i] = body
 	}
 	return g
 }

@@ -37,15 +37,16 @@ func BenchmarkReadArchive(b *testing.B) {
 }
 
 // readArchiveAllocs bounds the allocations of one ReadArchive of the
-// `cold-miss` archive (1.9 MB, 140,000 words): measured 619 on amd64 with
+// `cold-miss` archive (1.9 MB, 140,000 words): measured 104 on amd64 with
 // Go 1.24, where reading one value per word cost 665,000.  The load path
 // allocates per section —
 // the grammar section's buffer, one symbol arena per parsed section and per
-// materialized grammar, the dictionary's byte arena and its word table and
-// index — so the count does not grow with words, rules or bytes; a reader
-// that allocated per word or per rule again would need hundreds of
-// thousands.  The dictionary's index is most of it (514): a map allocates
-// its buckets in tables of about a thousand entries each.
+// materialized grammar, the dictionary's byte arena and its word table —
+// so the count does not grow with words, rules or bytes; a reader that
+// allocated per word or per rule again would need hundreds of thousands.
+// The dictionary's word index is not built here: a map allocates its
+// buckets in tables of about a thousand entries each (515 more), and only
+// Intern and Lookup need it, so it waits for the first of them.
 const readArchiveAllocs = 1000
 
 func TestReadArchiveAllocationBudget(t *testing.T) {
