@@ -79,7 +79,9 @@ bench-smoke:
 # task path under both persistence strategies on the `engine-persist` shape,
 # with modeled time, flushes, fences and flushed granules per run beside the
 # host time (EXPERIMENTS.md "Persistence"), and the engine build on that
-# shape with its modeled initialization time (EXPERIMENTS.md "Root runs").
+# shape and on the `cold-miss` archive with the daemon's options, with its
+# modeled initialization time (EXPERIMENTS.md "Root runs", "Set-up without
+# hash maps").
 # Last the set-up path, the host time behind setup_s before any engine
 # exists: Sequitur inference on datasets A–D (Infer, with Mtok/s and
 # allocations) and the append path on B's shape (DeltaAppend: batches of 8

@@ -367,6 +367,14 @@ func TestQuickWordListsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// bodySpanningCounts counts the n-grams that span at least two symbols of
+// the given body: its local windows.
+func bodySpanningCounts(body []cfg.Symbol, infos []*SeqInfo) map[Seq]uint64 {
+	out := make(map[Seq]uint64)
+	SpanningWindows(body, infos, func(_ int, q Seq) { out[q]++ })
+	return out
+}
+
 func TestBodySpanningDecomposition(t *testing.T) {
 	// Property behind weighted sequence counting: global counts equal the
 	// root's local windows plus each rule's local windows x its weight.
@@ -380,9 +388,17 @@ func TestBodySpanningDecomposition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RuleWeights: %v", err)
 		}
+		// The edge-only summaries local-window counting runs on are the
+		// full summaries without their Counts.
+		order, _ := g.TopoOrder()
+		for ri, e := range SummarizeRules(g, order, false) {
+			if e.Counts != nil || e.Len != infos[ri].Len || e.Split != infos[ri].Split || !reflect.DeepEqual(e.Edge, infos[ri].Edge) {
+				t.Fatalf("seed %d R%d: edge summary %+v, full %+v", seed, ri, e, infos[ri])
+			}
+		}
 		got := make(map[Seq]uint64)
 		for ri := range g.Rules {
-			for q, c := range BodySpanningCounts(g.Rules[ri], infos) {
+			for q, c := range bodySpanningCounts(g.Rules[ri], infos) {
 				got[q] += c * weights[ri]
 			}
 		}
@@ -420,14 +436,14 @@ func TestPerFileSpanningDecomposition(t *testing.T) {
 			}
 		}
 		got := make(map[Seq]uint64)
-		for q, c := range BodySpanningCounts(seg, infos) {
+		for q, c := range bodySpanningCounts(seg, infos) {
 			got[q] += c
 		}
 		for ri := range g.Rules {
 			if weight[ri] == 0 {
 				continue
 			}
-			for q, c := range BodySpanningCounts(g.Rules[ri], infos) {
+			for q, c := range bodySpanningCounts(g.Rules[ri], infos) {
 				got[q] += c * weight[ri]
 			}
 		}

@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"slices"
+
 	"github.com/text-analytics/ntadoc/internal/cfg"
 )
 
@@ -135,7 +137,11 @@ func (si *SeqInfo) Tail() []uint32 {
 // crossing file separators, so infos[0].Counts is the global sequence-count
 // result.
 func ComputeSeqInfo(g *cfg.Grammar) ([]*SeqInfo, error) {
-	return computeSummaries(g, true)
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	return SummarizeRules(g, order, true), nil
 }
 
 // SeqMergeEntries returns the count-table entries merged when the bodies'
@@ -154,31 +160,29 @@ func SeqMergeEntries(infos []*SeqInfo, bodies ...[]cfg.Symbol) int64 {
 	return n
 }
 
-// ComputeEdgeInfo builds the per-rule summaries without the cumulative
-// Counts maps: only expansion lengths and head/tail edges.  This is all that
-// local-window counting (BodySpanningCounts) needs, and it costs one linear
-// pass instead of the full bottom-up merge.
-func ComputeEdgeInfo(g *cfg.Grammar) ([]*SeqInfo, error) {
-	return computeSummaries(g, false)
-}
-
-func computeSummaries(g *cfg.Grammar, withCounts bool) ([]*SeqInfo, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+// SummarizeRules builds the per-rule summaries over order, a topological
+// order of g's rules the caller already holds (g.TopoOrder).  withCounts
+// adds the cumulative Counts maps, which is what ComputeSeqInfo returns;
+// without them only the expansion lengths and head/tail edges are built —
+// all that local-window counting needs, in one linear pass instead of the
+// full bottom-up merge.
+func SummarizeRules(g *cfg.Grammar, order []uint32, withCounts bool) []*SeqInfo {
 	infos := make([]*SeqInfo, len(g.Rules))
+	slab := make([]SeqInfo, len(g.Rules))
+	edges := make([]uint32, 0, 2*(SeqLen-1)*len(g.Rules))
+	var w WindowWalker
 	for i := len(order) - 1; i >= 0; i-- {
 		ri := order[i]
-		infos[ri] = summarizeBody(g.Rules[ri], infos, withCounts)
+		infos[ri] = &slab[ri]
+		edges = summarizeBody(&slab[ri], g.Rules[ri], infos, withCounts, &w, edges)
 	}
-	return infos, nil
+	return infos
 }
 
-// summarizeBody computes the SeqInfo of a symbol sequence given summaries of
-// every referenced rule.  It is used both per rule and per file segment.
-func summarizeBody(body []cfg.Symbol, infos []*SeqInfo, withCounts bool) *SeqInfo {
-	out := &SeqInfo{}
+// summarizeBody fills out, the SeqInfo of one rule body, given summaries of
+// every rule it references; its Edge is cut from the edges arena, which it
+// returns extended.
+func summarizeBody(out *SeqInfo, body []cfg.Symbol, infos []*SeqInfo, withCounts bool, w *WindowWalker, edges []uint32) []uint32 {
 	if withCounts {
 		out.Counts = make(map[Seq]uint64)
 	}
@@ -200,10 +204,9 @@ func summarizeBody(body []cfg.Symbol, infos []*SeqInfo, withCounts bool) *SeqInf
 		// the stream walk below.
 	}
 	if withCounts {
-		SpanningWindows(body, infos, func(_ int, q Seq) { out.Counts[q]++ })
+		w.Walk(body, infos, func(_ int, q Seq) { out.Counts[q]++ })
 	}
-	buildEdge(out, body, infos)
-	return out
+	return buildEdge(out, body, infos, edges)
 }
 
 // streamToken is one token of the edge stream with provenance: which body
@@ -244,7 +247,16 @@ func appendStream(stream []streamToken, symIdx int, s cfg.Symbol, infos []*SeqIn
 // of separators before it.  Over the root it is every file's local windows
 // in one walk.
 func SpanningWindows(body []cfg.Symbol, infos []*SeqInfo, emit func(file int, q Seq)) {
-	var stream []streamToken
+	new(WindowWalker).Walk(body, infos, emit)
+}
+
+// WindowWalker walks spanning windows body after body with one edge stream,
+// so a pass over every rule grows it once instead of once per rule.
+type WindowWalker struct{ stream []streamToken }
+
+// Walk is SpanningWindows over w's stream.
+func (w *WindowWalker) Walk(body []cfg.Symbol, infos []*SeqInfo, emit func(file int, q Seq)) {
+	stream := w.stream[:0]
 	file := 0
 	flush := func() {
 		for i := 0; i+SeqLen <= len(stream); i++ {
@@ -275,86 +287,70 @@ func SpanningWindows(body []cfg.Symbol, infos []*SeqInfo, emit func(file int, q 
 		stream = appendStream(stream, idx, s, infos)
 	}
 	flush()
+	w.stream = stream
 }
 
-// buildEdge fills out.Edge/out.Split from the body.
-func buildEdge(out *SeqInfo, body []cfg.Symbol, infos []*SeqInfo) {
+// buildEdge fills out.Edge/out.Split from the body, cutting Edge from the
+// edges arena, and returns the arena extended.
+func buildEdge(out *SeqInfo, body []cfg.Symbol, infos []*SeqInfo, edges []uint32) []uint32 {
 	const keep = SeqLen - 1
+	start := len(edges)
 	if out.Len <= 2*keep {
 		// Short expansion: materialize it fully (it is at most 4 tokens).
-		out.Edge = expandShort(body, infos, int(out.Len))
+		// A short parent can only have short children, whose Edge is their
+		// full expansion.
+		for _, s := range body {
+			switch {
+			case s.IsWord():
+				edges = append(edges, s.WordID())
+			case s.IsRule():
+				edges = append(edges, infos[s.RuleIndex()].Edge...)
+			}
+		}
+		out.Edge = edges[start:len(edges):len(edges)]
 		out.Split = false
-		return
+		return edges
 	}
 	// Long expansion: head = first keep tokens, tail = last keep tokens.
-	head := make([]uint32, 0, keep)
 	for _, s := range body {
-		if len(head) == keep {
+		if len(edges)-start == keep {
 			break
 		}
 		if s.IsSep() {
 			continue
 		}
 		if s.IsWord() {
-			head = append(head, s.WordID())
+			edges = append(edges, s.WordID())
 			continue
 		}
 		h := infos[s.RuleIndex()].Head()
 		for _, t := range h {
-			if len(head) == keep {
+			if len(edges)-start == keep {
 				break
 			}
-			head = append(head, t)
+			edges = append(edges, t)
 		}
 	}
-	tail := make([]uint32, 0, keep)
-	for i := len(body) - 1; i >= 0 && len(tail) < keep; i-- {
+	mid := len(edges)
+	for i := len(body) - 1; i >= 0 && len(edges)-mid < keep; i-- {
 		s := body[i]
 		if s.IsSep() {
 			continue
 		}
 		if s.IsWord() {
-			tail = append(tail, s.WordID())
+			edges = append(edges, s.WordID())
 			continue
 		}
 		tl := infos[s.RuleIndex()].Tail()
-		for j := len(tl) - 1; j >= 0 && len(tail) < keep; j-- {
-			tail = append(tail, tl[j])
+		for j := len(tl) - 1; j >= 0 && len(edges)-mid < keep; j-- {
+			edges = append(edges, tl[j])
 		}
 	}
-	// tail was collected right-to-left; reverse it.
-	for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
-		tail[i], tail[j] = tail[j], tail[i]
-	}
-	out.Edge = append(head, tail...)
+	// The tail was collected right-to-left; reverse it.
+	slices.Reverse(edges[mid:])
+	out.Edge = edges[start:len(edges):len(edges)]
 	out.Split = true
-}
-
-// expandShort materializes the full (short) expansion of a body.
-func expandShort(body []cfg.Symbol, infos []*SeqInfo, n int) []uint32 {
-	out := make([]uint32, 0, n)
-	for _, s := range body {
-		switch {
-		case s.IsWord():
-			out = append(out, s.WordID())
-		case s.IsRule():
-			// A short parent can only have short children, whose Edge is
-			// their full expansion.
-			out = append(out, infos[s.RuleIndex()].Edge...)
-		}
-	}
-	return out
-}
-
-// BodySpanningCounts returns the n-grams that span at least two symbols of
-// the given body (its "local" windows).  Every window of the full expansion
-// belongs to exactly one rule occurrence this way, so global counts equal
-// the root's local windows plus each rule's local windows times its weight —
-// the decomposition the engines' weighted sequence counting relies on.
-func BodySpanningCounts(body []cfg.Symbol, infos []*SeqInfo) map[Seq]uint64 {
-	out := make(map[Seq]uint64)
-	SpanningWindows(body, infos, func(_ int, q Seq) { out[q]++ })
-	return out
+	return edges
 }
 
 // SegmentSeqCounts computes one file's n-gram counts from its top-level

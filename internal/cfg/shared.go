@@ -178,6 +178,24 @@ func SingleShard(g *Grammar) (*SharedSet, error) {
 	return set, nil
 }
 
+// symbolArena cuts rule bodies from shared chunks, one allocation per chunk
+// instead of one per body.  Each body is capped at its own length, so no two
+// overlap and an append to one reallocates instead of running into the next.
+type symbolArena struct{ free []Symbol }
+
+// arenaChunk is the symbols one chunk holds (a longer body gets its own).
+const arenaChunk = 1 << 14
+
+// copy returns a copy of body cut from the arena.
+func (a *symbolArena) copy(body []Symbol) []Symbol {
+	if cap(a.free)-len(a.free) < len(body) {
+		a.free = make([]Symbol, 0, max(arenaChunk, len(body)))
+	}
+	start := len(a.free)
+	a.free = append(a.free, body...)
+	return a.free[start:len(a.free):len(a.free)]
+}
+
 // reparseLimit bounds how many adjacent symbols a dictionary re-parse will
 // coalesce into one run.  Real carving mismatches between shards span a few
 // symbols; the cap keeps root re-parsing linear.
@@ -187,19 +205,25 @@ const reparseLimit = 64
 // construction and the fingerprint dictionary over it.
 //
 // The re-parse probes the dictionary once per (start, end) pair of every
-// body — up to reparseLimit probes per symbol — and almost every probe
-// misses.  A bit set over the low bits of each entry's h1 answers most
-// misses without touching the map: a clear bit proves the fingerprint was
-// never entered, and a set bit only sends the probe on to the map, so the
-// filter cannot change which runs match.
+// body — up to reparseLimit probes per symbol, fewer once a run outgrows
+// the longest entry — and almost every probe misses.  A bit set over the
+// low bits of each entry's h1 answers most misses without touching the map:
+// a clear bit proves the fingerprint was never entered, and a set bit only
+// sends the probe on to the map, so the filter cannot change which runs
+// match.
 type unifier struct {
 	byFP   map[Fingerprint]uint32
 	filter []uint64 // bit h1&mask is set for every fingerprint in byFP
 	mask   uint64
+	maxLen int64 // longest expansion of any entry in byFP
 	shared [][]Symbol
 	gfps   []Fingerprint // fingerprint of each shared rule's expansion
 	gpows  []fpScale     // fpBase^n of each shared rule's expansion length
 	steps  []fpStep      // re-parse scratch: one step per body symbol
+	in     []Symbol      // translate's output, the re-parse's input
+	out    []Symbol      // re-parse scratch: one pass's output
+	spare  []Symbol      // re-parse scratch: the previous pass's output
+	arena  symbolArena   // every body the pass stores
 }
 
 // fpScale holds (fpBase1ⁿ, fpBase2ⁿ) for an expansion of n tokens: what a
@@ -243,6 +267,7 @@ func (u *unifier) add(fp Fingerprint, body []Symbol) uint32 {
 	u.gfps = append(u.gfps, fp)
 	u.gpows = append(u.gpows, fpScale{fpPow(fpBase1, fp.n), fpPow(fpBase2, fp.n)})
 	u.byFP[fp] = gid
+	u.maxLen = max(u.maxLen, fp.n)
 	bit := fp.h1 & u.mask
 	u.filter[bit/64] |= 1 << (bit % 64)
 	return gid
@@ -263,6 +288,20 @@ func (u *unifier) step(s Symbol) fpStep {
 	}
 }
 
+// translate maps a shard body's rule references through toGlobal into the
+// re-parse's input scratch.
+func (u *unifier) translate(body []Symbol, toGlobal []uint32) []Symbol {
+	in := u.in[:0]
+	for _, s := range body {
+		if s.IsRule() {
+			s = Rule(toGlobal[s.RuleIndex()])
+		}
+		in = append(in, s)
+	}
+	u.in = in
+	return in
+}
+
 // reparse rewrites a translated body against the dictionary: any run of
 // adjacent symbols whose concatenated fingerprint already names a shared
 // rule collapses to a reference to it.  This is what unifies shards that
@@ -270,28 +309,32 @@ func (u *unifier) step(s Symbol) fpStep {
 // spelled out (or split differently) snaps to the entry another shard
 // registered first — and it is why unification recovers far more than
 // exact whole-rule collisions.  Greedy leftmost-longest keeps the rewrite
-// deterministic; expansions are preserved exactly by construction.
+// deterministic; expansions are preserved exactly by construction.  body is
+// only read; the result is cut from the unifier's arena.
 func (u *unifier) reparse(body []Symbol) []Symbol {
 	// A replacement creates new adjacencies that can match in turn (the
 	// shard may have carved one phrase into several pieces); iterate to a
 	// fixpoint, which each pass approaches monotonically since every
-	// rewrite strictly shortens the body.
+	// rewrite strictly shortens the body.  The passes alternate between two
+	// scratch buffers.
+	out, spare := u.out, u.spare
 	for {
-		next := u.reparseOnce(body)
+		next := u.reparseOnce(body, out[:0])
 		if len(next) == len(body) {
-			return next
+			u.out, u.spare = next, spare
+			return u.arena.copy(next)
 		}
-		body = next
+		body, out, spare = next, spare, next
 	}
 }
 
-func (u *unifier) reparseOnce(body []Symbol) []Symbol {
+// reparseOnce appends one greedy leftmost-longest pass over body to out.
+func (u *unifier) reparseOnce(body, out []Symbol) []Symbol {
 	steps := u.steps[:0]
 	for _, s := range body {
 		steps = append(steps, u.step(s))
 	}
 	u.steps = steps
-	out := make([]Symbol, 0, len(body))
 	for i := 0; i < len(body); {
 		s := body[i]
 		if s.IsSep() {
@@ -311,6 +354,10 @@ func (u *unifier) reparseOnce(body []Symbol) []Symbol {
 			run.h1 = run.h1*st.pow.p1 + st.fp.h1
 			run.h2 = run.h2*st.pow.p2 + st.fp.h2
 			run.n += st.fp.n
+			if run.n > u.maxLen {
+				// A match needs an equal length, and the run only grows.
+				break
+			}
 			if gid, ok := u.lookup(run); ok {
 				match, matchEnd = gid, j+1
 			}
@@ -336,11 +383,25 @@ func (u *unifier) reparseOnce(body []Symbol) []Symbol {
 // surviving table is renumbered by first use — regardless of the
 // interleaving that built the shards.
 func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
+	set, arena, err := unifyRules(shards, fps)
+	if err != nil {
+		return nil, err
+	}
+	set.recompress(arena)
+	set.inlineSingleUse(arena)
+	set.compact()
+	return set, nil
+}
+
+// unifyRules is UnifyShards up to the table-wide passes: every shard rule
+// entered in the dictionary or collapsed onto an entry, every shard root
+// re-parsed.  The returned arena holds the set's bodies.
+func unifyRules(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, *symbolArena, error) {
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("%w: empty shard set", ErrInvalid)
+		return nil, nil, fmt.Errorf("%w: empty shard set", ErrInvalid)
 	}
 	if len(fps) != len(shards) {
-		return nil, fmt.Errorf("%w: %d fingerprint tables for %d shards", ErrInvalid, len(fps), len(shards))
+		return nil, nil, fmt.Errorf("%w: %d fingerprint tables for %d shards", ErrInvalid, len(fps), len(shards))
 	}
 	set := &SharedSet{Shards: make([]SharedShard, len(shards))}
 	rules := 0
@@ -350,10 +411,10 @@ func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
 	u := newUnifier(rules)
 	for si, g := range shards {
 		if len(g.Rules) == 0 {
-			return nil, fmt.Errorf("%w: shard %d has no rules", ErrInvalid, si)
+			return nil, nil, fmt.Errorf("%w: shard %d has no rules", ErrInvalid, si)
 		}
 		if len(fps[si]) != len(g.Rules) {
-			return nil, fmt.Errorf("%w: shard %d: %d fingerprints for %d rules",
+			return nil, nil, fmt.Errorf("%w: shard %d: %d fingerprints for %d rules",
 				ErrInvalid, si, len(fps[si]), len(g.Rules))
 		}
 		if g.NumWords > set.NumWords {
@@ -361,20 +422,9 @@ func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
 		}
 		order, err := g.TopoOrder()
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
+			return nil, nil, fmt.Errorf("shard %d: %w", si, err)
 		}
 		toGlobal := make([]uint32, len(g.Rules))
-		translate := func(body []Symbol) []Symbol {
-			out := make([]Symbol, len(body))
-			for i, s := range body {
-				if s.IsRule() {
-					out[i] = Rule(toGlobal[s.RuleIndex()])
-				} else {
-					out[i] = s
-				}
-			}
-			return out
-		}
 		// Children before parents, so a body's rule references are already
 		// global when its own fingerprint is looked up.
 		for i := len(order) - 1; i >= 0; i-- {
@@ -387,19 +437,16 @@ func UnifyShards(shards []*Grammar, fps [][]Fingerprint) (*SharedSet, error) {
 				toGlobal[r] = gid
 				continue
 			}
-			toGlobal[r] = u.add(fp, u.reparse(translate(g.Rules[r])))
+			toGlobal[r] = u.add(fp, u.reparse(u.translate(g.Rules[r], toGlobal)))
 		}
 		set.Shards[si] = SharedShard{
-			Root:     u.reparse(translate(g.Rules[0])),
+			Root:     u.reparse(u.translate(g.Rules[0], toGlobal)),
 			NumFiles: g.NumFiles,
 			Files:    g.Files,
 		}
 	}
 	set.Shared = u.shared
-	set.recompress()
-	set.inlineSingleUse()
-	set.compact()
-	return set, nil
+	return set, &u.arena, nil
 }
 
 // recompressRounds caps the digram-folding iteration; real corpora converge
@@ -413,21 +460,21 @@ const recompressRounds = 32
 // occurring twice anywhere (including in two different shards' roots)
 // becomes a new shared rule — until the digram-uniqueness invariant the
 // single-grammar build enjoys holds across the shard set too.
-func (ss *SharedSet) recompress() {
-	// The first round counts about one distinct digram per stored symbol;
-	// later rounds reuse the maps, cleared.
-	counts := make(map[uint64]int, ss.SymbolCount())
-	rules := make(map[uint64]uint32)
+func (ss *SharedSet) recompress(arena *symbolArena) {
+	var t digramTable
 	for round := 0; round < recompressRounds; round++ {
-		clear(counts)
-		clear(rules)
+		// The first round sees about one distinct digram per stored symbol;
+		// later rounds reuse the table, cleared.  Overlapping repeats
+		// (a a a) can grow the form by a symbol, so a round sizes up first
+		// when the form has outgrown the table.
+		t.reset(ss.SymbolCount())
 		scan := func(body []Symbol) {
 			for i := 0; i+1 < len(body); i++ {
 				a, b := body[i], body[i+1]
 				if a.IsSep() || b.IsSep() {
 					continue
 				}
-				counts[uint64(a)<<32|uint64(b)]++
+				t.count(uint64(a)<<32 | uint64(b))
 			}
 		}
 		for _, body := range ss.Shared {
@@ -438,23 +485,19 @@ func (ss *SharedSet) recompress() {
 		}
 		changed := false
 		// Bodies are rewritten in place: a fold writes position j <= i only
-		// after reading positions i and i+1, and no two bodies share an
-		// array.
+		// after reading positions i and i+1, and no two bodies overlap.
 		apply := func(body []Symbol) []Symbol {
 			out := body[:0]
 			for i := 0; i < len(body); {
 				if i+1 < len(body) {
 					a, b := body[i], body[i+1]
 					if !a.IsSep() && !b.IsSep() {
-						key := uint64(a)<<32 | uint64(b)
-						if counts[key] >= 2 {
-							id, ok := rules[key]
-							if !ok {
-								id = uint32(len(ss.Shared))
-								ss.Shared = append(ss.Shared, []Symbol{a, b})
-								rules[key] = id
+						if e := t.find(uint64(a)<<32 | uint64(b)); e.count >= 2 {
+							if e.rule == 0 {
+								ss.Shared = append(ss.Shared, arena.copy([]Symbol{a, b}))
+								e.rule = uint32(len(ss.Shared))
 							}
-							out = append(out, Rule(id))
+							out = append(out, Rule(e.rule-1))
 							i += 2
 							changed = true
 							continue
@@ -482,6 +525,54 @@ func (ss *SharedSet) recompress() {
 	}
 }
 
+// digramTable is recompress's per-round digram table: open addressing with
+// linear probing over packed digrams a<<32|b, each entry holding the round's
+// occurrence count and the shared rule the round folded the digram into.
+// The table is only counted into and looked up, never iterated, so the
+// rounds fold exactly what two maps (digram → count, digram → rule) did.
+type digramTable struct {
+	entries []digramEntry
+	shift   uint // 64 − log2(len(entries))
+}
+
+// digramEntry is one digram of the round.  An entry is empty while its
+// count is 0: a digram enters the table with its first occurrence.
+type digramEntry struct {
+	key   uint64
+	count uint32 // occurrences, saturating at 2: a fold needs only "twice"
+	rule  uint32 // shared rule index + 1; 0 until the round folds the digram
+}
+
+// reset empties the table for a round over symbols stored symbols, growing
+// it to at least twice that (at most half full: one digram per symbol).
+func (t *digramTable) reset(symbols int64) {
+	if n := max(2*symbols, 16); int64(len(t.entries)) < n {
+		size := 1 << bits.Len64(uint64(n-1))
+		t.entries = make([]digramEntry, size)
+		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+		return
+	}
+	clear(t.entries)
+}
+
+// find returns key's entry, or the empty entry where it would go.
+func (t *digramTable) find(key uint64) *digramEntry {
+	mask := uint64(len(t.entries) - 1)
+	// Fibonacci hashing: the multiplier's high bits pick the home slot.
+	for i := (key * 0x9e3779b97f4a7c15) >> t.shift; ; i = (i + 1) & mask {
+		if e := &t.entries[i]; e.count == 0 || e.key == key {
+			return e
+		}
+	}
+}
+
+// count records one occurrence of key.
+func (t *digramTable) count(key uint64) {
+	e := t.find(key)
+	e.key = key
+	e.count = min(e.count+1, 2)
+}
+
 // inlineSingleUse restores the rule-utility invariant: a shared rule left
 // with exactly one reference (greedy digram folding can strand one, and
 // unification can bypass a donor shard's internal structure) is spliced
@@ -489,7 +580,7 @@ func (ss *SharedSet) recompress() {
 // Chains of single-use rules are expanded recursively against a snapshot of
 // the pre-splice bodies, so content never routes through a body that is
 // mutated in the same pass.
-func (ss *SharedSet) inlineSingleUse() {
+func (ss *SharedSet) inlineSingleUse(arena *symbolArena) {
 	refs := make([]int, len(ss.Shared))
 	count := func(body []Symbol) {
 		for _, s := range body {
@@ -528,11 +619,11 @@ func (ss *SharedSet) inlineSingleUse() {
 		out = append(out, s)
 	}
 	rewrite := func(body []Symbol) []Symbol {
-		out = make([]Symbol, 0, len(body))
+		out = out[:0]
 		for _, s := range body {
 			emit(s)
 		}
-		return out
+		return arena.copy(out)
 	}
 	for ri := range ss.Shared {
 		if refs[ri] == 1 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -472,8 +473,9 @@ func referenceReparse(byFP map[Fingerprint]uint32, gfps []Fingerprint, body []Sy
 
 // TestReparseMatchesReference drives the unifier over random shard grammars
 // the way UnifyShards does and holds every re-parse, and every dictionary
-// lookup, to the plain-map reference: the filter in front of the map and
-// the cached powers must not change which runs match.
+// lookup, to the plain-map reference: the filter in front of the map, the
+// cached powers and the cut at the longest entry's length (the reference
+// extends every run to reparseLimit) must not change which runs match.
 func TestReparseMatchesReference(t *testing.T) {
 	rewritten := 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -534,4 +536,101 @@ func TestReparseMatchesReference(t *testing.T) {
 		t.Fatal("no re-parse rewrote anything: the grammars exercise nothing")
 	}
 	t.Logf("%d re-parses rewrote their body", rewritten)
+}
+
+// referenceRecompress is the digram-folding pass in its plainest form, two
+// Go maps per round: digram → count and digram → the rule this round folded
+// it into.
+func referenceRecompress(ss *SharedSet) {
+	counts := make(map[uint64]int, ss.SymbolCount())
+	rules := make(map[uint64]uint32)
+	for round := 0; round < recompressRounds; round++ {
+		clear(counts)
+		clear(rules)
+		scan := func(body []Symbol) {
+			for i := 0; i+1 < len(body); i++ {
+				a, b := body[i], body[i+1]
+				if a.IsSep() || b.IsSep() {
+					continue
+				}
+				counts[uint64(a)<<32|uint64(b)]++
+			}
+		}
+		for _, body := range ss.Shared {
+			scan(body)
+		}
+		for _, sh := range ss.Shards {
+			scan(sh.Root)
+		}
+		changed := false
+		apply := func(body []Symbol) []Symbol {
+			out := body[:0]
+			for i := 0; i < len(body); {
+				if i+1 < len(body) {
+					a, b := body[i], body[i+1]
+					if !a.IsSep() && !b.IsSep() {
+						key := uint64(a)<<32 | uint64(b)
+						if counts[key] >= 2 {
+							id, ok := rules[key]
+							if !ok {
+								id = uint32(len(ss.Shared))
+								ss.Shared = append(ss.Shared, []Symbol{a, b})
+								rules[key] = id
+							}
+							out = append(out, Rule(id))
+							i += 2
+							changed = true
+							continue
+						}
+					}
+				}
+				out = append(out, body[i])
+				i++
+			}
+			return out
+		}
+		bound := len(ss.Shared)
+		for ri := 0; ri < bound; ri++ {
+			ss.Shared[ri] = apply(ss.Shared[ri])
+		}
+		for si := range ss.Shards {
+			ss.Shards[si].Root = apply(ss.Shards[si].Root)
+		}
+		if !changed {
+			return
+		}
+	}
+}
+
+// cloneSet copies a set, every body into an array of its own.
+func cloneSet(ss *SharedSet) *SharedSet {
+	out := &SharedSet{NumWords: ss.NumWords, Shared: make([][]Symbol, len(ss.Shared))}
+	for i, body := range ss.Shared {
+		out.Shared[i] = slices.Clone(body)
+	}
+	for _, sh := range ss.Shards {
+		sh.Root = slices.Clone(sh.Root)
+		out.Shards = append(out.Shards, sh)
+	}
+	return out
+}
+
+// checkRecompress unifies the shards' rules as UnifyShards does, then runs
+// recompress on the result and referenceRecompress on a copy of it, and
+// fails unless the two folded forms are equal, rule numbering included.  It
+// returns how many rules the pass made.
+func checkRecompress(t testing.TB, shards []*Grammar, fps [][]Fingerprint) int {
+	t.Helper()
+	set, arena, err := unifyRules(shards, fps)
+	if err != nil {
+		t.Fatalf("unifyRules: %v", err)
+	}
+	want, before := cloneSet(set), len(set.Shared)
+	set.recompress(arena)
+	referenceRecompress(want)
+	if !reflect.DeepEqual(set, want) {
+		t.Fatalf("recompress: %d shared rules, %d symbols; reference %d, %d",
+			len(set.Shared), set.SymbolCount(), len(want.Shared), want.SymbolCount())
+	}
+	return len(set.Shared) - before
 }

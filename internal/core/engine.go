@@ -138,7 +138,7 @@ func New(g *cfg.Grammar, d *dict.Dictionary, opts Options) (*Engine, error) {
 		numWords: g.NumWords,
 		numFiles: g.NumFiles,
 	}
-	e.bodySymbols, e.mergeWork = planFeatures(g)
+	e.bodySymbols, e.mergeWork = prep.bodySymbols, prep.mergeWork
 	e.run = exec{e: e, meter: meter, ws: &workspace{}}
 	if err := e.initialize(g, prep); err != nil {
 		return fail(err)
@@ -184,18 +184,21 @@ func chargePreprocess(meter *metrics.Meter, g *cfg.Grammar, p *prepState, opts O
 
 // prepState carries the DRAM-side preprocessing that feeds initialization.
 type prepState struct {
-	order         []uint32
+	order         []uint32 // topological; every other pass walks it
 	inDeg         []uint32
 	outDeg        []uint32
 	bounds        []int64
 	expLens       []int64
+	bodySymbols   int64 // planner input (planFeatures)
+	mergeWork     int64 // planner input (planFeatures)
 	distinctWords int64
-	infos         []*analytics.SeqInfo       // cumulative summaries; nil unless bottom-up
-	locals        []map[analytics.Seq]uint64 // per rule; the root's is nil (see runs)
-	runs          [][]uint32                 // per file: its root run as stored (nil: none)
-	rootWindows   int                        // distinct windows of the root
-	seqIDs        map[analytics.Seq]uint32   // forward map; initialization only
-	seqList       []analytics.Seq
+	infos         []*analytics.SeqInfo // cumulative summaries; nil unless bottom-up
+	locals        [][]seqEntry         // per rule: its local windows, ascending ID; the root's is nil (see runs)
+	runs          [][]uint32           // per file: its root run as stored (nil: none)
+	rootWindows   int                  // distinct windows of the root
+	seqList       []analytics.Seq      // ID -> sequence
+	seqSorted     []analytics.Seq      // every sequence in CompareSeq order; initialization only
+	seqRank       []uint32             // seqSorted[i]'s ID; initialization only
 	segs          [][]cfg.Symbol
 }
 
@@ -212,16 +215,20 @@ func preprocess(g *cfg.Grammar, opts Options) (*prepState, error) {
 		return nil, err
 	}
 	p.expLens = expansionLengths(g, p.order)
+	p.bodySymbols, p.mergeWork = planFeatures(g, p.order)
 	p.segs = analytics.FileSegments(g)
-	seen := make(map[uint32]struct{})
+	seen := make([]uint64, (g.NumWords+63)/64)
 	for _, body := range g.Rules {
 		for _, s := range body {
 			if s.IsWord() {
-				seen[s.WordID()] = struct{}{}
+				w := s.WordID()
+				if seen[w/64]&(1<<(w%64)) == 0 {
+					seen[w/64] |= 1 << (w % 64)
+					p.distinctWords++
+				}
 			}
 		}
 	}
-	p.distinctWords = int64(len(seen))
 	if opts.Sequences {
 		// Head/tail edges suffice for local-window counting; the expensive
 		// cumulative count merge is only performed when the bottom-up
@@ -229,102 +236,179 @@ func preprocess(g *cfg.Grammar, opts Options) (*prepState, error) {
 		// here commits the durable table layout, so resolveStrategy must
 		// reach the same answer from the same shape — both are pure
 		// functions of (files, rules, body symbols, merge work).
-		bottomUp := strategyForGrammar(g, opts) == BottomUp
-		var edges []*analytics.SeqInfo
+		bottomUp := strategyForGrammar(g, opts, p.bodySymbols, p.mergeWork) == BottomUp
+		edges := analytics.SummarizeRules(g, p.order, bottomUp)
 		if bottomUp {
-			p.infos, err = analytics.ComputeSeqInfo(g)
-			if err != nil {
-				return nil, err
-			}
-			edges = p.infos
-		} else {
-			edges, err = analytics.ComputeEdgeInfo(g)
-			if err != nil {
-				return nil, err
-			}
+			p.infos = edges
 		}
-		// Local windows per rule: each window of the corpus belongs to
-		// exactly one rule body, so weighted locals reproduce global and
-		// per-file counts without cumulative merging at traversal time.
-		// The root's windows are stored per file instead (fileRuns).
-		p.locals = make([]map[analytics.Seq]uint64, len(g.Rules))
-		for ri := 1; ri < len(g.Rules); ri++ {
-			p.locals[ri] = analytics.BodySpanningCounts(g.Rules[ri], edges)
-		}
-		// Interning: the weighted-locals decomposition covers every
-		// sequence of the corpus, so the root's windows and the rules'
-		// locals are the complete dictionary.  Keys are interned in sorted
-		// order, the root's first, then each rule's new ones: ID assignment
-		// fixes the durable table layouts, so it must not inherit Go map
-		// iteration order or modeled device stats would vary per run.
-		p.runs, p.seqList, p.seqIDs = fileRuns(g, edges)
-		p.rootWindows = len(p.seqList)
-		var keys []analytics.Seq
-		for _, local := range p.locals[1:] {
-			keys = keys[:0]
-			for q := range local {
-				if _, ok := p.seqIDs[q]; !ok {
-					keys = append(keys, q)
-				}
-			}
-			slices.SortFunc(keys, analytics.CompareSeq)
-			for _, q := range keys {
-				p.seqIDs[q] = uint32(len(p.seqList))
-				p.seqList = append(p.seqList, q)
-			}
-		}
+		p.internSequences(g, edges)
 	}
 	return p, nil
 }
 
-// fileRuns walks the root once and returns each file's run as stored — the
-// windows its segment spans: u32 n, then n (sequence ID, count) pairs in
-// ascending ID order — with the root's share of the interning: its distinct
-// windows, sorted (the first IDs), and the forward map over them.  Sorting
-// the distinct windows assigns the IDs; two counting passes then group each
-// file's windows by ID for run-length encoding, with no per-file map.
-func fileRuns(g *cfg.Grammar, edges []*analytics.SeqInfo) (runs [][]uint32, distinct []analytics.Seq, ids map[analytics.Seq]uint32) {
-	type window struct{ n, file uint32 } // n: the window's first-seen number
-	hint := len(g.Rules[0])              // about one window starts at each root symbol
-	ids = make(map[analytics.Seq]uint32, hint)
-	distinct = make([]analytics.Seq, 0, hint)
-	walk := make([]window, 0, hint)
-	analytics.SpanningWindows(g.Rules[0], edges, func(f int, q analytics.Seq) {
-		if f >= int(g.NumFiles) {
-			return // past the last separator is no file
-		}
-		n, ok := ids[q]
-		if !ok {
-			n = uint32(len(distinct))
-			ids[q] = n
-			distinct = append(distinct, q)
-		}
-		walk = append(walk, window{n, uint32(f)})
-	})
-	slices.SortFunc(distinct, analytics.CompareSeq)
-	rank := make([]uint32, len(distinct)) // first-seen number -> ID
-	for id, q := range distinct {
-		rank[ids[q]], ids[q] = uint32(id), uint32(id)
+// window is one local window of a rule body, packed so that ordering
+// windows by (hi, lo) orders them by (sequence, slot): hi holds the
+// sequence's first two words, lo its third above the slot.  File f of the
+// root is slot f, rule r (r > 0) is slot numFiles+r-1, so slots order
+// windows by rule, and the root's by file.
+type window struct{ hi, lo uint64 }
+
+func (w window) seq() analytics.Seq {
+	return analytics.Seq{uint32(w.hi >> 32), uint32(w.hi), uint32(w.lo >> 32)}
+}
+
+func (w window) slot() uint32 { return uint32(w.lo) }
+
+// byteOf returns byte b of the window's 128-bit key, least significant first.
+func (w window) byteOf(b int) byte {
+	if b < 8 {
+		return byte(w.lo >> (8 * b))
 	}
-	walk = countingSort(walk, len(distinct), func(w window) uint32 { return rank[w.n] })
-	walk = countingSort(walk, int(g.NumFiles), func(w window) uint32 { return w.file })
-	runs = make([][]uint32, g.NumFiles)
-	flat := make([]uint32, 0, 2*len(distinct)+int(g.NumFiles))
-	for i := 0; i < len(walk); {
-		f, from := walk[i].file, len(flat)
-		flat = append(flat, 0)
-		for i < len(walk) && walk[i].file == f {
+	return byte(w.hi >> (8 * (b - 8)))
+}
+
+// sortWindows orders windows by (hi, lo): a least-significant-byte-first
+// radix sort, which skips every byte all windows share (the high bytes of
+// small word IDs and slots).  It returns the sorted slice, which is ws or a
+// buffer of the same length.
+func sortWindows(ws []window) []window {
+	var hist [16][256]int
+	for _, w := range ws {
+		for b := range hist {
+			hist[b][w.byteOf(b)]++
+		}
+	}
+	buf := make([]window, len(ws))
+	for b := range hist {
+		h := &hist[b]
+		if len(ws) == 0 || h[ws[0].byteOf(b)] == len(ws) {
+			continue
+		}
+		pos := 0
+		for v, n := range h {
+			h[v] = pos
+			pos += n
+		}
+		for _, w := range ws {
+			v := w.byteOf(b)
+			buf[h[v]] = w
+			h[v]++
+		}
+		ws, buf = buf, ws
+	}
+	return ws
+}
+
+// internSequences counts every rule's local windows and assigns every
+// sequence its ID, without a map.  Each window of the corpus belongs to
+// exactly one rule body, so weighted locals reproduce global and per-file
+// counts without cumulative merging at traversal time, and the root's
+// windows and the rules' locals are the complete dictionary.
+//
+// All windows go into one array, sorted by (sequence, slot): equal windows
+// become runs to count, and each sequence's first run names the first rule
+// whose body holds it.  IDs go in (first rule, CompareSeq) order — the
+// root's windows sorted first, then each rule's new ones sorted — a stable
+// counting sort of the distinct sequences by first rule.  ID assignment
+// fixes the durable table layouts, so it must not inherit any iteration
+// order that varies from run to run, or modeled device stats would.  Two
+// more counting sorts group the counts by slot in ascending ID order, the
+// order the runs and tables are written.
+func (p *prepState) internSequences(g *cfg.Grammar, edges []*analytics.SeqInfo) {
+	numFiles := g.NumFiles
+	ws := make([]window, 0, len(g.Rules[0])+int(p.bodySymbols))
+	var (
+		walker analytics.WindowWalker
+		rule   uint32
+	)
+	emit := func(f int, q analytics.Seq) {
+		slot := numFiles + rule - 1
+		if rule == 0 {
+			if f >= int(numFiles) {
+				return // past the last separator is no file
+			}
+			slot = uint32(f)
+		}
+		ws = append(ws, window{uint64(q[0])<<32 | uint64(q[1]), uint64(q[2])<<32 | uint64(slot)})
+	}
+	for ri, body := range g.Rules {
+		rule = uint32(ri)
+		walker.Walk(body, edges, emit)
+	}
+	ws = sortWindows(ws)
+
+	// One count per distinct window, keyed by its sequence's place in
+	// CompareSeq order and its slot.
+	type count struct{ seq, slot, n uint32 }
+	var (
+		counts []count
+		first  []uint32 // per distinct sequence: the first rule holding it
+	)
+	for i := 0; i < len(ws); {
+		head, d := ws[i], uint32(len(p.seqSorted))
+		p.seqSorted = append(p.seqSorted, head.seq())
+		if s := head.slot(); s < numFiles {
+			first = append(first, 0)
+		} else {
+			first = append(first, s-numFiles+1)
+		}
+		for i < len(ws) && ws[i].hi == head.hi && ws[i].lo>>32 == head.lo>>32 {
 			j := i + 1
-			for j < len(walk) && walk[j] == walk[i] {
+			for j < len(ws) && ws[j] == ws[i] {
 				j++
 			}
-			flat = append(flat, rank[walk[i].n], uint32(j-i))
+			counts = append(counts, count{d, ws[i].slot(), uint32(j - i)})
 			i = j
 		}
-		flat[from] = uint32(len(flat)-from-1) / 2
-		runs[f] = flat[from:len(flat):len(flat)]
 	}
-	return runs, distinct, ids
+
+	// IDs: the distinct sequences stably by first rule.
+	next := make([]uint32, len(g.Rules)+1)
+	for _, r := range first {
+		next[r+1]++
+	}
+	p.rootWindows = int(next[1])
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
+	}
+	p.seqRank = make([]uint32, len(first))
+	p.seqList = make([]analytics.Seq, len(first))
+	for d, r := range first {
+		p.seqRank[d] = next[r]
+		p.seqList[next[r]] = p.seqSorted[d]
+		next[r]++
+	}
+
+	counts = countingSort(counts, len(first), func(c count) uint32 { return p.seqRank[c.seq] })
+	counts = countingSort(counts, int(numFiles)+len(g.Rules)-1, func(c count) uint32 { return c.slot })
+	rootCounts, _ := slices.BinarySearchFunc(counts, numFiles, func(c count, slot uint32) int { return cmp.Compare(c.slot, slot) })
+	p.runs = make([][]uint32, numFiles)
+	p.locals = make([][]seqEntry, len(g.Rules))
+	flat := make([]uint32, 0, 2*rootCounts+int(numFiles))
+	arena := make([]seqEntry, 0, len(counts)-rootCounts)
+	for i := 0; i < len(counts); {
+		slot := counts[i].slot
+		j := i
+		for j < len(counts) && counts[j].slot == slot {
+			j++
+		}
+		if slot < numFiles {
+			// A run: u32 n, then n (sequence ID, count) pairs.
+			from := len(flat)
+			flat = append(flat, uint32(j-i))
+			for _, c := range counts[i:j] {
+				flat = append(flat, p.seqRank[c.seq], c.n)
+			}
+			p.runs[slot] = flat[from:len(flat):len(flat)]
+		} else {
+			from := len(arena)
+			for _, c := range counts[i:j] {
+				arena = append(arena, seqEntry{id: p.seqRank[c.seq], count: uint64(c.n)})
+			}
+			p.locals[slot-numFiles+1] = arena[from:len(arena):len(arena)]
+		}
+		i = j
+	}
 }
 
 // countingSort returns xs stably ordered by key, every key below n.
@@ -589,7 +673,10 @@ func (e *Engine) writeBodies(g *cfg.Grammar, p *prepState) error {
 		r := rand.New(rand.NewSource(0x5ca7))
 		r.Shuffle(len(layout), func(i, j int) { layout[i], layout[j] = layout[j], layout[i] })
 	}
-	var pad []byte
+	var (
+		pad []byte
+		sc  bodyScratch
+	)
 	rng := rand.New(rand.NewSource(0x9ad))
 	for _, ri := range layout {
 		if e.opts.Scatter {
@@ -603,17 +690,21 @@ func (e *Engine) writeBodies(g *cfg.Grammar, p *prepState) error {
 				}
 			}
 		}
-		if err := e.writeOneBody(g, ri); err != nil {
+		if err := e.writeOneBody(g, ri, &sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// bodyScratch is the working memory writeBodies lends writeOneBody, rule
+// after rule.
+type bodyScratch struct{ subs, words, flat []uint32 }
+
 // writeOneBody writes rule ri's body at the pool top and records it in the
 // metadata, following Algorithm 1: bucket-count subrules and words, then
 // write (id, freq) pairs — subrules first, words after — contiguously.
-func (e *Engine) writeOneBody(g *cfg.Grammar, ri uint32) error {
+func (e *Engine) writeOneBody(g *cfg.Grammar, ri uint32, sc *bodyScratch) error {
 	body := g.Rules[ri]
 	m := e.meta(ri)
 	if e.opts.NoPruning {
@@ -622,72 +713,66 @@ func (e *Engine) writeOneBody(g *cfg.Grammar, ri uint32) error {
 		if err != nil {
 			return err
 		}
-		syms := make([]uint32, len(body))
-		for i, s := range body {
-			syms[i] = uint32(s)
+		syms := sc.flat[:0]
+		for _, s := range body {
+			syms = append(syms, uint32(s))
 		}
+		sc.flat = syms
 		acc.PutUint32s(0, syms)
 		m.setBodyOff(acc.Base())
 		m.setSubCount(uint32(len(body)))
 		m.setWordCount(0)
 		return nil
 	}
-	subs, words := pruneRule(body)
+	// The bucket-counting step of Algorithm 1: the body trimmed to its
+	// distinct subrules and words with frequencies, in ascending ID order
+	// for determinism.  Separators are dropped (they carry no analytics
+	// weight; file structure is preserved by the ordered root body).
+	subs, words := sc.subs[:0], sc.words[:0]
+	for _, s := range body {
+		switch {
+		case s.IsRule():
+			subs = append(subs, s.RuleIndex())
+		case s.IsWord():
+			words = append(words, s.WordID())
+		}
+	}
+	slices.Sort(subs)
+	slices.Sort(words)
+	sc.subs, sc.words = subs, words
 	// Compact pair encoding: the common frequency-1 pair is a bare ID;
 	// bit 31 (never set in a rule index or word ID) marks "frequency
 	// follows".  A 4-byte length prefix lets the reader bulk-fetch the
 	// body in one device access.
-	flat := make([]uint32, 1, 1+(len(subs)+len(words))*2)
-	appendPairs := func(pairs []pair) {
-		for _, pr := range pairs {
-			if pr.freq == 1 {
-				flat = append(flat, pr.id)
-			} else {
-				flat = append(flat, pr.id|freqFollows, pr.freq)
+	flat := append(sc.flat[:0], 0)
+	appendPairs := func(ids []uint32) (distinct uint32) {
+		for i := 0; i < len(ids); distinct++ {
+			j := i + 1
+			for j < len(ids) && ids[j] == ids[i] {
+				j++
 			}
+			if j-i == 1 {
+				flat = append(flat, ids[i])
+			} else {
+				flat = append(flat, ids[i]|freqFollows, uint32(j-i))
+			}
+			i = j
 		}
+		return distinct
 	}
-	appendPairs(subs)
-	appendPairs(words)
+	nsubs := appendPairs(subs)
+	nwords := appendPairs(words)
 	flat[0] = uint32(len(flat) - 1)
+	sc.flat = flat
 	acc, err := e.pool.Alloc(int64(len(flat))*4, 4)
 	if err != nil {
 		return err
 	}
 	acc.PutUint32s(0, flat)
 	m.setBodyOff(acc.Base())
-	m.setSubCount(uint32(len(subs)))
-	m.setWordCount(uint32(len(words)))
+	m.setSubCount(nsubs)
+	m.setWordCount(nwords)
 	return nil
-}
-
-// pruneRule is the bucket-counting step of Algorithm 1: it trims a body to
-// its distinct subrules and words with frequencies, in ascending ID order
-// for determinism.  Separators are dropped (they carry no analytics weight;
-// file structure is preserved by the ordered root body).
-func pruneRule(body []cfg.Symbol) (subs, words []pair) {
-	subBuckets := make(map[uint32]uint32)
-	wordBuckets := make(map[uint32]uint32)
-	for _, s := range body {
-		switch {
-		case s.IsRule():
-			subBuckets[s.RuleIndex()]++
-		case s.IsWord():
-			wordBuckets[s.WordID()]++
-		}
-	}
-	subs = bucketPairs(subBuckets)
-	words = bucketPairs(wordBuckets)
-	return subs, words
-}
-
-func bucketPairs(buckets map[uint32]uint32) []pair {
-	out := make([]pair, 0, len(buckets))
-	for id, f := range buckets {
-		out = append(out, pair{id: id, freq: f})
-	}
-	slices.SortFunc(out, func(a, b pair) int { return cmp.Compare(a.id, b.id) })
-	return out
 }
 
 // initSequences writes the sequence dictionary, the per-rule n-gram tables
@@ -712,7 +797,7 @@ func (e *Engine) initSequences(p *prepState) error {
 	dictAcc.PutUint32s(8, flat)
 	pool.SetRoot(rootSeqDict, dictAcc.Base())
 
-	// The root's windows, one run per file (fileRuns), behind a u64 offset
+	// The root's windows, one run per file (internSequences), behind a u64 offset
 	// per file (0: the file spans no window).
 	runsAcc, err := pool.AllocZeroed(int64(len(p.runs))*8, 8)
 	if err != nil {
@@ -744,7 +829,11 @@ func (e *Engine) initSequences(p *prepState) error {
 		if err != nil {
 			return err
 		}
-		for _, kv := range p.sortedSeqEntries(info.Counts) {
+		entries, err := p.sortedSeqEntries(info.Counts)
+		if err != nil {
+			return err
+		}
+		for _, kv := range entries {
 			if _, err := tbl.Add(uint64(kv.id), kv.count); err != nil {
 				return err
 			}
@@ -768,7 +857,7 @@ func (e *Engine) initSequences(p *prepState) error {
 		if err != nil {
 			return err
 		}
-		for _, kv := range p.sortedSeqEntries(local) {
+		for _, kv := range local {
 			if _, err := tbl.Add(uint64(kv.id), kv.count); err != nil {
 				return err
 			}
@@ -785,17 +874,22 @@ type seqEntry struct {
 }
 
 // sortedSeqEntries converts a DRAM count map to (ID, count) pairs in
-// ascending ID order.  Pool tables must be populated in a deterministic
-// order: insertion order fixes each key's probe chain in the durable layout,
-// and with it the read charges of every later lookup, so iterating the Go
-// map directly would make modeled device stats vary from run to run.
-func (p *prepState) sortedSeqEntries(counts map[analytics.Seq]uint64) []seqEntry {
+// ascending ID order, reading each ID from the interning sort.  Pool tables
+// must be populated in a deterministic order: insertion order fixes each
+// key's probe chain in the durable layout, and with it the read charges of
+// every later lookup, so iterating the Go map directly would make modeled
+// device stats vary from run to run.
+func (p *prepState) sortedSeqEntries(counts map[analytics.Seq]uint64) ([]seqEntry, error) {
 	out := make([]seqEntry, 0, len(counts))
 	for q, c := range counts {
-		out = append(out, seqEntry{id: p.seqIDs[q], count: c})
+		d, ok := slices.BinarySearchFunc(p.seqSorted, q, analytics.CompareSeq)
+		if !ok {
+			return nil, errEngine("init", fmt.Errorf("sequence %v was never interned", q))
+		}
+		out = append(out, seqEntry{id: p.seqRank[d], count: c})
 	}
 	slices.SortFunc(out, func(a, b seqEntry) int { return cmp.Compare(a.id, b.id) })
-	return out
+	return out, nil
 }
 
 // counterTable is the engine-side counter surface (see pstruct.Counter).

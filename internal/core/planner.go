@@ -53,25 +53,16 @@ func chooseStrategy(numFiles, numRules uint32, bodySymbols, mergeWork int64) Str
 // materialized distinct-word list, which is what perFileBottomUp merges
 // entry by entry.  List sizes are estimated as expansion word counts capped
 // at the vocabulary (the same cap the engine's bounded tables apply).
-func planFeatures(g *cfg.Grammar) (bodySymbols, mergeWork int64) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		// Cyclic grammars are rejected by Validate elsewhere; a flat guess
-		// keeps this function total.
-		for _, b := range g.Rules {
-			bodySymbols += int64(len(b))
-		}
-		return bodySymbols, bodySymbols
-	}
+func planFeatures(g *cfg.Grammar, order []uint32) (bodySymbols, mergeWork int64) {
 	listLen := make([]int64, len(g.Rules))
 	vocab := int64(g.NumWords)
-	seen := make(map[uint32]struct{})
+	// seenBy[c] == r+1: rule r's body already referenced rule c.
+	seenBy := make([]uint32, len(g.Rules))
 	for i := len(order) - 1; i >= 0; i-- {
 		r := order[i]
 		body := g.Rules[r]
 		bodySymbols += int64(len(body))
 		var d int64
-		clear(seen)
 		for _, s := range body {
 			switch {
 			case s.IsWord():
@@ -84,10 +75,10 @@ func planFeatures(g *cfg.Grammar) (bodySymbols, mergeWork int64) {
 					mergeWork += listLen[s.RuleIndex()]
 					continue
 				}
-				if _, ok := seen[s.RuleIndex()]; ok {
+				if seenBy[s.RuleIndex()] == r+1 {
 					continue
 				}
-				seen[s.RuleIndex()] = struct{}{}
+				seenBy[s.RuleIndex()] = r + 1
 				d += listLen[s.RuleIndex()]
 				mergeWork += listLen[s.RuleIndex()]
 			}
@@ -100,14 +91,13 @@ func planFeatures(g *cfg.Grammar) (bodySymbols, mergeWork int64) {
 	return bodySymbols, mergeWork
 }
 
-// strategyForGrammar resolves the traversal direction for a grammar before
-// an engine exists — preprocessing uses it to commit the matching
-// sequence-table layout (cumulative tables for bottom-up, edge-only for
-// top-down).
-func strategyForGrammar(g *cfg.Grammar, opts Options) Strategy {
+// strategyForGrammar resolves the traversal direction for a grammar with
+// planFeatures' shape before an engine exists — preprocessing uses it to
+// commit the matching sequence-table layout (cumulative tables for
+// bottom-up, edge-only for top-down).
+func strategyForGrammar(g *cfg.Grammar, opts Options, bodySymbols, mergeWork int64) Strategy {
 	if opts.Strategy != Auto {
 		return opts.Strategy
 	}
-	s, m := planFeatures(g)
-	return chooseStrategy(g.NumFiles, uint32(len(g.Rules)), s, m)
+	return chooseStrategy(g.NumFiles, uint32(len(g.Rules)), bodySymbols, mergeWork)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
+	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/datagen"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
@@ -35,6 +36,13 @@ func storedRun(t *testing.T, e *Engine, doc int) map[uint32]uint64 {
 		}
 		out[flat[i]] = uint64(flat[i+1])
 	}
+	return out
+}
+
+// bodySpanningCounts counts a body's local windows (analytics.SpanningWindows).
+func bodySpanningCounts(body []cfg.Symbol, infos []*analytics.SeqInfo) map[analytics.Seq]uint64 {
+	out := make(map[analytics.Seq]uint64)
+	analytics.SpanningWindows(body, infos, func(_ int, q analytics.Seq) { out[q]++ })
 	return out
 }
 
@@ -108,21 +116,22 @@ func TestRootRunsAreTheRootWindows(t *testing.T) {
 						t.Cleanup(func() { se.Close() })
 						for i, g := range gs {
 							e := se.Shard(i)
-							edges, err := analytics.ComputeEdgeInfo(g)
+							order, err := g.TopoOrder()
 							if err != nil {
-								t.Fatalf("ComputeEdgeInfo: %v", err)
+								t.Fatal(err)
 							}
+							edges := analytics.SummarizeRules(g, order, false)
 							sum := map[uint32]uint64{}
 							for doc, seg := range analytics.FileSegments(g) {
 								run := storedRun(t, e, doc)
-								if w := interned(t, e, analytics.BodySpanningCounts(seg, edges)); !maps.Equal(run, w) {
+								if w := interned(t, e, bodySpanningCounts(seg, edges)); !maps.Equal(run, w) {
 									t.Errorf("shard %d file %d: run holds %d windows, the segment spans %d", i, doc, len(run), len(w))
 								}
 								for id, c := range run {
 									sum[id] += c
 								}
 							}
-							if w := interned(t, e, analytics.BodySpanningCounts(g.Rules[0], edges)); !maps.Equal(sum, w) {
+							if w := interned(t, e, bodySpanningCounts(g.Rules[0], edges)); !maps.Equal(sum, w) {
 								t.Errorf("shard %d: runs sum to %d windows, the root spans %d", i, len(sum), len(w))
 							}
 						}

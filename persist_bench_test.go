@@ -1,6 +1,7 @@
 package ntadoc
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -73,19 +74,34 @@ func datasetCArchive(b *testing.B) *Archive {
 }
 
 // BenchmarkNewEngine is the initialization slice of `make microbench`: one
-// engine built over dataset C per iteration, under both persistence
-// strategies — the work behind the benchmark's setup_s, and behind the delta
-// engine every append builds.  ns/op and allocs/op are host figures; the
-// modeled initialization time is reported beside them and repeats exactly.
+// engine built per iteration over dataset C under both persistence
+// strategies, and over the `cold-miss` archive (dataset D cut to 32
+// documents, K=2) with the daemon's options, read once as the daemon reads
+// it — the work behind the benchmark's setup_s, and behind the delta engine
+// every append builds.  ns/op and allocs/op are host figures; the modeled
+// initialization time is reported beside them and repeats exactly.
 func BenchmarkNewEngine(b *testing.B) {
-	a := datasetCArchive(b)
-	for _, p := range persistLevels {
-		b.Run(p.name, func(b *testing.B) {
+	c := datasetCArchive(b)
+	coldMiss, err := ReadArchive(bytes.NewReader(coldMissArchive(b)))
+	if err != nil {
+		b.Fatalf("read: %v", err)
+	}
+	rows := []struct {
+		name string
+		a    *Archive
+		opts Options
+	}{
+		{persistLevels[0].name, c, Options{Persistence: persistLevels[0].p}},
+		{persistLevels[1].name, c, Options{Persistence: persistLevels[1].p}},
+		{"cold-miss", coldMiss, Options{}},
+	}
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
 			var modeled time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := NewEngine(a, Options{Persistence: p.p})
+				eng, err := NewEngine(r.a, r.opts)
 				if err != nil {
 					b.Fatalf("engine: %v", err)
 				}
