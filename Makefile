@@ -3,7 +3,7 @@ GO ?= go
 # Seconds of coverage-guided fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 20s
 
-.PHONY: all build cross vet staticcheck lint test race bench-smoke microbench bench-test crashcheck failovercheck ingestcheck figcheck fuzz-smoke e2e loc check
+.PHONY: all build cross vet staticcheck lint test race bench-smoke microbench bench-test crashcheck ingestcheck figcheck fuzz-smoke e2e loc check
 
 all: check
 
@@ -49,14 +49,14 @@ test:
 # loop at once, one cut held pinned and one session left idle across swaps
 # (a tail discarded under a pin is a fault, not a wrong answer), and Close
 # with a cut still pinned.  Every multi-shard scatter runs its shards on
-# overlapping lanes, failover included, so the sharded sessions, failover and
-# gather tests get the same rounds.  An append that leaves a delta past the
-# thresholds hands the compaction to the worker goroutine through a one-slot
-# channel, so the worker's test gets them too: a wake-up lost or taken twice
-# is a compaction that never runs or one that races the next append.
+# overlapping lanes, so the sharded sessions and gather tests get the same
+# rounds.  An append that leaves a delta past the thresholds hands the
+# compaction to the worker goroutine through a one-slot channel, so the
+# worker's test gets them too: a wake-up lost or taken twice is a compaction
+# that never runs or one that races the next append.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCompactorWorker|TestCloseUnderPinnedCut|TestShardedSessions|TestFailoverBitIdentical|TestGatherCriticalPath' ./internal/core
+	$(GO) test -race -count=10 -run 'TestTwoSessionsOneEngine|TestConcurrentSessions|TestResultsSurviveNextRun|TestCompactConcurrentQueries|TestCompactorWorker|TestCloseUnderPinnedCut|TestShardedSessions|TestGatherCriticalPath' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCloseOrdersSessionsBeforeEngineClose' ./internal/server
 
 # One iteration of every benchmark, as a compile-and-run smoke test.
@@ -141,16 +141,6 @@ crashcheck:
 	$(GO) run ./cmd/crashcheck -task invertedindex -strategy bottom-up -persistence both -oplogcap 128 $(CRASHCORPUS)
 	$(GO) run ./cmd/crashcheck -task wordcount+invertedindex -persistence both -oplogcap 128 $(CRASHCORPUS)
 
-# Sampled replication/failover matrix on a 3-way replicated engine: per
-# sampled (shard, event) point the primary dies mid-workload (failover must
-# mask it bit-identically, twice), and the follower is torn and its frozen
-# image recovered under seeded crash subsets.  The sampled version runs
-# inside `make test` via internal/crashcheck; seeds are pinned to reproduce.
-failovercheck:
-	$(GO) run ./cmd/crashcheck -failover -shards 3 -task wordcount \
-		-persistence both -points 6 -seeds 3 -seed 42 -files 6 -tokens 120 \
-		-vocab 40 -corpus-seed 7
-
 # Exhaustive online-ingestion crash exploration: every flush/drain event of
 # the live append stream (with a mid-stream compaction) under both
 # persistence strategies.  Recovery must land on a batch boundary, keep
@@ -203,4 +193,4 @@ loc:
 		printf '%7d %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%7d total\n' $$total
 
-check: build cross vet staticcheck lint test race bench-smoke crashcheck failovercheck ingestcheck figcheck fuzz-smoke e2e
+check: build cross vet staticcheck lint test race bench-smoke crashcheck ingestcheck figcheck fuzz-smoke e2e

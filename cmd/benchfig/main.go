@@ -14,7 +14,6 @@
 //	benchfig -fig prune     §IV-B: grammar redundancy eliminated by pruning
 //	benchfig -fig fused     fused multi-op batch vs sequential single-op runs
 //	benchfig -fig shards    sharded engine: parallel build + scatter-gather batch vs K=1
-//	benchfig -fig failover  replicated shards: failover overhead + replica-read tails
 //	benchfig -fig all       everything above
 //
 // -scale shrinks the corpora for quick runs (default 1.0 = the scaled-down
@@ -86,9 +85,8 @@ func main() {
 		"endurance": figEndurance,
 		"fused":     figFused,
 		"shards":    figShards,
-		"failover":  figFailover,
 	}
-	order := []string{"datasets", "prune", "5a", "5b", "6", "7", "dram", "table2", "phases", "traversal", "cross", "endurance", "fused", "shards", "failover"}
+	order := []string{"datasets", "prune", "5a", "5b", "6", "7", "dram", "table2", "phases", "traversal", "cross", "endurance", "fused", "shards"}
 
 	for rep := 0; rep < *benchrepeat; rep++ {
 		if *fig == "all" {
@@ -685,46 +683,6 @@ func figShards(specs []datagen.Spec) error {
 				ratio(base.BuildTotal, cell.BuildTotal), ratio(base.TravTotal, cell.TravTotal),
 				cell.Symbols, cell.DedupSymbols, cell.SharedRules,
 				(float64(cell.DedupSymbols)/float64(base.DedupSymbols)-1)*100)
-		}
-	}
-	return w.Flush()
-}
-
-// figFailover quantifies the replication layer: the fused six-task batch on
-// a replicated K-shard engine run healthy and run with one primary killed
-// mid-batch and masked by follower failover.  Each cell internally verifies
-// both runs return bit-identical results.
-func figFailover(specs []datagen.Spec) error {
-	header("Failover: replicated shards, masked primary death")
-	var sel []datagen.Spec
-	for _, spec := range specs {
-		if spec.Name == "C" || spec.Name == "D" {
-			sel = append(sel, spec)
-		}
-	}
-	ks := []int{2, 4}
-	ops := analytics.Ops()
-	cells := make([]harness.FailoverCell, len(sel)*len(ks))
-	err := harness.ForEachCell(len(cells), func(i int) error {
-		spec, k := sel[i/len(ks)], ks[i%len(ks)]
-		c, err := harness.GetCorpus(spec)
-		if err != nil {
-			return err
-		}
-		cells[i], err = harness.RunFailoverBench(c, ops, k, core.Options{})
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	w := newTab()
-	fmt.Fprintln(w, "dataset\tshards\thealthy\tfailover\toverhead\trecoveries")
-	for si, spec := range sel {
-		for ki := range ks {
-			cell := cells[si*len(ks)+ki]
-			fmt.Fprintf(w, "%s\t%d\t%.2f ms\t%.2f ms\t%.2fx\t%d\n",
-				spec.Name, cell.K, ms(cell.Healthy), ms(cell.Failover),
-				ratio(cell.Failover, cell.Healthy), cell.Recoveries)
 		}
 	}
 	return w.Flush()

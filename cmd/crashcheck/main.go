@@ -4,15 +4,14 @@
 // outcome under each injected torn-write subset.  Exit status 1 when any
 // invariant violation is found, 2 on a usage or setup error.
 //
-// Usage — one driver, crashcheck.Run; -shards sets its K, and -failover or
-// -ingest its scenario (Crash otherwise):
+// Usage — one driver, crashcheck.Run; -shards sets its K, and -ingest its
+// scenario (Crash otherwise):
 //
 //	crashcheck -task wordcount -persistence both -points 0 -seeds 3 -seed 42
 //	crashcheck -task seqcount -oplogcap 192 -points 0
 //	crashcheck -task invertedindex -strategy bottom-up -oplogcap 512 -points 0
 //	crashcheck -task wordcount+invertedindex -oplogcap 128 -points 0
 //	crashcheck -task wordcount -shards 3 -points 8
-//	crashcheck -failover -shards 3 -points 6     # K >= 2
 //	crashcheck -ingest -points 0                 # one shard only
 package main
 
@@ -41,7 +40,6 @@ func main() {
 		vocab       = flag.Int("vocab", 40, "corpus vocabulary size")
 		corpusSeed  = flag.Int64("corpus-seed", 7, "corpus generator seed")
 		shards      = flag.Int("shards", 1, "explore a k-way sharded engine instead (k >= 2)")
-		failover    = flag.Bool("failover", false, "explore the replication/failover matrix (needs -shards >= 2)")
 		ingest      = flag.Bool("ingest", false, "explore online ingestion: crash during live appends and compaction")
 		verbose     = flag.Bool("v", false, "print per-point progress while exploring")
 	)
@@ -54,11 +52,6 @@ func main() {
 		os.Exit(2)
 	case *ingest:
 		scenario = crashcheck.Ingest
-	case *failover && *shards < 2:
-		fmt.Fprintln(os.Stderr, "crashcheck: -failover needs -shards >= 2")
-		os.Exit(2)
-	case *failover:
-		scenario = crashcheck.Failover
 	}
 
 	var modes []core.Persistence
@@ -85,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crashcheck: unknown -strategy %q (want auto, top-down, or bottom-up)\n", *strategy)
 		os.Exit(2)
 	}
-	if strings.Contains(*task, "invertedindex") && (*ingest || *failover || *shards > 1) {
+	if strings.Contains(*task, "invertedindex") && (*ingest || *shards > 1) {
 		fmt.Fprintf(os.Stderr, "crashcheck: -task %s explores the unsharded engine only\n", *task)
 		os.Exit(2)
 	}

@@ -52,11 +52,6 @@ type Options struct {
 	// construction substantially cheaper; SequenceCount and
 	// RankedInvertedIndex then return an error.
 	NoSequences bool
-	// Replicas keeps this many follower devices per shard (N-TADOC media
-	// only): each shard ships every committed durable delta to its
-	// followers, and a query falls over to a follower — transparently, with
-	// bit-identical results — when the shard's primary device fails.
-	Replicas int
 	// IngestCapacity reserves this many bytes of durable append-log space per
 	// shard (N-TADOC media only): the engine then accepts live Append calls,
 	// serving them from per-shard delta grammars without recompressing the
@@ -152,9 +147,6 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 		// Tie every shard pool to this build: recovery rejects a device set
 		// mixing shards of different shared-rule containers.
 		BuildTag: e.buildTag,
-	}
-	if opts.Replicas > 0 {
-		copts.Replication = core.Replication{Followers: opts.Replicas}
 	}
 	sh, err := core.NewSharded(a.shards, a.d, copts)
 	if err != nil {

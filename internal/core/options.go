@@ -102,8 +102,8 @@ type Options struct {
 	Device *nvm.SimDevice
 	// shardIndex and shardCount stamp the engine's pool with its position in
 	// a shard set (both zero for a bare engine built outside one, as the
-	// figure harness does).  NewSharded and the failover rebuild set them;
-	// reopenShard refuses a pool stamped for another position or set size.
+	// figure harness does).  NewSharded sets them; reopenShard refuses a pool
+	// stamped for another position or set size.
 	shardIndex uint32
 	shardCount uint32
 	// BuildTag is a content fingerprint of the compressed input stamped
@@ -120,10 +120,6 @@ type Options struct {
 	// when construction fails the devices stay with the caller, so a crash
 	// harness can still clone their durable state.
 	ShardDevices []*nvm.SimDevice
-	// Replication configures per-shard follower replication and failover
-	// (read by NewSharded and ReopenSharded, at any shard count; see the
-	// Replication type).  Zero value disables replication.
-	Replication Replication
 	// Persistence selects the §IV-E strategy (default PhaseLevel).
 	Persistence Persistence
 	// Strategy selects the traversal direction (default Auto).

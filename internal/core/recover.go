@@ -65,9 +65,9 @@ func Reopen(dev *nvm.SimDevice, d *dict.Dictionary, opts Options) (*Engine, *Rec
 		return v
 	}
 	// The header CRC seals the root slots, but a pool image is input from
-	// outside the program (a pool file, a follower's image): validate every
-	// region they describe, and every root run, below the initialization
-	// watermark, so a bad slot or length word is ErrNeedsReload, not a panic.
+	// outside the program (a pool file): validate every region they
+	// describe, and every root run, below the initialization watermark, so a
+	// bad slot or length word is ErrNeedsReload, not a panic.
 	e.initTop = get(rootInitTop)
 	limit := min(e.initTop, pool.Size())
 	region := func(off, n int64, what string) (nvm.Accessor, error) {

@@ -29,12 +29,6 @@ import (
 // (global ops combine counters key-wise; per-file ops place each shard's
 // documents at their global positions, by the shard base or a document map).
 //
-// With Options.Replication, each shard additionally ships its drained
-// commit stream to follower devices, and the scatter-gather path fails over
-// when a primary dies mid-batch: the lane promotes a follower, recovers it
-// under the unsharded recovery contract, re-dispatches the shard's ops, and
-// the merged result stays bit-identical to the healthy run.
-//
 // Modeled time follows the parallel execution: a phase's Total is the
 // critical path (the slowest shard) plus the gather's (its slowest key-range
 // part plus the coordinator's serial dispatch and stitch, or the whole merge
@@ -46,25 +40,8 @@ type ShardedEngine struct {
 	nfiles uint32
 	d      *dict.Dictionary
 
-	// Failover state: the retained shard grammars (reload-path rebuilds;
-	// nil after ReopenSharded, which has no grammars), the sanitized base
-	// options recovery reuses, and one replicator per replicated shard.
-	gs   []*cfg.Grammar
-	opts Options
-	reps []*replicator // guarded by failMu
-
 	meter    metrics.Meter // coordinator-side merge CPU
 	initSpan metrics.Span
-
-	// failMu serializes failovers and guards the recovery bookkeeping; the
-	// shards slice itself needs no lock — element i is only touched by the
-	// lane that owns shard i, and the coordinator joins all lanes before
-	// reading it.
-	failMu        sync.Mutex
-	failovers     int            // guarded by failMu
-	failoverSpans []metrics.Span // guarded by failMu
-	retiredEng    []*Engine      // guarded by failMu
-	retiredReps   []*replicator  // guarded by failMu
 
 	mu         sync.Mutex
 	lastTrav   metrics.Span // guarded by mu
@@ -90,10 +67,11 @@ type ShardedEngine struct {
 // match the positions they were assembled in.
 var ErrShardMismatch = errors.New("core: pool shard stamp does not match its position")
 
-// ErrShardFailed reports which shard of a scatter-gather failed and why:
-// the Cause chain reaches the underlying device error (nvm.ErrFailPoint for
-// an injected failure), and for an exhausted failover it also carries the
-// recovery error.  Callers unwrap it with errors.As to learn the shard.
+// ErrShardFailed reports which shard of a scatter-gather or a sharded reopen
+// failed and why: the Cause chain reaches the underlying error
+// (nvm.ErrFailPoint for an injected device failure, ErrNeedsReload for a
+// shard image that must be rebuilt).  Callers unwrap it with errors.As to
+// learn the shard.
 type ErrShardFailed struct {
 	Shard int
 	Cause error
@@ -107,41 +85,12 @@ func (e *ErrShardFailed) Error() string {
 // Unwrap exposes the cause chain to errors.Is/As.
 func (e *ErrShardFailed) Unwrap() error { return e.Cause }
 
-// wrapShard types an error with its shard index, once.
-func wrapShard(shard int, err error) error {
-	var sf *ErrShardFailed
-	if errors.As(err, &sf) {
-		return err
-	}
-	return &ErrShardFailed{Shard: shard, Cause: err}
-}
-
-// IsDeviceFailure reports whether err is the kind of failure failover can
-// mask: the shard's device died (injected fail point or closed device), as
-// opposed to a semantic error every replica would reproduce.
-func IsDeviceFailure(err error) bool {
-	return errors.Is(err, nvm.ErrFailPoint) || errors.Is(err, nvm.ErrClosed)
-}
-
-// sanitizeOpts strips the per-construction fields from opts, leaving the
-// base configuration failover recovery reuses for Reopen/New on a promoted
-// follower.
-func sanitizeOpts(opts Options) Options {
-	opts.Device = nil
-	opts.ShardDevices = nil
-	opts.Replication = Replication{}
-	opts.Path = ""
-	return opts
-}
-
 // NewSharded builds one engine per shard grammar concurrently and returns
 // the coordinator.  Shard grammars come from cfg.SharedSet.Materialize; all
 // shards share one dictionary.  Per-shard devices are created
 // automatically, or injected via opts.ShardDevices; a file-backed opts.Path
 // becomes one file per shard (path + ".shardN"), except that a one-shard
-// set keeps the path itself as its pool file.  With opts.Replication, each
-// shard's followers are seeded with a snapshot of the freshly built pool
-// and then track it commit by commit.
+// set keeps the path itself as its pool file.
 func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEngine, error) {
 	if len(gs) == 0 {
 		return nil, errEngine("new sharded", errors.New("no shard grammars"))
@@ -150,16 +99,10 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 		return nil, errEngine("new sharded", fmt.Errorf("%d devices for %d shards",
 			len(opts.ShardDevices), len(gs)))
 	}
-	if opts.Replication.FollowerDevices != nil && len(opts.Replication.FollowerDevices) != len(gs) {
-		return nil, errEngine("new sharded", fmt.Errorf("%d follower slices for %d shards",
-			len(opts.Replication.FollowerDevices), len(gs)))
-	}
 	se := &ShardedEngine{
 		shards: make([]*Engine, len(gs)),
 		bases:  make([]uint32, len(gs)),
 		d:      d,
-		gs:     append([]*cfg.Grammar(nil), gs...),
-		opts:   sanitizeOpts(opts),
 		due:    make(chan struct{}, 1),
 	}
 	for i, g := range gs {
@@ -202,53 +145,12 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 			return nil, errEngine("new sharded", fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
-	if err := se.attachReplication(opts.Replication); err != nil {
-		if opts.ShardDevices == nil {
-			for _, sh := range se.shards {
-				sh.Close()
-			}
-		}
-		return nil, errEngine("new sharded", err)
-	}
 	spans := make([]metrics.Span, len(se.shards))
 	for i, sh := range se.shards {
 		spans[i] = sh.InitSpan()
 	}
 	se.initSpan = metrics.MergeParallel(spans...)
 	return se, nil
-}
-
-// attachReplication seeds each shard's followers with a snapshot of its
-// primary's durable image (the shipped commit stream extends it from there)
-// and hooks the replicators into the primaries' drain paths.
-func (se *ShardedEngine) attachReplication(repl Replication) error {
-	if !repl.enabled() {
-		return nil
-	}
-	//ntalint:ignore guardcheck construction phase: attachReplication runs inside NewSharded before the engine is shared.
-	se.reps = make([]*replicator, len(se.shards))
-	for i, sh := range se.shards {
-		var fdevs []*nvm.SimDevice
-		if repl.FollowerDevices != nil {
-			fdevs = repl.FollowerDevices[i]
-		} else {
-			dev := sh.Device()
-			for f := 0; f < repl.Followers; f++ {
-				fdevs = append(fdevs, nvm.NewWithModel(dev.Kind(), dev.Size(), dev.Model()))
-			}
-		}
-		if len(fdevs) == 0 {
-			continue
-		}
-		r := newReplicator(sh.Device(), fdevs)
-		if err := r.bootstrap(); err != nil {
-			return err
-		}
-		sh.Device().SetShipper(r)
-		//ntalint:ignore guardcheck construction phase: attachReplication runs inside NewSharded before the engine is shared.
-		se.reps[i] = r
-	}
-	return nil
 }
 
 // ReopenSharded recovers a sharded engine from its per-shard devices after
@@ -261,22 +163,16 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 // (ErrNeedsReload in its chain when the image's initialization never
 // completed — the caller rebuilds the shard from the compressed input); the
 // per-shard infos of the shards reopened so far are returned alongside the
-// error.  A reopen takes no followers and refuses opts.Replication:
-// followers are in-memory devices, so none outlives the process a restart
-// reopens after.  A successful reopen owns every device it was given, and a
-// failed one none of them.
+// error.  A successful reopen owns every device it was given, and a failed
+// one none of them.
 func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*ShardedEngine, []*RecoveryInfo, error) {
 	if len(devs) == 0 {
 		return nil, nil, errEngine("reopen sharded", errors.New("no shard devices"))
-	}
-	if opts.Replication.enabled() {
-		return nil, nil, errEngine("reopen sharded", errors.New("a reopen takes no followers"))
 	}
 	se := &ShardedEngine{
 		shards: make([]*Engine, len(devs)),
 		bases:  make([]uint32, len(devs)),
 		d:      d,
-		opts:   sanitizeOpts(opts),
 		due:    make(chan struct{}, 1),
 	}
 	// A failed reopen leaves every device with the caller, so the shards
@@ -291,9 +187,9 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 	}
 	infos := make([]*RecoveryInfo, 0, len(devs))
 	for i, dev := range devs {
-		e, info, err := se.reopenShard(i, dev)
+		e, info, err := se.reopenShard(i, dev, opts)
 		if err != nil {
-			return fail(infos, wrapShard(i, err))
+			return fail(infos, &ErrShardFailed{Shard: i, Cause: err})
 		}
 		se.shards[i] = e
 		se.bases[i] = se.nfiles
@@ -306,17 +202,14 @@ func ReopenSharded(devs []*nvm.SimDevice, d *dict.Dictionary, opts Options) (*Sh
 	return se, infos, nil
 }
 
-// reopenShard reopens dev as shard i of the set: the one reopen contract for
-// a shard image, for both of its callers — ReopenSharded's restart of a
-// primary, and failoverShard's promoted follower.  The image must pass the
-// unsharded recovery contract, and its pool stamps must name
-// position i of this set and carry the set's build tag, se.opts.BuildTag —
-// positional stamps alone cannot tell shard 1-of-4 of one unified build from
-// shard 1-of-4 of another.  A mismatch abandons the reopened engine and
-// reports ErrShardMismatch; dev stays the caller's either way, and the
-// caller decides what becomes of it.
-func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *RecoveryInfo, error) {
-	e, info, err := Reopen(dev, se.d, se.opts)
+// reopenShard reopens dev as shard i of the set.  The image must pass the
+// unsharded recovery contract, and its pool stamps must name position i of
+// this set and carry the set's build tag, opts.BuildTag — positional stamps
+// alone cannot tell shard 1-of-4 of one unified build from shard 1-of-4 of
+// another.  A mismatch abandons the reopened engine and reports
+// ErrShardMismatch; dev stays the caller's either way.
+func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice, opts Options) (*Engine, *RecoveryInfo, error) {
+	e, info, err := Reopen(dev, se.d, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,8 +218,8 @@ func (se *ShardedEngine) reopenShard(i int, dev *nvm.SimDevice) (*Engine, *Recov
 	tag, _ := e.pool.Root(rootBuildTag)
 	if stamp != int64(i)|int64(len(se.shards))<<32 {
 		err = fmt.Errorf("%w: pool stamped %d of %d", ErrShardMismatch, uint32(stamp), stamp>>32)
-	} else if tag != int64(se.opts.BuildTag) {
-		err = fmt.Errorf("%w: pool build tag %08x, want %08x", ErrShardMismatch, tag, se.opts.BuildTag)
+	} else if tag != int64(opts.BuildTag) {
+		err = fmt.Errorf("%w: pool build tag %08x, want %08x", ErrShardMismatch, tag, opts.BuildTag)
 	}
 	if err != nil {
 		e.abandon()
@@ -372,27 +265,22 @@ type ingestPins struct {
 	nfiles int // global document count at pin time
 }
 
-// pinIngest pins every shard's serving cut for one scatter-gather.  The
-// caller must release the pins.
+// pinIngest pins every shard's serving cut for one scatter-gather; a static
+// shard's names the shard engine and holds nothing.  A compaction may
+// publish a new cut meanwhile, and the pin sees the one before it or the one
+// after, whole.  The caller must release the pins.
 func (se *ShardedEngine) pinIngest() *ingestPins {
 	se.ingestMu.Lock()
 	defer se.ingestMu.Unlock()
 	p := &ingestPins{pins: make([]servingCut, len(se.shards)), nfiles: int(se.nfiles + se.appended)}
-	for i := range se.shards {
-		p.pins[i] = se.pinShard(i)
+	for i, sh := range se.shards {
+		if sh.ingest == nil {
+			p.pins[i] = servingCut{tail: sh}
+		} else {
+			p.pins[i] = *sh.ingest.pin()
+		}
 	}
 	return p
-}
-
-// pinShard pins shard i's current serving cut; a static shard's names the
-// shard engine and holds nothing.  A compaction may publish a new cut
-// meanwhile, and the pin sees the one before it or the one after, whole.
-func (se *ShardedEngine) pinShard(i int) servingCut {
-	sh := se.shards[i]
-	if sh.ingest == nil {
-		return servingCut{tail: sh}
-	}
-	return *sh.ingest.pin()
 }
 
 // release gives back every pinned cut.
@@ -542,10 +430,7 @@ const laneDispatchCost = metrics.CostTxOverhead
 // scatterGather runs the whole batch on every shard, one lane per shard,
 // then merges the per-shard results in one key-range part per shard lane
 // (see gather): serial work on meter's account, the parts' on their lanes'
-// own.  When shard i fails and a failover hook is given, its lane retires
-// the failed shard through the hook and re-dispatches the batch against the
-// recovered engine; errors that survive failover (or occur without one)
-// surface as ErrShardFailed.
+// own.  A lane's error surfaces as ErrShardFailed naming its shard.
 //
 // The scatter opens by pinning every shard's serving cut, so the whole batch
 // observes one consistent corpus cut even while appends and compactions
@@ -557,7 +442,6 @@ const laneDispatchCost = metrics.CostTxOverhead
 // shard's result is the result.
 func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 	run func(i int, e *Engine, delta bool) ([]any, metrics.Span, error),
-	failover func(i int, cause error) error,
 	meter *metrics.Meter) ([]any, scattered, error) {
 	pins := se.pinIngest()
 	defer pins.release()
@@ -572,24 +456,6 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 			defer wg.Done()
 			pin := &pins.pins[i]
 			out, span, err := run(i, pin.tail, false)
-			for err != nil && failover != nil && IsDeviceFailure(err) {
-				// Retire the lane's failed shard and re-dispatch its ops
-				// against the recovered follower.  The loop continues as
-				// long as promotion succeeds, consuming one follower per
-				// round; a shard with no follower left fails typed.
-				if ferr := failover(i, err); ferr != nil {
-					err = ferr
-					break
-				}
-				// The recovered engine replayed its durable append log into
-				// a fresh delta beside its own DAG: pin the shard's cut again,
-				// from the new engine's state, and give the old one back to
-				// the retired engine's.
-				old := *pin
-				*pin = se.pinShard(i)
-				old.release()
-				out, span, err = run(i, pin.tail, false)
-			}
 			// The delta's meter and device are not charged to the batch's
 			// span: on dataset B's first 800 documents at K=2 after 20
 			// appended batches of 8, six single-task batches charge 4.99 ms
@@ -599,7 +465,7 @@ func (se *ShardedEngine) scatterGather(ops []analytics.Op,
 				deltaOut[i], _, err = run(i, pin.delta, true)
 			}
 			if err != nil {
-				errs[i] = wrapShard(i, err)
+				errs[i] = &ErrShardFailed{Shard: i, Cause: err}
 				return
 			}
 			tailOut[i], spans[i] = out, span
@@ -708,91 +574,10 @@ func gather(ops []analytics.Op, units [][]analytics.MergeUnit, results []any, en
 	return laneNanos, nil
 }
 
-// failoverShard retires shard i's primary and recovers the shard from a
-// live follower, which holds the primary's last commit: the follower is
-// promoted and reopened as shard i under reopenShard's contract — or, when
-// its image is torn before a completed initialization, the shard is rebuilt
-// from its retained grammar — and the remaining followers are re-seeded
-// from the new primary.  The measured recovery span is folded into the
-// batch's traversal span as serial critical-path work.  Returns nil when the
-// shard is ready to re-dispatch.
-func (se *ShardedEngine) failoverShard(i int, cause error) error {
-	se.failMu.Lock()
-	defer se.failMu.Unlock()
-	var rep *replicator
-	if se.reps != nil {
-		rep = se.reps[i]
-	}
-	if rep == nil {
-		return wrapShard(i, cause)
-	}
-	old := se.shards[i]
-	old.Device().SetShipper(nil)
-	fdev, rest, perr := rep.promote()
-	if perr != nil {
-		return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, perr)}
-	}
-	sp := metrics.Start(fdev, &se.meter)
-	ne, _, rerr := se.reopenShard(i, fdev)
-	switch {
-	case rerr == nil:
-	case errors.Is(rerr, ErrNeedsReload) && se.gs != nil && se.gs[i] != nil:
-		// The follower's image is torn before a completed initialization:
-		// rebuild the shard from its retained grammar on a fresh device, the
-		// same reload contract the crash harness exercises on primaries.
-		if derr := fdev.Discard(); derr != nil {
-			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr, derr)}
-		}
-		o := se.opts
-		o.shardIndex = uint32(i)
-		o.shardCount = uint32(len(se.shards))
-		ne2, nerr := New(se.gs[i], se.d, o)
-		if nerr != nil {
-			return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr, nerr)}
-		}
-		ne = ne2
-	default:
-		// Once promoted the follower belongs to no replicator: release it.
-		if derr := fdev.Discard(); derr != nil {
-			rerr = errors.Join(rerr, derr)
-		}
-		return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr)}
-	}
-	sp.Stop()
-	se.shards[i] = ne
-	se.retiredEng = append(se.retiredEng, old)
-	se.retiredReps = append(se.retiredReps, rep)
-	se.reps[i] = nil
-	if len(rest) > 0 {
-		// Re-seed the surviving followers from the recovered primary and
-		// keep shipping; a shard can survive as many failures as it has
-		// replicas.
-		nr := newReplicator(ne.Device(), rest)
-		if err := nr.bootstrap(); err == nil {
-			ne.Device().SetShipper(nr)
-			se.reps[i] = nr
-		}
-	}
-	se.failovers++
-	se.failoverSpans = append(se.failoverSpans, *sp)
-	return nil
-}
-
-// takeFailoverSpans drains the recovery spans accumulated during the
-// current batch.
-func (se *ShardedEngine) takeFailoverSpans() []metrics.Span {
-	se.failMu.Lock()
-	defer se.failMu.Unlock()
-	spans := se.failoverSpans
-	se.failoverSpans = nil
-	return spans
-}
-
 // RunOps implements analytics.Executor: the batch executes fused on every
 // shard concurrently, and the per-shard results are merged into corpus-wide
 // results.  results[i] corresponds to ops[i] with the op's canonical result
-// type, bit-identical to an unsharded engine over the same corpus — also
-// when a shard fails over to its follower mid-batch.
+// type, bit-identical to an unsharded engine over the same corpus.
 func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -809,22 +594,17 @@ func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
 				return nil, metrics.Span{}, err
 			}
 			return res, e.LastTraversalSpan(), nil
-		},
-		se.failoverShard, &se.meter)
+		}, &se.meter)
 	if err != nil {
 		return nil, err
 	}
 	// Aggregate as the batch ran: shard lanes in parallel, the coordinator's
-	// dispatches, merge and stitch extending the critical path, the gather's
-	// parts extending it by the slowest part, and any failover recovery
-	// extending it further as measured serial work.
+	// dispatches, merge and stitch extending the critical path, and the
+	// gather's parts extending it by the slowest part.
 	trav := metrics.MergeParallel(sc.spans...).AddSerial(se.meter.Nanos() - cpu0).AddParallel(sc.parts)
 	tails := make([]int64, len(sc.spans))
 	for i, sp := range sc.spans {
 		tails[i] = int64(sp.Total())
-	}
-	for _, fs := range se.takeFailoverSpans() {
-		trav = trav.AddSerialSpan(fs)
 	}
 	se.mu.Lock()
 	se.lastTrav = trav
@@ -840,9 +620,8 @@ var _ analytics.Executor = (*ShardedEngine)(nil)
 // runs a query session over its shard's pinned cut, in parallel, merged like
 // the engine's task path, with all merge-side state session-local.  Sessions
 // model the post-load query phase and must not run concurrently with engine
-// task methods or Close, only with each other.  Sessions never mutate
-// devices, so they have no failover path; a device error surfaces as
-// ErrShardFailed.
+// task methods or Close, only with each other.  A lane's device error
+// surfaces as ErrShardFailed naming its shard.
 //
 // The session holds one traversal workspace per shard lane and nothing
 // else: a lane's workspace follows the shard, not an engine, so each run
@@ -885,7 +664,7 @@ func (ss *ShardedSession) runOps(ctx context.Context, ops []analytics.Op) ([]any
 		func(i int, e *Engine, _ bool) ([]any, metrics.Span, error) {
 			res, err := e.newSession(ss.ws[i]).runOps(ctx, ops)
 			return res, metrics.Span{}, err
-		}, nil, &ss.meter)
+		}, &ss.meter)
 	for _, n := range sc.parts {
 		ss.meter.Charge(n, 1)
 	}
@@ -913,38 +692,18 @@ func (ss *ShardedSession) WorkspaceBytes() int64 {
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
 // Shard returns shard i's engine, for inspection and shard-local recovery
-// checks; mutating it directly bypasses the coordinator.  After a failover
-// this is the recovered engine, not the retired primary.
+// checks; mutating it directly bypasses the coordinator.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
 // DocBases returns the global index of each shard's first document.
 func (se *ShardedEngine) DocBases() []uint32 { return se.bases }
-
-// Followers returns shard i's current live follower devices, each holding
-// the shard primary's durable image as of its last commit.  Nil when the
-// shard is unreplicated.
-func (se *ShardedEngine) Followers(i int) []*nvm.SimDevice {
-	se.failMu.Lock()
-	defer se.failMu.Unlock()
-	if se.reps == nil || se.reps[i] == nil {
-		return nil
-	}
-	return se.reps[i].liveFollowers()
-}
-
-// FailoverCount reports how many shard failovers this engine has performed.
-func (se *ShardedEngine) FailoverCount() int {
-	se.failMu.Lock()
-	defer se.failMu.Unlock()
-	return se.failovers
-}
 
 // InitSpan reports the parallel build: critical path across shards, summed
 // device statistics.
 func (se *ShardedEngine) InitSpan() metrics.Span { return se.initSpan }
 
 // LastTraversalSpan reports the last scatter-gather: the slowest lane's
-// traversal plus the gather and any failover recovery.
+// traversal plus the gather.
 func (se *ShardedEngine) LastTraversalSpan() metrics.Span {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -996,32 +755,12 @@ func (se *ShardedEngine) DeviceStats() nvm.Stats {
 	return st
 }
 
-// Close releases every shard's simulated device, the follower devices, and
-// the primaries retired by failovers.
+// Close releases every shard's simulated device.
 func (se *ShardedEngine) Close() error {
 	var errs []error
 	for i, sh := range se.shards {
 		if err := sh.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	se.failMu.Lock()
-	defer se.failMu.Unlock()
-	for _, r := range se.reps {
-		if r != nil {
-			if err := r.close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	for _, r := range se.retiredReps {
-		if err := r.close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for _, e := range se.retiredEng {
-		if err := e.Close(); err != nil {
-			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

@@ -430,6 +430,135 @@ func TestReopenShardedBuildTag(t *testing.T) {
 	se.Close()
 }
 
+// TestReopenShardedBlankPrimary: a reopen whose shard 1 is a blank device
+// fails typed and reloadable, and the failed reopen leaves nothing mapped of
+// its own; with every image whole, the reopened set counts what the healthy
+// one did.
+func TestReopenShardedBlankPrimary(t *testing.T) {
+	files, d, _ := corpus(t, 66, 4, 200, 25)
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
+	opts := Options{Sequences: true, Persistence: OpLevel}
+	se, err := NewSharded(gs, d, opts)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	want, err := analytics.WordCount(se)
+	if err != nil {
+		t.Fatalf("WordCount: %v", err)
+	}
+	// Clone the images before Close discards the originals.
+	var pcs []*nvm.SimDevice
+	for i := 0; i < se.NumShards(); i++ {
+		pc, err := se.Shard(i).Device().CloneDurable()
+		if err != nil {
+			t.Fatalf("clone shard %d: %v", i, err)
+		}
+		pcs = append(pcs, pc)
+	}
+	se.Close()
+
+	blank := nvm.New(nvm.KindNVM, pcs[1].Size())
+	before := nvm.MappedBytes()
+	re, _, err := ReopenSharded([]*nvm.SimDevice{pcs[0], blank}, d, opts)
+	if err == nil {
+		re.Close()
+		t.Fatal("a blank shard reopened")
+	}
+	var sf *ErrShardFailed
+	if !errors.As(err, &sf) || sf.Shard != 1 || !errors.Is(err, ErrNeedsReload) {
+		t.Fatalf("err = %v, want ErrShardFailed{Shard: 1} with ErrNeedsReload in chain", err)
+	}
+	if leaked := nvm.MappedBytes() - before; leaked != 0 {
+		t.Errorf("%d bytes of device images still mapped after a refused reopen", leaked)
+	}
+	if err := blank.Discard(); err != nil {
+		t.Fatalf("Discard: %v", err)
+	}
+
+	re, infos, err := ReopenSharded(pcs, d, opts)
+	if err != nil {
+		t.Fatalf("ReopenSharded: %v", err)
+	}
+	defer re.Close()
+	if len(infos) != 2 {
+		t.Fatalf("got %d recovery infos, want 2", len(infos))
+	}
+	got, err := analytics.WordCount(re)
+	if err != nil {
+		t.Fatalf("reopened WordCount: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("reopened word count differs from the healthy run")
+	}
+}
+
+// TestShardFailedTyped asserts the typed scatter-gather error: an injected
+// device failure on one shard surfaces as ErrShardFailed naming that shard,
+// with the device error in its chain.
+func TestShardFailedTyped(t *testing.T) {
+	files, d, _ := corpus(t, 62, 6, 200, 30)
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
+	se, err := NewSharded(gs, d, Options{Sequences: true, Persistence: OpLevel})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	const victim = 1
+	dev := se.Shard(victim).Device()
+	dev.FailFromPersistEvent(dev.PersistEvents())
+	_, err = se.RunOps(analytics.Ops())
+	if err == nil {
+		t.Fatal("armed shard produced no error")
+	}
+	var sf *ErrShardFailed
+	if !errors.As(err, &sf) {
+		t.Fatalf("err = %v, want ErrShardFailed in chain", err)
+	}
+	if sf.Shard != victim {
+		t.Errorf("ErrShardFailed.Shard = %d, want %d", sf.Shard, victim)
+	}
+	if !errors.Is(err, nvm.ErrFailPoint) {
+		t.Errorf("err = %v, want nvm.ErrFailPoint in chain", err)
+	}
+
+	// Disarming clears the latent failure; the engine is usable again.
+	dev.DisarmFailPoints()
+	if _, err := analytics.WordCount(se); err != nil {
+		t.Fatalf("disarmed WordCount: %v", err)
+	}
+}
+
+// TestDisarmFailPointsSharded covers the sharded path of DisarmFailPoints: a
+// fail point armed on one shard and disarmed before the batch must leave no
+// latent failure — the batch and a subsequent one both complete and match.
+func TestDisarmFailPointsSharded(t *testing.T) {
+	files, d, g := corpus(t, 63, 5, 200, 30)
+	ref := newEngine(t, g, d, Options{Sequences: true})
+	want, err := ref.RunOps(analytics.Ops())
+	if err != nil {
+		t.Fatalf("unsharded RunOps: %v", err)
+	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 3)
+	se, err := NewSharded(gs, d, Options{Sequences: true, Persistence: OpLevel})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	dev := se.Shard(2).Device()
+	dev.FailFromPersistEvent(dev.PersistEvents())
+	dev.FailAfterWrites(1)
+	dev.DisarmFailPoints()
+	for round := 0; round < 2; round++ {
+		got, err := se.RunOps(analytics.Ops())
+		if err != nil {
+			t.Fatalf("round %d: disarmed shard still failed: %v", round, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("round %d: result differs from unsharded", round)
+		}
+	}
+}
+
 // TestNewShardedValidation covers the constructor's error paths.
 func TestNewShardedValidation(t *testing.T) {
 	files, d, g := corpus(t, 57, 2, 100, 20)

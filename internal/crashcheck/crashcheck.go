@@ -29,15 +29,6 @@
 //     5. the recovered engine re-runs the task to the exact shard reference,
 //     and the recovered shards' results merge to the global reference, bit
 //     for bit.
-//   - Failover gives every shard one follower, shipped every drained commit.
-//     Per sampled (shard, event) point it checks two things.  primary-dies:
-//     the shard's primary dies at a workload-phase event, and failover must
-//     mask it — promote the follower, re-dispatch the shard's ops — so the
-//     interrupted batch and the next one equal the global reference.
-//     follower-torn: the follower dies instead (its event space covers the
-//     bootstrap snapshot and every shipped commit); the primary workload must
-//     be undisturbed, and the frozen follower image, with the healthy
-//     primaries, must pass the Crash contract.
 //   - Ingest drives a live append stream, one batch per document with a
 //     compaction at the midpoint, into one shard, and checks the append
 //     commit protocol: an acknowledged append survives any later crash;
@@ -75,9 +66,6 @@ type Scenario int
 const (
 	// Crash runs the task once.
 	Crash Scenario = iota
-	// Failover replicates every shard to one follower and kills either a
-	// primary or a follower.  It needs Shards >= 2.
-	Failover
 	// Ingest takes live appends with a mid-stream compaction.  It runs one
 	// shard.
 	Ingest
@@ -172,17 +160,15 @@ func (c Config) engineOptions() core.Options {
 const ingestCap = 1 << 16
 
 // Outcome is one recovery attempt: a crash point combined with one torn
-// subset of the pending set, or one failover run.
+// subset of the pending set.
 type Outcome struct {
 	// Subset names the injected pending-set subset: "none" (crash before
 	// anything unfenced reaches media), "all" (everything pending reaches
-	// media), or "seed=N".  Failover names its runs "primary-dies",
-	// "follower-torn@N" and "follower-torn:<subset>".
+	// media), or "seed=N".
 	Subset string
 	// State is what recovery returned, per shard and joined with "|":
 	// "reload" (ErrNeedsReload), "phase1", "phase2", or "error"/"panic"
-	// (always accompanied by violations).  A failover run is "failover" or
-	// "healthy".
+	// (always accompanied by violations).
 	State string
 	// Violations lists every invariant this outcome broke; empty means the
 	// outcome is consistent.
@@ -192,9 +178,7 @@ type Outcome struct {
 // Point is the verdict for one crash point.
 type Point struct {
 	// Event is the persistence-event index the armed device died at: event
-	// Event and all later flushes and drains failed.  A Failover point
-	// pairs a primary event with a follower event and names the primary's;
-	// a point past the shard's primary events names the follower's.
+	// Event and all later flushes and drains failed.
 	Event int64
 	// Shard is the shard whose device was armed.  The other shards' devices
 	// stay healthy.
@@ -213,9 +197,9 @@ func (p Point) Violations() int {
 
 // Report is the result of a Run.
 type Report struct {
-	// TotalEvents is the sum of the golden run's per-shard primary
-	// persistence-event counts; a shard's crash points range over
-	// [0, its count] (the last one is the completed run).
+	// TotalEvents is the sum of the golden run's per-shard persistence-event
+	// counts; a shard's crash points range over [0, its count] (the last one
+	// is the completed run).
 	TotalEvents int64
 	Points      []Point
 	// Violations is the total invariant-violation count; zero means every
@@ -232,8 +216,6 @@ func Run(c Config) (*Report, error) {
 	switch {
 	case c.Shards < 1:
 		return nil, fmt.Errorf("crashcheck: %d shards", c.Shards)
-	case c.Scenario == Failover && c.Shards < 2:
-		return nil, fmt.Errorf("crashcheck: failover exploration needs shards >= 2, got %d", c.Shards)
 	case c.Scenario == Ingest && c.Shards > 1:
 		return nil, fmt.Errorf("crashcheck: ingest exploration runs one shard, got %d", c.Shards)
 	}
@@ -249,51 +231,23 @@ func Run(c Config) (*Report, error) {
 	for _, t := range r.totals {
 		rep.TotalEvents += t
 	}
-	add := func(pt Point, events int64) {
-		rep.Violations += pt.Violations()
-		rep.Points = append(rep.Points, pt)
-		if c.Log != nil {
-			states := make([]string, len(pt.Outcomes))
-			for i, o := range pt.Outcomes {
-				states[i] = o.State
-			}
-			fmt.Fprintf(c.Log, "shard %d event %4d/%d: %v violations=%d\n",
-				pt.Shard, pt.Event, events, states, pt.Violations())
-		}
-	}
 	for s, total := range r.totals {
-		if c.Scenario != Failover {
-			for _, ev := range pickEvents(total, c.Points, c.Seed+int64(s)) {
-				outs, err := r.explore(s, ev, false)
-				if err != nil {
-					return nil, err
+		for _, ev := range pickEvents(total, c.Points, c.Seed+int64(s)) {
+			outs, err := r.explore(s, ev)
+			if err != nil {
+				return nil, err
+			}
+			pt := Point{Event: ev, Shard: s, Outcomes: outs}
+			rep.Violations += pt.Violations()
+			rep.Points = append(rep.Points, pt)
+			if c.Log != nil {
+				states := make([]string, len(outs))
+				for i, o := range outs {
+					states[i] = o.State
 				}
-				add(Point{Event: ev, Shard: s, Outcomes: outs}, total)
+				fmt.Fprintf(c.Log, "shard %d event %4d/%d: %v violations=%d\n",
+					s, ev, total, states, pt.Violations())
 			}
-			continue
-		}
-		// Primary events are sampled from the workload phase, after the
-		// build and the followers' bootstrap; follower events from the
-		// follower's whole life.  The two samples are paired point by point,
-		// and each is explored in full.
-		evs := pickEvents(total-r.builds[s], c.Points, c.Seed+int64(s))
-		fevs := pickEvents(r.ftotals[s], c.Points, c.Seed+int64(s)*7919)
-		for j := range max(len(evs), len(fevs)) {
-			pt := Point{Shard: s}
-			if j < len(evs) {
-				pt.Event = r.builds[s] + evs[j]
-				pt.Outcomes = append(pt.Outcomes, r.primaryDies(s, pt.Event))
-			} else {
-				pt.Event = fevs[j]
-			}
-			if j < len(fevs) {
-				outs, err := r.explore(s, fevs[j], true)
-				if err != nil {
-					return nil, err
-				}
-				pt.Outcomes = append(pt.Outcomes, outs...)
-			}
-			add(pt, total)
 		}
 	}
 	return rep, nil

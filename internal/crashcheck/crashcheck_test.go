@@ -246,7 +246,7 @@ func TestStageAfterCompactionIsCaught(t *testing.T) {
 }
 
 // TestPinnedEventSpaces pins the golden persistence-event totals of every
-// make crashcheck, failovercheck and ingestcheck pass, phase-level then
+// make crashcheck and ingestcheck pass, phase-level then
 // operation-level.  A change that builds through a path persisting less
 // would otherwise shrink the explored matrices silently.  One sampled point
 // per shard keeps it cheap.
@@ -267,7 +267,6 @@ func TestPinnedEventSpaces(t *testing.T) {
 		{"crashcheck/invertedindex/bottom-up",
 			Config{Task: "invertedindex", Strategy: core.BottomUp, OpLogCap: smallLog}, [2]int64{12, 18}},
 		{"crashcheck/fused", Config{Task: fusedTask, OpLogCap: smallLog}, [2]int64{12, 72}},
-		{"failovercheck", Config{Scenario: Failover, Shards: 3, Files: 6}, [2]int64{36, 234}},
 		// 16/18, not 38/40, since an append commits its watermark with one
 		// flushed 8-byte store instead of a redo transaction: 4 persistence
 		// events per append instead of 15, over two appends.
@@ -294,8 +293,6 @@ func TestPinnedEventSpaces(t *testing.T) {
 func TestRunRejectsShardCounts(t *testing.T) {
 	for _, c := range []Config{
 		{Shards: -1},
-		{Scenario: Failover},
-		{Scenario: Failover, Shards: 1},
 		{Scenario: Ingest, Shards: 2},
 	} {
 		if _, err := Run(c); err == nil {

@@ -27,11 +27,11 @@ type run struct {
 	sizes []int64 // per-shard pool sizes
 
 	// Golden-run results.
-	global                  any          // the task's result over the whole corpus
-	refs                    []*reference // per shard (not for Ingest)
-	prefixes                []any        // Ingest: the result with b append batches visible, per b
-	bases                   []uint32     // per-shard document bases
-	builds, totals, ftotals []int64      // per-shard events: the build's, all of them, the follower's
+	global   any          // the task's result over the whole corpus
+	refs     []*reference // per shard (not for Ingest)
+	prefixes []any        // Ingest: the result with b append batches visible, per b
+	bases    []uint32     // per-shard document bases
+	totals   []int64      // per-shard persistence events of the whole run
 }
 
 // reference is one shard's golden committed state.
@@ -95,7 +95,7 @@ func newRun(c Config) (*run, error) {
 // against the analytic reference, and records the references and event
 // counts the exploration needs.
 func (r *run) golden() (err error) {
-	p := r.replay(0, -1, false)
+	p := r.replay(0, -1)
 	defer func() { err = errors.Join(err, p.release()) }()
 	task := r.cfg.Task
 	if p.err != nil {
@@ -110,7 +110,7 @@ func (r *run) golden() (err error) {
 	}
 	k := len(r.gs)
 	r.bases = slices.Clone(p.se.DocBases())
-	r.builds, r.totals, r.ftotals = p.builds, make([]int64, k), make([]int64, k)
+	r.totals = make([]int64, k)
 	for i, dev := range p.devs {
 		r.totals[i] = dev.PersistEvents()
 	}
@@ -133,20 +133,6 @@ func (r *run) golden() (err error) {
 			}
 		}
 		r.refs[i] = ref
-		if p.fdevs == nil {
-			continue
-		}
-		// Sync shipping: the follower's durable image is the primary's, byte
-		// for byte, at every commit boundary — the last one included.
-		r.ftotals[i] = p.fdevs[i][0].PersistEvents()
-		pcrc, perr := p.devs[i].DurableCRC()
-		fcrc, ferr := p.fdevs[i][0].DurableCRC()
-		if err := errors.Join(perr, ferr); err != nil {
-			return fmt.Errorf("crashcheck: shard %d durable CRC: %w", i, err)
-		}
-		if pcrc != fcrc {
-			return fmt.Errorf("crashcheck: shard %d follower image diverged from primary", i)
-		}
 	}
 	return nil
 }
@@ -154,9 +140,7 @@ func (r *run) golden() (err error) {
 // replay is one run of the scenario's workload on fresh devices.
 type replay struct {
 	se     *core.ShardedEngine // nil when the build failed
-	devs   []*nvm.SimDevice    // per-shard primaries
-	fdevs  [][]*nvm.SimDevice  // per-shard followers (Failover only)
-	builds []int64             // per-shard persistence events of the build
+	devs   []*nvm.SimDevice    // per-shard devices
 	acked  int                 // appends acknowledged (Ingest only)
 	result any                 // the task's result, in mapResults's form
 	err    error               // the build's or the task's error
@@ -164,9 +148,9 @@ type replay struct {
 
 // replay builds the scenario's engine through core.NewSharded and runs the
 // workload: the append stream for Ingest, then the task once.  With ev >= 0
-// shard s's primary — its follower when follower is set — fails from
-// persistence event ev on.  The caller ends it with release.
-func (r *run) replay(s int, ev int64, follower bool) *replay {
+// shard s's device fails from persistence event ev on.  The caller ends it
+// with release.
+func (r *run) replay(s int, ev int64) *replay {
 	k := len(r.gs)
 	p := &replay{devs: make([]*nvm.SimDevice, k)}
 	o := r.opts
@@ -174,26 +158,11 @@ func (r *run) replay(s int, ev int64, follower bool) *replay {
 		p.devs[i] = nvm.New(nvm.KindNVM, r.sizes[i])
 	}
 	o.ShardDevices = p.devs
-	if r.cfg.Scenario == Failover {
-		p.fdevs = make([][]*nvm.SimDevice, k)
-		for i := range p.fdevs {
-			p.fdevs[i] = []*nvm.SimDevice{nvm.New(nvm.KindNVM, r.sizes[i])}
-		}
-		o.Replication = core.Replication{FollowerDevices: p.fdevs}
-	}
 	if ev >= 0 {
-		armed := p.devs[s]
-		if follower {
-			armed = p.fdevs[s][0]
-		}
-		armed.FailFromPersistEvent(ev)
+		p.devs[s].FailFromPersistEvent(ev)
 	}
 	if p.se, p.err = core.NewSharded(r.gs, r.d, o); p.err != nil {
 		return p
-	}
-	p.builds = make([]int64, k)
-	for i, dev := range p.devs {
-		p.builds[i] = dev.PersistEvents()
 	}
 	if r.cfg.Scenario == Ingest {
 		p.acked = r.appendStream(p.se)
@@ -223,42 +192,27 @@ func (r *run) appendStream(se *core.ShardedEngine) int {
 	return len(r.files) - r.base
 }
 
-// release ends a replay: the engine if the build got that far — with its
-// followers and whatever else it made — and then the injected devices, which
-// a failed build left with the harness (discarding one the engine already
-// closed is a no-op).
+// release ends a replay: the engine if the build got that far, and then the
+// injected devices, which a failed build left with the harness (discarding
+// one the engine already closed is a no-op).
 func (p *replay) release() error {
 	var err error
 	if p.se != nil {
 		err = p.se.Close()
 	}
-	for _, dev := range append(slices.Concat(p.fdevs...), p.devs...) {
+	for _, dev := range p.devs {
 		err = errors.Join(err, dev.Discard())
 	}
 	return err
 }
 
-// explore replays the workload with shard s's primary — its follower when
-// follower is set — armed at ev, then recovers every shard's surviving image
-// under each torn-write subset and checks the scenario's contract.
-func (r *run) explore(s int, ev int64, follower bool) ([]Outcome, error) {
-	p := r.replay(s, ev, follower)
+// explore replays the workload with shard s's device armed at ev, then
+// recovers every shard's surviving image under each torn-write subset and
+// checks the scenario's contract.
+func (r *run) explore(s int, ev int64) ([]Outcome, error) {
+	p := r.replay(s, ev)
 	var outs []Outcome
-	images, prefix := p.devs, ""
-	switch {
-	case follower:
-		head := Outcome{Subset: fmt.Sprintf("follower-torn@%d", ev), State: "healthy"}
-		if p.err != nil {
-			head.State = "error"
-			head.Violations = append(head.Violations, "torn follower disturbed the primary workload: "+p.err.Error())
-		} else if !reflect.DeepEqual(p.result, r.global) {
-			head.Violations = append(head.Violations, "workload result differs with a torn follower")
-		}
-		outs = append(outs, head)
-		images = slices.Clone(p.devs)
-		images[s] = p.fdevs[s][0]
-		prefix = "follower-torn:"
-	case p.err == nil && ev < r.totals[s]:
+	if p.err == nil && ev < r.totals[s] {
 		// Every flush and drain from event ev on failed; a workload that
 		// still claims success swallowed a persistence error somewhere.
 		outs = append(outs, Outcome{
@@ -267,13 +221,13 @@ func (r *run) explore(s int, ev int64, follower bool) ([]Outcome, error) {
 		})
 	}
 	for _, sub := range subsets(r.cfg, ev) {
-		o := Outcome{Subset: prefix + sub.name}
+		o := Outcome{Subset: sub.name}
 		if r.cfg.Scenario == Ingest {
-			o.State, o.Violations = crashed(images[0], sub, func(dev *nvm.SimDevice) (string, []string) {
+			o.State, o.Violations = crashed(p.devs[0], sub, func(dev *nvm.SimDevice) (string, []string) {
 				return r.checkIngest(dev, p.acked)
 			})
 		} else {
-			o.State, o.Violations = r.checkShards(images, sub)
+			o.State, o.Violations = r.checkShards(p.devs, sub)
 		}
 		outs = append(outs, o)
 	}
@@ -281,41 +235,4 @@ func (r *run) explore(s int, ev int64, follower bool) ([]Outcome, error) {
 		return nil, fmt.Errorf("crashcheck: release replay of shard %d event %d: %w", s, ev, err)
 	}
 	return outs, nil
-}
-
-// primaryDies arms shard s's primary at workload event ev and demands the
-// workload completes through failover, bit-identical, twice.
-func (r *run) primaryDies(s int, ev int64) (o Outcome) {
-	o = Outcome{Subset: "primary-dies", State: "failover"}
-	died := ev < r.totals[s]
-	if !died {
-		o.State = "healthy"
-	}
-	p := r.replay(s, ev, false)
-	defer func() {
-		if err := p.release(); err != nil {
-			o.Violations = append(o.Violations, "release: "+err.Error())
-		}
-	}()
-	if p.err != nil {
-		o.State = "error"
-		o.Violations = append(o.Violations, fmt.Sprintf(
-			"failover did not mask shard %d dying at event %d: %v", s, ev, p.err))
-		return o
-	}
-	if !reflect.DeepEqual(p.result, r.global) {
-		o.Violations = append(o.Violations, "failover result differs from global reference")
-	}
-	if n := p.se.FailoverCount(); died && n == 0 {
-		o.Violations = append(o.Violations, fmt.Sprintf(
-			"shard %d died at event %d but no failover was performed", s, ev))
-	} else if !died && n != 0 {
-		o.Violations = append(o.Violations, "failover performed on a healthy run")
-	}
-	if res, err := runOn(p.se, r.cfg.Task); err != nil {
-		o.Violations = append(o.Violations, "batch after failover: "+err.Error())
-	} else if !reflect.DeepEqual(res, r.global) {
-		o.Violations = append(o.Violations, "batch after failover differs from global reference")
-	}
-	return o
 }

@@ -7,7 +7,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"time"
 
@@ -416,63 +415,6 @@ func RunShardScaling(c *Corpus, ops []analytics.Op, k int, opts core.Options) (S
 		SharedRules:  len(sb.Set.Shared),
 		NVMBytes:     se.NVMBytes(),
 	}, nil
-}
-
-// FailoverCell is one failover benchmark point: the same fused K-shard
-// batch run healthy and run with one shard's primary killed mid-batch
-// (masked by follower failover).  Times are modeled critical-path totals.
-type FailoverCell struct {
-	K          int
-	Healthy    time.Duration // fused batch, all primaries live
-	Failover   time.Duration // same batch with one primary dying mid-stream
-	Recoveries int           // failovers performed during the failover run
-}
-
-// RunFailoverBench builds two replicated K-shard engines over the corpus
-// (one synchronous follower per shard) and measures the failover matrix.
-// The failover run's results are checked bit-identical against the healthy
-// run — the benchmark doubles as the acceptance check that failover is
-// invisible to callers.
-func RunFailoverBench(c *Corpus, ops []analytics.Op, k int, opts core.Options) (FailoverCell, error) {
-	for _, op := range ops {
-		opts.Sequences = opts.Sequences || op.Keys() == analytics.KeySequences
-	}
-	sb, err := sequitur.InferShardsShared(c.Files, uint32(c.Dict.Len()), k)
-	if err != nil {
-		return FailoverCell{}, err
-	}
-	opts.BuildTag = sb.Set.Checksum()
-	opts.Replication = core.Replication{Followers: 1}
-	cell := FailoverCell{K: len(sb.Shards)}
-
-	run := func(arm bool) (time.Duration, int, []any, error) {
-		se, err := core.NewSharded(sb.Shards, c.Dict, opts)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		defer se.Close()
-		if arm {
-			dev := se.Shard(cell.K / 2).Device()
-			dev.FailFromPersistEvent(dev.PersistEvents() + 1)
-		}
-		res, err := se.RunOps(ops)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return se.LastTraversalSpan().Total(), se.FailoverCount(), res, nil
-	}
-
-	var ref, res []any
-	if cell.Healthy, _, ref, err = run(false); err != nil {
-		return FailoverCell{}, fmt.Errorf("healthy replicated run: %w", err)
-	}
-	if cell.Failover, cell.Recoveries, res, err = run(true); err != nil {
-		return FailoverCell{}, fmt.Errorf("failover run: %w", err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		return FailoverCell{}, fmt.Errorf("failover run diverged from the healthy run")
-	}
-	return cell, nil
 }
 
 // GeoMean returns the geometric mean of positive ratios.

@@ -10,11 +10,14 @@ import (
 
 // GuardCheck verifies `// guarded by <mu>` field annotations: every access
 // to an annotated field must happen while the named sibling mutex is held.
-// The coordinator state in core/sharded.go, core/replicator.go, and the
-// shared-mode device in nvm/sim.go carry these annotations — the lock
-// discipline there is load-bearing (failover, replication, and concurrent
-// query sessions all run through it) and was previously enforced only by
-// comment and code review.
+// The sharded coordinator and the serving cuts (core/sharded.go,
+// core/ingest.go), the shared-mode device (nvm/sim.go), the dictionary's
+// words and lazy word index (dict/dict.go), the daemon's session pool,
+// result cache and coalescer (server/pool.go, cache.go, coalesce.go) and the
+// engine's name table and committed vocabulary (engine.go) carry these
+// annotations — the lock discipline there is load-bearing (appends,
+// compactions and concurrent query sessions all run through it) and was
+// previously enforced only by comment and code review.
 //
 // The analysis is lexical within each function, mirroring how the code is
 // actually written: a mutex counts as held from an `x.mu.Lock()` (or RLock)
@@ -118,7 +121,7 @@ func fnAssumesLock(fd *ast.FuncDecl) bool {
 // lockEvent is one Lock/Unlock call in source order.
 type lockEvent struct {
 	pos      token.Pos
-	path     string // canonical mutex path, e.g. "se.failMu"
+	path     string // canonical mutex path, e.g. "se.ingestMu"
 	lock     bool
 	deferred bool
 }
@@ -145,7 +148,7 @@ func checkGuardedAccesses(pass *Pass, fd *ast.FuncDecl, guarded map[types.Object
 	locals := localConstructions(pass, fd)
 
 	// Field names used as composite-literal keys are plain identifiers, not
-	// selector expressions, so initializations like &follower{dev: d} are
+	// selector expressions, so initializations like &Shared{data: b} are
 	// naturally out of scope here.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		checkSelector(pass, n, fd, guarded, events, locals)

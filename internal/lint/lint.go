@@ -2,9 +2,9 @@
 // the invariants this codebase lives by but no off-the-shelf tool checks —
 // persistence errors must not be dropped (a silently ignored Flush/Drain is a
 // torn-crash bug), modeled results must be bit-identical across runs (no
-// wall-clock or map-iteration order in the hot paths), the replication path
+// wall-clock or map-iteration order in the hot paths), the persistence paths
 // must persist body before header (a header vouching for missing contents is
-// the torn-bootstrap bug PR 7's fault injection caught), and mutex-guarded
+// the torn-bootstrap bug fault injection once caught), and mutex-guarded
 // coordinator state must be accessed under its lock.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature —
@@ -258,7 +258,7 @@ func pkgTail(path string) string {
 }
 
 // exprText renders a (simple) expression as its source text — the canonical
-// spelling guardcheck uses to match lock paths ("se.failMu", "r.mu").
+// spelling guardcheck uses to match lock paths ("se.ingestMu", "d.mu").
 // Expressions it cannot render canonically come back as "".
 func exprText(e ast.Expr) string {
 	switch e := e.(type) {

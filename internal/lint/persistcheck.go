@@ -33,13 +33,13 @@ var persistMethods = map[string]bool{
 	"Flush": true, "FlushAll": true,
 	// Pool / header persistence.
 	"FlushHeader": true, "Checkpoint": true, "Commit": true,
-	// Durable-store and replication internals.
-	"Persist": true, "Sync": true, "ShipCommit": true,
+	// Durable-store internals.
+	"Persist": true, "Sync": true,
 	"persist": true, "sync": true, "flushHeader": true,
 	// Op-log and redo-log internals.
 	"append": true, "appendAlloc": true, "stageEntry": true,
 	"commit": true, "compact": true, "reset": true,
-	"format": true, "recover": true, "bootstrap": true,
+	"format": true, "recover": true,
 }
 
 // persistPackages are the package-path tails whose methods are in scope.

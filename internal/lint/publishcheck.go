@@ -7,13 +7,13 @@ import (
 )
 
 // PublishCheck enforces the body-before-header publication contract in the
-// persistence and replication paths (pmem, core): a header or CRC must never
-// become durable while it vouches for body contents that are not.  PR 7's
-// fault injection caught exactly this — a snapshot install that published
-// the pool header before the body was fenced, so a torn install could leave
-// a valid header over missing contents.
+// persistence paths (pmem, core, nvm): a header or CRC must never become
+// durable while it vouches for body contents that are not.  Fault injection
+// once caught exactly this — a snapshot install that published the pool
+// header before the body was fenced, so a torn install could leave a valid
+// header over missing contents.
 //
-// Three statically checkable shapes are flagged, each within one function:
+// Two statically checkable shapes are flagged, each within one function:
 //
 //  1. header-then-body: a header publish (FlushHeader/flushHeader, or a
 //     Flush whose range starts at offset 0 with a header-sized length)
@@ -22,17 +22,14 @@ import (
 //  2. mixed flush: a single Flush whose range starts at the header (offset
 //  0. with a non-header length, persisting header and body under one
 //     fence — a seeded torn write-back can then keep the header granules
-//     and lose body ones;
-//  3. unfenced ship: a Shipper hand-off (ShipCommit) with no preceding
-//     sync/Drain in the function — the shipped batch must be a committed
-//     durable delta, never a speculative one.
+//     and lose body ones.
 //
 // The redo-log commit protocol intentionally seals its log header before
 // flushing in-place data (the log IS the body there); that site documents
 // itself with //ntalint:ignore publishcheck.
 var PublishCheck = &Analyzer{
 	Name:      "publishcheck",
-	Doc:       "enforces body-before-header persistence ordering in pmem and replication code",
+	Doc:       "enforces body-before-header persistence ordering in pmem, core and nvm",
 	SkipTests: true,
 	Run:       runPublishCheck,
 }
@@ -67,8 +64,6 @@ const (
 	evMixedFlush           // Flush(0, n) with non-header n
 	evBodyFlush            // Flush at a non-header offset
 	evBodyWrite            // WriteAt / accessor write
-	evFence                // Drain / sync
-	evShip                 // ShipCommit
 )
 
 func checkPublishOrder(pass *Pass, fd *ast.FuncDecl) {
@@ -84,7 +79,6 @@ func checkPublishOrder(pass *Pass, fd *ast.FuncDecl) {
 		return true
 	})
 
-	fenced := false // a Drain/sync has occurred
 	for i, ev := range events {
 		switch ev.kind {
 		case evMixedFlush:
@@ -95,12 +89,6 @@ func checkPublishOrder(pass *Pass, fd *ast.FuncDecl) {
 					pass.Reportf(ev.call.Pos(), "header published before the body it vouches for is persisted: body flush/write follows later in this function (body-before-header, see pmem.HeaderSize)")
 					break
 				}
-			}
-		case evFence:
-			fenced = true
-		case evShip:
-			if !fenced {
-				pass.Reportf(ev.call.Pos(), "ShipCommit with no preceding Drain/sync in this function: shipped batches must be committed durable deltas")
 			}
 		}
 	}
@@ -115,10 +103,6 @@ func classifyPersistCall(pass *Pass, call *ast.CallExpr) (int, bool) {
 	switch fn.Name() {
 	case "FlushHeader", "flushHeader":
 		return evHeaderPublish, true
-	case "Drain", "sync", "Sync":
-		return evFence, true
-	case "ShipCommit":
-		return evShip, true
 	case "WriteAt", "WriteBytes":
 		return evBodyWrite, true
 	case "Flush":

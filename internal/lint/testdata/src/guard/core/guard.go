@@ -10,8 +10,8 @@ type Coordinator struct {
 	mu    sync.Mutex
 	state int // guarded by mu
 
-	failMu    sync.Mutex
-	failovers int // guarded by failMu
+	ingestMu sync.Mutex
+	appended int // guarded by ingestMu
 }
 
 // Shared mirrors the device shape with an RWMutex.
@@ -27,7 +27,7 @@ func unguardedRead(c *Coordinator) int {
 func wrongMutex(c *Coordinator) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.failovers // want "c.failovers accessed without holding c.failMu"
+	return c.appended // want "c.appended accessed without holding c.ingestMu"
 }
 
 func guardedRead(c *Coordinator) int {
@@ -45,9 +45,9 @@ func guardedWindow(c *Coordinator) int {
 }
 
 func bothMutexes(c *Coordinator) {
-	c.failMu.Lock()
-	c.failovers++
-	c.failMu.Unlock()
+	c.ingestMu.Lock()
+	c.appended++
+	c.ingestMu.Unlock()
 	c.mu.Lock()
 	c.state++
 	c.mu.Unlock()

@@ -5,12 +5,11 @@ package nvm
 // Device mimics the persistence surface of the simulated device.
 type Device struct{}
 
-func (d *Device) Drain() error              { return nil }
-func (d *Device) Flush(off, n int64) error  { return nil }
-func (d *Device) Crash() error              { return nil }
-func (d *Device) CrashAt(seed int64) error  { return nil }
-func (d *Device) Stats() int                { return 0 } // no error: out of scope
-func (d *Device) ShipCommit(b []byte) error { return nil }
+func (d *Device) Drain() error             { return nil }
+func (d *Device) Flush(off, n int64) error { return nil }
+func (d *Device) Crash() error             { return nil }
+func (d *Device) CrashAt(seed int64) error { return nil }
+func (d *Device) Stats() int               { return 0 } // no error: out of scope
 
 // Syncer is the interface shape: persistcheck must catch calls through an
 // interface method just as through the concrete one.

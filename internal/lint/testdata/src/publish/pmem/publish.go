@@ -14,7 +14,6 @@ func (d *SimDevice) Flush(off, n int64) error                 { return nil }
 func (d *SimDevice) Drain() error                             { return nil }
 func (d *SimDevice) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
 func (d *SimDevice) FlushHeader() error                       { return nil }
-func (d *SimDevice) ShipCommit(b []byte) error                { return nil }
 
 // Accessor mimics a sub-region accessor: its Flush offsets are relative to an
 // unknown base, so offset 0 does not imply the device header.
@@ -62,20 +61,6 @@ func correctInstall(dev *SimDevice, img []byte) error {
 		return err
 	}
 	return dev.Drain()
-}
-
-// unfencedShip hands a batch to the shipper before any fence: the batch is
-// speculative, not a committed durable delta.
-func unfencedShip(dev *SimDevice, batch []byte) error {
-	return dev.ShipCommit(batch) // want "ShipCommit with no preceding Drain/sync"
-}
-
-// fencedShip ships only after the pending set is drained.
-func fencedShip(dev *SimDevice, batch []byte) error {
-	if err := dev.Drain(); err != nil {
-		return err
-	}
-	return dev.ShipCommit(batch)
 }
 
 // accessorFlush proves the sub-region exemption: offset 0 on an accessor is

@@ -145,25 +145,11 @@ func (s Span) AddSerial(cpuNanos int64) Span {
 	return s
 }
 
-// AddSerialSpan extends a span with measured work that ran serially after
-// it on the same critical path — a failover recovery extending a
-// scatter-gather batch.  Device statistics, CPU nanos, and wall time add;
-// the extension's Total lengthens the critical path.  The receiver's total
-// is frozen first, so the added device work is not double-counted through
-// the Modeled+CPU fallback.
-func (s Span) AddSerialSpan(t Span) Span {
-	total := int64(s.Total()) + int64(t.Total())
-	s.Wall += t.Wall
-	s.Device = s.Device.Add(t.Device)
-	s.CPUNanos += t.CPUNanos
-	s.CriticalNanos = total
-	return s
-}
-
 // AddParallel extends a span with work that ran on parallel lanes after it —
 // the key-range parts of a parallel gather: every lane's nanos add to the CPU
 // account, the slowest lane's to the critical path.  The receiver's total is
-// frozen first, as in AddSerialSpan.  No lanes leave the span as it is.
+// frozen first, so its device work is not counted again through the
+// Modeled+CPU fallback.  No lanes leave the span as it is.
 func (s Span) AddParallel(lanes []int64) Span {
 	if len(lanes) == 0 {
 		return s

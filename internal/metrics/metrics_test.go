@@ -110,25 +110,3 @@ func TestMergeParallel(t *testing.T) {
 		t.Errorf("single-lane Total = %v, want %v", got, a.Total())
 	}
 }
-
-func TestAddSerialSpan(t *testing.T) {
-	a := MergeParallel(
-		Span{CPUNanos: 100, Device: nvm.Stats{ModeledNanos: 400, Reads: 3}},
-		Span{CPUNanos: 900, Device: nvm.Stats{ModeledNanos: 100, Reads: 1}})
-	rec := Span{CPUNanos: 30, Device: nvm.Stats{ModeledNanos: 70, Reads: 2}}
-	got := a.AddSerialSpan(rec)
-	// The recovery's total extends the critical path serially.
-	if got.Total() != 1000+100 {
-		t.Errorf("Total = %v, want 1100ns", got.Total())
-	}
-	// Work accounts keep summing.
-	if got.CPUNanos != 1030 || got.Device.ModeledNanos != 570 || got.Device.Reads != 6 {
-		t.Errorf("summed work = cpu %d dev %d reads %d", got.CPUNanos, got.Device.ModeledNanos, got.Device.Reads)
-	}
-	// A plain (non-merged) receiver freezes its Modeled+CPU total first, so
-	// the extension is not double-counted through the fallback.
-	plain := Span{CPUNanos: 10, Device: nvm.Stats{ModeledNanos: 40}}
-	if got := plain.AddSerialSpan(rec).Total(); got != 150 {
-		t.Errorf("plain Total = %v, want 150ns", got)
-	}
-}

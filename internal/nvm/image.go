@@ -34,8 +34,14 @@ type recycledImage struct {
 	dirty int64 // b[dirty:] is zero
 }
 
-// recycleSlots covers one replicated replay of the failover matrix: three
-// shards' primaries, followers and clones, two images each.
+// recycleSlots covers one replay of the largest crash matrix there is, the
+// three-shard exploration (crashcheck -shards 3, and
+// TestShardedSeqCountCrashPoints): three shards' devices, the crash clones
+// and the reload rebuilds, two images each, in three sizes.  Counted on
+// `crashcheck -shards 3 -files 6 -points 0`, 14 slots are the knee: 86
+// images mapped fresh at 13, and from 14 on 36, the floor it holds at 24
+// too.  16 leaves two spare.  make ingestcheck maps 34 fresh at 16 slots and
+// 22 at 24.
 const recycleSlots = 16
 
 // MappedBytes reports the bytes mapped by live devices' images: address

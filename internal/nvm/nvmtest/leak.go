@@ -11,8 +11,8 @@ import (
 )
 
 // Main is a TestMain body that holds a package's tests to the device
-// lifecycle contract: every image they mapped — engines, followers, crash
-// clones — has been given back by a Discard when the tests are done.
+// lifecycle contract: every image they mapped — engines, serving cuts,
+// crash clones — has been given back by a Discard when the tests are done.
 //
 //	func TestMain(m *testing.M) { nvmtest.Main(m) }
 func Main(m *testing.M) {

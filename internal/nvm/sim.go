@@ -100,10 +100,6 @@ type SimDevice struct {
 	// consistently across a golden run and its replays.
 	persistEvents int64
 
-	// shipper, when non-nil, receives every successfully drained commit
-	// batch (see SetShipper).  Guarded by mu.
-	shipper Shipper
-
 	// stats accumulates the access counters and modeled cost.  Plain fields,
 	// not atomics: a device belongs to one goroutine unless shared, and every
 	// modeled access updates several of them, so atomic traffic here would be
@@ -117,36 +113,6 @@ type SimDevice struct {
 	// another core — and whether they do is decided by heap layout, anew in
 	// every process: traversal was a third slower in the unlucky ones.
 	_ [64]byte
-}
-
-// ShipRange is one durable-image delta within a shipped commit batch: the
-// bytes the primary just made durable at Off.  Data aliases internal device
-// memory and is valid only for the duration of the ShipCommit call; a
-// shipper that retains a batch must copy it.
-type ShipRange struct {
-	Off  int64
-	Data []byte
-}
-
-// Shipper receives the primary's drained persistence stream.  Drain invokes
-// ShipCommit after the whole pending set has been persisted and synced, with
-// the retired ranges in flush order — so the batch is exactly the delta that
-// took the durable image from one commit boundary to the next, and applying
-// shipped batches in order reproduces the primary's durable image byte for
-// byte.  An error from ShipCommit propagates out of Drain *after* local
-// durability is complete; shippers that must not fail the primary (follower
-// replication) swallow downstream errors and return nil.  The shipper must
-// not call back into the shipping device.
-type Shipper interface {
-	ShipCommit(batch []ShipRange) error
-}
-
-// SetShipper attaches (or, with nil, detaches) the device's commit shipper.
-// Empty drains are skipped.
-func (d *SimDevice) SetShipper(s Shipper) {
-	d.mu.Lock()
-	d.shipper = s
-	d.mu.Unlock()
 }
 
 // pendingRange is one flushed-but-not-drained byte range.  data == nil means
@@ -269,9 +235,6 @@ func Open(kind Kind, path string, size int64) (*SimDevice, error) {
 	}
 	return newDevice(kind, ModelFor(kind), buf, store), nil
 }
-
-// Kind identifies the medium.
-func (d *SimDevice) Kind() Kind { return d.kind }
 
 // Size is the device capacity in bytes.
 func (d *SimDevice) Size() int64 { return int64(len(d.buf)) }
@@ -646,31 +609,15 @@ func (d *SimDevice) Drain() error {
 	if d.closed {
 		return ErrClosed
 	}
-	var batch []ShipRange
-	if d.shipper != nil && len(d.pending) > 0 {
-		batch = make([]ShipRange, 0, len(d.pending))
-	}
 	for _, p := range d.pending {
 		src := p.data
 		if src == nil {
 			src = d.buf[p.off : p.off+p.n]
 		}
 		d.store.persist(p.off, src)
-		if batch != nil {
-			batch = append(batch, ShipRange{Off: p.off, Data: src})
-		}
 	}
 	d.dropPendingLocked()
-	if err := d.store.sync(); err != nil {
-		return err
-	}
-	if len(batch) > 0 {
-		// Ship after the fence: the batch is a committed durable delta, never
-		// speculative.  Data windows stay valid here — dropPendingLocked only
-		// released the pendingRange headers, and mu is still held.
-		return d.shipper.ShipCommit(batch)
-	}
-	return nil
+	return d.store.sync()
 }
 
 func (d *SimDevice) dropPendingLocked() {
@@ -809,10 +756,9 @@ func (d *SimDevice) CloneDurable() (*SimDevice, error) {
 
 // ReadDurable makes dst, which must be exactly Size() bytes, a copy of the
 // durable image: the persisted prefix is copied and the rest of dst zeroed.
-// The copy is host-side and uncharged: replication bootstrap
-// streams the snapshot off the modeled critical path (the cost of making it
-// durable again is charged at the destination device, per the
-// persist-at-the-destination discipline).
+// The copy is host-side and uncharged: it is an inspection of the image
+// (crash tests compare it with the image a recovery reads), not a modeled
+// access.
 func (d *SimDevice) ReadDurable(dst []byte) error {
 	if int64(len(dst)) != int64(len(d.buf)) {
 		return fmt.Errorf("%w: durable read of %d bytes from %d-byte device",
@@ -828,9 +774,9 @@ func (d *SimDevice) ReadDurable(dst []byte) error {
 	return nil
 }
 
-// DurableCRC returns the IEEE CRC-32 of the durable image — the replication
-// invariant tests compare a follower's image against the primary's without
-// materializing both for inspection.
+// DurableCRC returns the IEEE CRC-32 of the durable image, so tests can pin
+// or compare a pool image without materializing it (TestEngineBuildGolden
+// pins each shard's image after the build).
 func (d *SimDevice) DurableCRC() (uint32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -896,7 +842,7 @@ func (d *SimDevice) Close() error {
 // its lifecycle (the engine, the experiment harness, a test).  Unlike Close —
 // after which volatile reads and writes still work — the device must not be
 // used at all after Discard: accesses through it panic with an ordinary
-// bounds error, and a view obtained earlier (ReadView, a ShipRange) reads
+// bounds error, and a view obtained earlier (ReadView) reads
 // another device's bytes or faults.  The caller orders Discard after the
 // device's last user, as it orders every other write to the device.
 func (d *SimDevice) Discard() error {

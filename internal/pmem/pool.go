@@ -33,9 +33,9 @@ const (
 	rootSlots  = 24
 
 	// HeaderSize exports the pool-header length for callers that must
-	// respect the header's persistence ordering without parsing it — the
-	// replication snapshot install persists the body before the header so a
-	// torn install never exposes a header vouching for missing contents.
+	// respect the header's persistence ordering without parsing it: the
+	// engine sizes its pool past it, and crash tests persist or tear the
+	// header apart from the body.
 	HeaderSize = headerSize
 
 	offMagic   = 0

@@ -64,8 +64,7 @@ func (c Config) withDefaults() Config {
 //
 // A query only reads the engine's devices: it issues no flush or fence, so
 // it has no persistence event to fail at and the server no recovery to run.
-// Any error a query returns answers that one request.  Failover stays on
-// the engine task path, where writes can fail (core.ShardedEngine).
+// Any error a query returns answers that one request.
 type Server struct {
 	cfg Config
 	eng *ntadoc.Engine

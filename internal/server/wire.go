@@ -184,10 +184,10 @@ type IngestInfo struct {
 // this field order with Result last; the golden-envelope test holds those
 // bytes to json.Encoder's encoding of this struct.
 type Response struct {
-	// Generation identifies the archive build, recovery epoch and corpus
-	// epoch the result was computed against; it changes on failover
-	// recovery, on a committed append and on a compaction, invalidating
-	// client-side caches along with the server's.
+	// Generation is "<build tag>.<corpus epoch>": the archive build (its
+	// build tag, 8 hex digits) and the corpus epoch the result was computed
+	// against.  It changes on a committed append and on a compaction,
+	// invalidating client-side caches along with the server's.
 	Generation string `json:"generation"`
 	// Signature is the canonical batch signature the request reduced to.
 	Signature string `json:"signature"`

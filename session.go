@@ -94,34 +94,6 @@ func (e *Engine) docNames() []string {
 // per-request key.
 func (e *Engine) BuildTag() uint32 { return e.buildTag }
 
-// FailoverCount reports how many shard failovers the engine has performed
-// (0 for DRAM engines).
-func (e *Engine) FailoverCount() int {
-	if e.sh != nil {
-		return e.sh.FailoverCount()
-	}
-	return 0
-}
-
-// LiveFollowers reports the number of live follower devices per shard, or
-// nil when no shard has one (unreplicated, every follower consumed by
-// failovers, or a DRAM engine).
-func (e *Engine) LiveFollowers() []int {
-	if e.sh == nil {
-		return nil
-	}
-	out := make([]int, e.sh.NumShards())
-	any := false
-	for i := range out {
-		out[i] = len(e.sh.Followers(i))
-		any = any || out[i] > 0
-	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
 // ShardPool is one shard's simulated-device pool as the process holds it.
 // The device keeps the pool in page mappings, of which only the touched
 // prefix is resident: about Used bytes in each of its two images (volatile
