@@ -638,3 +638,253 @@ func TestSingleShardSetMatchesEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestDurableImageDeterministic: a shard's durable image is a function of
+// its inputs.  Two sets built from the same grammars hold byte-identical
+// images at every commit boundary — after construction and after every
+// single-op batch — and each image is exactly the one CloneDurable would
+// recover from.  TestEngineBuildGolden's pinned CRCs rest on the first half.
+func TestDurableImageDeterministic(t *testing.T) {
+	cases := []struct {
+		name                 string
+		seed                 int64
+		files, tokens, vocab int
+	}{
+		{"small", 51, 4, 200, 30},
+		{"manyfiles", 52, 9, 120, 40},
+		{"redundant", 53, 6, 300, 15},
+	}
+	opts := Options{Sequences: true, Persistence: OpLevel}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files, d, _ := corpus(t, tc.seed, tc.files, tc.tokens, tc.vocab)
+			for k := 1; k <= 4; k++ {
+				gs := shardGrammars(t, files, uint32(d.Len()), k)
+				var twins [2]*ShardedEngine
+				for j := range twins {
+					se, err := NewSharded(gs, d, opts)
+					if err != nil {
+						t.Fatalf("NewSharded(k=%d): %v", k, err)
+					}
+					defer se.Close()
+					twins[j] = se
+				}
+				checkCRCs := func(when string) {
+					t.Helper()
+					for i := 0; i < k; i++ {
+						dev := twins[0].Shard(i).Device()
+						crc, err := dev.DurableCRC()
+						if err != nil {
+							t.Fatalf("k=%d shard %d: DurableCRC: %v", k, i, err)
+						}
+						twin, err := twins[1].Shard(i).Device().DurableCRC()
+						if err != nil {
+							t.Fatalf("k=%d shard %d: twin DurableCRC: %v", k, i, err)
+						}
+						if crc != twin {
+							t.Errorf("k=%d shard %d %s: images of one input differ", k, i, when)
+						}
+						clone, err := dev.CloneDurable()
+						if err != nil {
+							t.Fatalf("k=%d shard %d: CloneDurable: %v", k, i, err)
+						}
+						ccrc, cerr := clone.DurableCRC()
+						if err := clone.Discard(); err != nil {
+							t.Fatalf("discard clone: %v", err)
+						}
+						if cerr != nil {
+							t.Fatalf("k=%d shard %d: clone DurableCRC: %v", k, i, cerr)
+						}
+						if ccrc != crc {
+							t.Errorf("k=%d shard %d %s: recovery image differs from the durable image", k, i, when)
+						}
+					}
+				}
+				checkCRCs("after construction")
+				for _, op := range analytics.Ops() {
+					for _, se := range twins {
+						if _, err := analytics.RunAs[any](se, op); err != nil {
+							t.Fatalf("k=%d RunOp(%s): %v", k, op.Name(), err)
+						}
+					}
+					checkCRCs("after " + op.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestShardCrashReopenMatchesHealthy kills shards of a K=4 set mid-batch.
+// The batch fails typed, naming the lowest armed shard; the set reopened
+// from the crashed images then matches the healthy run bit for bit on every
+// registered op, in that batch and the next, with one lane per shard.
+func TestShardCrashReopenMatchesHealthy(t *testing.T) {
+	files, d, g := corpus(t, 64, 8, 200, 30)
+	ref := newEngine(t, g, d, Options{Sequences: true})
+	ops := analytics.Ops()
+	want, err := ref.RunOps(ops)
+	if err != nil {
+		t.Fatalf("unsharded RunOps: %v", err)
+	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 4)
+	opts := Options{Sequences: true, Persistence: OpLevel}
+	for _, tc := range []struct {
+		name  string
+		armed []int
+	}{
+		{"one shard", []int{2}},
+		{"two shards", []int{0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			se, err := NewSharded(gs, d, opts)
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			for _, i := range tc.armed {
+				dev := se.Shard(i).Device()
+				dev.FailFromPersistEvent(dev.PersistEvents() + 3)
+			}
+			_, err = se.RunOps(ops)
+			var sf *ErrShardFailed
+			if !errors.As(err, &sf) || sf.Shard != tc.armed[0] {
+				se.Close()
+				t.Fatalf("err = %v, want ErrShardFailed{Shard: %d}", err, tc.armed[0])
+			}
+			if !errors.Is(err, nvm.ErrFailPoint) {
+				t.Errorf("err = %v, want nvm.ErrFailPoint in chain", err)
+			}
+			devs := make([]*nvm.SimDevice, se.NumShards())
+			for i := range devs {
+				if devs[i], err = se.Shard(i).Device().CloneDurable(); err != nil {
+					t.Fatalf("clone shard %d: %v", i, err)
+				}
+				if err := devs[i].Crash(); err != nil {
+					t.Fatalf("crash clone %d: %v", i, err)
+				}
+			}
+			se.Close()
+			re, _, err := ReopenSharded(devs, d, opts)
+			if err != nil {
+				for _, dev := range devs {
+					dev.Discard()
+				}
+				t.Fatalf("ReopenSharded: %v", err)
+			}
+			defer re.Close()
+			for round := 0; round < 2; round++ {
+				got, err := re.RunOps(ops)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				for i, op := range ops {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
+					}
+				}
+				tails := re.LastLaneTails()
+				if len(tails) != re.NumShards() {
+					t.Errorf("round %d: %d lane tails for %d shards, want one lane per shard", round, len(tails), re.NumShards())
+				}
+				for l, tail := range tails {
+					if tail <= 0 {
+						t.Errorf("round %d lane %d tail = %d, want > 0", round, l, tail)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardFailsTypedEveryTime fails one shard in three successive batches.
+// Every failure is typed and names the shard, and the batch after each
+// disarm matches the healthy run: a failed batch leaves nothing behind that
+// the next one sees.
+func TestShardFailsTypedEveryTime(t *testing.T) {
+	files, d, g := corpus(t, 67, 6, 200, 30)
+	ref := newEngine(t, g, d, Options{Sequences: true})
+	ops := analytics.Ops()
+	want, err := ref.RunOps(ops)
+	if err != nil {
+		t.Fatalf("unsharded RunOps: %v", err)
+	}
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
+	se, err := NewSharded(gs, d, Options{Sequences: true, Persistence: OpLevel})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer se.Close()
+	const victim = 1
+	dev := se.Shard(victim).Device()
+	for round := 0; round < 3; round++ {
+		dev.FailFromPersistEvent(dev.PersistEvents())
+		_, err := se.RunOps(ops)
+		var sf *ErrShardFailed
+		if !errors.As(err, &sf) || sf.Shard != victim {
+			t.Fatalf("round %d: err = %v, want ErrShardFailed{Shard: %d}", round, err, victim)
+		}
+		if !errors.Is(err, nvm.ErrFailPoint) {
+			t.Errorf("round %d: err = %v, want nvm.ErrFailPoint in chain", round, err)
+		}
+		dev.DisarmFailPoints()
+		got, err := se.RunOps(ops)
+		if err != nil {
+			t.Fatalf("round %d: disarmed batch: %v", round, err)
+		}
+		for i, op := range ops {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("round %d op %s: result differs from healthy run", round, op.Name())
+			}
+		}
+	}
+}
+
+// TestReopenShardedRejectsForeignImage offers a reopen shard 0's image in
+// shard 1's place, on equal-sized pools so the image fits.  The reopen fails
+// typed, naming shard 1 with ErrShardMismatch in its chain, leaves both
+// devices with the caller and maps nothing of its own.
+func TestReopenShardedRejectsForeignImage(t *testing.T) {
+	files, d, _ := corpus(t, 68, 4, 200, 25)
+	gs := shardGrammars(t, files, uint32(d.Len()), 2)
+	opts := Options{Sequences: true, Persistence: OpLevel}
+	var size int64
+	for _, g := range gs {
+		n, err := PoolEstimate(g, opts)
+		if err != nil {
+			t.Fatalf("PoolEstimate: %v", err)
+		}
+		size = max(size, n)
+	}
+	o := opts
+	o.ShardDevices = []*nvm.SimDevice{nvm.New(nvm.KindNVM, size), nvm.New(nvm.KindNVM, size)}
+	se, err := NewSharded(gs, d, o)
+	if err != nil {
+		for _, dev := range o.ShardDevices {
+			dev.Discard()
+		}
+		t.Fatalf("NewSharded: %v", err)
+	}
+	var foreign [2]*nvm.SimDevice
+	for i := range foreign {
+		if foreign[i], err = se.Shard(0).Device().CloneDurable(); err != nil {
+			t.Fatalf("clone shard 0: %v", err)
+		}
+		defer foreign[i].Discard()
+	}
+	se.Close()
+	before := nvm.MappedBytes()
+	re, _, err := ReopenSharded(foreign[:], d, opts)
+	if err == nil {
+		re.Close()
+		t.Fatal("shard 0's image reopened as shard 1")
+	}
+	var sf *ErrShardFailed
+	if !errors.As(err, &sf) || sf.Shard != 1 {
+		t.Fatalf("err = %v, want ErrShardFailed{Shard: 1}", err)
+	}
+	if !errors.Is(err, ErrShardMismatch) {
+		t.Errorf("err = %v, want ErrShardMismatch in chain", err)
+	}
+	if leaked := nvm.MappedBytes() - before; leaked != 0 {
+		t.Errorf("%d bytes of device images still mapped after a refused reopen", leaked)
+	}
+}

@@ -111,6 +111,83 @@ func TestShardedCrashPoints(t *testing.T) {
 	}
 }
 
+// TestThreeShardCrashPoints samples a three-shard set over a six-file
+// corpus under both persistence strategies: every shard is armed in turn,
+// and each recovery must hold per shard with the merged results matching
+// the global reference.
+func TestThreeShardCrashPoints(t *testing.T) {
+	points := 4
+	if testing.Short() {
+		points = 2
+	}
+	for _, p := range []core.Persistence{core.PhaseLevel, core.OpLevel} {
+		t.Run(p.String(), func(t *testing.T) {
+			rep, err := Run(Config{
+				Shards:      3,
+				Persistence: p,
+				Points:      points,
+				Subsets:     2,
+				Seed:        42,
+				Files:       6,
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if rep.TotalEvents == 0 {
+				t.Fatal("golden sharded run recorded no persistence events")
+			}
+			shardsSeen := map[int]bool{}
+			for _, pt := range rep.Points {
+				shardsSeen[pt.Shard] = true
+				for _, o := range pt.Outcomes {
+					for _, v := range o.Violations {
+						t.Errorf("shard %d event %d subset %s: %s", pt.Shard, pt.Event, o.Subset, v)
+					}
+				}
+			}
+			if len(shardsSeen) != 3 {
+				t.Errorf("explored shards %v, want all of 3", shardsSeen)
+			}
+		})
+	}
+}
+
+// TestShardedExploresEveryEvent runs the phase-level sharded matrix
+// exhaustively, as make crashcheck's -points 0 does: each shard's points
+// must be every event of its own schedule, 0 through its count, and the
+// counts must sum to the reported total.
+func TestShardedExploresEveryEvent(t *testing.T) {
+	rep, err := Run(Config{
+		Shards:      2,
+		Persistence: core.PhaseLevel,
+		Subsets:     1,
+		Seed:        42,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	expectClean(t, rep)
+	events := map[int][]int64{}
+	for _, pt := range rep.Points {
+		events[pt.Shard] = append(events[pt.Shard], pt.Event)
+	}
+	if len(events) != 2 {
+		t.Fatalf("explored shards %v, want both of 2", events)
+	}
+	var sum int64
+	for s, evs := range events {
+		for i, ev := range evs {
+			if ev != int64(i) {
+				t.Fatalf("shard %d: point %d is event %d, want %d", s, i, ev, i)
+			}
+		}
+		sum += int64(len(evs) - 1)
+	}
+	if sum != rep.TotalEvents {
+		t.Errorf("shards explored %d events, want TotalEvents = %d", sum, rep.TotalEvents)
+	}
+}
+
 // TestShardedSeqCountCrashPoints spot-checks sequence analytics across a
 // sharded crash: per-shard results are Seq-keyed, so the merge must not need
 // the (dead) shard-local sequence dictionaries.
@@ -246,8 +323,8 @@ func TestStageAfterCompactionIsCaught(t *testing.T) {
 }
 
 // TestPinnedEventSpaces pins the golden persistence-event totals of every
-// make crashcheck and ingestcheck pass, phase-level then
-// operation-level.  A change that builds through a path persisting less
+// make crashcheck and ingestcheck pass, and of a three-shard set, phase-level
+// then operation-level.  A change that builds through a path persisting less
 // would otherwise shrink the explored matrices silently.  One sampled point
 // per shard keeps it cheap.
 func TestPinnedEventSpaces(t *testing.T) {
@@ -267,6 +344,9 @@ func TestPinnedEventSpaces(t *testing.T) {
 		{"crashcheck/invertedindex/bottom-up",
 			Config{Task: "invertedindex", Strategy: core.BottomUp, OpLogCap: smallLog}, [2]int64{12, 18}},
 		{"crashcheck/fused", Config{Task: fusedTask, OpLogCap: smallLog}, [2]int64{12, 72}},
+		// A three-shard set's total is the sum of its shards' schedules.
+		{"crashcheck/sharded", Config{Shards: 3, Files: 6}, [2]int64{36, 234}},
+		{"crashcheck/sharded/seqcount", Config{Shards: 3, Files: 6, Task: "seqcount"}, [2]int64{36, 192}},
 		// 16/18, not 38/40, since an append commits its watermark with one
 		// flushed 8-byte store instead of a redo transaction: 4 persistence
 		// events per append instead of 15, over two appends.

@@ -110,3 +110,28 @@ func TestMergeParallel(t *testing.T) {
 		t.Errorf("single-lane Total = %v, want %v", got, a.Total())
 	}
 }
+
+func TestAddParallel(t *testing.T) {
+	a := MergeParallel(
+		Span{CPUNanos: 100, Device: nvm.Stats{ModeledNanos: 400, Reads: 3}},
+		Span{CPUNanos: 900, Device: nvm.Stats{ModeledNanos: 100, Reads: 1}})
+	got := a.AddParallel([]int64{30, 70, 20})
+	// The slowest gather lane extends the critical path.
+	if got.Total() != 1000+70 {
+		t.Errorf("Total = %v, want 1070ns", got.Total())
+	}
+	// Every lane's nanos add to the CPU account; device work is untouched.
+	if got.CPUNanos != 1120 || got.Device.ModeledNanos != 500 || got.Device.Reads != 4 {
+		t.Errorf("summed work = cpu %d dev %d reads %d", got.CPUNanos, got.Device.ModeledNanos, got.Device.Reads)
+	}
+	// A plain (non-merged) receiver freezes its Modeled+CPU total first, so
+	// the lanes' CPU is not counted twice through the fallback.
+	plain := Span{CPUNanos: 10, Device: nvm.Stats{ModeledNanos: 40}}
+	if got := plain.AddParallel([]int64{60, 100}).Total(); got != 150 {
+		t.Errorf("plain Total = %v, want 150ns", got)
+	}
+	// No lanes leave the span as it is.
+	if got := plain.AddParallel(nil); got != plain {
+		t.Errorf("AddParallel(nil) = %+v, want %+v", got, plain)
+	}
+}

@@ -187,6 +187,62 @@ func TestRunBatchShardError(t *testing.T) {
 	}
 }
 
+// TestRunBatchShardFailureAnyShardCount kills one shard mid-batch through
+// the public batch API, for an unsharded archive (the one-shard engine)
+// exactly as for K=3: the batch fails typed, naming the shard, and once the
+// fail point is disarmed the next batch matches the healthy unsharded run.
+func TestRunBatchShardFailureAnyShardCount(t *testing.T) {
+	ref, err := NewEngine(mustCompress(t, shardDocs), Options{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer ref.Close()
+	want, err := ref.RunBatch(AllTasks...)
+	if err != nil {
+		t.Fatalf("unsharded RunBatch: %v", err)
+	}
+	for _, tc := range []struct {
+		name      string
+		k, victim int
+	}{
+		{"k=1", 1, 0},
+		{"k=3", 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := CompressSharded(shardDocs, tc.k)
+			if err != nil {
+				t.Fatalf("CompressSharded: %v", err)
+			}
+			e, err := NewEngine(a, Options{Persistence: OperationLevel})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			defer e.Close()
+			if n := e.NumShards(); n != tc.k {
+				t.Fatalf("NumShards = %d, want %d", n, tc.k)
+			}
+			dev := e.sh.Shard(tc.victim).Device()
+			dev.FailFromPersistEvent(dev.PersistEvents() + 1)
+			_, err = e.RunBatch(AllTasks...)
+			var sf *core.ErrShardFailed
+			if !errors.As(err, &sf) || sf.Shard != tc.victim {
+				t.Fatalf("err = %v, want core.ErrShardFailed{Shard: %d}", err, tc.victim)
+			}
+			if !errors.Is(err, nvm.ErrFailPoint) {
+				t.Errorf("err = %v, want nvm.ErrFailPoint in chain", err)
+			}
+			dev.DisarmFailPoints()
+			got, err := e.RunBatch(AllTasks...)
+			if err != nil {
+				t.Fatalf("disarmed RunBatch: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("batch after the failure differs from unsharded")
+			}
+		})
+	}
+}
+
 // TestSharedFormRoundTrip checks the unified (shared-rule-table) form is
 // what a sharded archive serializes, that it survives the round trip
 // exactly, and that re-serialization is byte-identical (deterministic).
